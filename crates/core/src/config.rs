@@ -33,7 +33,8 @@ pub struct CleanConfig {
     /// Master-free mode (§1/§9): the master relation is a positional
     /// snapshot of the data itself, so MD evaluation must skip the tuple's
     /// own master row — a stale self copy would otherwise witness against
-    /// every fresh fix. Set by [`crate::pipeline::clean_without_master`].
+    /// every fresh fix. Forced on by
+    /// [`MasterSource::SelfSnapshot`](crate::MasterSource::SelfSnapshot).
     pub self_match: bool,
     /// Worker threads for the parallel phase internals (MD premise
     /// verification, 2-in-1 structure construction). `None` uses every
@@ -41,11 +42,15 @@ pub struct CleanConfig {
     /// path does. Output is bit-identical for every setting — see the
     /// chunk–merge–apply design in [`crate::parallel`].
     pub parallelism: Option<NonZeroUsize>,
-    /// Intern cell values into dense `u32` symbols
-    /// ([`uniclean_model::ValueInterner`]) so the hottest hash keys —
-    /// 2-in-1 group projections and master-index exact lookups — hash and
-    /// compare in O(1). Purely an optimization: results are identical
-    /// either way. Off exists for benchmarking the win.
+    /// Key the master index's exact-match hash maps by the master
+    /// relation's interned `u32` symbols instead of by raw values
+    /// ([`MasterIndex::build_parallel`](crate::MasterIndex::build_parallel)).
+    /// That is all it does today: the columnar store is symbol-native, so
+    /// the 2-in-1 group projections are symbols either way and
+    /// [`TwoInOne::build_with`](crate::two_in_one::TwoInOne::build_with)
+    /// ignores the flag. Results are identical for both settings. Slated
+    /// for removal (ROADMAP diet list); it stays until
+    /// `benchmark/src/batch.rs`, which reads it, can change with it.
     pub interning: bool,
 }
 

@@ -2,9 +2,7 @@
 //!
 //! Everything a user can get wrong — bad thresholds, MDs without master
 //! data, schema mismatches, unparsable rule text — surfaces as a value of
-//! one of these enums instead of a panic. The panicking entry points
-//! (`UniClean::new`, `clean_without_master`) are deprecated shims that
-//! merely `panic!` with these errors' `Display` text.
+//! one of these enums instead of a panic.
 
 use std::fmt;
 
@@ -185,9 +183,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_keeps_the_historic_panic_phrases() {
-        // `should_panic(expected = …)` tests of the deprecated shims match
-        // on substrings of these messages; they must not drift silently.
+    fn display_keeps_its_key_phrases() {
+        // The CLI prints these verbatim (`error: …`); they must not
+        // drift silently.
         assert!(CleanError::MdsWithoutMaster
             .to_string()
             .contains("no master relation"));

@@ -10,34 +10,37 @@
 //! * [`crepair`] — deterministic fixes from confidence analysis and master
 //!   data (§5, Figs 4–5);
 //! * [`erepair`] — reliable fixes from information entropy (§6, Fig 6),
-//!   backed by the 2-in-1 hash-table + AVL structure of §6.3
-//!   ([`two_in_one`], [`avl`]);
+//!   backed by the 2-in-1 hash-table + entropy-ordered-tree structure of
+//!   §6.3 ([`two_in_one`]);
 //! * [`hrepair`] — possible fixes via equivalence classes and the cost
 //!   model (§7, extending Cong et al.), preserving deterministic fixes
 //!   (Corollary 7.1);
-//! * [`session`] — the [`Cleaner`] session API: builder construction,
-//!   [`MasterSource`] (external / self-snapshot / none), typed
-//!   [`CleanError`]s, the [`PhaseObserver`] instrumentation hook, and the
-//!   persistent [`PreparedCleaner`] (rules/index/config built once per
-//!   session, shared by every call);
-//! * [`incremental`] — incremental cleaning: the per-relation
-//!   [`RepairState`] and [`Cleaner::clean_delta`], which absorb appended
-//!   batches by continuing the persisted `cRepair` fixpoint and reusing
-//!   the warm structures, bit-identical to a from-scratch reclean;
-//! * [`phase`] — the one [`Phase`] type (phase identity and pipeline
-//!   prefix selector, consolidated in 0.4);
-//! * [`pipeline`] — [`CleanResult`] and the deprecated pre-0.2 entry
-//!   points (`UniClean`, `clean_without_master`), now thin shims over the
-//!   session;
-//! * [`master_index`] — blocked access to master data (exact hash index for
+//! * [`session`] — the [`Cleaner`] session API and the one phase loop
+//!   behind it: builder construction, [`MasterSource`] (external /
+//!   self-snapshot / none), typed [`CleanError`]s, the [`PhaseObserver`]
+//!   instrumentation hook, [`CleanResult`], and the persistent
+//!   [`PreparedCleaner`] (rules/index/config built once per session,
+//!   shared by every call);
+//! * [`incremental`] — the per-relation [`RepairState`] and
+//!   [`Cleaner::clean_delta`], which absorb appended batches by running
+//!   the same loop over the persisted `cRepair` fixpoint and warm
+//!   structures, bit-identical to a from-scratch reclean;
+//! * [`acceptance`] — [`ConsistencyIndex`], the one owner of the §3.2
+//!   acceptance verdict (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`), built once per full
+//!   clean and maintained from diffs by deltas;
+//! * [`phase`] — the one [`Phase`] type (phase identity and phase-prefix
+//!   selector);
+//! * [`master_index`] — access paths to master data (exact hash index for
 //!   equality premises — interned to dense symbols on the fast path — and
-//!   the §5.2 LCS suffix-tree blocker for edit-distance premises);
+//!   q-gram count filtering for similarity premises), chosen per MD by the
+//!   planner;
 //! * [`parallel`] — the scoped-thread chunk–merge–apply fan-out the phases
 //!   use for their read-heavy stages, bit-identical at every thread count;
 //! * [`fix`] — per-cell fix records and phase statistics;
-//! * [`entropy`] — the paper's base-`k` entropy `H(ϕ | Y = ȳ)` (§6.1).
+//! * [`entropy`] — the paper's base-`k` entropy `H(ϕ | Y = ȳ)` (§6.1) and
+//!   the entropy-ordered set of conflict sets (§6.3).
 
-pub mod avl;
+pub mod acceptance;
 pub mod config;
 pub mod crepair;
 pub mod entropy;
@@ -51,7 +54,6 @@ mod md_cache;
 pub mod parallel;
 mod pattern_syms;
 pub mod phase;
-pub mod pipeline;
 pub mod session;
 pub mod two_in_one;
 
@@ -60,20 +62,18 @@ pub mod two_in_one;
 /// direct dependency.
 pub use uniclean_similarity as similarity;
 
+pub use acceptance::{ConsistencyIndex, TupleViolation, ViolationKind};
 pub use config::CleanConfig;
 pub use crepair::c_repair;
 pub use erepair::e_repair;
 pub use error::{CleanError, ConfigError};
 pub use fix::{FixRecord, FixReport};
 pub use hrepair::h_repair;
-pub use incremental::{RepairState, TupleViolation, ViolationKind};
+pub use incremental::RepairState;
 pub use master_index::{IndexPolicy, MasterIndex, ProbeScratch};
 pub use parallel::effective_parallelism;
 pub use phase::Phase;
-pub use pipeline::CleanResult;
-#[allow(deprecated)]
-pub use pipeline::{clean_without_master, UniClean};
 pub use session::{
-    Cleaner, CleanerBuilder, MasterSource, NoOpObserver, PhaseObserver, PhaseStats, PhaseTimings,
-    PreparedCleaner,
+    CleanResult, Cleaner, CleanerBuilder, MasterSource, NoOpObserver, PhaseObserver, PhaseStats,
+    PhaseTimings, PreparedCleaner,
 };

@@ -1,32 +1,35 @@
-//! The owned, reusable cleaning session: [`Cleaner`], built through
-//! [`Cleaner::builder`], backed by a persistent [`PreparedCleaner`].
+//! The cleaning session: [`Cleaner`], built through [`Cleaner::builder`],
+//! and the one phase loop every entry point runs.
 //!
 //! The paper describes *one* unified process over record matching (MDs)
-//! and repairing (CFDs); this module makes the public API match. A single
-//! phase loop drives `cRepair → eRepair → hRepair` regardless of where
-//! master data comes from — an external relation (§1, Fig 1), the data
-//! itself via per-phase snapshots (§9's master-free adaptation), or
-//! nowhere (CFD-only repairing). The [`MasterSource`] enum picks the
-//! variant; the loop body is shared.
+//! and repairing (CFDs) — "three algorithms consecutively … no need to
+//! iterate" (§3.2) — ending in one acceptance condition. The engine has
+//! one of each:
 //!
-//! The engine is layered in two:
+//! * **one phase loop** (`run_phases`): `cRepair → eRepair → hRepair`
+//!   over a set of per-relation structures (`Warm`), wherever master
+//!   data comes from — an external relation (§1, Fig 1), the data itself
+//!   via per-phase snapshots (§9's master-free adaptation), or nowhere
+//!   (CFD-only repairing); the [`MasterSource`] enum picks the per-phase
+//!   master view. A from-scratch run is the loop over fresh structures; a
+//!   [`Cleaner::clean_delta`] is the same loop continuing persisted ones.
+//! * **one full clean** (`full_clean`): phases → acceptance → cost.
+//!   [`Cleaner::clean`] is it with the structures dropped;
+//!   [`Cleaner::begin`] is it with them kept in a
+//!   [`RepairState`](crate::RepairState).
+//! * **one acceptance owner**: every verdict comes from
+//!   [`ConsistencyIndex`] (see [`crate::acceptance`]).
 //!
-//! * [`PreparedCleaner`] — everything that depends only on the rules,
-//!   the master data and the configuration: normalized rules, the §5.2
-//!   master access paths ([`MasterIndex`]). Built
-//!   **once** per session by [`CleanerBuilder::build`] and shared
-//!   (`Arc`) by every call — a service pays rule/index preparation once,
-//!   not per request.
-//! * [`RepairState`](crate::RepairState) — everything that depends on one
-//!   relation: the working data, the `cRepair` fixpoint, the 2-in-1
-//!   structures and warm caches. Created by [`Cleaner::begin`] and evolved
-//!   in place by [`Cleaner::clean_delta`] as batches arrive.
+//! [`PreparedCleaner`] holds everything that depends only on the rules,
+//! the master data and the configuration — normalized rules and the §5.2
+//! master access paths ([`MasterIndex`]) — built **once** by
+//! [`CleanerBuilder::build`] and shared (`Arc`) by every call, so a
+//! service pays rule/index preparation once, not per request.
 //!
-//! Construction is fallible and typed: every misuse that used to panic
-//! (`expect`/`assert!` in `UniClean::new` and `clean_without_master`)
-//! is a [`CleanError`] from [`CleanerBuilder::build`]. A built `Cleaner`
-//! owns `Arc`s of its rules and master data, so it can live in a service
-//! and be shared across threads for many `clean` calls.
+//! Construction is fallible and typed: every misuse is a [`CleanError`]
+//! from [`CleanerBuilder::build`], never a panic. A built `Cleaner` owns
+//! `Arc`s of its rules and master data, so it can live in a service and be
+//! shared across threads for many `clean` calls.
 //!
 //! Instrumentation flows through one surface: [`PhaseObserver`] receives
 //! per-phase timing and fix counts as the run progresses, and the same
@@ -35,20 +38,19 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use uniclean_model::{repair_cost, Relation};
-use uniclean_rules::{satisfies_all, RuleSet};
+use uniclean_model::{repair_cost, FixMark, Relation, Tuple};
+use uniclean_rules::RuleSet;
 
+use crate::acceptance::ConsistencyIndex;
 use crate::config::CleanConfig;
-use crate::crepair::{c_run, CFixpoint};
+use crate::crepair::{c_run, CFixpoint, CGuard};
 use crate::erepair::e_run;
 use crate::error::CleanError;
 use crate::fix::FixReport;
 use crate::hrepair::h_repair;
-use crate::incremental::StateCapture;
 use crate::master_index::MasterIndex;
 use crate::md_cache::MdMatchCache;
 use crate::phase::Phase;
-use crate::pipeline::CleanResult;
 use crate::two_in_one::TwoInOne;
 
 /// Where the master relation `Dm` comes from.
@@ -131,7 +133,7 @@ impl PhaseTimings {
 
 /// Map phase stats into fixed (c, e, h) slots — the shared backing of
 /// [`PhaseTimings::seconds`] and [`CleanResult::phase_seconds`].
-pub(crate) fn seconds_by_phase(stats: &[PhaseStats]) -> [f64; 3] {
+fn seconds_by_phase(stats: &[PhaseStats]) -> [f64; 3] {
     let mut out = [0.0; 3];
     for s in stats {
         out[s.phase.index()] = s.seconds;
@@ -175,13 +177,23 @@ impl PreparedCleaner {
         &self.config
     }
 
-    /// The `(Dm, index)` pair phases see under [`MasterSource::External`]
-    /// and [`MasterSource::None`] (the per-phase self-snapshot is handled
-    /// by the phase loop itself).
-    pub(crate) fn external_view(&self) -> (Option<&Relation>, Option<&MasterIndex>) {
+    /// The master view one phase sees, given the repair so far. External
+    /// masters reuse the access paths built at `build` time; the
+    /// self-snapshot re-renders `current` and indexes it.
+    fn view(&self, current: &Relation) -> MasterView<'_> {
         match &self.master {
-            MasterSource::External(m) => (Some(m), self.index.as_ref()),
-            _ => (None, None),
+            MasterSource::External(m) => MasterView::Prepared(Some(m), self.index.as_ref()),
+            MasterSource::SelfSnapshot => {
+                let snap = self.snapshot(current);
+                let idx = MasterIndex::build_parallel(
+                    self.rules.mds(),
+                    &snap,
+                    self.config.interning,
+                    self.config.effective_parallelism(),
+                );
+                MasterView::Snapshot(snap, idx)
+            }
+            MasterSource::None => MasterView::Prepared(None, None),
         }
     }
 
@@ -189,7 +201,7 @@ impl PreparedCleaner {
     /// (self-snapshot mode only; `build` guarantees the schema exists and
     /// mirrors the data schema). A columnar-store clone — no row tuples
     /// are materialized.
-    pub(crate) fn snapshot(&self, work: &Relation) -> Relation {
+    fn snapshot(&self, work: &Relation) -> Relation {
         let master_schema = self
             .rules
             .master_schema()
@@ -214,83 +226,301 @@ impl PreparedCleaner {
     }
 }
 
-/// The shared phase loop: run the pipeline prefix on `work`, streaming
-/// stats to `observer`. With `capture`, the per-relation structures a
-/// [`RepairState`](crate::RepairState) persists are stashed as the run
-/// passes through them — the captured run is bit-identical to an
-/// uncaptured one (capturing only clones).
+/// The per-relation structures the phase loop runs over. A from-scratch
+/// run starts from [`Warm::fresh`]; a [`RepairState`](crate::RepairState)
+/// persists them between calls so a delta continues where the last run
+/// stopped.
+pub(crate) struct Warm {
+    /// The `cRepair` fixpoint of the input so far, evolved in place.
+    post_c: Relation,
+    /// The live `cRepair` fixpoint machine over `post_c`.
+    cfix: CFixpoint,
+    /// `eRepair`'s structures, present once `eRepair` has run: the 2-in-1
+    /// structure pinned to `post_c` and the cross-call witness cache.
+    e: Option<(TwoInOne, MdMatchCache)>,
+}
+
+impl Warm {
+    /// Fresh structures over `d`: nothing settled, nothing cached.
+    fn fresh(prepared: &PreparedCleaner, d: Relation) -> Self {
+        let cfix = CFixpoint::new(&prepared.rules, d.len(), prepared.config.self_match);
+        Warm {
+            post_c: d,
+            cfix,
+            e: None,
+        }
+    }
+
+    /// Append a batch of (validated) tuples, unseeded: the next
+    /// [`run_phases`] continues the fixpoint over them.
+    pub(crate) fn append(&mut self, batch: &[Tuple]) {
+        for t in batch {
+            self.post_c.push(t.clone());
+        }
+        self.cfix.grow(batch.len());
+    }
+}
+
+/// What one pass of the phase loop produced.
+pub(crate) struct PhaseRun {
+    /// The repair after the last requested phase.
+    pub(crate) work: Relation,
+    /// Every fix the pass applied, in order.
+    pub(crate) report: FixReport,
+    /// Per-phase stats, as streamed to the observer.
+    pub(crate) phases: Vec<PhaseStats>,
+    /// The structures to continue from (`keep` only).
+    pub(crate) warm: Option<Warm>,
+}
+
+/// Hand a phase its working copy of a pinned structure: a clone when the
+/// pinned one outlives the call, the structure itself when nothing is kept.
+fn working_copy<T: Clone>(pinned: T, keep: bool) -> (T, Option<T>) {
+    if keep {
+        (pinned.clone(), Some(pinned))
+    } else {
+        (pinned, None)
+    }
+}
+
+/// Run one phase under the observer — the one place a phase starts, is
+/// timed and ends.
+fn timed(
+    observer: &mut dyn PhaseObserver,
+    phases: &mut Vec<PhaseStats>,
+    phase: Phase,
+    body: impl FnOnce() -> FixReport,
+) -> FixReport {
+    observer.on_phase_start(phase);
+    let started = Instant::now();
+    let fixes = body();
+    let stats = PhaseStats {
+        phase,
+        seconds: started.elapsed().as_secs_f64(),
+        fixes: fixes.len(),
+    };
+    observer.on_phase_end(&stats);
+    phases.push(stats);
+    fixes
+}
+
+/// The one phase loop: `cRepair → eRepair → hRepair` up to `phase` over
+/// `warm`, streaming stats to `observer`.
+///
+/// `settled` is `None` for a from-scratch run over fresh structures, or
+/// `Some(n)` to *continue* persisted ones over the tuples appended after
+/// the first `n` — watched by a [`CGuard`], and `None` is returned when it
+/// saw evidence the continuation order cannot reproduce (the caller
+/// recleans from scratch). With `keep` the later phases work on clones
+/// and the structures come back in [`PhaseRun::warm`]; without it they are
+/// consumed, so a one-shot clean holds no second copy of anything.
+///
+/// Each phase gets its own master view ([`PreparedCleaner::view`]): under
+/// [`MasterSource::SelfSnapshot`] that re-renders the current repair, so
+/// each phase sees the previous phase's fixes (the §9 interleaving).
 pub(crate) fn run_phases(
     prepared: &PreparedCleaner,
-    work: &mut Relation,
     phase: Phase,
+    warm: Warm,
+    settled: Option<usize>,
+    keep: bool,
     observer: &mut dyn PhaseObserver,
-    mut capture: Option<&mut StateCapture>,
-) -> (FixReport, Vec<PhaseStats>) {
-    let rules = &prepared.rules;
-    let cfg = &prepared.config;
-    let mut report = FixReport::new();
+) -> Option<PhaseRun> {
+    let (rules, cfg) = (&prepared.rules, &prepared.config);
+    let threads = cfg.effective_parallelism();
     let mut phases = Vec::with_capacity(phase.through().len());
+    let Warm {
+        mut post_c,
+        mut cfix,
+        e,
+    } = warm;
 
-    for &kind in phase.through() {
-        // Per-phase master view. External masters reuse the access
-        // paths built at `build` time; the self-snapshot re-renders the
-        // current repair state so each phase sees the previous phase's
-        // fixes (the §9 interleaving).
-        let snapshot_storage;
-        let (dm, index): (Option<&Relation>, Option<&MasterIndex>) = match &prepared.master {
-            MasterSource::External(m) => (Some(m), prepared.index.as_ref()),
-            MasterSource::SelfSnapshot => {
-                let snap = prepared.snapshot(work);
-                let idx = MasterIndex::build_parallel(
-                    rules.mds(),
-                    &snap,
-                    cfg.interning,
-                    cfg.effective_parallelism(),
-                );
-                snapshot_storage = (snap, idx);
-                (Some(&snapshot_storage.0), Some(&snapshot_storage.1))
-            }
-            MasterSource::None => (None, None),
-        };
-
-        observer.on_phase_start(kind);
-        let fixes_before = report.len();
-        let started = Instant::now();
-        let fixes = match kind {
-            Phase::CRepair => {
-                let mut fx = CFixpoint::new(rules, work.len(), cfg.self_match);
-                let rep = c_run(work, dm, rules, index, cfg, &mut fx, 0, None);
-                if let Some(cap) = capture.as_deref_mut() {
-                    cap.cfix = Some(fx);
-                    cap.post_c = Some(work.clone());
-                }
-                rep
-            }
-            Phase::ERepair => {
-                let mut structure =
-                    TwoInOne::build_with(rules, work, cfg.interning, cfg.effective_parallelism());
-                let mut cache = MdMatchCache::new(rules, work.len(), cfg.self_match);
-                if let Some(cap) = capture.as_deref_mut() {
-                    cap.two = Some(structure.clone());
-                }
-                let rep = e_run(work, dm, rules, index, cfg, &mut structure, &mut cache);
-                if let Some(cap) = capture.as_deref_mut() {
-                    cap.e_cache = Some(cache);
-                }
-                rep
-            }
-            Phase::HRepair => h_repair(work, dm, rules, index, cfg),
-        };
-        report.extend(fixes);
-        let stats = PhaseStats {
-            phase: kind,
-            seconds: started.elapsed().as_secs_f64(),
-            fixes: report.len() - fixes_before,
-        };
-        observer.on_phase_end(&stats);
-        phases.push(stats);
+    let mut guard = settled.map(CGuard::new);
+    let view = prepared.view(&post_c);
+    let (dm, index) = view.parts();
+    let mut report = timed(observer, &mut phases, Phase::CRepair, || {
+        let seed_from = settled.unwrap_or(0);
+        let fixes = c_run(
+            &mut post_c,
+            dm,
+            rules,
+            index,
+            cfg,
+            &mut cfix,
+            seed_from,
+            guard.as_mut(),
+        );
+        // An aborted continuation keeps none of its fixes.
+        match &guard {
+            Some(g) if g.hazard => FixReport::new(),
+            _ => fixes,
+        }
+    });
+    if guard.as_ref().is_some_and(|g| g.hazard) {
+        return None;
     }
-    (report, phases)
+
+    let (mut work, post_c) = working_copy(post_c, keep);
+    // Unless kept, the fixpoint machine is freed here — not held across
+    // the later phases.
+    let kept_c = post_c.map(|post_c| (post_c, cfix));
+    let mut kept_e = None;
+    // eRepair's spent working copy, held past hRepair when the state is
+    // kept: freeing its thousands of small nodes right before hRepair's
+    // allocation-heavy rounds slows a one-thread delta by ~10% (allocator
+    // bin churn; HOSP, 1 500-tuple base), and a kept state's peak holds
+    // the pinned original anyway. A one-shot clean frees it at once.
+    let mut spent = None;
+    if phase >= Phase::ERepair {
+        let view = prepared.view(&work);
+        let (dm, index) = view.parts();
+        let e_fixes = timed(observer, &mut phases, Phase::ERepair, || {
+            let build = |d: &Relation| TwoInOne::build_with(rules, d, cfg.interning, threads);
+            let (two, mut cache) = match (e, settled) {
+                // Persisted structures: extend the 2-in-1 by insert-time
+                // deltas and serve premise verification from the warm
+                // cross-call cache.
+                (Some((mut two, mut cache)), Some(settled)) => {
+                    cache.grow(work.len() - settled);
+                    cache.begin_run();
+                    if guard.as_ref().is_some_and(|g| g.settled_writes > 0) {
+                        // The batch's deterministic cascade legitimately
+                        // rewrote settled tuples (kept — a continuation is
+                        // a legal §5.2 application order). The 2-in-1
+                        // pinned to the old post-cRepair state is stale in
+                        // a way insert-time deltas cannot express without
+                        // perturbing group-id order, so rebuild it; witness
+                        // lists are dropped only for the cells the cascade
+                        // actually touched.
+                        two = build(&work);
+                        for rec in report.records() {
+                            cache.invalidate(rec.tuple, rec.attr);
+                        }
+                    } else {
+                        two.insert_tuples(rules, &work, settled);
+                    }
+                    (two, cache)
+                }
+                _ => (
+                    build(&work),
+                    MdMatchCache::new(rules, work.len(), cfg.self_match),
+                ),
+            };
+            // eRepair re-derives its (globally decided) fixes from the
+            // post-cRepair state on every run, consuming its 2-in-1.
+            let (mut structure, two) = working_copy(two, keep);
+            let fixes = e_run(&mut work, dm, rules, index, cfg, &mut structure, &mut cache);
+            kept_e = two.map(|two| (two, cache));
+            spent = keep.then_some(structure);
+            fixes
+        });
+        report.extend(e_fixes);
+    }
+    if phase >= Phase::HRepair {
+        let view = prepared.view(&work);
+        let (dm, index) = view.parts();
+        let h_fixes = timed(observer, &mut phases, Phase::HRepair, || {
+            h_repair(&mut work, dm, rules, index, cfg)
+        });
+        report.extend(h_fixes);
+    }
+
+    drop(spent);
+    Some(PhaseRun {
+        work,
+        report,
+        phases,
+        warm: kept_c.map(|(post_c, cfix)| Warm {
+            post_c,
+            cfix,
+            e: kept_e,
+        }),
+    })
+}
+
+/// The one from-scratch clean: phases → acceptance → cost. With `keep`,
+/// the structures a [`RepairState`](crate::RepairState) continues from
+/// come back alongside the result; [`Cleaner::clean`] is this with nothing
+/// kept. Self-snapshot masters re-render per phase, so nothing
+/// per-relation can be pinned and `keep` yields no [`Warm`] (deltas over
+/// such a state always reclean).
+pub(crate) fn full_clean(
+    prepared: &PreparedCleaner,
+    d: &Relation,
+    phase: Phase,
+    keep: bool,
+    observer: &mut dyn PhaseObserver,
+) -> (CleanResult, Option<Warm>, ConsistencyIndex) {
+    let keep = keep && !matches!(prepared.master, MasterSource::SelfSnapshot);
+    let fresh = Warm::fresh(prepared, d.clone());
+    let run = run_phases(prepared, phase, fresh, None, keep, observer)
+        .expect("only a continuation can be aborted");
+
+    // Acceptance (§3.2): `Dr ⊨ Σ` and `(Dr, Dm) ⊨ Γ`, checked against
+    // whatever master view the final state implies.
+    let mut storage = None;
+    let dm_final = prepared.acceptance_master(&run.work, &mut storage);
+    let cons = ConsistencyIndex::build(&prepared.rules, &run.work, dm_final);
+    let result = CleanResult {
+        cost: repair_cost(d, &run.work),
+        consistent: cons.consistent(),
+        repaired: run.work,
+        report: run.report,
+        phases: run.phases,
+    };
+    (result, run.warm, cons)
+}
+
+/// The `(Dm, index)` pair of one phase: borrowed from the session, or a
+/// snapshot of the repair so far owned by the phase.
+enum MasterView<'a> {
+    Prepared(Option<&'a Relation>, Option<&'a MasterIndex>),
+    Snapshot(Relation, MasterIndex),
+}
+
+impl MasterView<'_> {
+    fn parts(&self) -> (Option<&Relation>, Option<&MasterIndex>) {
+        match self {
+            MasterView::Prepared(dm, index) => (*dm, *index),
+            MasterView::Snapshot(dm, index) => (Some(dm), Some(index)),
+        }
+    }
+}
+
+/// Result of a cleaning run.
+#[derive(Clone, Debug)]
+pub struct CleanResult {
+    /// The (partially) repaired relation.
+    pub repaired: Relation,
+    /// Every fix applied, in order, across phases.
+    pub report: FixReport,
+    /// `cost(Dr, D)` under the §3.1 model.
+    pub cost: f64,
+    /// Did the final relation satisfy `Σ` and `Γ` (null semantics)? Always
+    /// expected after `Phase::Full`; `false` can only arise from frozen
+    /// conflicts, which contradict the correctness assumptions on master
+    /// data and confidence (§5.1).
+    pub consistent: bool,
+    /// Per-phase timing and fix counts, in execution order. The same
+    /// records stream through [`PhaseObserver`] during the run.
+    pub phases: Vec<PhaseStats>,
+}
+
+impl CleanResult {
+    /// Fix counts by final mark: (deterministic, reliable, possible).
+    pub fn fix_counts(&self) -> (usize, usize, usize) {
+        (
+            self.report.count_final(FixMark::Deterministic),
+            self.report.count_final(FixMark::Reliable),
+            self.report.count_final(FixMark::Possible),
+        )
+    }
+
+    /// Wall-clock seconds spent in each phase, in fixed (c, e, h) order;
+    /// phases that did not run report 0.
+    pub fn phase_seconds(&self) -> [f64; 3] {
+        seconds_by_phase(&self.phases)
+    }
 }
 
 /// An owned, reusable cleaning session: a shared [`PreparedCleaner`]
@@ -382,23 +612,7 @@ impl Cleaner {
         phase: Phase,
         observer: &mut dyn PhaseObserver,
     ) -> CleanResult {
-        let mut work = d.clone();
-        let (report, phases) = run_phases(&self.prepared, &mut work, phase, observer, None);
-
-        // Acceptance (§3.2): `Dr ⊨ Σ` and `(Dr, Dm) ⊨ Γ`, checked against
-        // whatever master view the final state implies.
-        let rules = &self.prepared.rules;
-        let mut storage = None;
-        let dm_final = self.prepared.acceptance_master(&work, &mut storage);
-        let consistent = satisfies_all(rules.cfds(), rules.mds(), &work, dm_final);
-        let cost = repair_cost(d, &work);
-        CleanResult {
-            repaired: work,
-            report,
-            cost,
-            consistent,
-            phases,
-        }
+        full_clean(&self.prepared, d, phase, false, observer).0
     }
 }
 
@@ -508,5 +722,111 @@ impl CleanerBuilder {
                 config,
             }),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use uniclean_model::{Schema, TupleId, Value};
+    use uniclean_rules::parse_rules;
+
+    fn self_cleaner(rules: RuleSet) -> Cleaner {
+        Cleaner::builder()
+            .rules(rules)
+            .master(MasterSource::SelfSnapshot)
+            .config(CleanConfig {
+                eta: 0.8,
+                ..CleanConfig::default()
+            })
+            .build()
+            .unwrap()
+    }
+
+    /// Duplicate records of one person inside D, no master data: each
+    /// phase matches against a snapshot of the previous phase's repairs,
+    /// so repairing still closes the loop (the paper's master-free
+    /// contention).
+    #[test]
+    fn duplicates_within_d_are_reconciled_without_master() {
+        let tran = Schema::of_strings("tran", &["LN", "city", "AC", "phn"]);
+        let selfm = Schema::of_strings("tranm", &["LN", "city", "AC", "phn"]);
+        let text = "cfd phi2: tran([AC=020] -> [city=Ldn])\n\
+                    md psi: tran[LN] = tranm[LN] AND tran[city] = tranm[city] -> tran[phn] <=> tranm[phn]";
+        let parsed = parse_rules(text, &tran, Some(&selfm)).unwrap();
+        let rules = RuleSet::new(
+            tran.clone(),
+            Some(selfm),
+            parsed.cfds,
+            parsed.positive_mds,
+            vec![],
+        );
+
+        // Record A: phone verified (cf 1), city wrong. Record B: city
+        // verified, phone unknown.
+        let phn = tran.attr_id_or_panic("phn");
+        let city = tran.attr_id_or_panic("city");
+        let mut a = Tuple::of_strs(&["Brady", "Edi", "020", "3887644"], 1.0);
+        a.set(city, Value::str("Edi"), 0.0, FixMark::Untouched);
+        let mut b = Tuple::of_strs(&["Brady", "Ldn", "020", "0000000"], 1.0);
+        b.set(phn, Value::str("0000000"), 0.0, FixMark::Untouched);
+        let d = Relation::new(tran.clone(), vec![a, b]);
+
+        let r = self_cleaner(rules).clean(&d, Phase::Full);
+        assert!(r.consistent, "self-matching repair must satisfy Σ and Γ");
+        // ϕ2 fixes A's city; the self-MD then identifies the two records
+        // and B adopts A's verified phone.
+        assert_eq!(r.repaired.tuple(TupleId(0)).value(city), &Value::str("Ldn"));
+        assert_eq!(
+            r.repaired.tuple(TupleId(1)).value(phn),
+            &Value::str("3887644")
+        );
+    }
+
+    /// A tuple must never assert itself through its own snapshot copy.
+    #[test]
+    fn no_self_confirmation() {
+        let tran = Schema::of_strings("tran", &["LN", "phn"]);
+        let selfm = Schema::of_strings("tranm", &["LN", "phn"]);
+        let parsed = parse_rules(
+            "md psi: tran[LN] = tranm[LN] -> tran[phn] <=> tranm[phn]",
+            &tran,
+            Some(&selfm),
+        )
+        .unwrap();
+        let rules = RuleSet::new(
+            tran.clone(),
+            Some(selfm),
+            vec![],
+            parsed.positive_mds,
+            vec![],
+        );
+        let mut t = Tuple::of_strs(&["Brady", "123"], 1.0);
+        let phn = tran.attr_id_or_panic("phn");
+        t.set(phn, Value::str("123"), 0.0, FixMark::Untouched);
+        let d = Relation::new(tran, vec![t]);
+        let r = self_cleaner(rules).clean(&d, Phase::CRepair);
+        assert!(r.report.is_empty());
+        assert_eq!(
+            r.repaired.tuple(TupleId(0)).cf(phn),
+            0.0,
+            "no circular assertion"
+        );
+    }
+
+    #[test]
+    fn cost_is_zero_for_clean_input() {
+        let tran = Schema::of_strings("tran", &["AC", "city"]);
+        let parsed = parse_rules("cfd phi1: tran([AC=131] -> [city=Edi])", &tran, None).unwrap();
+        let rules = RuleSet::cfds_only(tran.clone(), parsed.cfds);
+        let d = Relation::new(tran, vec![Tuple::of_strs(&["131", "Edi"], 1.0)]);
+        let r = Cleaner::builder()
+            .rules(rules)
+            .build()
+            .unwrap()
+            .clean(&d, Phase::Full);
+        assert_eq!(r.cost, 0.0);
+        assert!(r.report.is_empty());
+        assert!(r.consistent);
     }
 }

@@ -1,10 +1,10 @@
-//! The 2-in-1 structure of §6.3: a hash table per variable CFD plus an AVL
-//! tree ordered by entropy.
+//! The 2-in-1 structure of §6.3: a hash table per variable CFD plus a
+//! balanced tree ordered by entropy ([`EntropyOrder`]; the paper's AVL).
 //!
 //! For each variable CFD `ϕ = R(Y → B, tp)` the hash table `HTab` maps each
 //! key `ȳ ∈ π_Y(σ_{Y ≍ tp[Y]} D)` to a node carrying the entropy
 //! `H(ϕ|Y=ȳ)`, the member tuples of `Δ(ȳ)` and the per-value counts
-//! `cnt_{YB}(ȳ, b)`; the AVL tree holds a node for every key with nonzero
+//! `cnt_{YB}(ȳ, b)`; the tree holds a node for every key with nonzero
 //! entropy, ordered by entropy, so `eRepair` can pull the most certain
 //! conflict sets first. Both structures are maintained incrementally under
 //! cell updates: "after resolving some conflicts, the structures need to be
@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use uniclean_model::{AttrId, FxHashMap, Relation, Symbol, TupleId, Value};
 use uniclean_rules::{Cfd, RuleSet};
 
-use crate::avl::{AvlTree, EntropyKey};
+use crate::entropy::{EntropyKey, EntropyOrder};
 use crate::parallel::map_chunks;
 use crate::pattern_syms::CfdPatternSyms;
 
@@ -148,8 +148,8 @@ pub struct TwoInOne {
     tables: Vec<FxHashMap<GroupKey, GroupId>>,
     /// Group arena (never shrinks; emptied groups are recycled lazily).
     groups: Vec<Group>,
-    /// AVL per variable CFD over (entropy, group id), nonzero entropy only.
-    trees: Vec<AvlTree>,
+    /// Tree per variable CFD over (entropy, group id), nonzero entropy only.
+    trees: Vec<EntropyOrder>,
     /// attr → variable CFDs reading it (LHS) / writing it (RHS), each list
     /// ascending (enables the allocation-free merge in `on_update`).
     attr_in_lhs: Vec<Vec<usize>>,
@@ -200,7 +200,7 @@ impl TwoInOne {
             pats: CfdPatternSyms::compile(rules, d),
             tables: (0..nv).map(|_| HashMap::default()).collect(),
             groups: Vec::new(),
-            trees: (0..nv).map(|_| AvlTree::new()).collect(),
+            trees: vec![EntropyOrder::default(); nv],
             attr_in_lhs,
             attr_is_rhs,
         };
@@ -295,13 +295,9 @@ impl TwoInOne {
     }
 
     /// Conflict sets of variable CFD `v` with `0 < H < bound`, in ascending
-    /// entropy order (O(log |T|) per retrieval step via the AVL tree).
+    /// entropy order (O(log |T|) per retrieval step via the tree).
     pub fn groups_below(&self, v: usize, bound: f64) -> Vec<GroupId> {
-        self.trees[v]
-            .below(bound)
-            .into_iter()
-            .map(|k| k.id)
-            .collect()
+        self.trees[v].below(bound).map(|k| k.id).collect()
     }
 
     /// The minimum-entropy conflict set of variable CFD `v`, if any.
@@ -777,7 +773,7 @@ mod tests {
                 b.sort();
                 assert_eq!(a, b, "threads={threads}");
                 // Group-id assignment must also be identical (it orders
-                // equal-entropy AVL nodes).
+                // equal-entropy tree nodes).
                 let mut ids_a: Vec<GroupId> = base.tables[v].values().copied().collect();
                 let mut ids_b: Vec<GroupId> = other.tables[v].values().copied().collect();
                 ids_a.sort_unstable();

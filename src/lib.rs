@@ -62,26 +62,13 @@
 //! assert_eq!(err, CleanError::MdsWithoutMaster);
 //! ```
 //!
-//! ## Migrating from the pre-0.2 API
-//!
-//! `UniClean::new(&rules, Some(&master), cfg)` and
-//! `clean_without_master(&rules, &d, cfg, phase)` still compile (as
-//! deprecated shims) but panic on bad input. Their replacements:
-//!
-//! | Before | After |
-//! |---|---|
-//! | `UniClean::new(&rules, Some(&dm), cfg)` | `Cleaner::builder().rules(rules).master(MasterSource::external(dm)).config(cfg).build()?` |
-//! | `UniClean::new(&rules, None, cfg)` | `Cleaner::builder().rules(rules).config(cfg).build()?` |
-//! | `clean_without_master(&rules, &d, cfg, ph)` | `Cleaner::builder().rules(rules).master(MasterSource::SelfSnapshot).config(cfg).build()?.clean(&d, ph)` |
-//! | `result.phase_seconds[i]` | `result.phase_seconds()[i]`, or a [`PhaseObserver`] / [`PhaseTimings`] passed to [`Cleaner::clean_observed`] |
-//!
 //! ## Workspace layout
 //!
 //! This façade crate re-exports the workspace crates under stable paths:
 //!
 //! * [`model`] — schemas, confidence-annotated tuples, relations, cost model;
-//! * [`similarity`] — similarity predicates, generalized suffix tree, top-l
-//!   LCS blocking;
+//! * [`similarity`] — similarity predicates (bit-parallel and SIMD
+//!   kernels) and the q-gram count index;
 //! * [`rules`] — CFDs and (positive/negative) MDs, satisfaction, violations,
 //!   parsing;
 //! * [`reasoning`] — consistency / implication / termination / determinism

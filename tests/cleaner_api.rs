@@ -1,7 +1,7 @@
 //! The `Cleaner` session API contract: builder misuse surfaces as typed
-//! errors (never panics), the three master sources share one pipeline, the
-//! observer hook streams per-phase stats, and the deprecated entry points
-//! reproduce the session's output exactly.
+//! errors (never panics), the three master sources share one phase loop,
+//! and the observer hook streams per-phase stats in start/end pairs — on
+//! one-shot cleans, deltas and escalating deltas alike.
 
 use std::sync::Arc;
 
@@ -182,7 +182,7 @@ fn self_snapshot_with_mismatched_arity_is_a_typed_error() {
 }
 
 // ---------------------------------------------------------------------
-// Equivalence with the paper's results and the deprecated entry points
+// Equivalence with the paper's results
 // ---------------------------------------------------------------------
 
 #[test]
@@ -215,76 +215,6 @@ fn cleaner_reproduces_example_1_1_end_to_end() {
     assert_eq!(get(3, "post"), Value::str("WC1H 9SE"), "ϕ3 fixes t4[post]");
     for a in ["FN", "LN", "St", "city", "AC", "post", "phn"] {
         assert_eq!(get(2, a), get(3, a), "t3/t4 must agree on {a}");
-    }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_uniclean_shim_is_bit_identical_to_the_session() {
-    use uniclean::core::UniClean;
-    let (_, rules, dirty, master) = example_1_1();
-    let cfg = CleanConfig {
-        eta: 0.8,
-        ..CleanConfig::default()
-    };
-
-    let old = UniClean::new(&rules, Some(&master), cfg.clone()).clean(&dirty, Phase::Full);
-    let new = Cleaner::builder()
-        .rules(rules)
-        .master(MasterSource::external(master))
-        .config(cfg)
-        .build()
-        .unwrap()
-        .clean(&dirty, Phase::Full);
-
-    assert_eq!(old.repaired.diff_cells(&new.repaired), 0);
-    assert_eq!(old.report.len(), new.report.len());
-    assert_eq!(old.cost, new.cost);
-    assert_eq!(old.consistent, new.consistent);
-    assert_eq!(old.fix_counts(), new.fix_counts());
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_clean_without_master_is_bit_identical_to_self_snapshot() {
-    use uniclean::core::clean_without_master;
-    // Duplicates of one person inside D (the paper's master-free setting).
-    let tran = Schema::of_strings("tran", &["LN", "city", "AC", "phn"]);
-    let selfm = Schema::of_strings("tranm", &["LN", "city", "AC", "phn"]);
-    let text = "cfd phi2: tran([AC=020] -> [city=Ldn])\n\
-                md psi: tran[LN] = tranm[LN] AND tran[city] = tranm[city] -> tran[phn] <=> tranm[phn]";
-    let parsed = parse_rules(text, &tran, Some(&selfm)).unwrap();
-    let rules = RuleSet::new(
-        tran.clone(),
-        Some(selfm),
-        parsed.cfds,
-        parsed.positive_mds,
-        vec![],
-    );
-    let phn = tran.attr_id_or_panic("phn");
-    let city = tran.attr_id_or_panic("city");
-    let mut a = Tuple::of_strs(&["Brady", "Edi", "020", "3887644"], 1.0);
-    a.set(city, Value::str("Edi"), 0.0, FixMark::Untouched);
-    let mut b = Tuple::of_strs(&["Brady", "Ldn", "020", "0000000"], 1.0);
-    b.set(phn, Value::str("0000000"), 0.0, FixMark::Untouched);
-    let dirty = Relation::new(tran, vec![a, b]);
-    let cfg = CleanConfig {
-        eta: 0.8,
-        ..CleanConfig::default()
-    };
-
-    for phase in [Phase::CRepair, Phase::CERepair, Phase::Full] {
-        let old = clean_without_master(&rules, &dirty, cfg.clone(), phase);
-        let new = Cleaner::builder()
-            .rules(rules.clone())
-            .master(MasterSource::SelfSnapshot)
-            .config(cfg.clone())
-            .build()
-            .unwrap()
-            .clean(&dirty, phase);
-        assert_eq!(old.repaired.diff_cells(&new.repaired), 0, "{phase:?}");
-        assert_eq!(old.report.len(), new.report.len(), "{phase:?}");
-        assert_eq!(old.consistent, new.consistent, "{phase:?}");
     }
 }
 
@@ -390,6 +320,70 @@ fn custom_observers_see_start_and_end_in_order() {
     );
 }
 
+/// An escalating delta aborts its `cRepair` continuation and recleans.
+/// The aborted attempt still ends (keeping no fixes), so a span-stack
+/// observer — or the daemon's per-phase accumulators — never sees a start
+/// without its end.
+#[test]
+fn an_escalating_delta_pairs_every_phase_start_with_an_end() {
+    #[derive(Default)]
+    struct Spans {
+        open: Vec<Phase>,
+        closed: Vec<PhaseStats>,
+    }
+    impl PhaseObserver for Spans {
+        fn on_phase_start(&mut self, phase: Phase) {
+            self.open.push(phase);
+        }
+        fn on_phase_end(&mut self, stats: &PhaseStats) {
+            assert_eq!(self.open.pop(), Some(stats.phase), "end without its start");
+            self.closed.push(*stats);
+        }
+    }
+
+    let r = Schema::of_strings("r", &["K", "A"]);
+    let parsed = parse_rules("cfd fd: r([K] -> [A])", &r, None).unwrap();
+    let cleaner = Cleaner::builder()
+        .rules(RuleSet::cfds_only(r.clone(), parsed.cfds))
+        .config(CleanConfig {
+            eta: 0.8,
+            ..CleanConfig::default()
+        })
+        .build()
+        .unwrap();
+    // Two *asserted* witnesses disagreeing on one FD group: the one
+    // order-dependent situation in cRepair, so the `CGuard` demands a
+    // from-scratch reclean.
+    let base = Relation::new(r, vec![Tuple::of_strs(&["k", "a0"], 1.0)]);
+    let (mut state, _) = cleaner.begin(&base, Phase::Full);
+    let mut spans = Spans::default();
+    let result = cleaner
+        .clean_delta_observed(&mut state, &[Tuple::of_strs(&["k", "a2"], 1.0)], &mut spans)
+        .unwrap();
+
+    assert_eq!(state.escalations(), 1, "the hazard batch must escalate");
+    assert!(spans.open.is_empty(), "a phase started and never ended");
+    let kinds: Vec<Phase> = spans.closed.iter().map(|s| s.phase).collect();
+    assert_eq!(
+        kinds,
+        vec![
+            Phase::CRepair, // the aborted continuation
+            Phase::CRepair,
+            Phase::ERepair,
+            Phase::HRepair
+        ]
+    );
+    assert_eq!(
+        spans.closed[0].fixes, 0,
+        "an aborted attempt keeps no fixes"
+    );
+    assert_eq!(
+        &spans.closed[1..],
+        &result.phases[..],
+        "the result reports the reclean's phases"
+    );
+}
+
 #[test]
 fn caller_set_self_match_survives_an_external_master() {
     // A caller may pass its own data snapshot as an External master and
@@ -462,7 +456,7 @@ fn debug_output_stays_compact_for_large_masters() {
 }
 
 #[test]
-fn phases_vector_tracks_the_requested_prefix() {
+fn phases_are_cumulative_and_the_phases_vector_tracks_the_prefix() {
     let (_, rules, dirty, master) = example_1_1();
     let cleaner = Cleaner::builder()
         .rules(rules)
@@ -473,7 +467,27 @@ fn phases_vector_tracks_the_requested_prefix() {
         })
         .build()
         .unwrap();
-    assert_eq!(cleaner.clean(&dirty, Phase::CRepair).phases.len(), 1);
-    assert_eq!(cleaner.clean(&dirty, Phase::CERepair).phases.len(), 2);
-    assert_eq!(cleaner.clean(&dirty, Phase::Full).phases.len(), 3);
+    let c = cleaner.clean(&dirty, Phase::CRepair);
+    let ce = cleaner.clean(&dirty, Phase::CERepair);
+    let full = cleaner.clean(&dirty, Phase::Full);
+    assert_eq!(c.phases.len(), 1);
+    assert_eq!(ce.phases.len(), 2);
+    assert_eq!(full.phases.len(), 3);
+    assert!(c.report.len() <= ce.report.len());
+    assert!(ce.report.len() <= full.report.len());
+    // Later phases never undo a deterministic fix: the cells cRepair
+    // fixed are exactly the cells the full run marks deterministic.
+    let deterministic_cells = full
+        .report
+        .records()
+        .iter()
+        .filter(|r| r.mark == FixMark::Deterministic)
+        .map(|r| (r.tuple, r.attr))
+        .collect::<std::collections::HashSet<_>>();
+    assert_eq!(
+        c.report.count_final(FixMark::Deterministic),
+        deterministic_cells.len()
+    );
+    assert!(!c.consistent, "cRepair alone leaves violations here");
+    assert!(full.consistent);
 }

@@ -6,6 +6,7 @@
 //! chunk–merge–apply design (`uniclean::core::parallel`) promises.
 
 mod common;
+use common::assert_identical;
 
 use std::num::NonZeroUsize;
 
@@ -13,43 +14,6 @@ use proptest::prelude::*;
 use uniclean::core::{CleanConfig, CleanResult, Cleaner, MasterSource, Phase};
 use uniclean::datagen::{hosp_workload, GenParams};
 use uniclean::model::{Value, ValueInterner};
-
-/// Full structural equality of two runs, with float fields compared by
-/// bits (a "close enough" comparison would mask order divergence).
-fn assert_identical(a: &CleanResult, b: &CleanResult, label: &str) {
-    assert_eq!(
-        a.repaired.len(),
-        b.repaired.len(),
-        "{label}: tuple count diverged"
-    );
-    for (ta, tb) in a.repaired.rows().zip(b.repaired.rows()) {
-        for (ca, cb) in ta.cells().zip(tb.cells()) {
-            assert_eq!(ca.value, cb.value, "{label}: cell value diverged");
-            assert_eq!(
-                ca.cf.to_bits(),
-                cb.cf.to_bits(),
-                "{label}: cell confidence diverged"
-            );
-            assert_eq!(ca.mark, cb.mark, "{label}: fix mark diverged");
-        }
-    }
-    assert_eq!(
-        a.report.records(),
-        b.report.records(),
-        "{label}: fix report diverged"
-    );
-    assert_eq!(
-        a.cost.to_bits(),
-        b.cost.to_bits(),
-        "{label}: repair cost diverged"
-    );
-    assert_eq!(a.consistent, b.consistent, "{label}: acceptance diverged");
-    assert_eq!(a.phases.len(), b.phases.len(), "{label}: phase count");
-    for (pa, pb) in a.phases.iter().zip(&b.phases) {
-        assert_eq!(pa.phase, pb.phase, "{label}: phase order diverged");
-        assert_eq!(pa.fixes, pb.fixes, "{label}: phase fix count diverged");
-    }
-}
 
 fn run(
     rules: &uniclean::rules::RuleSet,

@@ -5,6 +5,9 @@
 //! parallelism {1, 4} × interning {on, off}, on both the fast
 //! (continuation) path and the escalation path.
 
+mod common;
+use common::assert_identical;
+
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
@@ -364,6 +367,112 @@ fn state_bookkeeping_tracks_calls() {
     assert_eq!(state.log().len(), logged_after_begin + r.report.len());
     assert_eq!(state.phase(), Phase::CERepair);
     assert_eq!(state.len(), 2);
+}
+
+/// One full-clean path: `clean`, `begin` and `begin_empty` + one
+/// `clean_delta` of everything return the same **whole** `CleanResult` —
+/// repair, report order, cost, verdict, phases — under every master
+/// source and every phase prefix.
+#[test]
+fn clean_begin_and_streamed_begin_return_the_same_result() {
+    let (r, md_rules, master) = scenario_rules();
+    let r_rows: Vec<Tuple> = [
+        (0, 0, 0, 26),
+        (0, 1, 2, 13),
+        (1, 2, 3, 0),
+        (2, 0, 1, 7),
+        (0, 0, 2, 22),
+        (1, 1, 1, 4),
+    ]
+    .iter()
+    .map(|row| decode(row, &r))
+    .collect();
+    let config = |threads: usize| CleanConfig {
+        eta: 0.8,
+        delta_entropy: 0.9,
+        parallelism: NonZeroUsize::new(threads),
+        ..CleanConfig::default()
+    };
+
+    // CFD-only rules over the same schema and rows.
+    let parsed = parse_rules(
+        "cfd fd: r([K] -> [A])\ncfd cc: r([A=a1] -> [B=b1])",
+        &r,
+        None,
+    )
+    .unwrap();
+    let cfd_rules = RuleSet::cfds_only(r.clone(), parsed.cfds);
+
+    // Duplicates inside D matched against per-phase snapshots of D.
+    let tran = Schema::of_strings("tran", &["LN", "city", "AC", "phn"]);
+    let selfm = Schema::of_strings("tranm", &["LN", "city", "AC", "phn"]);
+    let text = "cfd phi2: tran([AC=020] -> [city=Ldn])\n\
+                md psi: tran[LN] = tranm[LN] AND tran[city] = tranm[city] -> tran[phn] <=> tranm[phn]";
+    let parsed = parse_rules(text, &tran, Some(&selfm)).unwrap();
+    let self_rules = RuleSet::new(
+        tran.clone(),
+        Some(selfm),
+        parsed.cfds,
+        parsed.positive_mds,
+        vec![],
+    );
+    let mut a = Tuple::of_strs(&["Brady", "Edi", "020", "3887644"], 1.0);
+    a.set(
+        tran.attr_id_or_panic("city"),
+        Value::str("Edi"),
+        0.0,
+        FixMark::Untouched,
+    );
+    let mut b = Tuple::of_strs(&["Brady", "Ldn", "020", "0000000"], 1.0);
+    b.set(
+        tran.attr_id_or_panic("phn"),
+        Value::str("0000000"),
+        0.0,
+        FixMark::Untouched,
+    );
+    let tran_rows = vec![a, b, Tuple::of_strs(&["Smith", "Edi", "131", "111"], 0.5)];
+
+    let cases = [
+        (
+            "External",
+            &r,
+            &r_rows,
+            md_rules,
+            MasterSource::external(master),
+        ),
+        ("None", &r, &r_rows, cfd_rules, MasterSource::None),
+        (
+            "SelfSnapshot",
+            &tran,
+            &tran_rows,
+            self_rules,
+            MasterSource::SelfSnapshot,
+        ),
+    ];
+    for (name, schema, rows, rules, source) in cases {
+        for threads in [1usize, 4] {
+            let uni = Cleaner::builder()
+                .rules(rules.clone())
+                .master(source.clone())
+                .config(config(threads))
+                .build()
+                .unwrap();
+            for phase in [Phase::CRepair, Phase::CERepair, Phase::Full] {
+                let label = format!("{name} threads={threads} phase={phase:?}");
+                let d = Relation::new(schema.clone(), rows.clone());
+                let reference = uni.clean(&d, phase);
+
+                let (state, begun) = uni.begin(&d, phase);
+                assert_identical(&reference, &begun, &format!("{label} [begin]"));
+                assert_matches(&reference, &state, &format!("{label} [begin state]"));
+
+                let mut streamed = uni.begin_empty(phase);
+                let delta = uni.clean_delta(&mut streamed, rows).unwrap();
+                assert_identical(&reference, &delta, &format!("{label} [streamed]"));
+                assert_matches(&reference, &streamed, &format!("{label} [streamed state]"));
+            }
+        }
+    }
 }
 
 /// `begin_empty` + one `clean_delta` of the whole relation is
