@@ -1,44 +1,41 @@
-//! `perf` — phase-throughput benchmark for the parallel internals, the
-//! value-interning layer (the `BENCH_pr2.json` generator), the
-//! incremental `clean_delta` path (the `BENCH_pr3.json` generator), the
-//! columnar storage layer (the `BENCH_pr4.json` generator), the
-//! master-index access-path planner (the `BENCH_pr5.json` generator),
-//! the bit-parallel similarity kernels (the `BENCH_pr8.json`
-//! generator: Myers vs the scalar DPs it replaced, plus a like-for-like
-//! re-run of the PR5 probe workload), and the runtime-dispatched SIMD
-//! engine (the `BENCH_pr9.json` generator: vectorized gram hashing vs
-//! the batched scalar kernel, plus the column-at-a-time Myers driver vs
-//! per-value dispatch).
+//! `perf` — the engine-internal microbenchmarks the repository benchmark
+//! (`benchmark/`, declared by `BENCHMARK.json`) does not resolve: how the
+//! phases scale with threads, what the storage layout costs, which access
+//! path the planner picks, and what the similarity kernels and their SIMD
+//! dispatch buy. Everything a client sees — ingest ack latency, check
+//! latency, restart, catch-up, failover, WAL bytes — is measured there,
+//! with spreads and answer checks; the parts of this binary that once
+//! timed those (incremental delta, serving, durability, replication) are
+//! gone, and the `BENCH_pr3/6/7/10.json` files they wrote stay as history.
 //!
-//! Part 1 measures cRepair and eRepair tuples/sec on generated HOSP and
-//! DBLP workloads across worker-thread counts (1/2/4/8) and interning
-//! on/off. Part 2 replays an append-only service: a 10k-tuple HOSP base
-//! absorbed through `Cleaner::begin`, then ten 1% batches through
-//! `Cleaner::clean_delta`, each timed against a from-scratch reclean of
-//! the concatenated relation — and *verified bit-identical to it* before
-//! any number is reported. Part 3 compares the columnar, symbol-native
-//! store against the row-major `Vec<Tuple>` representation it replaced:
-//! resident heap bytes for the same HOSP instance and cell-scan
-//! throughput (null sweep + value-equality sweep), with the scan answers
-//! cross-checked between representations before timing is trusted. All
-//! reports are machine-readable JSON, self-validated by the `json_check`
-//! parser.
+//! * **Part 1** (`--out`, `BENCH_pr2.json`): cRepair and eRepair
+//!   tuples/sec on generated HOSP and DBLP workloads across worker-thread
+//!   counts (1/2/4/8) and interning on/off.
+//! * **Part 3** (`--storage-out`, `BENCH_pr4.json`): the columnar,
+//!   symbol-native store against the row-major `Vec<Tuple>` it replaced —
+//!   resident heap bytes for the same HOSP instance and cell-scan
+//!   throughput, scan answers cross-checked before timing is trusted.
+//! * **Part 4** (`--sim-out`, `BENCH_pr5.json`): the master-index
+//!   access-path planner on a similarity-heavy workload.
+//! * **Part 7** (`--kernels-out`, `BENCH_pr8.json`): Myers vs the scalar
+//!   DPs it replaced, plus a like-for-like re-run of the PR5 probe
+//!   workload.
+//! * **Part 8** (`--simd-out`, `BENCH_pr9.json`): vectorized gram hashing
+//!   vs the batched scalar kernel, and the column-at-a-time Myers driver
+//!   vs per-value dispatch.
+//!
+//! All reports are machine-readable JSON, self-validated by the
+//! `json_check` parser.
 //!
 //! ```text
 //! cargo run --release -p uniclean-bench --bin perf               # full run
 //! cargo run --release -p uniclean-bench --bin perf -- --smoke    # CI smoke
-//!    [--out BENCH_pr2.json] [--delta-out BENCH_pr3.json]
-//!    [--storage-out BENCH_pr4.json] [--sim-out BENCH_pr5.json]
-//!    [--kernels-out BENCH_pr8.json] [--kernels-only] [--sim-only]
-//!    [--simd-out BENCH_pr9.json] [--simd-only]
+//!    [--out BENCH_pr2.json] [--storage-out BENCH_pr4.json]
+//!    [--sim-out BENCH_pr5.json] [--kernels-out BENCH_pr8.json]
+//!    [--simd-out BENCH_pr9.json]
+//!    [--storage-only] [--sim-only] [--kernels-only] [--simd-only]
 //!    [--tuples 10000] [--master 2000] [--repeat 3]
-//!    [--delta-base 10000] [--delta-batches 10] [--delta-batch 100]
 //! ```
-//!
-//! `--kernels-only` emits just `BENCH_pr8.json` (the edit-distance kernel
-//! microbench plus the PR5 probe-workload re-run), skipping everything
-//! else; `--simd-only` likewise emits just `BENCH_pr9.json` (the SIMD
-//! dispatch comparison).
 //!
 //! `--smoke` shrinks the workloads to a few hundred tuples, runs one
 //! repeat, validates the emitted JSON and exits nonzero on any failure —
@@ -52,7 +49,6 @@ use uniclean_bench::figure::json_num;
 use uniclean_bench::{validate_json, Args};
 use uniclean_core::{CleanConfig, Cleaner, MasterSource, Phase, PhaseTimings};
 use uniclean_datagen::{dblp_workload, hosp_workload, GenParams, Workload};
-use uniclean_model::json::Json;
 
 struct RunResult {
     threads: usize,
@@ -263,170 +259,6 @@ fn render_table(reports: &[DatasetReport]) -> String {
         }
         let _ = writeln!(out);
     }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Part 2: the incremental `clean_delta` workload (BENCH_pr3.json).
-// ---------------------------------------------------------------------------
-
-struct DeltaStep {
-    total_tuples: usize,
-    delta_seconds: f64,
-    full_seconds: f64,
-    escalated: bool,
-}
-
-struct DeltaReport {
-    base_tuples: usize,
-    batch_tuples: usize,
-    master_tuples: usize,
-    steps: Vec<DeltaStep>,
-}
-
-impl DeltaReport {
-    fn speedups(&self) -> Vec<f64> {
-        self.steps
-            .iter()
-            .map(|s| {
-                if s.delta_seconds > 0.0 {
-                    s.full_seconds / s.delta_seconds
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect()
-    }
-}
-
-/// Replay an append-only HOSP service: clean `base` once, then absorb
-/// `batches` × `batch` tuples through `clean_delta`, timing each call
-/// against a from-scratch `clean` of the same concatenated relation.
-/// Every step is verified bit-identical to the reclean before timing is
-/// trusted; a divergence aborts the bench with a nonzero exit.
-fn bench_delta(base: usize, batches: usize, batch: usize, master: usize) -> DeltaReport {
-    let params = GenParams {
-        tuples: base + batches * batch,
-        master_tuples: master,
-        ..GenParams::default()
-    };
-    let w = hosp_workload(&params);
-    let cleaner = Cleaner::builder()
-        .rules(w.rules.clone())
-        .master(MasterSource::external(w.master.clone()))
-        .config(CleanConfig {
-            eta: 1.0,
-            delta_entropy: 0.8,
-            parallelism: Some(NonZeroUsize::new(1).expect("nonzero")),
-            ..CleanConfig::default()
-        })
-        .build()
-        .expect("workloads build valid sessions");
-
-    let schema = w.dirty.schema().clone();
-    let rows = w.dirty.to_tuples();
-    let base_rel = uniclean_model::Relation::new(schema.clone(), rows[..base].to_vec());
-    let (mut state, _) = cleaner.begin(&base_rel, Phase::Full);
-
-    let mut steps = Vec::with_capacity(batches);
-    for i in 0..batches {
-        let upto = base + (i + 1) * batch;
-        let slice = &rows[upto - batch..upto];
-        let escalations_before = state.escalations();
-
-        let started = Instant::now();
-        cleaner
-            .clean_delta(&mut state, slice)
-            .expect("batch tuples match the schema");
-        let delta_seconds = started.elapsed().as_secs_f64();
-
-        let concat = uniclean_model::Relation::new(schema.clone(), rows[..upto].to_vec());
-        let started = Instant::now();
-        let full = cleaner.clean(&concat, Phase::Full);
-        let full_seconds = started.elapsed().as_secs_f64();
-
-        // The acceptance criterion: the delta state must be bit-identical
-        // to the from-scratch reclean. A bench reporting speedups for a
-        // wrong answer would be worse than useless.
-        if full.repaired.diff_cells(state.repaired()) != 0
-            || full.consistent != state.consistent()
-            || full.cost.to_bits() != state.cost().to_bits()
-        {
-            eprintln!("clean_delta diverged from the full reclean at batch {i}");
-            std::process::exit(1);
-        }
-        steps.push(DeltaStep {
-            total_tuples: upto,
-            delta_seconds,
-            full_seconds,
-            escalated: state.escalations() > escalations_before,
-        });
-        eprintln!(
-            "  delta batch {}/{batches}: {:.4}s vs full {:.4}s ({:.1}x)",
-            i + 1,
-            delta_seconds,
-            full_seconds,
-            full_seconds / delta_seconds.max(1e-12),
-        );
-    }
-    DeltaReport {
-        base_tuples: base,
-        batch_tuples: batch,
-        master_tuples: master,
-        steps,
-    }
-}
-
-fn render_delta_json(r: &DeltaReport, smoke: bool) -> String {
-    let speedups = r.speedups();
-    let finite: Vec<f64> = speedups.iter().copied().filter(|s| s.is_finite()).collect();
-    let mean = if finite.is_empty() {
-        f64::NAN
-    } else {
-        finite.iter().sum::<f64>() / finite.len() as f64
-    };
-    let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"pr3_incremental_delta\",");
-    let _ = writeln!(
-        out,
-        "  \"command\": \"cargo run --release -p uniclean-bench --bin perf\","
-    );
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"dataset\": \"hosp\",");
-    let _ = writeln!(out, "  \"phase\": \"full\",");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"each clean_delta call is verified bit-identical (cells, cost, acceptance) \
-         to a from-scratch clean of the concatenated relation before its timing is reported; \
-         escalated steps fell back to a full reclean by design\","
-    );
-    let _ = writeln!(out, "  \"base_tuples\": {},", r.base_tuples);
-    let _ = writeln!(out, "  \"batch_tuples\": {},", r.batch_tuples);
-    let _ = writeln!(out, "  \"batches\": {},", r.steps.len());
-    let _ = writeln!(out, "  \"master_tuples\": {},", r.master_tuples);
-    let _ = writeln!(out, "  \"steps\": [");
-    for (i, (s, sp)) in r.steps.iter().zip(&speedups).enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"batch\": {},", i + 1);
-        let _ = writeln!(out, "      \"total_tuples\": {},", s.total_tuples);
-        let _ = writeln!(out, "      \"delta_seconds\": {},", num(s.delta_seconds, 6));
-        let _ = writeln!(
-            out,
-            "      \"full_reclean_seconds\": {},",
-            num(s.full_seconds, 6)
-        );
-        let _ = writeln!(out, "      \"speedup\": {},", num(*sp, 2));
-        let _ = writeln!(out, "      \"escalated\": {},", s.escalated);
-        let _ = writeln!(out, "      \"bit_identical\": true");
-        let comma = if i + 1 < r.steps.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"mean_speedup\": {},", num(mean, 2));
-    let _ = writeln!(out, "  \"min_speedup\": {}", num(min, 2));
-    let _ = writeln!(out, "}}");
     out
 }
 
@@ -901,1047 +733,6 @@ fn render_sim_json(r: &SimReport, smoke: bool) -> String {
         "  \"bit_identical_across_parallelism_and_interning\": {}",
         r.bit_identical_matrix
     );
-    let _ = writeln!(out, "}}");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Part 5: the serving daemon (BENCH_pr6.json).
-// ---------------------------------------------------------------------------
-
-/// One shard-count configuration of the serving workload.
-struct ServeRun {
-    shards: usize,
-    relations: usize,
-    base_tuples: usize,
-    batch_tuples: usize,
-    batches: usize,
-    ingest_seconds: f64,
-    check_queries: usize,
-    check_seconds: f64,
-    busy_rejections: u64,
-    all_consistent: bool,
-    /// Enqueue-time depth histogram, merged across shards (label, count).
-    depth_histogram: Vec<(&'static str, u64)>,
-}
-
-struct ServeReport {
-    runs: Vec<ServeRun>,
-}
-
-/// A minimal line-oriented protocol client for driving the daemon.
-struct ServeClient {
-    writer: std::net::TcpStream,
-    reader: std::io::BufReader<std::net::TcpStream>,
-}
-
-impl ServeClient {
-    fn connect(addr: std::net::SocketAddr) -> ServeClient {
-        let writer = std::net::TcpStream::connect(addr).expect("connect to daemon");
-        let reader = std::io::BufReader::new(writer.try_clone().expect("clone stream"));
-        ServeClient { writer, reader }
-    }
-
-    fn rpc(&mut self, req: &Json) -> Json {
-        use std::io::{BufRead, Write};
-        self.writer
-            .write_all(format!("{req}\n").as_bytes())
-            .expect("write request");
-        self.writer.flush().expect("flush request");
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        let resp = Json::parse(&line).expect("response parses");
-        if resp.get("ok").and_then(Json::as_bool) != Some(true) {
-            eprintln!("serving request failed: {resp}");
-            std::process::exit(1);
-        }
-        resp
-    }
-}
-
-fn jobj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-/// Render a rule set back into the parser grammar (the `Display` forms
-/// round-trip; HOSP carries no negative MDs). Datagen names rules like
-/// `hm1#1`, but `#` starts a comment in the grammar — remap rule names to
-/// identifier-safe characters before shipping them over the wire.
-fn rules_as_text(rules: &uniclean_rules::RuleSet) -> String {
-    fn ident_safe(line: String) -> String {
-        match line.split_once(':') {
-            Some((name, rest)) => {
-                let name: String = name
-                    .chars()
-                    .map(|c| {
-                        if c.is_alphanumeric() || matches!(c, '_' | '-' | '.') {
-                            c
-                        } else {
-                            '_'
-                        }
-                    })
-                    .collect();
-                format!("{name}:{rest}")
-            }
-            None => line,
-        }
-    }
-    let mut t = String::new();
-    for cfd in rules.cfds() {
-        let _ = writeln!(t, "cfd {}", ident_safe(cfd.to_string()));
-    }
-    for md in rules.mds() {
-        let _ = writeln!(t, "md {}", ident_safe(md.to_string()));
-    }
-    t
-}
-
-/// A relation's cells as wire rows: `[value, cf]` pairs, so the served
-/// tenant sees exactly the workload's confidences.
-fn rows_as_json(rows: &[uniclean_model::Tuple]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|t| {
-                Json::Arr(
-                    t.cells()
-                        .iter()
-                        .map(|c| {
-                            Json::Arr(vec![
-                                uniclean_model::json::value_to_json(&c.value),
-                                Json::Num(c.cf),
-                            ])
-                        })
-                        .collect(),
-                )
-            })
-            .collect(),
-    )
-}
-
-/// Drive one daemon configuration: `relations` tenants served over TCP,
-/// each streaming a base then `batches` timed 1% batches from its own
-/// client thread, then answering timed `check` queries — wall-clocked
-/// across all clients with barriers.
-fn bench_serving_run(
-    w: &Workload,
-    names: &[String],
-    shards: usize,
-    base: usize,
-    batches: usize,
-    batch: usize,
-    checks_per_relation: usize,
-) -> ServeRun {
-    use std::sync::{Arc, Barrier};
-    let daemon = uniclean_server::Daemon::bind(uniclean_server::DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards,
-        queue_bound: 64,
-        ..Default::default()
-    })
-    .expect("bind ephemeral port");
-    let addr = daemon.local_addr();
-    let daemon_thread = std::thread::spawn(move || daemon.run());
-
-    let rules_text = rules_as_text(&w.rules);
-    let master_attrs: Vec<String> = w
-        .master
-        .schema()
-        .attrs()
-        .iter()
-        .map(|a| a.name.clone())
-        .collect();
-    let data_attrs: Vec<String> = w
-        .dirty
-        .schema()
-        .attrs()
-        .iter()
-        .map(|a| a.name.clone())
-        .collect();
-    let master_rows = rows_as_json(&w.master.to_tuples());
-    let all_rows = Arc::new(w.dirty.to_tuples());
-    let total = base + batches * batch;
-    assert!(all_rows.len() >= total, "workload too small for the plan");
-
-    // Barriers bracket the two timed windows; the main thread is the
-    // (relations + 1)-th participant and holds the wall clock.
-    let barrier = Arc::new(Barrier::new(names.len() + 1));
-    let mut clients = Vec::new();
-    for name in names {
-        let name = name.clone();
-        let barrier = barrier.clone();
-        let all_rows = all_rows.clone();
-        let open = jobj(vec![
-            ("op", Json::str("open")),
-            ("relation", Json::str(&name)),
-            ("table", Json::str(w.dirty.schema().name())),
-            (
-                "attrs",
-                Json::Arr(data_attrs.iter().map(|a| Json::str(a.as_str())).collect()),
-            ),
-            ("rules", Json::str(&rules_text)),
-            (
-                "master",
-                jobj(vec![
-                    ("table", Json::str(w.master.schema().name())),
-                    (
-                        "attrs",
-                        Json::Arr(master_attrs.iter().map(|a| Json::str(a.as_str())).collect()),
-                    ),
-                    ("rows", master_rows.clone()),
-                ]),
-            ),
-            ("phase", Json::str("full")),
-            ("threads", Json::Num(1.0)),
-        ]);
-        clients.push(std::thread::spawn(move || {
-            let mut c = ServeClient::connect(addr);
-            c.rpc(&open);
-            // Untimed: stream the base in 1000-tuple chunks.
-            for chunk in all_rows[..base].chunks(1000) {
-                c.rpc(&jobj(vec![
-                    ("op", Json::str("ingest")),
-                    ("relation", Json::str(&name)),
-                    ("rows", rows_as_json(chunk)),
-                ]));
-            }
-            barrier.wait();
-            // Timed window 1: the streamed 1% batches.
-            for i in 0..batches {
-                let slice = &all_rows[base + i * batch..base + (i + 1) * batch];
-                c.rpc(&jobj(vec![
-                    ("op", Json::str("ingest")),
-                    ("relation", Json::str(&name)),
-                    ("rows", rows_as_json(slice)),
-                ]));
-            }
-            barrier.wait();
-            barrier.wait();
-            // Timed window 2: online acceptance queries.
-            for q in 0..checks_per_relation {
-                c.rpc(&jobj(vec![
-                    ("op", Json::str("check")),
-                    ("relation", Json::str(&name)),
-                    ("tuple", Json::Num((q % (base + batches * batch)) as f64)),
-                ]));
-            }
-            barrier.wait();
-            // Relation-level verdict for the report.
-            let check = c.rpc(&jobj(vec![
-                ("op", Json::str("check")),
-                ("relation", Json::str(&name)),
-            ]));
-            check.get("consistent").and_then(Json::as_bool) == Some(true)
-        }));
-    }
-
-    barrier.wait();
-    let started = Instant::now();
-    barrier.wait();
-    let ingest_seconds = started.elapsed().as_secs_f64();
-    barrier.wait();
-    let started = Instant::now();
-    barrier.wait();
-    let check_seconds = started.elapsed().as_secs_f64();
-
-    let all_consistent = clients
-        .into_iter()
-        .all(|c| c.join().expect("client thread panicked"));
-
-    // Shard counters, then a graceful shutdown.
-    let mut c = ServeClient::connect(addr);
-    let stats = c.rpc(&jobj(vec![("op", Json::str("stats"))]));
-    let mut busy = 0u64;
-    const LABELS: [&str; 8] = ["0", "1", "2", "3", "4-7", "8-15", "16-31", "32+"];
-    let mut hist: Vec<(&'static str, u64)> = LABELS.iter().map(|l| (*l, 0u64)).collect();
-    for shard in stats.get("shards").and_then(Json::as_arr).unwrap_or(&[]) {
-        busy += shard
-            .get("busy_rejections")
-            .and_then(Json::as_usize)
-            .unwrap_or(0) as u64;
-        if let Some(h) = shard.get("depth_histogram") {
-            for (label, count) in hist.iter_mut() {
-                *count += h.get(label).and_then(Json::as_usize).unwrap_or(0) as u64;
-            }
-        }
-    }
-    c.rpc(&jobj(vec![("op", Json::str("shutdown"))]));
-    drop(c);
-    daemon_thread
-        .join()
-        .expect("daemon thread panicked")
-        .expect("daemon exited with an error");
-
-    ServeRun {
-        shards,
-        relations: names.len(),
-        base_tuples: base,
-        batch_tuples: batch,
-        batches,
-        ingest_seconds,
-        check_queries: checks_per_relation * names.len(),
-        check_seconds,
-        busy_rejections: busy,
-        all_consistent,
-        depth_histogram: hist,
-    }
-}
-
-/// The serving workload across shard counts: a fixed set of relations
-/// (names chosen to cover all shards at the widest configuration) served
-/// by one daemon per shard count.
-fn bench_serving(
-    shard_counts: &[usize],
-    relations: usize,
-    base: usize,
-    batches: usize,
-    batch: usize,
-    checks_per_relation: usize,
-    master_tuples: usize,
-) -> ServeReport {
-    let params = GenParams {
-        tuples: base + batches * batch,
-        master_tuples,
-        ..GenParams::default()
-    };
-    let w = hosp_workload(&params);
-    // Pick relation names landing on distinct shards at the widest shard
-    // count, so the spread is real when the pool is widest.
-    let widest = shard_counts.iter().copied().max().unwrap_or(1);
-    let mut names: Vec<String> = Vec::new();
-    let mut covered = vec![false; widest];
-    for i in 0.. {
-        if names.len() == relations {
-            break;
-        }
-        let cand = format!("hosp{i}");
-        let s = uniclean_server::shard_for(&cand, widest);
-        if !covered[s] || covered.iter().all(|c| *c) {
-            covered[s] = true;
-            names.push(cand);
-        }
-    }
-    let mut runs = Vec::new();
-    for &shards in shard_counts {
-        eprintln!(
-            "  serving: shards={shards} relations={relations} base={base} \
-             batches={batches}x{batch} checks={checks_per_relation}…"
-        );
-        runs.push(bench_serving_run(
-            &w,
-            &names,
-            shards,
-            base,
-            batches,
-            batch,
-            checks_per_relation,
-        ));
-    }
-    ServeReport { runs }
-}
-
-fn render_serve_json(r: &ServeReport, smoke: bool) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"pr6_serving_daemon\",");
-    let _ = writeln!(
-        out,
-        "  \"command\": \"cargo run --release -p uniclean-bench --bin perf\","
-    );
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"dataset\": \"hosp\",");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"a fixed set of tenants streams an untimed base then timed 1% batches \
-         into one daemon per shard count, over real TCP; checks are online acceptance reads. \
-         Every tenant runs engine threads=1 so shard spread is the only parallelism knob; on \
-         a 1-core container wall-clock gains across shard counts are expected to be flat.\","
-    );
-    let _ = writeln!(out, "  \"runs\": [");
-    for (i, run) in r.runs.iter().enumerate() {
-        let batches_total = run.batches * run.relations;
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"shards\": {},", run.shards);
-        let _ = writeln!(out, "      \"relations\": {},", run.relations);
-        let _ = writeln!(
-            out,
-            "      \"base_tuples_per_relation\": {},",
-            run.base_tuples
-        );
-        let _ = writeln!(out, "      \"batch_tuples\": {},", run.batch_tuples);
-        let _ = writeln!(out, "      \"batches_per_relation\": {},", run.batches);
-        let _ = writeln!(
-            out,
-            "      \"ingest_seconds\": {},",
-            num(run.ingest_seconds, 6)
-        );
-        let _ = writeln!(
-            out,
-            "      \"ingest_batches_per_sec\": {},",
-            num(batches_total as f64 / run.ingest_seconds.max(1e-12), 2)
-        );
-        let _ = writeln!(
-            out,
-            "      \"ingest_tuples_per_sec\": {},",
-            num(
-                (batches_total * run.batch_tuples) as f64 / run.ingest_seconds.max(1e-12),
-                1
-            )
-        );
-        let _ = writeln!(out, "      \"check_queries\": {},", run.check_queries);
-        let _ = writeln!(
-            out,
-            "      \"check_seconds\": {},",
-            num(run.check_seconds, 6)
-        );
-        let _ = writeln!(
-            out,
-            "      \"check_queries_per_sec\": {},",
-            num(run.check_queries as f64 / run.check_seconds.max(1e-12), 1)
-        );
-        let _ = writeln!(out, "      \"busy_rejections\": {},", run.busy_rejections);
-        let _ = writeln!(out, "      \"all_consistent\": {},", run.all_consistent);
-        let _ = writeln!(out, "      \"queue_depth_histogram\": {{");
-        for (j, (label, count)) in run.depth_histogram.iter().enumerate() {
-            let comma = if j + 1 < run.depth_histogram.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(out, "        \"{label}\": {count}{comma}");
-        }
-        let _ = writeln!(out, "      }}");
-        let comma = if i + 1 < r.runs.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Part 6: durability overhead and recovery cost (BENCH_pr7.json).
-// ---------------------------------------------------------------------------
-
-/// One timed ingest stream under one durability mode.
-struct DurRun {
-    mode: &'static str,
-    batches: usize,
-    batch_tuples: usize,
-    seconds: f64,
-}
-
-/// One timed restart on a WAL of a given size.
-struct RecoveryRun {
-    wal_batches: usize,
-    wal_tuples: usize,
-    wal_bytes: u64,
-    /// Recovery's own wall clock, from the daemon's `ping` report.
-    recovery_seconds: f64,
-    /// Bind → first successful `ping`, as a client sees it.
-    restart_wall_seconds: f64,
-}
-
-struct DurabilityReport {
-    ingest: Vec<DurRun>,
-    snapshot: Vec<DurRun>,
-    recovery: Vec<RecoveryRun>,
-}
-
-/// The `open` request Part 5's clients build, reusable for one tenant.
-fn serve_open_request(w: &Workload, name: &str) -> Json {
-    let master_attrs: Vec<String> = w
-        .master
-        .schema()
-        .attrs()
-        .iter()
-        .map(|a| a.name.clone())
-        .collect();
-    let data_attrs: Vec<String> = w
-        .dirty
-        .schema()
-        .attrs()
-        .iter()
-        .map(|a| a.name.clone())
-        .collect();
-    jobj(vec![
-        ("op", Json::str("open")),
-        ("relation", Json::str(name)),
-        ("table", Json::str(w.dirty.schema().name())),
-        (
-            "attrs",
-            Json::Arr(data_attrs.iter().map(|a| Json::str(a.as_str())).collect()),
-        ),
-        ("rules", Json::str(rules_as_text(&w.rules))),
-        (
-            "master",
-            jobj(vec![
-                ("table", Json::str(w.master.schema().name())),
-                (
-                    "attrs",
-                    Json::Arr(master_attrs.iter().map(|a| Json::str(a.as_str())).collect()),
-                ),
-                ("rows", rows_as_json(&w.master.to_tuples())),
-            ]),
-        ),
-        ("phase", Json::str("full")),
-        ("threads", Json::Num(1.0)),
-    ])
-}
-
-fn boot_daemon(
-    data_dir: Option<&std::path::Path>,
-    snapshot_every: u64,
-    fsync: bool,
-) -> (
-    std::net::SocketAddr,
-    std::thread::JoinHandle<std::io::Result<()>>,
-) {
-    let daemon = uniclean_server::Daemon::bind(uniclean_server::DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 1,
-        queue_bound: 64,
-        data_dir: data_dir.map(|p| p.to_path_buf()),
-        snapshot_every,
-        fsync,
-        ..Default::default()
-    })
-    .expect("bind ephemeral port");
-    let addr = daemon.local_addr();
-    (addr, std::thread::spawn(move || daemon.run()))
-}
-
-/// Durability modes over one tenant: in-memory vs WAL (fsync off/on),
-/// snapshot compaction cadence, and recovery wall-clock per WAL size.
-fn bench_durability(
-    w: &Workload,
-    batches: usize,
-    batch: usize,
-    wal_sizes: &[usize],
-) -> DurabilityReport {
-    let root = std::env::temp_dir().join(format!("uniclean-bench-dur-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("create bench scratch dir");
-    let rows = w.dirty.to_tuples();
-    let need = batches * batch.max(1);
-    assert!(rows.len() >= need, "workload too small for the plan");
-
-    let stream = |c: &mut ServeClient, count: usize| {
-        for i in 0..count {
-            c.rpc(&jobj(vec![
-                ("op", Json::str("ingest")),
-                ("relation", Json::str("dur0")),
-                ("rows", rows_as_json(&rows[i * batch..(i + 1) * batch])),
-            ]));
-        }
-    };
-    let shutdown = |mut c: ServeClient, handle: std::thread::JoinHandle<std::io::Result<()>>| {
-        c.rpc(&jobj(vec![("op", Json::str("shutdown"))]));
-        drop(c);
-        handle
-            .join()
-            .expect("daemon thread panicked")
-            .expect("daemon exited with an error");
-    };
-    let run_mode = |mode: &'static str,
-                    dir: Option<std::path::PathBuf>,
-                    fsync: bool,
-                    snapshot_every: u64|
-     -> DurRun {
-        if let Some(d) = &dir {
-            let _ = std::fs::remove_dir_all(d);
-        }
-        eprintln!("  durability: mode={mode} batches={batches}x{batch}…");
-        let (addr, handle) = boot_daemon(dir.as_deref(), snapshot_every, fsync);
-        let mut c = ServeClient::connect(addr);
-        c.rpc(&serve_open_request(w, "dur0"));
-        let started = Instant::now();
-        stream(&mut c, batches);
-        let seconds = started.elapsed().as_secs_f64();
-        shutdown(c, handle);
-        DurRun {
-            mode,
-            batches,
-            batch_tuples: batch,
-            seconds,
-        }
-    };
-
-    let ingest = vec![
-        run_mode("memory", None, true, 0),
-        run_mode("wal_nofsync", Some(root.join("nofsync")), false, 0),
-        run_mode("wal_fsync", Some(root.join("fsync")), true, 0),
-    ];
-    let snapshot = vec![
-        run_mode(
-            "wal_fsync_snapshot_never",
-            Some(root.join("snap-never")),
-            true,
-            0,
-        ),
-        run_mode(
-            "wal_fsync_snapshot_every_batch",
-            Some(root.join("snap-every")),
-            true,
-            1,
-        ),
-    ];
-
-    let mut recovery = Vec::new();
-    for &k in wal_sizes {
-        assert!(
-            rows.len() >= k * batch,
-            "workload too small for WAL size {k}"
-        );
-        let dir = root.join(format!("recover-{k}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Build the WAL (fsync off: build speed is not what's measured).
-        let (addr, handle) = boot_daemon(Some(&dir), 0, false);
-        let mut c = ServeClient::connect(addr);
-        c.rpc(&serve_open_request(w, "dur0"));
-        stream(&mut c, k);
-        shutdown(c, handle);
-        let wal_bytes = std::fs::metadata(
-            dir.join(uniclean_server::tenant_dir_name("dur0"))
-                .join("wal.log"),
-        )
-        .map(|m| m.len())
-        .unwrap_or(0);
-
-        eprintln!("  durability: recovery of {k} batches ({wal_bytes} WAL bytes)…");
-        let started = Instant::now();
-        let (addr, handle) = boot_daemon(Some(&dir), 0, false);
-        let mut c = ServeClient::connect(addr);
-        let ping = c.rpc(&jobj(vec![("op", Json::str("ping"))]));
-        let restart_wall_seconds = started.elapsed().as_secs_f64();
-        let recovery_seconds = ping
-            .get("recovery")
-            .and_then(|r| r.get("seconds"))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        shutdown(c, handle);
-        recovery.push(RecoveryRun {
-            wal_batches: k,
-            wal_tuples: k * batch,
-            wal_bytes,
-            recovery_seconds,
-            restart_wall_seconds,
-        });
-    }
-    let _ = std::fs::remove_dir_all(&root);
-    DurabilityReport {
-        ingest,
-        snapshot,
-        recovery,
-    }
-}
-
-fn render_durability_json(r: &DurabilityReport, smoke: bool) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"pr7_durability\",");
-    let _ = writeln!(
-        out,
-        "  \"command\": \"cargo run --release -p uniclean-bench --bin perf\","
-    );
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"dataset\": \"hosp\",");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"one tenant streams identical batches under each durability mode \
-         (in-memory, WAL without fsync, WAL with fsync-before-ack), then under snapshot \
-         compaction cadences, over real TCP with engine threads=1; recovery restarts a \
-         daemon on cold WALs of increasing size and reports both the recovery scan's own \
-         wall clock and bind-to-first-ping as a client sees it.\","
-    );
-    let memory_seconds = r
-        .ingest
-        .iter()
-        .find(|m| m.mode == "memory")
-        .map(|m| m.seconds)
-        .unwrap_or(0.0);
-    let section = |out: &mut String, name: &str, runs: &[DurRun], last: bool| {
-        let _ = writeln!(out, "  \"{name}\": [");
-        for (i, m) in runs.iter().enumerate() {
-            let tuples = (m.batches * m.batch_tuples) as f64;
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"mode\": \"{}\",", m.mode);
-            let _ = writeln!(out, "      \"batches\": {},", m.batches);
-            let _ = writeln!(out, "      \"batch_tuples\": {},", m.batch_tuples);
-            let _ = writeln!(out, "      \"seconds\": {},", num(m.seconds, 6));
-            let _ = writeln!(
-                out,
-                "      \"tuples_per_sec\": {},",
-                num(tuples / m.seconds.max(1e-12), 1)
-            );
-            let _ = writeln!(
-                out,
-                "      \"slowdown_vs_memory\": {}",
-                num(m.seconds / memory_seconds.max(1e-12), 3)
-            );
-            let comma = if i + 1 < runs.len() { "," } else { "" };
-            let _ = writeln!(out, "    }}{comma}");
-        }
-        let comma = if last { "" } else { "," };
-        let _ = writeln!(out, "  ]{comma}");
-    };
-    section(&mut out, "ingest_modes", &r.ingest, false);
-    section(&mut out, "snapshot_compaction", &r.snapshot, false);
-    let _ = writeln!(out, "  \"recovery\": [");
-    for (i, rec) in r.recovery.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"wal_batches\": {},", rec.wal_batches);
-        let _ = writeln!(out, "      \"wal_tuples\": {},", rec.wal_tuples);
-        let _ = writeln!(out, "      \"wal_bytes\": {},", rec.wal_bytes);
-        let _ = writeln!(
-            out,
-            "      \"recovery_seconds\": {},",
-            num(rec.recovery_seconds, 6)
-        );
-        let _ = writeln!(
-            out,
-            "      \"restart_wall_seconds\": {}",
-            num(rec.restart_wall_seconds, 6)
-        );
-        let comma = if i + 1 < r.recovery.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Part 6b: the replication tax (BENCH_pr10.json).
-// ---------------------------------------------------------------------------
-
-/// The same fsync'd ingest stream with and without a standby tailing it.
-struct ReplIngest {
-    batches: usize,
-    batch_tuples: usize,
-    solo_seconds: f64,
-    standby_seconds: f64,
-    /// Replica lag on the primary, sampled every 25ms during the timed
-    /// standby ingest (frames behind the primary's WAL tip).
-    lag_samples: usize,
-    lag_max_frames: u64,
-    lag_mean_frames: f64,
-    lag_max_bytes: u64,
-    /// Last primary ack → standby fully caught up (lag 0, all acked).
-    drain_seconds: f64,
-}
-
-/// One failover: a fresh standby bootstraps a WAL of `wal_batches`
-/// batches, catches up, and is promoted after the primary goes away.
-struct FailoverRun {
-    wal_batches: usize,
-    wal_tuples: usize,
-    wal_bytes: u64,
-    /// Standby boot → replica fully caught up (bootstrap + tail).
-    catch_up_seconds: f64,
-    /// The `promote` RPC's own wall clock (drains the apply queue).
-    promote_seconds: f64,
-}
-
-struct ReplReport {
-    ingest: ReplIngest,
-    failover: Vec<FailoverRun>,
-}
-
-fn boot_standby(
-    data_dir: &std::path::Path,
-    primary: std::net::SocketAddr,
-) -> (
-    std::net::SocketAddr,
-    std::thread::JoinHandle<std::io::Result<()>>,
-) {
-    let daemon = uniclean_server::Daemon::bind(uniclean_server::DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 1,
-        queue_bound: 64,
-        data_dir: Some(data_dir.to_path_buf()),
-        snapshot_every: 0,
-        fsync: false,
-        replicate_from: Some(primary.to_string()),
-        ..Default::default()
-    })
-    .expect("bind standby port");
-    let addr = daemon.local_addr();
-    (addr, std::thread::spawn(move || daemon.run()))
-}
-
-/// Read `relations[0].replication.{lag_frames, lag_bytes, acked_seq}`
-/// from a primary's `stats`; `None` until the standby first acks.
-fn primary_lag(c: &mut ServeClient) -> Option<(u64, u64, u64)> {
-    let stats = c.rpc(&jobj(vec![("op", Json::str("stats"))]));
-    let relations = stats.get("relations").and_then(Json::as_arr)?;
-    let repl = relations.first()?.get("replication")?;
-    Some((
-        repl.get("lag_frames").and_then(Json::as_u64)?,
-        repl.get("lag_bytes").and_then(Json::as_u64)?,
-        repl.get("acked_seq").and_then(Json::as_u64)?,
-    ))
-}
-
-/// Poll a node's `stats` until its one relation exists and has applied
-/// WAL frames through `want` (a just-bootstrapped relation reports no
-/// `repl_seq` until the first batch frame lands — that reads as 0).
-fn wait_repl_seq(addr: std::net::SocketAddr, want: u64) {
-    let mut c = ServeClient::connect(addr);
-    let deadline = Instant::now() + std::time::Duration::from_secs(120);
-    loop {
-        let stats = c.rpc(&jobj(vec![("op", Json::str("stats"))]));
-        let seq = stats
-            .get("relations")
-            .and_then(Json::as_arr)
-            .and_then(|r| r.first())
-            .map(|r| r.get("repl_seq").and_then(Json::as_u64).unwrap_or(0));
-        if matches!(seq, Some(s) if s >= want) {
-            return;
-        }
-        if Instant::now() > deadline {
-            eprintln!("standby never reached seq {want} (at {seq:?})");
-            std::process::exit(1);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-}
-
-/// Price the standby: identical fsync'd ingest streams with and without
-/// a replica attached, plus failover wall-clock across WAL sizes.
-fn bench_replication(
-    w: &Workload,
-    batches: usize,
-    batch: usize,
-    wal_sizes: &[usize],
-) -> ReplReport {
-    let root = std::env::temp_dir().join(format!("uniclean-bench-repl-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("create bench scratch dir");
-    let rows = w.dirty.to_tuples();
-    let max_batches = batches.max(wal_sizes.iter().copied().max().unwrap_or(0));
-    assert!(
-        rows.len() >= max_batches * batch.max(1),
-        "workload too small for the plan"
-    );
-
-    let stream = |c: &mut ServeClient, count: usize| {
-        for i in 0..count {
-            c.rpc(&jobj(vec![
-                ("op", Json::str("ingest")),
-                ("relation", Json::str("repl0")),
-                ("rows", rows_as_json(&rows[i * batch..(i + 1) * batch])),
-            ]));
-        }
-    };
-    let shutdown = |mut c: ServeClient, handle: std::thread::JoinHandle<std::io::Result<()>>| {
-        c.rpc(&jobj(vec![("op", Json::str("shutdown"))]));
-        drop(c);
-        handle
-            .join()
-            .expect("daemon thread panicked")
-            .expect("daemon exited with an error");
-    };
-
-    // Solo baseline: WAL + fsync, nobody tailing.
-    eprintln!("  replication: solo ingest {batches}x{batch}…");
-    let dir = root.join("solo");
-    let (addr, handle) = boot_daemon(Some(&dir), 0, true);
-    let mut c = ServeClient::connect(addr);
-    c.rpc(&serve_open_request(w, "repl0"));
-    let started = Instant::now();
-    stream(&mut c, batches);
-    let solo_seconds = started.elapsed().as_secs_f64();
-    shutdown(c, handle);
-
-    // Same stream with a standby attached; a sampler thread reads the
-    // primary's per-tenant lag while the ingest clock runs.
-    eprintln!("  replication: ingest {batches}x{batch} with a standby tailing…");
-    let pdir = root.join("primary");
-    let (paddr, phandle) = boot_daemon(Some(&pdir), 0, true);
-    let mut c = ServeClient::connect(paddr);
-    c.rpc(&serve_open_request(w, "repl0"));
-    let (saddr, shandle) = boot_standby(&root.join("standby"), paddr);
-    wait_repl_seq(saddr, 0); // open frame applied — the tail is live
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let sampler = {
-        let stop = stop.clone();
-        std::thread::spawn(move || {
-            let mut c = ServeClient::connect(paddr);
-            let mut samples: Vec<(u64, u64)> = Vec::new();
-            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
-                if let Some((frames, bytes, _)) = primary_lag(&mut c) {
-                    samples.push((frames, bytes));
-                }
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
-            samples
-        })
-    };
-    let started = Instant::now();
-    stream(&mut c, batches);
-    let standby_seconds = started.elapsed().as_secs_f64();
-    // Drain: the primary has acked everything; clock the replica to zero.
-    let drain_started = Instant::now();
-    let drain_deadline = drain_started + std::time::Duration::from_secs(120);
-    loop {
-        if let Some((frames, _, acked)) = primary_lag(&mut c) {
-            if frames == 0 && acked == batches as u64 {
-                break;
-            }
-        }
-        if Instant::now() > drain_deadline {
-            eprintln!("standby never drained to zero lag");
-            std::process::exit(1);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    let drain_seconds = drain_started.elapsed().as_secs_f64();
-    stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    let samples = sampler.join().expect("sampler thread panicked");
-    shutdown(ServeClient::connect(saddr), shandle);
-    shutdown(c, phandle);
-    let lag_max_frames = samples.iter().map(|&(f, _)| f).max().unwrap_or(0);
-    let lag_max_bytes = samples.iter().map(|&(_, b)| b).max().unwrap_or(0);
-    let lag_mean_frames = if samples.is_empty() {
-        0.0
-    } else {
-        samples.iter().map(|&(f, _)| f as f64).sum::<f64>() / samples.len() as f64
-    };
-    let ingest = ReplIngest {
-        batches,
-        batch_tuples: batch,
-        solo_seconds,
-        standby_seconds,
-        lag_samples: samples.len(),
-        lag_max_frames,
-        lag_mean_frames,
-        lag_max_bytes,
-        drain_seconds,
-    };
-
-    // Failover: per WAL size, a cold standby bootstraps the whole log,
-    // catches up, loses its primary, and is promoted.
-    let mut failover = Vec::new();
-    for &k in wal_sizes {
-        let pdir = root.join(format!("fo-primary-{k}"));
-        let (paddr, phandle) = boot_daemon(Some(&pdir), 0, false);
-        let mut c = ServeClient::connect(paddr);
-        c.rpc(&serve_open_request(w, "repl0"));
-        stream(&mut c, k);
-        let wal_bytes = std::fs::metadata(
-            pdir.join(uniclean_server::tenant_dir_name("repl0"))
-                .join("wal.log"),
-        )
-        .map(|m| m.len())
-        .unwrap_or(0);
-
-        eprintln!("  replication: failover after {k} batches ({wal_bytes} WAL bytes)…");
-        let started = Instant::now();
-        let (saddr, shandle) = boot_standby(&root.join(format!("fo-standby-{k}")), paddr);
-        wait_repl_seq(saddr, k as u64);
-        let catch_up_seconds = started.elapsed().as_secs_f64();
-        shutdown(c, phandle);
-        let mut sc = ServeClient::connect(saddr);
-        let started = Instant::now();
-        sc.rpc(&jobj(vec![("op", Json::str("promote"))]));
-        let promote_seconds = started.elapsed().as_secs_f64();
-        let ping = sc.rpc(&jobj(vec![("op", Json::str("ping"))]));
-        if ping.get("role").and_then(Json::as_str) != Some("primary") {
-            eprintln!("promoted standby does not report role=primary: {ping}");
-            std::process::exit(1);
-        }
-        shutdown(sc, shandle);
-        failover.push(FailoverRun {
-            wal_batches: k,
-            wal_tuples: k * batch,
-            wal_bytes,
-            catch_up_seconds,
-            promote_seconds,
-        });
-    }
-    let _ = std::fs::remove_dir_all(&root);
-    ReplReport { ingest, failover }
-}
-
-fn render_replication_json(r: &ReplReport, smoke: bool) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"pr10_replication\",");
-    let _ = writeln!(
-        out,
-        "  \"command\": \"cargo run --release -p uniclean-bench --bin perf\","
-    );
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"dataset\": \"hosp\",");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"replication tax: the same fsync'd ingest stream is clocked solo and \
-         with an asynchronous standby tailing the WAL over TCP; lag is the primary's \
-         per-tenant frames-behind figure sampled every 25ms while the clock runs. Failover \
-         boots a cold standby against an existing WAL, waits for full catch-up, then \
-         promotes it after the primary is gone.\","
-    );
-    let i = &r.ingest;
-    let _ = writeln!(out, "  \"ingest\": {{");
-    let _ = writeln!(out, "    \"batches\": {},", i.batches);
-    let _ = writeln!(out, "    \"batch_tuples\": {},", i.batch_tuples);
-    let _ = writeln!(out, "    \"solo_seconds\": {},", num(i.solo_seconds, 6));
-    let _ = writeln!(
-        out,
-        "    \"standby_seconds\": {},",
-        num(i.standby_seconds, 6)
-    );
-    let _ = writeln!(
-        out,
-        "    \"standby_overhead_x\": {},",
-        num(i.standby_seconds / i.solo_seconds.max(1e-12), 4)
-    );
-    let _ = writeln!(
-        out,
-        "    \"solo_tuples_per_sec\": {},",
-        num(
-            (i.batches * i.batch_tuples) as f64 / i.solo_seconds.max(1e-12),
-            1
-        )
-    );
-    let _ = writeln!(
-        out,
-        "    \"standby_tuples_per_sec\": {},",
-        num(
-            (i.batches * i.batch_tuples) as f64 / i.standby_seconds.max(1e-12),
-            1
-        )
-    );
-    let _ = writeln!(out, "    \"lag_samples\": {},", i.lag_samples);
-    let _ = writeln!(out, "    \"lag_max_frames\": {},", i.lag_max_frames);
-    let _ = writeln!(
-        out,
-        "    \"lag_mean_frames\": {},",
-        num(i.lag_mean_frames, 3)
-    );
-    let _ = writeln!(out, "    \"lag_max_bytes\": {},", i.lag_max_bytes);
-    let _ = writeln!(out, "    \"drain_seconds\": {}", num(i.drain_seconds, 6));
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"failover\": [");
-    for (j, f) in r.failover.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"wal_batches\": {},", f.wal_batches);
-        let _ = writeln!(out, "      \"wal_tuples\": {},", f.wal_tuples);
-        let _ = writeln!(out, "      \"wal_bytes\": {},", f.wal_bytes);
-        let _ = writeln!(
-            out,
-            "      \"catch_up_seconds\": {},",
-            num(f.catch_up_seconds, 6)
-        );
-        let _ = writeln!(
-            out,
-            "      \"promote_seconds\": {}",
-            num(f.promote_seconds, 6)
-        );
-        let comma = if j + 1 < r.failover.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    let _ = writeln!(out, "  ]");
     let _ = writeln!(out, "}}");
     out
 }
@@ -2589,25 +1380,18 @@ fn main() {
     let args = Args::parse();
     let smoke = args.flag("smoke");
     // `--storage-only`: emit just BENCH_pr4.json (the storage comparison),
-    // skipping the slower thread-matrix and delta replays. `--kernels-only`
-    // likewise emits just BENCH_pr8.json, and `--sim-only` just
-    // BENCH_pr5.json.
+    // skipping the slower thread matrix. `--kernels-only` likewise emits
+    // just BENCH_pr8.json, `--sim-only` just BENCH_pr5.json and
+    // `--simd-only` just BENCH_pr9.json.
     let storage_only = args.flag("storage-only");
     let kernels_only = args.flag("kernels-only");
     let sim_only = args.flag("sim-only");
     let simd_only = args.flag("simd-only");
-    let replication_only = args.flag("replication-only");
     let out_path = args.get_or("out", "BENCH_pr2.json").to_string();
-    let delta_out_path = args.get_or("delta-out", "BENCH_pr3.json").to_string();
     let storage_out_path = args.get_or("storage-out", "BENCH_pr4.json").to_string();
     let sim_out_path = args.get_or("sim-out", "BENCH_pr5.json").to_string();
-    let serve_out_path = args.get_or("serve-out", "BENCH_pr6.json").to_string();
-    let durability_out_path = args.get_or("durability-out", "BENCH_pr7.json").to_string();
     let kernels_out_path = args.get_or("kernels-out", "BENCH_pr8.json").to_string();
     let simd_out_path = args.get_or("simd-out", "BENCH_pr9.json").to_string();
-    let replication_out_path = args
-        .get_or("replication-out", "BENCH_pr10.json")
-        .to_string();
     let (tuples, master, repeat, thread_counts): (usize, usize, usize, Vec<usize>) = if smoke {
         (200, 80, 1, vec![1, 2])
     } else {
@@ -2618,15 +1402,6 @@ fn main() {
             vec![1, 2, 4, 8],
         )
     };
-    let (delta_base, delta_batches, delta_batch) = if smoke {
-        (240, 3, 20)
-    } else {
-        (
-            args.get_usize("delta-base", 10_000),
-            args.get_usize("delta-batches", 10),
-            args.get_usize("delta-batch", 100),
-        )
-    };
 
     let started = Instant::now();
     let (sim_tuples, sim_master, sim_sample) = if smoke {
@@ -2634,141 +1409,43 @@ fn main() {
     } else {
         (4_000, 2_000, 800)
     };
+    let wrote = |paths: &str| {
+        println!(
+            "wrote {paths} ({:.1}s){}",
+            started.elapsed().as_secs_f64(),
+            if smoke { " [smoke]" } else { "" }
+        );
+    };
+    let run_similarity = || {
+        eprintln!(
+            "similarity workload (access paths, {sim_tuples} tuples, {sim_master} master, \
+             {sim_sample} probes)…"
+        );
+        bench_similarity(sim_tuples, sim_master, sim_sample, repeat)
+    };
 
     if simd_only {
         let simd = bench_simd(repeat, smoke);
         write_validated(&simd_out_path, &render_simd_json(&simd, smoke));
-        println!(
-            "## simd — gram hashing: scalar {:.6}s vs simd {:.6}s ({:.1}x); index build {:.1}x; \
-             columnar ~lev: per-value {:.6}s vs columnar {:.6}s ({:.1}x)",
-            simd.hash_scalar_seconds,
-            simd.hash_simd_seconds,
-            simd.hash_scalar_seconds / simd.hash_simd_seconds.max(1e-12),
-            simd.index_build_scalar_seconds / simd.index_build_simd_seconds.max(1e-12),
-            simd.per_value_seconds,
-            simd.columnar_seconds,
-            simd.per_value_seconds / simd.columnar_seconds.max(1e-12),
-        );
-        println!(
-            "## dispatch: {} | forced: {}",
-            simd.dispatch_auto, simd.dispatch_forced
-        );
-        println!(
-            "wrote {simd_out_path} ({:.1}s){}",
-            started.elapsed().as_secs_f64(),
-            if smoke { " [smoke]" } else { "" }
-        );
-        return;
-    }
-
-    let (repl_batches, repl_batch, repl_wal_sizes): (usize, usize, Vec<usize>) = if smoke {
-        (3, 40, vec![2, 4])
-    } else {
-        (
-            args.get_usize("repl-batches", 20),
-            args.get_usize("repl-batch", 100),
-            vec![5, 20, 80],
-        )
-    };
-
-    if replication_only {
-        let need = repl_batches.max(repl_wal_sizes.iter().copied().max().unwrap_or(0)) * repl_batch;
-        let params = GenParams {
-            tuples: need,
-            master_tuples: if smoke { 80 } else { 2_000 },
-            ..GenParams::default()
-        };
-        let w = hosp_workload(&params);
-        eprintln!(
-            "replication workload ({repl_batches} x {repl_batch} batches, \
-             failover WALs {repl_wal_sizes:?})…"
-        );
-        let repl = bench_replication(&w, repl_batches, repl_batch, &repl_wal_sizes);
-        write_validated(
-            &replication_out_path,
-            &render_replication_json(&repl, smoke),
-        );
-        println!(
-            "## replication — {} x {} batches: solo {:.3}s vs with standby {:.3}s ({:.2}x), \
-             lag max {} frames / mean {:.1}, drain {:.3}s; failover {}",
-            repl.ingest.batches,
-            repl.ingest.batch_tuples,
-            repl.ingest.solo_seconds,
-            repl.ingest.standby_seconds,
-            repl.ingest.standby_seconds / repl.ingest.solo_seconds.max(1e-12),
-            repl.ingest.lag_max_frames,
-            repl.ingest.lag_mean_frames,
-            repl.ingest.drain_seconds,
-            repl.failover
-                .iter()
-                .map(|f| format!(
-                    "{}B catch-up {:.3}s + promote {:.3}s",
-                    f.wal_bytes, f.catch_up_seconds, f.promote_seconds
-                ))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        println!(
-            "wrote {replication_out_path} ({:.1}s){}",
-            started.elapsed().as_secs_f64(),
-            if smoke { " [smoke]" } else { "" }
-        );
+        print_simd(&simd);
+        wrote(&simd_out_path);
         return;
     }
 
     if kernels_only {
         let cases = bench_kernels(repeat, smoke);
-        eprintln!(
-            "similarity workload (access paths, {sim_tuples} tuples, {sim_master} master, \
-             {sim_sample} probes)…"
-        );
-        let sim = bench_similarity(sim_tuples, sim_master, sim_sample, repeat);
+        let sim = run_similarity();
         write_validated(&kernels_out_path, &render_kernels_json(&cases, &sim, smoke));
-        for c in &cases {
-            println!(
-                "## kernels — {}: myers {:.6}s vs banded DP {:.6}s ({:.1}x) vs full DP {:.6}s ({:.1}x)",
-                c.name,
-                c.myers_seconds,
-                c.banded_dp_seconds,
-                c.banded_dp_seconds / c.myers_seconds.max(1e-12),
-                c.full_dp_seconds,
-                c.full_dp_seconds / c.myers_seconds.max(1e-12),
-            );
-        }
-        println!(
-            "## probe workload — {:.3}s scan vs {:.3}s indexed ({:.1}x); committed pr5 indexed \
-             {:.6}s -> {:.1}x vs committed",
-            sim.scan_seconds,
-            sim.indexed_seconds,
-            sim.scan_seconds / sim.indexed_seconds.max(1e-12),
-            PR5_COMMITTED_INDEXED_SECONDS,
-            PR5_COMMITTED_INDEXED_SECONDS / sim.indexed_seconds.max(1e-12),
-        );
-        println!(
-            "wrote {kernels_out_path} ({:.1}s){}",
-            started.elapsed().as_secs_f64(),
-            if smoke { " [smoke]" } else { "" }
-        );
+        print_kernels(&cases, &sim);
+        wrote(&kernels_out_path);
         return;
     }
 
     if sim_only {
-        eprintln!(
-            "similarity workload (access paths, {sim_tuples} tuples, {sim_master} master, \
-             {sim_sample} probes)…"
-        );
-        let sim = bench_similarity(sim_tuples, sim_master, sim_sample, repeat);
+        let sim = run_similarity();
         write_validated(&sim_out_path, &render_sim_json(&sim, smoke));
-        println!(
-            "## access paths — {:.3}s scan vs {:.3}s indexed ({:.1}x)",
-            sim.scan_seconds,
-            sim.indexed_seconds,
-            sim.scan_seconds / sim.indexed_seconds.max(1e-12),
-        );
-        println!(
-            "wrote {sim_out_path} ({:.1}s)",
-            started.elapsed().as_secs_f64()
-        );
+        print_access_paths(&sim);
+        wrote(&sim_out_path);
         return;
     }
 
@@ -2779,22 +1456,16 @@ fn main() {
     };
     eprintln!("generating workloads ({tuples} tuples, {master} master)…");
     let hosp = hosp_workload(&params);
-
-    if storage_only {
+    let run_storage = || {
         eprintln!("storage workload (columnar vs row-major, {tuples} tuples)…");
         let storage = bench_storage(&hosp, repeat);
         write_validated(&storage_out_path, &render_storage_json(&storage, smoke));
-        println!(
-            "## storage — {} cells: columnar {} B vs row-major {} B ({:.2}x)",
-            storage.cells,
-            storage.columnar_bytes,
-            storage.row_major_bytes,
-            storage.row_major_bytes as f64 / storage.columnar_bytes.max(1) as f64,
-        );
-        println!(
-            "wrote {storage_out_path} ({:.1}s)",
-            started.elapsed().as_secs_f64()
-        );
+        storage
+    };
+
+    if storage_only {
+        print_storage(&run_storage());
+        wrote(&storage_out_path);
         return;
     }
 
@@ -2803,19 +1474,11 @@ fn main() {
         bench_dataset("hosp", &hosp, &thread_counts, repeat),
         bench_dataset("dblp", &dblp, &thread_counts, repeat),
     ];
+    write_validated(&out_path, &render_json(&reports, smoke, repeat));
 
-    let json = render_json(&reports, smoke, repeat);
-    write_validated(&out_path, &json);
+    let storage = run_storage();
 
-    eprintln!("storage workload (columnar vs row-major, {tuples} tuples)…");
-    let storage = bench_storage(&hosp, repeat);
-    write_validated(&storage_out_path, &render_storage_json(&storage, smoke));
-
-    eprintln!(
-        "similarity workload (access paths, {sim_tuples} tuples, {sim_master} master, \
-         {sim_sample} probes)…"
-    );
-    let sim = bench_similarity(sim_tuples, sim_master, sim_sample, repeat);
+    let sim = run_similarity();
     write_validated(&sim_out_path, &render_sim_json(&sim, smoke));
 
     let kernel_cases = bench_kernels(repeat, smoke);
@@ -2827,83 +1490,17 @@ fn main() {
     let simd = bench_simd(repeat, smoke);
     write_validated(&simd_out_path, &render_simd_json(&simd, smoke));
 
-    eprintln!("delta workload ({delta_base} base + {delta_batches} x {delta_batch} batches)…");
-    let delta = bench_delta(delta_base, delta_batches, delta_batch, master);
-    let delta_json = render_delta_json(&delta, smoke);
-    write_validated(&delta_out_path, &delta_json);
-
-    let (serve_shards, serve_relations, serve_base, serve_batches, serve_batch, serve_checks) =
-        if smoke {
-            (vec![1usize, 2], 2usize, 150usize, 3usize, 20usize, 60usize)
-        } else {
-            (
-                vec![1usize, 2, 4],
-                4usize,
-                args.get_usize("serve-base", 10_000),
-                args.get_usize("serve-batches", 10),
-                args.get_usize("serve-batch", 100),
-                args.get_usize("serve-checks", 2_000),
-            )
-        };
-    eprintln!(
-        "serving workload ({serve_relations} relations x ({serve_base} base + \
-         {serve_batches} x {serve_batch} batches), shards {serve_shards:?})…"
-    );
-    let serve = bench_serving(
-        &serve_shards,
-        serve_relations,
-        serve_base,
-        serve_batches,
-        serve_batch,
-        serve_checks,
-        master,
-    );
-    write_validated(&serve_out_path, &render_serve_json(&serve, smoke));
-
-    let (dur_batches, dur_batch, dur_wal_sizes): (usize, usize, Vec<usize>) = if smoke {
-        (3, 40, vec![2, 4])
-    } else {
-        (
-            args.get_usize("dur-batches", 20),
-            args.get_usize("dur-batch", 100),
-            vec![5, 20, 80],
-        )
-    };
-    eprintln!(
-        "durability workload ({dur_batches} x {dur_batch} batches per mode, \
-         recovery WALs {dur_wal_sizes:?})…"
-    );
-    let durability = bench_durability(&hosp, dur_batches, dur_batch, &dur_wal_sizes);
-    write_validated(
-        &durability_out_path,
-        &render_durability_json(&durability, smoke),
-    );
-
-    eprintln!(
-        "replication workload ({repl_batches} x {repl_batch} batches, \
-         failover WALs {repl_wal_sizes:?})…"
-    );
-    let replication = bench_replication(&hosp, repl_batches, repl_batch, &repl_wal_sizes);
-    write_validated(
-        &replication_out_path,
-        &render_replication_json(&replication, smoke),
-    );
-
     print!("{}", render_table(&reports));
-    let speedups = delta.speedups();
-    println!(
-        "## delta — {} base + {} x {} batches: mean speedup {:.1}x, min {:.1}x",
-        delta.base_tuples,
-        delta.steps.len(),
-        delta.batch_tuples,
-        speedups
-            .iter()
-            .copied()
-            .filter(|s| s.is_finite())
-            .sum::<f64>()
-            / speedups.len().max(1) as f64,
-        speedups.iter().copied().fold(f64::INFINITY, f64::min),
-    );
+    print_storage(&storage);
+    print_access_paths(&sim);
+    print_kernels(&kernel_cases, &sim);
+    print_simd(&simd);
+    wrote(&format!(
+        "{out_path} + {storage_out_path} + {sim_out_path} + {kernels_out_path} + {simd_out_path}"
+    ));
+}
+
+fn print_storage(storage: &StorageReport) {
     println!(
         "## storage — {} cells: columnar {} B vs row-major {} B ({:.2}x), scans {}",
         storage.cells,
@@ -2921,21 +1518,27 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", "),
     );
-    let sim_scan: u64 = sim.mds.iter().map(|m| m.scan_candidates).sum();
-    let sim_idx: u64 = sim.mds.iter().map(|m| m.indexed_candidates).sum();
+}
+
+fn print_access_paths(sim: &SimReport) {
+    let scan: u64 = sim.mds.iter().map(|m| m.scan_candidates).sum();
+    let indexed: u64 = sim.mds.iter().map(|m| m.indexed_candidates).sum();
     println!(
         "## access paths — {} probes x {} mds: candidates {} -> {} ({:.1}x fewer), \
          wall clock {:.3}s -> {:.3}s ({:.1}x)",
         sim.probe_sample,
         sim.mds.len(),
-        sim_scan,
-        sim_idx,
-        sim_scan as f64 / sim_idx.max(1) as f64,
+        scan,
+        indexed,
+        scan as f64 / indexed.max(1) as f64,
         sim.scan_seconds,
         sim.indexed_seconds,
         sim.scan_seconds / sim.indexed_seconds.max(1e-12),
     );
-    for c in &kernel_cases {
+}
+
+fn print_kernels(cases: &[KernelCase], sim: &SimReport) {
+    for c in cases {
         println!(
             "## kernels — {}: myers {:.6}s vs banded DP {:.6}s ({:.1}x) vs full DP {:.6}s ({:.1}x)",
             c.name,
@@ -2946,69 +1549,31 @@ fn main() {
             c.full_dp_seconds / c.myers_seconds.max(1e-12),
         );
     }
-    for run in &serve.runs {
-        let batches_total = run.batches * run.relations;
-        println!(
-            "## serving — {} shards x {} relations: {} batches in {:.3}s ({:.1} batches/s, \
-             {:.0} tuples/s), {} checks in {:.3}s ({:.0} q/s), busy {} , all_consistent {}",
-            run.shards,
-            run.relations,
-            batches_total,
-            run.ingest_seconds,
-            batches_total as f64 / run.ingest_seconds.max(1e-12),
-            (batches_total * run.batch_tuples) as f64 / run.ingest_seconds.max(1e-12),
-            run.check_queries,
-            run.check_seconds,
-            run.check_queries as f64 / run.check_seconds.max(1e-12),
-            run.busy_rejections,
-            run.all_consistent,
-        );
-    }
-    let fsync_run = durability.ingest.iter().find(|m| m.mode == "wal_fsync");
-    let memory_run = durability.ingest.iter().find(|m| m.mode == "memory");
-    if let (Some(f), Some(m)) = (fsync_run, memory_run) {
-        println!(
-            "## durability — {} x {} batches: fsync WAL {:.3}s vs memory {:.3}s \
-             ({:.2}x), recovery {}",
-            f.batches,
-            f.batch_tuples,
-            f.seconds,
-            m.seconds,
-            f.seconds / m.seconds.max(1e-12),
-            durability
-                .recovery
-                .iter()
-                .map(|r| format!("{} tuples {:.3}s", r.wal_tuples, r.recovery_seconds))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-    }
     println!(
-        "## replication — {} x {} batches: solo {:.3}s vs with standby {:.3}s ({:.2}x), \
-         lag max {} frames, drain {:.3}s; failover {}",
-        replication.ingest.batches,
-        replication.ingest.batch_tuples,
-        replication.ingest.solo_seconds,
-        replication.ingest.standby_seconds,
-        replication.ingest.standby_seconds / replication.ingest.solo_seconds.max(1e-12),
-        replication.ingest.lag_max_frames,
-        replication.ingest.drain_seconds,
-        replication
-            .failover
-            .iter()
-            .map(|f| format!(
-                "{}B catch-up {:.3}s + promote {:.3}s",
-                f.wal_bytes, f.catch_up_seconds, f.promote_seconds
-            ))
-            .collect::<Vec<_>>()
-            .join(", "),
+        "## probe workload — {:.3}s scan vs {:.3}s indexed ({:.1}x); committed pr5 indexed \
+         {:.6}s -> {:.1}x vs committed",
+        sim.scan_seconds,
+        sim.indexed_seconds,
+        sim.scan_seconds / sim.indexed_seconds.max(1e-12),
+        PR5_COMMITTED_INDEXED_SECONDS,
+        PR5_COMMITTED_INDEXED_SECONDS / sim.indexed_seconds.max(1e-12),
+    );
+}
+
+fn print_simd(simd: &SimdReport) {
+    println!(
+        "## simd — gram hashing: scalar {:.6}s vs simd {:.6}s ({:.1}x); index build {:.1}x; \
+         columnar ~lev: per-value {:.6}s vs columnar {:.6}s ({:.1}x)",
+        simd.hash_scalar_seconds,
+        simd.hash_simd_seconds,
+        simd.hash_scalar_seconds / simd.hash_simd_seconds.max(1e-12),
+        simd.index_build_scalar_seconds / simd.index_build_simd_seconds.max(1e-12),
+        simd.per_value_seconds,
+        simd.columnar_seconds,
+        simd.per_value_seconds / simd.columnar_seconds.max(1e-12),
     );
     println!(
-        "wrote {out_path} + {storage_out_path} + {sim_out_path} + {kernels_out_path} \
-         + {simd_out_path} + {delta_out_path} + {serve_out_path} + {durability_out_path} \
-         + {replication_out_path} ({} datasets, {:.1}s total){}",
-        reports.len(),
-        started.elapsed().as_secs_f64(),
-        if smoke { " [smoke]" } else { "" }
+        "## dispatch: {} | forced: {}",
+        simd.dispatch_auto, simd.dispatch_forced
     );
 }

@@ -156,6 +156,15 @@ pub fn scan_frames(bytes: &[u8]) -> (Vec<&[u8]>, Option<TornTail>) {
     (out, scan.torn())
 }
 
+/// The payload of a buffer that is exactly one valid frame — no torn
+/// tail, nothing before or after it. The shape of a snapshot file and of
+/// a frame streamed to a standby.
+pub fn sole_frame(bytes: &[u8]) -> Option<&[u8]> {
+    let mut scan = FrameScan::new(bytes);
+    let payload = scan.next_frame()?;
+    (scan.valid_len() == bytes.len()).then_some(payload)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,6 +241,18 @@ mod tests {
             let t = torn.expect("corruption must report a torn tail");
             assert_eq!(t.offset, bounds[hit], "pos={pos}");
         }
+    }
+
+    #[test]
+    fn sole_frame_wants_exactly_one_whole_frame() {
+        let one = log_of(&[b"only"]);
+        assert_eq!(sole_frame(&one), Some(b"only".as_slice()));
+        assert_eq!(sole_frame(&[]), None, "no frame");
+        assert_eq!(sole_frame(&log_of(&[b"a", b"b"])), None, "two frames");
+        assert_eq!(sole_frame(&one[..one.len() - 1]), None, "truncated");
+        let mut trailing = one.clone();
+        trailing.push(0);
+        assert_eq!(sole_frame(&trailing), None, "bytes after the frame");
     }
 
     #[test]

@@ -36,7 +36,8 @@ use uniclean_model::json::{batch_from_json, relation_to_json};
 use uniclean_model::Json;
 
 use crate::protocol::{
-    error, error_with, json_error, ok, parse_request, Request, MIN_PROTO_VERSION, PROTO_VERSION,
+    error, error_with, json_error, obj, ok, parse_request, Request, MIN_PROTO_VERSION,
+    PROTO_VERSION,
 };
 use crate::recovery::{recover_root, RecoveryReport};
 use crate::registry::{DurabilityCfg, Registry, Tenant};
@@ -584,10 +585,10 @@ fn dispatch_request(request: Request, line: &str, shared: &Arc<Shared>) -> Json 
                         .violations(tid.into())
                         .into_iter()
                         .map(|v| {
-                            Json::Obj(vec![
-                                ("rule".to_string(), Json::str(v.rule)),
+                            obj(vec![
+                                ("rule", Json::str(v.rule)),
                                 (
-                                    "kind".to_string(),
+                                    "kind",
                                     Json::str(match v.kind {
                                         uniclean_core::ViolationKind::ConstantCfd => "constant_cfd",
                                         uniclean_core::ViolationKind::VariableCfd => "variable_cfd",
@@ -643,9 +644,9 @@ fn dispatch_request(request: Request, line: &str, shared: &Arc<Shared>) -> Json 
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .len();
-                Json::Obj(vec![
-                    ("role".to_string(), Json::str("primary")),
-                    ("tenants_acked".to_string(), Json::Num(replicas as f64)),
+                obj(vec![
+                    ("role", Json::str("primary")),
+                    ("tenants_acked", Json::Num(replicas as f64)),
                 ])
             };
             ok(vec![
@@ -818,20 +819,20 @@ fn relation_stats(shared: &Arc<Shared>, tenant: &Arc<Tenant>) -> Json {
     // A poisoned tenant reports just its poisoning — its state is the
     // pre-failure remnant, not something to publish numbers from.
     if tenant.is_poisoned() {
-        return Json::Obj(vec![
-            ("relation".to_string(), Json::str(&tenant.name)),
-            ("shard".to_string(), Json::Num(tenant.shard as f64)),
-            ("poisoned".to_string(), Json::Bool(true)),
+        return obj(vec![
+            ("relation", Json::str(&tenant.name)),
+            ("shard", Json::Num(tenant.shard as f64)),
+            ("poisoned", Json::Bool(true)),
         ]);
     }
     // `stats` must stay online: a tenant mid-ingest holds its entry lock
     // for the whole `clean_delta`, so don't wait on it — report the
     // relation as busy and let the shard counters carry the liveness.
     let Ok(entry) = tenant.entry.try_read() else {
-        return Json::Obj(vec![
-            ("relation".to_string(), Json::str(&tenant.name)),
-            ("shard".to_string(), Json::Num(tenant.shard as f64)),
-            ("busy".to_string(), Json::Bool(true)),
+        return obj(vec![
+            ("relation", Json::str(&tenant.name)),
+            ("shard", Json::Num(tenant.shard as f64)),
+            ("busy", Json::Bool(true)),
         ]);
     };
     let phase_seconds = entry
@@ -843,37 +844,31 @@ fn relation_stats(shared: &Arc<Shared>, tenant: &Arc<Tenant>) -> Json {
     let last_client_seq = entry.last_client_seq;
     let repl_seq = entry.repl_seq;
     let mut fields = vec![
-        ("relation".to_string(), Json::str(&tenant.name)),
-        ("shard".to_string(), Json::Num(tenant.shard as f64)),
-        ("tuples".to_string(), Json::Num(entry.state.len() as f64)),
+        ("relation", Json::str(&tenant.name)),
+        ("shard", Json::Num(tenant.shard as f64)),
+        ("tuples", Json::Num(entry.state.len() as f64)),
+        ("consistent", Json::Bool(entry.state.consistent())),
+        ("deltas", Json::Num(entry.state.deltas() as f64)),
+        ("escalations", Json::Num(entry.state.escalations() as f64)),
+        ("batches", Json::Num(entry.stats.batches as f64)),
         (
-            "consistent".to_string(),
-            Json::Bool(entry.state.consistent()),
-        ),
-        ("deltas".to_string(), Json::Num(entry.state.deltas() as f64)),
-        (
-            "escalations".to_string(),
-            Json::Num(entry.state.escalations() as f64),
-        ),
-        ("batches".to_string(), Json::Num(entry.stats.batches as f64)),
-        (
-            "tuples_ingested".to_string(),
+            "tuples_ingested",
             Json::Num(entry.stats.tuples_ingested as f64),
         ),
-        ("fixes".to_string(), Json::Num(entry.stats.fixes as f64)),
-        ("cost".to_string(), Json::Num(entry.state.cost())),
-        ("phase_seconds".to_string(), Json::Arr(phase_seconds)),
+        ("fixes", Json::Num(entry.stats.fixes as f64)),
+        ("cost", Json::Num(entry.state.cost())),
+        ("phase_seconds", Json::Arr(phase_seconds)),
     ];
     drop(entry);
     if let Some(cs) = last_client_seq {
-        fields.push(("last_client_seq".to_string(), Json::Num(cs as f64)));
+        fields.push(("last_client_seq", Json::Num(cs as f64)));
     }
     if let Some(rs) = repl_seq {
-        fields.push(("repl_seq".to_string(), Json::Num(rs as f64)));
+        fields.push(("repl_seq", Json::Num(rs as f64)));
     }
     // Per-tenant replica health, present only once a replica has acked.
     if let Some(repl) = replication::relation_replication_json(shared, tenant) {
-        fields.push(("replication".to_string(), repl));
+        fields.push(("replication", repl));
     }
-    Json::Obj(fields)
+    obj(fields)
 }

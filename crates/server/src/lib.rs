@@ -40,6 +40,16 @@
 //! batches through `clean_delta` reproduces the pre-crash state
 //! bit-identically. Fault injection for crash tests lives in [`faults`]
 //! (cfg-gated behind the `failpoints` feature).
+//!
+//! Each durability invariant has one owner: the record grammar and the
+//! shape of a valid log are [`wal::WalRecord`] and `wal::RecordScan`
+//! (recovery, `repl_fetch` and the standby's apply all read through
+//! them); "apply a batch and account for it" is
+//! `registry::TenantEntry::apply` (live ingest and WAL replay alike); a
+//! tenant comes up through `Registry::open` or through [`recovery`]'s one
+//! replay-and-install path; and the accepted input history has one copy,
+//! [`uniclean_core::RepairState::base`], which compaction renders the
+//! snapshot's `base_rows` from.
 
 pub mod daemon;
 pub mod faults;

@@ -369,11 +369,16 @@ fn string_list(doc: &Json, key: &str) -> Result<Option<Vec<String>>, Json> {
 // Response builders.
 // ---------------------------------------------------------------------------
 
+/// A JSON object from borrowed keys, in the given order.
+pub(crate) fn obj(fields: Vec<(&str, Json)>) -> Json {
+    let owned = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    Json::Obj(owned.collect())
+}
+
 /// `{"ok":true, ...fields}`.
-pub(crate) fn ok(fields: Vec<(&str, Json)>) -> Json {
-    let mut pairs = vec![("ok".to_string(), Json::Bool(true))];
-    pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Json::Obj(pairs)
+pub(crate) fn ok(mut fields: Vec<(&str, Json)>) -> Json {
+    fields.insert(0, ("ok", Json::Bool(true)));
+    obj(fields)
 }
 
 /// `{"ok":false,"code":code,"error":msg}`.
@@ -384,12 +389,12 @@ pub(crate) fn error(code: &str, msg: impl Into<String>) -> Json {
 /// [`error`] with extra structured fields (e.g. `queue_depth` on `busy`).
 pub(crate) fn error_with(code: &str, msg: impl Into<String>, extra: Vec<(&str, Json)>) -> Json {
     let mut pairs = vec![
-        ("ok".to_string(), Json::Bool(false)),
-        ("code".to_string(), Json::str(code)),
-        ("error".to_string(), Json::Str(msg.into())),
+        ("ok", Json::Bool(false)),
+        ("code", Json::str(code)),
+        ("error", Json::Str(msg.into())),
     ];
-    pairs.extend(extra.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Json::Obj(pairs)
+    pairs.extend(extra);
+    obj(pairs)
 }
 
 /// A [`JsonError`] as a structured response under the given code (syntax

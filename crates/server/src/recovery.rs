@@ -9,13 +9,20 @@
 //! 3. load snapshot candidates ([`crate::snapshot::load_snapshots`]):
 //!    current, then `.prev`, then "no snapshot" as the final fallback;
 //! 4. rebuild the session from the stored `open` request document, then
-//!    for each candidate: replay its `base_rows` through one
-//!    `clean_delta`, **cross-check** the result against the stored
-//!    repaired relation and cost byte-for-byte, and replay the WAL
-//!    records with `seq > snapshot.seq` batch-by-batch (identical batch
-//!    boundaries ⇒ identical per-batch counters). First candidate to
-//!    survive wins;
-//! 5. physically truncate the WAL's torn tail and reopen it for append.
+//!    for each candidate (`replay_candidate`): replay its `base_rows`
+//!    through one `clean_delta`, **cross-check** the result against the
+//!    stored repaired relation and cost byte-for-byte, and replay the WAL
+//!    records with `seq > snapshot.seq` batch-by-batch through
+//!    `TenantEntry::apply` — the live ingest's own apply path, so
+//!    identical batch boundaries give identical per-batch counters and
+//!    sequence markers by construction. First candidate to survive wins;
+//! 5. physically truncate the WAL's torn tail and reopen it for append;
+//! 6. install: the replayed entry becomes the tenant's live entry and the
+//!    reopened files its durable handle, at the replayed log position.
+//!
+//! A standby bootstrapping from a streamed snapshot
+//! (`tenant_from_snapshot`) is the same replay and the same install, with
+//! an empty log and freshly created files.
 //!
 //! §5.2 order-independence is what makes step 4 exact: any grouping of
 //! the same acknowledged rows yields bit-identical cells, confidences,
@@ -23,7 +30,8 @@
 //! replay plus per-batch suffix replay reconstructs the pre-crash state,
 //! and the cross-check catches a snapshot that lies. (Engine-internal
 //! odometers like `deltas()` are grouping-dependent and deliberately
-//! outside the contract.)
+//! outside the contract.) The rebuilt state is also the only copy of the
+//! input history: the next compaction renders `base_rows` from it.
 //!
 //! A directory that defeats every candidate is **quarantined** — renamed
 //! to `<dir>.corrupt-<n>` with a stderr warning — rather than deleted or
@@ -33,16 +41,15 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use uniclean_core::RepairState;
 use uniclean_model::json::{batch_from_json, relation_to_json};
 use uniclean_model::Json;
 
-use crate::protocol::parse_open;
-use crate::registry::{DurabilityCfg, Durable, Tenant};
-use crate::snapshot::{load_snapshots, SnapshotDoc, SNAP_TMP};
-use crate::stats::{PhaseAccum, RelationStats};
+use crate::protocol::{obj, parse_open};
+use crate::registry::{create_tenant_storage, DurabilityCfg, Durable, Tenant, TenantEntry};
+use crate::snapshot::{load_snapshots, write_snapshot, SnapshotDoc, SNAP_TMP};
+use crate::stats::RelationStats;
 use crate::tenant_dir_name;
-use crate::wal::{open_record, read_wal, WalContents, WalWriter, WAL_FILE, WAL_REWRITE_TMP};
+use crate::wal::{read_wal, WalBatch, WalWriter, WAL_FILE, WAL_REWRITE_TMP};
 
 /// What startup recovery did — reported by the `ping` verb.
 #[derive(Clone, Debug, Default)]
@@ -66,26 +73,17 @@ pub struct RecoveryReport {
 impl RecoveryReport {
     /// The `recovery` member of the `ping` response.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("relations".to_string(), Json::Num(self.relations as f64)),
+        obj(vec![
+            ("relations", Json::Num(self.relations as f64)),
+            ("batches_replayed", Json::Num(self.batches_replayed as f64)),
+            ("tuples_replayed", Json::Num(self.tuples_replayed as f64)),
+            ("snapshots_used", Json::Num(self.snapshots_used as f64)),
+            ("torn_tails", Json::Num(self.torn_tails as f64)),
             (
-                "batches_replayed".to_string(),
-                Json::Num(self.batches_replayed as f64),
-            ),
-            (
-                "tuples_replayed".to_string(),
-                Json::Num(self.tuples_replayed as f64),
-            ),
-            (
-                "snapshots_used".to_string(),
-                Json::Num(self.snapshots_used as f64),
-            ),
-            ("torn_tails".to_string(), Json::Num(self.torn_tails as f64)),
-            (
-                "quarantined".to_string(),
+                "quarantined",
                 Json::Arr(self.quarantined.iter().map(Json::str).collect()),
             ),
-            ("seconds".to_string(), Json::Num(self.seconds)),
+            ("seconds", Json::Num(self.seconds)),
         ])
     }
 }
@@ -149,65 +147,52 @@ fn recover_tenant(
         .map(|s| s.open.clone())
         .or_else(|| wal.open.clone())
         .ok_or("no usable open record in snapshot or WAL")?;
-    let spec =
-        parse_open(&open_doc).map_err(|e| format!("stored open spec rejected: {}", e.render()))?;
-    if tenant_dir_name(&spec.relation) != dir_name {
+    let tenant = rebuild_session(&open_doc, shards)?;
+    if tenant_dir_name(&tenant.name) != dir_name {
         return Err(format!(
             "directory name does not match stored relation {:?}",
-            spec.relation
+            tenant.name
         ));
     }
-    let tenant = Tenant::open(&spec, shards)
-        .map_err(|e| format!("session rebuild failed: {}", e.render()))?;
 
-    let mut outcome = None;
-    for candidate in snaps.iter().map(Some).chain(std::iter::once(None)) {
-        match replay_candidate(&tenant, candidate, &wal) {
-            Ok(r) => {
-                outcome = Some(r);
-                break;
-            }
-            Err(why) => {
-                eprintln!(
-                    "uniclean serve: recovering {:?}: {} rejected: {why}",
-                    spec.relation,
-                    match candidate {
+    let (replayed, used_snapshot) = snaps
+        .iter()
+        .map(Some)
+        .chain(std::iter::once(None))
+        .find_map(
+            |candidate| match replay_candidate(&tenant, candidate, &wal.batches) {
+                Ok(replayed) => Some((replayed, candidate.is_some())),
+                Err(why) => {
+                    let what = match candidate {
                         Some(s) => format!("snapshot at seq {}", s.seq),
                         None => "bare WAL replay".to_string(),
-                    }
-                );
-            }
-        }
-    }
-    let replayed = outcome.ok_or("every snapshot candidate and the bare WAL replay failed")?;
+                    };
+                    let name = &tenant.name;
+                    eprintln!("uniclean serve: recovering {name:?}: {what} rejected: {why}");
+                    None
+                }
+            },
+        )
+        .ok_or("every snapshot candidate and the bare WAL replay failed")?;
 
     // Repair the log file itself: drop the torn tail so future appends
     // extend the valid prefix, and rebuild the whole file if even the
     // open record was lost (a valid snapshot carries it).
+    let file_len = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
+    let torn = file_len > wal.valid_len;
+    report.torn_tails += torn as usize;
     let wal_writer = if wal.open.is_some() {
-        let file_len = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
-        if file_len > wal.valid_len {
-            report.torn_tails += 1;
-            let f = std::fs::OpenOptions::new()
+        if torn {
+            std::fs::OpenOptions::new()
                 .write(true)
                 .open(&wal_path)
-                .map_err(|e| format!("cannot truncate torn WAL tail: {e}"))?;
-            f.set_len(wal.valid_len)
-                .and_then(|_| f.sync_data())
+                .and_then(|f| f.set_len(wal.valid_len).and_then(|_| f.sync_data()))
                 .map_err(|e| format!("cannot truncate torn WAL tail: {e}"))?;
         }
         WalWriter::open_append(&wal_path, cfg.fsync)
             .map_err(|e| format!("cannot reopen WAL: {e}"))?
     } else {
-        if std::fs::metadata(&wal_path)
-            .map(|m| m.len() > 0)
-            .unwrap_or(false)
-        {
-            report.torn_tails += 1;
-        }
-        let mut w = WalWriter::create(&wal_path, cfg.fsync)
-            .map_err(|e| format!("cannot rebuild WAL: {e}"))?;
-        w.append(&open_record(&open_doc))
+        let w = WalWriter::create_log(&wal_path, &open_doc, cfg.fsync)
             .map_err(|e| format!("cannot rebuild WAL: {e}"))?;
         if cfg.fsync {
             // The rebuilt file is a fresh directory entry; without the
@@ -220,59 +205,100 @@ fn recover_tenant(
 
     report.batches_replayed += replayed.batches;
     report.tuples_replayed += replayed.tuples;
-    report.snapshots_used += replayed.used_snapshot as usize;
-    tenant.replace_entry(
-        replayed.state,
-        replayed.stats,
-        replayed.last_client_seq,
-        replayed.repl_seq,
+    report.snapshots_used += used_snapshot as usize;
+    replayed.install(
+        &tenant,
+        Some(Durable {
+            wal: wal_writer,
+            dir: dir.to_path_buf(),
+            open_doc,
+            seq: 0,
+            since_snapshot: 0,
+        }),
     );
-    *tenant.durable_lock() = Some(Durable {
-        wal: wal_writer,
-        dir: dir.to_path_buf(),
-        open_doc,
-        seq: replayed.seq,
-        since_snapshot: replayed.batches,
-        base_rows: replayed.base_rows,
-    });
     Ok(Arc::new(tenant))
 }
 
-/// A successful replay: the rebuilt state plus everything the tenant's
-/// [`Durable`] handle needs.
-pub(crate) struct Replayed {
-    pub(crate) state: RepairState,
-    pub(crate) stats: RelationStats,
-    pub(crate) base_rows: Vec<Json>,
-    pub(crate) seq: u64,
-    /// WAL batches replayed beyond snapshot coverage.
-    pub(crate) batches: u64,
-    pub(crate) tuples: u64,
-    pub(crate) used_snapshot: bool,
-    /// Highest client exactly-once sequence covered by the replay.
-    pub(crate) last_client_seq: Option<u64>,
-    /// Highest mirrored primary sequence covered by the replay.
-    pub(crate) repl_seq: Option<u64>,
+/// The session half of a tenant from a stored `open` document (a WAL's
+/// frame 0 or a snapshot's `open` member).
+fn rebuild_session(open_doc: &Json, shards: usize) -> Result<Tenant, String> {
+    let spec =
+        parse_open(open_doc).map_err(|e| format!("stored open spec rejected: {}", e.render()))?;
+    Tenant::open(&spec, shards).map_err(|e| format!("session rebuild failed: {}", e.render()))
 }
 
-/// Replay one snapshot candidate (or the bare WAL) onto a fresh state,
+/// A standby's `snapshot`-mode bootstrap: the same replay, cross-check
+/// and install a restart performs, from a streamed snapshot and an empty
+/// log. The snapshot is persisted as the standby's own, so its restart
+/// recovers from its files without re-streaming.
+pub(crate) fn tenant_from_snapshot(
+    name: &str,
+    doc: &SnapshotDoc,
+    shards: usize,
+    cfg: Option<&DurabilityCfg>,
+) -> Result<Tenant, String> {
+    let tenant = rebuild_session(&doc.open, shards)?;
+    if tenant.name != name {
+        return Err(format!(
+            "snapshot names {:?}, expected {name:?}",
+            tenant.name
+        ));
+    }
+    let replayed = replay_candidate(&tenant, Some(doc), &[])?;
+    let storage = match cfg {
+        None => None,
+        Some(cfg) => {
+            let d = create_tenant_storage(name, &doc.open, cfg)
+                .map_err(|e| format!("cannot create standby storage: {e}"))?;
+            write_snapshot(&d.dir, doc, cfg.fsync)
+                .map_err(|e| format!("cannot persist bootstrap snapshot: {e}"))?;
+            Some(d)
+        }
+    };
+    replayed.install(&tenant, storage);
+    Ok(tenant)
+}
+
+/// A successful replay: the rebuilt entry plus its position in the log.
+pub(crate) struct Replayed {
+    entry: TenantEntry,
+    /// Sequence number of the last batch the entry covers.
+    seq: u64,
+    /// WAL batches replayed beyond snapshot coverage.
+    batches: u64,
+    /// Tuples those batches carried.
+    tuples: u64,
+}
+
+impl Replayed {
+    /// The one install step: the replayed entry becomes the tenant's live
+    /// entry, and `storage` (its freshly opened files; `None` on a
+    /// memory-only node) its durable handle at the replayed log position:
+    /// seqs continue from `seq`, the next compaction counts from `batches`.
+    fn install(self, tenant: &Tenant, storage: Option<Durable>) {
+        tenant.replace_entry(self.entry);
+        *tenant.durable_lock() = storage.map(|d| Durable {
+            seq: self.seq,
+            since_snapshot: self.batches,
+            ..d
+        });
+    }
+}
+
+/// Replay one snapshot candidate (or the bare WAL) onto a fresh entry,
 /// cross-checking the snapshot's stored repaired relation byte-for-byte.
-/// Also the apply path for a standby bootstrapping from a streamed
-/// snapshot ([`crate::replication`]), which passes an empty WAL.
-pub(crate) fn replay_candidate(
+/// WAL batches go through [`TenantEntry::apply`] — the live ingest's own
+/// apply path — so the replayed counters and markers are what the live
+/// tenant had.
+fn replay_candidate(
     tenant: &Tenant,
     snap: Option<&SnapshotDoc>,
-    wal: &WalContents,
+    wal: &[WalBatch],
 ) -> Result<Replayed, String> {
     let arity = tenant.cleaner.rules().schema().arity();
-    let entry = tenant.entry_read();
-    let mut state = tenant.cleaner.begin_empty(entry.state.phase());
-    drop(entry);
-    let mut stats = RelationStats::default();
-    let mut base_rows: Vec<Json> = Vec::new();
+    let phase = tenant.entry_read().state.phase();
+    let mut entry = TenantEntry::empty(&tenant.cleaner, phase);
     let mut seq = 0u64;
-    let mut last_client_seq: Option<u64> = None;
-    let mut repl_seq: Option<u64> = None;
 
     if let Some(s) = snap {
         let rows = batch_from_json(&s.base_rows, arity, tenant.default_cf)
@@ -280,85 +306,58 @@ pub(crate) fn replay_candidate(
         if !rows.is_empty() {
             tenant
                 .cleaner
-                .clean_delta(&mut state, &rows)
+                .clean_delta(&mut entry.state, &rows)
                 .map_err(|e| format!("snapshot base replay failed: {e}"))?;
         }
         // The cross-check: replay must land exactly on the repaired
         // relation the snapshot recorded — cells, confidences, marks and
         // cost, byte-for-byte over the deterministic JSON rendering.
-        let replayed = relation_to_json(state.repaired()).render();
+        let replayed = relation_to_json(entry.state.repaired()).render();
         if replayed != s.repaired.render() {
             return Err("base replay does not match stored repaired relation".to_string());
         }
-        if state.cost().to_bits() != s.cost.to_bits() {
+        if entry.state.cost().to_bits() != s.cost.to_bits() {
             return Err(format!(
                 "base replay cost {} does not match stored cost {}",
-                state.cost(),
+                entry.state.cost(),
                 s.cost
             ));
         }
-        stats.batches = s.batches;
-        stats.tuples_ingested = s.tuples_ingested;
-        stats.fixes = s.fixes;
-        stats.phase_seconds = s.phase_seconds;
-        base_rows = s
-            .base_rows
-            .as_arr()
-            .ok_or("snapshot base rows are not an array")?
-            .to_vec();
+        // One grouped replay stands in for the batches the snapshot
+        // covers; their per-batch counters come from the snapshot.
+        entry.stats = RelationStats {
+            batches: s.batches,
+            tuples_ingested: s.tuples_ingested,
+            fixes: s.fixes,
+            phase_seconds: s.phase_seconds,
+        };
+        entry.last_client_seq = s.last_client_seq;
+        entry.repl_seq = s.repl_seq;
         seq = s.seq;
-        last_client_seq = s.last_client_seq;
-        repl_seq = s.repl_seq;
     }
 
     let mut batches = 0u64;
     let mut tuples = 0u64;
-    for batch in &wal.batches {
+    for batch in wal {
         let bseq = batch.seq;
         if bseq <= seq {
             continue; // covered by the snapshot
         }
         let rows = batch_from_json(&batch.rows, arity, tenant.default_cf)
             .map_err(|e| format!("WAL batch {bseq} undecodable: {e}"))?;
-        let mut accum = PhaseAccum::default();
-        let res = tenant
-            .cleaner
-            .clean_delta_observed(&mut state, &rows, &mut accum)
+        entry
+            .apply(&tenant.cleaner, &rows, batch.client_seq, batch.repl_seq)
             .map_err(|e| format!("WAL batch {bseq} replay failed: {e}"))?;
-        let (d, r, p) = res.fix_counts();
-        stats.batches += 1;
-        stats.tuples_ingested += rows.len() as u64;
-        stats.fixes += (d + r + p) as u64;
-        for (slot, s) in stats.phase_seconds.iter_mut().zip(accum.seconds) {
-            *slot += s;
-        }
-        base_rows.extend_from_slice(
-            batch
-                .rows
-                .as_arr()
-                .ok_or_else(|| format!("WAL batch {bseq} rows are not an array"))?,
-        );
         seq = bseq;
-        if batch.client_seq.is_some() {
-            last_client_seq = last_client_seq.max(batch.client_seq);
-        }
-        if batch.repl_seq.is_some() {
-            repl_seq = repl_seq.max(batch.repl_seq);
-        }
         batches += 1;
         tuples += rows.len() as u64;
     }
 
     Ok(Replayed {
-        state,
-        stats,
-        base_rows,
+        entry,
         seq,
         batches,
         tuples,
-        used_snapshot: snap.is_some(),
-        last_client_seq,
-        repl_seq,
     })
 }
 

@@ -24,15 +24,17 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use uniclean_core::{CleanConfig, Cleaner, MasterSource, RepairState};
+use uniclean_core::{
+    CleanConfig, CleanError, CleanResult, Cleaner, MasterSource, Phase, RepairState,
+};
 use uniclean_model::json::batch_from_json;
-use uniclean_model::{Json, Relation, Schema};
+use uniclean_model::{Json, Relation, Schema, Tuple};
 use uniclean_rules::{parse_rules, RuleSet};
 
 use crate::protocol::{clean_error, error, json_error, OpenSpec};
 use crate::snapshot::sync_dir;
-use crate::stats::RelationStats;
-use crate::wal::{open_record, WalWriter, WAL_FILE};
+use crate::stats::{PhaseAccum, RelationStats};
+use crate::wal::{WalWriter, WAL_FILE};
 use crate::{shard_for, tenant_dir_name};
 
 /// How the daemon persists tenants; `DaemonConfig::data_dir == None`
@@ -67,9 +69,6 @@ pub(crate) struct Durable {
     /// Batches logged since the last snapshot — compaction triggers when
     /// this reaches `snapshot_every`.
     pub(crate) since_snapshot: u64,
-    /// Cumulative acknowledged input rows in ingest wire shape — what
-    /// the next snapshot stores as its `base_rows`.
-    pub(crate) base_rows: Vec<Json>,
 }
 
 /// The mutable half of a tenant, guarded by [`Tenant::entry`].
@@ -86,6 +85,45 @@ pub(crate) struct TenantEntry {
     /// was, pre-promotion) a tailing standby. The replication puller
     /// resumes fetching after this.
     pub(crate) repl_seq: Option<u64>,
+}
+
+impl TenantEntry {
+    /// The entry of a tenant that has absorbed nothing yet.
+    pub(crate) fn empty(cleaner: &Cleaner, phase: Phase) -> TenantEntry {
+        TenantEntry {
+            state: cleaner.begin_empty(phase),
+            stats: RelationStats::default(),
+            last_client_seq: None,
+            repl_seq: None,
+        }
+    }
+
+    /// Apply one batch and account for it: the crate's one call into the
+    /// engine's delta path, and the one place the serving counters and
+    /// the two sequence markers advance — for the live shard worker and
+    /// for recovery's WAL replay alike. An engine rejection leaves the
+    /// entry untouched (a batch is validated before any of it is absorbed).
+    pub(crate) fn apply(
+        &mut self,
+        cleaner: &Cleaner,
+        rows: &[Tuple],
+        client_seq: Option<u64>,
+        repl_seq: Option<u64>,
+    ) -> Result<CleanResult, CleanError> {
+        let mut accum = PhaseAccum::default();
+        let result = cleaner.clean_delta_observed(&mut self.state, rows, &mut accum)?;
+        let (d, r, p) = result.fix_counts();
+        self.stats.batches += 1;
+        self.stats.tuples_ingested += rows.len() as u64;
+        self.stats.fixes += (d + r + p) as u64;
+        for (slot, s) in self.stats.phase_seconds.iter_mut().zip(accum.seconds) {
+            *slot += s;
+        }
+        // `None < Some(_)`: an absent marker leaves the high-water mark.
+        self.last_client_seq = self.last_client_seq.max(client_seq);
+        self.repl_seq = self.repl_seq.max(repl_seq);
+        Ok(result)
+    }
 }
 
 /// One hosted relation.
@@ -167,18 +205,13 @@ impl Tenant {
             .config(config)
             .build()
             .map_err(|e| clean_error(&e))?;
-        let state = cleaner.begin_empty(spec.phase);
+        let entry = TenantEntry::empty(&cleaner, spec.phase);
         Ok(Tenant {
             name: spec.relation.clone(),
             shard: shard_for(&spec.relation, shards),
             cleaner,
             default_cf: spec.default_cf,
-            entry: RwLock::new(TenantEntry {
-                state,
-                stats: RelationStats::default(),
-                last_client_seq: None,
-                repl_seq: None,
-            }),
+            entry: RwLock::new(entry),
             poisoned: AtomicBool::new(false),
             durable: Mutex::new(None),
         })
@@ -227,19 +260,8 @@ impl Tenant {
 
     /// Replace the live state + counters (startup recovery and standby
     /// bootstrap, before the tenant is shared).
-    pub(crate) fn replace_entry(
-        &self,
-        state: RepairState,
-        stats: RelationStats,
-        last_client_seq: Option<u64>,
-        repl_seq: Option<u64>,
-    ) {
-        *self.entry_write() = TenantEntry {
-            state,
-            stats,
-            last_client_seq,
-            repl_seq,
-        };
+    pub(crate) fn replace_entry(&self, entry: TenantEntry) {
+        *self.entry_write() = entry;
     }
 }
 
@@ -392,8 +414,7 @@ pub(crate) fn create_tenant_storage(
         std::fs::remove_dir_all(&dir)?;
     }
     std::fs::create_dir_all(&dir)?;
-    let mut wal = WalWriter::create(&dir.join(WAL_FILE), cfg.fsync)?;
-    wal.append(&open_record(open_doc))?;
+    let wal = WalWriter::create_log(&dir.join(WAL_FILE), open_doc, cfg.fsync)?;
     if cfg.fsync {
         sync_dir(&dir)?;
         sync_dir(&cfg.root)?;
@@ -404,14 +425,12 @@ pub(crate) fn create_tenant_storage(
         open_doc: open_doc.clone(),
         seq: 0,
         since_snapshot: 0,
-        base_rows: Vec::new(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uniclean_core::Phase;
 
     fn spec(relation: &str, rules: &str) -> OpenSpec {
         OpenSpec {

@@ -10,15 +10,22 @@
 //!   `repl_fetch` until caught up, then `repl_ack` (which doubles as the
 //!   heartbeat the primary's `stats` ages);
 //! * `repl_fetch` streams **raw checksummed WAL frames**, hex-encoded,
-//!   exactly as they sit in the primary's log. The FNV checksum each
-//!   frame already carries therefore protects the bytes end-to-end:
-//!   network corruption or truncation is caught by the same validation
-//!   recovery uses, and the damaged fetch is simply retried;
-//! * when a fetch asks for history the primary has compacted away
-//!   (`after < floor`), the response switches to `mode:"snapshot"` and
-//!   carries the snapshot file — itself exactly one frame — from which
-//!   the standby bootstraps via the recovery replay path (cross-check
-//!   included), then tails the WAL from the snapshot's seq;
+//!   exactly as they sit in the primary's log — and only the prefix of
+//!   the log the primary's own recovery would accept (both walk it with
+//!   `wal::RecordScan`). The FNV checksum each frame already
+//!   carries therefore protects the bytes end-to-end: network corruption
+//!   or truncation is caught by the same validation recovery uses
+//!   (`WalRecord::from_hex_frame`), and the damaged fetch is simply
+//!   retried;
+//! * a tenant the standby does not have yet is brought up the way any
+//!   tenant is: from the streamed open record through
+//!   `Registry::open`, exactly as a client's `open`
+//!   would; or, when the fetch asks for history the primary has compacted
+//!   away (`after < floor`) and the response switches to
+//!   `mode:"snapshot"` carrying the snapshot file — itself exactly one
+//!   frame — through the recovery replay path
+//!   (`recovery::tenant_from_snapshot`, cross-check included),
+//!   after which it tails the WAL from the snapshot's seq;
 //! * applied frames flow through the standby's **own** shard queues and
 //!   WAL, stamped with `repl_seq` markers (the primary seq each batch
 //!   mirrors), so a standby restart resumes tailing exactly where it
@@ -42,18 +49,18 @@ use std::sync::{Arc, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use uniclean_client::{Backoff, Conn};
-use uniclean_model::frame::{encode_frame, scan_frames, FRAME_HEADER_LEN};
+use uniclean_model::frame::FRAME_HEADER_LEN;
 use uniclean_model::json::batch_from_json;
 use uniclean_model::Json;
 
 use crate::daemon::{submit, Outcome, Shared};
 use crate::faults::{self, NetFault};
-use crate::protocol::{error, ok, parse_open, PROTO_VERSION};
-use crate::recovery::replay_candidate;
-use crate::registry::{create_tenant_storage, Tenant};
+use crate::protocol::{error, obj, ok, parse_open, PROTO_VERSION};
+use crate::recovery::tenant_from_snapshot;
+use crate::registry::Tenant;
 use crate::shard::Job;
-use crate::snapshot::{write_snapshot, SnapshotDoc, SNAP_FILE};
-use crate::wal::{WalContents, WAL_FILE};
+use crate::snapshot::{SnapshotDoc, SNAP_FILE};
+use crate::wal::{hex_encode, payload_from_hex_frame, RecordScan, WalRecord, WAL_FILE};
 
 /// Frames per `repl_fetch` response when the request does not say.
 pub const DEFAULT_FETCH_FRAMES: usize = 64;
@@ -90,14 +97,11 @@ pub(crate) fn handle_list(shared: &Arc<Shared>) -> Json {
         let Some(d) = guard.as_ref() else {
             continue; // memory-only tenants have no log to stream
         };
-        tenants.push(Json::Obj(vec![
-            ("relation".to_string(), Json::str(&t.name)),
-            ("seq".to_string(), Json::Num(d.seq as f64)),
-            (
-                "floor".to_string(),
-                Json::Num((d.seq - d.since_snapshot) as f64),
-            ),
-            ("poisoned".to_string(), Json::Bool(t.is_poisoned())),
+        tenants.push(obj(vec![
+            ("relation", Json::str(&t.name)),
+            ("seq", Json::Num(d.seq as f64)),
+            ("floor", Json::Num((d.seq - d.since_snapshot) as f64)),
+            ("poisoned", Json::Bool(t.is_poisoned())),
         ]));
     }
     ok(vec![("tenants", Json::Arr(tenants))])
@@ -129,9 +133,7 @@ pub(crate) fn handle_fetch(
             line.truncate(line.len() / 2);
             Outcome::CloseAfter(line)
         }
-        Some(NetFault::Corrupt) => Outcome::Reply(mangle(resp, Mangle::Corrupt)),
-        Some(NetFault::Truncate) => Outcome::Reply(mangle(resp, Mangle::Truncate)),
-        Some(NetFault::Duplicate) => Outcome::Reply(mangle(resp, Mangle::Duplicate)),
+        Some(in_flight) => Outcome::Reply(mangle(resp, in_flight)),
     }
 }
 
@@ -150,60 +152,40 @@ fn fetch_response(shared: &Arc<Shared>, relation: &str, after: u64, max_frames: 
         );
     };
     let floor = d.seq - d.since_snapshot;
-    if after < floor {
-        // The history below `floor` lives only in the snapshot now.
-        let bytes = match std::fs::read(d.dir.join(SNAP_FILE)) {
-            Ok(b) => b,
-            Err(e) => return error("io", format!("snapshot unreadable: {e}")),
-        };
-        return ok(vec![
-            ("relation", Json::str(relation)),
-            ("mode", Json::str("snapshot")),
-            ("seq", Json::Num(d.seq as f64)),
-            ("floor", Json::Num(floor as f64)),
-            ("data", Json::str(hex_encode(&bytes))),
-        ]);
-    }
-    let bytes = match std::fs::read(d.dir.join(WAL_FILE)) {
-        Ok(b) => b,
-        Err(e) => return error("io", format!("WAL unreadable: {e}")),
+    // The history below `floor` lives only in the snapshot now.
+    let compacted_away = after < floor;
+    let (mode, file) = if compacted_away {
+        ("snapshot", SNAP_FILE)
+    } else {
+        ("wal", WAL_FILE)
     };
-    let (payloads, _torn) = scan_frames(&bytes);
-    let mut frames = Vec::new();
-    for p in payloads {
-        let Some(doc) = std::str::from_utf8(p)
-            .ok()
-            .and_then(|t| Json::parse(t).ok())
-        else {
-            break; // ungrammatical tail: stop at the valid prefix
-        };
-        let include = match doc.get("kind").and_then(Json::as_str) {
-            // The open frame only matters to a standby starting from zero.
-            Some("open") => after == 0,
-            Some("batch") => doc
-                .get("seq")
-                .and_then(Json::as_u64)
-                .is_some_and(|s| s > after),
-            _ => false,
-        };
-        if include {
-            // Re-encoding the payload reproduces the frame bytes exactly
-            // (the header is a pure function of the payload), so the
-            // standby re-validates the same checksum the log carries.
-            let mut raw = Vec::with_capacity(p.len() + FRAME_HEADER_LEN);
-            encode_frame(p, &mut raw);
-            frames.push(Json::Str(hex_encode(&raw)));
-            if frames.len() >= max_frames {
-                break;
-            }
-        }
-    }
+    let bytes = match std::fs::read(d.dir.join(file)) {
+        Ok(b) => b,
+        Err(e) => return error("io", format!("{file} unreadable: {e}")),
+    };
+    let payload = if compacted_away {
+        ("data", Json::str(hex_encode(&bytes)))
+    } else {
+        // Only the prefix this node's own recovery would accept is
+        // streamed: the scan stops at a torn or out-of-grammar frame
+        // exactly as `read_wal` does. The raw bytes go out as they sit in
+        // the log, so the standby re-validates the checksum it carries.
+        let frames = RecordScan::new(&bytes)
+            .filter(|(record, _)| match record {
+                // The open frame only matters to a standby starting from zero.
+                WalRecord::Open { .. } => after == 0,
+                WalRecord::Batch(b) => b.seq > after,
+            })
+            .take(max_frames)
+            .map(|(_, raw)| Json::Str(hex_encode(raw)));
+        ("frames", Json::Arr(frames.collect()))
+    };
     ok(vec![
         ("relation", Json::str(relation)),
-        ("mode", Json::str("wal")),
+        ("mode", Json::str(mode)),
         ("seq", Json::Num(d.seq as f64)),
         ("floor", Json::Num(floor as f64)),
-        ("frames", Json::Arr(frames)),
+        payload,
     ])
 }
 
@@ -246,38 +228,33 @@ pub(crate) fn relation_replication_json(
         (info.acked_seq, info.last_ack.elapsed().as_secs_f64())
     };
     let mut pairs = vec![
-        ("acked_seq".to_string(), Json::Num(acked_seq as f64)),
-        ("heartbeat_age_seconds".to_string(), Json::Num(age)),
+        ("acked_seq", Json::Num(acked_seq as f64)),
+        ("heartbeat_age_seconds", Json::Num(age)),
     ];
     if let Ok(guard) = tenant.durable.try_lock() {
         if let Some(d) = guard.as_ref() {
             pairs.push((
-                "lag_frames".to_string(),
+                "lag_frames",
                 Json::Num(d.seq.saturating_sub(acked_seq) as f64),
             ));
             if let Some(bytes) = wal_lag_bytes(&d.dir.join(WAL_FILE), acked_seq) {
-                pairs.push(("lag_bytes".to_string(), Json::Num(bytes as f64)));
+                pairs.push(("lag_bytes", Json::Num(bytes as f64)));
             }
         }
     }
-    Some(Json::Obj(pairs))
+    Some(obj(pairs))
 }
 
 /// On-disk bytes of WAL frames with `seq > acked` — the replica's lag in
 /// bytes, without holding anything in memory between calls.
 fn wal_lag_bytes(wal_path: &std::path::Path, acked: u64) -> Option<u64> {
     let bytes = std::fs::read(wal_path).ok()?;
-    let (payloads, _torn) = scan_frames(&bytes);
-    let mut lag = 0u64;
-    for p in payloads {
-        let doc = Json::parse(std::str::from_utf8(p).ok()?).ok()?;
-        if doc.get("kind").and_then(Json::as_str) == Some("batch")
-            && doc.get("seq").and_then(Json::as_u64)? > acked
-        {
-            lag += (p.len() + FRAME_HEADER_LEN) as u64;
-        }
-    }
-    Some(lag)
+    Some(
+        RecordScan::new(&bytes)
+            .filter(|(record, _)| matches!(record, WalRecord::Batch(b) if b.seq > acked))
+            .map(|(_, raw)| raw.len() as u64)
+            .sum(),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -339,23 +316,20 @@ pub(crate) struct StandbyStatus {
 impl StandbyStatus {
     pub(crate) fn to_json(&self, primary: Option<&str>) -> Json {
         let mut pairs = vec![
-            ("role".to_string(), Json::str("standby")),
-            ("connected".to_string(), Json::Bool(self.connected)),
-            ("rounds".to_string(), Json::Num(self.rounds as f64)),
-            (
-                "frames_applied".to_string(),
-                Json::Num(self.frames_applied as f64),
-            ),
-            ("bootstraps".to_string(), Json::Num(self.bootstraps as f64)),
-            ("retries".to_string(), Json::Num(self.retries as f64)),
+            ("role", Json::str("standby")),
+            ("connected", Json::Bool(self.connected)),
+            ("rounds", Json::Num(self.rounds as f64)),
+            ("frames_applied", Json::Num(self.frames_applied as f64)),
+            ("bootstraps", Json::Num(self.bootstraps as f64)),
+            ("retries", Json::Num(self.retries as f64)),
         ];
         if let Some(p) = primary {
-            pairs.insert(1, ("primary".to_string(), Json::str(p)));
+            pairs.insert(1, ("primary", Json::str(p)));
         }
         if let Some(e) = &self.last_error {
-            pairs.push(("last_error".to_string(), Json::str(e)));
+            pairs.push(("last_error", Json::str(e)));
         }
-        Json::Obj(pairs)
+        obj(pairs)
     }
 }
 
@@ -433,10 +407,7 @@ fn round(shared: &Arc<Shared>, primary: &str, conn: &mut Option<Conn>) -> Result
         *conn = Some(c);
     }
     let c = conn.as_mut().expect("connection just established");
-    let listed = request_ok(
-        c,
-        &Json::Obj(vec![("op".to_string(), Json::str("repl_list"))]),
-    )?;
+    let listed = request_ok(c, &obj(vec![("op", Json::str("repl_list"))]))?;
     let tenants = listed
         .get("tenants")
         .and_then(Json::as_arr)
@@ -460,16 +431,10 @@ fn round(shared: &Arc<Shared>, primary: &str, conn: &mut Option<Conn>) -> Result
         applied += sync_tenant(shared, c, name, seq, floor)?;
     }
     // Tenants the primary no longer lists were closed there — close the
-    // local copy too (through its shard, after any pending applies).
+    // local copy too.
     for t in shared.registry.snapshot() {
         if !listed_names.contains(&t.name) {
-            let registry = shared.registry.clone();
-            let name = t.name.clone();
-            let _ = submit(shared, t.shard, |reply| Job::Close {
-                registry,
-                name,
-                reply,
-            });
+            drop_local(shared, &t.name);
         }
     }
     Ok(applied)
@@ -487,14 +452,11 @@ fn request_ok(c: &mut Conn, req: &Json) -> Result<Json, String> {
 fn fetch(c: &mut Conn, relation: &str, after: u64) -> Result<Json, String> {
     request_ok(
         c,
-        &Json::Obj(vec![
-            ("op".to_string(), Json::str("repl_fetch")),
-            ("relation".to_string(), Json::str(relation)),
-            ("after".to_string(), Json::Num(after as f64)),
-            (
-                "max_frames".to_string(),
-                Json::Num(DEFAULT_FETCH_FRAMES as f64),
-            ),
+        &obj(vec![
+            ("op", Json::str("repl_fetch")),
+            ("relation", Json::str(relation)),
+            ("after", Json::Num(after as f64)),
+            ("max_frames", Json::Num(DEFAULT_FETCH_FRAMES as f64)),
         ]),
     )
 }
@@ -515,13 +477,14 @@ fn sync_tenant(
         let seq = t.entry_read().repl_seq.unwrap_or(0);
         (t, seq)
     });
-    if let Some((_, local_seq)) = &local {
-        if *local_seq < floor {
-            // The primary compacted away history we still need: this copy
-            // can't catch up frame-by-frame. Drop it and re-bootstrap.
-            drop_local(shared, name);
-            local = None;
-        }
+    if local
+        .as_ref()
+        .is_some_and(|(_, local_seq)| *local_seq < floor)
+    {
+        // The primary compacted away history we still need: this copy
+        // can't catch up frame-by-frame. Drop it and re-bootstrap.
+        drop_local(shared, name);
+        local = None;
     }
     let (tenant, mut local_seq) = match local {
         Some(ts) => ts,
@@ -550,10 +513,10 @@ fn sync_tenant(
     }
     request_ok(
         c,
-        &Json::Obj(vec![
-            ("op".to_string(), Json::str("repl_ack")),
-            ("relation".to_string(), Json::str(name)),
-            ("seq".to_string(), Json::Num(local_seq as f64)),
+        &obj(vec![
+            ("op", Json::str("repl_ack")),
+            ("relation", Json::str(name)),
+            ("seq", Json::Num(local_seq as f64)),
         ]),
     )?;
     Ok(applied)
@@ -573,62 +536,56 @@ fn drop_local(shared: &Arc<Shared>, name: &str) {
     }
 }
 
-/// First fetch for an unknown tenant: either a snapshot (bootstrap via
-/// the recovery replay path) or the WAL from frame zero (whose first
-/// frame is the open record). Returns the adopted tenant, its mirrored
-/// seq, and how many batch frames the call already applied.
+/// First fetch for an unknown tenant: a snapshot (bootstrap via the
+/// recovery replay path) or the WAL from frame zero, whose first frame is
+/// the open record (bootstrap via `Registry::open`, as a client's `open`
+/// would). Returns the tenant, its mirrored seq, and how many batch
+/// frames the call already applied.
 fn bootstrap(
     shared: &Arc<Shared>,
     c: &mut Conn,
     name: &str,
 ) -> Result<(Arc<Tenant>, u64, u64), String> {
     let resp = fetch(c, name, 0)?;
+    let durable = shared.durable.as_deref();
     match resp.get("mode").and_then(Json::as_str) {
         Some("snapshot") => {
             let data = resp
                 .get("data")
                 .and_then(Json::as_str)
                 .ok_or("snapshot reply without data")?;
-            let bytes = hex_decode(data).ok_or("snapshot stream is not valid hex")?;
-            let (frames, torn) = scan_frames(&bytes);
-            if frames.len() != 1 || torn.is_some() {
-                return Err("snapshot stream damaged (checksum mismatch)".to_string());
-            }
-            let doc_json = std::str::from_utf8(frames[0])
-                .ok()
-                .and_then(|t| Json::parse(t).ok())
-                .ok_or("snapshot payload is not JSON")?;
-            let mut doc = SnapshotDoc::from_json(&doc_json)
+            let payload = payload_from_hex_frame(data)
+                .map_err(|what| format!("snapshot stream damaged ({what})"))?;
+            let mut doc = SnapshotDoc::from_payload(&payload)
                 .ok_or("snapshot payload is not a version-1 snapshot")?;
             // Locally, this state mirrors the primary at the snapshot's
             // seq — record that so restarts resume tailing from there.
             doc.repl_seq = Some(doc.seq);
-            let tenant = bootstrap_from_snapshot(shared, name, &doc)?;
+            // Adoption happens after the replay — readers never see a
+            // half-bootstrapped tenant.
+            let tenant = Arc::new(tenant_from_snapshot(
+                name,
+                &doc,
+                shared.shard_stats.len(),
+                durable,
+            )?);
+            shared.registry.adopt(vec![tenant.clone()]);
             Ok((tenant, doc.seq, 0))
         }
         Some("wal") => {
-            // Frame 0 of a from-zero fetch is the open record.
-            let frames = resp
+            let first = resp
                 .get("frames")
                 .and_then(Json::as_arr)
-                .ok_or("wal reply without frames")?;
-            let first = frames
+                .ok_or("wal reply without frames")?
                 .first()
                 .and_then(Json::as_str)
                 .ok_or("tenant has no open frame to bootstrap from")?;
-            let bytes = hex_decode(first).ok_or("open frame is not valid hex")?;
-            let (payloads, torn) = scan_frames(&bytes);
-            if payloads.len() != 1 || torn.is_some() {
-                return Err("open frame damaged (checksum mismatch)".to_string());
-            }
-            let record = std::str::from_utf8(payloads[0])
-                .ok()
-                .and_then(|t| Json::parse(t).ok())
-                .ok_or("open frame payload is not JSON")?;
-            let spec_doc = record
-                .get("spec")
-                .ok_or("first WAL frame is not an open record")?;
-            let spec = parse_open(spec_doc)
+            let WalRecord::Open { spec: open_doc } =
+                WalRecord::from_hex_frame(first).map_err(|what| format!("open frame: {what}"))?
+            else {
+                return Err("first WAL frame is not an open record".to_string());
+            };
+            let spec = parse_open(&open_doc)
                 .map_err(|e| format!("primary open spec rejected: {}", e.render()))?;
             if spec.relation != name {
                 return Err(format!(
@@ -636,75 +593,16 @@ fn bootstrap(
                     spec.relation
                 ));
             }
-            let tenant = Tenant::open(&spec, shared.shard_stats.len())
-                .map_err(|e| format!("session rebuild failed: {}", e.render()))?;
-            if let Some(cfg) = &shared.durable {
-                let durable = create_tenant_storage(name, spec_doc, cfg)
-                    .map_err(|e| format!("cannot create standby storage: {e}"))?;
-                *tenant.durable_lock() = Some(durable);
-            }
-            let tenant = Arc::new(tenant);
-            shared.registry.adopt(vec![tenant.clone()]);
+            let tenant = shared
+                .registry
+                .open(&spec, durable.map(|cfg| (&open_doc, cfg)))
+                .map_err(|e| format!("cannot open standby tenant: {}", e.render()))?;
             let mut local_seq = 0u64;
             let n = apply_frames(shared, &tenant, &resp, &mut local_seq)?;
             Ok((tenant, local_seq, n))
         }
         _ => Err("repl_fetch reply without a mode".to_string()),
     }
-}
-
-/// Build a tenant from a streamed snapshot: replay through the recovery
-/// path (cross-check included), persist the snapshot as the standby's
-/// own (so a standby restart recovers without re-streaming), then adopt.
-/// Adoption happens after the replay — readers never see a
-/// half-bootstrapped tenant.
-fn bootstrap_from_snapshot(
-    shared: &Arc<Shared>,
-    name: &str,
-    doc: &SnapshotDoc,
-) -> Result<Arc<Tenant>, String> {
-    let spec = parse_open(&doc.open)
-        .map_err(|e| format!("snapshot open spec rejected: {}", e.render()))?;
-    if spec.relation != name {
-        return Err(format!(
-            "snapshot names {:?}, expected {name:?}",
-            spec.relation
-        ));
-    }
-    let tenant = Tenant::open(&spec, shared.shard_stats.len())
-        .map_err(|e| format!("session rebuild failed: {}", e.render()))?;
-    let empty = WalContents {
-        open: None,
-        batches: Vec::new(),
-        valid_len: 0,
-        torn: false,
-    };
-    let replayed = replay_candidate(&tenant, Some(doc), &empty)?;
-    tenant.replace_entry(
-        replayed.state,
-        replayed.stats,
-        replayed.last_client_seq,
-        replayed.repl_seq,
-    );
-    if let Some(cfg) = &shared.durable {
-        let mut d = create_tenant_storage(name, &doc.open, cfg)
-            .map_err(|e| format!("cannot create standby storage: {e}"))?;
-        write_snapshot(&d.dir, doc, cfg.fsync)
-            .map_err(|e| format!("cannot persist bootstrap snapshot: {e}"))?;
-        // Local WAL seqs continue from the snapshot's coverage, exactly
-        // as they would after a primary-style compaction.
-        d.seq = doc.seq;
-        d.since_snapshot = 0;
-        d.base_rows = doc
-            .base_rows
-            .as_arr()
-            .ok_or("snapshot base rows are not an array")?
-            .to_vec();
-        *tenant.durable_lock() = Some(d);
-    }
-    let tenant = Arc::new(tenant);
-    shared.registry.adopt(vec![tenant.clone()]);
-    Ok(tenant)
 }
 
 /// Decode and apply the batch frames of one `wal`-mode reply, advancing
@@ -724,204 +622,228 @@ fn apply_frames(
         .ok_or("wal reply without frames")?;
     let arity = tenant.cleaner.rules().schema().arity();
     let mut applied = 0u64;
-    let damaged = |what: &str, shared: &Arc<Shared>| {
-        let mut st = status(shared);
-        st.retries += 1;
-        st.last_error = Some(format!("damaged replication stream: {what}"));
-    };
     for f in frames {
         if should_stop(shared) {
             return Ok(applied);
         }
-        let Some(bytes) = f.as_str().and_then(hex_decode) else {
-            damaged("frame is not valid hex", shared);
-            break;
-        };
-        let (payloads, torn) = scan_frames(&bytes);
-        if payloads.len() != 1 || torn.is_some() {
-            damaged("frame checksum mismatch", shared);
-            break;
-        }
-        let Some(doc) = std::str::from_utf8(payloads[0])
-            .ok()
-            .and_then(|t| Json::parse(t).ok())
-        else {
-            damaged("frame payload is not JSON", shared);
-            break;
-        };
-        match doc.get("kind").and_then(Json::as_str) {
-            Some("open") => continue, // bootstrap already consumed it
-            Some("batch") => {
-                let Some(seq) = doc.get("seq").and_then(Json::as_u64) else {
-                    damaged("batch record without seq", shared);
-                    break;
-                };
-                if seq <= *local_seq {
-                    continue; // duplicated delivery: already applied
-                }
-                let Some(rows_json) = doc.get("rows") else {
-                    damaged("batch record without rows", shared);
-                    break;
-                };
-                let rows = batch_from_json(rows_json, arity, tenant.default_cf)
-                    .map_err(|e| format!("replicated batch {seq} undecodable: {e}"))?;
-                let client_seq = doc.get("client_seq").and_then(Json::as_u64);
-                loop {
-                    if should_stop(shared) {
-                        return Ok(applied);
-                    }
-                    let resp = submit(shared, tenant.shard, |reply| Job::Ingest {
-                        tenant: tenant.clone(),
-                        rows: rows.clone(),
-                        client_seq,
-                        repl_seq: Some(seq),
-                        reply,
-                    });
-                    if resp.get("ok").and_then(Json::as_bool) == Some(true) {
-                        break;
-                    }
-                    match resp.get("code").and_then(Json::as_str) {
-                        Some("busy") => std::thread::sleep(BUSY_RETRY),
-                        _ => {
-                            return Err(format!(
-                                "applying replicated batch {seq} failed: {}",
-                                resp.render()
-                            ))
-                        }
-                    }
-                }
-                *local_seq = seq;
-                applied += 1;
-            }
-            _ => {
-                damaged("frame is neither open nor batch", shared);
+        let record = match f
+            .as_str()
+            .ok_or("frame is not a string")
+            .and_then(WalRecord::from_hex_frame)
+        {
+            Ok(record) => record,
+            Err(what) => {
+                let mut st = status(shared);
+                st.retries += 1;
+                st.last_error = Some(format!("damaged replication stream: {what}"));
                 break;
             }
+        };
+        let WalRecord::Batch(batch) = record else {
+            continue; // the open frame: bootstrap already consumed it
+        };
+        let seq = batch.seq;
+        if seq <= *local_seq {
+            continue; // duplicated delivery: already applied
         }
+        let rows = batch_from_json(&batch.rows, arity, tenant.default_cf)
+            .map_err(|e| format!("replicated batch {seq} undecodable: {e}"))?;
+        loop {
+            if should_stop(shared) {
+                return Ok(applied);
+            }
+            let resp = submit(shared, tenant.shard, |reply| Job::Ingest {
+                tenant: tenant.clone(),
+                rows: rows.clone(),
+                client_seq: batch.client_seq,
+                repl_seq: Some(seq),
+                reply,
+            });
+            if resp.get("ok").and_then(Json::as_bool) == Some(true) {
+                break;
+            }
+            match resp.get("code").and_then(Json::as_str) {
+                Some("busy") => std::thread::sleep(BUSY_RETRY),
+                _ => {
+                    return Err(format!(
+                        "applying replicated batch {seq} failed: {}",
+                        resp.render()
+                    ))
+                }
+            }
+        }
+        *local_seq = seq;
+        applied += 1;
     }
     Ok(applied)
 }
 
 // ---------------------------------------------------------------------------
-// Hex codec + reply mangling (net faults)
+// Reply mangling (net faults)
 // ---------------------------------------------------------------------------
 
-/// Lowercase hex encoding (frames are binary; the wire is line JSON).
-pub(crate) fn hex_encode(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(HEX[(b >> 4) as usize] as char);
-        out.push(HEX[(b & 0xf) as usize] as char);
-    }
-    out
-}
-
-/// Inverse of [`hex_encode`]; `None` on odd length or a non-hex digit.
-pub(crate) fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let nibble = |c: u8| -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            b'A'..=b'F' => Some(c - b'A' + 10),
-            _ => None,
-        }
-    };
-    let b = s.as_bytes();
-    let mut out = Vec::with_capacity(b.len() / 2);
-    for pair in b.chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
-    }
-    Some(out)
-}
-
-enum Mangle {
-    /// Flip one hex digit mid-payload (checksum must catch it).
-    Corrupt,
-    /// Keep only the first (even-length) half of the payload.
-    Truncate,
-    /// Deliver the payload twice (dedup must absorb it).
-    Duplicate,
-}
-
 /// Damage a fetch reply the way a hostile network would, operating on
-/// the hex payloads (`frames` entries or the snapshot `data`).
-fn mangle(resp: Json, how: Mangle) -> Json {
+/// the hex payloads (`frames` entries or the snapshot `data`): deliver
+/// them twice (dedup must absorb it), or truncate / corrupt the first.
+fn mangle(resp: Json, how: NetFault) -> Json {
     let Json::Obj(mut pairs) = resp else {
         return resp;
     };
     for (key, value) in pairs.iter_mut() {
-        match (key.as_str(), &mut *value) {
-            ("frames", Json::Arr(frames)) => {
-                match how {
-                    Mangle::Duplicate => {
-                        let copy = frames.clone();
-                        frames.extend(copy);
-                    }
-                    Mangle::Corrupt | Mangle::Truncate => {
-                        if let Some(Json::Str(s)) = frames.first_mut() {
-                            *s = mangle_hex(s, &how);
-                        }
-                    }
+        match (key.as_str(), value, how) {
+            ("frames", Json::Arr(frames), NetFault::Duplicate) => frames.extend(frames.clone()),
+            ("frames", Json::Arr(frames), _) => {
+                if let Some(Json::Str(s)) = frames.first_mut() {
+                    *s = mangle_hex(s, how);
                 }
-                break;
             }
-            ("data", Json::Str(s)) => {
-                match how {
-                    Mangle::Duplicate => {
-                        let copy = s.clone();
-                        s.push_str(&copy);
-                    }
-                    Mangle::Corrupt | Mangle::Truncate => *s = mangle_hex(s, &how),
-                }
-                break;
-            }
+            ("data", Json::Str(s), NetFault::Duplicate) => *s = s.repeat(2),
+            ("data", Json::Str(s), _) => *s = mangle_hex(s, how),
             _ => {}
         }
     }
     Json::Obj(pairs)
 }
 
-fn mangle_hex(s: &str, how: &Mangle) -> String {
-    match how {
-        Mangle::Truncate => {
-            let keep = (s.len() / 2) & !1;
-            s[..keep].to_string()
-        }
-        _ => {
-            // Corrupt: flip a digit past the header so the checksum, not
-            // the length field, is what catches it.
-            let mut b = s.as_bytes().to_vec();
-            let idx = (FRAME_HEADER_LEN * 2).min(b.len().saturating_sub(1));
-            if let Some(c) = b.get_mut(idx) {
-                *c = if *c == b'0' { b'1' } else { b'0' };
-            }
-            String::from_utf8(b).unwrap_or_default()
-        }
+fn mangle_hex(s: &str, how: NetFault) -> String {
+    if how == NetFault::Truncate {
+        // Keep only the first (even-length) half of the payload.
+        return s[..(s.len() / 2) & !1].to_string();
     }
+    // Corrupt: flip a digit past the header so the checksum, not the
+    // length field, is what catches it.
+    let mut b = s.as_bytes().to_vec();
+    let idx = (FRAME_HEADER_LEN * 2).min(b.len().saturating_sub(1));
+    if let Some(c) = b.get_mut(idx) {
+        *c = if *c == b'0' { b'1' } else { b'0' };
+    }
+    String::from_utf8(b).unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use std::io::Write;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Mutex, RwLock};
 
+    use uniclean_model::frame::encode_frame;
+
+    use crate::registry::{DurabilityCfg, Registry};
+    use crate::shard::process_ingest;
+    use crate::wal::{batch_record, read_wal};
+
+    /// A primary's shared state over `root`, with no threads behind it:
+    /// enough for the replication verbs, which only read the registry and
+    /// the tenants' files.
+    fn primary_over(root: &std::path::Path) -> Arc<Shared> {
+        std::fs::create_dir_all(root).unwrap();
+        Arc::new(Shared {
+            registry: Arc::new(Registry::new(1)),
+            senders: RwLock::new(None),
+            shard_stats: Vec::new(),
+            queue_bound: 1,
+            shutdown: AtomicBool::new(false),
+            local: "127.0.0.1:0".parse().unwrap(),
+            started: Instant::now(),
+            recovery: None,
+            durable: Some(Arc::new(DurabilityCfg {
+                root: root.to_path_buf(),
+                snapshot_every: 0,
+                fsync: false,
+            })),
+            max_line_bytes: 1024,
+            standby: AtomicBool::new(false),
+            primary_addr: None,
+            replicas: Mutex::new(HashMap::new()),
+            repl_stop: AtomicBool::new(false),
+            repl_handle: Mutex::new(None),
+            repl_status: Mutex::new(StandbyStatus::default()),
+        })
+    }
+
+    /// `repl_fetch` must stream exactly the log its own node would recover
+    /// from: a checksummed frame outside the grammar ends the stream where
+    /// it ends `read_wal`'s prefix, however well-formed the frames behind
+    /// it are.
     #[test]
-    fn hex_codec_round_trips_and_rejects_garbage() {
-        for bytes in [
-            vec![],
-            vec![0u8],
-            vec![0xde, 0xad, 0xbe, 0xef],
-            (0..=255u8).collect(),
-        ] {
-            let enc = hex_encode(&bytes);
-            assert_eq!(hex_decode(&enc).as_deref(), Some(bytes.as_slice()));
+    fn fetch_streams_only_the_prefix_recovery_accepts() {
+        let open_doc = Json::parse(
+            r#"{"op":"open","relation":"t","attrs":["AC","city"],"rules":"cfd phi1: data([AC=131] -> [city=Edi])"}"#,
+        )
+        .unwrap();
+        let reopen = WalRecord::Open {
+            spec: open_doc.clone(),
+        };
+        let row = Json::parse(r#"[["131",["Lnd",0.3]]]"#).unwrap();
+        let tails = [
+            ("regress", batch_record(1, row.clone(), None, None).render()),
+            ("reopen", reopen.render()),
+            (
+                "kind",
+                r#"{"kind":"checkpoint","seq":3,"rows":[]}"#.to_string(),
+            ),
+        ];
+        for (tag, bad) in tails {
+            let root = std::env::temp_dir()
+                .join(format!("uniclean-repl-prefix-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            let shared = primary_over(&root);
+            let cfg = shared.durable.clone().unwrap();
+            let tenant = shared
+                .registry
+                .open(&parse_open(&open_doc).unwrap(), Some((&open_doc, &cfg)))
+                .unwrap();
+            let rows = batch_from_json(&row, 2, 0.5).unwrap();
+            for _ in 0..2 {
+                let resp = process_ingest(&tenant, &rows, None, None, Some(&cfg));
+                assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+            }
+            // The out-of-grammar frame, then a perfectly good batch 3.
+            let wal_path = root.join("t").join(WAL_FILE);
+            let mut tail = Vec::new();
+            encode_frame(bad.as_bytes(), &mut tail);
+            encode_frame(
+                batch_record(3, row.clone(), None, None).render().as_bytes(),
+                &mut tail,
+            );
+            std::fs::OpenOptions::new()
+                .append(true)
+                .open(&wal_path)
+                .and_then(|mut f| f.write_all(&tail))
+                .unwrap();
+
+            let accepted: Vec<u64> = read_wal(&wal_path)
+                .unwrap()
+                .batches
+                .iter()
+                .map(|b| b.seq)
+                .collect();
+            assert_eq!(accepted, [1, 2], "{tag}");
+            let resp = fetch_response(&shared, "t", 0, DEFAULT_FETCH_FRAMES);
+            let records: Vec<WalRecord> = resp
+                .get("frames")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .map(|f| WalRecord::from_hex_frame(f.as_str().unwrap()).unwrap())
+                .collect();
+            assert!(matches!(records[0], WalRecord::Open { .. }), "{tag}");
+            let fetched: Vec<u64> = records[1..]
+                .iter()
+                .map(|r| match r {
+                    WalRecord::Batch(b) => b.seq,
+                    WalRecord::Open { .. } => panic!("{tag}: a second open record was streamed"),
+                })
+                .collect();
+            assert_eq!(fetched, accepted, "{tag}");
+            // The lag accounting reads the same prefix.
+            let whole = std::fs::metadata(&wal_path).unwrap().len();
+            let lag = wal_lag_bytes(&wal_path, 0).unwrap();
+            assert!(lag > 0 && lag < whole - tail.len() as u64, "{tag}");
+            let _ = std::fs::remove_dir_all(&root);
         }
-        assert_eq!(hex_decode("abc"), None, "odd length");
-        assert_eq!(hex_decode("zz"), None, "non-hex digit");
-        assert_eq!(hex_decode("ABCDEF"), Some(vec![0xab, 0xcd, 0xef]));
     }
 
     #[test]
@@ -936,34 +858,25 @@ mod tests {
             ])
         };
         let clean = reply(vec![Json::Str(hex_encode(&raw))]);
-
-        let first_frame = |r: &Json| -> Option<Vec<u8>> {
-            hex_decode(r.get("frames")?.as_arr()?.first()?.as_str()?)
+        let frame = |r: &Json, at: usize| -> Result<Vec<u8>, &'static str> {
+            let frames = r.get("frames").and_then(Json::as_arr).unwrap();
+            payload_from_hex_frame(frames[at].as_str().unwrap())
         };
+        assert_eq!(frame(&clean, 0).as_deref(), Ok(payload.as_slice()));
 
-        let corrupted = mangle(clean.clone(), Mangle::Corrupt);
-        let bytes = first_frame(&corrupted).unwrap();
-        let (frames, torn) = scan_frames(&bytes);
-        assert!(
-            frames.is_empty() || torn.is_some(),
-            "corruption must not verify"
-        );
+        let corrupted = mangle(clean.clone(), NetFault::Corrupt);
+        assert!(frame(&corrupted, 0).is_err(), "corruption must not verify");
 
-        let truncated = mangle(clean.clone(), Mangle::Truncate);
-        let bytes = first_frame(&truncated).unwrap();
-        let (frames, torn) = scan_frames(&bytes);
-        assert!(
-            frames.is_empty() || torn.is_some(),
-            "truncation must not verify"
-        );
+        let truncated = mangle(clean.clone(), NetFault::Truncate);
+        assert!(frame(&truncated, 0).is_err(), "truncation must not verify");
 
-        let duplicated = mangle(clean.clone(), Mangle::Duplicate);
+        let duplicated = mangle(clean.clone(), NetFault::Duplicate);
         let frames = duplicated.get("frames").and_then(Json::as_arr).unwrap();
         assert_eq!(frames.len(), 2, "duplication doubles delivery");
-        let bytes = hex_decode(frames[1].as_str().unwrap()).unwrap();
-        let (payloads, torn) = scan_frames(&bytes);
-        assert_eq!(payloads.len(), 1);
-        assert!(torn.is_none(), "a duplicated frame still verifies");
-        assert_eq!(payloads[0], payload);
+        assert_eq!(
+            frame(&duplicated, 1).as_deref(),
+            Ok(payload.as_slice()),
+            "a duplicated frame still verifies"
+        );
     }
 }

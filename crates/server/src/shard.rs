@@ -38,7 +38,7 @@ use crate::faults;
 use crate::protocol::{clean_error, error, error_with, ok};
 use crate::registry::{DurabilityCfg, Durable, Registry, Tenant};
 use crate::snapshot::{write_snapshot, SnapshotDoc};
-use crate::stats::{PhaseAccum, ShardStats};
+use crate::stats::ShardStats;
 use crate::wal::{self, WalWriter};
 
 /// One unit of serialized per-relation work. Replies travel back over a
@@ -181,7 +181,8 @@ pub(crate) fn process_ingest(
     response
 }
 
-/// Apply one batch to a tenant under its entry write lock. Duplicate
+/// Apply one batch to a tenant under its entry write lock — dedup, then
+/// [`crate::registry::TenantEntry::apply`], then the reply. Duplicate
 /// deliveries — a client retry re-sending its sequence number, or a
 /// replication round re-streaming frames after a network fault — are
 /// acknowledged without re-applying: the sequence checks below are what
@@ -209,25 +210,9 @@ fn apply_ingest(
     }
     let offset = entry.state.len();
     let escalations_before = entry.state.escalations();
-    let mut accum = PhaseAccum::default();
-    let result = tenant
-        .cleaner
-        .clean_delta_observed(&mut entry.state, rows, &mut accum);
-    match result {
+    match entry.apply(&tenant.cleaner, rows, client_seq, repl_seq) {
         Ok(res) => {
             let (d, r, p) = res.fix_counts();
-            entry.stats.batches += 1;
-            entry.stats.tuples_ingested += rows.len() as u64;
-            entry.stats.fixes += (d + r + p) as u64;
-            for (slot, s) in entry.stats.phase_seconds.iter_mut().zip(accum.seconds) {
-                *slot += s;
-            }
-            if client_seq.is_some() {
-                entry.last_client_seq = entry.last_client_seq.max(client_seq);
-            }
-            if repl_seq.is_some() {
-                entry.repl_seq = entry.repl_seq.max(repl_seq);
-            }
             ok(vec![
                 ("relation", Json::str(&tenant.name)),
                 ("offset", Json::Num(offset as f64)),
@@ -259,18 +244,14 @@ fn log_accepted_batch(
     let Some(d) = guard.as_mut() else {
         return Ok(()); // memory-only tenant
     };
-    let rows_json = batch_to_ingest_json(rows);
     d.seq += 1;
     d.wal.append(&wal::batch_record(
         d.seq,
-        rows_json.clone(),
+        batch_to_ingest_json(rows),
         client_seq,
         repl_seq,
     ))?;
     d.since_snapshot += 1;
-    if let Json::Arr(rows_vec) = rows_json {
-        d.base_rows.extend(rows_vec);
-    }
     if let Some(cfg) = durability {
         if cfg.snapshot_every > 0 && d.since_snapshot >= cfg.snapshot_every {
             // Compaction failure is not an ingest failure: the WAL still
@@ -298,7 +279,9 @@ fn compact(tenant: &Arc<Tenant>, d: &mut Durable, cfg: &DurabilityCfg) -> std::i
         SnapshotDoc {
             seq: d.seq,
             open: d.open_doc.clone(),
-            base_rows: Json::Arr(d.base_rows.clone()),
+            // The accepted history lives in the state and nowhere else
+            // (a poisoned tenant never gets here again).
+            base_rows: batch_to_ingest_json(&entry.state.base().to_tuples()),
             batches: entry.stats.batches,
             tuples_ingested: entry.stats.tuples_ingested,
             fixes: entry.stats.fixes,
@@ -312,8 +295,7 @@ fn compact(tenant: &Arc<Tenant>, d: &mut Durable, cfg: &DurabilityCfg) -> std::i
     write_snapshot(&d.dir, &doc, cfg.fsync)?;
     faults::hit("snapshot.pre_wal_rewrite")?;
     let tmp = d.dir.join(wal::WAL_REWRITE_TMP);
-    let mut fresh = WalWriter::create(&tmp, cfg.fsync)?;
-    fresh.append(&wal::open_record(&d.open_doc))?;
+    let fresh = WalWriter::create_log(&tmp, &d.open_doc, cfg.fsync)?;
     std::fs::rename(&tmp, d.dir.join(wal::WAL_FILE))?;
     if cfg.fsync {
         crate::snapshot::sync_dir(&d.dir)?;

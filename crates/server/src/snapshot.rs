@@ -24,14 +24,15 @@
 //! untouched (durability holds, compaction just retries later).
 
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
-use uniclean_model::frame::{encode_frame, scan_frames};
+use uniclean_model::frame::{encode_frame, sole_frame};
 use uniclean_model::Json;
 
 use crate::faults;
+use crate::protocol::obj;
 
 /// The live snapshot file name inside a tenant directory.
 pub const SNAP_FILE: &str = "snapshot.json";
@@ -77,39 +78,36 @@ pub struct SnapshotDoc {
 
 impl SnapshotDoc {
     fn to_json(&self) -> Json {
-        let mut doc = Json::Obj(vec![
-            ("version".to_string(), Json::Num(1.0)),
-            ("seq".to_string(), Json::Num(self.seq as f64)),
-            ("open".to_string(), self.open.clone()),
-            ("base_rows".to_string(), self.base_rows.clone()),
-            ("batches".to_string(), Json::Num(self.batches as f64)),
+        let mut pairs = vec![
+            ("version", Json::Num(1.0)),
+            ("seq", Json::Num(self.seq as f64)),
+            ("open", self.open.clone()),
+            ("base_rows", self.base_rows.clone()),
+            ("batches", Json::Num(self.batches as f64)),
+            ("tuples_ingested", Json::Num(self.tuples_ingested as f64)),
+            ("fixes", Json::Num(self.fixes as f64)),
             (
-                "tuples_ingested".to_string(),
-                Json::Num(self.tuples_ingested as f64),
-            ),
-            ("fixes".to_string(), Json::Num(self.fixes as f64)),
-            (
-                "phase_seconds".to_string(),
+                "phase_seconds",
                 Json::Arr(self.phase_seconds.iter().map(|&s| Json::Num(s)).collect()),
             ),
-            ("repaired".to_string(), self.repaired.clone()),
-            ("cost".to_string(), Json::Num(self.cost)),
-        ]);
+            ("repaired", self.repaired.clone()),
+            ("cost", Json::Num(self.cost)),
+        ];
         // Optional markers are written as absent keys, not nulls, so a
         // pre-replication reader sees exactly the version-1 shape it knows.
-        let Json::Obj(pairs) = &mut doc else {
-            unreachable!("snapshot doc is an object")
-        };
         if let Some(cs) = self.last_client_seq {
-            pairs.push(("last_client_seq".to_string(), Json::Num(cs as f64)));
+            pairs.push(("last_client_seq", Json::Num(cs as f64)));
         }
         if let Some(rs) = self.repl_seq {
-            pairs.push(("repl_seq".to_string(), Json::Num(rs as f64)));
+            pairs.push(("repl_seq", Json::Num(rs as f64)));
         }
-        doc
+        obj(pairs)
     }
 
-    pub(crate) fn from_json(doc: &Json) -> Option<SnapshotDoc> {
+    /// Decode a snapshot frame's payload (a `snapshot.json` on disk, or
+    /// the same bytes streamed to a bootstrapping standby).
+    pub(crate) fn from_payload(payload: &[u8]) -> Option<SnapshotDoc> {
+        let doc = Json::parse(std::str::from_utf8(payload).ok()?).ok()?;
         if doc.get("version").and_then(Json::as_usize) != Some(1) {
             return None;
         }
@@ -122,23 +120,17 @@ impl SnapshotDoc {
             *slot = v.as_f64()?;
         }
         Some(SnapshotDoc {
-            seq: doc.get("seq").and_then(Json::as_usize)? as u64,
+            seq: doc.get("seq").and_then(Json::as_u64)?,
             open: doc.get("open")?.clone(),
             base_rows: doc.get("base_rows")?.clone(),
-            batches: doc.get("batches").and_then(Json::as_usize)? as u64,
-            tuples_ingested: doc.get("tuples_ingested").and_then(Json::as_usize)? as u64,
-            fixes: doc.get("fixes").and_then(Json::as_usize)? as u64,
+            batches: doc.get("batches").and_then(Json::as_u64)?,
+            tuples_ingested: doc.get("tuples_ingested").and_then(Json::as_u64)?,
+            fixes: doc.get("fixes").and_then(Json::as_u64)?,
             phase_seconds,
             repaired: doc.get("repaired")?.clone(),
             cost: doc.get("cost").and_then(Json::as_f64)?,
-            last_client_seq: doc
-                .get("last_client_seq")
-                .and_then(Json::as_usize)
-                .map(|v| v as u64),
-            repl_seq: doc
-                .get("repl_seq")
-                .and_then(Json::as_usize)
-                .map(|v| v as u64),
+            last_client_seq: doc.get("last_client_seq").and_then(Json::as_u64),
+            repl_seq: doc.get("repl_seq").and_then(Json::as_u64),
         })
     }
 }
@@ -189,15 +181,8 @@ pub fn load_snapshots(dir: &Path) -> Vec<SnapshotDoc> {
 }
 
 fn load_one(path: &Path) -> Option<SnapshotDoc> {
-    let mut bytes = Vec::new();
-    File::open(path).ok()?.read_to_end(&mut bytes).ok()?;
-    let (frames, torn) = scan_frames(&bytes);
     // A snapshot is exactly one frame spanning the whole file.
-    if frames.len() != 1 || torn.is_some() {
-        return None;
-    }
-    let doc = Json::parse(std::str::from_utf8(frames[0]).ok()?).ok()?;
-    SnapshotDoc::from_json(&doc)
+    SnapshotDoc::from_payload(sole_frame(&std::fs::read(path).ok()?)?)
 }
 
 /// fsync a directory so renames inside it are durable.
@@ -208,28 +193,13 @@ pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
 /// Run `op`, retrying transient fs errors on the [`RETRY_BACKOFF`]
 /// schedule.
 pub fn with_retries<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-    let mut last = None;
-    for (attempt, backoff) in RETRY_BACKOFF
-        .iter()
-        .map(Some)
-        .chain(std::iter::once(None))
-        .enumerate()
-    {
+    for delay in RETRY_BACKOFF {
         match op() {
-            Ok(v) => {
-                let _ = attempt;
-                return Ok(v);
-            }
-            Err(e) => match backoff {
-                Some(delay) => {
-                    std::thread::sleep(*delay);
-                    last = Some(e);
-                }
-                None => return Err(e),
-            },
+            Ok(v) => return Ok(v),
+            Err(_) => std::thread::sleep(delay),
         }
     }
-    Err(last.unwrap_or_else(|| std::io::Error::other("retry loop exhausted")))
+    op()
 }
 
 #[cfg(test)]

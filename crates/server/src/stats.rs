@@ -101,7 +101,7 @@ pub(crate) struct RelationStats {
 }
 
 /// [`PhaseObserver`] summing phase wall-clock into fixed (c, e, h) slots —
-/// what the shard worker passes to `clean_delta_observed` so `stats` can
+/// what `TenantEntry::apply` hands the engine's delta path so `stats` can
 /// report per-relation phase timings.
 #[derive(Default)]
 pub(crate) struct PhaseAccum {

@@ -1,4 +1,5 @@
-//! Shared integration-test fixtures.
+//! Shared integration-test fixtures: the paper's running example here, the
+//! daemon suites' client and scenario in [`server`].
 
 #![allow(dead_code)] // each tests/*.rs crate uses a subset of these helpers
 
@@ -171,3 +172,4 @@ pub fn assert_identical(a: &CleanResult, b: &CleanResult, label: &str) {
         assert_eq!(pa.fixes, pb.fixes, "{label}: phase fix count diverged");
     }
 }
+pub mod server;

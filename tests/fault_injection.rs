@@ -25,188 +25,21 @@
 
 #![cfg(feature = "failpoints")]
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::num::NonZeroUsize;
-use std::path::{Path, PathBuf};
+use std::io::BufReader;
+use std::path::Path;
 
-use uniclean::model::json::{relation_to_json, Json};
-use uniclean::model::{Relation, Schema, Tuple};
-use uniclean::rules::{parse_rules, RuleSet};
-use uniclean::server::{tenant_dir_name, Daemon, DaemonConfig};
-use uniclean::{CleanConfig, Cleaner, MasterSource, Phase};
+use uniclean::model::json::Json;
+use uniclean::server::tenant_dir_name;
 
-const RULES: &str = "cfd fd: data([K] -> [A])\n\
-                     cfd cc: data([A=a1] -> [B=b1])\n\
-                     md m: data[K] = m[K] -> data[B] <=> m[B]";
-
-const BATCHES: [&[[&str; 3]]; 4] = [
-    &[["k0", "a1", "b9"], ["k1", "a2", "b2"]],
-    &[["k2", "a3", "b3"], ["k0", "a1", "b8"]],
-    &[["k1", "a2", "b2"], ["k4", "a1", "b7"]],
-    &[["k5", "a1", "b5"], ["k0", "a9", "b6"]],
-];
-
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        Client {
-            writer: stream,
-            reader,
-        }
-    }
-
-    fn send_only(&mut self, req: &Json) {
-        self.writer
-            .write_all(format!("{req}\n").as_bytes())
-            .expect("write request");
-        self.writer.flush().expect("flush request");
-    }
-
-    fn read_response(&mut self) -> Json {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        Json::parse(&line).expect("response parses")
-    }
-
-    /// Read one line, tolerating the peer dying instead (kill windows).
-    fn try_read_response(&mut self) -> Option<Json> {
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
-            Ok(0) | Err(_) => None,
-            Ok(_) => Json::parse(&line).ok(),
-        }
-    }
-
-    fn rpc(&mut self, req: &Json) -> Json {
-        self.send_only(req);
-        self.read_response()
-    }
-}
-
-fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn open_request(relation: &str) -> Json {
-    obj(vec![
-        ("op", Json::str("open")),
-        ("relation", Json::str(relation)),
-        ("table", Json::str("data")),
-        (
-            "attrs",
-            Json::Arr(vec![Json::str("K"), Json::str("A"), Json::str("B")]),
-        ),
-        ("rules", Json::str(RULES)),
-        (
-            "master",
-            obj(vec![
-                ("table", Json::str("m")),
-                ("attrs", Json::Arr(vec![Json::str("K"), Json::str("B")])),
-                (
-                    "rows",
-                    Json::Arr(vec![
-                        Json::Arr(vec![Json::str("k0"), Json::str("b1")]),
-                        Json::Arr(vec![Json::str("k1"), Json::str("b2")]),
-                    ]),
-                ),
-            ]),
-        ),
-        ("phase", Json::str("full")),
-        ("default_cf", Json::Num(0.5)),
-        ("eta", Json::Num(0.8)),
-        ("threads", Json::Num(1.0)),
-    ])
-}
-
-fn ingest_request(relation: &str, rows: &[[&str; 3]]) -> Json {
-    obj(vec![
-        ("op", Json::str("ingest")),
-        ("relation", Json::str(relation)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| Json::Arr(r.iter().map(|v| Json::str(*v)).collect()))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn assert_ok(resp: &Json) -> &Json {
-    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
-    resp
-}
-
-fn assert_code(resp: &Json, code: &str) {
-    assert_eq!(
-        resp.get("ok").and_then(Json::as_bool),
-        Some(false),
-        "{resp}"
-    );
-    assert_eq!(
-        resp.get("code").and_then(Json::as_str),
-        Some(code),
-        "{resp}"
-    );
-}
-
-/// Serial reference dump (`rows` JSON render + cost) for an arbitrary
-/// subset of [`BATCHES`], applied in the given order.
-fn reference_for(batch_indices: &[usize]) -> (String, f64) {
-    let data = Schema::of_strings("data", &["K", "A", "B"]);
-    let m = Schema::of_strings("m", &["K", "B"]);
-    let parsed = parse_rules(RULES, &data, Some(&m)).unwrap();
-    let rules = RuleSet::new(
-        data,
-        Some(m.clone()),
-        parsed.cfds,
-        parsed.positive_mds,
-        parsed.negative_mds,
-    );
-    let master = Relation::new(
-        m,
-        vec![
-            Tuple::of_strs(&["k0", "b1"], 1.0),
-            Tuple::of_strs(&["k1", "b2"], 1.0),
-        ],
-    );
-    let cleaner = Cleaner::builder()
-        .rules(rules)
-        .master(MasterSource::external(master))
-        .config(CleanConfig {
-            eta: 0.8,
-            parallelism: Some(NonZeroUsize::new(1).unwrap()),
-            ..CleanConfig::default()
-        })
-        .build()
-        .unwrap();
-    let mut state = cleaner.begin_empty(Phase::Full);
-    for &i in batch_indices {
-        let tuples: Vec<Tuple> = BATCHES[i].iter().map(|r| Tuple::of_strs(r, 0.5)).collect();
-        cleaner.clean_delta(&mut state, &tuples).unwrap();
-    }
-    (relation_to_json(state.repaired()).render(), state.cost())
-}
-
-fn scratch_dir(label: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("uniclean-faulttest-{}-{label}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+mod common;
+use common::server::{
+    assert_code, assert_ok, dump_rows_cost, durable_config, ingest_request, obj, open_request,
+    reference_for, scratch_dir, spawn_serve, with_daemon, Client, BATCHES,
+};
 
 /// Spawn the real binary with one armed failpoint; returns the child, a
 /// connected client, and the child's stdout reader (hold it until after
-/// `wait` — dropping the pipe would EPIPE the daemon's shutdown banner).
+/// `wait`).
 fn spawn_armed(
     data_dir: &Path,
     snapshot_every: u64,
@@ -216,64 +49,14 @@ fn spawn_armed(
     Client,
     BufReader<std::process::ChildStdout>,
 ) {
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_uniclean"))
-        .args(["serve", "--addr", "127.0.0.1:0", "--shards", "2"])
-        .arg("--data-dir")
-        .arg(data_dir)
-        .args(["--snapshot-every", &snapshot_every.to_string()])
-        .env("UNICLEAN_FAILPOINTS", failpoints)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn uniclean serve");
-    let stdout = child.stdout.take().unwrap();
-    let mut lines = BufReader::new(stdout);
-    let mut banner = String::new();
-    lines.read_line(&mut banner).unwrap();
-    let addr: std::net::SocketAddr = banner
-        .split("listening on ")
-        .nth(1)
-        .and_then(|r| r.split_whitespace().next())
-        .unwrap_or_else(|| panic!("no address in banner {banner:?}"))
-        .parse()
-        .unwrap();
-    let client = Client::connect(addr);
-    (child, client, lines)
+    let (child, addr, stdout) = spawn_serve(data_dir, snapshot_every, failpoints);
+    (child, Client::connect(addr), stdout)
 }
 
 /// Boot an in-process daemon on the directory (nothing armed: the env
 /// var is only set on spawned children) and run `body`.
 fn with_recovered_daemon<T>(data_dir: &Path, body: impl FnOnce(&mut Client) -> T) -> T {
-    let daemon = Daemon::bind(DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 2,
-        queue_bound: 16,
-        data_dir: Some(data_dir.to_path_buf()),
-        snapshot_every: 64,
-        fsync: true,
-        ..DaemonConfig::default()
-    })
-    .expect("bind ephemeral port");
-    let addr = daemon.local_addr();
-    let handle = std::thread::spawn(move || daemon.run());
-    let mut c = Client::connect(addr);
-    let out = body(&mut c);
-    assert_ok(&c.rpc(&obj(vec![("op", Json::str("shutdown"))])));
-    drop(c);
-    handle.join().unwrap().unwrap();
-    out
-}
-
-fn dump_rows_cost(c: &mut Client, relation: &str) -> (String, f64) {
-    let d = c.rpc(&obj(vec![
-        ("op", Json::str("dump")),
-        ("relation", Json::str(relation)),
-    ]));
-    assert_ok(&d);
-    (
-        d.get("rows").unwrap().render(),
-        d.get("cost").and_then(Json::as_f64).unwrap(),
-    )
+    with_daemon(durable_config(data_dir, 64), body)
 }
 
 /// One kill-window case: ack `acked` batches, fire the next batch into

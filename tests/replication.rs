@@ -18,225 +18,31 @@
 //! fetch replies, mid-stream disconnects) must never corrupt a standby
 //! — only delay it.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::num::NonZeroUsize;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use uniclean::client::{Client as LibClient, ClientConfig};
-use uniclean::model::json::{relation_to_json, Json};
-use uniclean::model::{Relation, Schema, Tuple};
-use uniclean::rules::{parse_rules, RuleSet};
-use uniclean::server::{Daemon, DaemonConfig};
-use uniclean::{CleanConfig, Cleaner, MasterSource, Phase};
+use uniclean::model::json::Json;
+use uniclean::server::DaemonConfig;
 
-const RULES: &str = "cfd fd: data([K] -> [A])\n\
-                     cfd cc: data([A=a1] -> [B=b1])\n\
-                     md m: data[K] = m[K] -> data[B] <=> m[B]";
+mod common;
+use common::server::{
+    assert_code, assert_ok, dump_rows_cost, durable_config, ingest_request, ingest_request_seq,
+    obj, open_request, reference_for, rows_json, scratch_dir, shutdown_node, spawn_daemon, Client,
+    Node, BATCHES,
+};
 
-const BATCHES: [&[[&str; 3]]; 4] = [
-    &[["k0", "a1", "b9"], ["k1", "a2", "b2"]],
-    &[["k2", "a3", "b3"], ["k0", "a1", "b8"]],
-    &[["k1", "a2", "b2"], ["k4", "a1", "b7"]],
-    &[["k5", "a1", "b5"], ["k0", "a9", "b6"]],
-];
-
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        Client {
-            writer: stream,
-            reader,
-        }
-    }
-
-    fn send_only(&mut self, req: &Json) {
-        self.writer
-            .write_all(format!("{req}\n").as_bytes())
-            .expect("write request");
-        self.writer.flush().expect("flush request");
-    }
-
-    fn read_response(&mut self) -> Json {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        Json::parse(&line).expect("response parses")
-    }
-
-    fn rpc(&mut self, req: &Json) -> Json {
-        self.send_only(req);
-        self.read_response()
-    }
-}
-
-fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn open_request(relation: &str) -> Json {
-    obj(vec![
-        ("op", Json::str("open")),
-        ("relation", Json::str(relation)),
-        ("table", Json::str("data")),
-        (
-            "attrs",
-            Json::Arr(vec![Json::str("K"), Json::str("A"), Json::str("B")]),
-        ),
-        ("rules", Json::str(RULES)),
-        (
-            "master",
-            obj(vec![
-                ("table", Json::str("m")),
-                ("attrs", Json::Arr(vec![Json::str("K"), Json::str("B")])),
-                (
-                    "rows",
-                    Json::Arr(vec![
-                        Json::Arr(vec![Json::str("k0"), Json::str("b1")]),
-                        Json::Arr(vec![Json::str("k1"), Json::str("b2")]),
-                    ]),
-                ),
-            ]),
-        ),
-        ("phase", Json::str("full")),
-        ("default_cf", Json::Num(0.5)),
-        ("eta", Json::Num(0.8)),
-        ("threads", Json::Num(1.0)),
-    ])
-}
-
-fn rows_json(rows: &[[&str; 3]]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| Json::Arr(r.iter().map(|v| Json::str(*v)).collect()))
-            .collect(),
-    )
-}
-
-fn ingest_request(relation: &str, rows: &[[&str; 3]], seq: Option<u64>) -> Json {
-    let mut pairs = vec![
-        ("op", Json::str("ingest")),
-        ("relation", Json::str(relation)),
-        ("rows", rows_json(rows)),
-    ];
-    if let Some(s) = seq {
-        pairs.push(("seq", Json::Num(s as f64)));
-    }
-    obj(pairs)
-}
-
-fn assert_ok(resp: &Json) -> &Json {
-    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
-    resp
-}
-
-fn assert_code(resp: &Json, code: &str) {
-    assert_eq!(
-        resp.get("ok").and_then(Json::as_bool),
-        Some(false),
-        "{resp}"
-    );
-    assert_eq!(
-        resp.get("code").and_then(Json::as_str),
-        Some(code),
-        "{resp}"
-    );
-}
-
-/// Serial reference dump (`rows` JSON render + cost) of the given batch
-/// indices, in order — what any replica/promoted node must reproduce.
-fn reference_for(batch_indices: &[usize]) -> (String, f64) {
-    let data = Schema::of_strings("data", &["K", "A", "B"]);
-    let m = Schema::of_strings("m", &["K", "B"]);
-    let parsed = parse_rules(RULES, &data, Some(&m)).unwrap();
-    let rules = RuleSet::new(
-        data,
-        Some(m.clone()),
-        parsed.cfds,
-        parsed.positive_mds,
-        parsed.negative_mds,
-    );
-    let master = Relation::new(
-        m,
-        vec![
-            Tuple::of_strs(&["k0", "b1"], 1.0),
-            Tuple::of_strs(&["k1", "b2"], 1.0),
-        ],
-    );
-    let cleaner = Cleaner::builder()
-        .rules(rules)
-        .master(MasterSource::external(master))
-        .config(CleanConfig {
-            eta: 0.8,
-            parallelism: Some(NonZeroUsize::new(1).unwrap()),
-            ..CleanConfig::default()
-        })
-        .build()
-        .unwrap();
-    let mut state = cleaner.begin_empty(Phase::Full);
-    for &i in batch_indices {
-        let tuples: Vec<Tuple> = BATCHES[i].iter().map(|r| Tuple::of_strs(r, 0.5)).collect();
-        cleaner.clean_delta(&mut state, &tuples).unwrap();
-    }
-    (relation_to_json(state.repaired()).render(), state.cost())
-}
-
-fn scratch_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uniclean-repl-{}-{label}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// An in-process daemon (primary or standby) plus its join handle.
-struct Node {
-    addr: std::net::SocketAddr,
-    handle: std::thread::JoinHandle<std::io::Result<()>>,
-}
-
+/// An in-process durable daemon: a primary, or a standby of
+/// `replicate_from`.
 fn start_node(data_dir: &Path, snapshot_every: u64, replicate_from: Option<String>) -> Node {
-    let daemon = Daemon::bind(DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 2,
-        queue_bound: 16,
-        data_dir: Some(data_dir.to_path_buf()),
-        snapshot_every,
-        fsync: true,
+    spawn_daemon(DaemonConfig {
         replicate_from,
-        ..DaemonConfig::default()
+        ..durable_config(data_dir, snapshot_every)
     })
-    .expect("bind ephemeral port");
-    let addr = daemon.local_addr();
-    let handle = std::thread::spawn(move || daemon.run());
-    Node { addr, handle }
-}
-
-fn shutdown_node(node: Node) {
-    let mut c = Client::connect(node.addr);
-    let resp = c.rpc(&obj(vec![("op", Json::str("shutdown"))]));
-    assert_ok(&resp);
-    drop(c);
-    node.handle.join().unwrap().unwrap();
-}
-
-fn dump_rows_cost(c: &mut Client, relation: &str) -> (String, f64) {
-    let d = c.rpc(&obj(vec![
-        ("op", Json::str("dump")),
-        ("relation", Json::str(relation)),
-    ]));
-    assert_ok(&d);
-    (
-        d.get("rows").unwrap().render(),
-        d.get("cost").and_then(Json::as_f64).unwrap(),
-    )
 }
 
 /// Poll the standby until its replicated seq for `relation` reaches
@@ -301,16 +107,16 @@ fn standby_tails_the_primary_and_reads_identically() {
     let primary = start_node(&pdir, 0, None);
     let mut pc = Client::connect(primary.addr);
     assert_ok(&pc.rpc(&open_request("tran")));
-    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[0], None)));
-    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[1], None)));
+    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[0])));
+    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[1])));
 
     let standby = start_node(&sdir, 0, Some(primary.addr.to_string()));
     wait_relation_exists(standby.addr, "tran");
     wait_replicated(standby.addr, "tran", 2);
 
     // Batches ingested while the standby is already tailing stream over.
-    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[2], None)));
-    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[3], None)));
+    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[2])));
+    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[3])));
     wait_replicated(standby.addr, "tran", 4);
 
     let mut sc = Client::connect(standby.addr);
@@ -379,7 +185,7 @@ fn standby_rejects_mutations_with_primary_pointer() {
     let mut sc = Client::connect(standby.addr);
     for req in [
         open_request("tran"),
-        ingest_request("tran", BATCHES[0], None),
+        ingest_request("tran", BATCHES[0]),
         obj(vec![
             ("op", Json::str("close")),
             ("relation", Json::str("tran")),
@@ -415,14 +221,14 @@ fn standby_bootstraps_from_snapshot_after_compaction() {
     let primary = start_node(&pdir, 1, None);
     let mut pc = Client::connect(primary.addr);
     assert_ok(&pc.rpc(&open_request("tran")));
-    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[0], None)));
-    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[1], None)));
+    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[0])));
+    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[1])));
 
     let standby = start_node(&sdir, 1, Some(primary.addr.to_string()));
     wait_relation_exists(standby.addr, "tran");
     wait_replicated(standby.addr, "tran", 2);
     // Keep streaming after the snapshot bootstrap.
-    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[2], None)));
+    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[2])));
     wait_replicated(standby.addr, "tran", 3);
 
     let mut sc = Client::connect(standby.addr);
@@ -433,6 +239,45 @@ fn standby_bootstraps_from_snapshot_after_compaction() {
         "snapshot-bootstrapped standby diverged"
     );
     assert_eq!(s_cost, expect_cost);
+    let repl_seq_of = |c: &mut Client| {
+        let stats = c.rpc(&obj(vec![
+            ("op", Json::str("stats")),
+            ("relation", Json::str("tran")),
+        ]));
+        assert_ok(&stats);
+        stats.get("relations").unwrap().as_arr().unwrap()[0]
+            .get("repl_seq")
+            .and_then(Json::as_u64)
+    };
+    assert_eq!(repl_seq_of(&mut sc), Some(3));
+    drop(sc);
+    shutdown_node(standby);
+
+    // Restart the standby on its own data dir: the persisted bootstrap
+    // snapshot brings it back at the same mirrored position, so it
+    // resumes tailing from its files. Had recovery lost the tenant or its
+    // `repl_seq` marker, `wait_replicated` would only return once the
+    // puller had re-streamed it — and `bootstraps` would say so.
+    let standby = start_node(&sdir, 1, Some(primary.addr.to_string()));
+    wait_replicated(standby.addr, "tran", 3);
+    let mut sc = Client::connect(standby.addr);
+    let ping = sc.rpc(&obj(vec![("op", Json::str("ping"))]));
+    assert_eq!(
+        ping.get("replication")
+            .and_then(|r| r.get("bootstraps"))
+            .and_then(Json::as_usize),
+        Some(0),
+        "a restarted standby resumes from its files: {ping}"
+    );
+    assert_eq!(repl_seq_of(&mut sc), Some(3), "repl_seq moved on restart");
+    // And it keeps following the primary from there.
+    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[3])));
+    wait_replicated(standby.addr, "tran", 4);
+    assert_eq!(
+        dump_rows_cost(&mut sc, "tran"),
+        reference_for(&[0, 1, 2, 3])
+    );
+    drop(sc);
     shutdown_node(standby);
     shutdown_node(primary);
 }
@@ -448,7 +293,7 @@ fn promotion_serves_identically_and_survives_restart() {
     let mut pc = Client::connect(primary.addr);
     assert_ok(&pc.rpc(&open_request("tran")));
     for (i, batch) in BATCHES.iter().enumerate().take(3) {
-        assert_ok(&pc.rpc(&ingest_request("tran", batch, Some(i as u64 + 1))));
+        assert_ok(&pc.rpc(&ingest_request_seq("tran", batch, i as u64 + 1)));
     }
     let standby = start_node(&sdir, 0, Some(primary.addr.to_string()));
     wait_relation_exists(standby.addr, "tran");
@@ -469,8 +314,8 @@ fn promotion_serves_identically_and_survives_restart() {
 
     // The promoted node is a real primary: it accepts writes, dedups
     // replayed client sequences, and keeps matching the reference.
-    assert_ok(&sc.rpc(&ingest_request("tran", BATCHES[3], Some(4))));
-    let replay = sc.rpc(&ingest_request("tran", BATCHES[3], Some(4)));
+    assert_ok(&sc.rpc(&ingest_request_seq("tran", BATCHES[3], 4)));
+    let replay = sc.rpc(&ingest_request_seq("tran", BATCHES[3], 4));
     assert_ok(&replay);
     assert_eq!(replay.get("deduped").and_then(Json::as_bool), Some(true));
     let (rows, _) = dump_rows_cost(&mut sc, "tran");
@@ -496,7 +341,7 @@ fn standby_prunes_closed_tenants() {
     let primary = start_node(&pdir, 0, None);
     let mut pc = Client::connect(primary.addr);
     assert_ok(&pc.rpc(&open_request("tran")));
-    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[0], None)));
+    assert_ok(&pc.rpc(&ingest_request("tran", BATCHES[0])));
     let standby = start_node(&sdir, 0, Some(primary.addr.to_string()));
     wait_relation_exists(standby.addr, "tran");
     wait_replicated(standby.addr, "tran", 1);
@@ -821,42 +666,7 @@ proptest! {
 #[cfg(feature = "failpoints")]
 mod failover_matrix {
     use super::*;
-
-    /// Spawn the real binary as a durable primary with one armed
-    /// failpoint (env only reaches the child, never the in-process
-    /// standby).
-    fn spawn_armed_primary(
-        data_dir: &Path,
-        snapshot_every: u64,
-        failpoints: &str,
-    ) -> (
-        std::process::Child,
-        std::net::SocketAddr,
-        BufReader<std::process::ChildStdout>,
-    ) {
-        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_uniclean"))
-            .args(["serve", "--addr", "127.0.0.1:0", "--shards", "2"])
-            .arg("--data-dir")
-            .arg(data_dir)
-            .args(["--snapshot-every", &snapshot_every.to_string()])
-            .env("UNICLEAN_FAILPOINTS", failpoints)
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .expect("spawn uniclean serve");
-        let stdout = child.stdout.take().unwrap();
-        let mut lines = BufReader::new(stdout);
-        let mut banner = String::new();
-        lines.read_line(&mut banner).unwrap();
-        let addr: std::net::SocketAddr = banner
-            .split("listening on ")
-            .nth(1)
-            .and_then(|r| r.split_whitespace().next())
-            .unwrap_or_else(|| panic!("no address in banner {banner:?}"))
-            .parse()
-            .unwrap();
-        (child, addr, lines)
-    }
+    use std::io::BufRead;
 
     struct FailoverCase {
         /// `UNICLEAN_FAILPOINTS` spec arming the fatal window on the
@@ -928,11 +738,11 @@ mod failover_matrix {
             let pdir = scratch_dir(&format!("fm-{slug}-p"));
             let sdir = scratch_dir(&format!("fm-{slug}-s"));
             let (mut child, paddr, _stdout) =
-                spawn_armed_primary(&pdir, case.snapshot_every, case.arm);
+                common::server::spawn_serve(&pdir, case.snapshot_every, case.arm);
             let mut pc = Client::connect(paddr);
             assert_ok(&pc.rpc(&open_request("tran")));
             for (i, batch) in BATCHES.iter().enumerate().take(case.acked) {
-                assert_ok(&pc.rpc(&ingest_request("tran", batch, Some(i as u64 + 1))));
+                assert_ok(&pc.rpc(&ingest_request_seq("tran", batch, i as u64 + 1)));
             }
             // Attach the standby and let it replicate the acked prefix
             // before the fatal batch — the failover guarantee is about
@@ -943,10 +753,10 @@ mod failover_matrix {
 
             // The fatal batch: the primary aborts inside the armed
             // window; some windows may still have acked.
-            pc.send_only(&ingest_request(
+            pc.send_only(&ingest_request_seq(
                 "tran",
                 BATCHES[case.acked],
-                Some(case.acked as u64 + 1),
+                case.acked as u64 + 1,
             ));
             let mut fatal_line = String::new();
             let _ = pc.reader.read_line(&mut fatal_line);
@@ -958,10 +768,10 @@ mod failover_matrix {
             // sequence number.
             let mut sc = Client::connect(standby.addr);
             assert_ok(&sc.rpc(&obj(vec![("op", Json::str("promote"))])));
-            assert_ok(&sc.rpc(&ingest_request(
+            assert_ok(&sc.rpc(&ingest_request_seq(
                 "tran",
                 BATCHES[case.acked],
-                Some(case.acked as u64 + 1),
+                case.acked as u64 + 1,
             )));
 
             let want: Vec<usize> = (0..=case.acked).collect();
@@ -995,11 +805,11 @@ mod failover_matrix {
             let slug = arm.replace(['.', '=', '@'], "-");
             let pdir = scratch_dir(&format!("net-{slug}-p"));
             let sdir = scratch_dir(&format!("net-{slug}-s"));
-            let (mut child, paddr, _stdout) = spawn_armed_primary(&pdir, 0, arm);
+            let (mut child, paddr, _stdout) = common::server::spawn_serve(&pdir, 0, arm);
             let mut pc = Client::connect(paddr);
             assert_ok(&pc.rpc(&open_request("tran")));
             for (i, batch) in BATCHES.iter().enumerate() {
-                assert_ok(&pc.rpc(&ingest_request("tran", batch, Some(i as u64 + 1))));
+                assert_ok(&pc.rpc(&ingest_request_seq("tran", batch, i as u64 + 1)));
             }
             let standby = start_node(&sdir, 0, Some(paddr.to_string()));
             wait_relation_exists(standby.addr, "tran");

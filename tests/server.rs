@@ -11,152 +11,19 @@
 //! serial in-process clean of the same batches in server application
 //! order — across shard counts {1, 4} × engine parallelism {1, 4}.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::num::NonZeroUsize;
+use std::io::{BufRead, Write};
 use std::time::Duration;
 
 use uniclean::model::json::{relation_to_json, Json};
-use uniclean::model::{Relation, Schema, Tuple};
-use uniclean::rules::{parse_rules, RuleSet};
-use uniclean::server::{Daemon, DaemonConfig};
-use uniclean::{CleanConfig, Cleaner, MasterSource, Phase};
+use uniclean::model::Tuple;
+use uniclean::server::DaemonConfig;
+use uniclean::Phase;
 
-/// The shared scenario: a variable FD, a constant CFD and an MD against
-/// two master tuples — every phase exercised.
-const RULES: &str = "cfd fd: data([K] -> [A])\n\
-                     cfd cc: data([A=a1] -> [B=b1])\n\
-                     md m: data[K] = m[K] -> data[B] <=> m[B]";
-
-/// One line-oriented protocol client.
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        Client {
-            writer: stream,
-            reader,
-        }
-    }
-
-    /// Send one raw line, read one response line.
-    fn raw(&mut self, line: &str) -> Json {
-        self.writer
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("write request");
-        self.writer.flush().expect("flush request");
-        self.read_response()
-    }
-
-    /// Send a request without waiting for its response (pipelining —
-    /// used by the backpressure and shutdown tests).
-    fn send_only(&mut self, req: &Json) {
-        self.writer
-            .write_all(format!("{req}\n").as_bytes())
-            .expect("write request");
-        self.writer.flush().expect("flush request");
-    }
-
-    fn read_response(&mut self) -> Json {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        Json::parse(&line).expect("response parses")
-    }
-
-    fn rpc(&mut self, req: &Json) -> Json {
-        self.raw(&req.render())
-    }
-}
-
-fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn open_request(relation: &str, threads: usize) -> Json {
-    obj(vec![
-        ("op", Json::str("open")),
-        ("relation", Json::str(relation)),
-        ("table", Json::str("data")),
-        (
-            "attrs",
-            Json::Arr(vec![Json::str("K"), Json::str("A"), Json::str("B")]),
-        ),
-        ("rules", Json::str(RULES)),
-        (
-            "master",
-            obj(vec![
-                ("table", Json::str("m")),
-                ("attrs", Json::Arr(vec![Json::str("K"), Json::str("B")])),
-                (
-                    "rows",
-                    Json::Arr(vec![
-                        Json::Arr(vec![Json::str("k0"), Json::str("b1")]),
-                        Json::Arr(vec![Json::str("k1"), Json::str("b2")]),
-                    ]),
-                ),
-            ]),
-        ),
-        ("phase", Json::str("full")),
-        ("default_cf", Json::Num(0.5)),
-        ("eta", Json::Num(0.8)),
-        ("threads", Json::Num(threads as f64)),
-    ])
-}
-
-fn ingest_request(relation: &str, rows: &[[&str; 3]]) -> Json {
-    obj(vec![
-        ("op", Json::str("ingest")),
-        ("relation", Json::str(relation)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| Json::Arr(r.iter().map(|v| Json::str(*v)).collect()))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// The in-process twin of [`open_request`]'s session, for references.
-fn reference_cleaner(threads: usize) -> Cleaner {
-    let data = Schema::of_strings("data", &["K", "A", "B"]);
-    let m = Schema::of_strings("m", &["K", "B"]);
-    let parsed = parse_rules(RULES, &data, Some(&m)).unwrap();
-    let rules = RuleSet::new(
-        data,
-        Some(m.clone()),
-        parsed.cfds,
-        parsed.positive_mds,
-        parsed.negative_mds,
-    );
-    let master = Relation::new(
-        m,
-        vec![
-            Tuple::of_strs(&["k0", "b1"], 1.0),
-            Tuple::of_strs(&["k1", "b2"], 1.0),
-        ],
-    );
-    Cleaner::builder()
-        .rules(rules)
-        .master(MasterSource::external(master))
-        .config(CleanConfig {
-            eta: 0.8,
-            parallelism: Some(NonZeroUsize::new(threads).unwrap()),
-            ..CleanConfig::default()
-        })
-        .build()
-        .unwrap()
-}
-
-fn tuples(rows: &[[&str; 3]]) -> Vec<Tuple> {
-    rows.iter().map(|r| Tuple::of_strs(r, 0.5)).collect()
-}
+mod common;
+use common::server::{
+    assert_code, assert_ok, ingest_request, obj, open_request, open_request_threads,
+    reference_cleaner, spawn_daemon, tuples, Client, Node,
+};
 
 /// Run a daemon on an ephemeral port; returns its address and the thread
 /// handle whose join observes the run loop's exit.
@@ -181,28 +48,8 @@ fn start_daemon_with(
     std::net::SocketAddr,
     std::thread::JoinHandle<std::io::Result<()>>,
 ) {
-    let daemon = Daemon::bind(config).expect("bind ephemeral port");
-    let addr = daemon.local_addr();
-    let handle = std::thread::spawn(move || daemon.run());
+    let Node { addr, handle } = spawn_daemon(config);
     (addr, handle)
-}
-
-fn assert_code(resp: &Json, code: &str) {
-    assert_eq!(
-        resp.get("ok").and_then(Json::as_bool),
-        Some(false),
-        "{resp}"
-    );
-    assert_eq!(
-        resp.get("code").and_then(Json::as_str),
-        Some(code),
-        "{resp}"
-    );
-}
-
-fn assert_ok(resp: &Json) -> &Json {
-    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
-    resp
 }
 
 // ---------------------------------------------------------------------------
@@ -214,7 +61,7 @@ fn scripted_session_lifecycle() {
     let (addr, handle) = start_daemon(2, 16);
     let mut c = Client::connect(addr);
 
-    let open = c.rpc(&open_request("tran", 1));
+    let open = c.rpc(&open_request("tran"));
     assert_ok(&open);
     assert_eq!(open.get("relation").and_then(Json::as_str), Some("tran"));
     assert_eq!(open.get("phase").and_then(Json::as_str), Some("full"));
@@ -331,7 +178,7 @@ fn scripted_session_lifecycle() {
         "unknown_relation",
     );
     // ...and reopening the name lifts the tombstone.
-    assert_ok(&c.rpc(&open_request("tran", 1)));
+    assert_ok(&c.rpc(&open_request("tran")));
     assert_ok(&c.rpc(&ingest_request("tran", &[["k0", "a1", "b1"]])));
 
     assert_ok(&c.rpc(&obj(vec![("op", Json::str("shutdown"))])));
@@ -358,7 +205,7 @@ fn structured_errors_over_the_wire() {
         "rule_parse",
     );
 
-    assert_ok(&c.rpc(&open_request("tran", 1)));
+    assert_ok(&c.rpc(&open_request("tran")));
     // Arity mismatch inside a row: rejected at decode, state untouched.
     assert_code(
         &c.raw(r#"{"op":"ingest","relation":"tran","rows":[["k0","a1"]]}"#),
@@ -375,7 +222,7 @@ fn structured_errors_over_the_wire() {
     ]));
     assert_eq!(check.get("tuples").and_then(Json::as_usize), Some(0));
     // Double open of the same name.
-    assert_code(&c.rpc(&open_request("tran", 1)), "relation_exists");
+    assert_code(&c.rpc(&open_request("tran")), "relation_exists");
 
     assert_ok(&c.rpc(&obj(vec![("op", Json::str("shutdown"))])));
     drop(c);
@@ -389,7 +236,7 @@ fn structured_errors_over_the_wire() {
 fn backpressure_answers_busy() {
     let (addr, handle) = start_daemon(1, 1);
     let mut opener = Client::connect(addr);
-    assert_ok(&opener.rpc(&open_request("tran", 1)));
+    assert_ok(&opener.rpc(&open_request("tran")));
 
     // A batch big enough to keep the worker busy while we probe (the
     // engine clears ~3k tuples in tens of milliseconds, so hold it with
@@ -425,7 +272,7 @@ fn backpressure_answers_busy() {
         // load the holder's large request can parse last and itself take
         // the rejection — so accept the busy from any of the three.
         let responses = [
-            prober.read_after(&ingest_request("tran", &[["k1", "a2", "b2"]])),
+            prober.rpc(&ingest_request("tran", &[["k1", "a2", "b2"]])),
             holder.read_response(),
             filler.read_response(),
         ];
@@ -466,21 +313,13 @@ fn backpressure_answers_busy() {
     handle.join().unwrap().unwrap();
 }
 
-impl Client {
-    /// Send, then read the one response (helper for interleaved clients).
-    fn read_after(&mut self, req: &Json) -> Json {
-        self.send_only(req);
-        self.read_response()
-    }
-}
-
 /// Shutdown is graceful: work already queued is applied and answered
 /// before the daemon exits, and post-shutdown mutations are refused.
 #[test]
 fn shutdown_drains_queued_work() {
     let (addr, handle) = start_daemon(1, 8);
     let mut c = Client::connect(addr);
-    assert_ok(&c.rpc(&open_request("tran", 1)));
+    assert_ok(&c.rpc(&open_request("tran")));
 
     // Hold the worker, queue a small batch behind it.
     let big: Vec<[String; 3]> = (0..50_000)
@@ -568,7 +407,7 @@ fn concurrent_ingest_is_bit_deterministic() {
             let label = format!("shards={shards} threads={threads}");
             let (addr, handle) = start_daemon(shards, 64);
             let mut c = Client::connect(addr);
-            assert_ok(&c.rpc(&open_request("tran", threads)));
+            assert_ok(&c.rpc(&open_request_threads("tran", threads)));
 
             // Each client ingests its batch concurrently; the reply's
             // offset reveals the order the shard serialized them in.
@@ -661,7 +500,7 @@ fn relations_shard_independently() {
     let names = ["alpha", "beta", "gamma"];
     let mut seen_shards = std::collections::HashSet::new();
     for name in names {
-        let open = c.rpc(&open_request(name, 1));
+        let open = c.rpc(&open_request(name));
         assert_ok(&open);
         let shard = open.get("shard").and_then(Json::as_usize).unwrap();
         assert_eq!(shard, uniclean::server::shard_for(name, 4));
@@ -703,7 +542,7 @@ fn relations_shard_independently() {
 fn ping_reports_health() {
     let (addr, handle) = start_daemon(2, 16);
     let mut c = Client::connect(addr);
-    assert_ok(&c.rpc(&open_request("tran", 1)));
+    assert_ok(&c.rpc(&open_request("tran")));
 
     for op in ["ping", "health"] {
         let r = c.rpc(&obj(vec![("op", Json::str(op))]));

@@ -11,218 +11,31 @@
 //! every test compares a recovered dump against an in-process serial
 //! reference clean of the acknowledged prefix.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
-use uniclean::model::json::{relation_to_json, Json};
-use uniclean::model::{Relation, Schema, Tuple};
-use uniclean::rules::{parse_rules, RuleSet};
+use uniclean::model::frame::encode_frame;
+use uniclean::model::json::Json;
+use uniclean::server::snapshot::load_snapshots;
+use uniclean::server::tenant_dir_name;
 use uniclean::server::wal::read_wal;
-use uniclean::server::{tenant_dir_name, Daemon, DaemonConfig};
-use uniclean::{CleanConfig, Cleaner, MasterSource, Phase};
 
-const RULES: &str = "cfd fd: data([K] -> [A])\n\
-                     cfd cc: data([A=a1] -> [B=b1])\n\
-                     md m: data[K] = m[K] -> data[B] <=> m[B]";
+mod common;
+use common::server::{
+    assert_ok, dump_rows_cost, durable_config, ingest_request, obj, open_request, reference_for,
+    scratch_dir, spawn_serve, with_daemon, Client, BATCHES,
+};
 
-/// The four batches every test serves: FD groups (shared keys), constant
-/// CFD hits (a1), MD hits against the master (k0, k1).
-const BATCHES: [&[[&str; 3]]; 4] = [
-    &[["k0", "a1", "b9"], ["k1", "a2", "b2"]],
-    &[["k2", "a3", "b3"], ["k0", "a1", "b8"]],
-    &[["k1", "a2", "b2"], ["k4", "a1", "b7"]],
-    &[["k5", "a1", "b5"], ["k0", "a9", "b6"]],
-];
-
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        Client {
-            writer: stream,
-            reader,
-        }
-    }
-
-    fn send_only(&mut self, req: &Json) {
-        self.writer
-            .write_all(format!("{req}\n").as_bytes())
-            .expect("write request");
-        self.writer.flush().expect("flush request");
-    }
-
-    fn read_response(&mut self) -> Json {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        Json::parse(&line).expect("response parses")
-    }
-
-    fn rpc(&mut self, req: &Json) -> Json {
-        self.send_only(req);
-        self.read_response()
-    }
-}
-
-fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn open_request(relation: &str) -> Json {
-    obj(vec![
-        ("op", Json::str("open")),
-        ("relation", Json::str(relation)),
-        ("table", Json::str("data")),
-        (
-            "attrs",
-            Json::Arr(vec![Json::str("K"), Json::str("A"), Json::str("B")]),
-        ),
-        ("rules", Json::str(RULES)),
-        (
-            "master",
-            obj(vec![
-                ("table", Json::str("m")),
-                ("attrs", Json::Arr(vec![Json::str("K"), Json::str("B")])),
-                (
-                    "rows",
-                    Json::Arr(vec![
-                        Json::Arr(vec![Json::str("k0"), Json::str("b1")]),
-                        Json::Arr(vec![Json::str("k1"), Json::str("b2")]),
-                    ]),
-                ),
-            ]),
-        ),
-        ("phase", Json::str("full")),
-        ("default_cf", Json::Num(0.5)),
-        ("eta", Json::Num(0.8)),
-        ("threads", Json::Num(1.0)),
-    ])
-}
-
-fn ingest_request(relation: &str, rows: &[[&str; 3]]) -> Json {
-    obj(vec![
-        ("op", Json::str("ingest")),
-        ("relation", Json::str(relation)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| Json::Arr(r.iter().map(|v| Json::str(*v)).collect()))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn reference_cleaner() -> Cleaner {
-    let data = Schema::of_strings("data", &["K", "A", "B"]);
-    let m = Schema::of_strings("m", &["K", "B"]);
-    let parsed = parse_rules(RULES, &data, Some(&m)).unwrap();
-    let rules = RuleSet::new(
-        data,
-        Some(m.clone()),
-        parsed.cfds,
-        parsed.positive_mds,
-        parsed.negative_mds,
-    );
-    let master = Relation::new(
-        m,
-        vec![
-            Tuple::of_strs(&["k0", "b1"], 1.0),
-            Tuple::of_strs(&["k1", "b2"], 1.0),
-        ],
-    );
-    Cleaner::builder()
-        .rules(rules)
-        .master(MasterSource::external(master))
-        .config(CleanConfig {
-            eta: 0.8,
-            parallelism: Some(NonZeroUsize::new(1).unwrap()),
-            ..CleanConfig::default()
-        })
-        .build()
-        .unwrap()
-}
-
-/// The serial reference dump (`rows` JSON + cost) after the first
+/// The serial reference dump (`rows` render + cost) after the first
 /// `prefix` batches of [`BATCHES`].
-fn reference_prefix(prefix: usize) -> (Json, f64) {
-    let cleaner = reference_cleaner();
-    let mut state = cleaner.begin_empty(Phase::Full);
-    for batch in &BATCHES[..prefix] {
-        let tuples: Vec<Tuple> = batch.iter().map(|r| Tuple::of_strs(r, 0.5)).collect();
-        cleaner.clean_delta(&mut state, &tuples).unwrap();
-    }
-    (relation_to_json(state.repaired()), state.cost())
-}
-
-/// A fresh scratch directory under the system temp dir (no tempfile
-/// crate in this workspace): unique per test label, wiped on entry.
-fn scratch_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uniclean-durtest-{}-{label}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn durable_config(data_dir: &Path, snapshot_every: u64) -> DaemonConfig {
-    DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 2,
-        queue_bound: 16,
-        data_dir: Some(data_dir.to_path_buf()),
-        snapshot_every,
-        fsync: true,
-        ..DaemonConfig::default()
-    }
-}
-
-/// Boot a daemon, run `body` against it, shut it down cleanly.
-fn with_daemon<T>(
-    config: DaemonConfig,
-    body: impl FnOnce(&mut Client, std::net::SocketAddr) -> T,
-) -> T {
-    let daemon = Daemon::bind(config).expect("bind ephemeral port");
-    let addr = daemon.local_addr();
-    let handle = std::thread::spawn(move || daemon.run());
-    let mut c = Client::connect(addr);
-    let out = body(&mut c, addr);
-    let shutdown = c.rpc(&obj(vec![("op", Json::str("shutdown"))]));
-    assert_eq!(
-        shutdown.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "{shutdown}"
-    );
-    drop(c);
-    handle.join().unwrap().unwrap();
-    out
-}
-
-fn assert_ok(resp: &Json) -> &Json {
-    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
-    resp
-}
-
-fn dump(c: &mut Client, relation: &str) -> Json {
-    let d = c.rpc(&obj(vec![
-        ("op", Json::str("dump")),
-        ("relation", Json::str(relation)),
-    ]));
-    assert_ok(&d);
-    d
+fn reference_prefix(prefix: usize) -> (String, f64) {
+    reference_for(&(0..prefix).collect::<Vec<_>>())
 }
 
 /// Serve `prefix` batches into a fresh durable daemon, then shut down.
 fn serve_prefix(dir: &Path, snapshot_every: u64, prefix: usize) {
-    with_daemon(durable_config(dir, snapshot_every), |c, _| {
+    with_daemon(durable_config(dir, snapshot_every), |c| {
         assert_ok(&c.rpc(&open_request("tran")));
         for batch in &BATCHES[..prefix] {
             assert_ok(&c.rpc(&ingest_request("tran", batch)));
@@ -234,7 +47,7 @@ fn serve_prefix(dir: &Path, snapshot_every: u64, prefix: usize) {
 /// to the serial reference of the acknowledged prefix.
 fn assert_recovers(dir: &Path, snapshot_every: u64, prefix: usize, label: &str) {
     let (expect_rows, expect_cost) = reference_prefix(prefix);
-    with_daemon(durable_config(dir, snapshot_every), |c, _| {
+    with_daemon(durable_config(dir, snapshot_every), |c| {
         let ping = c.rpc(&obj(vec![("op", Json::str("ping"))]));
         assert_ok(&ping);
         assert_eq!(ping.get("durable").and_then(Json::as_bool), Some(true));
@@ -244,17 +57,12 @@ fn assert_recovers(dir: &Path, snapshot_every: u64, prefix: usize, label: &str) 
             Some(1),
             "{label}: {recovery}"
         );
-        let d = dump(c, "tran");
+        let (rows, cost) = dump_rows_cost(c, "tran");
         assert_eq!(
-            d.get("rows").unwrap().render(),
-            expect_rows.render(),
+            rows, expect_rows,
             "{label}: recovered rows diverged from serial reference"
         );
-        assert_eq!(
-            d.get("cost").and_then(Json::as_f64),
-            Some(expect_cost),
-            "{label}: recovered cost diverged"
-        );
+        assert_eq!(cost, expect_cost, "{label}: recovered cost diverged");
     });
 }
 
@@ -272,7 +80,7 @@ fn wal_only_restart_is_bit_identical() {
     // Recovery above ran read-only asserts; now extend the relation in a
     // new generation and recover again — seq numbering and the WAL tail
     // survive repeated restarts.
-    with_daemon(durable_config(&dir, 0), |c, _| {
+    with_daemon(durable_config(&dir, 0), |c| {
         assert_ok(&c.rpc(&ingest_request("tran", BATCHES[3])));
     });
     assert_recovers(&dir, 0, 4, "gen3");
@@ -296,7 +104,7 @@ fn snapshot_compaction_restart_is_bit_identical() {
     assert_eq!(wal.batches.len(), 0, "WAL compacted after snapshot");
 
     let (expect_rows, expect_cost) = reference_prefix(4);
-    with_daemon(durable_config(&dir, 1), |c, _| {
+    with_daemon(durable_config(&dir, 1), |c| {
         let ping = c.rpc(&obj(vec![("op", Json::str("ping"))]));
         let recovery = ping.get("recovery").expect("recovery report");
         assert_eq!(
@@ -307,9 +115,7 @@ fn snapshot_compaction_restart_is_bit_identical() {
             recovery.get("batches_replayed").and_then(Json::as_usize),
             Some(0)
         );
-        let d = dump(c, "tran");
-        assert_eq!(d.get("rows").unwrap().render(), expect_rows.render());
-        assert_eq!(d.get("cost").and_then(Json::as_f64), Some(expect_cost));
+        assert_eq!(dump_rows_cost(c, "tran"), (expect_rows, expect_cost));
     });
 }
 
@@ -318,24 +124,149 @@ fn snapshot_compaction_restart_is_bit_identical() {
 #[test]
 fn interleaved_restarts_and_snapshots() {
     let dir = scratch_dir("interleave");
-    with_daemon(durable_config(&dir, 2), |c, _| {
+    with_daemon(durable_config(&dir, 2), |c| {
         assert_ok(&c.rpc(&open_request("tran")));
         assert_ok(&c.rpc(&ingest_request("tran", BATCHES[0])));
     });
     for prefix in 2..=4 {
         // Each generation recovers, serves one more batch, dies.
         let (expect_rows, _) = reference_prefix(prefix);
-        with_daemon(durable_config(&dir, 2), |c, _| {
+        with_daemon(durable_config(&dir, 2), |c| {
             assert_ok(&c.rpc(&ingest_request("tran", BATCHES[prefix - 1])));
-            let d = dump(c, "tran");
-            assert_eq!(
-                d.get("rows").unwrap().render(),
-                expect_rows.render(),
-                "prefix {prefix}"
-            );
+            let (rows, _) = dump_rows_cost(c, "tran");
+            assert_eq!(rows, expect_rows, "prefix {prefix}");
         });
     }
     assert_recovers(&dir, 2, 4, "final");
+}
+
+/// The history a compaction writes is the history the WAL carried: after
+/// the same ingests (restart in the middle included), the newest
+/// snapshot's `base_rows` is byte-equal to the concatenated `rows` of a
+/// never-compacted twin's log — cells with explicit confidences, the
+/// default confidence, and nulls. The snapshot derives its history from
+/// the live state; this pins that derivation to what was logged.
+#[test]
+fn snapshot_history_is_the_wal_history() {
+    let batches = [
+        r#"[["k0",["a1",0.9],null],["k1","a2",["b2",0.25]]]"#,
+        r#"[[["k2",1],"a3","b3"],["k0","a1",[null,0.125]]]"#,
+        r#"[["k1",null,"b2"],[["k4",0.7],["a1",0.3],["b7",0]]]"#,
+        r#"[["k5","a1","b5"],[null,"a9","b6"]]"#,
+    ]
+    .map(|rows| {
+        obj(vec![
+            ("op", Json::str("ingest")),
+            ("relation", Json::str("tran")),
+            ("rows", Json::parse(rows).unwrap()),
+        ])
+    });
+    let serve = |snapshot_every: u64| -> PathBuf {
+        let dir = scratch_dir(&format!("history-{snapshot_every}"));
+        with_daemon(durable_config(&dir, snapshot_every), |c| {
+            assert_ok(&c.rpc(&open_request("tran")));
+            for req in &batches[..3] {
+                assert_ok(&c.rpc(req));
+            }
+        });
+        // A recovered tenant compacts the same history a live one does.
+        with_daemon(durable_config(&dir, snapshot_every), |c| {
+            assert_ok(&c.rpc(&batches[3]));
+        });
+        dir.join(tenant_dir_name("tran"))
+    };
+
+    let wal = read_wal(&serve(0).join("wal.log")).unwrap();
+    assert_eq!(wal.batches.len(), 4);
+    let logged: Vec<Json> = wal
+        .batches
+        .iter()
+        .flat_map(|b| b.rows.as_arr().unwrap().to_vec())
+        .collect();
+    let logged = Json::Arr(logged).render();
+    for shape in [
+        r#"["a1",0.9]"#,
+        r#"["a2",0.5]"#,
+        "[null,0.5]",
+        "[null,0.125]",
+    ] {
+        assert!(logged.contains(shape), "{shape} missing from {logged}");
+    }
+
+    for snapshot_every in [1, 2] {
+        let snaps = load_snapshots(&serve(snapshot_every));
+        assert_eq!(snaps[0].seq, 4, "snapshot_every {snapshot_every}");
+        assert_eq!(
+            snaps[0].base_rows.render(),
+            logged,
+            "snapshot_every {snapshot_every}"
+        );
+    }
+}
+
+/// A tenant directory exactly as the pre-`WalRecord` daemon (commit
+/// 0333e8d) wrote it — snapshot at seq 2, WAL holding the open record and
+/// batch 3 — recovers to the reference, and what this daemon then writes
+/// back is the same format byte for byte: the compacted WAL is the
+/// fixture's own open frame, and the new snapshot's history continues the
+/// fixture's.
+#[test]
+fn parent_format_directory_recovers_and_round_trips() {
+    const SNAPSHOT: &str = r#"{"version":1,"seq":2,"open":{"op":"open","relation":"tran","table":"data","attrs":["K","A","B"],"rules":"cfd fd: data([K] -> [A])\ncfd cc: data([A=a1] -> [B=b1])\nmd m: data[K] = m[K] -> data[B] <=> m[B]","master":{"table":"m","attrs":["K","B"],"rows":[["k0","b1"],["k1","b2"]]},"phase":"full","default_cf":0.5,"eta":0.8,"threads":1},"base_rows":[[["k0",0.5],["a1",0.5],["b9",0.5]],[["k1",0.5],["a2",0.5],["b2",0.5]],[["k2",0.5],["a3",0.5],["b3",0.5]],[["k0",0.5],["a1",0.5],["b8",0.5]]],"batches":2,"tuples_ingested":4,"fixes":3,"phase_seconds":[0.0000049000000000000005,0.000046141000000000004,0.000030027000000000002],"repaired":[[["k0",0.5,"-"],["a1",0.5,"-"],["b1",0.5,"R"]],[["k1",0.5,"-"],["a2",0.5,"-"],["b2",0.5,"-"]],[["k2",0.5,"-"],["a3",0.5,"-"],["b3",0.5,"-"]],[["k0",0.5,"-"],["a1",0.5,"-"],["b1",0.5,"R"]]],"cost":0.5}"#;
+    const WAL_OPEN: &str = r#"{"kind":"open","spec":{"op":"open","relation":"tran","table":"data","attrs":["K","A","B"],"rules":"cfd fd: data([K] -> [A])\ncfd cc: data([A=a1] -> [B=b1])\nmd m: data[K] = m[K] -> data[B] <=> m[B]","master":{"table":"m","attrs":["K","B"],"rows":[["k0","b1"],["k1","b2"]]},"phase":"full","default_cf":0.5,"eta":0.8,"threads":1}}"#;
+    const WAL_BATCH_3: &str = r#"{"kind":"batch","seq":3,"rows":[[["k1",0.5],["a2",0.5],["b2",0.5]],[["k4",0.5],["a1",0.5],["b7",0.5]]]}"#;
+    let frame = |payload: &str| {
+        let mut raw = Vec::new();
+        encode_frame(payload.as_bytes(), &mut raw);
+        raw
+    };
+    let dir = scratch_dir("parent-format");
+    let tenant_dir = dir.join(tenant_dir_name("tran"));
+    std::fs::create_dir_all(&tenant_dir).unwrap();
+    std::fs::write(tenant_dir.join("snapshot.json"), frame(SNAPSHOT)).unwrap();
+    std::fs::write(
+        tenant_dir.join("wal.log"),
+        [frame(WAL_OPEN), frame(WAL_BATCH_3)].concat(),
+    )
+    .unwrap();
+
+    with_daemon(durable_config(&dir, 2), |c| {
+        let ping = c.rpc(&obj(vec![("op", Json::str("ping"))]));
+        let recovery = ping.get("recovery").expect("recovery report");
+        for (key, want) in [
+            ("relations", 1),
+            ("snapshots_used", 1),
+            ("batches_replayed", 1),
+            ("torn_tails", 0),
+        ] {
+            assert_eq!(
+                recovery.get(key).and_then(Json::as_usize),
+                Some(want),
+                "{key}: {recovery}"
+            );
+        }
+        assert_eq!(dump_rows_cost(c, "tran"), reference_prefix(3));
+        // One replayed + one new batch reach the cadence: compaction.
+        assert_ok(&c.rpc(&ingest_request("tran", BATCHES[3])));
+        assert_eq!(dump_rows_cost(c, "tran"), reference_prefix(4));
+    });
+
+    assert_eq!(
+        std::fs::read(tenant_dir.join("wal.log")).unwrap(),
+        frame(WAL_OPEN),
+        "the compacted WAL is the open frame, unchanged"
+    );
+    let snaps = load_snapshots(&tenant_dir);
+    assert_eq!(snaps.iter().map(|s| s.seq).collect::<Vec<_>>(), [4, 2]);
+    let old_history = snaps[1].base_rows.render();
+    let new_rows = concat!(
+        r#"[["k1",0.5],["a2",0.5],["b2",0.5]],[["k4",0.5],["a1",0.5],["b7",0.5]],"#,
+        r#"[["k5",0.5],["a1",0.5],["b5",0.5]],[["k0",0.5],["a9",0.5],["b6",0.5]]"#
+    );
+    assert_eq!(
+        snaps[0].base_rows.render(),
+        format!("{},{new_rows}]", old_history.strip_suffix(']').unwrap()),
+    );
 }
 
 /// Build the WAL-only template once: 4 acknowledged batches, clean
@@ -382,7 +313,7 @@ fn check_corruption(case: &str, offset: usize, truncate: bool) {
 
     for generation in ["boot", "reboot"] {
         let label = format!("{case}/{generation}");
-        with_daemon(durable_config(&dir, 0), |c, _| {
+        with_daemon(durable_config(&dir, 0), |c| {
             let ping = c.rpc(&obj(vec![("op", Json::str("ping"))]));
             let recovery = ping.get("recovery").expect("recovery report");
             if contents.open.is_none() {
@@ -408,17 +339,12 @@ fn check_corruption(case: &str, offset: usize, truncate: bool) {
                 return;
             }
             let (expect_rows, expect_cost) = reference_prefix(expect_prefix);
-            let d = dump(c, "tran");
+            let (rows, cost) = dump_rows_cost(c, "tran");
             assert_eq!(
-                d.get("rows").unwrap().render(),
-                expect_rows.render(),
+                rows, expect_rows,
                 "{label}: recovered prefix diverged (expected {expect_prefix} batches)"
             );
-            assert_eq!(
-                d.get("cost").and_then(Json::as_f64),
-                Some(expect_cost),
-                "{label}: cost diverged"
-            );
+            assert_eq!(cost, expect_cost, "{label}: cost diverged");
         });
         if contents.open.is_none() {
             break;
@@ -487,32 +413,7 @@ fn sigkill_mid_ingest_recovers_acked_state() {
     for (round, kill_delay_ms) in [0u64, 15, 40].iter().enumerate() {
         let round_dir = dir.join(format!("round{round}"));
         std::fs::create_dir_all(&round_dir).unwrap();
-        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_uniclean"))
-            .args([
-                "serve",
-                "--addr",
-                "127.0.0.1:0",
-                "--shards",
-                "2",
-                "--data-dir",
-            ])
-            .arg(&round_dir)
-            .args(["--snapshot-every", "2"])
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .expect("spawn uniclean serve");
-        let stdout = child.stdout.take().unwrap();
-        let mut lines = BufReader::new(stdout);
-        let mut banner = String::new();
-        lines.read_line(&mut banner).unwrap();
-        let addr: std::net::SocketAddr = banner
-            .split("listening on ")
-            .nth(1)
-            .and_then(|r| r.split_whitespace().next())
-            .expect("banner carries address")
-            .parse()
-            .unwrap();
+        let (mut child, addr, _stdout) = spawn_serve(&round_dir, 2, "");
 
         let mut c = Client::connect(addr);
         assert_ok(&c.rpc(&open_request("tran")));
@@ -529,12 +430,10 @@ fn sigkill_mid_ingest_recovers_acked_state() {
 
         let (acked_rows, acked_cost) = reference_prefix(2);
         let (inflight_rows, inflight_cost) = reference_prefix(3);
-        with_daemon(durable_config(&round_dir, 2), |c, _| {
-            let d = dump(c, "tran");
-            let rows = d.get("rows").unwrap().render();
-            let cost = d.get("cost").and_then(Json::as_f64).unwrap();
-            let acked = rows == acked_rows.render() && cost == acked_cost;
-            let inflight = rows == inflight_rows.render() && cost == inflight_cost;
+        with_daemon(durable_config(&round_dir, 2), |c| {
+            let (rows, cost) = dump_rows_cost(c, "tran");
+            let acked = rows == acked_rows && cost == acked_cost;
+            let inflight = rows == inflight_rows && cost == inflight_cost;
             assert!(
                 acked || inflight,
                 "round {round}: recovered state is neither the acked prefix \
