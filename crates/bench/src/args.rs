@@ -48,13 +48,6 @@ impl Args {
         self.get(key).unwrap_or(default)
     }
 
-    /// Numeric lookup with a default.
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get(key)
-            .map(|v| v.parse().expect("numeric argument"))
-            .unwrap_or(default)
-    }
-
     /// Bare `--flag` lookup.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.contains(key)
@@ -73,8 +66,8 @@ mod tests {
     fn key_value_pairs() {
         let a = parse("--dataset hosp --tuples 500");
         assert_eq!(a.get("dataset"), Some("hosp"));
-        assert_eq!(a.get_usize("tuples", 9), 500);
-        assert_eq!(a.get_usize("missing", 9), 9);
+        assert_eq!(a.get("tuples"), Some("500"));
+        assert_eq!(a.get_or("missing", "9"), "9");
     }
 
     #[test]

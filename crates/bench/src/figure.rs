@@ -1,10 +1,11 @@
 //! Figure rendering: aligned text tables on stdout plus JSON dumps under
-//! `experiments/`, from which EXPERIMENTS.md's paper-vs-measured entries
-//! are filled in. JSON is emitted by hand — the build is offline, so no
-//! serde — with the same shape a serde derive would produce.
+//! `experiments/`, rendered through the workspace's one JSON codec
+//! ([`uniclean_model::Json`]).
 
 use std::fmt::Write as _;
 use std::path::Path;
+
+use uniclean_model::Json;
 
 /// One plotted line.
 #[derive(Clone, Debug)]
@@ -69,35 +70,35 @@ impl Figure {
     }
 
     /// The machine-readable JSON form: `{"id": …, "title": …, "x_label": …,
-    /// "y_label": …, "series": [{"label": …, "points": [[x, y], …]}, …]}`.
+    /// "y_label": …, "series": [{"label": …, "points": [[x, y], …]}, …]}`,
+    /// with non-finite coordinates as `null` (JSON has no NaN).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"id\": {},", json_str(&self.id));
-        let _ = writeln!(out, "  \"title\": {},", json_str(&self.title));
-        let _ = writeln!(out, "  \"x_label\": {},", json_str(&self.x_label));
-        let _ = writeln!(out, "  \"y_label\": {},", json_str(&self.y_label));
-        out.push_str("  \"series\": [\n");
-        for (i, s) in self.series.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{ \"label\": {}, \"points\": [",
-                json_str(&s.label)
-            );
-            for (j, (x, y)) in s.points.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "[{}, {}]", json_num(*x), json_num(*y));
-            }
-            out.push_str("] }");
-            out.push_str(if i + 1 < self.series.len() {
-                ",\n"
+        let num = |x: f64| {
+            if x.is_finite() {
+                Json::Num(x)
             } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
+                Json::Null
+            }
+        };
+        let series = self.series.iter().map(|s| {
+            let points = s
+                .points
+                .iter()
+                .map(|&(x, y)| Json::Arr(vec![num(x), num(y)]));
+            Json::Obj(vec![
+                ("label".into(), Json::str(&s.label)),
+                ("points".into(), Json::Arr(points.collect())),
+            ])
+        });
+        let mut out = Json::Obj(vec![
+            ("id".into(), Json::str(&self.id)),
+            ("title".into(), Json::str(&self.title)),
+            ("x_label".into(), Json::str(&self.x_label)),
+            ("y_label".into(), Json::str(&self.y_label)),
+            ("series".into(), Json::Arr(series.collect())),
+        ])
+        .render();
+        out.push('\n');
         out
     }
 
@@ -106,36 +107,6 @@ impl Figure {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.id));
         std::fs::write(path, self.to_json())
-    }
-}
-
-/// JSON string literal with the escapes the control set requires.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number: finite floats as-is, non-finite as null (JSON has no NaN).
-pub fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -180,20 +151,39 @@ mod tests {
         assert!(text.contains("0.6600"));
     }
 
+    /// The dump parses back to exactly the figure: every key, an escaped
+    /// label, and a NaN point as `null`.
     #[test]
-    fn json_has_all_fields_and_points() {
-        let json = fig().to_json();
-        assert!(json.contains("\"id\": \"fig10a\""), "{json}");
-        assert!(json.contains("\"label\": \"Quaid\""), "{json}");
-        assert!(json.contains("[4, 0.85]"), "{json}");
-        assert!(json.contains("[2, 0.7]"), "{json}");
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(json_num(f64::NAN), "null");
-        assert_eq!(json_num(2.5), "2.5");
+    fn json_round_trips_through_the_parser() {
+        const LABEL: &str = "Quaid \"q\" \\\n";
+        let mut f = fig();
+        f.series[1].label = LABEL.into();
+        f.series[1].points[1].1 = f64::NAN;
+        let doc = Json::parse(&f.to_json()).expect("valid JSON");
+        let pt = |x, y| Json::Arr(vec![Json::Num(x), y]);
+        let series = |label: &str, points| {
+            Json::Obj(vec![
+                ("label".into(), Json::str(label)),
+                ("points".into(), Json::Arr(points)),
+            ])
+        };
+        let want = Json::Obj(vec![
+            ("id".into(), Json::str("fig10a")),
+            ("title".into(), Json::str("Matching helps repairing (HOSP)")),
+            ("x_label".into(), Json::str("noise %")),
+            ("y_label".into(), Json::str("F-measure")),
+            (
+                "series".into(),
+                Json::Arr(vec![
+                    series(
+                        "Uni",
+                        vec![pt(2.0, Json::Num(0.9)), pt(4.0, Json::Num(0.85))],
+                    ),
+                    series(LABEL, vec![pt(2.0, Json::Num(0.7)), pt(4.0, Json::Null)]),
+                ]),
+            ),
+        ]);
+        assert_eq!(doc, want);
     }
 
     #[test]

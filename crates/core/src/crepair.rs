@@ -22,7 +22,7 @@
 //!
 //! Parallelism: MD candidate generation and premise verification — the
 //! dominant per-tuple cost — are prefilled over scoped workers into an
-//! [`MdMatchCache`] for every tuple whose premise is asserted up front;
+//! `MdMatchCache` for every tuple whose premise is asserted up front;
 //! the inference fixpoint itself stays sequential and recomputes any
 //! entry a repair invalidates, so output is bit-identical at every
 //! `parallelism` setting (see [`crate::parallel`]).

@@ -60,10 +60,9 @@ use crate::acceptance::{md_single_ok, md_tuple_ok, ConsistencyIndex};
 pub use crate::acceptance::{TupleViolation, ViolationKind};
 use crate::error::CleanError;
 use crate::fix::FixReport;
-use crate::phase::Phase;
 use crate::session::{
-    full_clean, run_phases, CleanResult, Cleaner, NoOpObserver, PhaseObserver, PreparedCleaner,
-    Warm,
+    full_clean, run_phases, CleanResult, Cleaner, NoOpObserver, Phase, PhaseObserver,
+    PreparedCleaner, Warm,
 };
 
 /// The persistent, per-relation state of an incremental cleaning session.

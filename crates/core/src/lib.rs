@@ -16,7 +16,8 @@
 //!   model (§7, extending Cong et al.), preserving deterministic fixes
 //!   (Corollary 7.1);
 //! * [`session`] — the [`Cleaner`] session API and the one phase loop
-//!   behind it: builder construction, [`MasterSource`] (external /
+//!   behind it: the [`Phase`] type (phase identity and phase-prefix
+//!   selector), builder construction, [`MasterSource`] (external /
 //!   self-snapshot / none), typed [`CleanError`]s, the [`PhaseObserver`]
 //!   instrumentation hook, [`CleanResult`], and the persistent
 //!   [`PreparedCleaner`] (rules/index/config built once per session,
@@ -28,8 +29,6 @@
 //! * [`acceptance`] — [`ConsistencyIndex`], the one owner of the §3.2
 //!   acceptance verdict (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`), built once per full
 //!   clean and maintained from diffs by deltas;
-//! * [`phase`] — the one [`Phase`] type (phase identity and phase-prefix
-//!   selector);
 //! * [`master_index`] — access paths to master data (exact hash index for
 //!   equality premises — interned to dense symbols on the fast path — and
 //!   q-gram count filtering for similarity premises), chosen per MD by the
@@ -53,7 +52,6 @@ pub mod master_index;
 mod md_cache;
 pub mod parallel;
 mod pattern_syms;
-pub mod phase;
 pub mod session;
 pub mod two_in_one;
 
@@ -72,8 +70,7 @@ pub use hrepair::h_repair;
 pub use incremental::RepairState;
 pub use master_index::{IndexPolicy, MasterIndex, ProbeScratch};
 pub use parallel::effective_parallelism;
-pub use phase::Phase;
 pub use session::{
-    CleanResult, Cleaner, CleanerBuilder, MasterSource, NoOpObserver, PhaseObserver, PhaseStats,
-    PhaseTimings, PreparedCleaner,
+    CleanResult, Cleaner, CleanerBuilder, MasterSource, NoOpObserver, Phase, PhaseObserver,
+    PhaseStats, PhaseTimings, PreparedCleaner,
 };

@@ -9,7 +9,7 @@
 //! read-only work that dominates their running time:
 //!
 //! 1. **chunk** — tuples `0..|D|` are split into `p` contiguous ranges,
-//!    one scoped worker per range ([`map_chunks`]);
+//!    one scoped worker per range (`map_chunks`);
 //! 2. **merge** — each worker returns its results as a plain vector in
 //!    chunk order, so concatenation reproduces exactly the tuple-id order
 //!    a sequential scan would have produced;

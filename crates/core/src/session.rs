@@ -50,7 +50,6 @@ use crate::fix::FixReport;
 use crate::hrepair::h_repair;
 use crate::master_index::MasterIndex;
 use crate::md_cache::MdMatchCache;
-use crate::phase::Phase;
 use crate::two_in_one::TwoInOne;
 
 /// Where the master relation `Dm` comes from.
@@ -78,6 +77,57 @@ impl MasterSource {
     /// `Arc<Relation>`.
     pub fn external(dm: impl Into<Arc<Relation>>) -> Self {
         MasterSource::External(dm.into())
+    }
+}
+
+/// One of the three cleaning phases — and, as a selector, the prefix of
+/// the pipeline ending at that phase (`cleaner.clean(&d, Phase::CERepair)`
+/// runs `cRepair` then `eRepair`). `{:?}` prints the variant name, so
+/// `Phase::Full` debugs as `"HRepair"`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Phase {
+    /// Deterministic fixes from confidence analysis (§5). As a selector:
+    /// run `cRepair` only.
+    CRepair,
+    /// Reliable fixes from information entropy (§6). As a selector: run
+    /// `cRepair` then `eRepair`.
+    ERepair,
+    /// Possible fixes via equivalence classes and the cost model (§7). As
+    /// a selector: run all three phases.
+    HRepair,
+}
+
+impl Phase {
+    /// Selector spelling for "deterministic + reliable fixes"
+    /// (`cRepair` + `eRepair`) — the same value as [`Phase::ERepair`].
+    #[allow(non_upper_case_globals)] // reads as a variant at call sites
+    pub const CERepair: Phase = Phase::ERepair;
+    /// Selector spelling for the full pipeline — the same value as
+    /// [`Phase::HRepair`].
+    #[allow(non_upper_case_globals)] // reads as a variant at call sites
+    pub const Full: Phase = Phase::HRepair;
+
+    /// All phases in execution order.
+    pub const ALL: [Phase; 3] = [Phase::CRepair, Phase::ERepair, Phase::HRepair];
+
+    /// Stable display label (`"cRepair"`, `"eRepair"`, `"hRepair"`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Phase::CRepair => "cRepair",
+            Phase::ERepair => "eRepair",
+            Phase::HRepair => "hRepair",
+        }
+    }
+
+    /// Position in the fixed phase order (0, 1, 2).
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The pipeline prefix this selector denotes: every phase up to and
+    /// including `self`, in execution order.
+    pub fn through(self) -> &'static [Phase] {
+        &Phase::ALL[..=self.index()]
     }
 }
 
@@ -812,6 +862,20 @@ mod tests {
             0.0,
             "no circular assertion"
         );
+    }
+
+    #[test]
+    fn phase_selectors_labels_and_prefixes() {
+        assert_eq!(Phase::CERepair, Phase::ERepair);
+        assert_eq!(Phase::Full, Phase::HRepair);
+        assert_eq!(Phase::CRepair.through(), &[Phase::CRepair]);
+        assert_eq!(Phase::CERepair.through(), &[Phase::CRepair, Phase::ERepair]);
+        assert_eq!(Phase::Full.through(), &Phase::ALL);
+        for (i, p) in Phase::ALL.iter().enumerate() {
+            assert_eq!(p.index(), i);
+        }
+        let labels = Phase::ALL.map(Phase::label);
+        assert_eq!(labels, ["cRepair", "eRepair", "hRepair"]);
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //!
 //! Storage-native keys: the columnar [`Relation`] already interns every
 //! cell, so group keys are projections of the store's own symbol columns
-//! (`Vec<Symbol>` hashed with the trivial [`FxHasher`]) and per-value
+//! (`Vec<Symbol>` hashed with the trivial `FxHasher`) and per-value
 //! counts are keyed by the cell's [`Symbol`] directly. The structure keeps
 //! **no value cache of its own** — PR 2's per-cell symbol cache and private
 //! interner are gone; a cell update needs no re-interning here because the
 //! store interned the new value when it was written. Pattern matching on
 //! the scan paths compares compiled pattern symbols
-//! ([`crate::pattern_syms::CfdPatternSyms`]).
+//! (`pattern_syms::CfdPatternSyms`).
 //!
 //! Symbols are only meaningful against the relation (lineage) the
 //! structure was built over; [`TwoInOne::group_key`]/[`TwoInOne::majority`]

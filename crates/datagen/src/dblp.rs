@@ -120,10 +120,9 @@ pub fn dblp_workload(params: &GenParams) -> Workload {
 
 /// The similarity-heavy DBLP variant: same records and noise process, but
 /// MDs whose premises are led by `~qgram`/`~jaro`/`~jw`/`~lev` conjuncts
-/// instead of entity-unique equalities. This is the workload where the
-/// engine previously fell back to O(|D|·|Dm|) scans for candidate
-/// generation; the `perf` benchmark measures the access-path planner on
-/// it (`BENCH_pr5.json`).
+/// instead of entity-unique equalities, so the similarity kernels and the
+/// access-path planner do the work. It is the repository benchmark's `sim`
+/// workload (`benchmark/`).
 pub fn dblp_similarity_workload(params: &GenParams) -> Workload {
     dblp_workload_with_rules(params, "dblp-sim", &similarity_rule_text(), None)
 }

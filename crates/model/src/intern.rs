@@ -172,24 +172,6 @@ impl ValueInterner {
     pub fn values(&self) -> &[Value] {
         &self.values
     }
-
-    /// Approximate heap footprint in bytes: the value table plus the map
-    /// (estimated at key + symbol + two words of bucket overhead per
-    /// entry) plus owned string payloads.
-    pub fn heap_bytes(&self) -> usize {
-        let value_size = std::mem::size_of::<Value>();
-        let string_payload: usize = self
-            .values
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => s.len(),
-                _ => 0,
-            })
-            .sum();
-        self.values.capacity() * value_size
-            + self.map.capacity() * (value_size + std::mem::size_of::<Symbol>() + 16)
-            + string_payload
-    }
 }
 
 #[cfg(test)]

@@ -243,11 +243,6 @@ impl Relation {
         self.store.col_marks(a)
     }
 
-    /// Approximate heap footprint of the store in bytes (bench telemetry).
-    pub fn heap_bytes(&self) -> usize {
-        self.store.heap_bytes()
-    }
-
     // -----------------------------------------------------------------
     // Whole-relation operations.
     // -----------------------------------------------------------------

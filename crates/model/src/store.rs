@@ -224,28 +224,6 @@ impl ColumnStore {
                 .collect(),
         )
     }
-
-    /// Approximate heap footprint in bytes: columns plus interner payload
-    /// (map overhead estimated at two words per distinct value). Used by
-    /// the perf bench's memory report.
-    pub fn heap_bytes(&self) -> usize {
-        let cols: usize = self
-            .syms
-            .iter()
-            .map(|c| c.capacity() * std::mem::size_of::<Symbol>())
-            .sum::<usize>()
-            + self
-                .cf
-                .iter()
-                .map(|c| c.capacity() * std::mem::size_of::<f64>())
-                .sum::<usize>()
-            + self
-                .mark
-                .iter()
-                .map(|c| c.capacity() * std::mem::size_of::<FixMark>())
-                .sum::<usize>();
-        cols + self.interner.heap_bytes()
-    }
 }
 
 /// Read-only view of one attribute slot: the resolved value plus its

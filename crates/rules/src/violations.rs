@@ -153,8 +153,8 @@ fn variable_cfd_violations(
 
 /// Enumerate violations of a set of *normalized* MDs against master data.
 ///
-/// This is the reference O(|D|·|Dm|) scan; the cleaning algorithms use the
-/// LCS blocking index instead (see `uniclean-core`).
+/// This is the reference O(|D|·|Dm|) scan; the cleaning algorithms probe
+/// `uniclean-core`'s `MasterIndex` access paths instead.
 pub fn md_violations(
     mds: &[Md],
     d: &Relation,

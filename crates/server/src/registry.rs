@@ -1,6 +1,6 @@
 //! Tenants and the relation registry.
 //!
-//! A [`Tenant`] is one hosted relation: the immutable session half (a
+//! A `Tenant` is one hosted relation: the immutable session half (a
 //! [`Cleaner`], whose `Arc<PreparedCleaner>` carries rules, master index
 //! and config, built once at `open`) plus the mutable half (a live
 //! [`RepairState`] and serving counters) behind an `RwLock`. Reads
@@ -15,7 +15,7 @@
 //! structured `poisoned` error while other tenants keep serving — and
 //! entry-lock accesses go through poison-tolerant helpers so a lock left
 //! poisoned by the unwind can't cascade panics into connection threads.
-//! A tenant can also carry a [`Durable`] handle — its WAL writer plus
+//! A tenant can also carry a `Durable` handle — its WAL writer plus
 //! compaction bookkeeping — when the daemon runs with `--data-dir`.
 
 use std::collections::{HashMap, HashSet};

@@ -190,7 +190,7 @@ pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Run `op`, retrying transient fs errors on the [`RETRY_BACKOFF`]
+/// Run `op`, retrying transient fs errors on the `RETRY_BACKOFF`
 /// schedule.
 pub fn with_retries<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
     for delay in RETRY_BACKOFF {

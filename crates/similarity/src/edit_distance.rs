@@ -22,8 +22,9 @@
 //!    master value and stream many probe texts against it — the shape the
 //!    `MatchScratch` symbol cache in `uniclean-rules` exploits.
 //!
-//! The pre-existing two-row and banded DPs survive in [`reference`] as the
-//! oracle for the differential proptests and the benchmark baseline.
+//! The pre-existing two-row and banded DPs survive in
+//! [`reference`](mod@reference) as the oracle for the differential
+//! proptests and the `similarity` criterion bench's baseline.
 
 /// Pattern bitmaps (`Peq`) for Myers' algorithm, reusable across texts.
 ///

@@ -106,9 +106,9 @@ impl SimilarityPredicate {
         matches!(self, SimilarityPredicate::Equal)
     }
 
-    /// For edit-distance predicates, the threshold `K` used by the LCS
-    /// blocking index; other predicates fall back to candidate generation
-    /// without the length bound.
+    /// The edit-distance threshold `K` (`0` for equality) that sizes the
+    /// `~lev` count bound of the q-gram index ([`crate::qgram_index`]);
+    /// `None` for the other similarity families.
     pub fn edit_threshold(&self) -> Option<usize> {
         match self {
             SimilarityPredicate::Equal => Some(0),

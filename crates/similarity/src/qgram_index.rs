@@ -1,14 +1,13 @@
 //! Count-filtered q-gram inverted index — bounded candidate generation for
-//! the `~qgram`, `~jaro` and `~jw` predicate families.
+//! the `~lev`, `~qgram`, `~jaro` and `~jw` predicate families.
 //!
 //! §5.2 of the paper observes that "traditional database indices …
 //! designed for exact matching cannot be carried over" to similarity
-//! predicates; the LCS blocker covers edit distance, but q-gram Jaccard
-//! and Jaro previously degraded to a full master scan. This index closes
-//! that gap with the classic *count filtering* discipline: per-attribute
-//! inverted lists map each gram hash to the distinct master values
-//! containing it; a probe accumulates per-value multiset overlap and keeps
-//! only values whose overlap meets a predicate-specific lower bound.
+//! predicates. This index answers them with the classic *count filtering*
+//! discipline: per-attribute inverted lists map each gram hash to the
+//! distinct master values containing it; a probe accumulates per-value
+//! multiset overlap and keeps only values whose overlap meets a
+//! predicate-specific lower bound.
 //!
 //! # The count-filter math
 //!

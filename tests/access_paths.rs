@@ -8,14 +8,15 @@
 //! Every path is complete by construction (there is no top-`l`
 //! truncation knob anymore): `~lev` runs through the padded q-gram count
 //! bound, `~qgram`/`~jaro`/`~jw` through their count/1-gram filters, and
-//! equality through hash lookups. The generated HOSP and DBLP workloads
-//! run through the same `matches_into` ≡ scan assertion.
+//! equality through hash lookups. The generated HOSP, DBLP and
+//! similarity-premise DBLP workloads run through the same `matches_into` ≡
+//! scan assertion.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use uniclean::core::{IndexPolicy, MasterIndex, ProbeScratch};
-use uniclean::datagen::{dblp_workload, hosp_workload, GenParams};
+use uniclean::datagen::{dblp_similarity_workload, dblp_workload, hosp_workload, GenParams};
 use uniclean::model::{Relation, Row, Schema, Tuple, TupleId};
 use uniclean::rules::{parse_rules, Md};
 
@@ -142,8 +143,9 @@ proptest! {
     }
 }
 
-/// The paper's workloads through the same assertion: on generated HOSP and
-/// DBLP every MD is indexed (no scan fallback), and the index — built
+/// The paper's workloads through the same assertion: on generated HOSP,
+/// DBLP and the DBLP variant whose MDs carry `~lev`/`~jaro`/`~jw`/`~qgram`
+/// premises, every MD is indexed (no scan fallback), and the index — built
 /// sequentially or by the batched multi-threaded artifact build — answers
 /// every probe exactly as the O(|D|·|Dm|) scan does, in the same order.
 #[test]
@@ -153,7 +155,12 @@ fn generated_workloads_match_the_scan_on_every_md() {
         master_tuples: 120,
         ..GenParams::default()
     };
-    for w in [hosp_workload(&params), dblp_workload(&params)] {
+    let workloads = [
+        hosp_workload(&params),
+        dblp_workload(&params),
+        dblp_similarity_workload(&params),
+    ];
+    for w in workloads {
         let mds = w.rules.mds();
         for threads in [1, 4] {
             let idx = MasterIndex::build_parallel(mds, &w.master, true, threads);

@@ -170,10 +170,12 @@ fn full_pipeline_on_hosp_is_thread_count_invariant() {
 }
 
 /// The SIMD dispatch (q-gram hash lanes, bitset Jaro, columnar `~lev`
-/// driver) must be a pure performance knob: a forced-scalar run is
-/// bit-identical to the auto-dispatched run over the full cleaning matrix —
-/// every thread count × interning mode — on a workload exercising every
-/// similarity predicate family. This is the same contract
+/// driver) must be a pure performance knob, and the similarity kernels
+/// must not break the thread-count / interning contract: on a workload
+/// exercising every similarity predicate family, a full clean is
+/// bit-identical forced-scalar vs auto-dispatched in every thread count ×
+/// interning mode, and every one of those runs is bit-identical to the
+/// (threads 1, interning on) run. This is the same contract
 /// `UNICLEAN_FORCE_SCALAR=1` relies on (the CI feature matrix re-runs the
 /// suites under it); here the override is flipped programmatically so one
 /// process pins both engines against each other.
@@ -191,40 +193,36 @@ fn forced_scalar_dispatch_is_bit_identical() {
         master_tuples: 120,
         ..GenParams::default()
     });
+    let mut baseline: Option<CleanResult> = None;
     for threads in [1, 4] {
         for interning in [true, false] {
-            set_forced_scalar(Some(false));
-            let auto = run(
-                &w.rules,
-                MasterSource::external(w.master.clone()),
-                &w.dirty,
-                1.0,
-                threads,
-                interning,
-                Phase::CERepair,
-            );
-            set_forced_scalar(Some(true));
-            let scalar = run(
-                &w.rules,
-                MasterSource::external(w.master.clone()),
-                &w.dirty,
-                1.0,
-                threads,
-                interning,
-                Phase::CERepair,
-            );
-            set_forced_scalar(None);
+            let clean = |forced| {
+                set_forced_scalar(Some(forced));
+                let r = run(
+                    &w.rules,
+                    MasterSource::external(w.master.clone()),
+                    &w.dirty,
+                    1.0,
+                    threads,
+                    interning,
+                    Phase::Full,
+                );
+                set_forced_scalar(None);
+                r
+            };
+            let (auto, scalar) = (clean(false), clean(true));
+            let config = format!("dblp similarity, threads={threads}, interning={interning}");
             assert!(
                 !auto.report.is_empty(),
                 "workload must actually exercise the kernels"
             );
-            assert_identical(
-                &auto,
-                &scalar,
-                &format!(
-                    "dblp similarity, scalar vs auto, threads={threads}, interning={interning}"
-                ),
-            );
+            assert_identical(&auto, &scalar, &format!("{config}: scalar vs auto"));
+            match &baseline {
+                Some(base) => {
+                    assert_identical(base, &auto, &format!("{config} vs threads=1, interning=on"))
+                }
+                None => baseline = Some(auto),
+            }
         }
     }
 }
