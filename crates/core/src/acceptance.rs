@@ -6,17 +6,21 @@
 //! [`Cleaner::begin`](crate::Cleaner::begin) use) and then *maintains* the
 //! grade from per-tuple diffs, so a
 //! [`Cleaner::clean_delta`](crate::Cleaner::clean_delta) call re-verifies
-//! only the tuples it changed instead of rescanning O(|D|·|Dm|). The same
-//! group counters and per-tuple MD verdicts answer
+//! only the tuples it changed. MDs are graded through the session's
+//! [`MasterIndex`] (candidates + verify), never by scanning `Dm`. The same
+//! group counters and per-(tuple, MD) verdicts answer
 //! [`RepairState::is_accepted`](crate::RepairState::is_accepted) and
-//! [`RepairState::violations`](crate::RepairState::violations) online.
+//! [`RepairState::violations`](crate::RepairState::violations) without
+//! touching master data.
 //!
 //! The reference implementation is `uniclean_rules::satisfies_all`; the
 //! engine never calls it, the tests compare every verdict against it
 //! (`tests/acceptance.rs`).
 
 use uniclean_model::{FxHashMap, Relation, Row, TupleId, Value};
-use uniclean_rules::{Md, RuleSet};
+use uniclean_rules::RuleSet;
+
+use crate::master_index::{MasterIndex, ProbeScratch};
 
 /// Which rule family rejected a tuple (see
 /// [`RepairState::violations`](crate::RepairState::violations)).
@@ -63,8 +67,8 @@ impl VGroupCount {
 
 /// The §3.2 acceptance state of one repair: the same verdict as the
 /// reference `uniclean_rules::satisfies_all(Σ, Γ, Dr, Dm)` (SQL null
-/// semantics), but updatable from a per-tuple diff instead of a
-/// from-scratch O(|D|·|Dm|) scan.
+/// semantics), but updatable from a per-tuple diff instead of
+/// recomputed from scratch.
 ///
 /// ```
 /// use uniclean_core::acceptance::ConsistencyIndex;
@@ -77,103 +81,63 @@ impl VGroupCount {
 /// let no_master = Relation::empty(s.clone());
 ///
 /// let d = Relation::new(s, vec![Tuple::of_strs(&["131", "Ldn"], 0.5)]);
-/// let verdict = ConsistencyIndex::build(&rules, &d, &no_master).consistent();
+/// let verdict = ConsistencyIndex::build(&rules, &d, None).consistent();
 /// assert!(!verdict);
 /// assert_eq!(verdict, satisfies_all(rules.cfds(), rules.mds(), &d, &no_master));
 /// ```
 ///
-/// The MD half mirrors `satisfies_all`'s short-circuit: per-tuple MD
-/// verdicts are only materialized once the CFD half holds (before that,
-/// the reference check never reaches `Γ` either). Once materialized they
-/// are maintained from the diff, so a delta call re-verifies MDs for
-/// changed tuples only — on MD-heavy workloads this turns the dominant
-/// O(|D|·|Dm|) acceptance scan into O(|changed|·|Dm|).
+/// The MD half is one verdict per (tuple, MD), always materialized: each
+/// is one [`MasterIndex`] probe (candidates, then premise verification of
+/// those disagreeing on the RHS), and a delta call re-probes changed
+/// tuples only.
 pub struct ConsistencyIndex {
     /// Per constant CFD: violating tuple count.
     ccfd_bad: Vec<usize>,
     /// Per variable CFD: group table and violating-group count.
     vgroups: Vec<FxHashMap<Vec<Value>, VGroupCount>>,
     vcfd_bad: Vec<usize>,
-    /// Per tuple: does it satisfy every MD against the master view?
-    /// Lazily materialized (see struct docs), then kept in sync.
-    md_ok: Option<Vec<bool>>,
+    /// Row-major `|D|·|Γ|` flags: does tuple `i` satisfy MD `j`?
+    md_ok: Vec<bool>,
+    /// Tuples with at least one unset flag.
     md_bad: usize,
-    /// Per MD: premise indices ordered cheapest-first (equality before
-    /// similarity) — precomputed once, used by every `md_tuple_ok` call.
-    premise_orders: Vec<Vec<usize>>,
-    consistent: bool,
 }
 
 impl ConsistencyIndex {
-    /// Grade the repair `d` against the rules and the master view `dm`
-    /// (pass an empty relation when the rule set has no MDs): one pass
-    /// over `d` for the CFD group counters, then — only if `Σ` holds, as
-    /// the reference check's `&&` would — one O(|D|·|Dm|) scan for the
-    /// per-tuple MD verdicts.
-    pub fn build(rules: &RuleSet, d: &Relation, dm: &Relation) -> Self {
-        use uniclean_similarity::SimilarityPredicate;
+    /// Grade the repair `d` against the rules and the master view `master`
+    /// with its access paths (`None`: no master data, so every MD holds
+    /// vacuously): one pass over `d` for the CFD group counters and one
+    /// index probe per (tuple, MD).
+    pub fn build(rules: &RuleSet, d: &Relation, master: Option<(&Relation, &MasterIndex)>) -> Self {
         let n_c = rules.cfds().iter().filter(|c| c.is_constant()).count();
         let n_v = rules.cfds().len() - n_c;
-        let premise_orders = rules
-            .mds()
-            .iter()
-            .map(|md| {
-                let mut order: Vec<usize> = (0..md.premises().len()).collect();
-                order.sort_by_key(|&i| match md.premises()[i].pred {
-                    SimilarityPredicate::Equal => 0,
-                    _ => 1,
-                });
-                order
-            })
-            .collect();
         let mut me = ConsistencyIndex {
             ccfd_bad: vec![0; n_c],
             vgroups: (0..n_v).map(|_| FxHashMap::default()).collect(),
             vcfd_bad: vec![0; n_v],
-            md_ok: None,
+            md_ok: vec![true; d.len() * rules.mds().len()],
             md_bad: 0,
-            premise_orders,
-            consistent: false,
         };
-        for (_, t) in d.iter() {
+        let mut scratch = ProbeScratch::new();
+        for (tid, t) in d.iter() {
             me.apply_cfds(rules, t, 1);
+            me.grade_mds(rules, master, tid.index(), t, &mut scratch);
         }
-        me.refresh_verdict(rules, d, dm);
         me
     }
 
     /// The verdict as of the last build/update: `Dr ⊨ Σ` and
     /// `(Dr, Dm) ⊨ Γ`.
     pub fn consistent(&self) -> bool {
-        self.consistent
+        self.cfds_ok() && self.md_bad == 0
     }
 
-    /// Per-MD premise evaluation orders (cheapest-first), for callers
-    /// running targeted [`md_tuple_ok`]/[`md_single_ok`] probes.
-    pub(crate) fn premise_orders(&self) -> &[Vec<usize>] {
-        &self.premise_orders
-    }
-
-    /// The per-tuple MD verdict, if the lazily-built table has been
-    /// materialized (`None` means the CFD half never held, so MD verdicts
-    /// were never needed — compute a targeted probe instead).
-    pub(crate) fn tuple_md_ok_cached(&self, tid: TupleId) -> Option<bool> {
-        self.md_ok.as_ref().map(|ok| ok[tid.index()])
-    }
-
-    /// Does `t` violate no CFD? Constant CFDs are checked directly against
-    /// the tuple; variable CFDs read the maintained group table (a tuple in
-    /// a violating group is rejected with the whole group).
-    pub(crate) fn tuple_cfd_ok<'t>(&self, rules: &RuleSet, t: impl Row<'t>) -> bool {
-        self.tuple_cfd_violations(rules, t).is_empty()
-    }
-
-    /// The CFDs rejecting `t`, in declaration order.
-    pub(crate) fn tuple_cfd_violations<'t>(
-        &self,
-        rules: &RuleSet,
-        t: impl Row<'t>,
-    ) -> Vec<TupleViolation> {
+    /// The rules rejecting tuple `tid` of `d` (the relation last built or
+    /// updated from), in declaration order, CFDs before MDs. Constant CFDs
+    /// are checked directly against the tuple; variable CFDs read the
+    /// maintained group table (a tuple in a violating group is rejected
+    /// with the whole group); MDs read the stored verdicts.
+    pub fn violations(&self, rules: &RuleSet, d: &Relation, tid: TupleId) -> Vec<TupleViolation> {
+        let t = d.tuple(tid);
         let mut out = Vec::new();
         let mut vi = 0usize;
         for cfd in rules.cfds() {
@@ -201,6 +165,13 @@ impl ConsistencyIndex {
                 }
             }
         }
+        let n_md = rules.mds().len();
+        let flags = &self.md_ok[tid.index() * n_md..][..n_md];
+        let mds = rules.mds().iter().zip(flags);
+        out.extend(mds.filter(|(_, &ok)| !ok).map(|(md, _)| TupleViolation {
+            rule: md.name().to_string(),
+            kind: ViolationKind::Md,
+        }));
         out
     }
 
@@ -214,10 +185,12 @@ impl ConsistencyIndex {
     pub(crate) fn update(
         &mut self,
         rules: &RuleSet,
-        dm: &Relation,
+        master: Option<(&Relation, &MasterIndex)>,
         prev: &Relation,
         new: &Relation,
     ) {
+        let mut scratch = ProbeScratch::new();
+        self.md_ok.resize(new.len() * rules.mds().len(), true);
         for i in 0..prev.len() {
             let (a, b) = (prev.tuple(TupleId::from(i)), new.tuple(TupleId::from(i)));
             let changed = a
@@ -227,55 +200,40 @@ impl ConsistencyIndex {
             if changed {
                 self.apply_cfds(rules, a, -1);
                 self.apply_cfds(rules, b, 1);
-                if let Some(md_ok) = &mut self.md_ok {
-                    let ok = md_tuple_ok(rules, &self.premise_orders, b, dm);
-                    if md_ok[i] != ok {
-                        md_ok[i] = ok;
-                        if ok {
-                            self.md_bad -= 1;
-                        } else {
-                            self.md_bad += 1;
-                        }
-                    }
-                }
+                self.grade_mds(rules, master, i, b, &mut scratch);
             }
         }
         for i in prev.len()..new.len() {
             let t = new.tuple(TupleId::from(i));
             self.apply_cfds(rules, t, 1);
-            if let Some(md_ok) = &mut self.md_ok {
-                let ok = md_tuple_ok(rules, &self.premise_orders, t, dm);
-                md_ok.push(ok);
-                if !ok {
-                    self.md_bad += 1;
-                }
-            }
+            self.grade_mds(rules, master, i, t, &mut scratch);
         }
-        self.refresh_verdict(rules, new, dm);
     }
 
-    /// Combine the halves, materializing the MD verdicts on first need —
-    /// exactly when the reference `satisfies_all`'s `&&` would first
-    /// evaluate its `Γ` side.
-    fn refresh_verdict(&mut self, rules: &RuleSet, d: &Relation, dm: &Relation) {
-        if !self.cfds_ok() {
-            self.consistent = false;
-            return;
+    /// Re-probe tuple `i` (final value `t`) under every MD, keeping
+    /// `md_bad` in step with its flags.
+    fn grade_mds<'t>(
+        &mut self,
+        rules: &RuleSet,
+        master: Option<(&Relation, &MasterIndex)>,
+        i: usize,
+        t: impl Row<'t>,
+        scratch: &mut ProbeScratch,
+    ) {
+        let Some((dm, index)) = master else {
+            return; // no master tuple, no MD violation
+        };
+        let n_md = rules.mds().len();
+        let flags = &mut self.md_ok[i * n_md..][..n_md];
+        let was_bad = flags.contains(&false);
+        for (j, (md, ok)) in rules.mds().iter().zip(flags.iter_mut()).enumerate() {
+            *ok = index.matches_agree(j, md, t, dm, scratch);
         }
-        if self.md_ok.is_none() {
-            let mut md_ok = Vec::with_capacity(d.len());
-            let mut bad = 0usize;
-            for (_, t) in d.iter() {
-                let ok = md_tuple_ok(rules, &self.premise_orders, t, dm);
-                md_ok.push(ok);
-                if !ok {
-                    bad += 1;
-                }
-            }
-            self.md_ok = Some(md_ok);
-            self.md_bad = bad;
+        match (was_bad, flags.contains(&false)) {
+            (false, true) => self.md_bad += 1,
+            (true, false) => self.md_bad -= 1,
+            _ => {}
         }
-        self.consistent = self.md_bad == 0;
     }
 
     /// Add (`delta = 1`) or remove (`-1`) one tuple's CFD contributions.
@@ -341,38 +299,4 @@ impl ConsistencyIndex {
             }
         }
     }
-}
-
-/// Does `t` satisfy every MD against `dm` (SQL null semantics, §7)? The
-/// per-tuple slice of the reference `md_violations` scan, with one
-/// verdict-preserving twist: premises are evaluated cheapest-first
-/// (equality before similarity), so a master tuple that fails an equality
-/// premise never pays for an edit-distance computation. The conjunction's
-/// value is unchanged.
-pub(crate) fn md_tuple_ok<'t>(
-    rules: &RuleSet,
-    premise_orders: &[Vec<usize>],
-    t: impl Row<'t>,
-    dm: &Relation,
-) -> bool {
-    rules
-        .mds()
-        .iter()
-        .zip(premise_orders)
-        .all(|(md, order)| md_single_ok(md, order, t, dm))
-}
-
-/// The single-MD slice of [`md_tuple_ok`], for per-rule violation
-/// reporting ([`RepairState::violations`](crate::RepairState::violations)).
-pub(crate) fn md_single_ok<'t>(md: &Md, order: &[usize], t: impl Row<'t>, dm: &Relation) -> bool {
-    let (e, f) = md.rhs()[0];
-    dm.rows().all(|s| {
-        let matched = order.iter().all(|&i| {
-            let p = &md.premises()[i];
-            let tv = t.value(p.attr);
-            let sv = s.value(p.master_attr);
-            !tv.is_null() && !sv.is_null() && p.pred.matches(&tv.render(), &sv.render())
-        });
-        !matched || t.value(e).eq_nullable(s.value(f))
-    })
 }

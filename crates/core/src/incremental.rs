@@ -21,10 +21,9 @@
 //! * the **MD witness cache** persists across calls: premises untouched
 //!   by any repair are never re-verified — re-verification is targeted at
 //!   exactly the tuples whose cells the batch or its cascade rewrote.
-//! * the **acceptance check** (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`) — an
-//!   O(|D|·|Dm|) scan from scratch — is maintained by
-//!   [`ConsistencyIndex`] from the diff of the final relations, so a
-//!   delta call re-verifies only changed tuples.
+//! * the **acceptance check** (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`) is maintained
+//!   by [`ConsistencyIndex`] from the diff of the final relations: a
+//!   delta call re-probes the master index for changed tuples only.
 //!
 //! **Escalation.** The continuation is only kept when it provably equals
 //! the from-scratch run. A batch cascade that *repairs previously settled
@@ -46,7 +45,7 @@
 //! The `eRepair`/`hRepair` phases re-derive their fixes from the persisted
 //! post-`cRepair` state on every call (their decisions are global); the
 //! warm caches cover `cRepair`'s and `eRepair`'s MD premise verification
-//! and the acceptance scan. `hRepair` still recomputes its own witness
+//! and acceptance. `hRepair` still recomputes its own witness
 //! lists per round (uncached today), so on `Phase::Full` states a delta
 //! call's floor is one `hRepair` pass over the relation.
 //!
@@ -56,7 +55,7 @@ use std::sync::Arc;
 
 use uniclean_model::{repair_cost, Relation, Tuple, TupleId};
 
-use crate::acceptance::{md_single_ok, md_tuple_ok, ConsistencyIndex};
+use crate::acceptance::ConsistencyIndex;
 pub use crate::acceptance::{TupleViolation, ViolationKind};
 use crate::error::CleanError;
 use crate::fix::FixReport;
@@ -146,9 +145,8 @@ impl RepairState {
     /// CFD and no MD? The per-tuple slice of [`RepairState::consistent`]:
     /// the relation-level verdict holds exactly when every tuple is
     /// accepted. Served from the maintained acceptance index, **without
-    /// running a phase**: the CFD half reads the live group counters, the
-    /// MD half reads the materialized per-tuple verdicts when present and
-    /// falls back to one targeted master scan for this tuple otherwise.
+    /// running a phase or touching master data**: the CFD half reads the
+    /// live group counters, the MD half the per-(tuple, MD) verdicts.
     ///
     /// A tuple in a variable-CFD group holding two distinct non-null RHS
     /// values is rejected along with the whole group — group violations
@@ -177,29 +175,13 @@ impl RepairState {
     /// assert_eq!(state.violations(TupleId(0))[0].rule, "phi1");
     /// ```
     pub fn is_accepted(&self, tid: TupleId) -> bool {
-        let rules = self.prepared.rules();
-        let t = self.repaired.tuple(tid);
-        if !self.cons.tuple_cfd_ok(rules, t) {
-            return false;
-        }
-        if rules.mds().is_empty() {
-            return true;
-        }
-        if let Some(ok) = self.cons.tuple_md_ok_cached(tid) {
-            return ok;
-        }
-        let mut storage = None;
-        let dm = self
-            .prepared
-            .acceptance_master(&self.repaired, &mut storage);
-        md_tuple_ok(rules, self.cons.premise_orders(), t, dm)
+        self.violations(tid).is_empty()
     }
 
     /// The rules rejecting tuple `tid` of the current repair — empty
     /// exactly when [`RepairState::is_accepted`] holds. Like
-    /// `is_accepted`, answered online from the acceptance index plus (for
-    /// MDs) one targeted scan of the master view for this tuple; no phase
-    /// runs. Rules appear in declaration order, CFDs before MDs.
+    /// `is_accepted`, read off the acceptance index alone. Rules appear in
+    /// declaration order, CFDs before MDs.
     ///
     /// ```
     /// use uniclean_core::{Cleaner, Phase, ViolationKind};
@@ -227,24 +209,8 @@ impl RepairState {
     /// assert_eq!(v[0].kind, ViolationKind::VariableCfd);
     /// ```
     pub fn violations(&self, tid: TupleId) -> Vec<TupleViolation> {
-        let rules = self.prepared.rules();
-        let t = self.repaired.tuple(tid);
-        let mut out = self.cons.tuple_cfd_violations(rules, t);
-        if !rules.mds().is_empty() {
-            let mut storage = None;
-            let dm = self
-                .prepared
-                .acceptance_master(&self.repaired, &mut storage);
-            for (md, order) in rules.mds().iter().zip(self.cons.premise_orders()) {
-                if !md_single_ok(md, order, t, dm) {
-                    out.push(TupleViolation {
-                        rule: md.name().to_string(),
-                        kind: ViolationKind::Md,
-                    });
-                }
-            }
-        }
-        out
+        self.cons
+            .violations(self.prepared.rules(), &self.repaired, tid)
     }
 }
 
@@ -462,11 +428,10 @@ impl Cleaner {
 
         // Targeted acceptance re-verification: only tuples whose final
         // cells changed (plus the batch) are re-checked against Σ and Γ.
-        let mut storage = None;
-        let dm_final = prepared.acceptance_master(&run.work, &mut storage);
+        let view = prepared.view(&run.work);
         state
             .cons
-            .update(prepared.rules(), dm_final, &state.repaired, &run.work);
+            .update(prepared.rules(), view.master(), &state.repaired, &run.work);
         state.cost = repair_cost(&state.base, &run.work);
         state.repaired = run.work;
         state.warm = run.warm;

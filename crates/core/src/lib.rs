@@ -27,12 +27,13 @@
 //!   the same loop over the persisted `cRepair` fixpoint and warm
 //!   structures, bit-identical to a from-scratch reclean;
 //! * [`acceptance`] — [`ConsistencyIndex`], the one owner of the §3.2
-//!   acceptance verdict (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`), built once per full
-//!   clean and maintained from diffs by deltas;
+//!   acceptance verdict (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`): one verdict per
+//!   (tuple, MD) from master-index probes, built once per full clean and
+//!   maintained from diffs by deltas;
 //! * [`master_index`] — access paths to master data (exact hash index for
 //!   equality premises — interned to dense symbols on the fast path — and
 //!   q-gram count filtering for similarity premises), chosen per MD by the
-//!   planner;
+//!   planner and probed by the phases and acceptance alike;
 //! * [`parallel`] — the scoped-thread chunk–merge–apply fan-out the phases
 //!   use for their read-heavy stages, bit-identical at every thread count;
 //! * [`fix`] — per-cell fix records and phase statistics;

@@ -227,10 +227,11 @@ impl PreparedCleaner {
         &self.config
     }
 
-    /// The master view one phase sees, given the repair so far. External
-    /// masters reuse the access paths built at `build` time; the
-    /// self-snapshot re-renders `current` and indexes it.
-    fn view(&self, current: &Relation) -> MasterView<'_> {
+    /// The master view one phase — or the §3.2 acceptance check — sees,
+    /// given the repair so far. External masters reuse the access paths
+    /// built at `build` time; the self-snapshot re-renders `current` and
+    /// indexes it.
+    pub(crate) fn view(&self, current: &Relation) -> MasterView<'_> {
         match &self.master {
             MasterSource::External(m) => MasterView::Prepared(Some(m), self.index.as_ref()),
             MasterSource::SelfSnapshot => {
@@ -258,21 +259,6 @@ impl PreparedCleaner {
             .expect("Cleaner::build verified the self-snapshot schema")
             .clone();
         Relation::with_schema(master_schema, work)
-    }
-
-    /// The master view the §3.2 acceptance check runs against, given the
-    /// final repair state. Returns a borrow for external masters and an
-    /// owned snapshot (stored in `storage`) otherwise.
-    pub(crate) fn acceptance_master<'a>(
-        &'a self,
-        work: &Relation,
-        storage: &'a mut Option<Relation>,
-    ) -> &'a Relation {
-        match &self.master {
-            MasterSource::External(m) => m,
-            MasterSource::SelfSnapshot => storage.insert(self.snapshot(work)),
-            MasterSource::None => storage.insert(Relation::empty(self.rules.schema().clone())),
-        }
     }
 }
 
@@ -508,9 +494,8 @@ pub(crate) fn full_clean(
 
     // Acceptance (§3.2): `Dr ⊨ Σ` and `(Dr, Dm) ⊨ Γ`, checked against
     // whatever master view the final state implies.
-    let mut storage = None;
-    let dm_final = prepared.acceptance_master(&run.work, &mut storage);
-    let cons = ConsistencyIndex::build(&prepared.rules, &run.work, dm_final);
+    let view = prepared.view(&run.work);
+    let cons = ConsistencyIndex::build(&prepared.rules, &run.work, view.master());
     let result = CleanResult {
         cost: repair_cost(d, &run.work),
         consistent: cons.consistent(),
@@ -521,9 +506,9 @@ pub(crate) fn full_clean(
     (result, run.warm, cons)
 }
 
-/// The `(Dm, index)` pair of one phase: borrowed from the session, or a
-/// snapshot of the repair so far owned by the phase.
-enum MasterView<'a> {
+/// The `(Dm, index)` pair of one phase or acceptance check: borrowed from
+/// the session, or a snapshot of the repair so far owned by the view.
+pub(crate) enum MasterView<'a> {
     Prepared(Option<&'a Relation>, Option<&'a MasterIndex>),
     Snapshot(Relation, MasterIndex),
 }
@@ -534,6 +519,12 @@ impl MasterView<'_> {
             MasterView::Prepared(dm, index) => (*dm, *index),
             MasterView::Snapshot(dm, index) => (Some(dm), Some(index)),
         }
+    }
+
+    /// Both halves, or `None` without master data.
+    pub(crate) fn master(&self) -> Option<(&Relation, &MasterIndex)> {
+        let (dm, index) = self.parts();
+        dm.zip(index)
     }
 }
 

@@ -5,9 +5,11 @@
 
 use std::sync::Arc;
 
-use uniclean::core::CleanResult;
-use uniclean::model::{AttrId, FixMark, Relation, Schema, Tuple, Value};
-use uniclean::rules::{parse_rules, RuleSet};
+use uniclean::core::{
+    CleanResult, Cleaner, MasterSource, RepairState, TupleViolation, ViolationKind,
+};
+use uniclean::model::{AttrId, FixMark, Relation, Schema, Tuple, TupleId, Value};
+use uniclean::rules::{cfd_violations, md_violations, parse_rules, RuleSet, Violation};
 
 /// The paper's running example (Example 1.1 / Fig. 1): schemas `tran` /
 /// `card`, rules ϕ1–ϕ4, ψ and the negative MD ψ1, the four dirty
@@ -172,4 +174,82 @@ pub fn assert_identical(a: &CleanResult, b: &CleanResult, label: &str) {
         assert_eq!(pa.fixes, pb.fixes, "{label}: phase fix count diverged");
     }
 }
+
+/// The reference per-tuple verdicts: for each tuple of `d`, every rule
+/// whose `cfd_violations` / `md_violations` (SQL null semantics) entry
+/// names it, in declaration order, CFDs before MDs.
+fn reference_violations(rules: &RuleSet, d: &Relation, dm: &Relation) -> Vec<Vec<TupleViolation>> {
+    let mut hits: Vec<Vec<(bool, usize, ViolationKind)>> = vec![Vec::new(); d.len()];
+    for v in cfd_violations(rules.cfds(), d, true) {
+        match v {
+            Violation::ConstantCfd { rule, tuple } => {
+                hits[tuple.index()].push((false, rule, ViolationKind::ConstantCfd))
+            }
+            Violation::VariableCfd { rule, tuples, .. } => {
+                for t in tuples {
+                    hits[t.index()].push((false, rule, ViolationKind::VariableCfd));
+                }
+            }
+            Violation::Md { .. } => unreachable!("cfd_violations reports CFDs only"),
+        }
+    }
+    for v in md_violations(rules.mds(), d, dm, true) {
+        if let Violation::Md { rule, tuple, .. } = v {
+            hits[tuple.index()].push((true, rule, ViolationKind::Md));
+        }
+    }
+    hits.into_iter()
+        .map(|mut hits| {
+            hits.sort_by_key(|&(is_md, rule, _)| (is_md, rule));
+            hits.dedup();
+            hits.into_iter()
+                .map(|(is_md, rule, kind)| TupleViolation {
+                    rule: if is_md {
+                        rules.mds()[rule].name().to_string()
+                    } else {
+                        rules.cfds()[rule].name().to_string()
+                    },
+                    kind,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Assert `violations(tid)` equals the reference for every tuple of `d`.
+pub fn assert_tuple_verdicts(
+    rules: &RuleSet,
+    d: &Relation,
+    dm: &Relation,
+    violations: impl Fn(TupleId) -> Vec<TupleViolation>,
+    label: &str,
+) {
+    for (i, want) in reference_violations(rules, d, dm).into_iter().enumerate() {
+        assert_eq!(violations(TupleId::from(i)), want, "{label}: tuple {i}");
+    }
+}
+
+/// [`assert_tuple_verdicts`] on a session state, against the master view
+/// its cleaner's source implies for the current repair; `is_accepted`
+/// must agree with `violations` on every tuple.
+pub fn assert_state_verdicts(uni: &Cleaner, state: &RepairState, label: &str) {
+    let rules = uni.rules();
+    let d = state.repaired();
+    let dm = match uni.master() {
+        MasterSource::External(dm) => dm.as_ref().clone(),
+        MasterSource::SelfSnapshot => {
+            Relation::with_schema(rules.master_schema().unwrap().clone(), d)
+        }
+        MasterSource::None => Relation::empty(rules.schema().clone()),
+    };
+    assert_tuple_verdicts(rules, d, &dm, |tid| state.violations(tid), label);
+    for (tid, _) in d.iter() {
+        assert_eq!(
+            state.is_accepted(tid),
+            state.violations(tid).is_empty(),
+            "{label}: tuple {tid:?}"
+        );
+    }
+}
+
 pub mod server;

@@ -6,7 +6,7 @@
 //! (continuation) path and the escalation path.
 
 mod common;
-use common::assert_identical;
+use common::{assert_identical, assert_state_verdicts};
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -84,8 +84,10 @@ fn cleaner(rules: &RuleSet, master: &Relation, threads: usize, interning: bool) 
         .unwrap()
 }
 
-/// Bitwise equality of the incremental state against a from-scratch run.
-fn assert_matches(reference: &CleanResult, state: &RepairState, label: &str) {
+/// Bitwise equality of the incremental state against a from-scratch run,
+/// plus every tuple's `is_accepted` / `violations` against the reference
+/// `cfd_violations` / `md_violations` of the repair.
+fn assert_matches(uni: &Cleaner, reference: &CleanResult, state: &RepairState, label: &str) {
     assert_eq!(
         reference.repaired.len(),
         state.repaired().len(),
@@ -117,6 +119,7 @@ fn assert_matches(reference: &CleanResult, state: &RepairState, label: &str) {
         state.cost().to_bits(),
         "{label}: cost diverged"
     );
+    assert_state_verdicts(uni, state, label);
 }
 
 fn concat(schema: &Arc<Schema>, parts: &[&[Tuple]]) -> Relation {
@@ -152,16 +155,16 @@ proptest! {
                         uni.begin(&Relation::new(schema.clone(), d0.clone()), phase);
                     // begin() must agree with a plain clean() of the base.
                     let base_ref = uni.clean(&Relation::new(schema.clone(), d0.clone()), phase);
-                    assert_matches(&base_ref, &state, &format!("{label} [begin]"));
+                    assert_matches(&uni, &base_ref, &state, &format!("{label} [begin]"));
                     prop_assert_eq!(first.repaired.len(), d0.len());
 
                     uni.clean_delta(&mut state, &b1).unwrap();
                     let ref1 = uni.clean(&concat(&schema, &[&d0, &b1]), phase);
-                    assert_matches(&ref1, &state, &format!("{label} [delta 1]"));
+                    assert_matches(&uni, &ref1, &state, &format!("{label} [delta 1]"));
 
                     uni.clean_delta(&mut state, &b2).unwrap();
                     let ref2 = uni.clean(&concat(&schema, &[&d0, &b1, &b2]), phase);
-                    assert_matches(&ref2, &state, &format!("{label} [delta 2]"));
+                    assert_matches(&uni, &ref2, &state, &format!("{label} [delta 2]"));
                 }
             }
         }
@@ -188,7 +191,7 @@ fn disjoint_batch_stays_on_the_fast_path() {
     assert_eq!(state.escalations(), 0, "disjoint batch must not escalate");
     assert_eq!(r.repaired.len(), 3);
     let reference = uni.clean(&concat(&schema, &[&base.to_tuples(), &batch]), Phase::Full);
-    assert_matches(&reference, &state, "disjoint batch");
+    assert_matches(&uni, &reference, &state, "disjoint batch");
 }
 
 /// A batch tuple that brings the asserted witness a settled tuple was
@@ -228,7 +231,7 @@ fn settled_write_is_kept_without_escalation() {
         "the deterministic fix reached the settled tuple"
     );
     let reference = uni.clean(&concat(&schema, &[&base.to_tuples(), &batch]), Phase::Full);
-    assert_matches(&reference, &state, "settled-write batch");
+    assert_matches(&uni, &reference, &state, "settled-write batch");
 }
 
 /// Conflicting asserted witnesses in one conflict set — the one
@@ -254,7 +257,7 @@ fn conflicting_asserted_evidence_escalates() {
     uni.clean_delta(&mut state, &batch).unwrap();
     assert_eq!(state.escalations(), 1, "conflicting evidence must escalate");
     let reference = uni.clean(&concat(&schema, &[&base.to_tuples(), &batch]), Phase::Full);
-    assert_matches(&reference, &state, "hazard batch");
+    assert_matches(&uni, &reference, &state, "hazard batch");
 }
 
 /// Self-snapshot sessions keep working through clean_delta (every call is
@@ -296,7 +299,7 @@ fn self_snapshot_deltas_escalate_but_stay_correct() {
     uni.clean_delta(&mut state, &batch).unwrap();
     assert_eq!(state.escalations(), 1, "self-snapshot always recleans");
     let reference = uni.clean(&concat(&tran, &[&base.to_tuples(), &batch]), Phase::Full);
-    assert_matches(&reference, &state, "self-snapshot delta");
+    assert_matches(&uni, &reference, &state, "self-snapshot delta");
 }
 
 /// Misuse surfaces as typed errors, not panics.
@@ -348,7 +351,7 @@ fn delta_misuse_is_typed() {
     let r = uni.clean_delta(&mut state, &[]).unwrap();
     assert_eq!(r.repaired.len(), 1);
     let reference = uni.clean(&base, Phase::Full);
-    assert_matches(&reference, &state, "empty batch");
+    assert_matches(&uni, &reference, &state, "empty batch");
 }
 
 /// The per-call log accumulates and the state counts its delta calls.
@@ -464,12 +467,17 @@ fn clean_begin_and_streamed_begin_return_the_same_result() {
 
                 let (state, begun) = uni.begin(&d, phase);
                 assert_identical(&reference, &begun, &format!("{label} [begin]"));
-                assert_matches(&reference, &state, &format!("{label} [begin state]"));
+                assert_matches(&uni, &reference, &state, &format!("{label} [begin state]"));
 
                 let mut streamed = uni.begin_empty(phase);
                 let delta = uni.clean_delta(&mut streamed, rows).unwrap();
                 assert_identical(&reference, &delta, &format!("{label} [streamed]"));
-                assert_matches(&reference, &streamed, &format!("{label} [streamed state]"));
+                assert_matches(
+                    &uni,
+                    &reference,
+                    &streamed,
+                    &format!("{label} [streamed state]"),
+                );
             }
         }
     }
@@ -504,7 +512,7 @@ fn begin_empty_then_delta_equals_begin() {
 
             let (direct, reference) =
                 uni.begin(&Relation::new(schema.clone(), rows.clone()), phase);
-            assert_matches(&reference, &streamed, &format!("{label} [vs begin]"));
+            assert_matches(&uni, &reference, &streamed, &format!("{label} [vs begin]"));
             assert_eq!(
                 direct.cost().to_bits(),
                 streamed.cost().to_bits(),
@@ -516,7 +524,7 @@ fn begin_empty_then_delta_equals_begin() {
             for chunk in rows.chunks(2) {
                 uni.clean_delta(&mut chunked, chunk).unwrap();
             }
-            assert_matches(&reference, &chunked, &format!("{label} [chunked]"));
+            assert_matches(&uni, &reference, &chunked, &format!("{label} [chunked]"));
         }
     }
 }
