@@ -8,9 +8,7 @@ use crate::error::ConfigError;
 ///
 /// Paper defaults (§8, "Experimental Setting" / "Experimental Results"): the
 /// confidence threshold was 1.0 and the entropy threshold 0.8 in the
-/// evaluation. (The paper's blocking constant `l` is gone: edit-distance
-/// premises are now served by a complete q-gram count filter with no
-/// truncation knob.)
+/// evaluation.
 #[derive(Clone, Debug)]
 pub struct CleanConfig {
     /// Confidence threshold `η`: a cell is *asserted* (assumed correct) when
@@ -30,27 +28,19 @@ pub struct CleanConfig {
     /// Safety cap on `hRepair` resolution rounds (termination is guaranteed
     /// by the ␣→const→null upgrade order, §7; this is a backstop).
     pub max_hrepair_rounds: usize,
-    /// Master-free mode (§1/§9): the master relation is a positional
-    /// snapshot of the data itself, so MD evaluation must skip the tuple's
-    /// own master row — a stale self copy would otherwise witness against
-    /// every fresh fix. Forced on by
-    /// [`MasterSource::SelfSnapshot`](crate::MasterSource::SelfSnapshot).
-    pub self_match: bool,
     /// Worker threads for the parallel phase internals (MD premise
     /// verification, 2-in-1 structure construction). `None` uses every
     /// available core; `1` runs the phases exactly as the single-threaded
     /// path does. Output is bit-identical for every setting — see the
     /// chunk–merge–apply design in [`crate::parallel`].
     pub parallelism: Option<NonZeroUsize>,
-    /// Key the master index's exact-match hash maps by the master
-    /// relation's interned `u32` symbols instead of by raw values
-    /// ([`MasterIndex::build_parallel`](crate::MasterIndex::build_parallel)).
-    /// That is all it does today: the columnar store is symbol-native, so
-    /// the 2-in-1 group projections are symbols either way and
-    /// [`TwoInOne::build_with`](crate::two_in_one::TwoInOne::build_with)
-    /// ignores the flag. Results are identical for both settings. Slated
-    /// for removal (ROADMAP diet list); it stays until
-    /// `benchmark/src/batch.rs`, which reads it, can change with it.
+    /// Ignored: the engine never reads it. The columnar store is
+    /// symbol-native, so every index and group key is keyed by interned
+    /// symbols. Only the benchmark harness (`benchmark/src/batch.rs`) reads
+    /// it, to pass on to
+    /// [`MasterIndex::build_parallel`](crate::MasterIndex::build_parallel) and
+    /// [`TwoInOne::build_with`](crate::two_in_one::TwoInOne::build_with),
+    /// which ignore it too.
     pub interning: bool,
 }
 
@@ -62,7 +52,6 @@ impl Default for CleanConfig {
             delta_entropy: 0.8,
             max_erepair_rounds: 10,
             max_hrepair_rounds: 50,
-            self_match: false,
             parallelism: None,
             interning: true,
         }

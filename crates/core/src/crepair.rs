@@ -37,6 +37,7 @@ use crate::fix::{FixRecord, FixReport};
 use crate::master_index::MasterIndex;
 use crate::md_cache::MdMatchCache;
 use crate::pattern_syms::{ensure_rule_constants, CfdPatternSyms};
+use crate::session::Master;
 
 /// A variable-CFD conflict-set entry: the paper's `H(ȳ) = (list, val)`.
 #[derive(Default)]
@@ -87,7 +88,7 @@ pub(crate) struct CFixpoint {
 }
 
 impl CFixpoint {
-    pub(crate) fn new(rules: &RuleSet, n_tuples: usize, self_match: bool) -> Self {
+    pub(crate) fn new(rules: &RuleSet, n_tuples: usize) -> Self {
         let n_rules = rules.len();
         let n_attrs = rules.schema().arity();
         let mut lhs_of = Vec::with_capacity(n_rules);
@@ -138,7 +139,7 @@ impl CFixpoint {
             h,
             count: vec![vec![0; n_rules]; n_tuples],
             p: vec![vec![false; n_rules]; n_tuples],
-            md_cache: MdMatchCache::new(rules, n_tuples, self_match),
+            md_cache: MdMatchCache::new(rules, n_tuples),
             all_attrs: rules.schema().attr_ids().collect(),
             n_cfds: rules.cfds().len(),
             n_tuples,
@@ -186,10 +187,7 @@ impl CGuard {
 
 struct State<'a> {
     rules: &'a RuleSet,
-    dm: Option<&'a Relation>,
-    idx: Option<&'a MasterIndex>,
     eta: f64,
-    self_match: bool,
     /// CFD LHS patterns compiled to the relation's symbols (transient:
     /// recompiled per run, valid for the run's relation lineage).
     pats: CfdPatternSyms,
@@ -213,29 +211,24 @@ pub fn c_repair(
     idx: Option<&MasterIndex>,
     cfg: &CleanConfig,
 ) -> FixReport {
-    let mut fx = CFixpoint::new(rules, d.len(), cfg.self_match);
-    c_run(d, dm, rules, idx, cfg, &mut fx, 0, None)
+    let master = Master::external(rules, dm, idx);
+    let mut fx = CFixpoint::new(rules, d.len());
+    c_run(d, master, rules, cfg, &mut fx, 0, None)
 }
 
 /// The engine behind [`c_repair`]: seed tuples `seed_from..` into `fx` and
 /// drain the inference queue. With `seed_from == 0` over a fresh
 /// [`CFixpoint`] this is a full run; with the persisted fixpoint of a
 /// previous run it *continues* that fixpoint over an appended batch.
-#[allow(clippy::too_many_arguments)] // the paper's full parameter set, one slot each
 pub(crate) fn c_run(
     d: &mut Relation,
-    dm: Option<&Relation>,
+    master: Option<Master<'_>>,
     rules: &RuleSet,
-    idx: Option<&MasterIndex>,
     cfg: &CleanConfig,
     fx: &mut CFixpoint,
     seed_from: usize,
     guard: Option<&mut CGuard>,
 ) -> FixReport {
-    assert!(
-        rules.mds().is_empty() || (dm.is_some() && idx.is_some()),
-        "rule set contains MDs: master data and a MasterIndex are required"
-    );
     assert_eq!(
         fx.n_tuples,
         d.len(),
@@ -246,7 +239,7 @@ pub(crate) fn c_run(
     // pure symbol compares.
     ensure_rule_constants(d, rules);
     let pats = CfdPatternSyms::compile(rules, d);
-    if let (Some(dm), Some(idx)) = (dm, idx) {
+    if let Some(m) = master {
         // Fan the expensive verification out over the workers for every
         // seeded tuple `MDInfer` will interrogate from the initial
         // assertions; tuples unlocked later by the cascade are computed on
@@ -257,8 +250,7 @@ pub(crate) fn c_run(
         fx.md_cache.prefill_range(
             rules,
             d,
-            dm,
-            idx,
+            m,
             cfg.effective_parallelism(),
             seed_from..d.len(),
             |m, t| {
@@ -271,10 +263,7 @@ pub(crate) fn c_run(
     let n_rules = rules.len();
     let mut st = State {
         rules,
-        dm,
-        idx,
         eta: cfg.eta,
-        self_match: cfg.self_match,
         pats,
         fx,
         queue: VecDeque::new(),
@@ -303,8 +292,8 @@ pub(crate) fn c_run(
             } else {
                 st.c_cfd_infer(d, t, r);
             }
-        } else {
-            st.md_infer(d, t, r);
+        } else if let Some(m) = master {
+            st.md_infer(d, m, t, r);
         }
     }
     let report = st.report;
@@ -496,23 +485,20 @@ impl<'a> State<'a> {
     /// identical tuple carries no independent evidence, which also makes
     /// self-matching (master = the data itself, §1/§9) sound: a tuple can
     /// never confirm or correct through its own copy.
-    fn md_infer(&mut self, d: &mut Relation, t: TupleId, r: usize) {
+    fn md_infer(&mut self, d: &mut Relation, m: Master<'_>, t: TupleId, r: usize) {
         let md_idx = r - self.rules.cfds().len();
         let md = &self.rules.mds()[md_idx];
         let (e, f) = md.rhs()[0];
-        let dm = self.dm.expect("MDs require master data");
-        let idx = self.idx.expect("MDs require a MasterIndex");
-        let rules = self.rules;
-        let (self_match, eta) = (self.self_match, self.eta);
+        let (dm, rules, eta) = (m.dm, self.rules, self.eta);
         if d.tuple(t).cf(e) >= self.eta {
             // On a continuation, a rule-written conclusion contradicted by
             // a usable witness is racing evidence (see `c_cfd_infer`).
             if self.guard.is_some() && d.tuple(t).mark(e) == FixMark::Deterministic {
-                let all = self.fx.md_cache.matches(md_idx, rules, d, dm, idx, t);
+                let all = self.fx.md_cache.matches(md_idx, rules, d, m, t);
                 let disagree = all
                     .iter()
                     .copied()
-                    .filter(|&s| !self_match || dm.tuple(s).cf(f) >= eta)
+                    .filter(|&s| m.is_evidence(s, f, eta))
                     .any(|s| dm.tuple(s).value(f) != d.tuple(t).value(e));
                 if disagree {
                     self.flag_hazard();
@@ -524,13 +510,10 @@ impl<'a> State<'a> {
             // Witness lists come from the memoized (possibly prefilled-in-
             // parallel) cache; the cache already excludes the tuple's own
             // positional copy under self-matching.
-            let all = self.fx.md_cache.matches(md_idx, rules, d, dm, idx, t);
+            let all = self.fx.md_cache.matches(md_idx, rules, d, m, t);
             // The self-snapshot is dirty, not master data: only witnesses
             // whose conclusion cell is itself asserted carry evidence.
-            let mut usable = all
-                .iter()
-                .copied()
-                .filter(|&s| !self_match || dm.tuple(s).cf(f) >= eta);
+            let mut usable = all.iter().copied().filter(|&s| m.is_evidence(s, f, eta));
             let correcting = usable
                 .clone()
                 .find(|&s| dm.tuple(s).value(f) != d.tuple(t).value(e));

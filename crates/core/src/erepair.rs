@@ -30,6 +30,7 @@ use crate::fix::{FixRecord, FixReport};
 use crate::master_index::MasterIndex;
 use crate::md_cache::MdMatchCache;
 use crate::pattern_syms::{ensure_rule_constants, CfdPatternSyms};
+use crate::session::Master;
 use crate::two_in_one::TwoInOne;
 
 /// Run `eRepair` in place on `d`. Returns the reliable fixes applied.
@@ -40,9 +41,10 @@ pub fn e_repair(
     idx: Option<&MasterIndex>,
     cfg: &CleanConfig,
 ) -> FixReport {
-    let mut structure = TwoInOne::build_with(rules, d, cfg.interning, cfg.effective_parallelism());
-    let mut md_cache = MdMatchCache::new(rules, d.len(), cfg.self_match);
-    e_run(d, dm, rules, idx, cfg, &mut structure, &mut md_cache)
+    let master = Master::external(rules, dm, idx);
+    let mut structure = TwoInOne::build_with(rules, d, true, cfg.effective_parallelism());
+    let mut md_cache = MdMatchCache::new(rules, d.len());
+    e_run(d, master, rules, cfg, &mut structure, &mut md_cache)
 }
 
 /// The engine behind [`e_repair`], with the 2-in-1 structure and the MD
@@ -53,17 +55,12 @@ pub fn e_repair(
 /// transparent, so the resolution sequence is bit-identical either way.
 pub(crate) fn e_run(
     d: &mut Relation,
-    dm: Option<&Relation>,
+    master: Option<Master<'_>>,
     rules: &RuleSet,
-    idx: Option<&MasterIndex>,
     cfg: &CleanConfig,
     structure: &mut TwoInOne,
     md_cache: &mut MdMatchCache,
 ) -> FixReport {
-    assert!(
-        rules.mds().is_empty() || (dm.is_some() && idx.is_some()),
-        "rule set contains MDs: master data and a MasterIndex are required"
-    );
     // Stable symbols for rule constants, then compile the CFD patterns
     // once — the per-round scans below match patterns by symbol compare.
     ensure_rule_constants(d, rules);
@@ -82,14 +79,14 @@ pub(crate) fn e_run(
         }
     }
 
-    if let (Some(dm), Some(idx)) = (dm, idx) {
+    if let Some(m) = master {
         // Fan the expensive premise verification out over the workers for
         // every cell `MDReslove` may interrogate in round one; later
         // rounds reuse the entries that repairs have not invalidated, and
         // entries already warm in a cross-call cache are skipped.
         let eta = cfg.eta;
-        md_cache.prefill(rules, d, dm, idx, threads, |m, t| {
-            let (e, _) = rules.mds()[m].rhs()[0];
+        md_cache.prefill(rules, d, m, threads, |j, t| {
+            let (e, _) = rules.mds()[j].rhs()[0];
             let tup = d.tuple(t);
             tup.mark(e) != FixMark::Deterministic && tup.cf(e) < eta
         });
@@ -100,7 +97,6 @@ pub(crate) fn e_run(
         report: FixReport::new(),
         eta: cfg.eta,
         delta_update: cfg.delta_update,
-        self_match: cfg.self_match,
         md_cache,
     };
 
@@ -115,9 +111,9 @@ pub(crate) fn e_run(
                     changed |= c_cfd_resolve(d, rules, structure, i, &pats, &mut st);
                 }
                 RuleRef::Md(i) => {
-                    let dm = dm.expect("MDs require master data");
-                    let idx = idx.expect("MDs require a MasterIndex");
-                    changed |= md_resolve(d, dm, rules, idx, structure, i, &mut st);
+                    if let Some(m) = master {
+                        changed |= md_resolve(d, m, rules, structure, i, &mut st);
+                    }
                 }
             }
         }
@@ -133,7 +129,6 @@ struct EState<'a> {
     report: FixReport,
     eta: f64,
     delta_update: usize,
-    self_match: bool,
     md_cache: &'a mut MdMatchCache,
 }
 
@@ -241,9 +236,8 @@ fn c_cfd_resolve(
 /// Procedure `MDReslove` (Fig 6): pull master values into matching tuples.
 fn md_resolve(
     d: &mut Relation,
-    dm: &Relation,
+    m: Master<'_>,
     rules: &RuleSet,
-    idx: &MasterIndex,
     structure: &mut TwoInOne,
     i: usize,
     st: &mut EState<'_>,
@@ -251,7 +245,7 @@ fn md_resolve(
     let md = &rules.mds()[i];
     let (e, f) = md.rhs()[0];
     let name = md.name().to_string();
-    let (self_match, eta) = (st.self_match, st.eta);
+    let (dm, eta) = (m.dm, st.eta);
     let mut changed = false;
     for t in d.ids().collect::<Vec<_>>() {
         if !st.touchable(d, t, e) {
@@ -260,15 +254,15 @@ fn md_resolve(
         // First *disagreeing* witness: an agreeing master tuple earlier in
         // the candidate list must not mask a correction demanded by a later
         // one (and under self-matching the tuple's own copy always agrees —
-        // the cache's `exclude_self` skips it). Witness lists come from the
-        // memoized (possibly prefilled-in-parallel) cache.
+        // the cache skips it). Witness lists come from the memoized
+        // (possibly prefilled-in-parallel) cache.
         let Some(s) = st
             .md_cache
-            .matches(i, rules, d, dm, idx, t)
+            .matches(i, rules, d, m, t)
             .iter()
             .copied()
             // Under self-matching only asserted witnesses carry evidence.
-            .filter(|&s| !self_match || dm.tuple(s).cf(f) >= eta)
+            .filter(|&s| m.is_evidence(s, f, eta))
             .find(|&s| dm.tuple(s).value(f) != d.tuple(t).value(e))
         else {
             continue;

@@ -47,6 +47,7 @@ use crate::fix::{FixRecord, FixReport};
 use crate::master_index::{MasterIndex, ProbeScratch};
 use crate::parallel::map_chunks;
 use crate::pattern_syms::{ensure_rule_constants, CfdPatternSyms};
+use crate::session::{Master, MasterView};
 
 /// Target of a cell.
 #[derive(Clone, Debug, PartialEq)]
@@ -166,10 +167,21 @@ pub fn h_repair(
     idx: Option<&MasterIndex>,
     cfg: &CleanConfig,
 ) -> FixReport {
-    assert!(
-        rules.mds().is_empty() || (dm.is_some() && idx.is_some()),
-        "rule set contains MDs: master data and a MasterIndex are required"
-    );
+    let master = Master::external(rules, dm, idx);
+    h_run(d, rules, cfg, |_| MasterView::Prepared(master))
+}
+
+/// The engine behind [`h_repair`]: `view` yields the master each round
+/// resolves MDs against, given that round's assignment. Under
+/// self-matching it snapshots the assignment, so the "master" tracks it:
+/// resolving against a phase-start snapshot lets two records swap values
+/// through each other's stale copies, round after round.
+pub(crate) fn h_run<'m>(
+    d: &mut Relation,
+    rules: &RuleSet,
+    cfg: &CleanConfig,
+    view: impl Fn(&Relation) -> MasterView<'m>,
+) -> FixReport {
     // Stable symbols for rule constants before cloning the base: every
     // per-round snapshot shares the lineage, so one pattern compilation
     // serves all rounds.
@@ -178,29 +190,16 @@ pub fn h_repair(
     let mut cells = Cells::new(&base);
     let pats = CfdPatternSyms::compile(rules, &base);
 
-    // Under self-matching the "master" must track the current assignment:
-    // resolving against a phase-start snapshot lets two records swap values
-    // through each other's stale copies, round after round.
-    let self_schema = cfg.self_match.then(|| {
-        rules
-            .master_schema()
-            .expect("self-matching requires MDs with a master schema")
-            .clone()
-    });
-
     let threads = cfg.effective_parallelism();
     for _round in 0..cfg.max_hrepair_rounds {
         let cur = materialize(&base, &cells);
         let mut acted = false;
         acted |= resolve_constant_cfds(&base, &cur, rules, &pats, &mut cells);
         acted |= resolve_variable_cfds(&base, &cur, rules, &pats, &mut cells, threads);
-        if let Some(ms) = &self_schema {
-            let dm_round = Relation::with_schema(ms.clone(), &cur);
-            let idx_round =
-                MasterIndex::build_parallel(rules.mds(), &dm_round, cfg.interning, threads);
-            acted |= resolve_mds(&cur, &dm_round, rules, &idx_round, cfg, &mut cells, threads);
-        } else if let (Some(dm), Some(idx)) = (dm, idx) {
-            acted |= resolve_mds(&cur, dm, rules, idx, cfg, &mut cells, threads);
+        if !rules.mds().is_empty() {
+            if let Some(m) = view(&cur).master() {
+                acted |= resolve_mds(&cur, m, rules, &mut cells, threads);
+            }
         }
         if !acted {
             break;
@@ -415,16 +414,11 @@ fn resolve_variable_cfds(
 
 fn resolve_mds(
     cur: &Relation,
-    dm: &Relation,
+    m: Master<'_>,
     rules: &RuleSet,
-    idx: &MasterIndex,
-    cfg: &CleanConfig,
     cells: &mut Cells,
     threads: usize,
 ) -> bool {
-    if rules.mds().is_empty() {
-        return false;
-    }
     // Chunk: verified witness lists per (tuple, MD) against the round-start
     // snapshot — candidate generation plus premise verification is the
     // dominant per-tuple cost of this resolution. Merge in tuple-id order;
@@ -438,15 +432,15 @@ fn resolve_mds(
             .map(|i| {
                 let tid = TupleId::from(i);
                 let t = cur.tuple(tid);
-                let exclude = cfg.self_match.then_some(tid);
+                let exclude = m.own_row(tid);
                 (0..n_mds)
-                    .map(|m| {
+                    .map(|j| {
                         let mut out = Vec::new();
-                        idx.matches_into(
-                            m,
-                            &rules.mds()[m],
+                        m.index.matches_into(
+                            j,
+                            &rules.mds()[j],
                             t,
-                            dm,
+                            m.dm,
                             exclude,
                             &mut scratch,
                             &mut out,
@@ -458,6 +452,7 @@ fn resolve_mds(
             .collect::<Vec<_>>()
     });
     let witnesses: Vec<Vec<Vec<TupleId>>> = witness_rows.into_iter().flatten().collect();
+    let dm = m.dm;
 
     let mut acted = false;
     for (i, md) in rules.mds().iter().enumerate() {

@@ -41,7 +41,7 @@
 //! repaired relation bit-identical — cell values, confidences and marks —
 //! to a from-scratch [`Cleaner::clean`] over the concatenated input, along
 //! with the same cost and acceptance verdict (`tests/incremental.rs` pins
-//! this with a property test across parallelism and interning settings).
+//! this with a property test across parallelism settings).
 //! The `eRepair`/`hRepair` phases re-derive their fixes from the persisted
 //! post-`cRepair` state on every call (their decisions are global); the
 //! warm caches cover `cRepair`'s and `eRepair`'s MD premise verification
@@ -429,9 +429,10 @@ impl Cleaner {
         // Targeted acceptance re-verification: only tuples whose final
         // cells changed (plus the batch) are re-checked against Σ and Γ.
         let view = prepared.view(&run.work);
+        let master = view.master().map(|m| (m.dm, m.index));
         state
             .cons
-            .update(prepared.rules(), view.master(), &state.repaired, &run.work);
+            .update(prepared.rules(), master, &state.repaired, &run.work);
         state.cost = repair_cost(&state.base, &run.work);
         state.repaired = run.work;
         state.warm = run.warm;

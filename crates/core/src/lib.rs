@@ -30,9 +30,9 @@
 //!   acceptance verdict (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`): one verdict per
 //!   (tuple, MD) from master-index probes, built once per full clean and
 //!   maintained from diffs by deltas;
-//! * [`master_index`] — access paths to master data (exact hash index for
-//!   equality premises — interned to dense symbols on the fast path — and
-//!   q-gram count filtering for similarity premises), chosen per MD by the
+//! * [`master_index`] — access paths to master data (hash indexes keyed by
+//!   the master store's symbols for equality premises, q-gram count
+//!   filtering for similarity premises), chosen per MD by the
 //!   planner and probed by the phases and acceptance alike;
 //! * [`parallel`] — the scoped-thread chunk–merge–apply fan-out the phases
 //!   use for their read-heavy stages, bit-identical at every thread count;

@@ -10,8 +10,8 @@
 //!
 //! * a **composite hash key** over *all* strict-equality conjuncts — one
 //!   probe replaces the old probe-one-equality-then-verify-the-rest;
-//! * an **exact hash index** for a lone `=` conjunct, keyed by interned
-//!   [`Symbol`]s when interning is enabled;
+//! * an **exact hash index** for a lone `=` conjunct, keyed by the master
+//!   store's interned [`Symbol`]s;
 //! * a **count-filtered q-gram inverted index**
 //!   ([`uniclean_similarity::QGramIndex`]) for `~qgram`; its 1-gram
 //!   variant as a conservative common-character/length-ratio prefilter for
@@ -88,13 +88,11 @@
 //! ```
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use uniclean_model::{
-    AttrId, FxHashMap, FxHasher, Relation, Row, Symbol, TupleId, Value, ValueInterner,
-};
+use uniclean_model::{AttrId, FxHashMap, FxHasher, Relation, Row, Symbol, TupleId, ValueInterner};
 use uniclean_rules::{MatchScratch, Md};
 use uniclean_similarity::{simd, ProfilePool, QGramIndex, QGramScratch};
 
@@ -147,18 +145,13 @@ impl Default for IndexPolicy {
 
 /// One single-conjunct access path.
 enum Path {
-    /// Raw-value exact map (interning disabled).
-    Exact {
-        premise: usize,
-        map: Arc<HashMap<Value, Vec<u32>>>,
-    },
-    /// Interned exact map, keyed by the **master store's own symbols** —
+    /// Exact map, keyed by the **master store's own symbols** —
     /// building it reads the symbol column straight out of the columnar
     /// store, hashing no value content at all. A probe resolves the data
     /// value through the shared interner snapshot once; a probe value the
     /// interner has never seen cannot appear in the master column, so
     /// `get == None` is exactly a miss.
-    ExactInterned {
+    Equal {
         premise: usize,
         map: Arc<FxHashMap<Symbol, Vec<u32>>>,
     },
@@ -194,13 +187,11 @@ enum Path {
 enum Plan {
     Single(Path),
     /// One hash probe over *all* equality conjuncts at once. The map key
-    /// is a 64-bit hash of the premise-ordered master symbols (or raw
-    /// values with interning off); hash collisions only ever add
-    /// candidates, which verification removes.
+    /// is a 64-bit hash of the premise-ordered master symbols; hash
+    /// collisions only ever add candidates, which verification removes.
     Composite {
         premises: Arc<[usize]>,
         map: Arc<FxHashMap<u64, Vec<u32>>>,
-        hash_syms: bool,
     },
     /// Sorted-list intersection of the two most selective conjunct paths.
     Intersect {
@@ -267,7 +258,7 @@ impl ProbeScratch {
 
 #[derive(Clone, Debug)]
 enum PathSpec {
-    Exact { premise: usize },
+    Equal { premise: usize },
     LevCount { premise: usize, k: usize },
     QGramCount { premise: usize, q: usize, min: f64 },
     JaroFilter { premise: usize, min_jaro: f64 },
@@ -309,7 +300,7 @@ fn cost_conjunct(md: &Md, premise: usize, rows: usize, stats: &HashMap<AttrId, u
         return Costed {
             cost: per_value,
             premise,
-            spec: PathSpec::Exact { premise },
+            spec: PathSpec::Equal { premise },
             degenerate: false,
         };
     }
@@ -423,15 +414,14 @@ fn plan_md(md: &Md, rows: usize, stats: &HashMap<AttrId, usize>, policy: IndexPo
 /// artifact.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 enum ArtifactKey {
-    Exact(AttrId),
+    Equal(AttrId),
     QGram(AttrId, usize),
     /// Master attributes of all equality conjuncts, premise order.
     Composite(Vec<AttrId>),
 }
 
 enum Artifact {
-    ExactRaw(Arc<HashMap<Value, Vec<u32>>>),
-    ExactSym(Arc<FxHashMap<Symbol, Vec<u32>>>),
+    Equal(Arc<FxHashMap<Symbol, Vec<u32>>>),
     QGram(Arc<QGramIndex>, Arc<VidColumn>),
     Composite(Arc<FxHashMap<u64, Vec<u32>>>),
 }
@@ -446,32 +436,17 @@ pub(crate) struct VidColumn {
     texts: Vec<Box<str>>,
 }
 
-fn build_artifact(
-    key: &ArtifactKey,
-    master: &Relation,
-    interning: bool,
-    threads: usize,
-) -> Artifact {
+fn build_artifact(key: &ArtifactKey, master: &Relation, threads: usize) -> Artifact {
     let interner = master.interner();
     match key {
-        ArtifactKey::Exact(attr) => {
-            if interning {
-                // The master column is already interned by its store: key
-                // the rows by those symbols, no value hashing at all.
-                let mut m: FxHashMap<Symbol, Vec<u32>> = FxHashMap::default();
-                for (row, &sym) in master.col_syms(*attr).iter().enumerate() {
-                    m.entry(sym).or_default().push(row as u32);
-                }
-                Artifact::ExactSym(Arc::new(m))
-            } else {
-                let mut m: HashMap<Value, Vec<u32>> = HashMap::new();
-                for (row, &sym) in master.col_syms(*attr).iter().enumerate() {
-                    m.entry(interner.resolve(sym).clone())
-                        .or_default()
-                        .push(row as u32);
-                }
-                Artifact::ExactRaw(Arc::new(m))
+        ArtifactKey::Equal(attr) => {
+            // The master column is already interned by its store: key the
+            // rows by those symbols, no value hashing at all.
+            let mut m: FxHashMap<Symbol, Vec<u32>> = FxHashMap::default();
+            for (row, &sym) in master.col_syms(*attr).iter().enumerate() {
+                m.entry(sym).or_default().push(row as u32);
             }
+            Artifact::Equal(Arc::new(m))
         }
         ArtifactKey::QGram(attr, q) => {
             // Batched build: one pass over the symbol column collects the
@@ -535,11 +510,7 @@ fn build_artifact(
                         // premise; the row is unreachable through this plan.
                         continue 'rows;
                     }
-                    if interning {
-                        h.write_u32(sym.0);
-                    } else {
-                        interner.resolve(sym).hash(&mut h);
-                    }
+                    h.write_u32(sym.0);
                 }
                 map.entry(h.finish()).or_default().push(row as u32);
             }
@@ -551,8 +522,8 @@ fn build_artifact(
 /// Per-MD access paths over one master relation.
 pub struct MasterIndex {
     plans: Vec<Plan>,
-    /// Shared interner over the indexed master columns (empty when
-    /// interning is disabled or no symbol-keyed path exists).
+    /// Snapshot of the master store's interner, which the symbol-keyed
+    /// equality paths probe through (empty when no such path exists).
     interner: Arc<ValueInterner>,
     master_len: usize,
     /// Globally unique build stamp guarding symbol-keyed scratch caches.
@@ -560,23 +531,19 @@ pub struct MasterIndex {
 }
 
 impl MasterIndex {
-    /// Build access paths for `mds` over `master` with value interning
-    /// enabled. Indexes on the same master column are shared between MDs.
+    /// Build access paths for `mds` over `master`, single-threaded.
+    /// Indexes on the same master column are shared between MDs.
     pub fn build(mds: &[Md], master: &Relation) -> Self {
-        Self::build_with(mds, master, true)
+        Self::build_with_policy(mds, master, 1, IndexPolicy::default())
     }
 
-    /// [`Self::build`] with an explicit interning switch (the benchmark
-    /// harness measures both paths; results are identical).
-    pub fn build_with(mds: &[Md], master: &Relation, interning: bool) -> Self {
-        Self::build_parallel(mds, master, interning, 1)
-    }
-
-    /// [`Self::build_with`] fanning index construction out over
-    /// `threads` scoped workers (one per distinct per-attribute
-    /// artifact). The built index is identical at every thread count.
-    pub fn build_parallel(mds: &[Md], master: &Relation, interning: bool, threads: usize) -> Self {
-        Self::build_with_policy(mds, master, interning, threads, IndexPolicy::default())
+    /// [`Self::build`] fanning index construction out over `threads`
+    /// scoped workers (one per distinct per-attribute artifact). The built
+    /// index is identical at every thread count. The `bool` is ignored:
+    /// equality paths are always keyed by the master store's symbols. It
+    /// stays only because the benchmark harness still passes one.
+    pub fn build_parallel(mds: &[Md], master: &Relation, _: bool, threads: usize) -> Self {
+        Self::build_with_policy(mds, master, threads, IndexPolicy::default())
     }
 
     /// Fully parameterized build — the planner entry point. `policy`
@@ -586,7 +553,6 @@ impl MasterIndex {
     pub fn build_with_policy(
         mds: &[Md],
         master: &Relation,
-        interning: bool,
         threads: usize,
         policy: IndexPolicy,
     ) -> Self {
@@ -621,7 +587,7 @@ impl MasterIndex {
             });
         };
         let path_key = |md: &Md, spec: &PathSpec| match spec {
-            PathSpec::Exact { premise } => ArtifactKey::Exact(md.premises()[*premise].master_attr),
+            PathSpec::Equal { premise } => ArtifactKey::Equal(md.premises()[*premise].master_attr),
             PathSpec::LevCount { premise, .. } => {
                 ArtifactKey::QGram(md.premises()[*premise].master_attr, LEV_QGRAM_Q)
             }
@@ -652,18 +618,14 @@ impl MasterIndex {
         // split the residual thread budget between them.
         let inner_threads = (threads / keys.len().max(1)).max(1);
         let artifacts = map_each(keys.len(), threads, |i| {
-            build_artifact(&keys[i], master, interning, inner_threads)
+            build_artifact(&keys[i], master, inner_threads)
         });
 
         // Assemble the runtime plans.
         let resolve_path = |md: &Md, spec: &PathSpec| -> Path {
             let id = key_ids[&path_key(md, spec)];
             match (spec, &artifacts[id]) {
-                (PathSpec::Exact { premise }, Artifact::ExactSym(map)) => Path::ExactInterned {
-                    premise: *premise,
-                    map: map.clone(),
-                },
-                (PathSpec::Exact { premise }, Artifact::ExactRaw(map)) => Path::Exact {
+                (PathSpec::Equal { premise }, Artifact::Equal(map)) => Path::Equal {
                     premise: *premise,
                     map: map.clone(),
                 },
@@ -693,14 +655,14 @@ impl MasterIndex {
                 _ => unreachable!("artifact kind matches its key"),
             }
         };
-        let mut used_interned = false;
+        let mut keyed_by_symbol = false;
         let plans: Vec<Plan> = mds
             .iter()
             .zip(&specs)
             .map(|(md, spec)| match spec {
                 PlanSpec::Single(p) => {
                     let path = resolve_path(md, p);
-                    used_interned |= matches!(path, Path::ExactInterned { .. });
+                    keyed_by_symbol |= matches!(path, Path::Equal { .. });
                     Plan::Single(path)
                 }
                 PlanSpec::Composite { premises } => {
@@ -713,18 +675,17 @@ impl MasterIndex {
                     let Artifact::Composite(map) = &artifacts[key_ids[&key]] else {
                         unreachable!("artifact kind matches its key")
                     };
-                    used_interned |= interning;
+                    keyed_by_symbol = true;
                     Plan::Composite {
                         premises: premises.clone().into(),
                         map: map.clone(),
-                        hash_syms: interning,
                     }
                 }
                 PlanSpec::Intersect { primary, secondary } => {
                     let a = resolve_path(md, primary);
                     let b = resolve_path(md, secondary);
-                    used_interned |= matches!(a, Path::ExactInterned { .. })
-                        || matches!(b, Path::ExactInterned { .. });
+                    keyed_by_symbol |=
+                        matches!(a, Path::Equal { .. }) || matches!(b, Path::Equal { .. });
                     Plan::Intersect {
                         primary: a,
                         secondary: b,
@@ -733,9 +694,9 @@ impl MasterIndex {
                 PlanSpec::Scan { reason } => Plan::Scan { reason },
             })
             .collect();
-        // Symbols in the interned maps are the master store's; probes
+        // Symbols in the equality maps are the master store's; probes
         // resolve through a snapshot of its (append-only) interner.
-        let interner = if used_interned {
+        let interner = if keyed_by_symbol {
             master.interner().clone()
         } else {
             ValueInterner::new()
@@ -760,16 +721,7 @@ impl MasterIndex {
         out: &mut Vec<u32>,
     ) {
         match path {
-            Path::Exact { premise, map } => {
-                let v = t.value(md.premises()[*premise].attr);
-                if v.is_null() {
-                    return;
-                }
-                if let Some(rows) = map.get(v) {
-                    out.extend_from_slice(rows);
-                }
-            }
-            Path::ExactInterned { premise, map } => {
+            Path::Equal { premise, map } => {
                 let v = t.value(md.premises()[*premise].attr);
                 if v.is_null() {
                     return;
@@ -949,7 +901,7 @@ impl MasterIndex {
         } = scratch;
         match &self.plans[md_idx] {
             Plan::Scan { .. } => unreachable!("scan plans never reach candidate computation"),
-            Plan::Single(path @ (Path::Exact { .. } | Path::ExactInterned { .. })) => {
+            Plan::Single(path @ Path::Equal { .. }) => {
                 // Exact buckets are already ascending and unique: emit
                 // straight off the map.
                 self.collect_path(path, md, t, qgram, matching, out);
@@ -958,26 +910,18 @@ impl MasterIndex {
                 self.collect_path(path, md, t, qgram, matching, out);
                 out.sort_unstable();
             }
-            Plan::Composite {
-                premises,
-                map,
-                hash_syms,
-            } => {
+            Plan::Composite { premises, map } => {
                 let mut h = FxHasher::default();
                 for &pi in premises.iter() {
                     let v = t.value(md.premises()[pi].attr);
                     if v.is_null() {
                         return;
                     }
-                    if *hash_syms {
-                        match self.interner.get(v) {
-                            Some(sym) => h.write_u32(sym.0),
-                            // Never interned by the master ⇒ not in any
-                            // master cell ⇒ the conjunct cannot hold.
-                            None => return,
-                        }
-                    } else {
-                        v.hash(&mut h);
+                    match self.interner.get(v) {
+                        Some(sym) => h.write_u32(sym.0),
+                        // Never interned by the master ⇒ not in any master
+                        // cell ⇒ the conjunct cannot hold.
+                        None => return,
                     }
                 }
                 if let Some(rows) = map.get(&h.finish()) {
@@ -1117,8 +1061,7 @@ impl MasterIndex {
                 .to_string()
         };
         let path = |p: &Path| match p {
-            Path::Exact { premise, .. } => format!("exact-eq({})", attr(*premise)),
-            Path::ExactInterned { premise, .. } => format!("exact-eq[sym]({})", attr(*premise)),
+            Path::Equal { premise, .. } => format!("exact-eq({})", attr(*premise)),
             Path::LevCount { premise, k, .. } => {
                 format!("lev-count({}, q={LEV_QGRAM_Q}, k={k})", attr(*premise))
             }
@@ -1133,13 +1076,8 @@ impl MasterIndex {
         };
         match &self.plans[md_idx] {
             Plan::Single(p) => path(p),
-            Plan::Composite {
-                premises,
-                hash_syms,
-                ..
-            } => format!(
-                "composite-eq{}({})",
-                if *hash_syms { "[sym]" } else { "" },
+            Plan::Composite { premises, .. } => format!(
+                "composite-eq({})",
                 premises
                     .iter()
                     .map(|&i| attr(i))
@@ -1157,7 +1095,7 @@ impl MasterIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uniclean_model::{Schema, Tuple};
+    use uniclean_model::{Schema, Tuple, Value};
     use uniclean_rules::parse_rules;
 
     fn setup(pred: &str) -> (Arc<Schema>, Arc<Schema>, Vec<Md>, Relation) {
@@ -1202,21 +1140,6 @@ mod tests {
             vec![TupleId(0), TupleId(2)]
         );
         let _ = tran;
-    }
-
-    #[test]
-    fn interned_and_raw_exact_paths_agree() {
-        let (_, _, mds, dm) = setup("=");
-        let interned = MasterIndex::build_with(&mds, &dm, true);
-        let raw = MasterIndex::build_with(&mds, &dm, false);
-        for name in ["Smith", "Brady", "Nobody", ""] {
-            let t = Tuple::of_strs(&[name, "999"], 0.5);
-            assert_eq!(
-                probe_matches(&interned, &mds[0], &t, &dm),
-                probe_matches(&raw, &mds[0], &t, &dm),
-                "probe {name:?}"
-            );
-        }
     }
 
     #[test]
@@ -1278,19 +1201,17 @@ mod tests {
                 Tuple::of_strs(&["Brady", "Edi", "333"], 1.0),
             ],
         );
-        for interning in [true, false] {
-            let idx = MasterIndex::build_with(&mds, &dm, interning);
-            assert!(idx.describe_plan(0, &mds[0]).starts_with("composite-eq"));
-            let t = Tuple::of_strs(&["Smith", "Edi", "999"], 0.5);
-            // One probe pins both conjuncts: only the (Smith, Edi) row is
-            // even a candidate, where the old single-equality path would
-            // have surfaced both Smith rows.
-            let mut scratch = ProbeScratch::new();
-            let mut cands = Vec::new();
-            idx.for_each_candidate(0, &mds[0], &t, &mut scratch, |sid| cands.push(sid));
-            assert_eq!(cands, vec![TupleId(0)]);
-            assert_eq!(probe_matches(&idx, &mds[0], &t, &dm), vec![TupleId(0)]);
-        }
+        let idx = MasterIndex::build(&mds, &dm);
+        assert!(idx.describe_plan(0, &mds[0]).starts_with("composite-eq"));
+        let t = Tuple::of_strs(&["Smith", "Edi", "999"], 0.5);
+        // One probe pins both conjuncts: only the (Smith, Edi) row is even a
+        // candidate, where the old single-equality path would have surfaced
+        // both Smith rows.
+        let mut scratch = ProbeScratch::new();
+        let mut cands = Vec::new();
+        idx.for_each_candidate(0, &mds[0], &t, &mut scratch, |sid| cands.push(sid));
+        assert_eq!(cands, vec![TupleId(0)]);
+        assert_eq!(probe_matches(&idx, &mds[0], &t, &dm), vec![TupleId(0)]);
     }
 
     #[test]
@@ -1312,7 +1233,6 @@ mod tests {
         let forced = MasterIndex::build_with_policy(
             &mds,
             &dm,
-            true,
             1,
             IndexPolicy {
                 intersect_above: 0.0,
@@ -1358,7 +1278,6 @@ mod tests {
         let forced = MasterIndex::build_with_policy(
             &mds,
             &dm,
-            true,
             1,
             IndexPolicy {
                 intersect_above: 0.0,
@@ -1478,8 +1397,8 @@ mod tests {
                 Tuple::of_strs(&["Brady", "Rob", "222"], 1.0),
             ],
         );
-        let seq = MasterIndex::build_parallel(&mds, &dm, true, 1);
-        let par = MasterIndex::build_parallel(&mds, &dm, true, 4);
+        let seq = MasterIndex::build_with_policy(&mds, &dm, 1, IndexPolicy::default());
+        let par = MasterIndex::build_with_policy(&mds, &dm, 4, IndexPolicy::default());
         for (i, md) in mds.iter().enumerate() {
             assert_eq!(seq.describe_plan(i, md), par.describe_plan(i, md));
             for name in ["Smith", "Smoth", "Brady"] {

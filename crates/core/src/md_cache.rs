@@ -1,7 +1,7 @@
 //! Memoized MD premise verification — the parallel "chunk" stage of the
 //! chunk–merge–apply design (see [`crate::parallel`]).
 //!
-//! `MasterIndex::matches_excluding` — candidate generation plus full
+//! `MasterIndex::matches_into` — candidate generation plus full
 //! premise verification against master data — dominates the running time
 //! of `cRepair` and `eRepair` on MD-heavy workloads, and it is a pure
 //! function of one data tuple's premise cells (master data never changes
@@ -16,14 +16,15 @@
 //!   code would;
 //! * [`MdMatchCache::invalidate`] drops entries whose premise cells a fix
 //!   just rewrote, keeping the cache transparent: the served lists are
-//!   always equal to a direct `matches_excluding` call on the current
+//!   always equal to a direct `matches_into` call on the current
 //!   relation state, so results are bit-identical at every thread count.
 
 use uniclean_model::{AttrId, Relation, TupleId};
 use uniclean_rules::RuleSet;
 
-use crate::master_index::{MasterIndex, ProbeScratch};
+use crate::master_index::ProbeScratch;
 use crate::parallel::map_chunks;
+use crate::session::Master;
 
 /// Per-(MD, tuple) verified witness lists with premise-based invalidation.
 ///
@@ -39,8 +40,6 @@ pub(crate) struct MdMatchCache {
     entries: Vec<Vec<Option<Box<[TupleId]>>>>,
     /// `attr.index()` → MDs whose premise reads that attribute.
     attr_to_mds: Vec<Vec<usize>>,
-    /// Self-matching mode: exclude the tuple's own positional master copy.
-    exclude_self: bool,
     /// `(md, tuple)` slots invalidated since the last `begin_run`; refills
     /// of these reflect mid-run states, not the run's base state.
     volatile: Vec<(usize, TupleId)>,
@@ -55,7 +54,7 @@ pub(crate) struct MdMatchCache {
 }
 
 impl MdMatchCache {
-    pub(crate) fn new(rules: &RuleSet, n_tuples: usize, exclude_self: bool) -> Self {
+    pub(crate) fn new(rules: &RuleSet, n_tuples: usize) -> Self {
         let n_mds = rules.mds().len();
         let n_attrs = rules.schema().arity();
         let mut attr_to_mds = vec![Vec::new(); n_attrs];
@@ -70,7 +69,6 @@ impl MdMatchCache {
         MdMatchCache {
             entries: vec![vec![None; n_tuples]; n_mds],
             attr_to_mds,
-            exclude_self,
             volatile: Vec::new(),
             scratch: ProbeScratch::new(),
             miss_buf: Vec::new(),
@@ -107,11 +105,6 @@ impl MdMatchCache {
         self.volatile.clear();
     }
 
-    #[inline]
-    fn exclude(&self, t: TupleId) -> Option<TupleId> {
-        self.exclude_self.then_some(t)
-    }
-
     /// Fan the expensive verification out over `threads` workers for every
     /// `(md, tuple)` pair `want` selects, merging results in tuple-id
     /// order. Pairs not selected (or later invalidated) fall back to the
@@ -120,23 +113,20 @@ impl MdMatchCache {
         &mut self,
         rules: &RuleSet,
         d: &Relation,
-        dm: &Relation,
-        idx: &MasterIndex,
+        m: Master<'_>,
         threads: usize,
         want: impl Fn(usize, TupleId) -> bool + Sync,
     ) {
-        self.prefill_range(rules, d, dm, idx, threads, 0..d.len(), want);
+        self.prefill_range(rules, d, m, threads, 0..d.len(), want);
     }
 
     /// [`Self::prefill`] restricted to the tuple-id range `span` — the
     /// incremental path only prefills the appended batch.
-    #[allow(clippy::too_many_arguments)] // prefill's parameter set plus the span
     pub(crate) fn prefill_range(
         &mut self,
         rules: &RuleSet,
         d: &Relation,
-        dm: &Relation,
-        idx: &MasterIndex,
+        m: Master<'_>,
         threads: usize,
         span: std::ops::Range<usize>,
         want: impl Fn(usize, TupleId) -> bool + Sync,
@@ -144,7 +134,6 @@ impl MdMatchCache {
         if threads <= 1 || rules.mds().is_empty() {
             return;
         }
-        let exclude_self = self.exclude_self;
         let n_mds = rules.mds().len();
         let base = span.start;
         // chunk: one worker per tuple range, producing per-tuple rows of
@@ -159,20 +148,20 @@ impl MdMatchCache {
             for i in range {
                 let t = TupleId::from(base + i);
                 let mut row: Vec<Option<Box<[TupleId]>>> = vec![None; n_mds];
-                for (m, md) in rules.mds().iter().enumerate() {
-                    if entries[m][t.index()].is_some() || !want(m, t) {
+                for (j, md) in rules.mds().iter().enumerate() {
+                    if entries[j][t.index()].is_some() || !want(j, t) {
                         continue;
                     }
-                    idx.matches_into(
-                        m,
+                    m.index.matches_into(
+                        j,
                         md,
                         d.tuple(t),
-                        dm,
-                        exclude_self.then_some(t),
+                        m.dm,
+                        m.own_row(t),
                         &mut scratch,
                         &mut buf,
                     );
-                    row[m] = Some(buf.as_slice().into());
+                    row[j] = Some(buf.as_slice().into());
                 }
                 rows.push(row);
             }
@@ -181,9 +170,9 @@ impl MdMatchCache {
         let mut i = base;
         for chunk in chunks {
             for row in chunk {
-                for (m, entry) in row.into_iter().enumerate() {
+                for (j, entry) in row.into_iter().enumerate() {
                     if entry.is_some() {
-                        self.entries[m][i] = entry;
+                        self.entries[j][i] = entry;
                     }
                 }
                 i += 1;
@@ -192,27 +181,26 @@ impl MdMatchCache {
     }
 
     /// The verified witness list for `(md_idx, t)` against the current
-    /// relation state; recomputes on a miss.
+    /// relation state; recomputes on a miss. A self-snapshot master's row
+    /// `t` is the tuple's own copy and never a witness.
     pub(crate) fn matches(
         &mut self,
         md_idx: usize,
         rules: &RuleSet,
         d: &Relation,
-        dm: &Relation,
-        idx: &MasterIndex,
+        m: Master<'_>,
         t: TupleId,
     ) -> &[TupleId] {
-        let exclude = self.exclude(t);
         let slot = &mut self.entries[md_idx][t.index()];
         if slot.is_none() {
             let md = &rules.mds()[md_idx];
             self.miss_buf.clear();
-            idx.matches_into(
+            m.index.matches_into(
                 md_idx,
                 md,
                 d.tuple(t),
-                dm,
-                exclude,
+                m.dm,
+                m.own_row(t),
                 &mut self.scratch,
                 &mut self.miss_buf,
             );
@@ -234,6 +222,7 @@ impl MdMatchCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::master_index::MasterIndex;
     use uniclean_model::{Schema, Tuple, Value};
     use uniclean_rules::parse_rules;
 
@@ -272,7 +261,8 @@ mod tests {
     #[test]
     fn lazy_matches_equal_direct_computation() {
         let (rules, d, dm, idx) = setup();
-        let mut cache = MdMatchCache::new(&rules, d.len(), false);
+        let m = Master::external(&rules, Some(&dm), Some(&idx)).unwrap();
+        let mut cache = MdMatchCache::new(&rules, d.len());
         let mut scratch = crate::master_index::ProbeScratch::new();
         let mut want = Vec::new();
         for t in d.ids() {
@@ -285,7 +275,7 @@ mod tests {
                 &mut scratch,
                 &mut want,
             );
-            let got = cache.matches(0, &rules, &d, &dm, &idx, t);
+            let got = cache.matches(0, &rules, &d, m, t);
             assert_eq!(got, want.as_slice(), "tuple {t:?}");
         }
     }
@@ -293,13 +283,14 @@ mod tests {
     #[test]
     fn prefill_matches_lazy_path() {
         let (rules, d, dm, idx) = setup();
-        let mut eager = MdMatchCache::new(&rules, d.len(), false);
-        eager.prefill(&rules, &d, &dm, &idx, 2, |_, _| true);
-        let mut lazy = MdMatchCache::new(&rules, d.len(), false);
+        let m = Master::external(&rules, Some(&dm), Some(&idx)).unwrap();
+        let mut eager = MdMatchCache::new(&rules, d.len());
+        eager.prefill(&rules, &d, m, 2, |_, _| true);
+        let mut lazy = MdMatchCache::new(&rules, d.len());
         for t in d.ids() {
             assert_eq!(
-                eager.matches(0, &rules, &d, &dm, &idx, t).to_vec(),
-                lazy.matches(0, &rules, &d, &dm, &idx, t).to_vec(),
+                eager.matches(0, &rules, &d, m, t).to_vec(),
+                lazy.matches(0, &rules, &d, m, t).to_vec(),
             );
         }
     }
@@ -307,23 +298,24 @@ mod tests {
     #[test]
     fn invalidation_tracks_premise_rewrites() {
         let (rules, mut d, dm, idx) = setup();
+        let m = Master::external(&rules, Some(&dm), Some(&idx)).unwrap();
         let city = d.schema().attr_id_or_panic("city");
         let phn = d.schema().attr_id_or_panic("phn");
-        let mut cache = MdMatchCache::new(&rules, d.len(), false);
+        let mut cache = MdMatchCache::new(&rules, d.len());
 
         // t2 (Smith, Ldn) matches nothing; repair city → Edi and it must
         // match master row 0 — but only if the cache was invalidated.
         let t = TupleId(2);
-        assert!(cache.matches(0, &rules, &d, &dm, &idx, t).is_empty());
+        assert!(cache.matches(0, &rules, &d, m, t).is_empty());
         d.tuple_mut(t)
             .set(city, Value::str("Edi"), 0.5, Default::default());
         cache.invalidate(t, city);
-        assert_eq!(cache.matches(0, &rules, &d, &dm, &idx, t), &[TupleId(0)]);
+        assert_eq!(cache.matches(0, &rules, &d, m, t), &[TupleId(0)]);
 
         // Rewriting a non-premise attribute must keep the entry.
         d.tuple_mut(t)
             .set(phn, Value::str("999"), 0.5, Default::default());
         cache.invalidate(t, phn);
-        assert_eq!(cache.matches(0, &rules, &d, &dm, &idx, t), &[TupleId(0)]);
+        assert_eq!(cache.matches(0, &rules, &d, m, t), &[TupleId(0)]);
     }
 }

@@ -38,7 +38,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use uniclean_model::{repair_cost, FixMark, Relation, Tuple};
+use uniclean_model::{repair_cost, AttrId, FixMark, Relation, Tuple, TupleId};
 use uniclean_rules::RuleSet;
 
 use crate::acceptance::ConsistencyIndex;
@@ -47,8 +47,8 @@ use crate::crepair::{c_run, CFixpoint, CGuard};
 use crate::erepair::e_run;
 use crate::error::CleanError;
 use crate::fix::FixReport;
-use crate::hrepair::h_repair;
-use crate::master_index::MasterIndex;
+use crate::hrepair::h_run;
+use crate::master_index::{IndexPolicy, MasterIndex};
 use crate::md_cache::MdMatchCache;
 use crate::two_in_one::TwoInOne;
 
@@ -136,9 +136,10 @@ impl Phase {
 pub struct PhaseStats {
     /// Which phase ran.
     pub phase: Phase,
-    /// Wall-clock seconds the phase took (excluding snapshot/index
-    /// construction for [`MasterSource::SelfSnapshot`], matching how the
-    /// paper reports per-algorithm times).
+    /// Wall-clock seconds the phase took (excluding the phase-start
+    /// snapshot/index construction for [`MasterSource::SelfSnapshot`],
+    /// matching how the paper reports per-algorithm times; `hRepair`'s
+    /// per-round snapshots are included).
     pub seconds: f64,
     /// Fixes the phase applied.
     pub fixes: usize,
@@ -221,30 +222,36 @@ impl PreparedCleaner {
         self.index.as_ref()
     }
 
-    /// The validated configuration (with `self_match` already set to match
-    /// the master source).
+    /// The validated configuration.
     pub fn config(&self) -> &CleanConfig {
         &self.config
     }
 
-    /// The master view one phase — or the §3.2 acceptance check — sees,
-    /// given the repair so far. External masters reuse the access paths
-    /// built at `build` time; the self-snapshot re-renders `current` and
-    /// indexes it.
+    /// The master view one phase round — or the §3.2 acceptance check —
+    /// sees, given the repair so far: the one place that decides which
+    /// master rows are matched and whether a tuple's own row counts.
+    /// External masters reuse the access paths built at `build` time; the
+    /// self-snapshot re-renders `current` and indexes it.
     pub(crate) fn view(&self, current: &Relation) -> MasterView<'_> {
         match &self.master {
-            MasterSource::External(m) => MasterView::Prepared(Some(m), self.index.as_ref()),
+            MasterSource::External(dm) => {
+                MasterView::Prepared(self.index.as_ref().map(|index| Master {
+                    dm,
+                    index,
+                    is_self: false,
+                }))
+            }
             MasterSource::SelfSnapshot => {
                 let snap = self.snapshot(current);
-                let idx = MasterIndex::build_parallel(
+                let idx = MasterIndex::build_with_policy(
                     self.rules.mds(),
                     &snap,
-                    self.config.interning,
                     self.config.effective_parallelism(),
+                    IndexPolicy::default(),
                 );
                 MasterView::Snapshot(snap, idx)
             }
-            MasterSource::None => MasterView::Prepared(None, None),
+            MasterSource::None => MasterView::Prepared(None),
         }
     }
 
@@ -279,7 +286,7 @@ pub(crate) struct Warm {
 impl Warm {
     /// Fresh structures over `d`: nothing settled, nothing cached.
     fn fresh(prepared: &PreparedCleaner, d: Relation) -> Self {
-        let cfix = CFixpoint::new(&prepared.rules, d.len(), prepared.config.self_match);
+        let cfix = CFixpoint::new(&prepared.rules, d.len());
         Warm {
             post_c: d,
             cfix,
@@ -351,9 +358,10 @@ fn timed(
 /// and the structures come back in [`PhaseRun::warm`]; without it they are
 /// consumed, so a one-shot clean holds no second copy of anything.
 ///
-/// Each phase gets its own master view ([`PreparedCleaner::view`]): under
-/// [`MasterSource::SelfSnapshot`] that re-renders the current repair, so
-/// each phase sees the previous phase's fixes (the §9 interleaving).
+/// Each phase gets its own master view ([`PreparedCleaner::view`]), and
+/// `hRepair` one per round: under [`MasterSource::SelfSnapshot`] that
+/// re-renders the current repair, so each phase sees the previous phase's
+/// fixes (the §9 interleaving).
 pub(crate) fn run_phases(
     prepared: &PreparedCleaner,
     phase: Phase,
@@ -373,14 +381,12 @@ pub(crate) fn run_phases(
 
     let mut guard = settled.map(CGuard::new);
     let view = prepared.view(&post_c);
-    let (dm, index) = view.parts();
     let mut report = timed(observer, &mut phases, Phase::CRepair, || {
         let seed_from = settled.unwrap_or(0);
         let fixes = c_run(
             &mut post_c,
-            dm,
+            view.master(),
             rules,
-            index,
             cfg,
             &mut cfix,
             seed_from,
@@ -409,9 +415,8 @@ pub(crate) fn run_phases(
     let mut spent = None;
     if phase >= Phase::ERepair {
         let view = prepared.view(&work);
-        let (dm, index) = view.parts();
         let e_fixes = timed(observer, &mut phases, Phase::ERepair, || {
-            let build = |d: &Relation| TwoInOne::build_with(rules, d, cfg.interning, threads);
+            let build = |d: &Relation| TwoInOne::build_with(rules, d, true, threads);
             let (two, mut cache) = match (e, settled) {
                 // Persisted structures: extend the 2-in-1 by insert-time
                 // deltas and serve premise verification from the warm
@@ -437,15 +442,19 @@ pub(crate) fn run_phases(
                     }
                     (two, cache)
                 }
-                _ => (
-                    build(&work),
-                    MdMatchCache::new(rules, work.len(), cfg.self_match),
-                ),
+                _ => (build(&work), MdMatchCache::new(rules, work.len())),
             };
             // eRepair re-derives its (globally decided) fixes from the
             // post-cRepair state on every run, consuming its 2-in-1.
             let (mut structure, two) = working_copy(two, keep);
-            let fixes = e_run(&mut work, dm, rules, index, cfg, &mut structure, &mut cache);
+            let fixes = e_run(
+                &mut work,
+                view.master(),
+                rules,
+                cfg,
+                &mut structure,
+                &mut cache,
+            );
             kept_e = two.map(|two| (two, cache));
             spent = keep.then_some(structure);
             fixes
@@ -453,10 +462,8 @@ pub(crate) fn run_phases(
         report.extend(e_fixes);
     }
     if phase >= Phase::HRepair {
-        let view = prepared.view(&work);
-        let (dm, index) = view.parts();
         let h_fixes = timed(observer, &mut phases, Phase::HRepair, || {
-            h_repair(&mut work, dm, rules, index, cfg)
+            h_run(&mut work, rules, cfg, |cur| prepared.view(cur))
         });
         report.extend(h_fixes);
     }
@@ -495,7 +502,8 @@ pub(crate) fn full_clean(
     // Acceptance (§3.2): `Dr ⊨ Σ` and `(Dr, Dm) ⊨ Γ`, checked against
     // whatever master view the final state implies.
     let view = prepared.view(&run.work);
-    let cons = ConsistencyIndex::build(&prepared.rules, &run.work, view.master());
+    let master = view.master().map(|m| (m.dm, m.index));
+    let cons = ConsistencyIndex::build(&prepared.rules, &run.work, master);
     let result = CleanResult {
         cost: repair_cost(d, &run.work),
         consistent: cons.consistent(),
@@ -506,25 +514,71 @@ pub(crate) fn full_clean(
     (result, run.warm, cons)
 }
 
-/// The `(Dm, index)` pair of one phase or acceptance check: borrowed from
-/// the session, or a snapshot of the repair so far owned by the view.
+/// The master data one phase round matches against: the rows `Dm`, their
+/// access paths, and whether `Dm` is a snapshot of the data itself.
+#[derive(Clone, Copy)]
+pub(crate) struct Master<'a> {
+    pub(crate) dm: &'a Relation,
+    pub(crate) index: &'a MasterIndex,
+    /// Set only under [`MasterSource::SelfSnapshot`]; read through
+    /// [`Master::own_row`] and [`Master::is_evidence`]. Acceptance ignores
+    /// it: a tuple's own row agrees with it on the RHS.
+    is_self: bool,
+}
+
+impl<'a> Master<'a> {
+    /// The row tuple `t` must not match: its own (positional) copy in a
+    /// self-snapshot, which would otherwise witness against every fresh
+    /// fix.
+    pub(crate) fn own_row(&self, t: TupleId) -> Option<TupleId> {
+        self.is_self.then_some(t)
+    }
+
+    /// Does row `s` carry evidence for the conclusion attribute `f`? Master
+    /// data always does; a self-snapshot row only when that cell is
+    /// asserted (`cf ≥ η`), since the snapshot is dirty data.
+    pub(crate) fn is_evidence(&self, s: TupleId, f: AttrId, eta: f64) -> bool {
+        !self.is_self || self.dm.tuple(s).cf(f) >= eta
+    }
+
+    /// The external master the public per-phase entry points
+    /// ([`crate::c_repair`], [`crate::e_repair`], [`crate::h_repair`])
+    /// take as loose halves; `None` without master data.
+    pub(crate) fn external(
+        rules: &RuleSet,
+        dm: Option<&'a Relation>,
+        index: Option<&'a MasterIndex>,
+    ) -> Option<Self> {
+        assert!(
+            rules.mds().is_empty() || (dm.is_some() && index.is_some()),
+            "rule set contains MDs: master data and a MasterIndex are required"
+        );
+        Some(Master {
+            dm: dm?,
+            index: index?,
+            is_self: false,
+        })
+    }
+}
+
+/// The master of one phase round or acceptance check: borrowed from the
+/// session, or a snapshot of the repair so far owned by the view.
 pub(crate) enum MasterView<'a> {
-    Prepared(Option<&'a Relation>, Option<&'a MasterIndex>),
+    Prepared(Option<Master<'a>>),
     Snapshot(Relation, MasterIndex),
 }
 
 impl MasterView<'_> {
-    fn parts(&self) -> (Option<&Relation>, Option<&MasterIndex>) {
+    /// The master to match against, or `None` without master data.
+    pub(crate) fn master(&self) -> Option<Master<'_>> {
         match self {
-            MasterView::Prepared(dm, index) => (*dm, *index),
-            MasterView::Snapshot(dm, index) => (Some(dm), Some(index)),
+            MasterView::Prepared(master) => *master,
+            MasterView::Snapshot(dm, index) => Some(Master {
+                dm,
+                index,
+                is_self: true,
+            }),
         }
-    }
-
-    /// Both halves, or `None` without master data.
-    pub(crate) fn master(&self) -> Option<(&Relation, &MasterIndex)> {
-        let (dm, index) = self.parts();
-        dm.zip(index)
     }
 }
 
@@ -634,8 +688,7 @@ impl Cleaner {
         &self.prepared.master
     }
 
-    /// The validated configuration (with `self_match` already set to match
-    /// the master source).
+    /// The validated configuration.
     pub fn config(&self) -> &CleanConfig {
         &self.prepared.config
     }
@@ -680,9 +733,6 @@ impl CleanerBuilder {
     }
 
     /// Thresholds and limits (default: [`CleanConfig::default`]).
-    /// `self_match` is forced on for [`MasterSource::SelfSnapshot`];
-    /// otherwise the flag is honored as given (a caller supplying its own
-    /// data snapshot as an External master keeps the self-exclusion guard).
     pub fn config(mut self, config: CleanConfig) -> Self {
         self.config = config;
         self
@@ -710,13 +760,7 @@ impl CleanerBuilder {
     ///   — self-snapshot without a positionally mirroring master schema.
     pub fn build(self) -> Result<Cleaner, CleanError> {
         let rules = self.rules.ok_or(CleanError::MissingRules)?;
-        let mut config = self.config;
-        // SelfSnapshot requires the self-exclusion guard; for the other
-        // sources the caller's flag is honored (a caller may supply its own
-        // data snapshot as an External master and still want the guard).
-        if matches!(self.master, MasterSource::SelfSnapshot) {
-            config.self_match = true;
-        }
+        let config = self.config;
         config.validate()?;
 
         match &self.master {
@@ -747,11 +791,11 @@ impl CleanerBuilder {
         }
 
         let index = match &self.master {
-            MasterSource::External(dm) => Some(MasterIndex::build_parallel(
+            MasterSource::External(dm) => Some(MasterIndex::build_with_policy(
                 rules.mds(),
                 dm,
-                config.interning,
                 config.effective_parallelism(),
+                IndexPolicy::default(),
             )),
             _ => None,
         };

@@ -163,15 +163,14 @@ impl TwoInOne {
         Self::build_with(rules, d, true, 1)
     }
 
-    /// [`Self::build`] with explicit interning and worker-thread knobs.
-    /// The per-tuple pattern checks and key projections fan out over
-    /// `threads` scoped workers; the merge replays them in tuple-id order,
-    /// so the resulting structure (including group-id assignment) is
-    /// bit-identical for every thread count. `interning` is accepted for
-    /// configuration symmetry but no longer changes anything here: the
-    /// columnar store is symbol-native, so keys are always symbols.
-    pub fn build_with(rules: &RuleSet, d: &Relation, interning: bool, threads: usize) -> Self {
-        let _ = interning;
+    /// [`Self::build`] with a worker-thread knob. The per-tuple pattern
+    /// checks and key projections fan out over `threads` scoped workers;
+    /// the merge replays them in tuple-id order, so the resulting structure
+    /// (including group-id assignment) is bit-identical for every thread
+    /// count. The `bool` is ignored: the columnar store is symbol-native,
+    /// so keys are always symbols. It stays only because the benchmark
+    /// harness still passes one.
+    pub fn build_with(rules: &RuleSet, d: &Relation, _: bool, threads: usize) -> Self {
         let n_attrs = rules.schema().arity();
         let mut vcfd_rule_idx = Vec::new();
         let mut lhs = Vec::new();

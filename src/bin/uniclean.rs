@@ -53,10 +53,10 @@ CLEAN OPTIONS:
     --delta2 <0..1>            entropy threshold δ2 [default: 0.8]
     --phase <c|ce|full>        run cRepair / +eRepair / all phases [default: full]
     --cf <0..1>                default confidence for every input cell [default: 0]
-    --self-match               master-free mode: the data is its own master
+    --self-match               master-free mode: the data is its own master;
+                               cannot be combined with --master
     --threads <n>              worker threads for the phase internals
                                [default: all cores; output is identical at any n]
-    --no-interning             disable value interning (benchmarking only)
     --delta <b1.csv,b2.csv>    incremental mode: clean --data once, then absorb
                                each batch CSV via clean_delta (same header row);
                                the output is the repaired concatenated relation,
@@ -226,6 +226,11 @@ fn load_input(opts: &Opts, default_cf: f64) -> Result<LoadedInput, String> {
 
     let data = load_relation(data_path, table, default_cf)?;
     let master = match opts.get("master") {
+        Some(_) if opts.flag("self-match") => {
+            return Err("--master and --self-match are mutually exclusive: \
+                        --self-match makes the data its own master"
+                .into())
+        }
         Some(p) => Some(load_relation(p, master_table, 1.0)?),
         None if opts.flag("self-match") => {
             // Self-matching: the master schema mirrors the data schema.
@@ -288,7 +293,6 @@ fn cmd_clean(opts: &Opts) -> Result<String, String> {
         eta: opts.get_f64("eta", 1.0)?,
         delta_entropy: opts.get_f64("delta2", 0.8)?,
         parallelism,
-        interning: !opts.flag("no-interning"),
         ..CleanConfig::default()
     };
     let phase = parse_phase(opts.get_or("phase", "full"))?;
@@ -711,6 +715,35 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("consistent: true"), "{out}");
+    }
+
+    #[test]
+    fn master_free_mode_rejects_a_master_file() {
+        // Either flag alone picks a master; together one would be dropped
+        // silently, so every command that loads input refuses the pair.
+        let data = write_temp("dx.csv", "LN,phn\nBrady,000\n");
+        let master = write_temp("mx.csv", "LN,phn\nBrady,3887644\n");
+        let rules = write_temp(
+            "rx.rules",
+            "md psi: data[LN] = master[LN] -> data[phn] <=> master[phn]",
+        );
+        for cmd in ["clean", "check", "analyze"] {
+            let err = run(&argv(&[
+                cmd,
+                "--data",
+                &data,
+                "--rules",
+                &rules,
+                "--master",
+                &master,
+                "--self-match",
+            ]))
+            .unwrap_err();
+            assert!(
+                err.contains("--master") && err.contains("--self-match"),
+                "{cmd}: {err}"
+            );
+        }
     }
 
     #[test]

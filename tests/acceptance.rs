@@ -88,7 +88,7 @@ proptest! {
         let forced = IndexPolicy { intersect_above: 0.0 };
         let indexes = [
             MasterIndex::build(rules.mds(), &dm),
-            MasterIndex::build_with_policy(rules.mds(), &dm, true, 1, forced),
+            MasterIndex::build_with_policy(rules.mds(), &dm, 1, forced),
         ];
         for index in &indexes {
             let cons = ConsistencyIndex::build(&rules, &d, Some((&dm, index)));

@@ -79,40 +79,37 @@ proptest! {
             ("default", IndexPolicy::default()),
             ("intersect-always", IndexPolicy { intersect_above: 0.0 }),
         ];
-        for interning in [true, false] {
-            for (policy_name, policy) in policies {
-                let idx = MasterIndex::build_with_policy(&mds, &dm, interning, 1, policy);
-                let mut scratch = ProbeScratch::new();
-                let mut verified = Vec::new();
-                for (i, md) in mds.iter().enumerate() {
-                    prop_assert!(idx.is_indexed(i), "md {} not indexed", md.name());
-                    for (pa, pb) in &probes {
-                        let t = Tuple::of_strs(&[pa, pb, "probe"], 0.5);
-                        let want = reference(md, &t, &dm);
-                        let mut cands = Vec::new();
-                        idx.for_each_candidate(i, md, &t, &mut scratch, |sid| cands.push(sid));
-                        for sid in &want {
-                            prop_assert!(
-                                cands.contains(sid),
-                                "[{policy_name} interning={interning}] md {} probe ({pa:?},{pb:?}): \
-                                 true match {sid:?} pruned (plan {})",
-                                md.name(),
-                                idx.describe_plan(i, md)
-                            );
-                        }
-                        idx.matches_into(i, md, &t, &dm, None, &mut scratch, &mut verified);
-                        prop_assert_eq!(
-                            &verified,
-                            &want,
-                            "[{} interning={}] md {} probe ({:?},{:?}) plan {}",
-                            policy_name,
-                            interning,
+        for (policy_name, policy) in policies {
+            let idx = MasterIndex::build_with_policy(&mds, &dm, 1, policy);
+            let mut scratch = ProbeScratch::new();
+            let mut verified = Vec::new();
+            for (i, md) in mds.iter().enumerate() {
+                prop_assert!(idx.is_indexed(i), "md {} not indexed", md.name());
+                for (pa, pb) in &probes {
+                    let t = Tuple::of_strs(&[pa, pb, "probe"], 0.5);
+                    let want = reference(md, &t, &dm);
+                    let mut cands = Vec::new();
+                    idx.for_each_candidate(i, md, &t, &mut scratch, |sid| cands.push(sid));
+                    for sid in &want {
+                        prop_assert!(
+                            cands.contains(sid),
+                            "[{policy_name}] md {} probe ({pa:?},{pb:?}): \
+                             true match {sid:?} pruned (plan {})",
                             md.name(),
-                            pa,
-                            pb,
                             idx.describe_plan(i, md)
                         );
                     }
+                    idx.matches_into(i, md, &t, &dm, None, &mut scratch, &mut verified);
+                    prop_assert_eq!(
+                        &verified,
+                        &want,
+                        "[{}] md {} probe ({:?},{:?}) plan {}",
+                        policy_name,
+                        md.name(),
+                        pa,
+                        pb,
+                        idx.describe_plan(i, md)
+                    );
                 }
             }
         }
@@ -163,7 +160,8 @@ fn generated_workloads_match_the_scan_on_every_md() {
     for w in workloads {
         let mds = w.rules.mds();
         for threads in [1, 4] {
-            let idx = MasterIndex::build_parallel(mds, &w.master, true, threads);
+            let idx =
+                MasterIndex::build_with_policy(mds, &w.master, threads, IndexPolicy::default());
             let mut scratch = ProbeScratch::new();
             let mut verified = Vec::new();
             for (i, md) in mds.iter().enumerate() {
@@ -256,7 +254,6 @@ fn forced_intersection_equals_default_on_correlated_data() {
     let forced = MasterIndex::build_with_policy(
         &mds,
         &dm,
-        true,
         2,
         IndexPolicy {
             intersect_above: 0.0,

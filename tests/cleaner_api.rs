@@ -385,57 +385,6 @@ fn an_escalating_delta_pairs_every_phase_start_with_an_end() {
 }
 
 #[test]
-fn caller_set_self_match_survives_an_external_master() {
-    // A caller may pass its own data snapshot as an External master and
-    // rely on the self-exclusion guard; the builder must not clear it.
-    let (_, rules, _, master) = example_1_1();
-    let cleaner = Cleaner::builder()
-        .rules(rules.clone())
-        .master(MasterSource::external(master.clone()))
-        .config(CleanConfig {
-            self_match: true,
-            ..CleanConfig::default()
-        })
-        .build()
-        .unwrap();
-    assert!(cleaner.config().self_match);
-    // External with the flag unset keeps it unset.
-    let cleaner = Cleaner::builder()
-        .rules(rules.clone())
-        .master(MasterSource::external(master))
-        .config(CleanConfig {
-            self_match: false,
-            ..CleanConfig::default()
-        })
-        .build()
-        .unwrap();
-    assert!(!cleaner.config().self_match);
-    // SelfSnapshot forces the guard on regardless of the caller's flag.
-    let tran = Schema::of_strings("tran", &["LN", "phn"]);
-    let selfm = Schema::of_strings("tranm", &["LN", "phn"]);
-    let parsed = parse_rules(
-        "md psi: tran[LN] = tranm[LN] -> tran[phn] <=> tranm[phn]",
-        &tran,
-        Some(&selfm),
-    )
-    .unwrap();
-    let self_rules = RuleSet::new(tran, Some(selfm), vec![], parsed.positive_mds, vec![]);
-    let cleaner = Cleaner::builder()
-        .rules(self_rules)
-        .master(MasterSource::SelfSnapshot)
-        .config(CleanConfig {
-            self_match: false,
-            ..CleanConfig::default()
-        })
-        .build()
-        .unwrap();
-    assert!(
-        cleaner.config().self_match,
-        "SelfSnapshot must force the self-exclusion guard on"
-    );
-}
-
-#[test]
 fn debug_output_stays_compact_for_large_masters() {
     let (_, rules, _, master) = example_1_1();
     let cleaner = Cleaner::builder()

@@ -1,5 +1,5 @@
 //! Determinism suite for the parallel phase internals: every
-//! `parallelism` setting (and both interning modes) must produce a
+//! `parallelism` setting must produce a
 //! `CleanResult` bit-identical to the single-threaded path — same repaired
 //! cells (values, confidences, marks), same fix records in the same order,
 //! same cost and acceptance verdict. This is the contract the
@@ -21,13 +21,11 @@ fn run(
     d: &uniclean::model::Relation,
     eta: f64,
     threads: usize,
-    interning: bool,
     phase: Phase,
 ) -> CleanResult {
     let cfg = CleanConfig {
         eta,
         parallelism: Some(NonZeroUsize::new(threads).unwrap()),
-        interning,
         ..CleanConfig::default()
     };
     Cleaner::builder()
@@ -48,28 +46,24 @@ fn example_1_1_is_thread_count_invariant() {
         &dirty,
         0.8,
         1,
-        true,
         Phase::Full,
     );
     assert!(baseline.consistent);
     assert!(!baseline.report.is_empty());
     for threads in [2, 4, 8] {
-        for interning in [true, false] {
-            let other = run(
-                &rules,
-                MasterSource::external(master.clone()),
-                &dirty,
-                0.8,
-                threads,
-                interning,
-                Phase::Full,
-            );
-            assert_identical(
-                &baseline,
-                &other,
-                &format!("example 1.1, threads={threads}, interning={interning}"),
-            );
-        }
+        let other = run(
+            &rules,
+            MasterSource::external(master.clone()),
+            &dirty,
+            0.8,
+            threads,
+            Phase::Full,
+        );
+        assert_identical(
+            &baseline,
+            &other,
+            &format!("example 1.1, threads={threads}"),
+        );
     }
 }
 
@@ -82,7 +76,6 @@ fn example_1_1_self_snapshot_is_thread_count_invariant() {
         &dirty,
         0.8,
         1,
-        true,
         Phase::Full,
     );
     let parallel = run(
@@ -91,7 +84,6 @@ fn example_1_1_self_snapshot_is_thread_count_invariant() {
         &dirty,
         0.8,
         4,
-        true,
         Phase::Full,
     );
     assert_identical(&baseline, &parallel, "example 1.1 self-snapshot");
@@ -112,7 +104,6 @@ fn generated_hosp_1k_is_thread_count_invariant() {
         &w.dirty,
         1.0,
         1,
-        true,
         Phase::CERepair,
     );
     assert!(
@@ -120,22 +111,15 @@ fn generated_hosp_1k_is_thread_count_invariant() {
         "workload must exercise both phases"
     );
     for threads in [2, 4] {
-        for interning in [true, false] {
-            let other = run(
-                &w.rules,
-                MasterSource::external(w.master.clone()),
-                &w.dirty,
-                1.0,
-                threads,
-                interning,
-                Phase::CERepair,
-            );
-            assert_identical(
-                &baseline,
-                &other,
-                &format!("hosp 1k, threads={threads}, interning={interning}"),
-            );
-        }
+        let other = run(
+            &w.rules,
+            MasterSource::external(w.master.clone()),
+            &w.dirty,
+            1.0,
+            threads,
+            Phase::CERepair,
+        );
+        assert_identical(&baseline, &other, &format!("hosp 1k, threads={threads}"));
     }
 }
 
@@ -154,7 +138,6 @@ fn full_pipeline_on_hosp_is_thread_count_invariant() {
         &w.dirty,
         1.0,
         1,
-        true,
         Phase::Full,
     );
     let parallel = run(
@@ -163,7 +146,6 @@ fn full_pipeline_on_hosp_is_thread_count_invariant() {
         &w.dirty,
         1.0,
         8,
-        true,
         Phase::Full,
     );
     assert_identical(&baseline, &parallel, "hosp 300 full pipeline");
@@ -171,14 +153,13 @@ fn full_pipeline_on_hosp_is_thread_count_invariant() {
 
 /// The SIMD dispatch (q-gram hash lanes, bitset Jaro, columnar `~lev`
 /// driver) must be a pure performance knob, and the similarity kernels
-/// must not break the thread-count / interning contract: on a workload
-/// exercising every similarity predicate family, a full clean is
-/// bit-identical forced-scalar vs auto-dispatched in every thread count ×
-/// interning mode, and every one of those runs is bit-identical to the
-/// (threads 1, interning on) run. This is the same contract
-/// `UNICLEAN_FORCE_SCALAR=1` relies on (the CI feature matrix re-runs the
-/// suites under it); here the override is flipped programmatically so one
-/// process pins both engines against each other.
+/// must not break the thread-count contract: on a workload exercising
+/// every similarity predicate family, a full clean is bit-identical
+/// forced-scalar vs auto-dispatched at every thread count, and every one
+/// of those runs is bit-identical to the one-thread run. This is the same
+/// contract `UNICLEAN_FORCE_SCALAR=1` relies on (the CI feature matrix
+/// re-runs the suites under it); here the override is flipped
+/// programmatically so one process pins both engines against each other.
 ///
 /// The override is process-global, which is safe precisely because of the
 /// property under test: any concurrently running test sees either engine,
@@ -195,34 +176,29 @@ fn forced_scalar_dispatch_is_bit_identical() {
     });
     let mut baseline: Option<CleanResult> = None;
     for threads in [1, 4] {
-        for interning in [true, false] {
-            let clean = |forced| {
-                set_forced_scalar(Some(forced));
-                let r = run(
-                    &w.rules,
-                    MasterSource::external(w.master.clone()),
-                    &w.dirty,
-                    1.0,
-                    threads,
-                    interning,
-                    Phase::Full,
-                );
-                set_forced_scalar(None);
-                r
-            };
-            let (auto, scalar) = (clean(false), clean(true));
-            let config = format!("dblp similarity, threads={threads}, interning={interning}");
-            assert!(
-                !auto.report.is_empty(),
-                "workload must actually exercise the kernels"
+        let clean = |forced| {
+            set_forced_scalar(Some(forced));
+            let r = run(
+                &w.rules,
+                MasterSource::external(w.master.clone()),
+                &w.dirty,
+                1.0,
+                threads,
+                Phase::Full,
             );
-            assert_identical(&auto, &scalar, &format!("{config}: scalar vs auto"));
-            match &baseline {
-                Some(base) => {
-                    assert_identical(base, &auto, &format!("{config} vs threads=1, interning=on"))
-                }
-                None => baseline = Some(auto),
-            }
+            set_forced_scalar(None);
+            r
+        };
+        let (auto, scalar) = (clean(false), clean(true));
+        let config = format!("dblp similarity, threads={threads}");
+        assert!(
+            !auto.report.is_empty(),
+            "workload must actually exercise the kernels"
+        );
+        assert_identical(&auto, &scalar, &format!("{config}: scalar vs auto"));
+        match &baseline {
+            Some(base) => assert_identical(base, &auto, &format!("{config} vs threads=1")),
+            None => baseline = Some(auto),
         }
     }
 }

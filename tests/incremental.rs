@@ -2,8 +2,8 @@
 //! `Cleaner::clean_delta` must leave the state bit-identical — cell
 //! values, confidences, marks, plus cost and acceptance — to a
 //! from-scratch `Cleaner::clean` over the concatenated relation, across
-//! parallelism {1, 4} × interning {on, off}, on both the fast
-//! (continuation) path and the escalation path.
+//! parallelism {1, 4}, on both the fast (continuation) path and the
+//! escalation path.
 
 mod common;
 use common::{assert_identical, assert_state_verdicts};
@@ -69,7 +69,7 @@ fn decode(row: &(u8, u8, u8, u8), schema: &Arc<Schema>) -> Tuple {
     t
 }
 
-fn cleaner(rules: &RuleSet, master: &Relation, threads: usize, interning: bool) -> Cleaner {
+fn cleaner(rules: &RuleSet, master: &Relation, threads: usize) -> Cleaner {
     Cleaner::builder()
         .rules(rules.clone())
         .master(MasterSource::external(master.clone()))
@@ -77,7 +77,6 @@ fn cleaner(rules: &RuleSet, master: &Relation, threads: usize, interning: bool) 
             eta: 0.8,
             delta_entropy: 0.9,
             parallelism: Some(NonZeroUsize::new(threads).unwrap()),
-            interning,
             ..CleanConfig::default()
         })
         .build()
@@ -133,7 +132,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// full-clean(D ∪ batches) ≡ clean + repeated clean_delta, across
-    /// parallelism {1, 4} × interning {on, off} × phase {CE, Full}.
+    /// parallelism {1, 4} × phase {CE, Full}.
     #[test]
     fn delta_equals_full_reclean(
         base in proptest::collection::vec((0u8..3, 0u8..3, 0u8..4, 0u8..27), 1..7),
@@ -147,25 +146,23 @@ proptest! {
 
         for phase in [Phase::CERepair, Phase::Full] {
             for threads in [1usize, 4] {
-                for interning in [true, false] {
-                    let label = format!("phase={phase:?} threads={threads} interning={interning}");
-                    let uni = cleaner(&rules, &master, threads, interning);
+                let label = format!("phase={phase:?} threads={threads}");
+                let uni = cleaner(&rules, &master, threads);
 
-                    let (mut state, first) =
-                        uni.begin(&Relation::new(schema.clone(), d0.clone()), phase);
-                    // begin() must agree with a plain clean() of the base.
-                    let base_ref = uni.clean(&Relation::new(schema.clone(), d0.clone()), phase);
-                    assert_matches(&uni, &base_ref, &state, &format!("{label} [begin]"));
-                    prop_assert_eq!(first.repaired.len(), d0.len());
+                let (mut state, first) =
+                    uni.begin(&Relation::new(schema.clone(), d0.clone()), phase);
+                // begin() must agree with a plain clean() of the base.
+                let base_ref = uni.clean(&Relation::new(schema.clone(), d0.clone()), phase);
+                assert_matches(&uni, &base_ref, &state, &format!("{label} [begin]"));
+                prop_assert_eq!(first.repaired.len(), d0.len());
 
-                    uni.clean_delta(&mut state, &b1).unwrap();
-                    let ref1 = uni.clean(&concat(&schema, &[&d0, &b1]), phase);
-                    assert_matches(&uni, &ref1, &state, &format!("{label} [delta 1]"));
+                uni.clean_delta(&mut state, &b1).unwrap();
+                let ref1 = uni.clean(&concat(&schema, &[&d0, &b1]), phase);
+                assert_matches(&uni, &ref1, &state, &format!("{label} [delta 1]"));
 
-                    uni.clean_delta(&mut state, &b2).unwrap();
-                    let ref2 = uni.clean(&concat(&schema, &[&d0, &b1, &b2]), phase);
-                    assert_matches(&uni, &ref2, &state, &format!("{label} [delta 2]"));
-                }
+                uni.clean_delta(&mut state, &b2).unwrap();
+                let ref2 = uni.clean(&concat(&schema, &[&d0, &b1, &b2]), phase);
+                assert_matches(&uni, &ref2, &state, &format!("{label} [delta 2]"));
             }
         }
     }
@@ -176,7 +173,7 @@ proptest! {
 #[test]
 fn disjoint_batch_stays_on_the_fast_path() {
     let (schema, rules, master) = scenario_rules();
-    let uni = cleaner(&rules, &master, 1, true);
+    let uni = cleaner(&rules, &master, 1);
     let base = Relation::new(
         schema.clone(),
         vec![
@@ -202,7 +199,7 @@ fn disjoint_batch_stays_on_the_fast_path() {
 #[test]
 fn settled_write_is_kept_without_escalation() {
     let (schema, rules, master) = scenario_rules();
-    let uni = cleaner(&rules, &master, 1, true);
+    let uni = cleaner(&rules, &master, 1);
     // Settled tuple: K=k2 asserted, A unasserted → waits on the FD group
     // for an asserted witness (k2 misses the master, so the MD is quiet).
     let a = schema.attr_id_or_panic("A");
@@ -240,7 +237,7 @@ fn settled_write_is_kept_without_escalation() {
 #[test]
 fn conflicting_asserted_evidence_escalates() {
     let (schema, rules, master) = scenario_rules();
-    let uni = cleaner(&rules, &master, 1, true);
+    let uni = cleaner(&rules, &master, 1);
     let a = schema.attr_id_or_panic("A");
     let k = schema.attr_id_or_panic("K");
     let asserted = |av: &str| {
@@ -306,8 +303,8 @@ fn self_snapshot_deltas_escalate_but_stay_correct() {
 #[test]
 fn delta_misuse_is_typed() {
     let (schema, rules, master) = scenario_rules();
-    let uni = cleaner(&rules, &master, 1, true);
-    let other = cleaner(&rules, &master, 1, true);
+    let uni = cleaner(&rules, &master, 1);
+    let other = cleaner(&rules, &master, 1);
     let base = Relation::new(schema.clone(), vec![decode(&(0, 0, 0, 26), &schema)]);
     let (mut state, _) = uni.begin(&base, Phase::Full);
 
@@ -358,7 +355,7 @@ fn delta_misuse_is_typed() {
 #[test]
 fn state_bookkeeping_tracks_calls() {
     let (schema, rules, master) = scenario_rules();
-    let uni = cleaner(&rules, &master, 1, true);
+    let uni = cleaner(&rules, &master, 1);
     let base = Relation::new(schema.clone(), vec![decode(&(0, 1, 2, 26), &schema)]);
     let (mut state, first) = uni.begin(&base, Phase::CERepair);
     let logged_after_begin = state.log().len();
@@ -503,7 +500,7 @@ fn begin_empty_then_delta_equals_begin() {
     for phase in [Phase::CERepair, Phase::Full] {
         for threads in [1usize, 4] {
             let label = format!("phase={phase:?} threads={threads}");
-            let uni = cleaner(&rules, &master, threads, true);
+            let uni = cleaner(&rules, &master, threads);
 
             let mut streamed = uni.begin_empty(phase);
             assert_eq!(streamed.len(), 0, "{label}: empty start");
