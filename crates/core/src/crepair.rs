@@ -297,11 +297,9 @@ pub(crate) fn c_run(
         }
     }
     let report = st.report;
-    // This cache tracks the forward-only fixpoint relation: entries stay
-    // current via invalidation-on-write and the state never rewinds, so
-    // the volatile journal is dead weight that must not accumulate across
-    // a long-lived session's continuations.
-    fx.md_cache.forget_volatile();
+    // This cache tracks the forward-only fixpoint relation: the state never
+    // rewinds, so what this run rewrote becomes the base.
+    fx.md_cache.settle();
     report
 }
 

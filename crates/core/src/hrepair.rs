@@ -29,23 +29,40 @@
 //! confidence-weighted normalized edit distance from the members' original
 //! values wins; a frozen value, when present, always wins.
 //!
-//! Parallelism: each round's read-only scans over the round-start snapshot
-//! — the per-tuple LHS projections that build the equivalence classes and
-//! the per-(tuple, MD) witness verification — fan out over scoped workers
-//! ([`crate::parallel`]'s chunk–merge–apply design) and merge in tuple-id
-//! order; the upgrade loop itself stays sequential, so output is
-//! bit-identical at every `parallelism` setting (pinned by
-//! `tests/determinism.rs`).
+//! Rounds pay for what changed. Round one visits every tuple: it projects
+//! the variable-CFD equivalence classes and checks every constant CFD,
+//! class and MD. Every target change is journalled; at the round boundary
+//! the journal is rendered into the assignment (the relation under repair,
+//! updated in place), only the journalled tuples are re-projected into
+//! their classes, and the MD witness lists whose premises were rewritten
+//! are dropped. Round r ≥ 2 visits only the tuples in round r−1's journal
+//! or touched earlier in round r, and only the classes holding such a
+//! tuple or one that a tuple just left. That is exact: a skipped item has
+//! the same values and targets as when it was last visited, and that visit
+//! changed nothing.
+//!
+//! Witness lists come from the phase loop's `MdMatchCache` — warm from
+//! `eRepair` and, in a delta call, from earlier calls — so round one
+//! verifies only premises nobody verified before. A self-snapshot master
+//! is a new relation every round, so such a round matches through a fresh
+//! cache and visits every tuple for its MDs.
+//!
+//! Parallelism: the one fan-out is the cache's witness prefill (round one,
+//! and every self-snapshot round), merged in tuple-id order; resolution is
+//! sequential in tuple-id and sorted-key order, so output is bit-identical
+//! at every `parallelism` setting (pinned by `tests/determinism.rs`).
 
 use std::collections::HashMap;
 
-use uniclean_model::{cell_cost, value_distance, AttrId, FixMark, Relation, TupleId, Value};
-use uniclean_rules::RuleSet;
+use uniclean_model::{
+    cell_cost, value_distance, AttrId, FixMark, FxHashMap, Relation, Symbol, TupleId, Value,
+};
+use uniclean_rules::{Cfd, RuleSet};
 
 use crate::config::CleanConfig;
 use crate::fix::{FixRecord, FixReport};
-use crate::master_index::{MasterIndex, ProbeScratch};
-use crate::parallel::map_chunks;
+use crate::master_index::MasterIndex;
+use crate::md_cache::MdMatchCache;
 use crate::pattern_syms::{ensure_rule_constants, CfdPatternSyms};
 use crate::session::{Master, MasterView};
 
@@ -60,16 +77,23 @@ enum Target {
     Null,
 }
 
-/// Per-cell resolution state.
-struct Cells {
+/// Per-cell resolution state, and the journal of the round in progress.
+struct Cells<'r> {
     arity: usize,
     target: Vec<Target>,
     /// Deterministic fixes: immovable constants.
     frozen: Vec<bool>,
-    reason: Vec<String>,
+    /// The rule that last changed each target.
+    reason: Vec<&'r str>,
+    /// Cells whose target changed this round, in change order.
+    journal: Vec<usize>,
+    /// The tuples the round visits: the previous round's journal plus every
+    /// tuple touched so far (`touched` is the membership bitmap).
+    worklist: Vec<TupleId>,
+    touched: Vec<bool>,
 }
 
-impl Cells {
+impl<'r> Cells<'r> {
     fn new(d: &Relation) -> Self {
         let arity = d.schema().arity();
         let n = d.len() * arity;
@@ -77,7 +101,11 @@ impl Cells {
             arity,
             target: vec![Target::Free; n],
             frozen: vec![false; n],
-            reason: vec![String::new(); n],
+            reason: vec![""; n],
+            journal: Vec::new(),
+            // Round one visits every tuple.
+            worklist: d.ids().collect(),
+            touched: vec![true; d.len()],
         };
         for (tid, t) in d.iter() {
             for a in d.schema().attr_ids() {
@@ -112,46 +140,72 @@ impl Cells {
         }
     }
 
-    /// Upgrade a cell toward `c`. `Ok(true)` when something changed,
-    /// `Ok(false)` when it already agrees (or is null), `Err(())` when the
-    /// cell is frozen to a different constant.
-    fn upgrade(&mut self, t: TupleId, a: AttrId, c: &Value, rule: &str) -> Result<bool, ()> {
+    /// The tuples the next rule visits, in tuple-id order.
+    fn worklist(&mut self) -> Vec<TupleId> {
+        self.worklist.sort_unstable();
+        self.worklist.clone()
+    }
+
+    fn touch(&mut self, t: TupleId) {
+        if !std::mem::replace(&mut self.touched[t.index()], true) {
+            self.worklist.push(t);
+        }
+    }
+
+    /// Journal a target change of `cell`, a cell of tuple `t`.
+    fn changed(&mut self, t: TupleId, cell: usize, rule: &'r str) {
+        self.reason[cell] = rule;
+        self.journal.push(cell);
+        self.touch(t);
+    }
+
+    /// Close the round: hand back its journal (sorted, deduplicated cell
+    /// ids) and make its tuples the next round's worklist.
+    fn end_round(&mut self) -> Vec<usize> {
+        let mut journal = std::mem::take(&mut self.journal);
+        journal.sort_unstable();
+        journal.dedup();
+        for t in self.worklist.drain(..) {
+            self.touched[t.index()] = false;
+        }
+        for &cell in &journal {
+            self.touch(TupleId::from(cell / self.arity));
+        }
+        journal
+    }
+
+    /// Upgrade a cell toward `c` (a no-op when it already agrees or is
+    /// null). `Err(())` when the cell is frozen to a different constant.
+    fn upgrade(&mut self, t: TupleId, a: AttrId, c: &Value, rule: &'r str) -> Result<(), ()> {
         let cell = self.cell(t, a);
         if self.frozen[cell] {
             return match &self.target[cell] {
-                Target::Const(f) if f == c => Ok(false),
+                Target::Const(f) if f == c => Ok(()),
                 _ => Err(()),
             };
         }
         match &self.target[cell] {
-            Target::Null => Ok(false),
-            Target::Const(x) if x == c => Ok(false),
-            Target::Const(_) => {
-                // constant → different constant is forbidden; escalate.
-                self.target[cell] = Target::Null;
-                self.reason[cell] = rule.into();
-                Ok(true)
-            }
-            Target::Free => {
-                self.target[cell] = Target::Const(c.clone());
-                self.reason[cell] = rule.into();
-                Ok(true)
-            }
+            Target::Null => return Ok(()),
+            Target::Const(x) if x == c => return Ok(()),
+            // constant → different constant is forbidden; escalate.
+            Target::Const(_) => self.target[cell] = Target::Null,
+            Target::Free => self.target[cell] = Target::Const(c.clone()),
         }
+        self.changed(t, cell, rule);
+        Ok(())
     }
 
     /// Force a cell to null (premise break). Fails on frozen cells.
-    fn force_null(&mut self, t: TupleId, a: AttrId, rule: &str) -> Result<bool, ()> {
+    fn force_null(&mut self, t: TupleId, a: AttrId, rule: &'r str) -> Result<(), ()> {
         let cell = self.cell(t, a);
         if self.frozen[cell] {
             return Err(());
         }
-        if self.target[cell] == Target::Null {
-            return Ok(false);
+        if self.target[cell] != Target::Null {
+            self.target[cell] = Target::Null;
+            self.changed(t, cell, rule);
         }
-        self.target[cell] = Target::Null;
-        self.reason[cell] = rule.into();
-        Ok(true)
+        Ok(())
     }
 }
 
@@ -168,7 +222,8 @@ pub fn h_repair(
     cfg: &CleanConfig,
 ) -> FixReport {
     let master = Master::external(rules, dm, idx);
-    h_run(d, rules, cfg, |_| MasterView::Prepared(master))
+    let mut cache = MdMatchCache::new(rules, d.len());
+    h_run(d, rules, cfg, |_| MasterView::Prepared(master), &mut cache)
 }
 
 /// The engine behind [`h_repair`]: `view` yields the master each round
@@ -176,97 +231,153 @@ pub fn h_repair(
 /// self-matching it snapshots the assignment, so the "master" tracks it:
 /// resolving against a phase-start snapshot lets two records swap values
 /// through each other's stale copies, round after round.
+///
+/// `cache` holds witness lists valid for `d` (the phase loop hands in
+/// `eRepair`'s). Every cell the run rewrites is invalidated in it, the
+/// last round's included, so it stays valid for the repaired `d`.
 pub(crate) fn h_run<'m>(
     d: &mut Relation,
     rules: &RuleSet,
     cfg: &CleanConfig,
     view: impl Fn(&Relation) -> MasterView<'m>,
+    cache: &mut MdMatchCache,
 ) -> FixReport {
-    // Stable symbols for rule constants before cloning the base: every
-    // per-round snapshot shares the lineage, so one pattern compilation
-    // serves all rounds.
+    // Stable symbols for rule constants before keeping the originals: the
+    // assignment shares their lineage, so one pattern compilation serves
+    // every round.
     ensure_rule_constants(d, rules);
     let base = d.clone();
     let mut cells = Cells::new(&base);
     let pats = CfdPatternSyms::compile(rules, &base);
-
+    let mut classes = Classes::build(rules, &pats, d);
     let threads = cfg.effective_parallelism();
-    for _round in 0..cfg.max_hrepair_rounds {
-        let cur = materialize(&base, &cells);
-        let mut acted = false;
-        acted |= resolve_constant_cfds(&base, &cur, rules, &pats, &mut cells);
-        acted |= resolve_variable_cfds(&base, &cur, rules, &pats, &mut cells, threads);
+    let mut rewritten = Vec::new();
+
+    for round in 0..cfg.max_hrepair_rounds {
+        let first = round == 0;
+        resolve_constant_cfds(&base, d, rules, &pats, &mut cells);
+        for v in 0..classes.vcfds.len() {
+            classes.resolve(v, &base, d, &pats, &mut cells, first);
+        }
         if !rules.mds().is_empty() {
-            if let Some(m) = view(&cur).master() {
-                acted |= resolve_mds(&cur, m, rules, &mut cells, threads);
+            let cur: &Relation = d;
+            let view = view(cur);
+            if let Some(m) = view.master() {
+                let snapshot = matches!(view, MasterView::Snapshot(..));
+                let mut fresh;
+                let cache = if snapshot {
+                    fresh = MdMatchCache::new(rules, cur.len());
+                    &mut fresh
+                } else {
+                    &mut *cache
+                };
+                if first || snapshot {
+                    cache.prefill(rules, cur, m, threads, |j, t| {
+                        !cur.tuple(t).is_null(rules.mds()[j].rhs()[0].0)
+                    });
+                }
+                resolve_mds(cur, m, rules, &mut cells, cache, snapshot);
             }
         }
-        if !acted {
+        let journal = cells.end_round();
+        if journal.is_empty() {
             break;
         }
+        commit(d, &base, &cells, &journal, &pats, &mut classes, cache);
+        rewritten.extend(journal);
     }
 
-    let final_rel = materialize(&base, &cells);
+    // `d` holds the final assignment; a possible fix keeps the original
+    // confidence of its cell, nulled cells included.
+    rewritten.sort_unstable();
+    rewritten.dedup();
     let mut report = FixReport::new();
-    for (tid, t) in base.iter() {
-        for a in base.schema().attr_ids() {
-            let newv = final_rel.tuple(tid).value(a);
-            if newv != t.value(a) {
-                let cell = cells.cell(tid, a);
-                let rule = if cells.reason[cell].is_empty() {
-                    "hRepair".to_string()
-                } else {
-                    cells.reason[cell].clone()
-                };
-                d.tuple_mut(tid)
-                    .set(a, newv.clone(), t.cf(a), FixMark::Possible);
-                report.push(FixRecord {
-                    tuple: tid,
-                    attr: a,
-                    old: t.value(a).clone(),
-                    new: newv.clone(),
-                    mark: FixMark::Possible,
-                    rule,
-                });
-            }
+    for cell in rewritten {
+        let (t, a) = (
+            TupleId::from(cell / cells.arity),
+            AttrId::from(cell % cells.arity),
+        );
+        let orig = base.tuple(t);
+        let new = d.tuple(t).value(a);
+        if new == orig.value(a) {
+            continue;
         }
+        let new = new.clone();
+        d.tuple_mut(t).set_cf(a, orig.cf(a));
+        let rule = match cells.reason[cell] {
+            "" => "hRepair",
+            rule => rule,
+        };
+        report.push(FixRecord {
+            tuple: t,
+            attr: a,
+            old: orig.value(a).clone(),
+            new,
+            mark: FixMark::Possible,
+            rule: rule.to_string(),
+        });
     }
     report
 }
 
-/// The current assignment: original values overridden by cell targets.
-fn materialize(base: &Relation, cells: &Cells) -> Relation {
-    let mut out = base.clone();
-    for (tid, t) in base.iter() {
-        for a in base.schema().attr_ids() {
-            match &cells.target[cells.cell(tid, a)] {
-                Target::Free => {}
-                Target::Const(v) => {
-                    if t.value(a) != v {
-                        out.tuple_mut(tid)
-                            .set(a, v.clone(), t.cf(a), FixMark::Possible);
-                    }
-                }
-                Target::Null => {
-                    if !t.value(a).is_null() {
-                        out.tuple_mut(tid)
-                            .set(a, Value::Null, 0.0, FixMark::Possible);
-                    }
-                }
+/// The round boundary: render the `journal` (sorted cell ids) into the
+/// assignment `d`, move each journalled tuple whose class key changed, and
+/// drop the witness lists whose premises were rewritten.
+fn commit<'r>(
+    d: &mut Relation,
+    base: &Relation,
+    cells: &Cells<'r>,
+    journal: &[usize],
+    pats: &CfdPatternSyms,
+    classes: &mut Classes<'r>,
+    cache: &mut MdMatchCache,
+) {
+    classes.left.iter_mut().for_each(Vec::clear);
+    let arity = cells.arity;
+    for run in journal.chunk_by(|x, y| x / arity == y / arity) {
+        let t = TupleId::from(run[0] / arity);
+        let attrs: Vec<AttrId> = run.iter().map(|&c| AttrId::from(c % arity)).collect();
+        let before: Vec<(usize, Option<Box<[Symbol]>>)> = (0..classes.vcfds.len())
+            .filter(|&v| classes.vcfds[v].1.lhs().iter().any(|a| attrs.contains(a)))
+            .map(|v| (v, classes.key(v, pats, d, t)))
+            .collect();
+        for &a in &attrs {
+            render(d, base, cells, t, a);
+            cache.invalidate(t, a);
+        }
+        for (v, old) in before {
+            let new = classes.key(v, pats, d, t);
+            if new != old {
+                classes.relocate(v, t, old, new);
             }
         }
     }
-    out
 }
 
-fn resolve_constant_cfds(
+/// Render the target of cell `(t, a)` into the assignment `d`: the
+/// original cell overridden by a constant or null target. A target equal
+/// to the original value — null over a null original included — restores
+/// the original value, confidence and mark.
+fn render(d: &mut Relation, base: &Relation, cells: &Cells, t: TupleId, a: AttrId) {
+    let orig = base.tuple(t);
+    let (value, cf, mark) = match &cells.target[cells.cell(t, a)] {
+        Target::Const(v) if v != orig.value(a) => (v.clone(), orig.cf(a), FixMark::Possible),
+        Target::Null if !orig.value(a).is_null() => (Value::Null, 0.0, FixMark::Possible),
+        _ => (orig.value(a).clone(), orig.cf(a), orig.mark(a)),
+    };
+    d.set(t, a, value, cf, mark);
+}
+
+fn resolve_constant_cfds<'r>(
     base: &Relation,
     cur: &Relation,
-    rules: &RuleSet,
+    rules: &'r RuleSet,
     pats: &CfdPatternSyms,
-    cells: &mut Cells,
-) -> bool {
-    let mut acted = false;
+    cells: &mut Cells<'r>,
+) {
+    // A constant CFD rewrites only the tuple it checks, which is already
+    // on the worklist: one snapshot serves every constant CFD.
+    let scope = cells.worklist();
     for (i, cfd) in rules
         .cfds()
         .iter()
@@ -275,227 +386,299 @@ fn resolve_constant_cfds(
     {
         let a = cfd.rhs()[0];
         let want = cfd.rhs_pattern()[0].as_const().expect("constant CFD");
-        for (tid, t) in cur.iter() {
+        for &tid in &scope {
             if !pats.lhs_matches_attrs(i, cfd.lhs(), cur, tid) {
                 continue;
             }
-            let have = t.value(a);
+            let have = cur.tuple(tid).value(a);
             if have == want || have.is_null() {
                 continue;
             }
-            match cells.upgrade(tid, a, want, cfd.name()) {
-                Ok(changed) => acted |= changed,
-                Err(()) => {
-                    // Frozen conflict: break the premise instead.
-                    acted |= break_premise(base, cur, cells, tid, cfd.lhs(), cfd.name());
-                }
+            if cells.upgrade(tid, a, want, cfd.name()).is_err() {
+                // Frozen conflict: break the premise instead.
+                break_premise(base, cur, cells, tid, cfd.lhs(), cfd.name());
             }
         }
     }
-    acted
 }
 
-fn resolve_variable_cfds(
-    base: &Relation,
-    cur: &Relation,
-    rules: &RuleSet,
-    pats: &CfdPatternSyms,
-    cells: &mut Cells,
-    threads: usize,
-) -> bool {
-    let vcfds: Vec<(usize, &uniclean_rules::Cfd)> = rules
-        .cfds()
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.is_variable())
-        .collect();
-    if vcfds.is_empty() {
-        return false;
-    }
-    // Chunk: project every (tuple, vcfd) pair against the round-start
-    // snapshot `cur` on the workers (pattern checks are symbol compares;
-    // the group keys stay resolved values because the winner choice below
-    // sorts keys by value order). Merge in tuple-id order; the resolution
-    // below then sees exactly the groups a sequential scan would have
-    // built.
-    let projections = map_chunks(cur.len(), threads, |range| {
-        range
-            .map(|i| {
-                let tid = TupleId::from(i);
-                let t = cur.tuple(tid);
-                vcfds
-                    .iter()
-                    .map(|(ri, cfd)| {
-                        pats.lhs_matches_attrs(*ri, cfd.lhs(), cur, tid)
-                            .then(|| t.project(cfd.lhs()))
-                    })
-                    .collect::<Vec<Option<Vec<Value>>>>()
-            })
-            .collect::<Vec<_>>()
-    });
-    let mut per_cfd_groups: Vec<HashMap<Vec<Value>, Vec<TupleId>>> =
-        vec![HashMap::new(); vcfds.len()];
-    let mut tid = 0u32;
-    for chunk in projections {
-        for row in chunk {
-            for (v, key) in row.into_iter().enumerate() {
-                if let Some(key) = key {
-                    per_cfd_groups[v].entry(key).or_default().push(TupleId(tid));
-                }
-            }
-            tid += 1;
-        }
-    }
+/// The variable CFDs' equivalence classes over the current assignment,
+/// kept across rounds: per variable CFD, each LHS key — symbols of the
+/// assignment's append-only interner, stored once — maps to its members in
+/// tuple-id order. A round boundary re-projects only journalled tuples.
+struct Classes<'r> {
+    /// `(position in rules.cfds(), rule)` of every variable CFD.
+    vcfds: Vec<(usize, &'r Cfd)>,
+    groups: Vec<FxHashMap<Box<[Symbol]>, Vec<TupleId>>>,
+    /// Per variable CFD: keys of the classes a tuple left at the last round
+    /// boundary — their membership changed, so the next round visits them.
+    left: Vec<Vec<Box<[Symbol]>>>,
+}
 
-    let mut acted = false;
-    for ((_, cfd), groups) in vcfds.into_iter().zip(per_cfd_groups) {
-        let b = cfd.rhs()[0];
-        let mut keyed: Vec<(Vec<Value>, Vec<TupleId>)> = groups.into_iter().collect();
-        keyed.sort();
-        for (_, members) in keyed {
-            if members.len() < 2 {
-                continue;
-            }
-            let mut distinct: Vec<Value> = Vec::new();
-            let mut enrichable_null = false;
-            for &t in &members {
-                let v = cur.tuple(t).value(b);
-                if v.is_null() {
-                    // Null targets satisfy the FD; only a *free* original
-                    // null is enrichable.
-                    if cells.target[cells.cell(t, b)] == Target::Free {
-                        enrichable_null = true;
-                    }
-                } else if !distinct.contains(v) {
-                    distinct.push(v.clone());
-                }
-            }
-            if distinct.len() < 2 && !(enrichable_null && distinct.len() == 1) {
-                continue;
-            }
-            // Choose the value: a frozen value wins (majority over frozen
-            // values when several cells are frozen); otherwise cost-pick.
-            let mut frozen_counts: HashMap<&Value, usize> = HashMap::new();
-            for &t in &members {
-                if let Some(v) = cells.frozen_value(t, b) {
-                    *frozen_counts.entry(v).or_insert(0) += 1;
-                }
-            }
-            let winner: Value = if let Some((v, _)) = frozen_counts
-                .iter()
-                .max_by(|x, y| x.1.cmp(y.1).then(y.0.cmp(x.0)))
-            {
-                (*v).clone()
-            } else {
-                cost_pick(base, &members, b, &distinct)
-            };
-            for &t in &members {
-                let curv = cur.tuple(t).value(b);
-                if curv == &winner {
+impl<'r> Classes<'r> {
+    /// Project every tuple of `d` (round one).
+    fn build(rules: &'r RuleSet, pats: &CfdPatternSyms, d: &Relation) -> Self {
+        let vcfds: Vec<(usize, &Cfd)> = rules
+            .cfds()
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.is_variable())
+            .collect();
+        let mut me = Classes {
+            groups: vec![FxHashMap::default(); vcfds.len()],
+            left: vec![Vec::new(); vcfds.len()],
+            vcfds,
+        };
+        let mut buf = Vec::new();
+        for t in d.ids() {
+            for v in 0..me.vcfds.len() {
+                if !me.project(v, pats, d, t, &mut buf) {
                     continue;
                 }
-                if curv.is_null() && cells.target[cells.cell(t, b)] != Target::Free {
-                    continue; // forced null: already satisfies the FD
-                }
-                match cells.upgrade(t, b, &winner, cfd.name()) {
-                    Ok(changed) => acted |= changed,
-                    Err(()) => {
-                        // This member is frozen to a different value than
-                        // the (also frozen) winner: detach it by nulling a
-                        // cheap premise cell of *this* tuple.
-                        acted |= break_premise(base, cur, cells, t, cfd.lhs(), cfd.name());
+                match me.groups[v].get_mut(buf.as_slice()) {
+                    Some(members) => members.push(t),
+                    None => {
+                        me.groups[v].insert(buf.as_slice().into(), vec![t]);
                     }
                 }
             }
         }
+        me
     }
-    acted
+
+    /// Write `t`'s key under variable CFD `v` into `buf`; `false` when `t`
+    /// does not match the LHS pattern (and belongs to no class).
+    fn project(
+        &self,
+        v: usize,
+        pats: &CfdPatternSyms,
+        d: &Relation,
+        t: TupleId,
+        buf: &mut Vec<Symbol>,
+    ) -> bool {
+        let (i, cfd) = self.vcfds[v];
+        buf.clear();
+        if !pats.lhs_matches_attrs(i, cfd.lhs(), d, t) {
+            return false;
+        }
+        buf.extend(cfd.lhs().iter().map(|&a| d.sym(t, a)));
+        true
+    }
+
+    fn key(
+        &self,
+        v: usize,
+        pats: &CfdPatternSyms,
+        d: &Relation,
+        t: TupleId,
+    ) -> Option<Box<[Symbol]>> {
+        let mut buf = Vec::new();
+        self.project(v, pats, d, t, &mut buf)
+            .then(|| buf.into_boxed_slice())
+    }
+
+    /// Move `t` from class `old` to class `new` of variable CFD `v`.
+    fn relocate(
+        &mut self,
+        v: usize,
+        t: TupleId,
+        old: Option<Box<[Symbol]>>,
+        new: Option<Box<[Symbol]>>,
+    ) {
+        let groups = &mut self.groups[v];
+        if let Some(old) = old {
+            let members = groups
+                .get_mut(&old)
+                .expect("a projected tuple is in its class");
+            members.remove(
+                members
+                    .binary_search(&t)
+                    .expect("a class holds its members"),
+            );
+            if members.is_empty() {
+                groups.remove(&old);
+            } else {
+                self.left[v].push(old);
+            }
+        }
+        if let Some(new) = new {
+            let members = groups.entry(new).or_default();
+            let at = members
+                .binary_search(&t)
+                .expect_err("a tuple joins a class once");
+            members.insert(at, t);
+        }
+    }
+
+    /// Resolve variable CFD `v`'s classes in ascending key-value order:
+    /// every class in round one, afterwards those holding a worklist tuple
+    /// or left by a tuple at the last boundary. A variable CFD rewrites
+    /// only members of the class it resolves, so its worklist is fixed for
+    /// its whole pass.
+    fn resolve(
+        &self,
+        v: usize,
+        base: &Relation,
+        cur: &Relation,
+        pats: &CfdPatternSyms,
+        cells: &mut Cells<'r>,
+        first: bool,
+    ) {
+        let cfd = self.vcfds[v].1;
+        let groups = &self.groups[v];
+        let mut due: Vec<(&Box<[Symbol]>, &Vec<TupleId>)> = if first {
+            groups.iter().collect()
+        } else {
+            let mut buf = Vec::new();
+            let mut due = Vec::new();
+            for t in cells.worklist() {
+                if self.project(v, pats, cur, t, &mut buf) {
+                    let class = groups
+                        .get_key_value(buf.as_slice())
+                        .expect("a projected tuple is in its class");
+                    due.push(class);
+                }
+            }
+            due.extend(self.left[v].iter().filter_map(|k| groups.get_key_value(k)));
+            due
+        };
+        // A single member agrees with itself.
+        due.retain(|(_, members)| members.len() >= 2);
+        let interner = cur.interner();
+        due.sort_unstable_by(|(x, _), (y, _)| {
+            let value = |&s: &Symbol| interner.resolve(s);
+            x.iter().map(value).cmp(y.iter().map(value))
+        });
+        due.dedup_by(|(x, _), (y, _)| x == y);
+        for (_, members) in due {
+            resolve_class(base, cur, cells, members, cfd);
+        }
+    }
 }
 
-fn resolve_mds(
+/// Align one class of variable CFD `cfd` on its RHS attribute.
+fn resolve_class<'r>(
+    base: &Relation,
+    cur: &Relation,
+    cells: &mut Cells<'r>,
+    members: &[TupleId],
+    cfd: &'r Cfd,
+) {
+    let b = cfd.rhs()[0];
+    let mut distinct: Vec<Value> = Vec::new();
+    let mut enrichable_null = false;
+    for &t in members {
+        let v = cur.tuple(t).value(b);
+        if v.is_null() {
+            // Null targets satisfy the FD; only a *free* original null is
+            // enrichable.
+            if cells.target[cells.cell(t, b)] == Target::Free {
+                enrichable_null = true;
+            }
+        } else if !distinct.contains(v) {
+            distinct.push(v.clone());
+        }
+    }
+    if distinct.len() < 2 && !(enrichable_null && distinct.len() == 1) {
+        return;
+    }
+    // Choose the value: a frozen value wins (majority over frozen values
+    // when several cells are frozen); otherwise cost-pick.
+    let mut frozen_counts: HashMap<&Value, usize> = HashMap::new();
+    for &t in members {
+        if let Some(v) = cells.frozen_value(t, b) {
+            *frozen_counts.entry(v).or_insert(0) += 1;
+        }
+    }
+    let winner: Value = if let Some((v, _)) = frozen_counts
+        .iter()
+        .max_by(|x, y| x.1.cmp(y.1).then(y.0.cmp(x.0)))
+    {
+        (*v).clone()
+    } else {
+        cost_pick(base, members, b, &distinct)
+    };
+    for &t in members {
+        let curv = cur.tuple(t).value(b);
+        if curv == &winner {
+            continue;
+        }
+        if curv.is_null() && cells.target[cells.cell(t, b)] != Target::Free {
+            continue; // forced null: already satisfies the FD
+        }
+        if cells.upgrade(t, b, &winner, cfd.name()).is_err() {
+            // This member is frozen to a different value than the (also
+            // frozen) winner: detach it by nulling a cheap premise cell of
+            // *this* tuple.
+            break_premise(base, cur, cells, t, cfd.lhs(), cfd.name());
+        }
+    }
+}
+
+/// Resolve every MD over the worklist — or over every tuple when
+/// `everyone` (a self-snapshot master, new each round). Witness lists come
+/// from `cache`, valid for `cur`.
+fn resolve_mds<'r>(
     cur: &Relation,
     m: Master<'_>,
-    rules: &RuleSet,
-    cells: &mut Cells,
-    threads: usize,
-) -> bool {
-    // Chunk: verified witness lists per (tuple, MD) against the round-start
-    // snapshot — candidate generation plus premise verification is the
-    // dominant per-tuple cost of this resolution. Merge in tuple-id order;
-    // the sequential upgrade loop below consumes them unchanged.
-    let n_mds = rules.mds().len();
-    let witness_rows = map_chunks(cur.len(), threads, |range| {
-        // One probe scratch per worker: buffers and the symbol-keyed
-        // profile cache amortize across the whole chunk.
-        let mut scratch = ProbeScratch::new();
-        range
-            .map(|i| {
-                let tid = TupleId::from(i);
-                let t = cur.tuple(tid);
-                let exclude = m.own_row(tid);
-                (0..n_mds)
-                    .map(|j| {
-                        let mut out = Vec::new();
-                        m.index.matches_into(
-                            j,
-                            &rules.mds()[j],
-                            t,
-                            m.dm,
-                            exclude,
-                            &mut scratch,
-                            &mut out,
-                        );
-                        out
-                    })
-                    .collect::<Vec<Vec<TupleId>>>()
-            })
-            .collect::<Vec<_>>()
-    });
-    let witnesses: Vec<Vec<Vec<TupleId>>> = witness_rows.into_iter().flatten().collect();
+    rules: &'r RuleSet,
+    cells: &mut Cells<'r>,
+    cache: &mut MdMatchCache,
+    everyone: bool,
+) {
     let dm = m.dm;
-
-    let mut acted = false;
     for (i, md) in rules.mds().iter().enumerate() {
         let (e, f) = md.rhs()[0];
         let premise_attrs: Vec<AttrId> = md.premises().iter().map(|p| p.attr).collect();
-        for (tid, t) in cur.iter() {
+        let scope: Vec<TupleId> = if everyone {
+            cur.ids().collect()
+        } else {
+            cells.worklist()
+        };
+        for tid in scope {
+            let t = cur.tuple(tid);
             let have = t.value(e);
-            for &sid in &witnesses[tid.index()][i] {
-                // A witness may only demand change of a cell that is at
-                // most as confident as itself (§3.1: changing confident
-                // cells is costly). Real master data carries cf = 1 and
-                // always passes; under self-matching this stops dirty
-                // low-confidence copies from overwriting verified values.
-                if dm.tuple(sid).cf(f) < t.cf(e) {
-                    continue;
-                }
-                let want = dm.tuple(sid).value(f);
-                if have == want || have.is_null() {
-                    continue;
-                }
-                match cells.upgrade(tid, e, want, md.name()) {
-                    Ok(changed) => acted |= changed,
-                    Err(()) => {
-                        acted |= break_premise(cur, cur, cells, tid, &premise_attrs, md.name());
-                    }
-                }
-                break; // one master witness per tuple per rule suffices
+            if have.is_null() {
+                continue; // a null satisfies every witness
+            }
+            // The first witness demanding a change; one master witness per
+            // tuple per rule suffices. A witness may only demand change of
+            // a cell that is at most as confident as itself (§3.1:
+            // changing confident cells is costly). Real master data
+            // carries cf = 1 and always passes; under self-matching this
+            // stops dirty low-confidence copies from overwriting verified
+            // values.
+            let demand = cache
+                .matches(i, rules, cur, m, tid)
+                .iter()
+                .copied()
+                .find(|&s| {
+                    let s = dm.tuple(s);
+                    s.cf(f) >= t.cf(e) && s.value(f) != have
+                });
+            let Some(s) = demand else {
+                continue;
+            };
+            if cells
+                .upgrade(tid, e, dm.tuple(s).value(f), md.name())
+                .is_err()
+            {
+                break_premise(cur, cur, cells, tid, &premise_attrs, md.name());
             }
         }
     }
-    acted
 }
 
 /// Null the cheapest non-frozen premise cell of `t` so the rule stops
 /// applying (null never matches a pattern or similarity premise).
-fn break_premise(
+fn break_premise<'r>(
     base: &Relation,
     cur: &Relation,
-    cells: &mut Cells,
+    cells: &mut Cells<'r>,
     t: TupleId,
     premise: &[AttrId],
-    rule: &str,
-) -> bool {
+    rule: &'r str,
+) {
     let mut best: Option<(f64, AttrId)> = None;
     for &a in premise {
         if cells.is_frozen(t, a) || cells.target[cells.cell(t, a)] == Target::Null {
@@ -509,9 +692,9 @@ fn break_premise(
             best = Some((cf, a));
         }
     }
-    match best {
-        Some((_, a)) => cells.force_null(t, a, rule).unwrap_or(false),
-        None => false, // everything frozen: unresolvable, leave as-is
+    // Everything frozen: unresolvable, leave as-is.
+    if let Some((_, a)) = best {
+        let _ = cells.force_null(t, a, rule);
     }
 }
 
@@ -799,5 +982,32 @@ mod tests {
         let mut d = Relation::new(s, vec![Tuple::of_strs(&["131", "Edi"], 0.5)]);
         let report = h_repair(&mut d, None, &rules, None, &cfg());
         assert!(report.is_empty());
+    }
+
+    #[test]
+    fn a_class_a_tuple_left_is_resolved_again() {
+        // Round one: the class K=k1 holds t0 (B=a, frozen), t1 (B=b,
+        // frozen, premise frozen) and t2 (B=a). The frozen tie goes to `a`
+        // and t1 cannot be detached, so nothing changes — while `cc` moves
+        // t0 to K=k2. Round two: without t0 the class's only frozen value
+        // is `b`, and t2 — untouched so far — must adopt it.
+        let s = Schema::of_strings("r", &["K", "B", "C"]);
+        let rules = cfd_rules(
+            &s,
+            "cfd fd: r([K] -> [B])\n\
+             cfd cc: r([C=x] -> [K=k2])",
+        );
+        let (k, b) = (s.attr_id_or_panic("K"), s.attr_id_or_panic("B"));
+        let mut t0 = Tuple::of_strs(&["k1", "a", "x"], 0.5);
+        t0.set(b, Value::str("a"), 0.5, FixMark::Deterministic);
+        let mut t1 = Tuple::of_strs(&["k1", "b", "y"], 0.5);
+        t1.set(k, Value::str("k1"), 0.5, FixMark::Deterministic);
+        t1.set(b, Value::str("b"), 0.5, FixMark::Deterministic);
+        let t2 = Tuple::of_strs(&["k1", "a", "y"], 0.5);
+        let mut d = Relation::new(s.clone(), vec![t0, t1, t2]);
+        h_repair(&mut d, None, &rules, None, &cfg());
+        assert_eq!(d.tuple(TupleId(0)).value(k), &Value::str("k2"));
+        assert_eq!(d.tuple(TupleId(2)).value(b), &Value::str("b"));
+        assert!(satisfies_all(rules.cfds(), &[], &d, &Relation::empty(s)));
     }
 }

@@ -44,10 +44,11 @@
 //! this with a property test across parallelism settings).
 //! The `eRepair`/`hRepair` phases re-derive their fixes from the persisted
 //! post-`cRepair` state on every call (their decisions are global); the
-//! warm caches cover `cRepair`'s and `eRepair`'s MD premise verification
-//! and acceptance. `hRepair` still recomputes its own witness
-//! lists per round (uncached today), so on `Phase::Full` states a delta
-//! call's floor is one `hRepair` pass over the relation.
+//! warm caches cover every phase's MD premise verification and acceptance
+//! (`eRepair` and `hRepair` share one witness cache). `hRepair`'s round one
+//! still scans the relation — its CFD classes are projected per call — so
+//! on `Phase::Full` states that scan is a delta call's floor; its later
+//! rounds visit only what the previous round changed.
 //!
 //! [`MasterSource::SelfSnapshot`]: crate::MasterSource::SelfSnapshot
 

@@ -3,9 +3,9 @@
 //!
 //! `MasterIndex::matches_into` — candidate generation plus full
 //! premise verification against master data — dominates the running time
-//! of `cRepair` and `eRepair` on MD-heavy workloads, and it is a pure
-//! function of one data tuple's premise cells (master data never changes
-//! within a phase). [`MdMatchCache`] exploits both facts:
+//! of every phase on MD-heavy workloads, and it is a pure function of one
+//! data tuple's premise cells (master data never changes within a phase).
+//! [`MdMatchCache`] exploits both facts:
 //!
 //! * [`MdMatchCache::prefill`] computes the witness lists for every tuple
 //!   a phase is about to interrogate, fanned out over scoped workers and
@@ -14,12 +14,16 @@
 //!   returns the precomputed list, a miss (never prefilled, or invalidated
 //!   by a repair) recomputes on the spot, exactly as the unparallelized
 //!   code would;
-//! * [`MdMatchCache::invalidate`] drops entries whose premise cells a fix
+//! * [`MdMatchCache::invalidate`] hides entries whose premise cells a fix
 //!   just rewrote, keeping the cache transparent: the served lists are
 //!   always equal to a direct `matches_into` call on the current
 //!   relation state, so results are bit-identical at every thread count.
+//!
+//! `cRepair` keeps one cache over its fixpoint relation; `eRepair` and then
+//! `hRepair` share another, which a kept state carries into the next delta
+//! call.
 
-use uniclean_model::{AttrId, Relation, TupleId};
+use uniclean_model::{AttrId, FxHashMap, Relation, TupleId};
 use uniclean_rules::RuleSet;
 
 use crate::master_index::ProbeScratch;
@@ -29,20 +33,21 @@ use crate::session::Master;
 /// Per-(MD, tuple) verified witness lists with premise-based invalidation.
 ///
 /// A cache can outlive one phase run: [`RepairState`](crate::RepairState)
-/// keeps the `eRepair` cache warm across `clean_delta` calls, where every
-/// run restarts from the same post-`cRepair` relation. Entries computed
-/// *before* any write are valid for that base state and survive; entries
-/// recomputed *after* a write reflect a mid-run state, so they are tracked
-/// as volatile and dropped by [`MdMatchCache::begin_run`] before the next
-/// run replays the same fixes.
+/// keeps the `eRepair`/`hRepair` cache warm across `clean_delta` calls,
+/// where every run restarts from the same post-`cRepair` relation — the
+/// cache's *base* state. A write never drops a base entry: the slots whose
+/// premises a run rewrote are shadowed by a per-run overlay, which
+/// [`MdMatchCache::begin_run`] discards, so the next run finds every base
+/// entry warm.
 pub(crate) struct MdMatchCache {
-    /// `entries[md][tuple]`: `None` = not computed (or invalidated).
+    /// `entries[md][tuple]`: the witness list for the base state (`None` =
+    /// not computed).
     entries: Vec<Vec<Option<Box<[TupleId]>>>>,
     /// `attr.index()` → MDs whose premise reads that attribute.
     attr_to_mds: Vec<Vec<usize>>,
-    /// `(md, tuple)` slots invalidated since the last `begin_run`; refills
-    /// of these reflect mid-run states, not the run's base state.
-    volatile: Vec<(usize, TupleId)>,
+    /// The slots whose premise this run rewrote, with their list for the
+    /// current state (`None` = not recomputed since the last write).
+    rewritten: FxHashMap<(usize, TupleId), Option<Box<[TupleId]>>>,
     /// Probe-side buffers and symbol-keyed profile cache for the
     /// sequential recompute path; cleared on [`Self::begin_run`] because a
     /// rewound run may re-intern different values behind the same symbols.
@@ -69,7 +74,7 @@ impl MdMatchCache {
         MdMatchCache {
             entries: vec![vec![None; n_tuples]; n_mds],
             attr_to_mds,
-            volatile: Vec::new(),
+            rewritten: FxHashMap::default(),
             scratch: ProbeScratch::new(),
             miss_buf: Vec::new(),
         }
@@ -82,27 +87,40 @@ impl MdMatchCache {
         }
     }
 
-    /// Start a fresh run from the cache's base state: drop every entry
-    /// whose slot was invalidated (and possibly refilled at a mid-run
-    /// state) since the previous `begin_run`. Entries never invalidated
-    /// still describe the base state and stay warm.
+    /// Start a fresh run from the cache's base state: drop the previous
+    /// run's overlay.
     pub(crate) fn begin_run(&mut self) {
-        for (m, t) in self.volatile.drain(..) {
-            self.entries[m][t.index()] = None;
-        }
+        self.rewritten.clear();
         // A fresh run restarts from the base relation state; symbols
         // interned mid-run by the previous replay may differ, so the
         // symbol-keyed probe cache must not carry over.
         self.scratch.reset();
     }
 
-    /// Discard the volatile journal *without* dropping entries — for
+    /// Make the current state the base state, folding the overlay in — for
     /// caches that track a forward-only relation (the `cRepair` fixpoint's
-    /// cache): every entry is kept current by invalidation-on-write, the
-    /// state never rewinds, so the journal serves no purpose and must not
-    /// accumulate across a long-lived session.
-    pub(crate) fn forget_volatile(&mut self) {
-        self.volatile.clear();
+    /// cache), and for writes that change the base itself (a delta's
+    /// cascade into settled tuples).
+    pub(crate) fn settle(&mut self) {
+        for ((m, t), entry) in self.rewritten.drain() {
+            self.entries[m][t.index()] = entry;
+        }
+    }
+
+    /// The witness list of `(md, t)` in the current state, if known.
+    fn current(&self, md: usize, t: TupleId) -> Option<&[TupleId]> {
+        match self.rewritten.get(&(md, t)) {
+            Some(slot) => slot.as_deref(),
+            None => self.entries[md][t.index()].as_deref(),
+        }
+    }
+
+    /// The slot holding `(md, t)`'s list for the current state.
+    fn slot(&mut self, md: usize, t: TupleId) -> &mut Option<Box<[TupleId]>> {
+        match self.rewritten.get_mut(&(md, t)) {
+            Some(slot) => slot,
+            None => &mut self.entries[md][t.index()],
+        }
     }
 
     /// Fan the expensive verification out over `threads` workers for every
@@ -140,7 +158,7 @@ impl MdMatchCache {
         // witness lists; merge: move rows back in chunk (= tuple-id) order.
         // Slots already warm (a cross-call cache) are skipped — their
         // entries equal what this recomputation would produce.
-        let entries = &self.entries;
+        let this = &*self;
         let chunks = map_chunks(span.len(), threads, |range| {
             let mut scratch = ProbeScratch::new();
             let mut buf = Vec::new();
@@ -149,7 +167,7 @@ impl MdMatchCache {
                 let t = TupleId::from(base + i);
                 let mut row: Vec<Option<Box<[TupleId]>>> = vec![None; n_mds];
                 for (j, md) in rules.mds().iter().enumerate() {
-                    if entries[j][t.index()].is_some() || !want(j, t) {
+                    if this.current(j, t).is_some() || !want(j, t) {
                         continue;
                     }
                     m.index.matches_into(
@@ -172,7 +190,7 @@ impl MdMatchCache {
             for row in chunk {
                 for (j, entry) in row.into_iter().enumerate() {
                     if entry.is_some() {
-                        self.entries[j][i] = entry;
+                        *self.slot(j, TupleId::from(i)) = entry;
                     }
                 }
                 i += 1;
@@ -191,8 +209,7 @@ impl MdMatchCache {
         m: Master<'_>,
         t: TupleId,
     ) -> &[TupleId] {
-        let slot = &mut self.entries[md_idx][t.index()];
-        if slot.is_none() {
+        if self.current(md_idx, t).is_none() {
             let md = &rules.mds()[md_idx];
             self.miss_buf.clear();
             m.index.matches_into(
@@ -204,17 +221,17 @@ impl MdMatchCache {
                 &mut self.scratch,
                 &mut self.miss_buf,
             );
-            *slot = Some(self.miss_buf.as_slice().into());
+            let list = self.miss_buf.as_slice().into();
+            *self.slot(md_idx, t) = Some(list);
         }
-        slot.as_deref().expect("filled above")
+        self.current(md_idx, t).expect("stored above")
     }
 
-    /// Cell `(t, a)` was just rewritten: drop every witness list whose
-    /// premise read it.
+    /// Cell `(t, a)` was just rewritten: every witness list whose premise
+    /// read it is unknown for the current state until recomputed.
     pub(crate) fn invalidate(&mut self, t: TupleId, a: AttrId) {
         for &m in &self.attr_to_mds[a.index()] {
-            self.entries[m][t.index()] = None;
-            self.volatile.push((m, t));
+            self.rewritten.insert((m, t), None);
         }
     }
 }
@@ -317,5 +334,111 @@ mod tests {
             .set(phn, Value::str("999"), 0.5, Default::default());
         cache.invalidate(t, phn);
         assert_eq!(cache.matches(0, &rules, &d, m, t), &[TupleId(0)]);
+    }
+
+    /// Check every filled slot of `cache`'s current view against a direct
+    /// probe of `d`; returns how many there were.
+    fn assert_current(
+        cache: &MdMatchCache,
+        rules: &RuleSet,
+        d: &Relation,
+        dm: &Relation,
+        idx: &MasterIndex,
+    ) -> usize {
+        let mut scratch = ProbeScratch::new();
+        let mut direct = Vec::new();
+        let mut filled = 0;
+        for (j, md) in rules.mds().iter().enumerate() {
+            for t in d.ids() {
+                let Some(entry) = cache.current(j, t) else {
+                    continue;
+                };
+                idx.matches_into(j, md, d.tuple(t), dm, None, &mut scratch, &mut direct);
+                assert_eq!(entry, direct.as_slice(), "md {j} tuple {t:?}");
+                filled += 1;
+            }
+        }
+        filled
+    }
+
+    /// The phase loop hands `eRepair`'s cache to `hRepair`: afterwards —
+    /// also when the round cap stops `hRepair` right after it rewrote an
+    /// MD premise — every filled slot is what a direct probe of the final
+    /// relation returns, and after `begin_run` every base entry, the
+    /// rewritten tuple's included, is one of the relation the run started
+    /// from.
+    #[test]
+    fn cache_shared_by_erepair_and_hrepair_matches_the_final_relation() {
+        use crate::config::CleanConfig;
+        use crate::erepair::e_run;
+        use crate::hrepair::h_run;
+        use crate::session::MasterView;
+        use crate::two_in_one::TwoInOne;
+
+        let tran = Schema::of_strings("tran", &["LN", "city", "zip", "phn"]);
+        let card = Schema::of_strings("card", &["LN", "city", "tel"]);
+        let text = "cfd fd: tran([zip] -> [city])\n\
+                    md m: tran[LN] = card[LN] AND tran[city] = card[city] -> tran[phn] <=> card[tel]";
+        let parsed = parse_rules(text, &tran, Some(&card)).unwrap();
+        let rules = RuleSet::new(
+            tran.clone(),
+            Some(card.clone()),
+            parsed.cfds,
+            parsed.positive_mds,
+            vec![],
+        );
+        // Tuples 0 and 1 share a zip but not a city (entropy 1: left to
+        // hRepair, which moves tuple 1 to Edi and so to another witness).
+        let dirty = Relation::new(
+            tran.clone(),
+            vec![
+                Tuple::of_strs(&["Smith", "Edi", "Z1", "000"], 0.5),
+                Tuple::of_strs(&["Smith", "Ldn", "Z1", "111"], 0.5),
+                Tuple::of_strs(&["Brady", "Ldn", "Z2", "222"], 0.5),
+            ],
+        );
+        let dm = Relation::new(
+            card,
+            vec![
+                Tuple::of_strs(&["Smith", "Edi", "911"], 1.0),
+                Tuple::of_strs(&["Brady", "Ldn", "922"], 1.0),
+                Tuple::of_strs(&["Smith", "Ldn", "933"], 1.0),
+            ],
+        );
+        let idx = MasterIndex::build(rules.mds(), &dm);
+        let m = Master::external(&rules, Some(&dm), Some(&idx)).unwrap();
+        let city = tran.attr_id_or_panic("city");
+
+        for rounds in [1, CleanConfig::default().max_hrepair_rounds] {
+            let cfg = CleanConfig {
+                eta: 0.8,
+                max_hrepair_rounds: rounds,
+                ..CleanConfig::default()
+            };
+            let mut d = dirty.clone();
+            let start = dirty.clone();
+            let mut cache = MdMatchCache::new(&rules, d.len());
+            let mut two = TwoInOne::build_with(&rules, &d, true, 1);
+            e_run(&mut d, Some(m), &rules, &cfg, &mut two, &mut cache);
+            let fixes = h_run(
+                &mut d,
+                &rules,
+                &cfg,
+                |_| MasterView::Prepared(Some(m)),
+                &mut cache,
+            );
+            assert!(
+                fixes.records().iter().any(|r| r.attr == city),
+                "rounds={rounds}: hRepair must rewrite an MD premise"
+            );
+
+            assert!(assert_current(&cache, &rules, &d, &dm, &idx) > 0);
+            cache.begin_run();
+            assert!(
+                cache.entries[0][1].is_some(),
+                "rounds={rounds}: the base entry of the tuple hRepair moved stays warm"
+            );
+            assert!(assert_current(&cache, &rules, &start, &dm, &idx) > 0);
+        }
     }
 }

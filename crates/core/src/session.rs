@@ -362,6 +362,11 @@ fn timed(
 /// `hRepair` one per round: under [`MasterSource::SelfSnapshot`] that
 /// re-renders the current repair, so each phase sees the previous phase's
 /// fixes (the §9 interleaving).
+///
+/// One witness cache ([`MdMatchCache`]) serves `eRepair` and then `hRepair`:
+/// both invalidate every cell they rewrite, so it is valid for `work`
+/// throughout and, kept, comes back in the [`Warm`] state, where the next
+/// call's `begin_run` returns it to the post-`cRepair` state.
 pub(crate) fn run_phases(
     prepared: &PreparedCleaner,
     phase: Phase,
@@ -406,13 +411,9 @@ pub(crate) fn run_phases(
     // Unless kept, the fixpoint machine is freed here — not held across
     // the later phases.
     let kept_c = post_c.map(|post_c| (post_c, cfix));
-    let mut kept_e = None;
-    // eRepair's spent working copy, held past hRepair when the state is
-    // kept: freeing its thousands of small nodes right before hRepair's
-    // allocation-heavy rounds slows a one-thread delta by ~10% (allocator
-    // bin churn; HOSP, 1 500-tuple base), and a kept state's peak holds
-    // the pinned original anyway. A one-shot clean frees it at once.
-    let mut spent = None;
+    // eRepair's pinned 2-in-1 (kept states only) and its witness cache,
+    // which hRepair continues.
+    let mut e_out = None;
     if phase >= Phase::ERepair {
         let view = prepared.view(&work);
         let e_fixes = timed(observer, &mut phases, Phase::ERepair, || {
@@ -432,11 +433,12 @@ pub(crate) fn run_phases(
                         // a way insert-time deltas cannot express without
                         // perturbing group-id order, so rebuild it; witness
                         // lists are dropped only for the cells the cascade
-                        // actually touched.
+                        // actually touched, and the cascade is the new base.
                         two = build(&work);
                         for rec in report.records() {
                             cache.invalidate(rec.tuple, rec.attr);
                         }
+                        cache.settle();
                     } else {
                         two.insert_tuples(rules, &work, settled);
                     }
@@ -455,20 +457,20 @@ pub(crate) fn run_phases(
                 &mut structure,
                 &mut cache,
             );
-            kept_e = two.map(|two| (two, cache));
-            spent = keep.then_some(structure);
+            e_out = Some((two, cache));
             fixes
         });
         report.extend(e_fixes);
     }
     if phase >= Phase::HRepair {
+        let (_, cache) = e_out.as_mut().expect("eRepair runs before hRepair");
         let h_fixes = timed(observer, &mut phases, Phase::HRepair, || {
-            h_run(&mut work, rules, cfg, |cur| prepared.view(cur))
+            h_run(&mut work, rules, cfg, |cur| prepared.view(cur), cache)
         });
         report.extend(h_fixes);
     }
 
-    drop(spent);
+    let kept_e = e_out.and_then(|(two, cache)| Some((two?, cache)));
     Some(PhaseRun {
         work,
         report,

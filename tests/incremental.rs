@@ -15,6 +15,7 @@ use proptest::prelude::*;
 use uniclean::core::{
     CleanConfig, CleanError, CleanResult, Cleaner, MasterSource, Phase, RepairState,
 };
+use uniclean::datagen::{hosp_workload, GenParams};
 use uniclean::model::{FixMark, Relation, Schema, Tuple, Value};
 use uniclean::rules::{parse_rules, RuleSet};
 
@@ -523,5 +524,114 @@ fn begin_empty_then_delta_equals_begin() {
             }
             assert_matches(&uni, &reference, &chunked, &format!("{label} [chunked]"));
         }
+    }
+}
+
+/// `begin` + 7-tuple `clean_delta`s equal a from-scratch `clean` after
+/// every call when the round cap stops `hRepair` early: the witness cache
+/// a state keeps must reflect every round's rewrites, the last one's
+/// included.
+#[test]
+fn capped_hrepair_rounds_keep_deltas_equal_to_reclean() {
+    let w = hosp_workload(&GenParams {
+        tuples: 300,
+        master_tuples: 100,
+        ..GenParams::default()
+    });
+    let schema = w.dirty.schema().clone();
+    let rows = w.dirty.to_tuples();
+    let prefix = |n: usize| Relation::new(schema.clone(), rows[..n].to_vec());
+    let session = |rounds: usize, threads: usize| {
+        Cleaner::builder()
+            .rules(w.rules.clone())
+            .master(MasterSource::external(w.master.clone()))
+            .config(CleanConfig {
+                max_hrepair_rounds: rounds,
+                parallelism: NonZeroUsize::new(threads),
+                ..CleanConfig::default()
+            })
+            .build()
+            .unwrap()
+    };
+    let uncapped =
+        session(CleanConfig::default().max_hrepair_rounds, 1).clean(&w.dirty, Phase::Full);
+    for rounds in [1, 2] {
+        let capped = session(rounds, 1).clean(&w.dirty, Phase::Full);
+        assert!(
+            capped.repaired.diff_cells(&uncapped.repaired) > 0,
+            "rounds={rounds}: the cap must bind on this input"
+        );
+        for threads in [1usize, 4] {
+            let uni = session(rounds, threads);
+            let (mut state, _) = uni.begin(&prefix(240), Phase::Full);
+            let mut absorbed = 240;
+            for batch in rows[240..].chunks(7) {
+                uni.clean_delta(&mut state, batch).unwrap();
+                absorbed += batch.len();
+                let reference = uni.clean(&prefix(absorbed), Phase::Full);
+                let label = format!("rounds={rounds} threads={threads} tuples={absorbed}");
+                assert_matches(&uni, &reference, &state, &label);
+            }
+            assert_eq!(state.escalations(), 0, "rounds={rounds} threads={threads}");
+        }
+    }
+}
+
+/// A batch whose deterministic cascade rewrites a settled tuple's MD
+/// premise changes the state later calls restart from: the witness list
+/// cached for the old premise must not come back in the call after.
+#[test]
+fn a_cascade_into_a_settled_md_premise_rebases_the_witness_cache() {
+    let r = Schema::of_strings("r", &["K", "A", "C", "B"]);
+    let rm = Schema::of_strings("rm", &["K", "C", "B"]);
+    let text = "cfd fd: r([A] -> [K])\n\
+                md m: r[K] = rm[K] AND r[C] = rm[C] -> r[B] <=> rm[B]";
+    let parsed = parse_rules(text, &r, Some(&rm)).unwrap();
+    let rules = RuleSet::new(
+        r.clone(),
+        Some(rm.clone()),
+        parsed.cfds,
+        parsed.positive_mds,
+        vec![],
+    );
+    let master = Relation::new(
+        rm,
+        vec![
+            Tuple::of_strs(&["k1", "c", "b1"], 1.0),
+            Tuple::of_strs(&["k2", "c", "b2"], 1.0),
+        ],
+    );
+    // `cf` lists the confidence of K, A, C, B.
+    let row = |vals: [&str; 4], cf: [f64; 4]| {
+        let mut t = Tuple::of_strs(&vals, 0.0);
+        for (attr, c) in r.attr_ids().zip(cf) {
+            let v = t.value(attr).clone();
+            t.set(attr, v, c, FixMark::Untouched);
+        }
+        t
+    };
+    // The settled tuple matches master row k1 through its unasserted K; the
+    // first batch asserts K = k2 for the same A, so cRepair moves it to k2.
+    let settled = row(["k1", "a0", "c", "b0"], [0.0, 1.0, 0.0, 0.0]);
+    let witness = row(["k2", "a0", "c", "b2"], [1.0, 1.0, 0.0, 0.0]);
+    let unrelated = row(["k9", "a9", "c", "b9"], [0.0, 0.0, 0.0, 0.0]);
+    for threads in [1usize, 4] {
+        let uni = cleaner(&rules, &master, threads);
+        let base = Relation::new(r.clone(), vec![settled.clone()]);
+        let (mut state, _) = uni.begin(&base, Phase::Full);
+        let mut absorbed = vec![settled.clone()];
+        for batch in [vec![witness.clone()], vec![unrelated.clone()]] {
+            uni.clean_delta(&mut state, &batch).unwrap();
+            absorbed.extend(batch);
+            let reference = uni.clean(&concat(&r, &[&absorbed]), Phase::Full);
+            let label = format!("threads={threads} tuples={}", absorbed.len());
+            assert_matches(&uni, &reference, &state, &label);
+        }
+        assert_eq!(state.escalations(), 0, "threads={threads}");
+        let b = r.attr_id_or_panic("B");
+        assert_eq!(
+            state.repaired().tuple(uniclean::model::TupleId(0)).value(b),
+            &Value::str("b2")
+        );
     }
 }

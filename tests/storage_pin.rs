@@ -13,13 +13,19 @@
 //! the engine in which self-matching was still a `CleanConfig` flag, before
 //! the per-phase master view took over deciding which rows each phase round
 //! matches.
+//!
+//! The `*_FULL_*` / `SIM_*` fingerprints pin the external-master `hRepair`
+//! path at scale — HOSP (equality-led MDs, many variable CFDs) and the
+//! similarity-premise DBLP variant — from scratch and through a stream of
+//! deltas. They were captured before `hRepair` rounds became incremental
+//! (change journal, warm witness cache, worklists).
 
 mod common;
 
 use std::num::NonZeroUsize;
 
 use uniclean::core::{CleanConfig, CleanResult, Cleaner, MasterSource, Phase};
-use uniclean::datagen::{hosp_workload, GenParams};
+use uniclean::datagen::{dblp_similarity_workload, hosp_workload, GenParams};
 use uniclean::model::{FixMark, Relation, Value};
 
 /// FNV-1a over a canonical byte rendering of a value.
@@ -111,6 +117,13 @@ const SELF_EXAMPLE_1_1_FULL: u64 = 0x97bf67abd4dd55da;
 const SELF_HOSP_300_FULL: u64 = 0x20c88024c066587a;
 const SELF_HOSP_300_DELTA: u64 = 0x26b1a244aef6c7a3;
 
+/// Golden fingerprints of the external-master `hRepair` path (see the
+/// module doc).
+const HOSP_1K_FULL: u64 = 0xefccb16899898753;
+const HOSP_1K_FULL_DELTA: u64 = 0xae38306d30f26e97;
+const SIM_800_FULL: u64 = 0xe5c16eb8189f997a;
+const SIM_800_FULL_DELTAS: u64 = 0xfbfb81bbdf878a6a;
+
 #[test]
 fn example_1_1_clean_matches_row_major_engine() {
     let (_, rules, dirty, master) = common::example_1_1();
@@ -157,7 +170,7 @@ fn hosp_1k_begin_plus_delta_matches_row_major_engine() {
             1.0,
             threads,
         );
-        let h = delta_fingerprint(&uni, &w.dirty, 800, Phase::CERepair);
+        let h = delta_fingerprint(&uni, &w.dirty, 800, usize::MAX, Phase::CERepair);
         assert_eq!(
             h, HOSP_1K_DELTA,
             "hosp 1k delta: threads={threads} fp={h:#018x}"
@@ -208,7 +221,7 @@ fn hosp_300_self_snapshot_begin_plus_delta_is_pinned() {
     });
     for threads in [1usize, 4] {
         let uni = cleaner(&w.rules, MasterSource::SelfSnapshot, 1.0, threads);
-        let h = delta_fingerprint(&uni, &w.dirty, 240, Phase::Full);
+        let h = delta_fingerprint(&uni, &w.dirty, 240, usize::MAX, Phase::Full);
         assert_eq!(
             h, SELF_HOSP_300_DELTA,
             "hosp 300 self-snapshot delta: threads={threads} fp={h:#018x}"
@@ -216,20 +229,80 @@ fn hosp_300_self_snapshot_begin_plus_delta_is_pinned() {
     }
 }
 
+#[test]
+fn hosp_1k_full_clean_is_pinned() {
+    let w = hosp_workload(&GenParams {
+        tuples: 1000,
+        master_tuples: 300,
+        ..GenParams::default()
+    });
+    for threads in [1usize, 4] {
+        let uni = cleaner(
+            &w.rules,
+            MasterSource::external(w.master.clone()),
+            1.0,
+            threads,
+        );
+        let fp = fingerprint(&uni.clean(&w.dirty, Phase::Full));
+        assert_eq!(
+            fp, HOSP_1K_FULL,
+            "hosp 1k full: threads={threads} fp={fp:#018x}"
+        );
+        let h = delta_fingerprint(&uni, &w.dirty, 800, usize::MAX, Phase::Full);
+        assert_eq!(
+            h, HOSP_1K_FULL_DELTA,
+            "hosp 1k full delta: threads={threads} fp={h:#018x}"
+        );
+    }
+}
+
+#[test]
+fn sim_800_full_clean_and_deltas_are_pinned() {
+    let w = dblp_similarity_workload(&GenParams {
+        tuples: 800,
+        master_tuples: 400,
+        ..GenParams::default()
+    });
+    for threads in [1usize, 4] {
+        let uni = cleaner(
+            &w.rules,
+            MasterSource::external(w.master.clone()),
+            1.0,
+            threads,
+        );
+        let fp = fingerprint(&uni.clean(&w.dirty, Phase::Full));
+        assert_eq!(
+            fp, SIM_800_FULL,
+            "sim 800 full: threads={threads} fp={fp:#018x}"
+        );
+        let h = delta_fingerprint(&uni, &w.dirty, 600, 7, Phase::Full);
+        assert_eq!(
+            h, SIM_800_FULL_DELTAS,
+            "sim 800 deltas: threads={threads} fp={h:#018x}"
+        );
+    }
+}
+
 /// `begin` over the first `split` rows of `d`, `clean_delta` with the
-/// rest, and a fingerprint of the resulting state and the delta's report
-/// length.
-fn delta_fingerprint(uni: &Cleaner, d: &Relation, split: usize, phase: Phase) -> u64 {
+/// rest in batches of `chunk` rows, and a fingerprint of the resulting
+/// state and every delta's report length.
+fn delta_fingerprint(uni: &Cleaner, d: &Relation, split: usize, chunk: usize, phase: Phase) -> u64 {
     let rows = d.to_tuples();
     let prefix = Relation::new(d.schema().clone(), rows[..split].to_vec());
     let (mut state, _) = uni.begin(&prefix, phase);
-    let result = uni
-        .clean_delta(&mut state, &rows[split..])
-        .expect("delta accepted");
+    let reports: Vec<usize> = rows[split..]
+        .chunks(chunk)
+        .map(|batch| {
+            let result = uni.clean_delta(&mut state, batch).expect("delta accepted");
+            result.report.len()
+        })
+        .collect();
     let mut h: u64 = 0xcbf29ce484222325;
     fingerprint_relation(&mut h, state.repaired());
     hash_bytes(&mut h, &state.cost().to_bits().to_le_bytes());
     hash_bytes(&mut h, &[state.consistent() as u8]);
-    hash_bytes(&mut h, &(result.report.len() as u64).to_le_bytes());
+    for n in reports {
+        hash_bytes(&mut h, &(n as u64).to_le_bytes());
+    }
     h
 }
