@@ -47,7 +47,7 @@ struct VGroup {
 }
 
 /// The persistable half of the `cRepair` machine: the hash tables,
-/// counters and wait sets of Fig 4, plus the memoized MD witness cache.
+/// counters and wait sets of Fig 4.
 ///
 /// A full run builds one, seeds every tuple and drains the queue. The
 /// incremental path ([`crate::RepairState`]) keeps the fixpoint alive
@@ -75,10 +75,6 @@ pub(crate) struct CFixpoint {
     count: Vec<Vec<u32>>,
     /// P[t]: variable CFDs t waits on.
     p: Vec<Vec<bool>>,
-    /// Memoized MD witness lists (prefilled in parallel, invalidated on
-    /// premise rewrites). Entries track the evolving relation, which only
-    /// ever moves forward, so they stay valid across continuations.
-    md_cache: MdMatchCache,
     /// All schema attributes, precomputed for the agreement check.
     all_attrs: Vec<AttrId>,
     /// Number of CFD rules (MD rule ids start here).
@@ -139,7 +135,6 @@ impl CFixpoint {
             h,
             count: vec![vec![0; n_rules]; n_tuples],
             p: vec![vec![false; n_rules]; n_tuples],
-            md_cache: MdMatchCache::new(rules, n_tuples),
             all_attrs: rules.schema().attr_ids().collect(),
             n_cfds: rules.cfds().len(),
             n_tuples,
@@ -153,7 +148,6 @@ impl CFixpoint {
             self.count.push(vec![0; n_rules]);
             self.p.push(vec![false; n_rules]);
         }
-        self.md_cache.grow(n_new);
         self.n_tuples += n_new;
     }
 }
@@ -166,7 +160,9 @@ pub(crate) struct CGuard {
     /// the from-scratch outcome — but the caller must refresh any
     /// structure pinned to the old post-`cRepair` state.
     pub settled: usize,
-    /// Number of writes that landed on settled tuples.
+    /// Number of writes that landed on settled tuples. A nonzero count
+    /// makes the phase loop rebuild the 2-in-1 structure pinned to the old
+    /// post-`cRepair` state.
     pub settled_writes: usize,
     /// Conflicting asserted evidence was observed racing for one cell —
     /// the one situation where `cRepair`'s outcome is order-dependent, so
@@ -192,6 +188,9 @@ struct State<'a> {
     /// recompiled per run, valid for the run's relation lineage).
     pats: CfdPatternSyms,
     fx: &'a mut CFixpoint,
+    /// Memoized MD witness lists (prefilled in parallel, invalidated on
+    /// premise rewrites).
+    md_cache: &'a mut MdMatchCache,
     /// Queue of (tuple, rule) with pending flags (transient: empty at
     /// fixpoint, so not part of the persisted state).
     queue: VecDeque<(TupleId, usize)>,
@@ -213,22 +212,27 @@ pub fn c_repair(
 ) -> FixReport {
     let master = Master::external(rules, dm, idx);
     let mut fx = CFixpoint::new(rules, d.len());
-    c_run(d, master, rules, cfg, &mut fx, 0, None)
+    let mut md_cache = MdMatchCache::new(rules, d.len());
+    c_run(d, master, rules, cfg, &mut fx, &mut md_cache, None)
 }
 
-/// The engine behind [`c_repair`]: seed tuples `seed_from..` into `fx` and
-/// drain the inference queue. With `seed_from == 0` over a fresh
-/// [`CFixpoint`] this is a full run; with the persisted fixpoint of a
-/// previous run it *continues* that fixpoint over an appended batch.
+/// The engine behind [`c_repair`]: seed tuples into `fx` and drain the
+/// inference queue. Without a guard every tuple is seeded — over a fresh
+/// [`CFixpoint`], a full run; with one, the persisted fixpoint of a
+/// previous run *continues* over the tuples appended after
+/// `guard.settled`. `md_cache` serves `master`'s witness lists; the
+/// fixpoint relation only moves forward, so the run's writes are settled
+/// into the cache's base.
 pub(crate) fn c_run(
     d: &mut Relation,
     master: Option<Master<'_>>,
     rules: &RuleSet,
     cfg: &CleanConfig,
     fx: &mut CFixpoint,
-    seed_from: usize,
+    md_cache: &mut MdMatchCache,
     guard: Option<&mut CGuard>,
 ) -> FixReport {
+    let seed_from = guard.as_ref().map_or(0, |g| g.settled);
     assert_eq!(
         fx.n_tuples,
         d.len(),
@@ -247,7 +251,7 @@ pub(crate) fn c_run(
         let n_cfds = fx.n_cfds;
         let eta = cfg.eta;
         let (lhs_of, rhs_of) = (&fx.lhs_of, &fx.rhs_of);
-        fx.md_cache.prefill_range(
+        md_cache.prefill_range(
             rules,
             d,
             m,
@@ -266,6 +270,7 @@ pub(crate) fn c_run(
         eta: cfg.eta,
         pats,
         fx,
+        md_cache,
         queue: VecDeque::new(),
         pending: vec![vec![false; n_rules]; d.len()],
         guard,
@@ -297,9 +302,9 @@ pub(crate) fn c_run(
         }
     }
     let report = st.report;
-    // This cache tracks the forward-only fixpoint relation: the state never
-    // rewinds, so what this run rewrote becomes the base.
-    fx.md_cache.settle();
+    // The fixpoint relation never rewinds: what this run rewrote becomes
+    // the cache's base.
+    md_cache.settle();
     report
 }
 
@@ -360,7 +365,7 @@ impl<'a> State<'a> {
             d.tuple(t).mark(a)
         };
         d.tuple_mut(t).set(a, new.clone(), self.eta, mark);
-        self.fx.md_cache.invalidate(t, a);
+        self.md_cache.invalidate(t, a);
         if changed {
             self.report.push(FixRecord {
                 tuple: t,
@@ -492,7 +497,7 @@ impl<'a> State<'a> {
             // On a continuation, a rule-written conclusion contradicted by
             // a usable witness is racing evidence (see `c_cfd_infer`).
             if self.guard.is_some() && d.tuple(t).mark(e) == FixMark::Deterministic {
-                let all = self.fx.md_cache.matches(md_idx, rules, d, m, t);
+                let all = self.md_cache.matches(md_idx, rules, d, m, t);
                 let disagree = all
                     .iter()
                     .copied()
@@ -508,7 +513,7 @@ impl<'a> State<'a> {
             // Witness lists come from the memoized (possibly prefilled-in-
             // parallel) cache; the cache already excludes the tuple's own
             // positional copy under self-matching.
-            let all = self.fx.md_cache.matches(md_idx, rules, d, m, t);
+            let all = self.md_cache.matches(md_idx, rules, d, m, t);
             // The self-snapshot is dirty, not master data: only witnesses
             // whose conclusion cell is itself asserted carry evidence.
             let mut usable = all.iter().copied().filter(|&s| m.is_evidence(s, f, eta));

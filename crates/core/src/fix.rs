@@ -83,6 +83,11 @@ impl FixReport {
     pub fn extend(&mut self, other: FixReport) {
         self.records.extend(other.records);
     }
+
+    /// Keep only the first `len` records.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.records.truncate(len);
+    }
 }
 
 #[cfg(test)]

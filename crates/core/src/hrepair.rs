@@ -41,8 +41,8 @@
 //! the same values and targets as when it was last visited, and that visit
 //! changed nothing.
 //!
-//! Witness lists come from the phase loop's `MdMatchCache` — warm from
-//! `eRepair` and, in a delta call, from earlier calls — so round one
+//! Witness lists come from the phase loop's one `MdMatchCache` — warm from
+//! `cRepair`, `eRepair` and, in a delta call, earlier calls — so round one
 //! verifies only premises nobody verified before. A self-snapshot master
 //! is a new relation every round, so such a round matches through a fresh
 //! cache and visits every tuple for its MDs.
@@ -232,9 +232,10 @@ pub fn h_repair(
 /// resolving against a phase-start snapshot lets two records swap values
 /// through each other's stale copies, round after round.
 ///
-/// `cache` holds witness lists valid for `d` (the phase loop hands in
-/// `eRepair`'s). Every cell the run rewrites is invalidated in it, the
-/// last round's included, so it stays valid for the repaired `d`.
+/// `cache` holds witness lists valid for `d` (the phase loop hands in the
+/// session's); it serves every round whose view is not a snapshot. Every
+/// cell the run rewrites is invalidated in it, the last round's included,
+/// so it stays valid for the repaired `d`.
 pub(crate) fn h_run<'m>(
     d: &mut Relation,
     rules: &RuleSet,
@@ -264,13 +265,8 @@ pub(crate) fn h_run<'m>(
             let view = view(cur);
             if let Some(m) = view.master() {
                 let snapshot = matches!(view, MasterView::Snapshot(..));
-                let mut fresh;
-                let cache = if snapshot {
-                    fresh = MdMatchCache::new(rules, cur.len());
-                    &mut fresh
-                } else {
-                    &mut *cache
-                };
+                let mut spare = None;
+                let cache = view.cache(cache, &mut spare);
                 if first || snapshot {
                     cache.prefill(rules, cur, m, threads, |j, t| {
                         !cur.tuple(t).is_null(rules.mds()[j].rhs()[0].0)

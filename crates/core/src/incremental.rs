@@ -18,9 +18,11 @@
 //!   state: batch tuples enter by insert-time group/entropy deltas
 //!   (`TwoInOne::insert_tuples`), never by rebuild, and each `eRepair`
 //!   run works on a clone.
-//! * the **MD witness cache** persists across calls: premises untouched
-//!   by any repair are never re-verified — re-verification is targeted at
-//!   exactly the tuples whose cells the batch or its cascade rewrote.
+//! * the **MD witness cache** persists across calls, one for all three
+//!   phases, based on the post-`cRepair` state: premises untouched by any
+//!   repair are never re-verified — re-verification is targeted at exactly
+//!   the tuples whose cells the batch, its cascade or the call's
+//!   `eRepair`/`hRepair` rewrote.
 //! * the **acceptance check** (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`) is maintained
 //!   by [`ConsistencyIndex`] from the diff of the final relations: a
 //!   delta call re-probes the master index for changed tuples only.
@@ -43,12 +45,14 @@
 //! with the same cost and acceptance verdict (`tests/incremental.rs` pins
 //! this with a property test across parallelism settings).
 //! The `eRepair`/`hRepair` phases re-derive their fixes from the persisted
-//! post-`cRepair` state on every call (their decisions are global); the
-//! warm caches cover every phase's MD premise verification and acceptance
-//! (`eRepair` and `hRepair` share one witness cache). `hRepair`'s round one
-//! still scans the relation — its CFD classes are projected per call — so
-//! on `Phase::Full` states that scan is a delta call's floor; its later
-//! rounds visit only what the previous round changed.
+//! post-`cRepair` state on every call (their decisions are global), so the
+//! state's fix log keeps every `cRepair` fix (write-once, so bounded by the
+//! cell count) and only the last call's `eRepair`/`hRepair` fixes. The warm
+//! witness cache covers every phase's MD premise verification, and the
+//! acceptance index every verdict. `hRepair`'s round one still scans the
+//! relation — its CFD classes are projected per call — so on `Phase::Full`
+//! states that scan is a delta call's floor; its later rounds visit only
+//! what the previous round changed.
 //!
 //! [`MasterSource::SelfSnapshot`]: crate::MasterSource::SelfSnapshot
 
@@ -61,7 +65,7 @@ pub use crate::acceptance::{TupleViolation, ViolationKind};
 use crate::error::CleanError;
 use crate::fix::FixReport;
 use crate::session::{
-    full_clean, run_phases, CleanResult, Cleaner, NoOpObserver, Phase, PhaseObserver,
+    full_clean, run_phases, CleanResult, Cleaner, NoOpObserver, Phase, PhaseObserver, PhaseStats,
     PreparedCleaner, Warm,
 };
 
@@ -81,12 +85,14 @@ pub struct RepairState {
     /// The live `cRepair` fixpoint, the post-`cRepair` 2-in-1 structure
     /// and the warm witness cache. `None` under a self-snapshot master,
     /// where nothing per-relation can be pinned and every delta recleans.
-    warm: Option<Warm>,
+    pub(crate) warm: Option<Warm>,
     cons: ConsistencyIndex,
     cost: f64,
-    /// Every fix applied across the session, in application order
-    /// (re-derived `eRepair`/`hRepair` fixes appear once per call).
+    /// The fixes behind the current repair: every `cRepair` fix since the
+    /// last full clean, then the last call's `eRepair`/`hRepair` fixes.
     log: FixReport,
+    /// How many leading records of `log` are `cRepair` fixes.
+    c_logged: usize,
     escalations: usize,
     deltas: usize,
 }
@@ -127,9 +133,27 @@ impl RepairState {
         self.phase
     }
 
-    /// Cumulative fix log across the initial clean and every delta call.
+    /// The fixes behind the current repair: every deterministic fix since
+    /// the last full clean (each cell is written at most once), then the
+    /// reliable and possible fixes the last call re-derived. A cell can
+    /// appear more than once (a reliable fix revised by `hRepair`);
+    /// [`FixReport::final_states`] equals that of a from-scratch clean of
+    /// the concatenated input.
     pub fn log(&self) -> &FixReport {
         &self.log
+    }
+
+    /// Log one call's `report`: its `cRepair` fixes (counted in `phases`)
+    /// join the kept ones, its `eRepair`/`hRepair` fixes replace the
+    /// previous call's. A full clean resets `c_logged` first, so its report
+    /// replaces both parts.
+    fn record(&mut self, report: FixReport, phases: &[PhaseStats]) {
+        self.log.truncate(self.c_logged);
+        self.c_logged += phases
+            .iter()
+            .find(|s| s.phase == Phase::CRepair)
+            .map_or(0, |s| s.fixes);
+        self.log.extend(report);
     }
 
     /// How many `clean_delta` calls fell back to a full reclean.
@@ -265,7 +289,7 @@ impl Cleaner {
         observer: &mut dyn PhaseObserver,
     ) -> (RepairState, CleanResult) {
         let (result, warm, cons) = full_clean(self.prepared(), d, phase, true, observer);
-        let state = RepairState {
+        let mut state = RepairState {
             prepared: self.prepared().clone(),
             phase,
             base: d.clone(),
@@ -273,10 +297,12 @@ impl Cleaner {
             warm,
             cons,
             cost: result.cost,
-            log: result.report.clone(),
+            log: FixReport::new(),
+            c_logged: 0,
             escalations: 0,
             deltas: 0,
         };
+        state.record(result.report.clone(), &result.phases);
         (state, result)
     }
 
@@ -422,7 +448,8 @@ impl Cleaner {
             state.warm = warm;
             state.cons = cons;
             state.cost = result.cost;
-            state.log.extend(result.report.clone());
+            state.c_logged = 0;
+            state.record(result.report.clone(), &result.phases);
             state.escalations += 1;
             return Ok(result);
         };
@@ -437,7 +464,7 @@ impl Cleaner {
         state.cost = repair_cost(&state.base, &run.work);
         state.repaired = run.work;
         state.warm = run.warm;
-        state.log.extend(run.report.clone());
+        state.record(run.report.clone(), &run.phases);
         Ok(CleanResult {
             repaired: state.repaired.clone(),
             report: run.report,

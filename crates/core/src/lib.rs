@@ -69,7 +69,7 @@ pub use error::{CleanError, ConfigError};
 pub use fix::{FixRecord, FixReport};
 pub use hrepair::h_repair;
 pub use incremental::RepairState;
-pub use master_index::{IndexPolicy, MasterIndex, ProbeScratch};
+pub use master_index::{MasterIndex, ProbeScratch};
 pub use parallel::effective_parallelism;
 pub use session::{
     CleanResult, Cleaner, CleanerBuilder, MasterSource, NoOpObserver, Phase, PhaseObserver,

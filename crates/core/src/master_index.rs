@@ -1,36 +1,30 @@
-//! Indexed access to master data for MD premise evaluation (§5.2) — a
-//! cost-based, predicate-complete access-path planner.
+//! Indexed access to master data for MD premise evaluation (§5.2) — one
+//! access plan per premise shape.
 //!
 //! §5.2 is explicit that matching dominates cleaning cost and that
 //! "traditional database indices… designed for exact matching cannot be
-//! carried over" to similarity predicates. For every MD the planner
-//! therefore chooses from a family of access paths covering *every*
-//! predicate the paper names, so the O(|D|·|Dm|) full-scan fallback
-//! survives only for MDs with nothing to index (no premise conjuncts):
+//! carried over" to similarity predicates. The planner therefore gives
+//! every MD one plan, decided by the shape of its premise:
 //!
-//! * a **composite hash key** over *all* strict-equality conjuncts — one
-//!   probe replaces the old probe-one-equality-then-verify-the-rest;
-//! * an **exact hash index** for a lone `=` conjunct, keyed by the master
-//!   store's interned [`Symbol`]s;
-//! * a **count-filtered q-gram inverted index**
+//! * **one or more `=` conjuncts** — one exact hash probe over *all* of
+//!   them at once, keyed by the master store's interned [`Symbol`]s;
+//! * **only similarity conjuncts** — the cheapest complete filter among
+//!   them: a **count-filtered q-gram inverted index**
 //!   ([`uniclean_similarity::QGramIndex`]) for `~qgram`; its 1-gram
 //!   variant as a conservative common-character/length-ratio prefilter for
 //!   `~jaro`/`~jw`; and its 2-gram variant under the *complete* padded-gram
 //!   count bound ([`uniclean_similarity::lev_count_bound`]) for `~lev` —
 //!   within edit distance `k`, padded profiles share at least
-//!   `max(|u|,|v|) + q − 1 − k·q` grams, so the same inverted lists serve
-//!   edit-distance conjuncts without the old top-`l` LCS approximation;
-//! * **candidate-list intersection** of the two most selective indexable
-//!   conjuncts when the primary path alone is expected to leave many
-//!   candidates — selectivity is estimated from per-column distinct-count
-//!   statistics gathered at build time.
+//!   `max(|u|,|v|) + q − 1 − k·q` grams. "Cheapest" is estimated from
+//!   per-column distinct-count statistics gathered at build time;
+//! * **no premise** — a scan of `Dm`, the only O(|D|·|Dm|) case.
 //!
-//! Candidates returned by any path still need full premise verification,
-//! but every path is now a *complete* filter: no plan can lose a true
-//! match, for any predicate family, so candidate generation may shrink
-//! the verified set's superset but never the verified set itself.
-//! Candidate order is ascending master-row order on every path, so
-//! downstream witness selection is deterministic and plan-independent.
+//! Candidates returned by any plan still need full premise verification,
+//! and every plan is a *complete* filter: no plan can lose a true match,
+//! for any predicate family, so candidate generation may shrink the
+//! verified set's superset but never the verified set itself. Candidate
+//! order is ascending master-row order on every plan, so witness lists do
+//! not depend on the plan.
 //!
 //! Probing is allocation-free at steady state: callers hold a
 //! [`ProbeScratch`] (overlap accumulators, candidate buffers, and the
@@ -98,12 +92,6 @@ use uniclean_similarity::{simd, ProfilePool, QGramIndex, QGramScratch};
 
 use crate::parallel::{map_chunks, map_each};
 
-/// Estimated candidates per probe above which the planner adds a second
-/// selective conjunct as an intersection filter: below this, verifying the
-/// primary path's candidates outright is cheaper than a second index
-/// probe.
-const DEFAULT_INTERSECT_ABOVE: f64 = 64.0;
-
 /// Cost-model factors: expected candidate inflation of each similarity
 /// path relative to an exact probe on the same column. The Jaro bound is
 /// the loosest of the filters, the q-gram count filter the tightest; the
@@ -125,36 +113,8 @@ const LEV_QGRAM_Q: usize = 2;
 /// first contact (dropping entries filled under any other symbol space).
 static BUILD_EPOCH: AtomicU64 = AtomicU64::new(1);
 
-/// Planner tuning knobs (see [`MasterIndex::build_with_policy`]). The
-/// default matches production behavior; tests force intersection plans by
-/// zeroing `intersect_above`.
-#[derive(Clone, Copy, Debug)]
-pub struct IndexPolicy {
-    /// Expected primary-path candidate count above which a second
-    /// selective conjunct is intersected in.
-    pub intersect_above: f64,
-}
-
-impl Default for IndexPolicy {
-    fn default() -> Self {
-        IndexPolicy {
-            intersect_above: DEFAULT_INTERSECT_ABOVE,
-        }
-    }
-}
-
-/// One single-conjunct access path.
+/// One similarity filter over a single conjunct.
 enum Path {
-    /// Exact map, keyed by the **master store's own symbols** —
-    /// building it reads the symbol column straight out of the columnar
-    /// store, hashing no value content at all. A probe resolves the data
-    /// value through the shared interner snapshot once; a probe value the
-    /// interner has never seen cannot appear in the master column, so
-    /// `get == None` is exactly a miss.
-    Equal {
-        premise: usize,
-        map: Arc<FxHashMap<Symbol, Vec<u32>>>,
-    },
     /// Complete count-filtered retrieval under the edit bound `k`, over
     /// the shared [`LEV_QGRAM_Q`]-gram inverted lists. When accelerated
     /// kernels are active the count-filtered *distinct values* are
@@ -185,23 +145,19 @@ enum Path {
 
 /// The per-MD plan.
 enum Plan {
-    Single(Path),
     /// One hash probe over *all* equality conjuncts at once. The map key
-    /// is a 64-bit hash of the premise-ordered master symbols; hash
-    /// collisions only ever add candidates, which verification removes.
-    Composite {
+    /// is a 64-bit hash of the premise-ordered master symbols — the
+    /// master store's own, so building reads the symbol columns and hashes
+    /// no value content. Hash collisions only ever add candidates, which
+    /// verification removes.
+    Exact {
         premises: Arc<[usize]>,
         map: Arc<FxHashMap<u64, Vec<u32>>>,
     },
-    /// Sorted-list intersection of the two most selective conjunct paths.
-    Intersect {
-        primary: Path,
-        secondary: Path,
-    },
+    /// The cheapest similarity filter of an MD without equalities.
+    Filter(Path),
     /// Full enumeration — only for MDs with nothing to index.
-    Scan {
-        reason: &'static str,
-    },
+    Scan { reason: &'static str },
 }
 
 /// Reusable probe-side state: candidate buffers, the q-gram overlap
@@ -219,8 +175,6 @@ enum Plan {
 #[derive(Default)]
 pub struct ProbeScratch {
     qgram: QGramScratch,
-    rows_a: Vec<u32>,
-    rows_b: Vec<u32>,
     /// Staging for verified-match collection (two-phase probing).
     cand: Vec<TupleId>,
     /// Staging for candidate computation on cache misses.
@@ -256,152 +210,98 @@ impl ProbeScratch {
 // Planning (pure, no index construction).
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Debug)]
 enum PathSpec {
-    Equal { premise: usize },
     LevCount { premise: usize, k: usize },
     QGramCount { premise: usize, q: usize, min: f64 },
     JaroFilter { premise: usize, min_jaro: f64 },
 }
 
-#[derive(Clone, Debug)]
 enum PlanSpec {
-    Single(PathSpec),
-    Composite {
-        premises: Vec<usize>,
-    },
-    Intersect {
-        primary: PathSpec,
-        secondary: PathSpec,
-    },
-    Scan {
-        reason: &'static str,
-    },
+    Exact { premises: Vec<usize> },
+    Filter(PathSpec),
+    Scan { reason: &'static str },
 }
 
-/// A costed conjunct: estimated candidates per probe, premise index, and
-/// the path that would serve it. Every path is complete (never loses a
-/// true match); `degenerate` flags thresholds that keep every row —
-/// still complete, but useless as an intersection filter.
-struct Costed {
-    cost: f64,
+impl PlanSpec {
+    /// The artifact this plan probes (none for a scan). `~lev` and
+    /// `~qgram(2, …)` conjuncts on one attribute share one `QGram(attr, 2)`
+    /// index.
+    fn artifact(&self, md: &Md) -> Option<ArtifactKey> {
+        let attr = |premise: usize| md.premises()[premise].master_attr;
+        Some(match *self {
+            PlanSpec::Exact { ref premises } => {
+                ArtifactKey::Exact(premises.iter().map(|&i| attr(i)).collect())
+            }
+            PlanSpec::Filter(PathSpec::LevCount { premise, .. }) => {
+                ArtifactKey::QGram(attr(premise), LEV_QGRAM_Q)
+            }
+            PlanSpec::Filter(PathSpec::QGramCount { premise, q, .. }) => {
+                ArtifactKey::QGram(attr(premise), q)
+            }
+            PlanSpec::Filter(PathSpec::JaroFilter { premise, .. }) => {
+                ArtifactKey::QGram(attr(premise), 1)
+            }
+            PlanSpec::Scan { .. } => return None,
+        })
+    }
+}
+
+/// The similarity filter serving conjunct `premise`, with its estimated
+/// candidates per probe. A threshold that keeps every row (qgram min ≤ 0,
+/// Jaro floor ≤ 1/3) costs the whole relation.
+fn cost_filter(
+    md: &Md,
     premise: usize,
-    spec: PathSpec,
-    /// A degenerate threshold (qgram min ≤ 0, Jaro floor ≤ 1/3) keeps
-    /// every row.
-    degenerate: bool,
-}
-
-fn cost_conjunct(md: &Md, premise: usize, rows: usize, stats: &HashMap<AttrId, usize>) -> Costed {
+    rows: usize,
+    stats: &HashMap<AttrId, usize>,
+) -> (f64, PathSpec) {
     let p = &md.premises()[premise];
     let distinct = stats.get(&p.master_attr).copied().unwrap_or(1).max(1);
     let per_value = rows as f64 / distinct as f64;
-    if p.pred.is_equality() {
-        return Costed {
-            cost: per_value,
-            premise,
-            spec: PathSpec::Equal { premise },
-            degenerate: false,
-        };
-    }
     if let Some(k) = p.pred.edit_threshold() {
         // The count bound forgives q grams per edit, so expected
         // candidates widen linearly with k.
-        return Costed {
-            cost: per_value * LEV_COST_FACTOR * (k + 1) as f64,
-            premise,
-            spec: PathSpec::LevCount { premise, k },
-            degenerate: false,
-        };
+        let cost = per_value * LEV_COST_FACTOR * (k + 1) as f64;
+        return (cost, PathSpec::LevCount { premise, k });
     }
     if let Some((q, min)) = p.pred.qgram_params() {
-        let degenerate = min <= 0.0;
-        let cost = if degenerate {
-            rows as f64 // keeps every row
+        let cost = if min <= 0.0 {
+            rows as f64
         } else {
             per_value * QGRAM_COST_FACTOR
         };
-        return Costed {
-            cost,
-            premise,
-            spec: PathSpec::QGramCount { premise, q, min },
-            degenerate,
-        };
+        return (cost, PathSpec::QGramCount { premise, q, min });
     }
     let min_jaro = p
         .pred
         .jaro_floor()
         .expect("every similarity predicate family is costed");
-    let degenerate = 3.0 * min_jaro - 1.0 <= 0.0;
-    let cost = if degenerate {
+    let cost = if 3.0 * min_jaro - 1.0 <= 0.0 {
         rows as f64
     } else {
         per_value * JARO_COST_FACTOR
     };
-    Costed {
-        cost,
-        premise,
-        spec: PathSpec::JaroFilter { premise, min_jaro },
-        degenerate,
-    }
+    (cost, PathSpec::JaroFilter { premise, min_jaro })
 }
 
-/// Choose the access plan for one MD. Every candidate path is complete,
-/// so the choice is purely cost: a lone equality probe when one exists
-/// (always the tightest), otherwise the cheapest similarity filter; a
-/// second selective conjunct intersects in when the base is expected to
-/// leave enough candidates for a second probe to pay for itself —
-/// intersection of complete filters is complete, so candidates can only
-/// shrink, never verified matches.
-fn plan_md(md: &Md, rows: usize, stats: &HashMap<AttrId, usize>, policy: IndexPolicy) -> PlanSpec {
-    let premises = md.premises();
-    if premises.is_empty() {
-        return PlanSpec::Scan {
-            reason: "MD has no premise conjuncts to index",
-        };
-    }
+/// Choose the access plan for one MD by the shape of its premise: one
+/// exact probe over every equality conjunct when there is one (always the
+/// tightest), else the cheapest similarity filter (ties to the first
+/// conjunct), else a scan.
+fn plan_md(md: &Md, rows: usize, stats: &HashMap<AttrId, usize>) -> PlanSpec {
     let eqs: Vec<usize> = md.equality_premise_indices().collect();
-    if eqs.len() >= 2 {
-        // All equalities collapse into one composite probe; its expected
-        // selectivity is at worst that of the best single equality.
-        return PlanSpec::Composite { premises: eqs };
+    if !eqs.is_empty() {
+        return PlanSpec::Exact { premises: eqs };
     }
-    let costed: Vec<Costed> = (0..premises.len())
-        .map(|i| cost_conjunct(md, i, rows, stats))
-        .collect();
-    // Base path: the lone equality, else the cheapest filter.
-    let base = if let Some(&eq) = eqs.first() {
-        &costed[eq]
-    } else {
-        costed
-            .iter()
-            .min_by(|a, b| {
-                a.cost
-                    .partial_cmp(&b.cost)
-                    .expect("finite costs")
-                    .then(a.premise.cmp(&b.premise))
-            })
-            .expect("premises is non-empty")
-    };
-    // Secondary filter: the most selective conjunct other than the base,
-    // if the base is expected to leave enough candidates for a second
-    // probe to pay for itself.
-    let secondary = costed
-        .iter()
-        .filter(|c| c.premise != base.premise && !c.degenerate)
-        .min_by(|a, b| {
-            a.cost
-                .partial_cmp(&b.cost)
-                .expect("finite costs")
-                .then(a.premise.cmp(&b.premise))
-        });
-    match secondary {
-        Some(s) if base.cost > policy.intersect_above => PlanSpec::Intersect {
-            primary: base.spec.clone(),
-            secondary: s.spec.clone(),
-        },
-        _ => PlanSpec::Single(base.spec.clone()),
-    }
+    (0..md.premises().len())
+        .map(|i| cost_filter(md, i, rows, stats))
+        .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"))
+        .map_or(
+            PlanSpec::Scan {
+                reason: "MD has no premise conjuncts to index",
+            },
+            |(_, spec)| PlanSpec::Filter(spec),
+        )
 }
 
 // ---------------------------------------------------------------------------
@@ -409,21 +309,17 @@ fn plan_md(md: &Md, rows: usize, stats: &HashMap<AttrId, usize>, policy: IndexPo
 // ---------------------------------------------------------------------------
 
 /// A deduplicated unit of index construction; every distinct key builds
-/// once, on its own worker when parallelism allows. `~lev` and
-/// `~qgram(2, …)` conjuncts on one attribute share one `QGram(attr, 2)`
-/// artifact.
+/// once, on its own worker when parallelism allows.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 enum ArtifactKey {
-    Equal(AttrId),
     QGram(AttrId, usize),
     /// Master attributes of all equality conjuncts, premise order.
-    Composite(Vec<AttrId>),
+    Exact(Vec<AttrId>),
 }
 
 enum Artifact {
-    Equal(Arc<FxHashMap<Symbol, Vec<u32>>>),
     QGram(Arc<QGramIndex>, Arc<VidColumn>),
-    Composite(Arc<FxHashMap<u64, Vec<u32>>>),
+    Exact(Arc<FxHashMap<u64, Vec<u32>>>),
 }
 
 /// Distinct-value sidecar of a q-gram artifact: for each dense value id
@@ -439,15 +335,6 @@ pub(crate) struct VidColumn {
 fn build_artifact(key: &ArtifactKey, master: &Relation, threads: usize) -> Artifact {
     let interner = master.interner();
     match key {
-        ArtifactKey::Equal(attr) => {
-            // The master column is already interned by its store: key the
-            // rows by those symbols, no value hashing at all.
-            let mut m: FxHashMap<Symbol, Vec<u32>> = FxHashMap::default();
-            for (row, &sym) in master.col_syms(*attr).iter().enumerate() {
-                m.entry(sym).or_default().push(row as u32);
-            }
-            Artifact::Equal(Arc::new(m))
-        }
         ArtifactKey::QGram(attr, q) => {
             // Batched build: one pass over the symbol column collects the
             // owner rows of every distinct non-null symbol (dense
@@ -497,7 +384,7 @@ fn build_artifact(key: &ArtifactKey, master: &Relation, threads: usize) -> Artif
             let texts: Vec<Box<str>> = parts.into_iter().flat_map(|(_, texts)| texts).collect();
             Artifact::QGram(Arc::new(index), Arc::new(VidColumn { syms, texts }))
         }
-        ArtifactKey::Composite(attrs) => {
+        ArtifactKey::Exact(attrs) => {
             let null = master.null_sym();
             let cols: Vec<&[Symbol]> = attrs.iter().map(|&a| master.col_syms(a)).collect();
             let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
@@ -514,7 +401,7 @@ fn build_artifact(key: &ArtifactKey, master: &Relation, threads: usize) -> Artif
                 }
                 map.entry(h.finish()).or_default().push(row as u32);
             }
-            Artifact::Composite(Arc::new(map))
+            Artifact::Exact(Arc::new(map))
         }
     }
 }
@@ -522,8 +409,8 @@ fn build_artifact(key: &ArtifactKey, master: &Relation, threads: usize) -> Artif
 /// Per-MD access paths over one master relation.
 pub struct MasterIndex {
     plans: Vec<Plan>,
-    /// Snapshot of the master store's interner, which the symbol-keyed
-    /// equality paths probe through (empty when no such path exists).
+    /// Snapshot of the master store's interner, which the exact probes
+    /// resolve through (empty when no MD has one).
     interner: Arc<ValueInterner>,
     master_len: usize,
     /// Globally unique build stamp guarding symbol-keyed scratch caches.
@@ -534,32 +421,21 @@ impl MasterIndex {
     /// Build access paths for `mds` over `master`, single-threaded.
     /// Indexes on the same master column are shared between MDs.
     pub fn build(mds: &[Md], master: &Relation) -> Self {
-        Self::build_with_policy(mds, master, 1, IndexPolicy::default())
+        Self::build_parallel(mds, master, true, 1)
     }
 
     /// [`Self::build`] fanning index construction out over `threads`
     /// scoped workers (one per distinct per-attribute artifact). The built
     /// index is identical at every thread count. The `bool` is ignored:
-    /// equality paths are always keyed by the master store's symbols. It
+    /// exact probes are always keyed by the master store's symbols. It
     /// stays only because the benchmark harness still passes one.
     pub fn build_parallel(mds: &[Md], master: &Relation, _: bool, threads: usize) -> Self {
-        Self::build_with_policy(mds, master, threads, IndexPolicy::default())
-    }
-
-    /// Fully parameterized build — the planner entry point. `policy`
-    /// tunes plan selection (tests force intersection plans with
-    /// `intersect_above: 0.0`); all plans remain match-preserving under
-    /// any policy.
-    pub fn build_with_policy(
-        mds: &[Md],
-        master: &Relation,
-        threads: usize,
-        policy: IndexPolicy,
-    ) -> Self {
-        // Distinct-count statistics for every premise master column — the
-        // planner's selectivity estimates.
+        // Distinct-count statistics for the premise master columns of MDs
+        // without equalities — the similarity filters' selectivity
+        // estimates.
         let mut stat_attrs: Vec<AttrId> = mds
             .iter()
+            .filter(|md| md.equality_premise_indices().next().is_none())
             .flat_map(|md| md.premises().iter().map(|p| p.master_attr))
             .collect();
         stat_attrs.sort_unstable();
@@ -576,44 +452,21 @@ impl MasterIndex {
         // in parallel, one worker per artifact.
         let specs: Vec<PlanSpec> = mds
             .iter()
-            .map(|md| plan_md(md, master.len(), &stats, policy))
+            .map(|md| plan_md(md, master.len(), &stats))
             .collect();
         let mut keys: Vec<ArtifactKey> = Vec::new();
         let mut key_ids: HashMap<ArtifactKey, usize> = HashMap::new();
-        let mut want = |key: ArtifactKey| {
-            key_ids.entry(key.clone()).or_insert_with(|| {
-                keys.push(key);
-                keys.len() - 1
-            });
-        };
-        let path_key = |md: &Md, spec: &PathSpec| match spec {
-            PathSpec::Equal { premise } => ArtifactKey::Equal(md.premises()[*premise].master_attr),
-            PathSpec::LevCount { premise, .. } => {
-                ArtifactKey::QGram(md.premises()[*premise].master_attr, LEV_QGRAM_Q)
-            }
-            PathSpec::QGramCount { premise, q, .. } => {
-                ArtifactKey::QGram(md.premises()[*premise].master_attr, *q)
-            }
-            PathSpec::JaroFilter { premise, .. } => {
-                ArtifactKey::QGram(md.premises()[*premise].master_attr, 1)
-            }
-        };
-        for (md, spec) in mds.iter().zip(&specs) {
-            match spec {
-                PlanSpec::Single(p) => want(path_key(md, p)),
-                PlanSpec::Composite { premises } => want(ArtifactKey::Composite(
-                    premises
-                        .iter()
-                        .map(|&i| md.premises()[i].master_attr)
-                        .collect(),
-                )),
-                PlanSpec::Intersect { primary, secondary } => {
-                    want(path_key(md, primary));
-                    want(path_key(md, secondary));
-                }
-                PlanSpec::Scan { .. } => {}
-            }
-        }
+        let artifact_of: Vec<Option<usize>> = mds
+            .iter()
+            .zip(&specs)
+            .map(|(md, spec)| {
+                let key = spec.artifact(md)?;
+                Some(*key_ids.entry(key.clone()).or_insert_with(|| {
+                    keys.push(key);
+                    keys.len() - 1
+                }))
+            })
+            .collect();
         // Each artifact gets its own worker; the batched q-gram builds
         // split the residual thread budget between them.
         let inner_threads = (threads / keys.len().max(1)).max(1);
@@ -622,81 +475,47 @@ impl MasterIndex {
         });
 
         // Assemble the runtime plans.
-        let resolve_path = |md: &Md, spec: &PathSpec| -> Path {
-            let id = key_ids[&path_key(md, spec)];
-            match (spec, &artifacts[id]) {
-                (PathSpec::Equal { premise }, Artifact::Equal(map)) => Path::Equal {
-                    premise: *premise,
+        let plans: Vec<Plan> = specs
+            .into_iter()
+            .zip(artifact_of)
+            .map(|(spec, id)| match (spec, id.map(|id| &artifacts[id])) {
+                (PlanSpec::Exact { premises }, Some(Artifact::Exact(map))) => Plan::Exact {
+                    premises: premises.into(),
                     map: map.clone(),
                 },
-                (PathSpec::LevCount { premise, k }, Artifact::QGram(index, col)) => {
-                    Path::LevCount {
-                        premise: *premise,
-                        k: *k,
-                        index: index.clone(),
-                        col: col.clone(),
-                    }
-                }
-                (PathSpec::QGramCount { premise, q, min }, Artifact::QGram(index, _)) => {
-                    Path::QGramCount {
-                        premise: *premise,
-                        q: *q,
-                        min: *min,
-                        index: index.clone(),
-                    }
-                }
-                (PathSpec::JaroFilter { premise, min_jaro }, Artifact::QGram(index, _)) => {
-                    Path::JaroFilter {
-                        premise: *premise,
-                        min_jaro: *min_jaro,
-                        index: index.clone(),
-                    }
-                }
+                (
+                    PlanSpec::Filter(PathSpec::LevCount { premise, k }),
+                    Some(Artifact::QGram(index, col)),
+                ) => Plan::Filter(Path::LevCount {
+                    premise,
+                    k,
+                    index: index.clone(),
+                    col: col.clone(),
+                }),
+                (
+                    PlanSpec::Filter(PathSpec::QGramCount { premise, q, min }),
+                    Some(Artifact::QGram(index, _)),
+                ) => Plan::Filter(Path::QGramCount {
+                    premise,
+                    q,
+                    min,
+                    index: index.clone(),
+                }),
+                (
+                    PlanSpec::Filter(PathSpec::JaroFilter { premise, min_jaro }),
+                    Some(Artifact::QGram(index, _)),
+                ) => Plan::Filter(Path::JaroFilter {
+                    premise,
+                    min_jaro,
+                    index: index.clone(),
+                }),
+                (PlanSpec::Scan { reason }, None) => Plan::Scan { reason },
                 _ => unreachable!("artifact kind matches its key"),
-            }
-        };
-        let mut keyed_by_symbol = false;
-        let plans: Vec<Plan> = mds
-            .iter()
-            .zip(&specs)
-            .map(|(md, spec)| match spec {
-                PlanSpec::Single(p) => {
-                    let path = resolve_path(md, p);
-                    keyed_by_symbol |= matches!(path, Path::Equal { .. });
-                    Plan::Single(path)
-                }
-                PlanSpec::Composite { premises } => {
-                    let key = ArtifactKey::Composite(
-                        premises
-                            .iter()
-                            .map(|&i| md.premises()[i].master_attr)
-                            .collect(),
-                    );
-                    let Artifact::Composite(map) = &artifacts[key_ids[&key]] else {
-                        unreachable!("artifact kind matches its key")
-                    };
-                    keyed_by_symbol = true;
-                    Plan::Composite {
-                        premises: premises.clone().into(),
-                        map: map.clone(),
-                    }
-                }
-                PlanSpec::Intersect { primary, secondary } => {
-                    let a = resolve_path(md, primary);
-                    let b = resolve_path(md, secondary);
-                    keyed_by_symbol |=
-                        matches!(a, Path::Equal { .. }) || matches!(b, Path::Equal { .. });
-                    Plan::Intersect {
-                        primary: a,
-                        secondary: b,
-                    }
-                }
-                PlanSpec::Scan { reason } => Plan::Scan { reason },
             })
             .collect();
-        // Symbols in the equality maps are the master store's; probes
-        // resolve through a snapshot of its (append-only) interner.
-        let interner = if keyed_by_symbol {
+        // Symbols in the exact maps are the master store's; probes resolve
+        // through a snapshot of its (append-only) interner.
+        let interner = if plans.iter().any(|p| matches!(p, Plan::Exact { .. })) {
             master.interner().clone()
         } else {
             ValueInterner::new()
@@ -709,8 +528,8 @@ impl MasterIndex {
         }
     }
 
-    /// Append the candidates of one single-conjunct path (unordered,
-    /// unique rows; empty on a null probe value).
+    /// Append the candidates of one similarity filter (unordered, unique
+    /// rows; empty on a null probe value).
     fn collect_path<'t>(
         &self,
         path: &Path,
@@ -721,15 +540,6 @@ impl MasterIndex {
         out: &mut Vec<u32>,
     ) {
         match path {
-            Path::Equal { premise, map } => {
-                let v = t.value(md.premises()[*premise].attr);
-                if v.is_null() {
-                    return;
-                }
-                if let Some(rows) = self.interner.get(v).and_then(|sym| map.get(&sym)) {
-                    out.extend_from_slice(rows);
-                }
-            }
             Path::LevCount {
                 premise,
                 k,
@@ -893,24 +703,15 @@ impl MasterIndex {
         out: &mut Vec<u32>,
     ) {
         let ProbeScratch {
-            qgram,
-            rows_a,
-            rows_b,
-            matching,
-            ..
+            qgram, matching, ..
         } = scratch;
         match &self.plans[md_idx] {
             Plan::Scan { .. } => unreachable!("scan plans never reach candidate computation"),
-            Plan::Single(path @ Path::Equal { .. }) => {
-                // Exact buckets are already ascending and unique: emit
-                // straight off the map.
-                self.collect_path(path, md, t, qgram, matching, out);
-            }
-            Plan::Single(path) => {
+            Plan::Filter(path) => {
                 self.collect_path(path, md, t, qgram, matching, out);
                 out.sort_unstable();
             }
-            Plan::Composite { premises, map } => {
+            Plan::Exact { premises, map } => {
                 let mut h = FxHasher::default();
                 for &pi in premises.iter() {
                     let v = t.value(md.premises()[pi].attr);
@@ -924,31 +725,9 @@ impl MasterIndex {
                         None => return,
                     }
                 }
+                // Buckets fill in row order: already ascending and unique.
                 if let Some(rows) = map.get(&h.finish()) {
                     out.extend_from_slice(rows);
-                }
-            }
-            Plan::Intersect { primary, secondary } => {
-                rows_a.clear();
-                self.collect_path(primary, md, t, qgram, matching, rows_a);
-                if rows_a.is_empty() {
-                    return;
-                }
-                rows_b.clear();
-                self.collect_path(secondary, md, t, qgram, matching, rows_b);
-                rows_a.sort_unstable();
-                rows_b.sort_unstable();
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < rows_a.len() && j < rows_b.len() {
-                    match rows_a[i].cmp(&rows_b[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            out.push(rows_a[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
                 }
             }
         }
@@ -1060,33 +839,24 @@ impl MasterIndex {
                 .attr_name(md.premises()[premise].master_attr)
                 .to_string()
         };
-        let path = |p: &Path| match p {
-            Path::Equal { premise, .. } => format!("exact-eq({})", attr(*premise)),
-            Path::LevCount { premise, k, .. } => {
-                format!("lev-count({}, q={LEV_QGRAM_Q}, k={k})", attr(*premise))
-            }
-            Path::QGramCount {
-                premise, q, min, ..
-            } => {
-                format!("qgram-count({}, q={q}, min={min})", attr(*premise))
-            }
-            Path::JaroFilter {
-                premise, min_jaro, ..
-            } => format!("jaro-1gram({}, floor={min_jaro:.3})", attr(*premise)),
-        };
         match &self.plans[md_idx] {
-            Plan::Single(p) => path(p),
-            Plan::Composite { premises, .. } => format!(
-                "composite-eq({})",
+            Plan::Exact { premises, .. } => format!(
+                "exact-eq({})",
                 premises
                     .iter()
                     .map(|&i| attr(i))
                     .collect::<Vec<_>>()
                     .join(", ")
             ),
-            Plan::Intersect { primary, secondary } => {
-                format!("intersect({} ∩ {})", path(primary), path(secondary))
+            Plan::Filter(Path::LevCount { premise, k, .. }) => {
+                format!("lev-count({}, q={LEV_QGRAM_Q}, k={k})", attr(*premise))
             }
+            Plan::Filter(Path::QGramCount {
+                premise, q, min, ..
+            }) => format!("qgram-count({}, q={q}, min={min})", attr(*premise)),
+            Plan::Filter(Path::JaroFilter {
+                premise, min_jaro, ..
+            }) => format!("jaro-1gram({}, floor={min_jaro:.3})", attr(*premise)),
             Plan::Scan { reason } => format!("scan ({reason})"),
         }
     }
@@ -1202,7 +972,7 @@ mod tests {
             ],
         );
         let idx = MasterIndex::build(&mds, &dm);
-        assert!(idx.describe_plan(0, &mds[0]).starts_with("composite-eq"));
+        assert_eq!(idx.describe_plan(0, &mds[0]), "exact-eq(LN, city)");
         let t = Tuple::of_strs(&["Smith", "Edi", "999"], 0.5);
         // One probe pins both conjuncts: only the (Smith, Edi) row is even a
         // candidate, where the old single-equality path would have surfaced
@@ -1212,86 +982,6 @@ mod tests {
         idx.for_each_candidate(0, &mds[0], &t, &mut scratch, |sid| cands.push(sid));
         assert_eq!(cands, vec![TupleId(0)]);
         assert_eq!(probe_matches(&idx, &mds[0], &t, &dm), vec![TupleId(0)]);
-    }
-
-    #[test]
-    fn forced_intersection_plan_preserves_matches() {
-        let tran = Schema::of_strings("tran", &["LN", "FN", "phn"]);
-        let card = Schema::of_strings("card", &["LN", "FN", "tel"]);
-        let text = "md m: tran[LN] = card[LN] AND tran[FN] ~qgram(2,0.5) card[FN] \
-                    -> tran[phn] <=> card[tel]";
-        let mds = parse_rules(text, &tran, Some(&card)).unwrap().positive_mds;
-        let dm = Relation::new(
-            card,
-            vec![
-                Tuple::of_strs(&["Smith", "Mark", "111"], 1.0),
-                Tuple::of_strs(&["Smith", "Robert", "222"], 1.0),
-                Tuple::of_strs(&["Brady", "Mark", "333"], 1.0),
-            ],
-        );
-        let plain = MasterIndex::build(&mds, &dm);
-        let forced = MasterIndex::build_with_policy(
-            &mds,
-            &dm,
-            1,
-            IndexPolicy {
-                intersect_above: 0.0,
-            },
-        );
-        assert!(forced.describe_plan(0, &mds[0]).starts_with("intersect("));
-        for (ln, fn_) in [
-            ("Smith", "Marc"),
-            ("Smith", "Zed"),
-            ("Brady", "Mark"),
-            ("X", "Y"),
-        ] {
-            let t = Tuple::of_strs(&[ln, fn_, "9"], 0.5);
-            assert_eq!(
-                probe_matches(&forced, &mds[0], &t, &dm),
-                probe_matches(&plain, &mds[0], &t, &dm),
-                "probe ({ln}, {fn_})"
-            );
-            assert_eq!(
-                probe_matches(&forced, &mds[0], &t, &dm),
-                reference_matches(&mds[0], &t, &dm),
-            );
-        }
-    }
-
-    #[test]
-    fn forced_intersection_with_lev_secondary_preserves_matches() {
-        // The lev count filter is complete, so since this PR it may serve
-        // as an intersection secondary; matches must be scan-identical.
-        let tran = Schema::of_strings("tran", &["LN", "FN", "phn"]);
-        let card = Schema::of_strings("card", &["LN", "FN", "tel"]);
-        let text = "md m: tran[LN] ~qgram(2,0.5) card[LN] AND tran[FN] ~lev(1) card[FN] \
-                    -> tran[phn] <=> card[tel]";
-        let mds = parse_rules(text, &tran, Some(&card)).unwrap().positive_mds;
-        let dm = Relation::new(
-            card,
-            vec![
-                Tuple::of_strs(&["Smith", "Mark", "111"], 1.0),
-                Tuple::of_strs(&["Smyth", "Marc", "222"], 1.0),
-                Tuple::of_strs(&["Brady", "Mark", "333"], 1.0),
-            ],
-        );
-        let forced = MasterIndex::build_with_policy(
-            &mds,
-            &dm,
-            1,
-            IndexPolicy {
-                intersect_above: 0.0,
-            },
-        );
-        assert!(forced.describe_plan(0, &mds[0]).starts_with("intersect("));
-        for (ln, fn_) in [("Smith", "Mark"), ("Smyth", "Marx"), ("Smith", "Zed")] {
-            let t = Tuple::of_strs(&[ln, fn_, "9"], 0.5);
-            assert_eq!(
-                probe_matches(&forced, &mds[0], &t, &dm),
-                reference_matches(&mds[0], &t, &dm),
-                "probe ({ln}, {fn_})"
-            );
-        }
     }
 
     #[test]
@@ -1397,8 +1087,8 @@ mod tests {
                 Tuple::of_strs(&["Brady", "Rob", "222"], 1.0),
             ],
         );
-        let seq = MasterIndex::build_with_policy(&mds, &dm, 1, IndexPolicy::default());
-        let par = MasterIndex::build_with_policy(&mds, &dm, 4, IndexPolicy::default());
+        let seq = MasterIndex::build(&mds, &dm);
+        let par = MasterIndex::build_parallel(&mds, &dm, true, 4);
         for (i, md) in mds.iter().enumerate() {
             assert_eq!(seq.describe_plan(i, md), par.describe_plan(i, md));
             for name in ["Smith", "Smoth", "Brady"] {

@@ -19,9 +19,12 @@
 //!   always equal to a direct `matches_into` call on the current
 //!   relation state, so results are bit-identical at every thread count.
 //!
-//! `cRepair` keeps one cache over its fixpoint relation; `eRepair` and then
-//! `hRepair` share another, which a kept state carries into the next delta
-//! call.
+//! The phase loop keeps one cache for the session's master view, whose base
+//! relation is the post-`cRepair` state: `cRepair` writes and settles,
+//! `eRepair` and then `hRepair` write into a per-run overlay, and a kept
+//! state carries the cache into the next delta call. A self-snapshot master
+//! is a new relation in every phase and `hRepair` round, so each such view
+//! gets a fresh cache (`MasterView::cache` decides).
 
 use uniclean_model::{AttrId, FxHashMap, Relation, TupleId};
 use uniclean_rules::RuleSet;
@@ -32,13 +35,13 @@ use crate::session::Master;
 
 /// Per-(MD, tuple) verified witness lists with premise-based invalidation.
 ///
-/// A cache can outlive one phase run: [`RepairState`](crate::RepairState)
-/// keeps the `eRepair`/`hRepair` cache warm across `clean_delta` calls,
-/// where every run restarts from the same post-`cRepair` relation — the
-/// cache's *base* state. A write never drops a base entry: the slots whose
-/// premises a run rewrote are shadowed by a per-run overlay, which
-/// [`MdMatchCache::begin_run`] discards, so the next run finds every base
-/// entry warm.
+/// A cache can outlive one call: [`RepairState`](crate::RepairState) keeps
+/// it warm across `clean_delta` calls. Its *base* state is the
+/// post-`cRepair` relation, which only moves forward: `cRepair` writes and
+/// then [`MdMatchCache::settle`]s. An `eRepair`/`hRepair` write never drops
+/// a base entry: the slots whose premises a run rewrote are shadowed by a
+/// per-run overlay, which [`MdMatchCache::begin_run`] discards, so the next
+/// call finds every base entry warm.
 pub(crate) struct MdMatchCache {
     /// `entries[md][tuple]`: the witness list for the base state (`None` =
     /// not computed).
@@ -80,6 +83,17 @@ impl MdMatchCache {
         }
     }
 
+    /// An empty cache of the same shape, for another master relation.
+    pub(crate) fn empty_like(&self) -> Self {
+        MdMatchCache {
+            entries: self.entries.iter().map(|e| vec![None; e.len()]).collect(),
+            attr_to_mds: self.attr_to_mds.clone(),
+            rewritten: FxHashMap::default(),
+            scratch: ProbeScratch::new(),
+            miss_buf: Vec::new(),
+        }
+    }
+
     /// Extend the cache with empty slots for `n_new` appended tuples.
     pub(crate) fn grow(&mut self, n_new: usize) {
         for per_md in &mut self.entries {
@@ -97,10 +111,8 @@ impl MdMatchCache {
         self.scratch.reset();
     }
 
-    /// Make the current state the base state, folding the overlay in — for
-    /// caches that track a forward-only relation (the `cRepair` fixpoint's
-    /// cache), and for writes that change the base itself (a delta's
-    /// cascade into settled tuples).
+    /// Make the current state the base state, folding the overlay in —
+    /// after `cRepair`, whose writes move the base relation forward.
     pub(crate) fn settle(&mut self) {
         for ((m, t), entry) in self.rewritten.drain() {
             self.entries[m][t.index()] = entry;
@@ -439,6 +451,97 @@ mod tests {
                 "rounds={rounds}: the base entry of the tuple hRepair moved stays warm"
             );
             assert!(assert_current(&cache, &rules, &start, &dm, &idx) > 0);
+        }
+    }
+
+    /// The session's one cache, from `cRepair` on: after `begin` and after
+    /// every delta — the first one a cascade that moves a settled tuple's
+    /// MD premise to another witness — every filled base entry is what a
+    /// direct probe of the post-`cRepair` relation returns.
+    #[test]
+    fn the_warm_cache_base_is_the_post_crepair_relation() {
+        use crate::config::CleanConfig;
+        use crate::incremental::RepairState;
+        use crate::session::{Cleaner, MasterSource, Phase};
+        use uniclean_model::FixMark;
+
+        let r = Schema::of_strings("r", &["K", "A", "C", "B"]);
+        let rm = Schema::of_strings("rm", &["K", "C", "B"]);
+        let text = "cfd fd: r([A] -> [K])\n\
+                    md m: r[K] = rm[K] AND r[C] = rm[C] -> r[B] <=> rm[B]";
+        let parsed = parse_rules(text, &r, Some(&rm)).unwrap();
+        let rules = RuleSet::new(
+            r.clone(),
+            Some(rm.clone()),
+            parsed.cfds,
+            parsed.positive_mds,
+            vec![],
+        );
+        let dm = Relation::new(
+            rm,
+            vec![
+                Tuple::of_strs(&["k1", "c", "b1"], 1.0),
+                Tuple::of_strs(&["k2", "c", "b2"], 1.0),
+            ],
+        );
+        // `cf` lists the confidence of K, A, C, B.
+        let row = |vals: [&str; 4], cf: [f64; 4]| {
+            let mut t = Tuple::of_strs(&vals, 0.0);
+            for (attr, c) in r.attr_ids().zip(cf) {
+                let v = t.value(attr).clone();
+                t.set(attr, v, c, FixMark::Untouched);
+            }
+            t
+        };
+        // The settled tuple matches master row k1 through its unasserted
+        // K; the first batch asserts K = k2 for the same A, so cRepair
+        // moves it to k2.
+        let settled = row(["k1", "a0", "c", "b0"], [0.0, 1.0, 0.0, 0.0]);
+        let witness = row(["k2", "a0", "c", "b2"], [1.0, 1.0, 0.0, 0.0]);
+        let unrelated = row(["k9", "a9", "c", "b9"], [0.0, 0.0, 0.0, 0.0]);
+        for threads in [1, 4] {
+            let uni = Cleaner::builder()
+                .rules(rules.clone())
+                .master(MasterSource::external(dm.clone()))
+                .config(CleanConfig {
+                    eta: 0.8,
+                    parallelism: std::num::NonZeroUsize::new(threads),
+                    ..CleanConfig::default()
+                })
+                .build()
+                .unwrap();
+            let idx = uni.prepared().master_index().unwrap();
+            let check = |state: &RepairState, label: &str| {
+                let warm = state
+                    .warm
+                    .as_ref()
+                    .expect("an external master keeps its state");
+                let mut scratch = ProbeScratch::new();
+                let mut direct = Vec::new();
+                let mut filled = 0;
+                for (j, md) in rules.mds().iter().enumerate() {
+                    for t in warm.post_c.ids() {
+                        let Some(entry) = &warm.cache.entries[j][t.index()] else {
+                            continue;
+                        };
+                        let probe = warm.post_c.tuple(t);
+                        idx.matches_into(j, md, probe, &dm, None, &mut scratch, &mut direct);
+                        assert_eq!(&**entry, direct.as_slice(), "{label}: tuple {t:?}");
+                        filled += 1;
+                    }
+                }
+                assert!(filled > 0, "{label}: nothing cached");
+            };
+            let (mut state, _) = uni.begin(
+                &Relation::new(r.clone(), vec![settled.clone()]),
+                Phase::Full,
+            );
+            check(&state, &format!("threads={threads} begin"));
+            for (i, batch) in [witness.clone(), unrelated.clone()].into_iter().enumerate() {
+                uni.clean_delta(&mut state, &[batch]).unwrap();
+                check(&state, &format!("threads={threads} delta {i}"));
+            }
+            assert_eq!(state.escalations(), 0, "threads={threads}");
         }
     }
 }

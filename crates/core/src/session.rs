@@ -48,7 +48,7 @@ use crate::erepair::e_run;
 use crate::error::CleanError;
 use crate::fix::FixReport;
 use crate::hrepair::h_run;
-use crate::master_index::{IndexPolicy, MasterIndex};
+use crate::master_index::MasterIndex;
 use crate::md_cache::MdMatchCache;
 use crate::two_in_one::TwoInOne;
 
@@ -243,11 +243,11 @@ impl PreparedCleaner {
             }
             MasterSource::SelfSnapshot => {
                 let snap = self.snapshot(current);
-                let idx = MasterIndex::build_with_policy(
+                let idx = MasterIndex::build_parallel(
                     self.rules.mds(),
                     &snap,
+                    true,
                     self.config.effective_parallelism(),
-                    IndexPolicy::default(),
                 );
                 MasterView::Snapshot(snap, idx)
             }
@@ -275,22 +275,25 @@ impl PreparedCleaner {
 /// stopped.
 pub(crate) struct Warm {
     /// The `cRepair` fixpoint of the input so far, evolved in place.
-    post_c: Relation,
+    pub(crate) post_c: Relation,
     /// The live `cRepair` fixpoint machine over `post_c`.
     cfix: CFixpoint,
-    /// `eRepair`'s structures, present once `eRepair` has run: the 2-in-1
-    /// structure pinned to `post_c` and the cross-call witness cache.
-    e: Option<(TwoInOne, MdMatchCache)>,
+    /// The witness cache of the session's master view, with `post_c` as
+    /// its base relation: every phase of every call reads it.
+    pub(crate) cache: MdMatchCache,
+    /// `eRepair`'s 2-in-1 structure pinned to `post_c`, present once
+    /// `eRepair` has run.
+    two: Option<TwoInOne>,
 }
 
 impl Warm {
     /// Fresh structures over `d`: nothing settled, nothing cached.
     fn fresh(prepared: &PreparedCleaner, d: Relation) -> Self {
-        let cfix = CFixpoint::new(&prepared.rules, d.len());
         Warm {
+            cfix: CFixpoint::new(&prepared.rules, d.len()),
+            cache: MdMatchCache::new(&prepared.rules, d.len()),
             post_c: d,
-            cfix,
-            e: None,
+            two: None,
         }
     }
 
@@ -301,6 +304,7 @@ impl Warm {
             self.post_c.push(t.clone());
         }
         self.cfix.grow(batch.len());
+        self.cache.grow(batch.len());
     }
 }
 
@@ -363,10 +367,13 @@ fn timed(
 /// re-renders the current repair, so each phase sees the previous phase's
 /// fixes (the §9 interleaving).
 ///
-/// One witness cache ([`MdMatchCache`]) serves `eRepair` and then `hRepair`:
-/// both invalidate every cell they rewrite, so it is valid for `work`
-/// throughout and, kept, comes back in the [`Warm`] state, where the next
-/// call's `begin_run` returns it to the post-`cRepair` state.
+/// One witness cache ([`MdMatchCache`]) serves all three phases of the
+/// session's master view ([`MasterView::cache`]). A call starts with
+/// `begin_run`, which drops the previous call's overlay; `cRepair` writes
+/// and settles, so the cache's base is the post-`cRepair` state; `eRepair`
+/// and `hRepair` invalidate every cell they rewrite into the overlay, so
+/// the cache is valid for `work` throughout and, kept, comes back in the
+/// [`Warm`] state.
 pub(crate) fn run_phases(
     prepared: &PreparedCleaner,
     phase: Phase,
@@ -381,20 +388,22 @@ pub(crate) fn run_phases(
     let Warm {
         mut post_c,
         mut cfix,
-        e,
+        mut cache,
+        two,
     } = warm;
+    cache.begin_run();
 
     let mut guard = settled.map(CGuard::new);
     let view = prepared.view(&post_c);
     let mut report = timed(observer, &mut phases, Phase::CRepair, || {
-        let seed_from = settled.unwrap_or(0);
+        let mut spare = None;
         let fixes = c_run(
             &mut post_c,
             view.master(),
             rules,
             cfg,
             &mut cfix,
-            seed_from,
+            view.cache(&mut cache, &mut spare),
             guard.as_mut(),
         );
         // An aborted continuation keeps none of its fixes.
@@ -411,66 +420,47 @@ pub(crate) fn run_phases(
     // Unless kept, the fixpoint machine is freed here — not held across
     // the later phases.
     let kept_c = post_c.map(|post_c| (post_c, cfix));
-    // eRepair's pinned 2-in-1 (kept states only) and its witness cache,
-    // which hRepair continues.
-    let mut e_out = None;
+    // eRepair's pinned 2-in-1 (kept states only).
+    let mut kept_two = None;
     if phase >= Phase::ERepair {
         let view = prepared.view(&work);
         let e_fixes = timed(observer, &mut phases, Phase::ERepair, || {
-            let build = |d: &Relation| TwoInOne::build_with(rules, d, true, threads);
-            let (two, mut cache) = match (e, settled) {
-                // Persisted structures: extend the 2-in-1 by insert-time
-                // deltas and serve premise verification from the warm
-                // cross-call cache.
-                (Some((mut two, mut cache)), Some(settled)) => {
-                    cache.grow(work.len() - settled);
-                    cache.begin_run();
-                    if guard.as_ref().is_some_and(|g| g.settled_writes > 0) {
-                        // The batch's deterministic cascade legitimately
-                        // rewrote settled tuples (kept — a continuation is
-                        // a legal §5.2 application order). The 2-in-1
-                        // pinned to the old post-cRepair state is stale in
-                        // a way insert-time deltas cannot express without
-                        // perturbing group-id order, so rebuild it; witness
-                        // lists are dropped only for the cells the cascade
-                        // actually touched, and the cascade is the new base.
-                        two = build(&work);
-                        for rec in report.records() {
-                            cache.invalidate(rec.tuple, rec.attr);
-                        }
-                        cache.settle();
-                    } else {
-                        two.insert_tuples(rules, &work, settled);
-                    }
-                    (two, cache)
+            let cascaded = guard.as_ref().is_some_and(|g| g.settled_writes > 0);
+            let two = match (two, settled) {
+                // A persisted 2-in-1 extends by insert-time deltas — unless
+                // the batch's deterministic cascade rewrote settled tuples
+                // (kept: a continuation is a legal §5.2 application order),
+                // which leaves it stale in a way insert-time deltas cannot
+                // express without perturbing group-id order.
+                (Some(mut two), Some(settled)) if !cascaded => {
+                    two.insert_tuples(rules, &work, settled);
+                    two
                 }
-                _ => (build(&work), MdMatchCache::new(rules, work.len())),
+                _ => TwoInOne::build_with(rules, &work, true, threads),
             };
             // eRepair re-derives its (globally decided) fixes from the
             // post-cRepair state on every run, consuming its 2-in-1.
             let (mut structure, two) = working_copy(two, keep);
-            let fixes = e_run(
+            kept_two = two;
+            let mut spare = None;
+            e_run(
                 &mut work,
                 view.master(),
                 rules,
                 cfg,
                 &mut structure,
-                &mut cache,
-            );
-            e_out = Some((two, cache));
-            fixes
+                view.cache(&mut cache, &mut spare),
+            )
         });
         report.extend(e_fixes);
     }
     if phase >= Phase::HRepair {
-        let (_, cache) = e_out.as_mut().expect("eRepair runs before hRepair");
         let h_fixes = timed(observer, &mut phases, Phase::HRepair, || {
-            h_run(&mut work, rules, cfg, |cur| prepared.view(cur), cache)
+            h_run(&mut work, rules, cfg, |cur| prepared.view(cur), &mut cache)
         });
         report.extend(h_fixes);
     }
 
-    let kept_e = e_out.and_then(|(two, cache)| Some((two?, cache)));
     Some(PhaseRun {
         work,
         report,
@@ -478,7 +468,8 @@ pub(crate) fn run_phases(
         warm: kept_c.map(|(post_c, cfix)| Warm {
             post_c,
             cfix,
-            e: kept_e,
+            cache,
+            two: kept_two,
         }),
     })
 }
@@ -580,6 +571,21 @@ impl MasterView<'_> {
                 index,
                 is_self: true,
             }),
+        }
+    }
+
+    /// The witness cache serving this view — the one place that decides
+    /// it. The session's own master is one relation across every phase and
+    /// call, so `warm` serves it; a snapshot is a new master relation, so
+    /// it gets a fresh cache, held in `spare`.
+    pub(crate) fn cache<'c>(
+        &self,
+        warm: &'c mut MdMatchCache,
+        spare: &'c mut Option<MdMatchCache>,
+    ) -> &'c mut MdMatchCache {
+        match self {
+            MasterView::Prepared(_) => warm,
+            MasterView::Snapshot(..) => spare.insert(warm.empty_like()),
         }
     }
 }
@@ -793,11 +799,11 @@ impl CleanerBuilder {
         }
 
         let index = match &self.master {
-            MasterSource::External(dm) => Some(MasterIndex::build_with_policy(
+            MasterSource::External(dm) => Some(MasterIndex::build_parallel(
                 rules.mds(),
                 dm,
+                true,
                 config.effective_parallelism(),
-                IndexPolicy::default(),
             )),
             _ => None,
         };

@@ -65,9 +65,9 @@ CLEAN OPTIONS:
     --explain-plans            print the active similarity kernel dispatch
                                (SIMD level, Jaro matcher, ~lev driver; see
                                UNICLEAN_FORCE_SCALAR) and the master-index
-                               access path chosen for each MD (exact /
-                               composite / q-gram count / lev count / Jaro /
-                               intersection) before cleaning
+                               access path chosen for each MD (exact probe /
+                               q-gram count / lev count / Jaro / scan)
+                               before cleaning
 
 DISCOVER OPTIONS:
     --max-lhs <n>              maximum FD LHS size [default: 2]
@@ -392,9 +392,10 @@ fn cmd_clean(opts: &Opts) -> Result<String, String> {
                     started.elapsed().as_secs_f64(),
                 ));
             }
-            // The session log re-records eRepair/hRepair fixes re-derived
-            // on every delta call; summarize (and --report) each cell's
-            // final fix once so the counts are not inflated.
+            // The session log holds every deterministic fix plus the last
+            // call's reliable/possible fixes, where hRepair may revise an
+            // eRepair fix; summarize (and --report) each cell's final fix
+            // once.
             let mut report = uniclean::core::FixReport::new();
             for rec in state.log().final_states() {
                 report.push(rec.clone());

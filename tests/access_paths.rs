@@ -1,22 +1,24 @@
 //! Access-path completeness harness: for arbitrary relations × every
-//! predicate family × every plan shape (exact, composite, lev-count,
-//! q-gram count filter, Jaro prefilter, intersection), the candidate set
-//! is a **superset** of the reference full-scan match set and
-//! `matches_into` output is **identical** to it — blocking may shrink
-//! candidates, never verified matches.
+//! predicate family × every plan shape (exact probe, lev-count, q-gram
+//! count filter, Jaro prefilter), the candidate set is a **superset** of
+//! the reference full-scan match set and `matches_into` output is
+//! **identical** to it — blocking may shrink candidates, never verified
+//! matches.
 //!
 //! Every path is complete by construction (there is no top-`l`
 //! truncation knob anymore): `~lev` runs through the padded q-gram count
 //! bound, `~qgram`/`~jaro`/`~jw` through their count/1-gram filters, and
-//! equality through hash lookups. The generated HOSP, DBLP and
+//! equality through hash lookups. The generated HOSP, DBLP, TPC-H and
 //! similarity-premise DBLP workloads run through the same `matches_into` ≡
 //! scan assertion.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use uniclean::core::{IndexPolicy, MasterIndex, ProbeScratch};
-use uniclean::datagen::{dblp_similarity_workload, dblp_workload, hosp_workload, GenParams};
+use uniclean::core::{MasterIndex, ProbeScratch};
+use uniclean::datagen::{
+    dblp_similarity_workload, dblp_workload, hosp_workload, tpch_workload, GenParams, TpchScale,
+};
 use uniclean::model::{Relation, Row, Schema, Tuple, TupleId};
 use uniclean::rules::{parse_rules, Md};
 
@@ -65,8 +67,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Candidates ⊇ reference matches and verified matches ≡ reference,
-    /// for every family and under both the default policy and a policy
-    /// that forces intersection plans whenever a second conjunct exists.
+    /// for every family.
     #[test]
     fn every_access_path_is_match_preserving(
         master_rows in proptest::collection::vec(("[ab]{0,4}", "[ab]{0,3}"), 1..8),
@@ -75,42 +76,34 @@ proptest! {
         let (tran, card) = schemas();
         let mds = family_mds(&tran, &card);
         let dm = relation(&card, &master_rows, 1.0);
-        let policies = [
-            ("default", IndexPolicy::default()),
-            ("intersect-always", IndexPolicy { intersect_above: 0.0 }),
-        ];
-        for (policy_name, policy) in policies {
-            let idx = MasterIndex::build_with_policy(&mds, &dm, 1, policy);
-            let mut scratch = ProbeScratch::new();
-            let mut verified = Vec::new();
-            for (i, md) in mds.iter().enumerate() {
-                prop_assert!(idx.is_indexed(i), "md {} not indexed", md.name());
-                for (pa, pb) in &probes {
-                    let t = Tuple::of_strs(&[pa, pb, "probe"], 0.5);
-                    let want = reference(md, &t, &dm);
-                    let mut cands = Vec::new();
-                    idx.for_each_candidate(i, md, &t, &mut scratch, |sid| cands.push(sid));
-                    for sid in &want {
-                        prop_assert!(
-                            cands.contains(sid),
-                            "[{policy_name}] md {} probe ({pa:?},{pb:?}): \
-                             true match {sid:?} pruned (plan {})",
-                            md.name(),
-                            idx.describe_plan(i, md)
-                        );
-                    }
-                    idx.matches_into(i, md, &t, &dm, None, &mut scratch, &mut verified);
-                    prop_assert_eq!(
-                        &verified,
-                        &want,
-                        "[{}] md {} probe ({:?},{:?}) plan {}",
-                        policy_name,
+        let idx = MasterIndex::build(&mds, &dm);
+        let mut scratch = ProbeScratch::new();
+        let mut verified = Vec::new();
+        for (i, md) in mds.iter().enumerate() {
+            prop_assert!(idx.is_indexed(i), "md {} not indexed", md.name());
+            for (pa, pb) in &probes {
+                let t = Tuple::of_strs(&[pa, pb, "probe"], 0.5);
+                let want = reference(md, &t, &dm);
+                let mut cands = Vec::new();
+                idx.for_each_candidate(i, md, &t, &mut scratch, |sid| cands.push(sid));
+                for sid in &want {
+                    prop_assert!(
+                        cands.contains(sid),
+                        "md {} probe ({pa:?},{pb:?}): true match {sid:?} pruned (plan {})",
                         md.name(),
-                        pa,
-                        pb,
                         idx.describe_plan(i, md)
                     );
                 }
+                idx.matches_into(i, md, &t, &dm, None, &mut scratch, &mut verified);
+                prop_assert_eq!(
+                    &verified,
+                    &want,
+                    "md {} probe ({:?},{:?}) plan {}",
+                    md.name(),
+                    pa,
+                    pb,
+                    idx.describe_plan(i, md)
+                );
             }
         }
     }
@@ -141,7 +134,8 @@ proptest! {
 }
 
 /// The paper's workloads through the same assertion: on generated HOSP,
-/// DBLP and the DBLP variant whose MDs carry `~lev`/`~jaro`/`~jw`/`~qgram`
+/// DBLP, TPC-H (Γ×3: exact probes over one, two and three equalities) and
+/// the DBLP variant whose MDs carry `~lev`/`~jaro`/`~jw`/`~qgram`
 /// premises, every MD is indexed (no scan fallback), and the index — built
 /// sequentially or by the batched multi-threaded artifact build — answers
 /// every probe exactly as the O(|D|·|Dm|) scan does, in the same order.
@@ -156,12 +150,18 @@ fn generated_workloads_match_the_scan_on_every_md() {
         hosp_workload(&params),
         dblp_workload(&params),
         dblp_similarity_workload(&params),
+        tpch_workload(
+            &params,
+            TpchScale {
+                sigma_multiplier: 1,
+                gamma_multiplier: 3,
+            },
+        ),
     ];
     for w in workloads {
         let mds = w.rules.mds();
         for threads in [1, 4] {
-            let idx =
-                MasterIndex::build_with_policy(mds, &w.master, threads, IndexPolicy::default());
+            let idx = MasterIndex::build_parallel(mds, &w.master, true, threads);
             let mut scratch = ProbeScratch::new();
             let mut verified = Vec::new();
             for (i, md) in mds.iter().enumerate() {
@@ -206,12 +206,11 @@ fn planner_decision_table() {
             .expect("md exists");
         idx.describe_plan(i, md)
     };
-    assert!(plan("exact").starts_with("exact-eq"), "{}", plan("exact"));
-    assert!(
-        plan("composite").starts_with("composite-eq"),
-        "{}",
-        plan("composite")
-    );
+    // One exact probe over every equality conjunct, however many there
+    // are; similarity conjuncts beside them are left to verification.
+    assert_eq!(plan("exact"), "exact-eq(A)");
+    assert_eq!(plan("composite"), "exact-eq(A, B)");
+    assert_eq!(plan("eq_and_qgram"), "exact-eq(A)");
     assert!(plan("lev").starts_with("lev-count"), "{}", plan("lev"));
     assert!(plan("lev2").starts_with("lev-count"), "{}", plan("lev2"));
     assert!(
@@ -221,12 +220,6 @@ fn planner_decision_table() {
     );
     assert!(plan("jaro").starts_with("jaro-1gram"), "{}", plan("jaro"));
     assert!(plan("jw").starts_with("jaro-1gram"), "{}", plan("jw"));
-    // Selective equality ⇒ no second probe needed at the default policy.
-    assert!(
-        plan("eq_and_qgram").starts_with("exact-eq"),
-        "{}",
-        plan("eq_and_qgram")
-    );
     // Degenerate thresholds stay indexed (the filter keeps every row but
     // the plan is not a scan, and verification still prunes).
     for name in ["degenerate_qgram", "degenerate_jaro"] {
@@ -237,37 +230,4 @@ fn planner_decision_table() {
             .unwrap();
         assert!(idx.is_indexed(i), "{name} must not scan");
     }
-}
-
-/// Forcing intersection everywhere must not change verified matches on a
-/// workload with correlated columns (the adversarial case for a planner
-/// bug: a filter that *would* prune a true match).
-#[test]
-fn forced_intersection_equals_default_on_correlated_data() {
-    let (tran, card) = schemas();
-    let mds = family_mds(&tran, &card);
-    let rows: Vec<(String, String)> = (0..40)
-        .map(|i| (format!("a{}", i % 7), format!("b{}", i % 3)))
-        .collect();
-    let dm = relation(&card, &rows, 1.0);
-    let default = MasterIndex::build(&mds, &dm);
-    let forced = MasterIndex::build_with_policy(
-        &mds,
-        &dm,
-        2,
-        IndexPolicy {
-            intersect_above: 0.0,
-        },
-    );
-    let (mut sa, mut sb) = (ProbeScratch::new(), ProbeScratch::new());
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    for (i, md) in mds.iter().enumerate() {
-        for (j, (ra, rb)) in rows.iter().enumerate() {
-            let t = Tuple::of_strs(&[ra, rb, "x"], 0.5);
-            default.matches_into(i, md, &t, &dm, None, &mut sa, &mut a);
-            forced.matches_into(i, md, &t, &dm, None, &mut sb, &mut b);
-            assert_eq!(a, b, "md {} row {j}", md.name());
-        }
-    }
-    let _ = tran;
 }

@@ -13,10 +13,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use uniclean::core::{
-    CleanConfig, CleanError, CleanResult, Cleaner, MasterSource, Phase, RepairState,
+    CleanConfig, CleanError, CleanResult, Cleaner, FixReport, MasterSource, Phase, RepairState,
 };
 use uniclean::datagen::{hosp_workload, GenParams};
-use uniclean::model::{FixMark, Relation, Schema, Tuple, Value};
+use uniclean::model::{AttrId, FixMark, Relation, Schema, Tuple, TupleId, Value};
 use uniclean::rules::{parse_rules, RuleSet};
 
 /// Three interacting rules over a 3-attribute schema: a variable FD, a
@@ -85,7 +85,8 @@ fn cleaner(rules: &RuleSet, master: &Relation, threads: usize) -> Cleaner {
 }
 
 /// Bitwise equality of the incremental state against a from-scratch run,
-/// plus every tuple's `is_accepted` / `violations` against the reference
+/// the fix log's final states against the from-scratch report's, plus
+/// every tuple's `is_accepted` / `violations` against the reference
 /// `cfd_violations` / `md_violations` of the repair.
 fn assert_matches(uni: &Cleaner, reference: &CleanResult, state: &RepairState, label: &str) {
     assert_eq!(
@@ -118,6 +119,18 @@ fn assert_matches(uni: &Cleaner, reference: &CleanResult, state: &RepairState, l
         reference.cost.to_bits(),
         state.cost().to_bits(),
         "{label}: cost diverged"
+    );
+    // The log explains the current repair: one final fix per cell, the
+    // same as the from-scratch report's.
+    let finals = |log: &FixReport| -> Vec<(TupleId, AttrId, Value, FixMark)> {
+        log.final_states()
+            .map(|r| (r.tuple, r.attr, r.new.clone(), r.mark))
+            .collect()
+    };
+    assert_eq!(
+        finals(state.log()),
+        finals(&reference.report),
+        "{label}: fix log diverged"
     );
     assert_state_verdicts(uni, state, label);
 }
@@ -352,20 +365,25 @@ fn delta_misuse_is_typed() {
     assert_matches(&uni, &reference, &state, "empty batch");
 }
 
-/// The per-call log accumulates and the state counts its delta calls.
+/// The log keeps earlier calls' `cRepair` fixes and replaces their
+/// re-derived `eRepair` fixes with the latest call's; the state counts its
+/// delta calls.
 #[test]
 fn state_bookkeeping_tracks_calls() {
     let (schema, rules, master) = scenario_rules();
     let uni = cleaner(&rules, &master, 1);
     let base = Relation::new(schema.clone(), vec![decode(&(0, 1, 2, 26), &schema)]);
     let (mut state, first) = uni.begin(&base, Phase::CERepair);
-    let logged_after_begin = state.log().len();
-    assert_eq!(logged_after_begin, first.report.len());
+    assert_eq!(state.log().records(), first.report.records());
 
     let batch = vec![decode(&(1, 0, 0, 26), &schema)];
     let r = uni.clean_delta(&mut state, &batch).unwrap();
-    assert_eq!(state.deltas() + state.escalations(), 1);
-    assert_eq!(state.log().len(), logged_after_begin + r.report.len());
+    assert_eq!((state.deltas(), state.escalations()), (1, 0));
+    let begin_c = &first.report.records()[..first.phases[0].fixes];
+    assert_eq!(
+        state.log().records(),
+        [begin_c, r.report.records()].concat()
+    );
     assert_eq!(state.phase(), Phase::CERepair);
     assert_eq!(state.len(), 2);
 }
