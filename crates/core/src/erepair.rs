@@ -67,17 +67,6 @@ pub(crate) fn e_run(
     let pats = CfdPatternSyms::compile(rules, d);
     let threads = cfg.effective_parallelism();
     let order = erepair_order(rules);
-    // Slot of each variable CFD (rules.cfds() index → TwoInOne position).
-    let mut vslot: HashMap<usize, usize> = HashMap::new();
-    {
-        let mut v = 0usize;
-        for (i, c) in rules.cfds().iter().enumerate() {
-            if c.is_variable() {
-                vslot.insert(i, v);
-                v += 1;
-            }
-        }
-    }
 
     if let Some(m) = master {
         // Fan the expensive premise verification out over the workers for
@@ -104,12 +93,10 @@ pub(crate) fn e_run(
         let mut changed = false;
         for r in &order {
             match *r {
-                RuleRef::Cfd(i) if rules.cfds()[i].is_variable() => {
-                    changed |= v_cfd_resolve(d, rules, structure, vslot[&i], cfg, &mut st);
-                }
-                RuleRef::Cfd(i) => {
-                    changed |= c_cfd_resolve(d, rules, structure, i, &pats, &mut st);
-                }
+                RuleRef::Cfd(i) => match structure.slot(i) {
+                    Some(v) => changed |= v_cfd_resolve(d, rules, structure, v, cfg, &mut st),
+                    None => changed |= c_cfd_resolve(d, rules, structure, i, &pats, &mut st),
+                },
                 RuleRef::Md(i) => {
                     if let Some(m) = master {
                         changed |= md_resolve(d, m, rules, structure, i, &mut st);

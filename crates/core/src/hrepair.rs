@@ -29,17 +29,22 @@
 //! confidence-weighted normalized edit distance from the members' original
 //! values wins; a frozen value, when present, always wins.
 //!
-//! Rounds pay for what changed. Round one visits every tuple: it projects
-//! the variable-CFD equivalence classes and checks every constant CFD,
-//! class and MD. Every target change is journalled; at the round boundary
-//! the journal is rendered into the assignment (the relation under repair,
-//! updated in place), only the journalled tuples are re-projected into
-//! their classes, and the MD witness lists whose premises were rewritten
-//! are dropped. Round r ≥ 2 visits only the tuples in round r−1's journal
-//! or touched earlier in round r, and only the classes holding such a
-//! tuple or one that a tuple just left. That is exact: a skipped item has
-//! the same values and targets as when it was last visited, and that visit
-//! changed nothing.
+//! The variable-CFD equivalence classes are the groups of the 2-in-1
+//! structure `eRepair` just worked on ([`TwoInOne`]): the phase loop hands
+//! it over, as it hands over the witness cache, so no class is projected
+//! here. Classes are resolved in ascending key-value order; the order of
+//! members inside a class does not matter (see `resolve_class`).
+//!
+//! Rounds pay for what changed. Round one checks every tuple against every
+//! constant CFD and MD, and every class. Every target change is journalled;
+//! at the round boundary the journal is rendered into the assignment (the
+//! relation under repair, updated in place), each rendered cell is fed to
+//! [`TwoInOne::on_update`], and the MD witness lists whose premises were
+//! rewritten are dropped. Round r ≥ 2 visits only the tuples in round
+//! r−1's journal or touched earlier in round r, and only the classes
+//! holding such a tuple or one that a tuple just left. That is exact: a
+//! skipped item has the same values and targets as when it was last
+//! visited, and that visit changed nothing.
 //!
 //! Witness lists come from the phase loop's one `MdMatchCache` — warm from
 //! `cRepair`, `eRepair` and, in a delta call, earlier calls — so round one
@@ -55,7 +60,7 @@
 use std::collections::HashMap;
 
 use uniclean_model::{
-    cell_cost, value_distance, AttrId, FixMark, FxHashMap, Relation, Symbol, TupleId, Value,
+    cell_cost, value_distance, AttrId, FixMark, Relation, Symbol, TupleId, Value,
 };
 use uniclean_rules::{Cfd, RuleSet};
 
@@ -65,6 +70,7 @@ use crate::master_index::MasterIndex;
 use crate::md_cache::MdMatchCache;
 use crate::pattern_syms::{ensure_rule_constants, CfdPatternSyms};
 use crate::session::{Master, MasterView};
+use crate::two_in_one::{GroupId, TwoInOne};
 
 /// Target of a cell.
 #[derive(Clone, Debug, PartialEq)]
@@ -222,8 +228,16 @@ pub fn h_repair(
     cfg: &CleanConfig,
 ) -> FixReport {
     let master = Master::external(rules, dm, idx);
+    let mut two = TwoInOne::build(rules, d);
     let mut cache = MdMatchCache::new(rules, d.len());
-    h_run(d, rules, cfg, |_| MasterView::Prepared(master), &mut cache)
+    h_run(
+        d,
+        rules,
+        cfg,
+        |_| MasterView::Prepared(master),
+        &mut two,
+        &mut cache,
+    )
 }
 
 /// The engine behind [`h_repair`]: `view` yields the master each round
@@ -232,15 +246,18 @@ pub fn h_repair(
 /// resolving against a phase-start snapshot lets two records swap values
 /// through each other's stale copies, round after round.
 ///
-/// `cache` holds witness lists valid for `d` (the phase loop hands in the
+/// `two` is the 2-in-1 structure over `d` (the phase loop hands in the one
+/// `eRepair` worked on); its groups are the equivalence classes. `cache`
+/// holds witness lists valid for `d` (the phase loop hands in the
 /// session's); it serves every round whose view is not a snapshot. Every
-/// cell the run rewrites is invalidated in it, the last round's included,
-/// so it stays valid for the repaired `d`.
+/// cell the run rewrites is fed to both, the last round's included, so
+/// both stay valid for the repaired `d`.
 pub(crate) fn h_run<'m>(
     d: &mut Relation,
     rules: &RuleSet,
     cfg: &CleanConfig,
     view: impl Fn(&Relation) -> MasterView<'m>,
+    two: &mut TwoInOne,
     cache: &mut MdMatchCache,
 ) -> FixReport {
     // Stable symbols for rule constants before keeping the originals: the
@@ -250,15 +267,19 @@ pub(crate) fn h_run<'m>(
     let base = d.clone();
     let mut cells = Cells::new(&base);
     let pats = CfdPatternSyms::compile(rules, &base);
-    let mut classes = Classes::build(rules, &pats, d);
     let threads = cfg.effective_parallelism();
     let mut rewritten = Vec::new();
+    // The classes a tuple left at the last round boundary.
+    let mut left = Vec::new();
 
     for round in 0..cfg.max_hrepair_rounds {
         let first = round == 0;
         resolve_constant_cfds(&base, d, rules, &pats, &mut cells);
-        for v in 0..classes.vcfds.len() {
-            classes.resolve(v, &base, d, &pats, &mut cells, first);
+        for v in 0..two.len() {
+            let cfd = two.rule(rules, v);
+            for g in due_classes(two, v, d, &mut cells, &left, first) {
+                resolve_class(&base, d, &mut cells, &two.group(g).tuples, cfd);
+            }
         }
         if !rules.mds().is_empty() {
             let cur: &Relation = d;
@@ -279,7 +300,7 @@ pub(crate) fn h_run<'m>(
         if journal.is_empty() {
             break;
         }
-        commit(d, &base, &cells, &journal, &pats, &mut classes, cache);
+        left = commit(d, &base, &cells, &journal, rules, two, cache);
         rewritten.extend(journal);
     }
 
@@ -317,37 +338,48 @@ pub(crate) fn h_run<'m>(
 }
 
 /// The round boundary: render the `journal` (sorted cell ids) into the
-/// assignment `d`, move each journalled tuple whose class key changed, and
-/// drop the witness lists whose premises were rewritten.
-fn commit<'r>(
+/// assignment `d`, keep the 2-in-1 exact under every rendered cell, and
+/// drop the witness lists whose premises were rewritten. Returns the
+/// classes a journalled tuple left; the live ones lost a member, so the
+/// next round visits them.
+fn commit(
     d: &mut Relation,
     base: &Relation,
-    cells: &Cells<'r>,
+    cells: &Cells,
     journal: &[usize],
-    pats: &CfdPatternSyms,
-    classes: &mut Classes<'r>,
+    rules: &RuleSet,
+    two: &mut TwoInOne,
     cache: &mut MdMatchCache,
-) {
-    classes.left.iter_mut().for_each(Vec::clear);
+) -> Vec<GroupId> {
+    let mut left = Vec::new();
     let arity = cells.arity;
     for run in journal.chunk_by(|x, y| x / arity == y / arity) {
         let t = TupleId::from(run[0] / arity);
-        let attrs: Vec<AttrId> = run.iter().map(|&c| AttrId::from(c % arity)).collect();
-        let before: Vec<(usize, Option<Box<[Symbol]>>)> = (0..classes.vcfds.len())
-            .filter(|&v| classes.vcfds[v].1.lhs().iter().any(|a| attrs.contains(a)))
-            .map(|v| (v, classes.key(v, pats, d, t)))
+        // Only a rewritten LHS cell moves `t` to another class. `on_update`
+        // re-files `t` under an unchanged key too, but then its group keeps
+        // its id unless `t` was its only member, and an empty group is dead.
+        let rekeyed = |v: &usize| {
+            let lhs = two.rule(rules, *v).lhs();
+            run.iter().any(|&c| lhs.contains(&AttrId::from(c % arity)))
+        };
+        let before: Vec<(usize, GroupId)> = (0..two.len())
+            .filter(rekeyed)
+            .filter_map(|v| Some((v, two.group_of(v, d, t)?)))
             .collect();
-        for &a in &attrs {
+        for &cell in run {
+            let a = AttrId::from(cell % arity);
+            let old = d.tuple(t).value(a).clone();
             render(d, base, cells, t, a);
+            two.on_update(rules, d, t, a, &old);
             cache.invalidate(t, a);
         }
-        for (v, old) in before {
-            let new = classes.key(v, pats, d, t);
-            if new != old {
-                classes.relocate(v, t, old, new);
+        for (v, g) in before {
+            if two.group_of(v, d, t) != Some(g) {
+                left.push(g);
             }
         }
     }
+    left
 }
 
 /// Render the target of cell `(t, a)` into the assignment `d`: the
@@ -398,161 +430,47 @@ fn resolve_constant_cfds<'r>(
     }
 }
 
-/// The variable CFDs' equivalence classes over the current assignment,
-/// kept across rounds: per variable CFD, each LHS key — symbols of the
-/// assignment's append-only interner, stored once — maps to its members in
-/// tuple-id order. A round boundary re-projects only journalled tuples.
-struct Classes<'r> {
-    /// `(position in rules.cfds(), rule)` of every variable CFD.
-    vcfds: Vec<(usize, &'r Cfd)>,
-    groups: Vec<FxHashMap<Box<[Symbol]>, Vec<TupleId>>>,
-    /// Per variable CFD: keys of the classes a tuple left at the last round
-    /// boundary — their membership changed, so the next round visits them.
-    left: Vec<Vec<Box<[Symbol]>>>,
-}
-
-impl<'r> Classes<'r> {
-    /// Project every tuple of `d` (round one).
-    fn build(rules: &'r RuleSet, pats: &CfdPatternSyms, d: &Relation) -> Self {
-        let vcfds: Vec<(usize, &Cfd)> = rules
-            .cfds()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_variable())
-            .collect();
-        let mut me = Classes {
-            groups: vec![FxHashMap::default(); vcfds.len()],
-            left: vec![Vec::new(); vcfds.len()],
-            vcfds,
-        };
-        let mut buf = Vec::new();
-        for t in d.ids() {
-            for v in 0..me.vcfds.len() {
-                if !me.project(v, pats, d, t, &mut buf) {
-                    continue;
-                }
-                match me.groups[v].get_mut(buf.as_slice()) {
-                    Some(members) => members.push(t),
-                    None => {
-                        me.groups[v].insert(buf.as_slice().into(), vec![t]);
-                    }
-                }
-            }
-        }
-        me
-    }
-
-    /// Write `t`'s key under variable CFD `v` into `buf`; `false` when `t`
-    /// does not match the LHS pattern (and belongs to no class).
-    fn project(
-        &self,
-        v: usize,
-        pats: &CfdPatternSyms,
-        d: &Relation,
-        t: TupleId,
-        buf: &mut Vec<Symbol>,
-    ) -> bool {
-        let (i, cfd) = self.vcfds[v];
-        buf.clear();
-        if !pats.lhs_matches_attrs(i, cfd.lhs(), d, t) {
-            return false;
-        }
-        buf.extend(cfd.lhs().iter().map(|&a| d.sym(t, a)));
-        true
-    }
-
-    fn key(
-        &self,
-        v: usize,
-        pats: &CfdPatternSyms,
-        d: &Relation,
-        t: TupleId,
-    ) -> Option<Box<[Symbol]>> {
-        let mut buf = Vec::new();
-        self.project(v, pats, d, t, &mut buf)
-            .then(|| buf.into_boxed_slice())
-    }
-
-    /// Move `t` from class `old` to class `new` of variable CFD `v`.
-    fn relocate(
-        &mut self,
-        v: usize,
-        t: TupleId,
-        old: Option<Box<[Symbol]>>,
-        new: Option<Box<[Symbol]>>,
-    ) {
-        let groups = &mut self.groups[v];
-        if let Some(old) = old {
-            let members = groups
-                .get_mut(&old)
-                .expect("a projected tuple is in its class");
-            members.remove(
-                members
-                    .binary_search(&t)
-                    .expect("a class holds its members"),
-            );
-            if members.is_empty() {
-                groups.remove(&old);
-            } else {
-                self.left[v].push(old);
-            }
-        }
-        if let Some(new) = new {
-            let members = groups.entry(new).or_default();
-            let at = members
-                .binary_search(&t)
-                .expect_err("a tuple joins a class once");
-            members.insert(at, t);
-        }
-    }
-
-    /// Resolve variable CFD `v`'s classes in ascending key-value order:
-    /// every class in round one, afterwards those holding a worklist tuple
-    /// or left by a tuple at the last boundary. A variable CFD rewrites
-    /// only members of the class it resolves, so its worklist is fixed for
-    /// its whole pass.
-    fn resolve(
-        &self,
-        v: usize,
-        base: &Relation,
-        cur: &Relation,
-        pats: &CfdPatternSyms,
-        cells: &mut Cells<'r>,
-        first: bool,
-    ) {
-        let cfd = self.vcfds[v].1;
-        let groups = &self.groups[v];
-        let mut due: Vec<(&Box<[Symbol]>, &Vec<TupleId>)> = if first {
-            groups.iter().collect()
-        } else {
-            let mut buf = Vec::new();
-            let mut due = Vec::new();
-            for t in cells.worklist() {
-                if self.project(v, pats, cur, t, &mut buf) {
-                    let class = groups
-                        .get_key_value(buf.as_slice())
-                        .expect("a projected tuple is in its class");
-                    due.push(class);
-                }
-            }
-            due.extend(self.left[v].iter().filter_map(|k| groups.get_key_value(k)));
-            due
-        };
-        // A single member agrees with itself.
-        due.retain(|(_, members)| members.len() >= 2);
-        let interner = cur.interner();
-        due.sort_unstable_by(|(x, _), (y, _)| {
-            let value = |&s: &Symbol| interner.resolve(s);
-            x.iter().map(value).cmp(y.iter().map(value))
-        });
-        due.dedup_by(|(x, _), (y, _)| x == y);
-        for (_, members) in due {
-            resolve_class(base, cur, cells, members, cfd);
-        }
-    }
+/// The classes of variable CFD `v` a round resolves, in ascending
+/// key-value order: every class in round one, afterwards those holding a
+/// worklist tuple or `left` by one at the last round boundary. A variable
+/// CFD rewrites only members of the class it resolves, so its worklist is
+/// fixed for its whole pass.
+fn due_classes(
+    two: &TwoInOne,
+    v: usize,
+    cur: &Relation,
+    cells: &mut Cells,
+    left: &[GroupId],
+    first: bool,
+) -> Vec<GroupId> {
+    let mut due: Vec<GroupId> = if first {
+        two.groups(v).collect()
+    } else {
+        let worklist = cells.worklist();
+        let held = worklist.into_iter().filter_map(|t| two.group_of(v, cur, t));
+        let left = left.iter().copied().filter(|&g| two.group(g).vcfd == v);
+        held.chain(left).collect()
+    };
+    // A single member agrees with itself; a left class may have emptied.
+    due.retain(|&g| two.group(g).tuples.len() >= 2);
+    let interner = cur.interner();
+    due.sort_unstable_by(|&x, &y| {
+        let value = |&s: &Symbol| interner.resolve(s);
+        let (x, y) = (two.group(x).key(), two.group(y).key());
+        x.iter().map(value).cmp(y.iter().map(value))
+    });
+    // Live groups have distinct keys, so a repeated id is adjacent.
+    due.dedup();
+    due
 }
 
 /// Align one class of variable CFD `cfd` on its RHS attribute.
+///
+/// The outcome does not depend on the order of `members`: the candidate
+/// values are a set, the frozen-value vote is a count with a total
+/// tie-break, `cost_pick` sums over the members in tuple-id order, and
+/// every write — an upgrade or a premise break — touches only cells of
+/// the member it is for, judged on that member's cells alone.
 fn resolve_class<'r>(
     base: &Relation,
     cur: &Relation,
@@ -592,7 +510,9 @@ fn resolve_class<'r>(
     {
         (*v).clone()
     } else {
-        cost_pick(base, members, b, &distinct)
+        let mut members = members.to_vec();
+        members.sort_unstable();
+        cost_pick(base, &members, b, &distinct)
     };
     for &t in members {
         let curv = cur.tuple(t).value(b);
@@ -901,10 +821,8 @@ mod tests {
         assert!(satisfies_all(&[], rules.mds(), &d, &dm));
     }
 
-    #[test]
-    fn example_7_2_full_resolution() {
-        // ϕ4 standardizes t3[FN] := Robert; ψ then matches s2 and fixes the
-        // phone; ϕ3 copies street/post into t4.
+    /// Example 7.2: the data `D` (t3, t4), its rules and the master `Dm`.
+    fn example_7_2() -> (Arc<Schema>, RuleSet, Relation, Relation) {
         let tran = Schema::of_strings("tran", &["FN", "LN", "city", "phn", "St", "post"]);
         let card = Schema::of_strings("card", &["FN", "LN", "city", "tel", "St", "zip"]);
         let text = "cfd phi4: tran([FN=Bob] -> [FN=Robert])\n\
@@ -930,14 +848,22 @@ mod tests {
             0.0,
             FixMark::Untouched,
         );
-        let mut d = Relation::new(tran.clone(), vec![t3, t4]);
+        let d = Relation::new(tran.clone(), vec![t3, t4]);
         let dm = Relation::new(
-            card.clone(),
+            card,
             vec![Tuple::of_strs(
                 &["Robert", "Brady", "Ldn", "3887644", "5 Wren St", "WC1H 9SE"],
                 1.0,
             )],
         );
+        (tran, rules, d, dm)
+    }
+
+    #[test]
+    fn example_7_2_full_resolution() {
+        // ϕ4 standardizes t3[FN] := Robert; ψ then matches s2 and fixes the
+        // phone; ϕ3 copies street/post into t4.
+        let (tran, rules, mut d, dm) = example_7_2();
         let idx = MasterIndex::build(rules.mds(), &dm);
         h_repair(&mut d, Some(&dm), &rules, Some(&idx), &cfg());
         let fnid = tran.attr_id_or_panic("FN");
@@ -980,13 +906,12 @@ mod tests {
         assert!(report.is_empty());
     }
 
-    #[test]
-    fn a_class_a_tuple_left_is_resolved_again() {
-        // Round one: the class K=k1 holds t0 (B=a, frozen), t1 (B=b,
-        // frozen, premise frozen) and t2 (B=a). The frozen tie goes to `a`
-        // and t1 cannot be detached, so nothing changes — while `cc` moves
-        // t0 to K=k2. Round two: without t0 the class's only frozen value
-        // is `b`, and t2 — untouched so far — must adopt it.
+    /// Round one: the class K=k1 holds t0 (B=a, frozen), t1 (B=b, frozen,
+    /// premise frozen) and t2 (B=a). The frozen tie goes to `a` and t1
+    /// cannot be detached, so nothing changes — while `cc` moves t0 to
+    /// K=k2. Round two: without t0 the class's only frozen value is `b`,
+    /// and t2 — untouched so far — must adopt it.
+    fn a_tuple_leaves_its_class() -> (Arc<Schema>, RuleSet, Relation) {
         let s = Schema::of_strings("r", &["K", "B", "C"]);
         let rules = cfd_rules(
             &s,
@@ -1000,10 +925,50 @@ mod tests {
         t1.set(k, Value::str("k1"), 0.5, FixMark::Deterministic);
         t1.set(b, Value::str("b"), 0.5, FixMark::Deterministic);
         let t2 = Tuple::of_strs(&["k1", "a", "y"], 0.5);
-        let mut d = Relation::new(s.clone(), vec![t0, t1, t2]);
+        let d = Relation::new(s.clone(), vec![t0, t1, t2]);
+        (s, rules, d)
+    }
+
+    #[test]
+    fn a_class_a_tuple_left_is_resolved_again() {
+        let (s, rules, mut d) = a_tuple_leaves_its_class();
+        let (k, b) = (s.attr_id_or_panic("K"), s.attr_id_or_panic("B"));
         h_repair(&mut d, None, &rules, None, &cfg());
         assert_eq!(d.tuple(TupleId(0)).value(k), &Value::str("k2"));
         assert_eq!(d.tuple(TupleId(2)).value(b), &Value::str("b"));
         assert!(satisfies_all(rules.cfds(), &[], &d, &Relation::empty(s)));
+    }
+
+    #[test]
+    fn the_handed_in_two_in_one_tracks_the_repair() {
+        // `a_tuple_leaves_its_class` rewrites a class key (t0's K) in round
+        // one; Example 7.2 rewrites an MD premise (t3's FN) in round one
+        // and a class key (t3's phn) in round two.
+        let (_, left_rules, left_d) = a_tuple_leaves_its_class();
+        let (_, rules, d, dm) = example_7_2();
+        let idx = MasterIndex::build(rules.mds(), &dm);
+        let master = Master::external(&rules, Some(&dm), Some(&idx));
+        let cases = [(&left_rules, &left_d, None), (&rules, &d, master)];
+        for rounds in [1, CleanConfig::default().max_hrepair_rounds] {
+            let cfg = CleanConfig {
+                max_hrepair_rounds: rounds,
+                ..cfg()
+            };
+            for (i, &(rules, d, master)) in cases.iter().enumerate() {
+                let mut d = d.clone();
+                let mut two = TwoInOne::build(rules, &d);
+                let mut cache = MdMatchCache::new(rules, d.len());
+                let fixes = h_run(
+                    &mut d,
+                    rules,
+                    &cfg,
+                    |_| MasterView::Prepared(master),
+                    &mut two,
+                    &mut cache,
+                );
+                assert!(!fixes.is_empty(), "case {i} rounds={rounds}");
+                two.assert_consistent_with_rebuild(rules, &d);
+            }
+        }
     }
 }

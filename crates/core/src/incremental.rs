@@ -16,8 +16,9 @@
 //!   cascade), not O(|D|).
 //! * the **2-in-1 structure** persists pinned to the post-`cRepair`
 //!   state: batch tuples enter by insert-time group/entropy deltas
-//!   (`TwoInOne::insert_tuples`), never by rebuild, and each `eRepair`
-//!   run works on a clone.
+//!   (`TwoInOne::insert_tuples`), never by rebuild. Each `eRepair` run
+//!   works on a clone, which `hRepair` then takes over as its equivalence
+//!   classes.
 //! * the **MD witness cache** persists across calls, one for all three
 //!   phases, based on the post-`cRepair` state: premises untouched by any
 //!   repair are never re-verified — re-verification is targeted at exactly
@@ -49,10 +50,11 @@
 //! state's fix log keeps every `cRepair` fix (write-once, so bounded by the
 //! cell count) and only the last call's `eRepair`/`hRepair` fixes. The warm
 //! witness cache covers every phase's MD premise verification, and the
-//! acceptance index every verdict. `hRepair`'s round one still scans the
-//! relation — its CFD classes are projected per call — so on `Phase::Full`
-//! states that scan is a delta call's floor; its later rounds visit only
-//! what the previous round changed.
+//! acceptance index every verdict. `hRepair` projects no classes of its
+//! own: its round one visits the groups of `eRepair`'s 2-in-1 and checks
+//! every tuple against the constant CFDs and MDs (the witness lists come
+//! warm from the cache); its later rounds visit only what the previous
+//! round changed.
 //!
 //! [`MasterSource::SelfSnapshot`]: crate::MasterSource::SelfSnapshot
 

@@ -437,12 +437,14 @@ mod tests {
                 &rules,
                 &cfg,
                 |_| MasterView::Prepared(Some(m)),
+                &mut two,
                 &mut cache,
             );
             assert!(
                 fixes.records().iter().any(|r| r.attr == city),
                 "rounds={rounds}: hRepair must rewrite an MD premise"
             );
+            two.assert_consistent_with_rebuild(&rules, &d);
 
             assert!(assert_current(&cache, &rules, &d, &dm, &idx) > 0);
             cache.begin_run();

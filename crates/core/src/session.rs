@@ -367,6 +367,10 @@ fn timed(
 /// re-renders the current repair, so each phase sees the previous phase's
 /// fixes (the §9 interleaving).
 ///
+/// `hRepair` takes over the 2-in-1 structure `eRepair` worked on as its
+/// equivalence classes — the clone under `keep`, the structure itself
+/// without — so no phase builds a second variable-CFD group table.
+///
 /// One witness cache ([`MdMatchCache`]) serves all three phases of the
 /// session's master view ([`MasterView::cache`]). A call starts with
 /// `begin_run`, which drops the previous call's overlay; `cRepair` writes
@@ -420,8 +424,10 @@ pub(crate) fn run_phases(
     // Unless kept, the fixpoint machine is freed here — not held across
     // the later phases.
     let kept_c = post_c.map(|post_c| (post_c, cfix));
-    // eRepair's pinned 2-in-1 (kept states only).
+    // eRepair's pinned 2-in-1 (kept states only), and the working one it
+    // leaves to hRepair.
     let mut kept_two = None;
+    let mut worked_two = None;
     if phase >= Phase::ERepair {
         let view = prepared.view(&work);
         let e_fixes = timed(observer, &mut phases, Phase::ERepair, || {
@@ -433,7 +439,7 @@ pub(crate) fn run_phases(
                 // which leaves it stale in a way insert-time deltas cannot
                 // express without perturbing group-id order.
                 (Some(mut two), Some(settled)) if !cascaded => {
-                    two.insert_tuples(rules, &work, settled);
+                    two.insert_tuples(&work, settled);
                     two
                 }
                 _ => TwoInOne::build_with(rules, &work, true, threads),
@@ -443,20 +449,30 @@ pub(crate) fn run_phases(
             let (mut structure, two) = working_copy(two, keep);
             kept_two = two;
             let mut spare = None;
-            e_run(
+            let fixes = e_run(
                 &mut work,
                 view.master(),
                 rules,
                 cfg,
                 &mut structure,
                 view.cache(&mut cache, &mut spare),
-            )
+            );
+            worked_two = (phase >= Phase::HRepair).then_some(structure);
+            fixes
         });
         report.extend(e_fixes);
     }
     if phase >= Phase::HRepair {
         let h_fixes = timed(observer, &mut phases, Phase::HRepair, || {
-            h_run(&mut work, rules, cfg, |cur| prepared.view(cur), &mut cache)
+            let mut two = worked_two.expect("eRepair ran before hRepair");
+            h_run(
+                &mut work,
+                rules,
+                cfg,
+                |cur| prepared.view(cur),
+                &mut two,
+                &mut cache,
+            )
         });
         report.extend(h_fixes);
     }

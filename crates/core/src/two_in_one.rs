@@ -1,5 +1,8 @@
 //! The 2-in-1 structure of §6.3: a hash table per variable CFD plus a
 //! balanced tree ordered by entropy ([`EntropyOrder`]; the paper's AVL).
+//! It is the engine's one variable-CFD group table: `eRepair` reads its
+//! conflict sets, and `hRepair` (§7) then takes the same structure over as
+//! its equivalence classes, keeping it exact through its own rewrites.
 //!
 //! For each variable CFD `ϕ = R(Y → B, tp)` the hash table `HTab` maps each
 //! key `ȳ ∈ π_Y(σ_{Y ≍ tp[Y]} D)` to a node carrying the entropy
@@ -85,6 +88,11 @@ pub struct Group {
 }
 
 impl Group {
+    /// The LHS key `ȳ` as the build lineage's symbols.
+    pub(crate) fn key(&self) -> &[Symbol] {
+        &self.key
+    }
+
     /// Number of distinct non-null B values in the conflict set.
     pub fn distinct_values(&self) -> usize {
         self.counts.len()
@@ -146,7 +154,8 @@ pub struct TwoInOne {
     pats: CfdPatternSyms,
     /// HTab per variable CFD.
     tables: Vec<FxHashMap<GroupKey, GroupId>>,
-    /// Group arena (never shrinks; emptied groups are recycled lazily).
+    /// Group arena (never shrinks; an emptied group stays, empty, and its
+    /// key gets a new id if it comes back).
     groups: Vec<Group>,
     /// Tree per variable CFD over (entropy, group id), nonzero entropy only.
     trees: Vec<EntropyOrder>,
@@ -241,8 +250,7 @@ impl TwoInOne {
     /// and existing groups only ever gain members. This is the
     /// `clean_delta` hot path. `d` must be the build relation's lineage
     /// (the store interned the new rows on push).
-    pub fn insert_tuples(&mut self, rules: &RuleSet, d: &Relation, from: usize) {
-        let _ = rules;
+    pub fn insert_tuples(&mut self, d: &Relation, from: usize) {
         let nv = self.vcfd_rule_idx.len();
         for i in from..d.len() {
             let t = TupleId::from(i);
@@ -255,6 +263,12 @@ impl TwoInOne {
     /// The variable CFD of slot `v` within `rules`.
     pub fn rule<'r>(&self, rules: &'r RuleSet, v: usize) -> &'r Cfd {
         &rules.cfds()[self.vcfd_rule_idx[v]]
+    }
+
+    /// The slot of `rules.cfds()[i]`, or `None` when that CFD is not
+    /// variable.
+    pub(crate) fn slot(&self, i: usize) -> Option<usize> {
+        self.vcfd_rule_idx.binary_search(&i).ok()
     }
 
     /// Number of variable CFDs tracked.
@@ -270,6 +284,19 @@ impl TwoInOne {
     /// A group by id.
     pub fn group(&self, g: GroupId) -> &Group {
         &self.groups[g as usize]
+    }
+
+    /// Every live group of variable CFD `v`, in no particular order.
+    pub(crate) fn groups(&self, v: usize) -> impl Iterator<Item = GroupId> + '_ {
+        self.tables[v].values().copied()
+    }
+
+    /// The group `t` belongs to under variable CFD `v` in `d` (the build
+    /// lineage), or `None` when `t` does not match the LHS pattern. A group
+    /// id is never reused: a group that lost its last member stays empty.
+    pub(crate) fn group_of(&self, v: usize, d: &Relation, t: TupleId) -> Option<GroupId> {
+        let (key, _) = self.project_for_insert(d, v, t)?;
+        self.tables[v].get(&key).copied()
     }
 
     /// The group's LHS key `ȳ`, resolved to values through `d`'s interner
@@ -507,7 +534,7 @@ impl TwoInOne {
     /// group's incremental entropy is checked against the from-scratch
     /// formula.
     #[cfg(test)]
-    fn assert_consistent_with_rebuild(&self, rules: &RuleSet, d: &Relation) {
+    pub(crate) fn assert_consistent_with_rebuild(&self, rules: &RuleSet, d: &Relation) {
         use crate::entropy::entropy_of_counts;
         type GroupSummary = HashMap<Vec<Value>, (usize, Vec<(Value, usize)>)>;
         let summarize = |me: &TwoInOne, v: usize| -> GroupSummary {
@@ -708,7 +735,7 @@ mod tests {
             for t in &all[split..] {
                 grown.push(t.clone());
             }
-            inc.insert_tuples(&rules, &grown, split);
+            inc.insert_tuples(&grown, split);
             let fresh = TwoInOne::build_with(&rules, &grown, true, 1);
             assert_eq!(inc.len(), fresh.len());
             for v in 0..inc.len() {

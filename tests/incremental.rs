@@ -3,7 +3,9 @@
 //! values, confidences, marks, plus cost and acceptance — to a
 //! from-scratch `Cleaner::clean` over the concatenated relation, across
 //! parallelism {1, 4}, on both the fast (continuation) path and the
-//! escalation path.
+//! escalation path — and every state keeps the paper's guarantees: its
+//! cost is the cost of its cells, deterministic fixes are final, and
+//! asserted cells survive `eRepair`.
 
 mod common;
 use common::{assert_identical, assert_state_verdicts};
@@ -16,7 +18,7 @@ use uniclean::core::{
     CleanConfig, CleanError, CleanResult, Cleaner, FixReport, MasterSource, Phase, RepairState,
 };
 use uniclean::datagen::{hosp_workload, GenParams};
-use uniclean::model::{AttrId, FixMark, Relation, Schema, Tuple, TupleId, Value};
+use uniclean::model::{repair_cost, AttrId, FixMark, Relation, Schema, Tuple, TupleId, Value};
 use uniclean::rules::{parse_rules, RuleSet};
 
 /// Three interacting rules over a 3-attribute schema: a variable FD, a
@@ -133,6 +135,43 @@ fn assert_matches(uni: &Cleaner, reference: &CleanResult, state: &RepairState, l
         "{label}: fix log diverged"
     );
     assert_state_verdicts(uni, state, label);
+    assert_paper_guarantees(uni, state, label);
+}
+
+/// The paper's guarantees, checked on the state's own cells: its cost is
+/// the §3.1 cost of those cells, deterministic fixes are final (§5), and
+/// before `hRepair` no asserted cell (`cf ≥ η`) changes (§6).
+fn assert_paper_guarantees(uni: &Cleaner, state: &RepairState, label: &str) {
+    assert_eq!(
+        repair_cost(state.base(), state.repaired()).to_bits(),
+        state.cost().to_bits(),
+        "{label}: cost is not the repair cost of the cells"
+    );
+    let c = uni.clean(state.base(), Phase::CRepair).repaired;
+    for (t, (cr, sr)) in c.rows().zip(state.repaired().rows()).enumerate() {
+        for (a, (cc, sc)) in cr.cells().zip(sr.cells()).enumerate() {
+            if cc.mark == FixMark::Deterministic {
+                assert_eq!(
+                    (&sc.value, sc.mark),
+                    (&cc.value, FixMark::Deterministic),
+                    "{label}: deterministic fix of tuple {t} attr {a} overridden"
+                );
+            }
+        }
+    }
+    if state.phase() <= Phase::CERepair {
+        let eta = uni.config().eta;
+        for (t, (br, sr)) in state.base().rows().zip(state.repaired().rows()).enumerate() {
+            for (a, (bc, sc)) in br.cells().zip(sr.cells()).enumerate() {
+                if bc.cf >= eta {
+                    assert_eq!(
+                        sc.value, bc.value,
+                        "{label}: asserted cell of tuple {t} attr {a} changed"
+                    );
+                }
+            }
+        }
+    }
 }
 
 fn concat(schema: &Arc<Schema>, parts: &[&[Tuple]]) -> Relation {
