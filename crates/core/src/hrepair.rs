@@ -217,9 +217,13 @@ impl<'r> Cells<'r> {
 
 /// Run `hRepair` in place on `d`. Returns the possible fixes applied.
 /// Afterwards `d ⊨ Σ` and `(d, Dm) ⊨ Γ` under SQL null semantics whenever
-/// the conflict structure is resolvable (the pipeline re-checks; an
-/// unresolvable structure requires two contradictory deterministic fixes
-/// inside one violation, which the correctness assumptions of §5 exclude).
+/// the conflict structure is resolvable (the pipeline re-checks). An
+/// unresolvable structure is a violation between frozen cells. Inputs that
+/// break §5's correctness assumptions produce one, but so can inputs that
+/// meet them: a corrupted cf-0 key pulls its tuple into a variable-CFD
+/// class whose values conflict with a correct deterministic fix, because
+/// the tuple's conclusion cells move to the class while its key stays
+/// (see [`CleanResult::consistent`](crate::CleanResult::consistent)).
 pub fn h_repair(
     d: &mut Relation,
     dm: Option<&Relation>,

@@ -615,10 +615,15 @@ pub struct CleanResult {
     pub report: FixReport,
     /// `cost(Dr, D)` under the §3.1 model.
     pub cost: f64,
-    /// Did the final relation satisfy `Σ` and `Γ` (null semantics)? Always
-    /// expected after `Phase::Full`; `false` can only arise from frozen
-    /// conflicts, which contradict the correctness assumptions on master
-    /// data and confidence (§5.1).
+    /// Did the final relation satisfy `Σ` and `Γ` (null semantics)? After
+    /// `Phase::Full` it is `false` only when hRepair meets a conflict
+    /// between frozen cells. Contradictory asserted cells or master data
+    /// (against §5.1's assumptions) cause one. So can inputs that meet
+    /// every assumption: a corrupted cf-0 key can drag a tuple into a
+    /// variable-CFD class whose values conflict with a correct
+    /// deterministic fix of that tuple, and hRepair moves the tuple's other
+    /// cells instead of its key. Generated `hosp` seeds 18 and 110 at
+    /// 4 000 × 1 000 end that way (ROADMAP item 2).
     pub consistent: bool,
     /// Per-phase timing and fix counts, in execution order. The same
     /// records stream through [`PhaseObserver`] during the run.

@@ -6,7 +6,6 @@
 //!                   [--phase c|ce|full] [--self-match] [--threads n] [--report]
 //! uniclean check    --data d.csv --rules r.rules [--master m.csv] …
 //! uniclean analyze  --rules r.rules --data d.csv [--master m.csv] …
-//! uniclean discover --data d.csv [--max-lhs 2] [--min-support 3]
 //! uniclean serve    [--addr 127.0.0.1:7401] [--shards 4] [--queue 64]
 //!                   [--data-dir dir] [--snapshot-every 64] [--no-fsync]
 //! ```
@@ -18,7 +17,6 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use uniclean::discovery::{discover_constant_cfds, discover_fds, ConstantCfdConfig, FdConfig};
 use uniclean::model::csv::{from_csv, to_csv};
 use uniclean::model::{Relation, Schema, ValueType};
 use uniclean::reasoning::{is_consistent, termination_diagnostics};
@@ -35,7 +33,6 @@ COMMANDS:
     clean      repair --data using --rules (and optionally --master)
     check      list rule violations in --data without repairing
     analyze    static analyses of the rule set: consistency, termination
-    discover   mine FDs and constant CFDs from --data
     serve      run the cleaning daemon (line-delimited JSON over TCP)
     promote    flip a standby daemon to serving (see --replicate-from)
 
@@ -68,10 +65,6 @@ CLEAN OPTIONS:
                                access path chosen for each MD (exact probe /
                                q-gram count / lev count / Jaro / scan)
                                before cleaning
-
-DISCOVER OPTIONS:
-    --max-lhs <n>              maximum FD LHS size [default: 2]
-    --min-support <n>          minimum pattern support for constant CFDs [default: 3]
 
 SERVE OPTIONS:
     --addr <host:port>         listen address [default: 127.0.0.1:7401]; port 0
@@ -193,7 +186,6 @@ fn run(args: &[String]) -> Result<String, String> {
         "clean" => cmd_clean(&opts),
         "check" => cmd_check(&opts),
         "analyze" => cmd_analyze(&opts),
-        "discover" => cmd_discover(&opts),
         "serve" => cmd_serve(&opts),
         "promote" => cmd_promote(&opts),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
@@ -505,38 +497,6 @@ fn cmd_analyze(opts: &Opts) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_discover(opts: &Opts) -> Result<String, String> {
-    let data_path = opts.require("data")?;
-    let table = opts.get_or("table", "data");
-    let data = load_relation(data_path, table, 0.0)?;
-    let max_lhs = opts.get_usize("max-lhs", 2)?;
-    let min_support = opts.get_usize("min-support", 3)?;
-    let fds = discover_fds(
-        &data,
-        &FdConfig {
-            max_lhs,
-            min_support_pairs: 2,
-        },
-    );
-    let ccfds = discover_constant_cfds(
-        &data,
-        &ConstantCfdConfig {
-            min_support,
-            ..Default::default()
-        },
-    );
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# {} FDs, {} constant CFDs mined from {data_path}\n",
-        fds.len(),
-        ccfds.len()
-    ));
-    for fd in fds.iter().chain(ccfds.iter()) {
-        out.push_str(&format!("cfd {}\n", strip_name(fd)));
-    }
-    Ok(out)
-}
-
 fn cmd_serve(opts: &Opts) -> Result<String, String> {
     let defaults = uniclean::server::DaemonConfig::default();
     let config = uniclean::server::DaemonConfig {
@@ -596,12 +556,6 @@ fn cmd_promote(opts: &Opts) -> Result<String, String> {
     Ok(format!(
         "uniclean promote: {addr} is now the primary ({relations} relations)\n"
     ))
-}
-
-/// Render a CFD as a rule-file line (the `Display` form already matches the
-/// parser's grammar).
-fn strip_name(cfd: &uniclean::rules::Cfd) -> String {
-    cfd.to_string()
 }
 
 #[cfg(test)]
@@ -803,25 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn discover_emits_parseable_rules() {
-        let data = write_temp(
-            "dd.csv",
-            "City,State\nBoston,MA\nBoston,MA\nBoston,MA\nChicago,IL\nChicago,IL\nChicago,IL\n",
-        );
-        let out = run(&argv(&["discover", "--data", &data, "--min-support", "3"])).unwrap();
-        assert!(out.contains("FDs"), "{out}");
-        // Every emitted rule line must parse back.
-        let schema = Schema::of_strings("data", &["City", "State"]);
-        let rule_lines: String = out
-            .lines()
-            .filter(|l| l.starts_with("cfd "))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = parse_rules(&rule_lines, &schema, None).unwrap();
-        assert!(!parsed.cfds.is_empty());
-    }
-
-    #[test]
     fn builder_misuse_is_reported_not_panicked() {
         // Out-of-range threshold.
         let data = write_temp("de.csv", "AC,city\n131,Ldn\n");
@@ -847,6 +782,9 @@ mod tests {
         assert!(err.contains("--data"), "{err}");
         let err = run(&argv(&["bogus"])).unwrap_err();
         assert!(err.contains("unknown command"), "{err}");
+        // Σ and Γ are inputs: there is no rule-mining verb.
+        let err = run(&argv(&["discover", "--data", "d.csv"])).unwrap_err();
+        assert!(err.contains("unknown command `discover`"), "{err}");
         let err = run(&argv(&[])).unwrap_err();
         assert!(err.contains("no command"), "{err}");
     }
@@ -855,7 +793,7 @@ mod tests {
     fn help_prints_usage() {
         let out = run(&argv(&["help"])).unwrap();
         assert!(out.contains("USAGE"));
-        assert!(out.contains("discover"));
+        assert!(!out.contains("discover"), "{out}");
     }
 
     #[test]

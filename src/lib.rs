@@ -93,7 +93,6 @@ pub use uniclean_baselines as baselines;
 pub use uniclean_client as client;
 pub use uniclean_core as core;
 pub use uniclean_datagen as datagen;
-pub use uniclean_discovery as discovery;
 pub use uniclean_metrics as metrics;
 pub use uniclean_model as model;
 pub use uniclean_reasoning as reasoning;
