@@ -229,6 +229,36 @@ mod tests {
         }
     }
 
+    /// Fig. 13(b): the share of deterministic fixes grows with asr% — more
+    /// asserted cells, more premises `cRepair` may fire from. Run as the
+    /// exp4 asr sweep runs it (dup% = 40, every other parameter default)
+    /// at 600 × 200 over three seeds. Fig. 13(a) (dup%) is not asserted:
+    /// at this size the share is not monotone in dup%.
+    #[test]
+    fn deterministic_share_grows_with_asserted_rate() {
+        for kind in [DatasetKind::Hosp, DatasetKind::Dblp] {
+            for seed in [42, 7, 1] {
+                let shares: Vec<f64> = [0.0, 0.2, 0.4, 0.6, 0.8]
+                    .into_iter()
+                    .map(|asserted_rate| {
+                        let params = GenParams {
+                            tuples: 600,
+                            master_tuples: 200,
+                            asserted_rate,
+                            seed,
+                            ..GenParams::default()
+                        };
+                        deterministic_share(&dataset_workload(kind, &params))
+                    })
+                    .collect();
+                assert!(
+                    shares.windows(2).all(|w| w[0] <= w[1]),
+                    "{kind:?} seed {seed}: shares over asr% 0..80 are {shares:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn dataset_parse_roundtrip() {
         for kind in [DatasetKind::Hosp, DatasetKind::Dblp, DatasetKind::Tpch] {

@@ -28,11 +28,9 @@ pub struct CleanConfig {
     /// Safety cap on `hRepair` resolution rounds (termination is guaranteed
     /// by the ␣→const→null upgrade order, §7; this is a backstop).
     pub max_hrepair_rounds: usize,
-    /// Worker threads for the parallel phase internals (MD premise
-    /// verification, 2-in-1 structure construction). `None` uses every
-    /// available core; `1` runs the phases exactly as the single-threaded
-    /// path does. Output is bit-identical for every setting — see the
-    /// chunk–merge–apply design in [`crate::parallel`].
+    /// Ignored: a clean runs on one engine thread. Only the benchmark
+    /// harness (`benchmark/src/inputs.rs`) still sets it; it goes when the
+    /// harness stops.
     pub parallelism: Option<NonZeroUsize>,
     /// Ignored: the engine never reads it. The columnar store is
     /// symbol-native, so every index and group key is keyed by interned
@@ -40,7 +38,7 @@ pub struct CleanConfig {
     /// it, to pass on to
     /// [`MasterIndex::build_parallel`](crate::MasterIndex::build_parallel) and
     /// [`TwoInOne::build_with`](crate::two_in_one::TwoInOne::build_with),
-    /// which ignore it too.
+    /// which ignore it too; it goes when the harness stops.
     pub interning: bool,
 }
 
@@ -59,10 +57,11 @@ impl Default for CleanConfig {
 }
 
 impl CleanConfig {
-    /// The worker count the phases will actually use: the
-    /// [`parallelism`](Self::parallelism) knob, or all available cores.
+    /// Always 1: a clean runs on one engine thread. Only the benchmark
+    /// harness (`benchmark/src/batch.rs`) still calls it; it goes when the
+    /// harness stops.
     pub fn effective_parallelism(&self) -> usize {
-        crate::parallel::effective_parallelism(self.parallelism)
+        1
     }
 
     /// Validate thresholds and limits; [`crate::CleanerBuilder::build`]

@@ -20,12 +20,10 @@
 //! §5.2 — its outcome is independent of rule application order (property-
 //! tested below and in the integration suite).
 //!
-//! Parallelism: MD candidate generation and premise verification — the
-//! dominant per-tuple cost — are prefilled over scoped workers into an
-//! `MdMatchCache` for every tuple whose premise is asserted up front;
-//! the inference fixpoint itself stays sequential and recomputes any
-//! entry a repair invalidates, so output is bit-identical at every
-//! `parallelism` setting (see [`crate::parallel`]).
+//! MD candidate generation and premise verification — the dominant
+//! per-tuple cost — go through an `MdMatchCache`, which computes a witness
+//! list the first time the fixpoint asks for it and recomputes any entry a
+//! repair invalidates.
 
 use std::collections::VecDeque;
 
@@ -77,8 +75,6 @@ pub(crate) struct CFixpoint {
     p: Vec<Vec<bool>>,
     /// All schema attributes, precomputed for the agreement check.
     all_attrs: Vec<AttrId>,
-    /// Number of CFD rules (MD rule ids start here).
-    n_cfds: usize,
     /// Tuples the fixpoint currently covers.
     n_tuples: usize,
 }
@@ -136,7 +132,6 @@ impl CFixpoint {
             count: vec![vec![0; n_rules]; n_tuples],
             p: vec![vec![false; n_rules]; n_tuples],
             all_attrs: rules.schema().attr_ids().collect(),
-            n_cfds: rules.cfds().len(),
             n_tuples,
         }
     }
@@ -188,8 +183,7 @@ struct State<'a> {
     /// recompiled per run, valid for the run's relation lineage).
     pats: CfdPatternSyms,
     fx: &'a mut CFixpoint,
-    /// Memoized MD witness lists (prefilled in parallel, invalidated on
-    /// premise rewrites).
+    /// Memoized MD witness lists (invalidated on premise rewrites).
     md_cache: &'a mut MdMatchCache,
     /// Queue of (tuple, rule) with pending flags (transient: empty at
     /// fixpoint, so not part of the persisted state).
@@ -243,27 +237,6 @@ pub(crate) fn c_run(
     // pure symbol compares.
     ensure_rule_constants(d, rules);
     let pats = CfdPatternSyms::compile(rules, d);
-    if let Some(m) = master {
-        // Fan the expensive verification out over the workers for every
-        // seeded tuple `MDInfer` will interrogate from the initial
-        // assertions; tuples unlocked later by the cascade are computed on
-        // demand.
-        let n_cfds = fx.n_cfds;
-        let eta = cfg.eta;
-        let (lhs_of, rhs_of) = (&fx.lhs_of, &fx.rhs_of);
-        md_cache.prefill_range(
-            rules,
-            d,
-            m,
-            cfg.effective_parallelism(),
-            seed_from..d.len(),
-            |m, t| {
-                let tup = d.tuple(t);
-                tup.cf(rhs_of[n_cfds + m]) < eta
-                    && lhs_of[n_cfds + m].iter().all(|a| tup.cf(*a) >= eta)
-            },
-        );
-    }
     let n_rules = rules.len();
     let mut st = State {
         rules,
@@ -510,9 +483,8 @@ impl<'a> State<'a> {
             return;
         }
         let witness = {
-            // Witness lists come from the memoized (possibly prefilled-in-
-            // parallel) cache; the cache already excludes the tuple's own
-            // positional copy under self-matching.
+            // Witness lists come from the memoized cache; it already
+            // excludes the tuple's own positional copy under self-matching.
             let all = self.md_cache.matches(md_idx, rules, d, m, t);
             // The self-snapshot is dirty, not master data: only witnesses
             // whose conclusion cell is itself asserted carry evidence.

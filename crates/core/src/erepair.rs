@@ -13,11 +13,9 @@
 //! are cells asserted by confidence (`cf ≥ η`) — entropy evidence must not
 //! override confidence evidence.
 //!
-//! Parallelism: the 2-in-1 structure build and the MD premise
-//! verification — the two read-heavy stages — fan out over scoped workers
-//! ([`crate::parallel`]); the resolution loop itself stays sequential and
-//! consumes the precomputed results in tuple-id order, so output is
-//! bit-identical at every `parallelism` setting.
+//! Conflict sets come from the 2-in-1 structure ([`TwoInOne`]) and MD
+//! witness lists from a memoized cache that computes each list on first
+//! use; both are kept exact under the loop's own rewrites.
 
 use std::collections::HashMap;
 
@@ -42,7 +40,7 @@ pub fn e_repair(
     cfg: &CleanConfig,
 ) -> FixReport {
     let master = Master::external(rules, dm, idx);
-    let mut structure = TwoInOne::build_with(rules, d, true, cfg.effective_parallelism());
+    let mut structure = TwoInOne::build(rules, d);
     let mut md_cache = MdMatchCache::new(rules, d.len());
     e_run(d, master, rules, cfg, &mut structure, &mut md_cache)
 }
@@ -65,21 +63,7 @@ pub(crate) fn e_run(
     // once — the per-round scans below match patterns by symbol compare.
     ensure_rule_constants(d, rules);
     let pats = CfdPatternSyms::compile(rules, d);
-    let threads = cfg.effective_parallelism();
     let order = erepair_order(rules);
-
-    if let Some(m) = master {
-        // Fan the expensive premise verification out over the workers for
-        // every cell `MDReslove` may interrogate in round one; later
-        // rounds reuse the entries that repairs have not invalidated, and
-        // entries already warm in a cross-call cache are skipped.
-        let eta = cfg.eta;
-        md_cache.prefill(rules, d, m, threads, |j, t| {
-            let (e, _) = rules.mds()[j].rhs()[0];
-            let tup = d.tuple(t);
-            tup.mark(e) != FixMark::Deterministic && tup.cf(e) < eta
-        });
-    }
 
     let mut st = EState {
         change_count: HashMap::new(),
@@ -242,7 +226,7 @@ fn md_resolve(
         // the candidate list must not mask a correction demanded by a later
         // one (and under self-matching the tuple's own copy always agrees —
         // the cache skips it). Witness lists come from the memoized
-        // (possibly prefilled-in-parallel) cache.
+        // cache.
         let Some(s) = st
             .md_cache
             .matches(i, rules, d, m, t)

@@ -52,10 +52,8 @@
 //! is a new relation every round, so such a round matches through a fresh
 //! cache and visits every tuple for its MDs.
 //!
-//! Parallelism: the one fan-out is the cache's witness prefill (round one,
-//! and every self-snapshot round), merged in tuple-id order; resolution is
-//! sequential in tuple-id and sorted-key order, so output is bit-identical
-//! at every `parallelism` setting (pinned by `tests/determinism.rs`).
+//! Resolution runs in tuple-id and sorted-key order, so the output does
+//! not depend on hash-map iteration order.
 
 use std::collections::HashMap;
 
@@ -271,7 +269,6 @@ pub(crate) fn h_run<'m>(
     let base = d.clone();
     let mut cells = Cells::new(&base);
     let pats = CfdPatternSyms::compile(rules, &base);
-    let threads = cfg.effective_parallelism();
     let mut rewritten = Vec::new();
     // The classes a tuple left at the last round boundary.
     let mut left = Vec::new();
@@ -292,11 +289,6 @@ pub(crate) fn h_run<'m>(
                 let snapshot = matches!(view, MasterView::Snapshot(..));
                 let mut spare = None;
                 let cache = view.cache(cache, &mut spare);
-                if first || snapshot {
-                    cache.prefill(rules, cur, m, threads, |j, t| {
-                        !cur.tuple(t).is_null(rules.mds()[j].rhs()[0].0)
-                    });
-                }
                 resolve_mds(cur, m, rules, &mut cells, cache, snapshot);
             }
         }

@@ -44,7 +44,7 @@
 //! repaired relation bit-identical — cell values, confidences and marks —
 //! to a from-scratch [`Cleaner::clean`] over the concatenated input, along
 //! with the same cost and acceptance verdict (`tests/incremental.rs` pins
-//! this with a property test across parallelism settings).
+//! this with a property test over random batch splits).
 //! The `eRepair`/`hRepair` phases re-derive their fixes from the persisted
 //! post-`cRepair` state on every call (their decisions are global), so the
 //! state's fix log keeps every `cRepair` fix (write-once, so bounded by the

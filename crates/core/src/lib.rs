@@ -7,6 +7,10 @@
 //!                        fixes        fixes        fixes
 //! ```
 //!
+//! The three phases run consecutively on the caller's thread: one clean is
+//! one engine thread. A [`Cleaner`] is `Send + Sync`, so independent
+//! cleans — the daemon's tenants on their shards — run in parallel.
+//!
 //! * [`crepair`] — deterministic fixes from confidence analysis and master
 //!   data (§5, Figs 4–5);
 //! * [`erepair`] — reliable fixes from information entropy (§6, Fig 6),
@@ -34,8 +38,6 @@
 //!   the master store's symbols for equality premises, q-gram count
 //!   filtering for similarity premises), chosen per MD by the
 //!   planner and probed by the phases and acceptance alike;
-//! * [`parallel`] — the scoped-thread chunk–merge–apply fan-out the phases
-//!   use for their read-heavy stages, bit-identical at every thread count;
 //! * [`fix`] — per-cell fix records and phase statistics;
 //! * [`entropy`] — the paper's base-`k` entropy `H(ϕ | Y = ȳ)` (§6.1) and
 //!   the entropy-ordered set of conflict sets (§6.3).
@@ -51,7 +53,6 @@ pub mod hrepair;
 pub mod incremental;
 pub mod master_index;
 mod md_cache;
-pub mod parallel;
 mod pattern_syms;
 pub mod session;
 pub mod two_in_one;
@@ -70,7 +71,6 @@ pub use fix::{FixRecord, FixReport};
 pub use hrepair::h_repair;
 pub use incremental::RepairState;
 pub use master_index::{MasterIndex, ProbeScratch};
-pub use parallel::effective_parallelism;
 pub use session::{
     CleanResult, Cleaner, CleanerBuilder, MasterSource, NoOpObserver, Phase, PhaseObserver,
     PhaseStats, PhaseTimings, PreparedCleaner,

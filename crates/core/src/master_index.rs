@@ -36,11 +36,11 @@
 //! to it first, so a scratch can roam across index rebuilds without ever
 //! serving stale entries.
 //!
-//! Index construction fans out over [`crate::parallel`]: each distinct
-//! per-attribute artifact (hash map, inverted lists) builds on its own
-//! worker, and q-gram artifacts batch-hash the column — each distinct
-//! interned value is profiled exactly once, in parallel, and the inverted
-//! lists assemble from those parts.
+//! Index construction builds each distinct per-attribute artifact (hash
+//! map, inverted lists) once, shared by every MD that plans onto it, and
+//! q-gram artifacts batch-hash the column: each distinct interned value is
+//! profiled exactly once and the inverted lists assemble from those
+//! profiles.
 //!
 //! External master data is immutable for the life of a session, so one
 //! build at [`crate::Cleaner`] construction serves every `clean` /
@@ -89,8 +89,6 @@ use std::sync::Arc;
 use uniclean_model::{AttrId, FxHashMap, FxHasher, Relation, Row, Symbol, TupleId, ValueInterner};
 use uniclean_rules::{MatchScratch, Md};
 use uniclean_similarity::{simd, ProfilePool, QGramIndex, QGramScratch};
-
-use crate::parallel::{map_chunks, map_each};
 
 /// Cost-model factors: expected candidate inflation of each similarity
 /// path relative to an exact probe on the same column. The Jaro bound is
@@ -305,11 +303,11 @@ fn plan_md(md: &Md, rows: usize, stats: &HashMap<AttrId, usize>) -> PlanSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Artifact construction (the parallel stage).
+// Artifact construction.
 // ---------------------------------------------------------------------------
 
 /// A deduplicated unit of index construction; every distinct key builds
-/// once, on its own worker when parallelism allows.
+/// once.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 enum ArtifactKey {
     QGram(AttrId, usize),
@@ -332,7 +330,7 @@ pub(crate) struct VidColumn {
     texts: Vec<Box<str>>,
 }
 
-fn build_artifact(key: &ArtifactKey, master: &Relation, threads: usize) -> Artifact {
+fn build_artifact(key: &ArtifactKey, master: &Relation) -> Artifact {
     let interner = master.interner();
     match key {
         ArtifactKey::QGram(attr, q) => {
@@ -340,8 +338,7 @@ fn build_artifact(key: &ArtifactKey, master: &Relation, threads: usize) -> Artif
             // owner rows of every distinct non-null symbol (dense
             // first-appearance ids — the same order `QGramIndex::build`
             // assigns), then each distinct value is rendered and hashed
-            // exactly once, fanned out over workers with per-chunk
-            // scratch reuse.
+            // exactly once.
             let null = master.null_sym();
             let mut sym_to_vid: Vec<u32> = vec![u32::MAX; interner.len()];
             let mut syms: Vec<Symbol> = Vec::new();
@@ -359,29 +356,20 @@ fn build_artifact(key: &ArtifactKey, master: &Relation, threads: usize) -> Artif
                 }
                 owners[*slot as usize].push(row as u32);
             }
-            // Each worker checks a profile arena out of the process-wide
-            // pool (hashing scratch + retired profile vectors), so
-            // repeated index rebuilds stop allocating per chunk; the
-            // borrowing `from_parts` only copies the gram runs out, and
-            // the arenas return to the pool when the guards drop. The
-            // rendered texts are kept as the columnar-sweep sidecar.
-            let parts = map_chunks(syms.len(), threads, |range| {
-                let mut arena = ProfilePool::global().checkout();
-                let mut texts: Vec<Box<str>> = Vec::with_capacity(range.len());
-                for i in range {
-                    let s = interner.resolve(syms[i]).render();
-                    arena.push(&s, *q);
-                    texts.push(s.into_owned().into_boxed_str());
-                }
-                (arena, texts)
-            });
-            let index = QGramIndex::from_parts(
-                parts.iter().flat_map(|(arena, _)| arena.profiles()),
-                owners,
-                master.len(),
-                *q,
-            );
-            let texts: Vec<Box<str>> = parts.into_iter().flat_map(|(_, texts)| texts).collect();
+            // The profile arena is checked out of the process-wide pool
+            // (hashing scratch + retired profile vectors), so repeated
+            // index rebuilds stop allocating; the borrowing `from_parts`
+            // only copies the gram runs out, and the arena returns to the
+            // pool when its guard drops. The rendered texts are kept as
+            // the columnar-sweep sidecar.
+            let mut arena = ProfilePool::global().checkout();
+            let mut texts: Vec<Box<str>> = Vec::with_capacity(syms.len());
+            for &sym in &syms {
+                let s = interner.resolve(sym).render();
+                arena.push(&s, *q);
+                texts.push(s.into_owned().into_boxed_str());
+            }
+            let index = QGramIndex::from_parts(arena.profiles(), owners, master.len(), *q);
             Artifact::QGram(Arc::new(index), Arc::new(VidColumn { syms, texts }))
         }
         ArtifactKey::Exact(attrs) => {
@@ -418,18 +406,9 @@ pub struct MasterIndex {
 }
 
 impl MasterIndex {
-    /// Build access paths for `mds` over `master`, single-threaded.
-    /// Indexes on the same master column are shared between MDs.
+    /// Build access paths for `mds` over `master`. Indexes on the same
+    /// master column are shared between MDs.
     pub fn build(mds: &[Md], master: &Relation) -> Self {
-        Self::build_parallel(mds, master, true, 1)
-    }
-
-    /// [`Self::build`] fanning index construction out over `threads`
-    /// scoped workers (one per distinct per-attribute artifact). The built
-    /// index is identical at every thread count. The `bool` is ignored:
-    /// exact probes are always keyed by the master store's symbols. It
-    /// stays only because the benchmark harness still passes one.
-    pub fn build_parallel(mds: &[Md], master: &Relation, _: bool, threads: usize) -> Self {
         // Distinct-count statistics for the premise master columns of MDs
         // without equalities — the similarity filters' selectivity
         // estimates.
@@ -440,16 +419,17 @@ impl MasterIndex {
             .collect();
         stat_attrs.sort_unstable();
         stat_attrs.dedup();
-        let counts = map_each(stat_attrs.len(), threads, |i| {
-            let mut syms: Vec<Symbol> = master.col_syms(stat_attrs[i]).to_vec();
-            syms.sort_unstable();
-            syms.dedup();
-            syms.len()
-        });
-        let stats: HashMap<AttrId, usize> = stat_attrs.iter().copied().zip(counts).collect();
+        let stats: HashMap<AttrId, usize> = stat_attrs
+            .iter()
+            .map(|&a| {
+                let mut syms: Vec<Symbol> = master.col_syms(a).to_vec();
+                syms.sort_unstable();
+                syms.dedup();
+                (a, syms.len())
+            })
+            .collect();
 
-        // Plan every MD (pure), then build each distinct artifact once —
-        // in parallel, one worker per artifact.
+        // Plan every MD (pure), then build each distinct artifact once.
         let specs: Vec<PlanSpec> = mds
             .iter()
             .map(|md| plan_md(md, master.len(), &stats))
@@ -467,12 +447,7 @@ impl MasterIndex {
                 }))
             })
             .collect();
-        // Each artifact gets its own worker; the batched q-gram builds
-        // split the residual thread budget between them.
-        let inner_threads = (threads / keys.len().max(1)).max(1);
-        let artifacts = map_each(keys.len(), threads, |i| {
-            build_artifact(&keys[i], master, inner_threads)
-        });
+        let artifacts: Vec<Artifact> = keys.iter().map(|k| build_artifact(k, master)).collect();
 
         // Assemble the runtime plans.
         let plans: Vec<Plan> = specs
@@ -526,6 +501,13 @@ impl MasterIndex {
             master_len: master.len(),
             epoch: BUILD_EPOCH.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// [`Self::build`]; both arguments after `master` are ignored. Kept
+    /// only because the benchmark harness (`benchmark/src/batch.rs`) still
+    /// calls it, and removed together with that call.
+    pub fn build_parallel(mds: &[Md], master: &Relation, _: bool, _: usize) -> Self {
+        Self::build(mds, master)
     }
 
     /// Append the candidates of one similarity filter (unordered, unique
@@ -1069,37 +1051,6 @@ mod tests {
             assert_eq!(out, reference_matches(&mds[0], &t, &dm1), "dm1 {name:?}");
             idx2.matches_into(0, &mds[0], &t, &dm2, None, &mut scratch, &mut out);
             assert_eq!(out, reference_matches(&mds[0], &t, &dm2), "dm2 {name:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_build_produces_identical_plans() {
-        let tran = Schema::of_strings("tran", &["LN", "FN", "phn"]);
-        let card = Schema::of_strings("card", &["LN", "FN", "tel"]);
-        let text = "md a: tran[LN] = card[LN] AND tran[FN] = card[FN] -> tran[phn] <=> card[tel]\n\
-                    md b: tran[FN] ~lev(1) card[FN] -> tran[phn] <=> card[tel]\n\
-                    md c: tran[LN] ~qgram(2,0.6) card[LN] -> tran[phn] <=> card[tel]";
-        let mds = parse_rules(text, &tran, Some(&card)).unwrap().positive_mds;
-        let dm = Relation::new(
-            card,
-            vec![
-                Tuple::of_strs(&["Smith", "Mark", "111"], 1.0),
-                Tuple::of_strs(&["Brady", "Rob", "222"], 1.0),
-            ],
-        );
-        let seq = MasterIndex::build(&mds, &dm);
-        let par = MasterIndex::build_parallel(&mds, &dm, true, 4);
-        for (i, md) in mds.iter().enumerate() {
-            assert_eq!(seq.describe_plan(i, md), par.describe_plan(i, md));
-            for name in ["Smith", "Smoth", "Brady"] {
-                let t = Tuple::of_strs(&[name, "Mark", "9"], 0.5);
-                let mut sa = ProbeScratch::new();
-                let mut sb = ProbeScratch::new();
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                seq.matches_into(i, md, &t, &dm, None, &mut sa, &mut a);
-                par.matches_into(i, md, &t, &dm, None, &mut sb, &mut b);
-                assert_eq!(a, b, "md {i} probe {name:?}");
-            }
         }
     }
 }

@@ -1,5 +1,4 @@
-//! Memoized MD premise verification — the parallel "chunk" stage of the
-//! chunk–merge–apply design (see [`crate::parallel`]).
+//! Memoized MD premise verification.
 //!
 //! `MasterIndex::matches_into` — candidate generation plus full
 //! premise verification against master data — dominates the running time
@@ -7,17 +6,13 @@
 //! data tuple's premise cells (master data never changes within a phase).
 //! [`MdMatchCache`] exploits both facts:
 //!
-//! * [`MdMatchCache::prefill`] computes the witness lists for every tuple
-//!   a phase is about to interrogate, fanned out over scoped workers and
-//!   merged back in tuple-id order;
-//! * [`MdMatchCache::matches`] serves the sequential engine — a cache hit
-//!   returns the precomputed list, a miss (never prefilled, or invalidated
-//!   by a repair) recomputes on the spot, exactly as the unparallelized
-//!   code would;
+//! * [`MdMatchCache::matches`] serves the engine — a hit returns the
+//!   stored list, a miss (never asked, or invalidated by a repair)
+//!   computes it on the spot and stores it;
 //! * [`MdMatchCache::invalidate`] hides entries whose premise cells a fix
 //!   just rewrote, keeping the cache transparent: the served lists are
 //!   always equal to a direct `matches_into` call on the current
-//!   relation state, so results are bit-identical at every thread count.
+//!   relation state.
 //!
 //! The phase loop keeps one cache for the session's master view, whose base
 //! relation is the post-`cRepair` state: `cRepair` writes and settles,
@@ -30,7 +25,6 @@ use uniclean_model::{AttrId, FxHashMap, Relation, TupleId};
 use uniclean_rules::RuleSet;
 
 use crate::master_index::ProbeScratch;
-use crate::parallel::map_chunks;
 use crate::session::Master;
 
 /// Per-(MD, tuple) verified witness lists with premise-based invalidation.
@@ -51,13 +45,13 @@ pub(crate) struct MdMatchCache {
     /// The slots whose premise this run rewrote, with their list for the
     /// current state (`None` = not recomputed since the last write).
     rewritten: FxHashMap<(usize, TupleId), Option<Box<[TupleId]>>>,
-    /// Probe-side buffers and symbol-keyed profile cache for the
-    /// sequential recompute path; cleared on [`Self::begin_run`] because a
-    /// rewound run may re-intern different values behind the same symbols.
+    /// Probe-side buffers and symbol-keyed profile cache for the miss
+    /// path; cleared on [`Self::begin_run`] because a rewound run may
+    /// re-intern different values behind the same symbols.
     scratch: ProbeScratch,
-    /// Reusable witness buffer for the sequential miss path — recomputes
-    /// happen per invalidated cell, so a per-miss `Vec` allocation adds up
-    /// on repair-heavy runs.
+    /// Reusable witness buffer for the miss path — recomputes happen per
+    /// invalidated cell, so a per-miss `Vec` allocation adds up on
+    /// repair-heavy runs.
     miss_buf: Vec<TupleId>,
 }
 
@@ -132,81 +126,6 @@ impl MdMatchCache {
         match self.rewritten.get_mut(&(md, t)) {
             Some(slot) => slot,
             None => &mut self.entries[md][t.index()],
-        }
-    }
-
-    /// Fan the expensive verification out over `threads` workers for every
-    /// `(md, tuple)` pair `want` selects, merging results in tuple-id
-    /// order. Pairs not selected (or later invalidated) fall back to the
-    /// sequential recompute in [`Self::matches`].
-    pub(crate) fn prefill(
-        &mut self,
-        rules: &RuleSet,
-        d: &Relation,
-        m: Master<'_>,
-        threads: usize,
-        want: impl Fn(usize, TupleId) -> bool + Sync,
-    ) {
-        self.prefill_range(rules, d, m, threads, 0..d.len(), want);
-    }
-
-    /// [`Self::prefill`] restricted to the tuple-id range `span` — the
-    /// incremental path only prefills the appended batch.
-    pub(crate) fn prefill_range(
-        &mut self,
-        rules: &RuleSet,
-        d: &Relation,
-        m: Master<'_>,
-        threads: usize,
-        span: std::ops::Range<usize>,
-        want: impl Fn(usize, TupleId) -> bool + Sync,
-    ) {
-        if threads <= 1 || rules.mds().is_empty() {
-            return;
-        }
-        let n_mds = rules.mds().len();
-        let base = span.start;
-        // chunk: one worker per tuple range, producing per-tuple rows of
-        // witness lists; merge: move rows back in chunk (= tuple-id) order.
-        // Slots already warm (a cross-call cache) are skipped — their
-        // entries equal what this recomputation would produce.
-        let this = &*self;
-        let chunks = map_chunks(span.len(), threads, |range| {
-            let mut scratch = ProbeScratch::new();
-            let mut buf = Vec::new();
-            let mut rows: Vec<Vec<Option<Box<[TupleId]>>>> = Vec::with_capacity(range.len());
-            for i in range {
-                let t = TupleId::from(base + i);
-                let mut row: Vec<Option<Box<[TupleId]>>> = vec![None; n_mds];
-                for (j, md) in rules.mds().iter().enumerate() {
-                    if this.current(j, t).is_some() || !want(j, t) {
-                        continue;
-                    }
-                    m.index.matches_into(
-                        j,
-                        md,
-                        d.tuple(t),
-                        m.dm,
-                        m.own_row(t),
-                        &mut scratch,
-                        &mut buf,
-                    );
-                    row[j] = Some(buf.as_slice().into());
-                }
-                rows.push(row);
-            }
-            rows
-        });
-        let mut i = base;
-        for chunk in chunks {
-            for row in chunk {
-                for (j, entry) in row.into_iter().enumerate() {
-                    if entry.is_some() {
-                        *self.slot(j, TupleId::from(i)) = entry;
-                    }
-                }
-                i += 1;
-            }
         }
     }
 
@@ -306,21 +225,6 @@ mod tests {
             );
             let got = cache.matches(0, &rules, &d, m, t);
             assert_eq!(got, want.as_slice(), "tuple {t:?}");
-        }
-    }
-
-    #[test]
-    fn prefill_matches_lazy_path() {
-        let (rules, d, dm, idx) = setup();
-        let m = Master::external(&rules, Some(&dm), Some(&idx)).unwrap();
-        let mut eager = MdMatchCache::new(&rules, d.len());
-        eager.prefill(&rules, &d, m, 2, |_, _| true);
-        let mut lazy = MdMatchCache::new(&rules, d.len());
-        for t in d.ids() {
-            assert_eq!(
-                eager.matches(0, &rules, &d, m, t).to_vec(),
-                lazy.matches(0, &rules, &d, m, t).to_vec(),
-            );
         }
     }
 
@@ -430,7 +334,7 @@ mod tests {
             let mut d = dirty.clone();
             let start = dirty.clone();
             let mut cache = MdMatchCache::new(&rules, d.len());
-            let mut two = TwoInOne::build_with(&rules, &d, true, 1);
+            let mut two = TwoInOne::build(&rules, &d);
             e_run(&mut d, Some(m), &rules, &cfg, &mut two, &mut cache);
             let fixes = h_run(
                 &mut d,
@@ -501,49 +405,43 @@ mod tests {
         let settled = row(["k1", "a0", "c", "b0"], [0.0, 1.0, 0.0, 0.0]);
         let witness = row(["k2", "a0", "c", "b2"], [1.0, 1.0, 0.0, 0.0]);
         let unrelated = row(["k9", "a9", "c", "b9"], [0.0, 0.0, 0.0, 0.0]);
-        for threads in [1, 4] {
-            let uni = Cleaner::builder()
-                .rules(rules.clone())
-                .master(MasterSource::external(dm.clone()))
-                .config(CleanConfig {
-                    eta: 0.8,
-                    parallelism: std::num::NonZeroUsize::new(threads),
-                    ..CleanConfig::default()
-                })
-                .build()
-                .unwrap();
-            let idx = uni.prepared().master_index().unwrap();
-            let check = |state: &RepairState, label: &str| {
-                let warm = state
-                    .warm
-                    .as_ref()
-                    .expect("an external master keeps its state");
-                let mut scratch = ProbeScratch::new();
-                let mut direct = Vec::new();
-                let mut filled = 0;
-                for (j, md) in rules.mds().iter().enumerate() {
-                    for t in warm.post_c.ids() {
-                        let Some(entry) = &warm.cache.entries[j][t.index()] else {
-                            continue;
-                        };
-                        let probe = warm.post_c.tuple(t);
-                        idx.matches_into(j, md, probe, &dm, None, &mut scratch, &mut direct);
-                        assert_eq!(&**entry, direct.as_slice(), "{label}: tuple {t:?}");
-                        filled += 1;
-                    }
+        let uni = Cleaner::builder()
+            .rules(rules.clone())
+            .master(MasterSource::external(dm.clone()))
+            .config(CleanConfig {
+                eta: 0.8,
+                ..CleanConfig::default()
+            })
+            .build()
+            .unwrap();
+        let idx = uni.prepared().master_index().unwrap();
+        let check = |state: &RepairState, label: &str| {
+            let warm = state
+                .warm
+                .as_ref()
+                .expect("an external master keeps its state");
+            let mut scratch = ProbeScratch::new();
+            let mut direct = Vec::new();
+            let mut filled = 0;
+            for (j, md) in rules.mds().iter().enumerate() {
+                for t in warm.post_c.ids() {
+                    let Some(entry) = &warm.cache.entries[j][t.index()] else {
+                        continue;
+                    };
+                    let probe = warm.post_c.tuple(t);
+                    idx.matches_into(j, md, probe, &dm, None, &mut scratch, &mut direct);
+                    assert_eq!(&**entry, direct.as_slice(), "{label}: tuple {t:?}");
+                    filled += 1;
                 }
-                assert!(filled > 0, "{label}: nothing cached");
-            };
-            let (mut state, _) = uni.begin(
-                &Relation::new(r.clone(), vec![settled.clone()]),
-                Phase::Full,
-            );
-            check(&state, &format!("threads={threads} begin"));
-            for (i, batch) in [witness.clone(), unrelated.clone()].into_iter().enumerate() {
-                uni.clean_delta(&mut state, &[batch]).unwrap();
-                check(&state, &format!("threads={threads} delta {i}"));
             }
-            assert_eq!(state.escalations(), 0, "threads={threads}");
+            assert!(filled > 0, "{label}: nothing cached");
+        };
+        let (mut state, _) = uni.begin(&Relation::new(r.clone(), vec![settled]), Phase::Full);
+        check(&state, "begin");
+        for (i, batch) in [witness, unrelated].into_iter().enumerate() {
+            uni.clean_delta(&mut state, &[batch]).unwrap();
+            check(&state, &format!("delta {i}"));
         }
+        assert_eq!(state.escalations(), 0);
     }
 }

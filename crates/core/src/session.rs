@@ -243,12 +243,7 @@ impl PreparedCleaner {
             }
             MasterSource::SelfSnapshot => {
                 let snap = self.snapshot(current);
-                let idx = MasterIndex::build_parallel(
-                    self.rules.mds(),
-                    &snap,
-                    true,
-                    self.config.effective_parallelism(),
-                );
+                let idx = MasterIndex::build(self.rules.mds(), &snap);
                 MasterView::Snapshot(snap, idx)
             }
             MasterSource::None => MasterView::Prepared(None),
@@ -387,7 +382,6 @@ pub(crate) fn run_phases(
     observer: &mut dyn PhaseObserver,
 ) -> Option<PhaseRun> {
     let (rules, cfg) = (&prepared.rules, &prepared.config);
-    let threads = cfg.effective_parallelism();
     let mut phases = Vec::with_capacity(phase.through().len());
     let Warm {
         mut post_c,
@@ -442,7 +436,7 @@ pub(crate) fn run_phases(
                     two.insert_tuples(&work, settled);
                     two
                 }
-                _ => TwoInOne::build_with(rules, &work, true, threads),
+                _ => TwoInOne::build(rules, &work),
             };
             // eRepair re-derives its (globally decided) fixes from the
             // post-cRepair state on every run, consuming its 2-in-1.
@@ -767,15 +761,6 @@ impl CleanerBuilder {
         self
     }
 
-    /// Worker threads for the parallel phase internals (shorthand for
-    /// setting [`CleanConfig::parallelism`] after [`Self::config`]).
-    /// `1` runs the exact single-threaded path; any setting produces
-    /// bit-identical output — see [`crate::parallel`].
-    pub fn parallelism(mut self, threads: std::num::NonZeroUsize) -> Self {
-        self.config.parallelism = Some(threads);
-        self
-    }
-
     /// Validate everything and assemble the session.
     ///
     /// Errors (never panics on user input):
@@ -820,12 +805,7 @@ impl CleanerBuilder {
         }
 
         let index = match &self.master {
-            MasterSource::External(dm) => Some(MasterIndex::build_parallel(
-                rules.mds(),
-                dm,
-                true,
-                config.effective_parallelism(),
-            )),
+            MasterSource::External(dm) => Some(MasterIndex::build(rules.mds(), dm)),
             _ => None,
         };
         Ok(Cleaner {

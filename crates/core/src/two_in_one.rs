@@ -35,12 +35,11 @@
 //! refreshes `H` in O(1). The rebuild oracle in the tests keeps the
 //! incremental values honest.
 //!
-//! [`TwoInOne::build_with`] fans the per-tuple pattern checks and key
-//! projections out over scoped workers (the chunk stage of
-//! [`crate::parallel`]'s chunk–merge–apply design) and replays the
-//! precomputed projections in tuple-id order, so group ids — and therefore
-//! `eRepair`'s resolution order — are bit-identical to a single-threaded
-//! build.
+//! [`TwoInOne::build`] is an empty structure followed by
+//! [`TwoInOne::insert_tuples`] from tuple 0: a build and a delta insert are
+//! the same replay in tuple-id order, so group ids — and therefore
+//! `eRepair`'s resolution order — do not depend on how the relation
+//! arrived.
 
 use std::collections::HashMap;
 
@@ -48,7 +47,6 @@ use uniclean_model::{AttrId, FxHashMap, Relation, Symbol, TupleId, Value};
 use uniclean_rules::{Cfd, RuleSet};
 
 use crate::entropy::{EntropyKey, EntropyOrder};
-use crate::parallel::map_chunks;
 use crate::pattern_syms::CfdPatternSyms;
 
 /// Stable identifier of a conflict set (arena index).
@@ -166,20 +164,9 @@ pub struct TwoInOne {
 }
 
 impl TwoInOne {
-    /// Build the structure for all variable CFDs in `rules` over `d`,
-    /// single-threaded. O(|D| log |D| |ΣV|), as in §6.3.
+    /// Build the structure for all variable CFDs in `rules` over `d`.
+    /// O(|D| log |D| |ΣV|), as in §6.3.
     pub fn build(rules: &RuleSet, d: &Relation) -> Self {
-        Self::build_with(rules, d, true, 1)
-    }
-
-    /// [`Self::build`] with a worker-thread knob. The per-tuple pattern
-    /// checks and key projections fan out over `threads` scoped workers;
-    /// the merge replays them in tuple-id order, so the resulting structure
-    /// (including group-id assignment) is bit-identical for every thread
-    /// count. The `bool` is ignored: the columnar store is symbol-native,
-    /// so keys are always symbols. It stays only because the benchmark
-    /// harness still passes one.
-    pub fn build_with(rules: &RuleSet, d: &Relation, _: bool, threads: usize) -> Self {
         let n_attrs = rules.schema().arity();
         let mut vcfd_rule_idx = Vec::new();
         let mut lhs = Vec::new();
@@ -212,44 +199,26 @@ impl TwoInOne {
             attr_in_lhs,
             attr_is_rhs,
         };
-
-        // Chunk: project every (tuple, vcfd) pair to its group key and B
-        // symbol on the workers — pure reads of the symbol columns. Merge/
-        // apply: replay in tuple-id order — the exact loop a sequential
-        // build runs.
-        let projections = map_chunks(d.len(), threads, |range| {
-            let mut rows = Vec::with_capacity(range.len());
-            for i in range {
-                let t = TupleId::from(i);
-                let row: Vec<Option<(GroupKey, Option<Symbol>)>> =
-                    (0..nv).map(|v| me.project_for_insert(d, v, t)).collect();
-                rows.push(row);
-            }
-            rows
-        });
-        let mut tid = 0u32;
-        for chunk in projections {
-            for row in chunk {
-                for (v, proj) in row.into_iter().enumerate() {
-                    if let Some((key, b)) = proj {
-                        me.insert_projected(v, TupleId(tid), key, b);
-                    }
-                }
-                tid += 1;
-            }
-        }
+        me.insert_tuples(d, 0);
         me
+    }
+
+    /// [`Self::build`]; both arguments after `d` are ignored. Kept only
+    /// because the benchmark harness (`benchmark/src/batch.rs`) still calls
+    /// it, and removed together with that call.
+    pub fn build_with(rules: &RuleSet, d: &Relation, _: bool, _: usize) -> Self {
+        Self::build(rules, d)
     }
 
     /// Append tuples `from..d.len()` to the structure with insert-time
     /// group and entropy deltas — no rebuild, no re-hashing of existing
     /// members. The result (group membership, group-id assignment) is
-    /// bit-identical to a from-scratch [`Self::build_with`] over the whole
-    /// of `d`, because a build is exactly this insertion replay in
-    /// tuple-id order: new group ids are assigned at first key occurrence
-    /// and existing groups only ever gain members. This is the
-    /// `clean_delta` hot path. `d` must be the build relation's lineage
-    /// (the store interned the new rows on push).
+    /// bit-identical to a from-scratch [`Self::build`] over the whole of
+    /// `d`, because a build is exactly this insertion replay in tuple-id
+    /// order: new group ids are assigned at first key occurrence and
+    /// existing groups only ever gain members. This is the `clean_delta`
+    /// hot path. `d` must be the build relation's lineage (the store
+    /// interned the new rows on push).
     pub fn insert_tuples(&mut self, d: &Relation, from: usize) {
         let nv = self.vcfd_rule_idx.len();
         for i in from..d.len() {
@@ -377,7 +346,7 @@ impl TwoInOne {
     /// Project `t` for insertion into variable CFD `v`: `None` when the
     /// LHS pattern does not match, otherwise the group key and the B
     /// symbol (`None` = null, kept out of the counts). Reads only the
-    /// symbol columns — safe to call from build workers, hashes nothing.
+    /// symbol columns and hashes nothing.
     fn project_for_insert(
         &self,
         d: &Relation,
@@ -397,14 +366,9 @@ impl TwoInOne {
     /// Insert `t` into variable CFD `v`'s structure if its (current) LHS
     /// matches the pattern.
     fn insert_member(&mut self, d: &Relation, v: usize, t: TupleId) {
-        if let Some((key, b)) = self.project_for_insert(d, v, t) {
-            self.insert_projected(v, t, key, b);
-        }
-    }
-
-    /// The table/arena/tree half of an insert, with the key already
-    /// projected — shared by `insert_member` and the build replay.
-    fn insert_projected(&mut self, v: usize, t: TupleId, key: GroupKey, b: Option<Symbol>) {
+        let Some((key, b)) = self.project_for_insert(d, v, t) else {
+            return;
+        };
         let gid = match self.tables[v].get(&key) {
             Some(&g) => g,
             None => {
@@ -697,28 +661,26 @@ mod tests {
     fn random_update_storm_stays_consistent() {
         // Pseudo-random single-cell updates must keep the incremental
         // structure identical to a rebuild.
-        for threads in [1usize, 4] {
-            let (s, rules, mut d) = fig8();
-            let mut t = TwoInOne::build_with(&rules, &d, true, threads);
-            let attrs: Vec<AttrId> = ["A", "B", "C", "E"]
-                .iter()
-                .map(|a| s.attr_id_or_panic(a))
-                .collect();
-            let vals = ["a1", "b1", "c1", "e1", "e2", "zz"];
-            let mut seed = 0x9e3779b97f4a7c15u64;
-            for _ in 0..200 {
-                seed ^= seed << 13;
-                seed ^= seed >> 7;
-                seed ^= seed << 17;
-                let tid = TupleId((seed % 8) as u32);
-                let a = attrs[(seed >> 8) as usize % attrs.len()];
-                let nv = Value::str(vals[(seed >> 16) as usize % vals.len()]);
-                let old = d.tuple(tid).value(a).clone();
-                d.tuple_mut(tid).set(a, nv, 0.5, FixMark::Reliable);
-                t.on_update(&rules, &d, tid, a, &old);
-            }
-            t.assert_consistent_with_rebuild(&rules, &d);
+        let (s, rules, mut d) = fig8();
+        let mut t = TwoInOne::build(&rules, &d);
+        let attrs: Vec<AttrId> = ["A", "B", "C", "E"]
+            .iter()
+            .map(|a| s.attr_id_or_panic(a))
+            .collect();
+        let vals = ["a1", "b1", "c1", "e1", "e2", "zz"];
+        let mut seed = 0x9e3779b97f4a7c15u64;
+        for _ in 0..200 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let tid = TupleId((seed % 8) as u32);
+            let a = attrs[(seed >> 8) as usize % attrs.len()];
+            let nv = Value::str(vals[(seed >> 16) as usize % vals.len()]);
+            let old = d.tuple(tid).value(a).clone();
+            d.tuple_mut(tid).set(a, nv, 0.5, FixMark::Reliable);
+            t.on_update(&rules, &d, tid, a, &old);
         }
+        t.assert_consistent_with_rebuild(&rules, &d);
     }
 
     #[test]
@@ -731,12 +693,12 @@ mod tests {
         for split in [0usize, 3, 5, 8] {
             let all = d.to_tuples();
             let mut grown = Relation::new(s.clone(), all[..split].to_vec());
-            let mut inc = TwoInOne::build_with(&rules, &grown, true, 1);
+            let mut inc = TwoInOne::build(&rules, &grown);
             for t in &all[split..] {
                 grown.push(t.clone());
             }
             inc.insert_tuples(&grown, split);
-            let fresh = TwoInOne::build_with(&rules, &grown, true, 1);
+            let fresh = TwoInOne::build(&rules, &grown);
             assert_eq!(inc.len(), fresh.len());
             for v in 0..inc.len() {
                 let dump = |t: &TwoInOne| -> Vec<(Vec<Value>, GroupId, Vec<TupleId>, f64)> {
@@ -777,35 +739,5 @@ mod tests {
             b.groups_below(0, f64::INFINITY)
         );
         a.assert_consistent_with_rebuild(&rules, &d);
-    }
-
-    #[test]
-    fn parallel_builds_match_the_sequential_one() {
-        let (_, rules, d) = fig8();
-        let base = TwoInOne::build_with(&rules, &d, true, 1);
-        for threads in [2usize, 4] {
-            let other = TwoInOne::build_with(&rules, &d, true, threads);
-            assert_eq!(base.len(), other.len());
-            for v in 0..base.len() {
-                let mut a: Vec<(Vec<Value>, Vec<TupleId>)> = base.tables[v]
-                    .values()
-                    .map(|&g| (base.group_key(&d, g), base.group(g).tuples.clone()))
-                    .collect();
-                let mut b: Vec<(Vec<Value>, Vec<TupleId>)> = other.tables[v]
-                    .values()
-                    .map(|&g| (other.group_key(&d, g), other.group(g).tuples.clone()))
-                    .collect();
-                a.sort();
-                b.sort();
-                assert_eq!(a, b, "threads={threads}");
-                // Group-id assignment must also be identical (it orders
-                // equal-entropy tree nodes).
-                let mut ids_a: Vec<GroupId> = base.tables[v].values().copied().collect();
-                let mut ids_b: Vec<GroupId> = other.tables[v].values().copied().collect();
-                ids_a.sort_unstable();
-                ids_b.sort_unstable();
-                assert_eq!(ids_a, ids_b);
-            }
-        }
     }
 }

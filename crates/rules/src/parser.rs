@@ -251,6 +251,14 @@ fn parse_cfd(p: &mut Parser, schema: &Arc<Schema>) -> Result<Cfd, ParseError> {
         }
         p.eat('(')?;
         let (lhs, lhs_pattern) = parse_attr_pattern_list(p, schema)?;
+        // `Cfd::new` asserts a duplicate-free LHS; a rule file is input.
+        let repeated = (1..lhs.len()).find(|&i| lhs[..i].contains(&lhs[i]));
+        if let Some(i) = repeated {
+            return Err(format!(
+                "attribute `{}` appears more than once in the CFD's LHS",
+                schema.attr_name(lhs[i])
+            ));
+        }
         p.eat('-')?;
         p.eat_str(">")?;
         let (rhs, rhs_pattern) = parse_attr_pattern_list(p, schema)?;
@@ -526,6 +534,28 @@ mod tests {
         let err = parse_rules("\ncfd c: tran([bogus] -> [city])", &tran, None).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.msg.contains("bogus"), "{}", err.msg);
+    }
+
+    #[test]
+    fn repeated_lhs_attribute_is_a_parse_error() {
+        let (tran, _) = schemas();
+        for lhs in [
+            "[AC, AC]",
+            "[AC=131, AC]",
+            "[AC=131, AC=020]",
+            "[city, AC, city]",
+        ] {
+            let text = format!("cfd c: tran({lhs} -> [St])");
+            let err = parse_rules(&text, &tran, None).unwrap_err();
+            assert_eq!(err.line, 1, "{text}");
+            assert!(
+                err.msg.contains("appears more than once"),
+                "{text}: {}",
+                err.msg
+            );
+        }
+        let err = parse_rules("cfd c: tran([city, AC, city] -> [St])", &tran, None).unwrap_err();
+        assert!(err.msg.contains("`city`"), "{}", err.msg);
     }
 
     #[test]

@@ -136,8 +136,6 @@ pub struct OpenSpec {
     pub eta: Option<f64>,
     /// Entropy threshold override (δ2).
     pub delta_entropy: Option<f64>,
-    /// Worker-thread override for the phase internals.
-    pub threads: Option<usize>,
 }
 
 /// The `"master"` member of an `open` request.
@@ -323,14 +321,14 @@ pub(crate) fn parse_open(doc: &Json) -> Result<OpenSpec, Json> {
     };
     let eta = num_field("eta")?;
     let delta_entropy = num_field("delta_entropy")?;
-    let threads = match doc.get("threads") {
-        None => None,
-        Some(v) => Some(
-            v.as_usize()
-                .filter(|&t| t >= 1)
-                .ok_or_else(|| error("bad_request", "\"threads\" must be a positive integer"))?,
-        ),
-    };
+    // A clean runs on one engine thread, so `threads` is ignored. It is
+    // still validated: logs and snapshots written by older builds carry it
+    // in their open records, and clients still send it.
+    if let Some(v) = doc.get("threads") {
+        v.as_usize()
+            .filter(|&t| t >= 1)
+            .ok_or_else(|| error("bad_request", "\"threads\" must be a positive integer"))?;
+    }
     Ok(OpenSpec {
         relation,
         table,
@@ -341,7 +339,6 @@ pub(crate) fn parse_open(doc: &Json) -> Result<OpenSpec, Json> {
         default_cf,
         eta,
         delta_entropy,
-        threads,
     })
 }
 
@@ -444,7 +441,6 @@ mod tests {
                 assert_eq!(spec.relation, "r");
                 assert_eq!(spec.table, "data");
                 assert_eq!(spec.phase, Phase::CERepair);
-                assert_eq!(spec.threads, Some(2));
                 assert_eq!(spec.default_cf, 0.5);
                 assert!(spec.master.is_none());
             }
@@ -587,6 +583,16 @@ mod tests {
             code(r#"{"op":"open","relation":"r","attrs":["a"],"rules":"","default_cf":1.5}"#),
             "bad_request"
         );
+        // `threads` is ignored but still validated.
+        for threads in ["0", "-1", "1.5", "\"4\""] {
+            assert_eq!(
+                code(&format!(
+                    r#"{{"op":"open","relation":"r","attrs":["a"],"rules":"","threads":{threads}}}"#
+                )),
+                "bad_request",
+                "threads={threads}"
+            );
+        }
         assert_eq!(
             code(r#"{"op":"ingest","relation":"r","rows":[],"seq":-1}"#),
             "bad_request"

@@ -19,7 +19,6 @@
 //! compaction bookkeeping — when the daemon runs with `--data-dir`.
 
 use std::collections::{HashMap, HashSet};
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -195,9 +194,6 @@ impl Tenant {
         }
         if let Some(d2) = spec.delta_entropy {
             config.delta_entropy = d2;
-        }
-        if let Some(threads) = spec.threads {
-            config.parallelism = NonZeroUsize::new(threads);
         }
         let cleaner = Cleaner::builder()
             .rules(rules)
@@ -443,7 +439,6 @@ mod tests {
             default_cf: 0.5,
             eta: None,
             delta_entropy: None,
-            threads: None,
         }
     }
 

@@ -363,7 +363,6 @@ mod tests {
                 default_cf: 0.5,
                 eta: None,
                 delta_entropy: None,
-                threads: None,
             },
             None,
         )

@@ -199,7 +199,7 @@ pub fn qgram_jaccard(a: &str, b: &str, q: usize) -> f64 {
 /// A reusable profile-build arena: one [`ProfileScratch`] plus a vector of
 /// [`QGramProfile`]s whose per-profile run allocations are retained across
 /// batches (profiles are rebuilt in place, never dropped). Checked out of
-/// the global [`ProfilePool`] by each worker of the batched index build.
+/// the global [`ProfilePool`] by the batched index build.
 #[derive(Debug, Default)]
 pub struct ProfileArena {
     scratch: ProfileScratch,
@@ -233,11 +233,11 @@ impl ProfileArena {
     }
 }
 
-/// Process-wide bounded pool of [`ProfileArena`]s. The batched `from_parts`
-/// index build previously allocated a fresh profile vector (and every
-/// per-profile run vector inside it) per worker chunk per rebuild; rounds
-/// of self-matching rebuild the master index every round, so those arenas
-/// are now recycled here instead.
+/// Process-wide bounded pool of [`ProfileArena`]s. Without it the batched
+/// `from_parts` index build would allocate a fresh profile vector (and
+/// every per-profile run vector inside it) per rebuild; rounds of
+/// self-matching rebuild the master index every round, and concurrent
+/// sessions each build their own, so the arenas are recycled here.
 #[derive(Debug, Default)]
 pub struct ProfilePool {
     arenas: std::sync::Mutex<Vec<ProfileArena>>,
@@ -245,7 +245,7 @@ pub struct ProfilePool {
 
 /// Arenas retained by the pool at most; checkouts beyond this are built
 /// fresh and dropped on return. Bounds worst-case idle memory while
-/// covering any realistic worker count.
+/// covering any realistic number of concurrent builds.
 const MAX_POOLED_ARENAS: usize = 32;
 
 impl ProfilePool {

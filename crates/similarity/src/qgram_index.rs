@@ -261,12 +261,12 @@ impl QGramIndex {
 
     /// Assemble an index from pre-built per-distinct-value parts — the
     /// entry point of the batched column-at-once builder, which hashes each
-    /// distinct interned value exactly once (in parallel, into pooled
-    /// [`crate::qgram::ProfileArena`]s) and hands the profiles here.
+    /// distinct interned value exactly once (into a pooled
+    /// [`crate::qgram::ProfileArena`]) and hands the profiles here.
     /// `owners[id]` lists the master rows carrying distinct value `id`
     /// (ascending); the `id`-th yielded profile is that value's profile —
     /// only *borrowed*: the index copies the gram runs into its postings
-    /// and flattened profiles, so the arenas keep their allocations for the
+    /// and flattened profiles, so the arena keeps its allocations for the
     /// next rebuild. Equivalent to [`QGramIndex::build`] over the expanded
     /// column.
     pub fn from_parts<'a, I>(profiles: I, owners: Vec<Vec<u32>>, rows: usize, q: usize) -> Self

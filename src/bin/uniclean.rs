@@ -3,7 +3,7 @@
 //! ```text
 //! uniclean clean    --data d.csv --rules r.rules [--master m.csv] [--out out.csv]
 //!                   [--table tran] [--master-table card] [--eta 1.0] [--delta2 0.8]
-//!                   [--phase c|ce|full] [--self-match] [--threads n] [--report]
+//!                   [--phase c|ce|full] [--self-match] [--report]
 //! uniclean check    --data d.csv --rules r.rules [--master m.csv] …
 //! uniclean analyze  --rules r.rules --data d.csv [--master m.csv] …
 //! uniclean serve    [--addr 127.0.0.1:7401] [--shards 4] [--queue 64]
@@ -52,8 +52,6 @@ CLEAN OPTIONS:
     --cf <0..1>                default confidence for every input cell [default: 0]
     --self-match               master-free mode: the data is its own master;
                                cannot be combined with --master
-    --threads <n>              worker threads for the phase internals
-                               [default: all cores; output is identical at any n]
     --delta <b1.csv,b2.csv>    incremental mode: clean --data once, then absorb
                                each batch CSV via clean_delta (same header row);
                                the output is the repaired concatenated relation,
@@ -274,17 +272,9 @@ fn cmd_clean(opts: &Opts) -> Result<String, String> {
         data,
         master,
     } = load_input(opts, default_cf)?;
-    let parallelism = match opts.get("threads") {
-        None => None, // auto: all available cores
-        Some(v) => Some(
-            v.parse::<std::num::NonZeroUsize>()
-                .map_err(|_| format!("--threads expects a positive integer, got `{v}`"))?,
-        ),
-    };
     let cfg = CleanConfig {
         eta: opts.get_f64("eta", 1.0)?,
         delta_entropy: opts.get_f64("delta2", 0.8)?,
-        parallelism,
         ..CleanConfig::default()
     };
     let phase = parse_phase(opts.get_or("phase", "full"))?;

@@ -136,8 +136,7 @@ proptest! {
 /// The paper's workloads through the same assertion: on generated HOSP,
 /// DBLP, TPC-H (Γ×3: exact probes over one, two and three equalities) and
 /// the DBLP variant whose MDs carry `~lev`/`~jaro`/`~jw`/`~qgram`
-/// premises, every MD is indexed (no scan fallback), and the index — built
-/// sequentially or by the batched multi-threaded artifact build — answers
+/// premises, every MD is indexed (no scan fallback), and the index answers
 /// every probe exactly as the O(|D|·|Dm|) scan does, in the same order.
 #[test]
 fn generated_workloads_match_the_scan_on_every_md() {
@@ -160,28 +159,26 @@ fn generated_workloads_match_the_scan_on_every_md() {
     ];
     for w in workloads {
         let mds = w.rules.mds();
-        for threads in [1, 4] {
-            let idx = MasterIndex::build_parallel(mds, &w.master, true, threads);
-            let mut scratch = ProbeScratch::new();
-            let mut verified = Vec::new();
-            for (i, md) in mds.iter().enumerate() {
-                assert!(
-                    idx.is_indexed(i),
-                    "{}: md {} fell back to scan ({})",
+        let idx = MasterIndex::build(mds, &w.master);
+        let mut scratch = ProbeScratch::new();
+        let mut verified = Vec::new();
+        for (i, md) in mds.iter().enumerate() {
+            assert!(
+                idx.is_indexed(i),
+                "{}: md {} fell back to scan ({})",
+                w.name,
+                md.name(),
+                idx.scan_reason(i).unwrap_or("?")
+            );
+            for (tid, t) in w.dirty.iter() {
+                idx.matches_into(i, md, t, &w.master, None, &mut scratch, &mut verified);
+                assert_eq!(
+                    verified,
+                    reference(md, t, &w.master),
+                    "{}: md {} tuple {tid} — index and scan disagree",
                     w.name,
-                    md.name(),
-                    idx.scan_reason(i).unwrap_or("?")
+                    md.name()
                 );
-                for (tid, t) in w.dirty.iter() {
-                    idx.matches_into(i, md, t, &w.master, None, &mut scratch, &mut verified);
-                    assert_eq!(
-                        verified,
-                        reference(md, t, &w.master),
-                        "{} threads={threads}: md {} tuple {tid} — index and scan disagree",
-                        w.name,
-                        md.name()
-                    );
-                }
             }
         }
     }

@@ -4,7 +4,6 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 use uniclean::model::json::{relation_to_json, Json};
@@ -87,12 +86,8 @@ pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// The `open` request of the shared scenario, single-threaded engine.
+/// The `open` request of the shared scenario.
 pub fn open_request(relation: &str) -> Json {
-    open_request_threads(relation, 1)
-}
-
-pub fn open_request_threads(relation: &str, threads: usize) -> Json {
     obj(vec![
         ("op", Json::str("open")),
         ("relation", Json::str(relation)),
@@ -119,7 +114,6 @@ pub fn open_request_threads(relation: &str, threads: usize) -> Json {
         ("phase", Json::str("full")),
         ("default_cf", Json::Num(0.5)),
         ("eta", Json::Num(0.8)),
-        ("threads", Json::Num(threads as f64)),
     ])
 }
 
@@ -166,8 +160,8 @@ pub fn assert_code(resp: &Json, code: &str) {
     );
 }
 
-/// The in-process twin of [`open_request_threads`]'s session.
-pub fn reference_cleaner(threads: usize) -> Cleaner {
+/// The in-process twin of [`open_request`]'s session.
+pub fn reference_cleaner() -> Cleaner {
     let data = Schema::of_strings("data", &["K", "A", "B"]);
     let m = Schema::of_strings("m", &["K", "B"]);
     let parsed = parse_rules(RULES, &data, Some(&m)).unwrap();
@@ -190,7 +184,6 @@ pub fn reference_cleaner(threads: usize) -> Cleaner {
         .master(MasterSource::external(master))
         .config(CleanConfig {
             eta: 0.8,
-            parallelism: Some(NonZeroUsize::new(threads).unwrap()),
             ..CleanConfig::default()
         })
         .build()
@@ -205,7 +198,7 @@ pub fn tuples(rows: &[[&str; 3]]) -> Vec<Tuple> {
 /// [`BATCHES`] indices, applied in order — what any recovered, replicated
 /// or promoted node must reproduce bit for bit.
 pub fn reference_for(batch_indices: &[usize]) -> (String, f64) {
-    let cleaner = reference_cleaner(1);
+    let cleaner = reference_cleaner();
     let mut state = cleaner.begin_empty(Phase::Full);
     for &i in batch_indices {
         cleaner

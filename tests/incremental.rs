@@ -1,16 +1,14 @@
 //! Incremental-cleaning equivalence suite: `Cleaner::begin` + repeated
 //! `Cleaner::clean_delta` must leave the state bit-identical — cell
 //! values, confidences, marks, plus cost and acceptance — to a
-//! from-scratch `Cleaner::clean` over the concatenated relation, across
-//! parallelism {1, 4}, on both the fast (continuation) path and the
-//! escalation path — and every state keeps the paper's guarantees: its
+//! from-scratch `Cleaner::clean` over the concatenated relation, on both
+//! the fast (continuation) path and the escalation path — and every state keeps the paper's guarantees: its
 //! cost is the cost of its cells, deterministic fixes are final, and
 //! asserted cells survive `eRepair`.
 
 mod common;
 use common::{assert_identical, assert_state_verdicts};
 
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -72,14 +70,13 @@ fn decode(row: &(u8, u8, u8, u8), schema: &Arc<Schema>) -> Tuple {
     t
 }
 
-fn cleaner(rules: &RuleSet, master: &Relation, threads: usize) -> Cleaner {
+fn cleaner(rules: &RuleSet, master: &Relation) -> Cleaner {
     Cleaner::builder()
         .rules(rules.clone())
         .master(MasterSource::external(master.clone()))
         .config(CleanConfig {
             eta: 0.8,
             delta_entropy: 0.9,
-            parallelism: Some(NonZeroUsize::new(threads).unwrap()),
             ..CleanConfig::default()
         })
         .build()
@@ -184,8 +181,8 @@ fn concat(schema: &Arc<Schema>, parts: &[&[Tuple]]) -> Relation {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// full-clean(D ∪ batches) ≡ clean + repeated clean_delta, across
-    /// parallelism {1, 4} × phase {CE, Full}.
+    /// full-clean(D ∪ batches) ≡ clean + repeated clean_delta, for
+    /// phase {CE, Full}.
     #[test]
     fn delta_equals_full_reclean(
         base in proptest::collection::vec((0u8..3, 0u8..3, 0u8..4, 0u8..27), 1..7),
@@ -198,25 +195,23 @@ proptest! {
         let b2: Vec<Tuple> = batch2.iter().map(|r| decode(r, &schema)).collect();
 
         for phase in [Phase::CERepair, Phase::Full] {
-            for threads in [1usize, 4] {
-                let label = format!("phase={phase:?} threads={threads}");
-                let uni = cleaner(&rules, &master, threads);
+            let label = format!("phase={phase:?}");
+            let uni = cleaner(&rules, &master);
 
-                let (mut state, first) =
-                    uni.begin(&Relation::new(schema.clone(), d0.clone()), phase);
-                // begin() must agree with a plain clean() of the base.
-                let base_ref = uni.clean(&Relation::new(schema.clone(), d0.clone()), phase);
-                assert_matches(&uni, &base_ref, &state, &format!("{label} [begin]"));
-                prop_assert_eq!(first.repaired.len(), d0.len());
+            let (mut state, first) =
+                uni.begin(&Relation::new(schema.clone(), d0.clone()), phase);
+            // begin() must agree with a plain clean() of the base.
+            let base_ref = uni.clean(&Relation::new(schema.clone(), d0.clone()), phase);
+            assert_matches(&uni, &base_ref, &state, &format!("{label} [begin]"));
+            prop_assert_eq!(first.repaired.len(), d0.len());
 
-                uni.clean_delta(&mut state, &b1).unwrap();
-                let ref1 = uni.clean(&concat(&schema, &[&d0, &b1]), phase);
-                assert_matches(&uni, &ref1, &state, &format!("{label} [delta 1]"));
+            uni.clean_delta(&mut state, &b1).unwrap();
+            let ref1 = uni.clean(&concat(&schema, &[&d0, &b1]), phase);
+            assert_matches(&uni, &ref1, &state, &format!("{label} [delta 1]"));
 
-                uni.clean_delta(&mut state, &b2).unwrap();
-                let ref2 = uni.clean(&concat(&schema, &[&d0, &b1, &b2]), phase);
-                assert_matches(&uni, &ref2, &state, &format!("{label} [delta 2]"));
-            }
+            uni.clean_delta(&mut state, &b2).unwrap();
+            let ref2 = uni.clean(&concat(&schema, &[&d0, &b1, &b2]), phase);
+            assert_matches(&uni, &ref2, &state, &format!("{label} [delta 2]"));
         }
     }
 }
@@ -226,7 +221,7 @@ proptest! {
 #[test]
 fn disjoint_batch_stays_on_the_fast_path() {
     let (schema, rules, master) = scenario_rules();
-    let uni = cleaner(&rules, &master, 1);
+    let uni = cleaner(&rules, &master);
     let base = Relation::new(
         schema.clone(),
         vec![
@@ -252,7 +247,7 @@ fn disjoint_batch_stays_on_the_fast_path() {
 #[test]
 fn settled_write_is_kept_without_escalation() {
     let (schema, rules, master) = scenario_rules();
-    let uni = cleaner(&rules, &master, 1);
+    let uni = cleaner(&rules, &master);
     // Settled tuple: K=k2 asserted, A unasserted → waits on the FD group
     // for an asserted witness (k2 misses the master, so the MD is quiet).
     let a = schema.attr_id_or_panic("A");
@@ -290,7 +285,7 @@ fn settled_write_is_kept_without_escalation() {
 #[test]
 fn conflicting_asserted_evidence_escalates() {
     let (schema, rules, master) = scenario_rules();
-    let uni = cleaner(&rules, &master, 1);
+    let uni = cleaner(&rules, &master);
     let a = schema.attr_id_or_panic("A");
     let k = schema.attr_id_or_panic("K");
     let asserted = |av: &str| {
@@ -356,8 +351,8 @@ fn self_snapshot_deltas_escalate_but_stay_correct() {
 #[test]
 fn delta_misuse_is_typed() {
     let (schema, rules, master) = scenario_rules();
-    let uni = cleaner(&rules, &master, 1);
-    let other = cleaner(&rules, &master, 1);
+    let uni = cleaner(&rules, &master);
+    let other = cleaner(&rules, &master);
     let base = Relation::new(schema.clone(), vec![decode(&(0, 0, 0, 26), &schema)]);
     let (mut state, _) = uni.begin(&base, Phase::Full);
 
@@ -410,7 +405,7 @@ fn delta_misuse_is_typed() {
 #[test]
 fn state_bookkeeping_tracks_calls() {
     let (schema, rules, master) = scenario_rules();
-    let uni = cleaner(&rules, &master, 1);
+    let uni = cleaner(&rules, &master);
     let base = Relation::new(schema.clone(), vec![decode(&(0, 1, 2, 26), &schema)]);
     let (mut state, first) = uni.begin(&base, Phase::CERepair);
     assert_eq!(state.log().records(), first.report.records());
@@ -445,10 +440,9 @@ fn clean_begin_and_streamed_begin_return_the_same_result() {
     .iter()
     .map(|row| decode(row, &r))
     .collect();
-    let config = |threads: usize| CleanConfig {
+    let config = CleanConfig {
         eta: 0.8,
         delta_entropy: 0.9,
-        parallelism: NonZeroUsize::new(threads),
         ..CleanConfig::default()
     };
 
@@ -508,32 +502,30 @@ fn clean_begin_and_streamed_begin_return_the_same_result() {
         ),
     ];
     for (name, schema, rows, rules, source) in cases {
-        for threads in [1usize, 4] {
-            let uni = Cleaner::builder()
-                .rules(rules.clone())
-                .master(source.clone())
-                .config(config(threads))
-                .build()
-                .unwrap();
-            for phase in [Phase::CRepair, Phase::CERepair, Phase::Full] {
-                let label = format!("{name} threads={threads} phase={phase:?}");
-                let d = Relation::new(schema.clone(), rows.clone());
-                let reference = uni.clean(&d, phase);
+        let uni = Cleaner::builder()
+            .rules(rules.clone())
+            .master(source.clone())
+            .config(config.clone())
+            .build()
+            .unwrap();
+        for phase in [Phase::CRepair, Phase::CERepair, Phase::Full] {
+            let label = format!("{name} phase={phase:?}");
+            let d = Relation::new(schema.clone(), rows.clone());
+            let reference = uni.clean(&d, phase);
 
-                let (state, begun) = uni.begin(&d, phase);
-                assert_identical(&reference, &begun, &format!("{label} [begin]"));
-                assert_matches(&uni, &reference, &state, &format!("{label} [begin state]"));
+            let (state, begun) = uni.begin(&d, phase);
+            assert_identical(&reference, &begun, &format!("{label} [begin]"));
+            assert_matches(&uni, &reference, &state, &format!("{label} [begin state]"));
 
-                let mut streamed = uni.begin_empty(phase);
-                let delta = uni.clean_delta(&mut streamed, rows).unwrap();
-                assert_identical(&reference, &delta, &format!("{label} [streamed]"));
-                assert_matches(
-                    &uni,
-                    &reference,
-                    &streamed,
-                    &format!("{label} [streamed state]"),
-                );
-            }
+            let mut streamed = uni.begin_empty(phase);
+            let delta = uni.clean_delta(&mut streamed, rows).unwrap();
+            assert_identical(&reference, &delta, &format!("{label} [streamed]"));
+            assert_matches(
+                &uni,
+                &reference,
+                &streamed,
+                &format!("{label} [streamed state]"),
+            );
         }
     }
 }
@@ -556,31 +548,28 @@ fn begin_empty_then_delta_equals_begin() {
     .map(|r| decode(r, &schema))
     .collect();
     for phase in [Phase::CERepair, Phase::Full] {
-        for threads in [1usize, 4] {
-            let label = format!("phase={phase:?} threads={threads}");
-            let uni = cleaner(&rules, &master, threads);
+        let label = format!("phase={phase:?}");
+        let uni = cleaner(&rules, &master);
 
-            let mut streamed = uni.begin_empty(phase);
-            assert_eq!(streamed.len(), 0, "{label}: empty start");
-            assert!(streamed.consistent(), "{label}: empty is consistent");
-            uni.clean_delta(&mut streamed, &rows).unwrap();
+        let mut streamed = uni.begin_empty(phase);
+        assert_eq!(streamed.len(), 0, "{label}: empty start");
+        assert!(streamed.consistent(), "{label}: empty is consistent");
+        uni.clean_delta(&mut streamed, &rows).unwrap();
 
-            let (direct, reference) =
-                uni.begin(&Relation::new(schema.clone(), rows.clone()), phase);
-            assert_matches(&uni, &reference, &streamed, &format!("{label} [vs begin]"));
-            assert_eq!(
-                direct.cost().to_bits(),
-                streamed.cost().to_bits(),
-                "{label}: state cost"
-            );
+        let (direct, reference) = uni.begin(&Relation::new(schema.clone(), rows.clone()), phase);
+        assert_matches(&uni, &reference, &streamed, &format!("{label} [vs begin]"));
+        assert_eq!(
+            direct.cost().to_bits(),
+            streamed.cost().to_bits(),
+            "{label}: state cost"
+        );
 
-            // Batch-at-a-time streaming lands on the same fixpoint too.
-            let mut chunked = uni.begin_empty(phase);
-            for chunk in rows.chunks(2) {
-                uni.clean_delta(&mut chunked, chunk).unwrap();
-            }
-            assert_matches(&uni, &reference, &chunked, &format!("{label} [chunked]"));
+        // Batch-at-a-time streaming lands on the same fixpoint too.
+        let mut chunked = uni.begin_empty(phase);
+        for chunk in rows.chunks(2) {
+            uni.clean_delta(&mut chunked, chunk).unwrap();
         }
+        assert_matches(&uni, &reference, &chunked, &format!("{label} [chunked]"));
     }
 }
 
@@ -598,39 +587,35 @@ fn capped_hrepair_rounds_keep_deltas_equal_to_reclean() {
     let schema = w.dirty.schema().clone();
     let rows = w.dirty.to_tuples();
     let prefix = |n: usize| Relation::new(schema.clone(), rows[..n].to_vec());
-    let session = |rounds: usize, threads: usize| {
+    let session = |rounds: usize| {
         Cleaner::builder()
             .rules(w.rules.clone())
             .master(MasterSource::external(w.master.clone()))
             .config(CleanConfig {
                 max_hrepair_rounds: rounds,
-                parallelism: NonZeroUsize::new(threads),
                 ..CleanConfig::default()
             })
             .build()
             .unwrap()
     };
-    let uncapped =
-        session(CleanConfig::default().max_hrepair_rounds, 1).clean(&w.dirty, Phase::Full);
+    let uncapped = session(CleanConfig::default().max_hrepair_rounds).clean(&w.dirty, Phase::Full);
     for rounds in [1, 2] {
-        let capped = session(rounds, 1).clean(&w.dirty, Phase::Full);
+        let uni = session(rounds);
+        let capped = uni.clean(&w.dirty, Phase::Full);
         assert!(
             capped.repaired.diff_cells(&uncapped.repaired) > 0,
             "rounds={rounds}: the cap must bind on this input"
         );
-        for threads in [1usize, 4] {
-            let uni = session(rounds, threads);
-            let (mut state, _) = uni.begin(&prefix(240), Phase::Full);
-            let mut absorbed = 240;
-            for batch in rows[240..].chunks(7) {
-                uni.clean_delta(&mut state, batch).unwrap();
-                absorbed += batch.len();
-                let reference = uni.clean(&prefix(absorbed), Phase::Full);
-                let label = format!("rounds={rounds} threads={threads} tuples={absorbed}");
-                assert_matches(&uni, &reference, &state, &label);
-            }
-            assert_eq!(state.escalations(), 0, "rounds={rounds} threads={threads}");
+        let (mut state, _) = uni.begin(&prefix(240), Phase::Full);
+        let mut absorbed = 240;
+        for batch in rows[240..].chunks(7) {
+            uni.clean_delta(&mut state, batch).unwrap();
+            absorbed += batch.len();
+            let reference = uni.clean(&prefix(absorbed), Phase::Full);
+            let label = format!("rounds={rounds} tuples={absorbed}");
+            assert_matches(&uni, &reference, &state, &label);
         }
+        assert_eq!(state.escalations(), 0, "rounds={rounds}");
     }
 }
 
@@ -672,23 +657,21 @@ fn a_cascade_into_a_settled_md_premise_rebases_the_witness_cache() {
     let settled = row(["k1", "a0", "c", "b0"], [0.0, 1.0, 0.0, 0.0]);
     let witness = row(["k2", "a0", "c", "b2"], [1.0, 1.0, 0.0, 0.0]);
     let unrelated = row(["k9", "a9", "c", "b9"], [0.0, 0.0, 0.0, 0.0]);
-    for threads in [1usize, 4] {
-        let uni = cleaner(&rules, &master, threads);
-        let base = Relation::new(r.clone(), vec![settled.clone()]);
-        let (mut state, _) = uni.begin(&base, Phase::Full);
-        let mut absorbed = vec![settled.clone()];
-        for batch in [vec![witness.clone()], vec![unrelated.clone()]] {
-            uni.clean_delta(&mut state, &batch).unwrap();
-            absorbed.extend(batch);
-            let reference = uni.clean(&concat(&r, &[&absorbed]), Phase::Full);
-            let label = format!("threads={threads} tuples={}", absorbed.len());
-            assert_matches(&uni, &reference, &state, &label);
-        }
-        assert_eq!(state.escalations(), 0, "threads={threads}");
-        let b = r.attr_id_or_panic("B");
-        assert_eq!(
-            state.repaired().tuple(uniclean::model::TupleId(0)).value(b),
-            &Value::str("b2")
-        );
+    let uni = cleaner(&rules, &master);
+    let base = Relation::new(r.clone(), vec![settled.clone()]);
+    let (mut state, _) = uni.begin(&base, Phase::Full);
+    let mut absorbed = vec![settled.clone()];
+    for batch in [vec![witness.clone()], vec![unrelated.clone()]] {
+        uni.clean_delta(&mut state, &batch).unwrap();
+        absorbed.extend(batch);
+        let reference = uni.clean(&concat(&r, &[&absorbed]), Phase::Full);
+        let label = format!("tuples={}", absorbed.len());
+        assert_matches(&uni, &reference, &state, &label);
     }
+    assert_eq!(state.escalations(), 0);
+    let b = r.attr_id_or_panic("B");
+    assert_eq!(
+        state.repaired().tuple(uniclean::model::TupleId(0)).value(b),
+        &Value::str("b2")
+    );
 }

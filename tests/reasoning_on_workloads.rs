@@ -3,7 +3,9 @@
 //! dependency order must cover all rules, and implication must recognize
 //! normalized fragments as redundant.
 
-use uniclean::datagen::{dblp_workload, hosp_workload, GenParams};
+use uniclean::datagen::{
+    dblp_similarity_workload, dblp_workload, hosp_workload, tpch_workload, GenParams, TpchScale,
+};
 use uniclean::model::Schema;
 use uniclean::reasoning::{
     determinism_check, erepair_order, implies_cfd, is_consistent, termination_diagnostics,
@@ -23,7 +25,12 @@ fn generated_rule_sets_are_consistent() {
     // CFD-only consistency: the master-driven MD part is checked separately
     // (full consistency with 100+ master tuples is exponential in theory;
     // the CFD core is the part that can be inconsistent).
-    for w in [hosp_workload(&small()), dblp_workload(&small())] {
+    for w in [
+        hosp_workload(&small()),
+        dblp_workload(&small()),
+        tpch_workload(&small(), TpchScale::default()),
+        dblp_similarity_workload(&small()),
+    ] {
         let cfd_only = w.rules.without_mds();
         assert!(
             is_consistent(&cfd_only, None),

@@ -9,7 +9,7 @@
 //! clients streaming disjoint batches into one relation must land on a
 //! state bit-identical (values, confidences, marks, acceptance) to a
 //! serial in-process clean of the same batches in server application
-//! order — across shard counts {1, 4} × engine parallelism {1, 4}.
+//! order — across shard counts {1, 4}.
 
 use std::io::{BufRead, Write};
 use std::time::Duration;
@@ -21,8 +21,8 @@ use uniclean::Phase;
 
 mod common;
 use common::server::{
-    assert_code, assert_ok, ingest_request, obj, open_request, open_request_threads,
-    reference_cleaner, spawn_daemon, tuples, Client, Node,
+    assert_code, assert_ok, dump_rows_cost, ingest_request, obj, open_request, reference_cleaner,
+    reference_for, spawn_daemon, tuples, Client, Node, BATCHES,
 };
 
 /// Run a daemon on an ephemeral port; returns its address and the thread
@@ -94,7 +94,7 @@ fn scripted_session_lifecycle() {
 
     // Per-tuple check: every tuple accepted after full-phase cleaning,
     // agreeing with a serial in-process reference.
-    let reference = reference_cleaner(1);
+    let reference = reference_cleaner();
     let mut state = reference.begin_empty(Phase::Full);
     for batch in &rows {
         reference.clean_delta(&mut state, &tuples(batch)).unwrap();
@@ -204,6 +204,13 @@ fn structured_errors_over_the_wire() {
         &c.raw(r#"{"op":"open","relation":"r","attrs":["K"],"rules":"cfd broken("}"#),
         "rule_parse",
     );
+    // A CFD naming an LHS attribute twice is a parse error, not a panic.
+    for lhs in ["[K, K]", "[K=x, K]", "[K=x, K=y]"] {
+        let line = format!(
+            r#"{{"op":"open","relation":"r","attrs":["K","C"],"rules":"cfd g: data({lhs} -> [C])"}}"#
+        );
+        assert_code(&c.raw(&line), "rule_parse");
+    }
 
     assert_ok(&c.rpc(&open_request("tran")));
     // Arity mismatch inside a row: rejected at decode, state untouched.
@@ -390,7 +397,7 @@ fn shutdown_drains_queued_work() {
 /// into one relation land on a state bit-identical to a serial
 /// in-process clean of the same batches in server application order
 /// (recovered from the `offset` each ingest reply carries) — across
-/// shard counts × engine parallelism.
+/// shard counts.
 #[test]
 fn concurrent_ingest_is_bit_deterministic() {
     // Disjoint four-way split of a workload that exercises all rules:
@@ -403,90 +410,123 @@ fn concurrent_ingest_is_bit_deterministic() {
     ];
 
     for shards in [1usize, 4] {
-        for threads in [1usize, 4] {
-            let label = format!("shards={shards} threads={threads}");
-            let (addr, handle) = start_daemon(shards, 64);
-            let mut c = Client::connect(addr);
-            assert_ok(&c.rpc(&open_request_threads("tran", threads)));
+        let label = format!("shards={shards}");
+        let (addr, handle) = start_daemon(shards, 64);
+        let mut c = Client::connect(addr);
+        assert_ok(&c.rpc(&open_request("tran")));
 
-            // Each client ingests its batch concurrently; the reply's
-            // offset reveals the order the shard serialized them in.
-            let mut joins = Vec::new();
-            for batch in &client_batches {
-                let batch: Vec<[String; 3]> = batch.iter().map(|r| r.map(str::to_string)).collect();
-                joins.push(std::thread::spawn(move || {
-                    let mut client = Client::connect(addr);
-                    let rows: Vec<[&str; 3]> = batch
-                        .iter()
-                        .map(|r| [r[0].as_str(), r[1].as_str(), r[2].as_str()])
-                        .collect();
-                    let resp = client.rpc(&ingest_request("tran", &rows));
-                    let offset = resp.get("offset").and_then(Json::as_usize);
-                    (
-                        offset,
-                        rows.iter()
-                            .map(|r| r.map(str::to_string))
-                            .collect::<Vec<_>>(),
-                        resp,
-                    )
-                }));
-            }
-            let mut applied: Vec<(usize, Vec<[String; 3]>)> = joins
-                .into_iter()
-                .map(|j| {
-                    let (offset, rows, resp) = j.join().unwrap();
-                    assert_ok(&resp);
-                    (offset.expect("ingest reply carries offset"), rows)
-                })
-                .collect();
-            applied.sort_by_key(|(offset, _)| *offset);
-
-            // Serial reference: the same batches, same order, in process.
-            let reference = reference_cleaner(threads);
-            let mut state = reference.begin_empty(Phase::Full);
-            for (_, rows) in &applied {
-                let batch: Vec<Tuple> = rows
+        // Each client ingests its batch concurrently; the reply's
+        // offset reveals the order the shard serialized them in.
+        let mut joins = Vec::new();
+        for batch in &client_batches {
+            let batch: Vec<[String; 3]> = batch.iter().map(|r| r.map(str::to_string)).collect();
+            joins.push(std::thread::spawn(move || {
+                let mut client = Client::connect(addr);
+                let rows: Vec<[&str; 3]> = batch
                     .iter()
-                    .map(|r| Tuple::of_strs(&[&r[0], &r[1], &r[2]], 0.5))
+                    .map(|r| [r[0].as_str(), r[1].as_str(), r[2].as_str()])
                     .collect();
-                reference.clean_delta(&mut state, &batch).unwrap();
-            }
+                let resp = client.rpc(&ingest_request("tran", &rows));
+                let offset = resp.get("offset").and_then(Json::as_usize);
+                (
+                    offset,
+                    rows.iter()
+                        .map(|r| r.map(str::to_string))
+                        .collect::<Vec<_>>(),
+                    resp,
+                )
+            }));
+        }
+        let mut applied: Vec<(usize, Vec<[String; 3]>)> = joins
+            .into_iter()
+            .map(|j| {
+                let (offset, rows, resp) = j.join().unwrap();
+                assert_ok(&resp);
+                (offset.expect("ingest reply carries offset"), rows)
+            })
+            .collect();
+        applied.sort_by_key(|(offset, _)| *offset);
 
-            let dump = c.rpc(&obj(vec![
-                ("op", Json::str("dump")),
+        // Serial reference: the same batches, same order, in process.
+        let reference = reference_cleaner();
+        let mut state = reference.begin_empty(Phase::Full);
+        for (_, rows) in &applied {
+            let batch: Vec<Tuple> = rows
+                .iter()
+                .map(|r| Tuple::of_strs(&[&r[0], &r[1], &r[2]], 0.5))
+                .collect();
+            reference.clean_delta(&mut state, &batch).unwrap();
+        }
+
+        let dump = c.rpc(&obj(vec![
+            ("op", Json::str("dump")),
+            ("relation", Json::str("tran")),
+        ]));
+        assert_ok(&dump);
+        assert_eq!(
+            dump.get("rows"),
+            Some(&relation_to_json(state.repaired())),
+            "{label}: served state diverged from serial reference"
+        );
+        assert_eq!(
+            dump.get("cost").and_then(Json::as_f64),
+            Some(state.cost()),
+            "{label}: cost diverged"
+        );
+
+        // Check verdicts agree tuple by tuple.
+        for tid in 0..state.len() {
+            let r = c.rpc(&obj(vec![
+                ("op", Json::str("check")),
                 ("relation", Json::str("tran")),
+                ("tuple", Json::Num(tid as f64)),
             ]));
-            assert_ok(&dump);
             assert_eq!(
-                dump.get("rows"),
-                Some(&relation_to_json(state.repaired())),
-                "{label}: served state diverged from serial reference"
+                r.get("accepted").and_then(Json::as_bool),
+                Some(state.is_accepted(uniclean::model::TupleId(tid as u32))),
+                "{label}: tuple {tid} verdict diverged"
             );
-            assert_eq!(
-                dump.get("cost").and_then(Json::as_f64),
-                Some(state.cost()),
-                "{label}: cost diverged"
-            );
+        }
 
-            // Check verdicts agree tuple by tuple.
-            for tid in 0..state.len() {
-                let r = c.rpc(&obj(vec![
-                    ("op", Json::str("check")),
-                    ("relation", Json::str("tran")),
-                    ("tuple", Json::Num(tid as f64)),
-                ]));
-                assert_eq!(
-                    r.get("accepted").and_then(Json::as_bool),
-                    Some(state.is_accepted(uniclean::model::TupleId(tid as u32))),
-                    "{label}: tuple {tid} verdict diverged"
-                );
-            }
+        assert_ok(&c.rpc(&obj(vec![("op", Json::str("shutdown"))])));
+        drop(c);
+        handle.join().unwrap().unwrap();
+    }
+}
 
-            assert_ok(&c.rpc(&obj(vec![("op", Json::str("shutdown"))])));
-            drop(c);
-            handle.join().unwrap().unwrap();
+/// A clean runs on one engine thread, so `open`'s `threads` member is
+/// ignored: tenants opened with and without it serve identical dumps. It
+/// is still validated — logs written by older builds carry it.
+#[test]
+fn open_ignores_threads_but_validates_it() {
+    let (addr, handle) = start_daemon(2, 16);
+    let mut c = Client::connect(addr);
+    let with_threads = |relation: &str, threads: Json| {
+        let Json::Obj(mut pairs) = open_request(relation) else {
+            unreachable!("an open request is an object")
+        };
+        pairs.push(("threads".to_string(), threads));
+        Json::Obj(pairs)
+    };
+    assert_ok(&c.rpc(&open_request("plain")));
+    assert_ok(&c.rpc(&with_threads("four", Json::Num(4.0))));
+    assert_code(&c.rpc(&with_threads("zero", Json::Num(0.0))), "bad_request");
+    assert_code(
+        &c.rpc(&ingest_request("zero", BATCHES[0])),
+        "unknown_relation",
+    );
+    for batch in BATCHES {
+        for relation in ["plain", "four"] {
+            assert_ok(&c.rpc(&ingest_request(relation, batch)));
         }
     }
+    let plain = dump_rows_cost(&mut c, "plain");
+    assert_eq!(plain, dump_rows_cost(&mut c, "four"));
+    assert_eq!(plain, reference_for(&[0, 1, 2, 3]));
+
+    assert_ok(&c.rpc(&obj(vec![("op", Json::str("shutdown"))])));
+    drop(c);
+    handle.join().unwrap().unwrap();
 }
 
 /// Distinct relations land on distinct shards (when the hash says so)

@@ -3,8 +3,7 @@
 //! The columnar store migration promises **bit-identical** `clean()` and
 //! `begin`/`clean_delta` outputs. These golden fingerprints were captured
 //! from the row-major implementation immediately before the migration; the
-//! columnar engine must reproduce them exactly, at every parallelism
-//! setting. A fingerprint covers every cell (value, confidence bits, fix
+//! columnar engine must reproduce them exactly. A fingerprint covers every cell (value, confidence bits, fix
 //! mark), every fix record, the §3.1 cost bits, the acceptance verdict and
 //! the per-phase fix counts — nothing observable is left out.
 //!
@@ -21,8 +20,6 @@
 //! (change journal, warm witness cache, worklists).
 
 mod common;
-
-use std::num::NonZeroUsize;
 
 use uniclean::core::{CleanConfig, CleanResult, Cleaner, MasterSource, Phase};
 use uniclean::datagen::{dblp_similarity_workload, hosp_workload, GenParams};
@@ -89,18 +86,12 @@ fn fingerprint(result: &CleanResult) -> u64 {
     h
 }
 
-fn cleaner(
-    rules: &uniclean::rules::RuleSet,
-    master: MasterSource,
-    eta: f64,
-    threads: usize,
-) -> Cleaner {
+fn cleaner(rules: &uniclean::rules::RuleSet, master: MasterSource, eta: f64) -> Cleaner {
     Cleaner::builder()
         .rules(rules.clone())
         .master(master)
         .config(CleanConfig {
             eta,
-            parallelism: Some(NonZeroUsize::new(threads).unwrap()),
             ..CleanConfig::default()
         })
         .build()
@@ -127,14 +118,9 @@ const SIM_800_FULL_DELTAS: u64 = 0xfbfb81bbdf878a6a;
 #[test]
 fn example_1_1_clean_matches_row_major_engine() {
     let (_, rules, dirty, master) = common::example_1_1();
-    for threads in [1usize, 4] {
-        let uni = cleaner(&rules, MasterSource::external(master.clone()), 0.8, threads);
-        let fp = fingerprint(&uni.clean(&dirty, Phase::Full));
-        assert_eq!(
-            fp, EXAMPLE_1_1_FULL,
-            "example 1.1: threads={threads} fp={fp:#018x}"
-        );
-    }
+    let uni = cleaner(&rules, MasterSource::external(master), 0.8);
+    let fp = fingerprint(&uni.clean(&dirty, Phase::Full));
+    assert_eq!(fp, EXAMPLE_1_1_FULL, "example 1.1: fp={fp:#018x}");
 }
 
 #[test]
@@ -144,16 +130,9 @@ fn hosp_1k_clean_matches_row_major_engine() {
         master_tuples: 300,
         ..GenParams::default()
     });
-    for threads in [1usize, 4] {
-        let uni = cleaner(
-            &w.rules,
-            MasterSource::external(w.master.clone()),
-            1.0,
-            threads,
-        );
-        let fp = fingerprint(&uni.clean(&w.dirty, Phase::CERepair));
-        assert_eq!(fp, HOSP_1K_CE, "hosp 1k: threads={threads} fp={fp:#018x}");
-    }
+    let uni = cleaner(&w.rules, MasterSource::external(w.master.clone()), 1.0);
+    let fp = fingerprint(&uni.clean(&w.dirty, Phase::CERepair));
+    assert_eq!(fp, HOSP_1K_CE, "hosp 1k: fp={fp:#018x}");
 }
 
 #[test]
@@ -163,34 +142,22 @@ fn hosp_1k_begin_plus_delta_matches_row_major_engine() {
         master_tuples: 300,
         ..GenParams::default()
     });
-    for threads in [1usize, 4] {
-        let uni = cleaner(
-            &w.rules,
-            MasterSource::external(w.master.clone()),
-            1.0,
-            threads,
-        );
-        let h = delta_fingerprint(&uni, &w.dirty, 800, usize::MAX, Phase::CERepair);
-        assert_eq!(
-            h, HOSP_1K_DELTA,
-            "hosp 1k delta: threads={threads} fp={h:#018x}"
-        );
-    }
+    let uni = cleaner(&w.rules, MasterSource::external(w.master.clone()), 1.0);
+    let h = delta_fingerprint(&uni, &w.dirty, 800, usize::MAX, Phase::CERepair);
+    assert_eq!(h, HOSP_1K_DELTA, "hosp 1k delta: fp={h:#018x}");
 }
 
 #[test]
 fn example_1_1_self_snapshot_clean_is_pinned() {
     let (_, rules, dirty, _) = common::example_1_1();
-    for threads in [1usize, 4] {
-        let uni = cleaner(&rules, MasterSource::SelfSnapshot, 0.8, threads);
-        let result = uni.clean(&dirty, Phase::Full);
-        assert!(!result.report.is_empty(), "the pin must exercise repairs");
-        let fp = fingerprint(&result);
-        assert_eq!(
-            fp, SELF_EXAMPLE_1_1_FULL,
-            "example 1.1 self-snapshot: threads={threads} fp={fp:#018x}"
-        );
-    }
+    let uni = cleaner(&rules, MasterSource::SelfSnapshot, 0.8);
+    let result = uni.clean(&dirty, Phase::Full);
+    assert!(!result.report.is_empty(), "the pin must exercise repairs");
+    let fp = fingerprint(&result);
+    assert_eq!(
+        fp, SELF_EXAMPLE_1_1_FULL,
+        "example 1.1 self-snapshot: fp={fp:#018x}"
+    );
 }
 
 #[test]
@@ -200,16 +167,14 @@ fn hosp_300_self_snapshot_clean_is_pinned() {
         master_tuples: 100,
         ..GenParams::default()
     });
-    for threads in [1usize, 4] {
-        let uni = cleaner(&w.rules, MasterSource::SelfSnapshot, 1.0, threads);
-        let result = uni.clean(&w.dirty, Phase::Full);
-        assert!(!result.report.is_empty(), "the pin must exercise repairs");
-        let fp = fingerprint(&result);
-        assert_eq!(
-            fp, SELF_HOSP_300_FULL,
-            "hosp 300 self-snapshot: threads={threads} fp={fp:#018x}"
-        );
-    }
+    let uni = cleaner(&w.rules, MasterSource::SelfSnapshot, 1.0);
+    let result = uni.clean(&w.dirty, Phase::Full);
+    assert!(!result.report.is_empty(), "the pin must exercise repairs");
+    let fp = fingerprint(&result);
+    assert_eq!(
+        fp, SELF_HOSP_300_FULL,
+        "hosp 300 self-snapshot: fp={fp:#018x}"
+    );
 }
 
 #[test]
@@ -219,14 +184,12 @@ fn hosp_300_self_snapshot_begin_plus_delta_is_pinned() {
         master_tuples: 100,
         ..GenParams::default()
     });
-    for threads in [1usize, 4] {
-        let uni = cleaner(&w.rules, MasterSource::SelfSnapshot, 1.0, threads);
-        let h = delta_fingerprint(&uni, &w.dirty, 240, usize::MAX, Phase::Full);
-        assert_eq!(
-            h, SELF_HOSP_300_DELTA,
-            "hosp 300 self-snapshot delta: threads={threads} fp={h:#018x}"
-        );
-    }
+    let uni = cleaner(&w.rules, MasterSource::SelfSnapshot, 1.0);
+    let h = delta_fingerprint(&uni, &w.dirty, 240, usize::MAX, Phase::Full);
+    assert_eq!(
+        h, SELF_HOSP_300_DELTA,
+        "hosp 300 self-snapshot delta: fp={h:#018x}"
+    );
 }
 
 #[test]
@@ -236,24 +199,11 @@ fn hosp_1k_full_clean_is_pinned() {
         master_tuples: 300,
         ..GenParams::default()
     });
-    for threads in [1usize, 4] {
-        let uni = cleaner(
-            &w.rules,
-            MasterSource::external(w.master.clone()),
-            1.0,
-            threads,
-        );
-        let fp = fingerprint(&uni.clean(&w.dirty, Phase::Full));
-        assert_eq!(
-            fp, HOSP_1K_FULL,
-            "hosp 1k full: threads={threads} fp={fp:#018x}"
-        );
-        let h = delta_fingerprint(&uni, &w.dirty, 800, usize::MAX, Phase::Full);
-        assert_eq!(
-            h, HOSP_1K_FULL_DELTA,
-            "hosp 1k full delta: threads={threads} fp={h:#018x}"
-        );
-    }
+    let uni = cleaner(&w.rules, MasterSource::external(w.master.clone()), 1.0);
+    let fp = fingerprint(&uni.clean(&w.dirty, Phase::Full));
+    assert_eq!(fp, HOSP_1K_FULL, "hosp 1k full: fp={fp:#018x}");
+    let h = delta_fingerprint(&uni, &w.dirty, 800, usize::MAX, Phase::Full);
+    assert_eq!(h, HOSP_1K_FULL_DELTA, "hosp 1k full delta: fp={h:#018x}");
 }
 
 #[test]
@@ -263,24 +213,11 @@ fn sim_800_full_clean_and_deltas_are_pinned() {
         master_tuples: 400,
         ..GenParams::default()
     });
-    for threads in [1usize, 4] {
-        let uni = cleaner(
-            &w.rules,
-            MasterSource::external(w.master.clone()),
-            1.0,
-            threads,
-        );
-        let fp = fingerprint(&uni.clean(&w.dirty, Phase::Full));
-        assert_eq!(
-            fp, SIM_800_FULL,
-            "sim 800 full: threads={threads} fp={fp:#018x}"
-        );
-        let h = delta_fingerprint(&uni, &w.dirty, 600, 7, Phase::Full);
-        assert_eq!(
-            h, SIM_800_FULL_DELTAS,
-            "sim 800 deltas: threads={threads} fp={h:#018x}"
-        );
-    }
+    let uni = cleaner(&w.rules, MasterSource::external(w.master.clone()), 1.0);
+    let fp = fingerprint(&uni.clean(&w.dirty, Phase::Full));
+    assert_eq!(fp, SIM_800_FULL, "sim 800 full: fp={fp:#018x}");
+    let h = delta_fingerprint(&uni, &w.dirty, 600, 7, Phase::Full);
+    assert_eq!(h, SIM_800_FULL_DELTAS, "sim 800 deltas: fp={h:#018x}");
 }
 
 /// `begin` over the first `split` rows of `d`, `clean_delta` with the
