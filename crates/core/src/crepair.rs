@@ -36,6 +36,7 @@ use crate::master_index::MasterIndex;
 use crate::md_cache::MdMatchCache;
 use crate::pattern_syms::{ensure_rule_constants, CfdPatternSyms};
 use crate::session::Master;
+use crate::two_in_one::TwoInOne;
 
 /// A variable-CFD conflict-set entry: the paper's `H(ȳ) = (list, val)`.
 #[derive(Default)]
@@ -52,10 +53,11 @@ struct VGroup {
 /// between calls: appending a batch seeds *only the new tuples* and
 /// continues the same fixpoint — valid because `cRepair` is a monotone
 /// write-once inference whose outcome is independent of rule application
-/// order (§5.2). The [`CGuard`] watches for the two situations where a
-/// continuation could diverge from a from-scratch run and must escalate:
-/// a write landing on a previously-settled tuple, and conflicting
-/// asserted evidence racing for one cell.
+/// order (§5.2). The [`CGuard`] watches a continuation: it keeps the
+/// pinned 2-in-1 exact under the writes that reach settled tuples, and it
+/// detects the one situation where a continuation could diverge from a
+/// from-scratch run and must escalate — conflicting asserted evidence
+/// racing for one cell.
 pub(crate) struct CFixpoint {
     /// LHS attribute list per rule (CFDs then MDs).
     lhs_of: Vec<Vec<AttrId>>,
@@ -147,18 +149,20 @@ impl CFixpoint {
     }
 }
 
-/// Divergence watch for fixpoint continuations (`None` on full runs).
-pub(crate) struct CGuard {
+/// What a fixpoint continuation carries (`None` on full runs): where the
+/// settled tuples end, the 2-in-1 pinned to them, and the divergence watch.
+pub(crate) struct CGuard<'a> {
     /// Tuples below this id are settled: a write to any of them means the
     /// batch's cascade reached previously-settled repairs. Such writes are
     /// *kept* — a continuation is a legal application order, so they equal
-    /// the from-scratch outcome — but the caller must refresh any
-    /// structure pinned to the old post-`cRepair` state.
+    /// the from-scratch outcome.
     pub settled: usize,
-    /// Number of writes that landed on settled tuples. A nonzero count
-    /// makes the phase loop rebuild the 2-in-1 structure pinned to the old
-    /// post-`cRepair` state.
-    pub settled_writes: usize,
+    /// The 2-in-1 structure pinned to the settled tuples, when the session
+    /// keeps one: every write that changes a settled cell's value is fed
+    /// to [`TwoInOne::on_update`] as it lands, so the structure stays exact
+    /// for the post-`cRepair` relation and the phase loop only extends it
+    /// over the batch.
+    pub two: Option<&'a mut TwoInOne>,
     /// Conflicting asserted evidence was observed racing for one cell —
     /// the one situation where `cRepair`'s outcome is order-dependent, so
     /// a continuation order may not reproduce the from-scratch order.
@@ -166,17 +170,17 @@ pub(crate) struct CGuard {
     pub hazard: bool,
 }
 
-impl CGuard {
-    pub(crate) fn new(settled: usize) -> Self {
+impl<'a> CGuard<'a> {
+    pub(crate) fn new(settled: usize, two: Option<&'a mut TwoInOne>) -> Self {
         CGuard {
             settled,
-            settled_writes: 0,
+            two,
             hazard: false,
         }
     }
 }
 
-struct State<'a> {
+struct State<'a, 'g> {
     rules: &'a RuleSet,
     eta: f64,
     /// CFD LHS patterns compiled to the relation's symbols (transient:
@@ -189,7 +193,7 @@ struct State<'a> {
     /// fixpoint, so not part of the persisted state).
     queue: VecDeque<(TupleId, usize)>,
     pending: Vec<Vec<bool>>,
-    guard: Option<&'a mut CGuard>,
+    guard: Option<&'a mut CGuard<'g>>,
     report: FixReport,
 }
 
@@ -224,7 +228,7 @@ pub(crate) fn c_run(
     cfg: &CleanConfig,
     fx: &mut CFixpoint,
     md_cache: &mut MdMatchCache,
-    guard: Option<&mut CGuard>,
+    guard: Option<&mut CGuard<'_>>,
 ) -> FixReport {
     let seed_from = guard.as_ref().map_or(0, |g| g.settled);
     assert_eq!(
@@ -281,7 +285,7 @@ pub(crate) fn c_run(
     report
 }
 
-impl<'a> State<'a> {
+impl State<'_, '_> {
     /// Procedure `update(t, A)` of Fig 5: `t[A]` has just become asserted.
     fn on_asserted(&mut self, d: &Relation, t: TupleId, a: AttrId) {
         let rule_ids: Vec<usize> = self.fx.attr_to_rules[a.index()].clone();
@@ -325,11 +329,6 @@ impl<'a> State<'a> {
         new: Value,
         rule_name: &str,
     ) {
-        if let Some(g) = self.guard.as_deref_mut() {
-            if t.index() < g.settled {
-                g.settled_writes += 1;
-            }
-        }
         let old = d.tuple(t).value(a).clone();
         let changed = old != new;
         let mark = if changed {
@@ -340,6 +339,13 @@ impl<'a> State<'a> {
         d.tuple_mut(t).set(a, new.clone(), self.eta, mark);
         self.md_cache.invalidate(t, a);
         if changed {
+            // A settled tuple is a member of the pinned 2-in-1: keep it
+            // exact. A batch tuple enters it later, with its final cells.
+            if let Some(g) = self.guard.as_deref_mut() {
+                if let Some(two) = g.two.as_deref_mut().filter(|_| t.index() < g.settled) {
+                    two.on_update(self.rules, d, t, a, &old);
+                }
+            }
             self.report.push(FixRecord {
                 tuple: t,
                 attr: a,

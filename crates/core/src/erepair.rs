@@ -16,6 +16,15 @@
 //! Conflict sets come from the 2-in-1 structure ([`TwoInOne`]) and MD
 //! witness lists from a memoized cache that computes each list on first
 //! use; both are kept exact under the loop's own rewrites.
+//!
+//! The structure's group ids and member order depend on how the relation
+//! arrived, and the outcome does not: one `v_cfd_resolve` pass lists its
+//! groups up front and they are disjoint, a fix writes only the conclusion
+//! `B ∉ Y` and so changes only its own group's counts under the pass's
+//! CFD (a CFD with `B ∈ Y` has one B value per group and fixes nothing),
+//! and `touchable` is decided per cell. Any group or member order
+//! therefore leaves the same cells, marks and set of fixes; only the order
+//! of the pass's fix records can differ.
 
 use std::collections::HashMap;
 
@@ -40,21 +49,27 @@ pub fn e_repair(
     cfg: &CleanConfig,
 ) -> FixReport {
     let master = Master::external(rules, dm, idx);
+    let order = erepair_order(rules);
     let mut structure = TwoInOne::build(rules, d);
     let mut md_cache = MdMatchCache::new(rules, d.len());
-    e_run(d, master, rules, cfg, &mut structure, &mut md_cache)
+    e_run(d, master, rules, &order, cfg, &mut structure, &mut md_cache)
 }
 
-/// The engine behind [`e_repair`], with the 2-in-1 structure and the MD
-/// witness cache supplied by the caller. A fresh build plus an empty cache
-/// reproduces [`e_repair`] exactly; the incremental path hands in a clone
-/// of its persistent post-`cRepair` structure (maintained by insert-time
-/// deltas) and its warm cross-call cache instead — both provably
-/// transparent, so the resolution sequence is bit-identical either way.
+/// The engine behind [`e_repair`], with the rule `order`, the 2-in-1
+/// structure and the MD witness cache supplied by the caller. The order,
+/// a fresh build and an empty cache reproduce [`e_repair`] exactly. The
+/// incremental path hands in the session's order, a clone of its
+/// persistent post-`cRepair` structure (kept exact through `cRepair`'s
+/// cascade by `on_update`, extended by insert-time deltas) and its warm
+/// cross-call cache instead. The cache is transparent; the structure holds
+/// the same groups as a fresh build under other ids, so the repaired cells
+/// and the final fixes are bit-identical, and only the order of fix
+/// records within one variable-CFD pass can differ (see the module doc).
 pub(crate) fn e_run(
     d: &mut Relation,
     master: Option<Master<'_>>,
     rules: &RuleSet,
+    order: &[RuleRef],
     cfg: &CleanConfig,
     structure: &mut TwoInOne,
     md_cache: &mut MdMatchCache,
@@ -63,7 +78,6 @@ pub(crate) fn e_run(
     // once — the per-round scans below match patterns by symbol compare.
     ensure_rule_constants(d, rules);
     let pats = CfdPatternSyms::compile(rules, d);
-    let order = erepair_order(rules);
 
     let mut st = EState {
         change_count: HashMap::new(),
@@ -75,7 +89,7 @@ pub(crate) fn e_run(
 
     for _round in 0..cfg.max_erepair_rounds {
         let mut changed = false;
-        for r in &order {
+        for r in order {
             match *r {
                 RuleRef::Cfd(i) => match structure.slot(i) {
                     Some(v) => changed |= v_cfd_resolve(d, rules, structure, v, cfg, &mut st),
@@ -436,5 +450,76 @@ mod tests {
         e_repair(&mut d, None, &rules, None, &cfg());
         let c = s.attr_id_or_panic("C");
         assert_eq!(d.tuple(TupleId(3)).value(c), &Value::str("ok"));
+    }
+
+    /// A 2-in-1 reached through `on_update` holds the same groups as a
+    /// fresh build of the same relation, under other ids and with other
+    /// member orders. `eRepair` over either leaves the same cells and the
+    /// same final fixes.
+    #[test]
+    fn group_ids_and_member_order_do_not_change_the_repair() {
+        let s = Schema::of_strings("r", &["K", "B", "C"]);
+        let parsed = parse_rules("cfd fd: r([K] -> [B])\ncfd fc: r([B] -> [C])", &s, None).unwrap();
+        let rules = RuleSet::cfds_only(s.clone(), parsed.cfds);
+        let k = s.attr_id_or_panic("K");
+        let rows = [
+            ["k2", "b1", "c1"],
+            ["k1", "b1", "c1"],
+            ["k1", "b1", "c1"],
+            ["k1", "b2", "c2"],
+            ["k1", "b3", "c3"],
+            ["k2", "b3", "c3"],
+            ["k2", "b3", "c3"],
+            ["k2", "b4", "c3"],
+        ];
+        let mut d = Relation::new(
+            s.clone(),
+            rows.iter().map(|r| Tuple::of_strs(r, 0.0)).collect(),
+        );
+        // Swap the keys of tuples 0 and 4 through the update hook: k2's
+        // group keeps id 0 although k1 now comes first in tuple order, and
+        // the moved tuples sit last in their groups.
+        let mut updated = TwoInOne::build(&rules, &d);
+        for (t, key) in [(TupleId(0), "k1"), (TupleId(4), "k2")] {
+            let old = d.tuple(t).value(k).clone();
+            d.tuple_mut(t)
+                .set(k, Value::str(key), 0.0, FixMark::Untouched);
+            updated.on_update(&rules, &d, t, k, &old);
+        }
+        let fresh = TwoInOne::build(&rules, &d);
+        updated.assert_consistent_with_rebuild(&rules, &d);
+        let k1 = fresh.group_of(0, &d, TupleId(0)).unwrap();
+        assert_ne!(updated.group_of(0, &d, TupleId(0)), Some(k1));
+        assert_ne!(
+            updated
+                .group(updated.group_of(0, &d, TupleId(0)).unwrap())
+                .tuples,
+            fresh.group(k1).tuples
+        );
+
+        let order = erepair_order(&rules);
+        let run = |mut two: TwoInOne| {
+            let mut out = d.clone();
+            let mut cache = MdMatchCache::new(&rules, out.len());
+            let report = e_run(&mut out, None, &rules, &order, &cfg(), &mut two, &mut cache);
+            assert!(!report.is_empty(), "the pin must exercise repairs");
+            (out, report)
+        };
+        let (a, ra) = run(fresh);
+        let (b, rb) = run(updated);
+        for (ta, tb) in a.rows().zip(b.rows()) {
+            for (ca, cb) in ta.cells().zip(tb.cells()) {
+                assert_eq!(ca.value, cb.value);
+                assert_eq!(ca.cf.to_bits(), cb.cf.to_bits());
+                assert_eq!(ca.mark, cb.mark);
+            }
+        }
+        let finals = |r: &FixReport| -> Vec<FixRecord> { r.final_states().cloned().collect() };
+        assert_eq!(finals(&ra), finals(&rb));
+        assert_ne!(
+            ra.records(),
+            rb.records(),
+            "the passes visit the two groups in opposite orders"
+        );
     }
 }

@@ -32,19 +32,23 @@
 //! The variable-CFD equivalence classes are the groups of the 2-in-1
 //! structure `eRepair` just worked on ([`TwoInOne`]): the phase loop hands
 //! it over, as it hands over the witness cache, so no class is projected
-//! here. Classes are resolved in ascending key-value order; the order of
-//! members inside a class does not matter (see `resolve_class`).
+//! here. A round visits a class only when its counts hold two distinct
+//! values, or one value and a null member; no other class can violate.
+//! Classes are resolved in ascending group-id order. Group ids depend on
+//! how the relation arrived — one build, or a delta's updates — but
+//! neither the order of one CFD's classes nor the order of members inside
+//! a class changes the outcome (see `resolve_class`).
 //!
 //! Rounds pay for what changed. Round one checks every tuple against every
-//! constant CFD and MD, and every class. Every target change is journalled;
-//! at the round boundary the journal is rendered into the assignment (the
-//! relation under repair, updated in place), each rendered cell is fed to
-//! [`TwoInOne::on_update`], and the MD witness lists whose premises were
-//! rewritten are dropped. Round r ≥ 2 visits only the tuples in round
-//! r−1's journal or touched earlier in round r, and only the classes
-//! holding such a tuple or one that a tuple just left. That is exact: a
-//! skipped item has the same values and targets as when it was last
-//! visited, and that visit changed nothing.
+//! constant CFD and MD, and every class that can violate. Every target
+//! change is journalled; at the round boundary the journal is rendered
+//! into the assignment (the relation under repair, updated in place), each
+//! rendered cell is fed to [`TwoInOne::on_update`], and the MD witness
+//! lists whose premises were rewritten are dropped. Round r ≥ 2 visits
+//! only the tuples in round r−1's journal or touched earlier in round r,
+//! and only the classes holding such a tuple or one that a tuple just
+//! left. That is exact: a skipped item has the same values and targets as
+//! when it was last visited, and that visit changed nothing.
 //!
 //! Witness lists come from the phase loop's one `MdMatchCache` — warm from
 //! `cRepair`, `eRepair` and, in a delta call, earlier calls — so round one
@@ -52,13 +56,13 @@
 //! is a new relation every round, so such a round matches through a fresh
 //! cache and visits every tuple for its MDs.
 //!
-//! Resolution runs in tuple-id and sorted-key order, so the output does
-//! not depend on hash-map iteration order.
+//! Resolution runs in tuple-id and group-id order, so the output does not
+//! depend on hash-map iteration order.
 
 use std::collections::HashMap;
 
 use uniclean_model::{
-    cell_cost, value_distance, AttrId, FixMark, Relation, Symbol, TupleId, Value,
+    cell_cost, value_distance, AttrId, FixMark, FxHashMap, Relation, Symbol, TupleId, Value,
 };
 use uniclean_rules::{Cfd, RuleSet};
 
@@ -426,11 +430,12 @@ fn resolve_constant_cfds<'r>(
     }
 }
 
-/// The classes of variable CFD `v` a round resolves, in ascending
-/// key-value order: every class in round one, afterwards those holding a
-/// worklist tuple or `left` by one at the last round boundary. A variable
-/// CFD rewrites only members of the class it resolves, so its worklist is
-/// fixed for its whole pass.
+/// The classes of variable CFD `v` a round resolves, in ascending group-id
+/// order: in round one every class, afterwards those holding a worklist
+/// tuple or `left` by one at the last round boundary — in either case
+/// only those whose counts say they can violate. A variable CFD rewrites
+/// only members of the class it resolves, so its worklist is fixed for its
+/// whole pass.
 fn due_classes(
     two: &TwoInOne,
     v: usize,
@@ -439,23 +444,20 @@ fn due_classes(
     left: &[GroupId],
     first: bool,
 ) -> Vec<GroupId> {
+    // The 2-in-1 is exact for `cur` throughout a round, so its counts are
+    // the ones `resolve_class` would gather: a class without two distinct
+    // values, or one value and a null member, returns there untouched (a
+    // left class may have emptied).
+    let can_violate = |&g: &GroupId| two.group(g).can_violate();
     let mut due: Vec<GroupId> = if first {
-        two.groups(v).collect()
+        two.groups(v).filter(can_violate).collect()
     } else {
         let worklist = cells.worklist();
         let held = worklist.into_iter().filter_map(|t| two.group_of(v, cur, t));
         let left = left.iter().copied().filter(|&g| two.group(g).vcfd == v);
-        held.chain(left).collect()
+        held.chain(left).filter(can_violate).collect()
     };
-    // A single member agrees with itself; a left class may have emptied.
-    due.retain(|&g| two.group(g).tuples.len() >= 2);
-    let interner = cur.interner();
-    due.sort_unstable_by(|&x, &y| {
-        let value = |&s: &Symbol| interner.resolve(s);
-        let (x, y) = (two.group(x).key(), two.group(y).key());
-        x.iter().map(value).cmp(y.iter().map(value))
-    });
-    // Live groups have distinct keys, so a repeated id is adjacent.
+    due.sort_unstable();
     due.dedup();
     due
 }
@@ -467,6 +469,12 @@ fn due_classes(
 /// tie-break, `cost_pick` sums over the members in tuple-id order, and
 /// every write — an upgrade or a premise break — touches only cells of
 /// the member it is for, judged on that member's cells alone.
+///
+/// Nor does it depend on the order in which one CFD's pass visits its
+/// classes: the classes are disjoint, the assignment `cur` is fixed for
+/// the round, and a class reads and writes only its own members' cells.
+/// So group ids — which depend on how the relation arrived — order the
+/// pass without changing what it leaves.
 fn resolve_class<'r>(
     base: &Relation,
     cur: &Relation,
@@ -624,17 +632,20 @@ fn cost_pick(base: &Relation, members: &[TupleId], b: AttrId, candidates: &[Valu
     let mut best: Option<(f64, &Value)> = None;
     let mut sorted: Vec<&Value> = candidates.iter().collect();
     sorted.sort();
+    // Distances per distinct original value: the sum keeps its terms and
+    // their order, so the total keeps its bits.
+    let mut distance: FxHashMap<Symbol, f64> = FxHashMap::default();
     for cand in sorted {
+        distance.clear();
         let total: f64 = members
             .iter()
             .map(|&t| {
                 let cellv = base.tuple(t);
-                cell_cost(
-                    cellv.cf(b).max(CF_FLOOR),
-                    cellv.value(b),
-                    cand,
-                    value_distance,
-                )
+                let original = cellv.value(b);
+                let dist = *distance
+                    .entry(base.sym(t, b))
+                    .or_insert_with(|| value_distance(original, cand));
+                cell_cost(cellv.cf(b).max(CF_FLOOR), original, cand, |_, _| dist)
             })
             .sum();
         if best.is_none_or(|(bc, _)| total < bc) {

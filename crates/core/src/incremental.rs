@@ -15,10 +15,13 @@
 //!   from-scratch run over the concatenated relation. Cost: O(batch +
 //!   cascade), not O(|D|).
 //! * the **2-in-1 structure** persists pinned to the post-`cRepair`
-//!   state: batch tuples enter by insert-time group/entropy deltas
-//!   (`TwoInOne::insert_tuples`), never by rebuild. Each `eRepair` run
-//!   works on a clone, which `hRepair` then takes over as its equivalence
-//!   classes.
+//!   state and is never rebuilt: `cRepair` feeds each settled cell its
+//!   cascade rewrites to `TwoInOne::on_update` as it writes it, and batch
+//!   tuples enter by insert-time group/entropy deltas
+//!   (`TwoInOne::insert_tuples`). Its group ids then depend on how the
+//!   relation arrived, which no outcome sees (see `two_in_one`). Each
+//!   `eRepair` run works on a clone, which `hRepair` then takes over as
+//!   its equivalence classes.
 //! * the **MD witness cache** persists across calls, one for all three
 //!   phases, based on the post-`cRepair` state: premises untouched by any
 //!   repair are never re-verified — re-verification is targeted at exactly
@@ -31,10 +34,10 @@
 //! **Escalation.** The continuation is only kept when it provably equals
 //! the from-scratch run. A batch cascade that *repairs previously settled
 //! tuples* is still legal (any application order yields the same fixes) —
-//! the state keeps those writes and refreshes the structures pinned to
-//! the old post-`cRepair` relation. What cannot be reproduced by a
-//! continuation is *conflicting asserted evidence racing for one cell*
-//! (the one order-dependent situation in `cRepair`): the loop's guard
+//! the state keeps those writes, and the 2-in-1 follows each one as it
+//! lands. What cannot be reproduced by a continuation is *conflicting
+//! asserted evidence racing for one cell* (the one order-dependent
+//! situation in `cRepair`): the loop's guard
 //! detects it and the state falls back to a full reclean of the
 //! concatenated relation. The [`MasterSource::SelfSnapshot`] mode always
 //! escalates — its master view is the evolving data itself, so nothing
@@ -51,10 +54,10 @@
 //! cell count) and only the last call's `eRepair`/`hRepair` fixes. The warm
 //! witness cache covers every phase's MD premise verification, and the
 //! acceptance index every verdict. `hRepair` projects no classes of its
-//! own: its round one visits the groups of `eRepair`'s 2-in-1 and checks
-//! every tuple against the constant CFDs and MDs (the witness lists come
-//! warm from the cache); its later rounds visit only what the previous
-//! round changed.
+//! own: its round one visits the groups of `eRepair`'s 2-in-1 whose
+//! counts can violate, and checks every tuple against the constant CFDs
+//! and MDs (the witness lists come warm from the cache); its later rounds
+//! visit only what the previous round changed.
 //!
 //! [`MasterSource::SelfSnapshot`]: crate::MasterSource::SelfSnapshot
 
@@ -344,11 +347,12 @@ impl Cleaner {
     ///
     /// The appended tuples are cleaned *against* the existing state: the
     /// persisted `cRepair` fixpoint continues over them, the 2-in-1
-    /// structures extend by insert-time deltas, and MD/CFD premises are
-    /// re-verified only where the batch (or its cascade) touched them.
-    /// When a batch repair invalidates previously settled tuples the call
-    /// transparently escalates to a full reclean of the concatenated
-    /// relation (see [`RepairState::escalations`]).
+    /// structure follows the cascade and extends by insert-time deltas,
+    /// and MD/CFD premises are re-verified only where the batch (or its
+    /// cascade) touched them. When the batch brings asserted evidence that
+    /// conflicts over one cell, the call transparently escalates to a full
+    /// reclean of the concatenated relation (see
+    /// [`RepairState::escalations`]).
     ///
     /// After the call, `state.repaired()` is **bit-identical** to
     /// `self.clean(&concatenated, state.phase()).repaired` — same values,
@@ -474,5 +478,63 @@ impl Cleaner {
             consistent: state.cons.consistent(),
             phases: run.phases,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::CleanConfig;
+    use uniclean_model::{FixMark, Schema, Value};
+    use uniclean_rules::{parse_rules, RuleSet};
+
+    /// A batch whose `cRepair` cascade rewrites a settled tuple's value
+    /// keeps the pinned 2-in-1 exact without a rebuild: the settled tuple
+    /// is recounted under `K -> A` and moves to another class of
+    /// `A -> B`, and the kept structure equals a rebuild over the kept
+    /// post-`cRepair` relation.
+    #[test]
+    fn a_cascade_into_a_settled_tuple_keeps_the_pinned_two_in_one_exact() {
+        let s = Schema::of_strings("r", &["K", "A", "B"]);
+        let parsed = parse_rules("cfd fd: r([K] -> [A])\ncfd fa: r([A] -> [B])", &s, None).unwrap();
+        let rules = RuleSet::cfds_only(s.clone(), parsed.cfds);
+        let cleaner = Cleaner::builder()
+            .rules(rules.clone())
+            .config(CleanConfig {
+                eta: 0.8,
+                ..CleanConfig::default()
+            })
+            .build()
+            .unwrap();
+        let a = s.attr_id_or_panic("A");
+        let row = |vals: [&str; 3], asserted: &[usize]| {
+            let mut t = Tuple::of_strs(&vals, 0.0);
+            for &i in asserted {
+                t.set(
+                    s.attr_ids().nth(i).unwrap(),
+                    Value::str(vals[i]),
+                    1.0,
+                    FixMark::Untouched,
+                );
+            }
+            t
+        };
+        // Tuple 0 waits on `fd` for an asserted A of key k2; tuple 1 holds
+        // the class a2 of `fa`.
+        let base = Relation::new(
+            s.clone(),
+            vec![row(["k2", "a0", "b0"], &[0]), row(["k9", "a2", "b2"], &[0])],
+        );
+        let (mut state, _) = cleaner.begin(&base, Phase::Full);
+        cleaner
+            .clean_delta(&mut state, &[row(["k2", "a2", "b2"], &[0, 1])])
+            .unwrap();
+        assert_eq!(state.escalations(), 0);
+        let warm = state.warm.as_ref().expect("a CFD-only state is kept");
+        assert_eq!(warm.post_c.tuple(TupleId(0)).value(a), &Value::str("a2"));
+        warm.two
+            .as_ref()
+            .expect("eRepair ran")
+            .assert_consistent_with_rebuild(&rules, &warm.post_c);
     }
 }

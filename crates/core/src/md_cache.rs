@@ -335,7 +335,8 @@ mod tests {
             let start = dirty.clone();
             let mut cache = MdMatchCache::new(&rules, d.len());
             let mut two = TwoInOne::build(&rules, &d);
-            e_run(&mut d, Some(m), &rules, &cfg, &mut two, &mut cache);
+            let order = uniclean_reasoning::erepair_order(&rules);
+            e_run(&mut d, Some(m), &rules, &order, &cfg, &mut two, &mut cache);
             let fixes = h_run(
                 &mut d,
                 &rules,

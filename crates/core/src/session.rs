@@ -21,10 +21,10 @@
 //!   [`ConsistencyIndex`] (see [`crate::acceptance`]).
 //!
 //! [`PreparedCleaner`] holds everything that depends only on the rules,
-//! the master data and the configuration — normalized rules and the §5.2
-//! master access paths ([`MasterIndex`]) — built **once** by
-//! [`CleanerBuilder::build`] and shared (`Arc`) by every call, so a
-//! service pays rule/index preparation once, not per request.
+//! the master data and the configuration — normalized rules, the §5.2
+//! master access paths ([`MasterIndex`]) and `eRepair`'s §6.2 rule order —
+//! built **once** by [`CleanerBuilder::build`] and shared (`Arc`) by every
+//! call, so a service pays rule/index preparation once, not per request.
 //!
 //! Construction is fallible and typed: every misuse is a [`CleanError`]
 //! from [`CleanerBuilder::build`], never a panic. A built `Cleaner` owns
@@ -39,6 +39,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use uniclean_model::{repair_cost, AttrId, FixMark, Relation, Tuple, TupleId};
+use uniclean_reasoning::{erepair_order, RuleRef};
 use uniclean_rules::RuleSet;
 
 use crate::acceptance::ConsistencyIndex;
@@ -193,7 +194,8 @@ fn seconds_by_phase(stats: &[PhaseStats]) -> [f64; 3] {
 }
 
 /// The immutable, per-session half of the engine: normalized rules, master
-/// source, validated configuration and prebuilt §5.2 master access paths.
+/// source, validated configuration, prebuilt §5.2 master access paths and
+/// `eRepair`'s §6.2 rule order.
 /// Constructed **once** by [`CleanerBuilder::build`] and reused —
 /// unchanged — by every [`Cleaner::clean`], [`Cleaner::begin`] and
 /// [`Cleaner::clean_delta`] call.
@@ -203,6 +205,8 @@ pub struct PreparedCleaner {
     /// Prebuilt §5.2 access paths for [`MasterSource::External`]; the
     /// self-snapshot mode rebuilds per phase instead.
     index: Option<MasterIndex>,
+    /// `eRepair`'s §6.2 rule order (dependency-graph SCCs).
+    erepair_order: Vec<RuleRef>,
     config: CleanConfig,
 }
 
@@ -278,7 +282,7 @@ pub(crate) struct Warm {
     pub(crate) cache: MdMatchCache,
     /// `eRepair`'s 2-in-1 structure pinned to `post_c`, present once
     /// `eRepair` has run.
-    two: Option<TwoInOne>,
+    pub(crate) two: Option<TwoInOne>,
 }
 
 impl Warm {
@@ -387,11 +391,11 @@ pub(crate) fn run_phases(
         mut post_c,
         mut cfix,
         mut cache,
-        two,
+        mut two,
     } = warm;
     cache.begin_run();
 
-    let mut guard = settled.map(CGuard::new);
+    let mut guard = settled.map(|settled| CGuard::new(settled, two.as_mut()));
     let view = prepared.view(&post_c);
     let mut report = timed(observer, &mut phases, Phase::CRepair, || {
         let mut spare = None;
@@ -410,7 +414,7 @@ pub(crate) fn run_phases(
             _ => fixes,
         }
     });
-    if guard.as_ref().is_some_and(|g| g.hazard) {
+    if guard.is_some_and(|g| g.hazard) {
         return None;
     }
 
@@ -425,14 +429,13 @@ pub(crate) fn run_phases(
     if phase >= Phase::ERepair {
         let view = prepared.view(&work);
         let e_fixes = timed(observer, &mut phases, Phase::ERepair, || {
-            let cascaded = guard.as_ref().is_some_and(|g| g.settled_writes > 0);
             let two = match (two, settled) {
-                // A persisted 2-in-1 extends by insert-time deltas — unless
-                // the batch's deterministic cascade rewrote settled tuples
-                // (kept: a continuation is a legal §5.2 application order),
-                // which leaves it stale in a way insert-time deltas cannot
-                // express without perturbing group-id order.
-                (Some(mut two), Some(settled)) if !cascaded => {
+                // A persisted 2-in-1 is exact for the settled tuples —
+                // `cRepair` fed it every settled cell its cascade rewrote —
+                // and extends over the batch by insert-time deltas. Every
+                // continuation has one: a state's phase is fixed, so the
+                // call that pinned it ran `eRepair` too.
+                (Some(mut two), Some(settled)) => {
                     two.insert_tuples(&work, settled);
                     two
                 }
@@ -447,6 +450,7 @@ pub(crate) fn run_phases(
                 &mut work,
                 view.master(),
                 rules,
+                &prepared.erepair_order,
                 cfg,
                 &mut structure,
                 view.cache(&mut cache, &mut spare),
@@ -810,6 +814,7 @@ impl CleanerBuilder {
         };
         Ok(Cleaner {
             prepared: Arc::new(PreparedCleaner {
+                erepair_order: erepair_order(&rules),
                 rules,
                 master: self.master,
                 index,

@@ -28,7 +28,9 @@
 //! take the relation to resolve them. The engine always evolves one
 //! lineage in place (clones extend the same append-only interner), which
 //! is what lets a session pin a *persistent* clone to the post-`cRepair`
-//! state and extend it by [`TwoInOne::insert_tuples`] deltas.
+//! state, keep it exact through `cRepair`'s cascade by
+//! [`TwoInOne::on_update`] and extend it by [`TwoInOne::insert_tuples`]
+//! deltas.
 //!
 //! **Incremental entropy** (kept from PR 2): each group maintains
 //! `Σ c·ln c` under count deltas, so the common single-count update
@@ -36,10 +38,20 @@
 //! incremental values honest.
 //!
 //! [`TwoInOne::build`] is an empty structure followed by
-//! [`TwoInOne::insert_tuples`] from tuple 0: a build and a delta insert are
-//! the same replay in tuple-id order, so group ids — and therefore
-//! `eRepair`'s resolution order — do not depend on how the relation
-//! arrived.
+//! [`TwoInOne::insert_tuples`] from tuple 0, so a build and a delta insert
+//! are one code path. Group ids and member order still depend on how the
+//! relation arrived: an update appends the tuple to its new group, and a
+//! key that comes back after its group emptied gets a new id. No contract
+//! sees them. In one `eRepair` `v_cfd_resolve` pass the listed groups are
+//! disjoint; a fix writes only `B ∉ Y`, so it changes only its own group
+//! under `v`; and `touchable` is decided per cell. `hRepair`'s classes of
+//! one CFD are disjoint in the same way (see its `resolve_class`). So the
+//! cells, the marks and the set of fixes are independent of ids; only the
+//! order of fix records within one variable-CFD pass can differ from a
+//! fresh clean's, and `FixReport::final_states` is keyed by cell.
+//! Entropies accumulated along another sequence of count deltas can differ
+//! from a fresh build's in the last bits. That too only reorders a pass; it
+//! could flip the test `H < δ2` only for an entropy within rounding of δ2.
 
 use std::collections::HashMap;
 
@@ -86,14 +98,16 @@ pub struct Group {
 }
 
 impl Group {
-    /// The LHS key `ȳ` as the build lineage's symbols.
-    pub(crate) fn key(&self) -> &[Symbol] {
-        &self.key
-    }
-
     /// Number of distinct non-null B values in the conflict set.
     pub fn distinct_values(&self) -> usize {
         self.counts.len()
+    }
+
+    /// Can the conflict set violate its CFD — does it hold two distinct
+    /// non-null B values, or one and a null member? O(1), from the counts.
+    pub(crate) fn can_violate(&self) -> bool {
+        let k = self.counts.len();
+        k >= 2 || (k == 1 && self.nulls > 0)
     }
 
     /// Apply a ±1 delta to one value count and refresh the entropy in
@@ -212,13 +226,12 @@ impl TwoInOne {
 
     /// Append tuples `from..d.len()` to the structure with insert-time
     /// group and entropy deltas — no rebuild, no re-hashing of existing
-    /// members. The result (group membership, group-id assignment) is
-    /// bit-identical to a from-scratch [`Self::build`] over the whole of
-    /// `d`, because a build is exactly this insertion replay in tuple-id
-    /// order: new group ids are assigned at first key occurrence and
-    /// existing groups only ever gain members. This is the `clean_delta`
-    /// hot path. `d` must be the build relation's lineage (the store
-    /// interned the new rows on push).
+    /// members. The result holds the groups of a from-scratch
+    /// [`Self::build`] over the whole of `d`; over a structure that saw no
+    /// [`Self::on_update`] it is bit-identical to one, group ids included,
+    /// because a build is exactly this insertion replay in tuple-id order.
+    /// This is the `clean_delta` hot path. `d` must be the build relation's
+    /// lineage (the store interned the new rows on push).
     pub fn insert_tuples(&mut self, d: &Relation, from: usize) {
         let nv = self.vcfd_rule_idx.len();
         for i in from..d.len() {

@@ -1,19 +1,25 @@
-//! Seeded random-mutation harnesses for the two text parsers that take
-//! untrusted input: the rule language (`uniclean::rules::parse_rules`,
-//! fed by `uniclean clean --rules` and the daemon's `open`) and the wire
-//! protocol (`uniclean::server::protocol::parse_request`).
+//! Seeded random-mutation harnesses for the parsers that take untrusted
+//! input: the rule language (`uniclean::rules::parse_rules`, fed by
+//! `uniclean clean --rules` and the daemon's `open`), the wire protocol
+//! (`uniclean::server::protocol::parse_request`), and the two layers of the
+//! daemon's durable files and replication stream — the frame codec
+//! (`uniclean::model::frame`) and the WAL record grammar
+//! (`uniclean::server::wal::WalRecord::parse`).
 //!
 //! Each harness starts from golden inputs that cover the grammar, applies
 //! stacked mutations (byte replace / insert / delete / truncate, and word
 //! swaps) drawn from a fixed seed, and requires every mutant to come back as
-//! `Ok` or as a typed error — never as a panic. A failure lists the
-//! offending inputs, so a reproduction is one copy-paste away.
+//! `Ok` or as a typed error — never as a panic — and to meet the harness's
+//! own invariants. A failure lists the offending inputs, so a reproduction
+//! is one copy-paste away.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use uniclean::model::frame::{encode_frame, scan_frames, sole_frame, FrameScan};
 use uniclean::model::{Json, Schema};
 use uniclean::rules::{parse_rules, RuleSet};
 use uniclean::server::protocol::parse_request;
+use uniclean::server::wal::{batch_record, WalRecord};
 
 /// Mutants per harness.
 const MUTANTS: usize = 100_000;
@@ -64,13 +70,13 @@ fn words(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// One to four stacked mutations of `seed`, decoded lossily so the parser
-/// always sees a `&str`. Most are byte-level (replace / insert / delete /
-/// truncate); one kind overwrites a word with another word of the same
-/// input, which reaches shapes no byte flip finds in reasonable time — a
-/// rule naming an attribute twice, a request repeating a key.
-fn mutate(rng: &mut Rng, seed: &str, alphabet: &[u8]) -> String {
-    let mut bytes = seed.as_bytes().to_vec();
+/// One to four stacked mutations of `seed`. Most are byte-level (replace /
+/// insert / delete / truncate); one kind overwrites a word with another
+/// word of the same input, which reaches shapes no byte flip finds in
+/// reasonable time — a rule naming an attribute twice, a request
+/// repeating a key.
+fn mutate(rng: &mut Rng, seed: &[u8], alphabet: &[u8]) -> Vec<u8> {
+    let mut bytes = seed.to_vec();
     for _ in 0..1 + rng.below(4) {
         let at = rng.below(bytes.len() + 1);
         match rng.below(5) {
@@ -92,33 +98,43 @@ fn mutate(rng: &mut Rng, seed: &str, alphabet: &[u8]) -> String {
             _ => {}
         }
     }
-    String::from_utf8_lossy(&bytes).into_owned()
+    bytes
 }
 
 /// Run `check` over [`MUTANTS`] mutants of `seeds`; fail listing every
-/// input that panicked.
-fn run(seed: u64, seeds: &[&str], alphabet: &[u8], check: impl Fn(&str)) {
+/// input that panicked or broke one of `check`'s assertions.
+fn run<S: AsRef<[u8]>>(seed: u64, seeds: &[S], alphabet: &[u8], check: impl Fn(&[u8])) {
     let mut rng = Rng(seed);
-    let mut panicked = Vec::new();
+    let mut failed = Vec::new();
     for golden in seeds {
+        let golden = golden.as_ref();
         assert!(
             catch_unwind(AssertUnwindSafe(|| check(golden))).is_ok(),
-            "golden input panicked: {golden:?}"
+            "golden input failed: {:?}",
+            String::from_utf8_lossy(golden)
         );
     }
     for _ in 0..MUTANTS {
-        let golden = seeds[rng.below(seeds.len())];
+        let golden = seeds[rng.below(seeds.len())].as_ref();
         let input = mutate(&mut rng, golden, alphabet);
         if catch_unwind(AssertUnwindSafe(|| check(&input))).is_err() {
-            panicked.push(input);
+            failed.push(String::from_utf8_lossy(&input).into_owned());
         }
     }
     assert!(
-        panicked.is_empty(),
-        "{} of {MUTANTS} mutants panicked, e.g. {:?}",
-        panicked.len(),
-        &panicked[..panicked.len().min(5)]
+        failed.is_empty(),
+        "{} of {MUTANTS} mutants failed, e.g. {:?}",
+        failed.len(),
+        &failed[..failed.len().min(5)]
     );
+}
+
+/// [`run`] for the text parsers: each mutant is decoded lossily, so the
+/// parser always sees a `&str`.
+fn run_text(seed: u64, seeds: &[&str], alphabet: &[u8], check: impl Fn(&str)) {
+    run(seed, seeds, alphabet, |bytes| {
+        check(&String::from_utf8_lossy(bytes))
+    });
 }
 
 const RULE_SEEDS: &[&str] = &[
@@ -147,7 +163,7 @@ fn rule_parser_never_panics_on_mutated_rule_files() {
         &["FN", "LN", "city", "AC", "zip", "tel", "gd", "St"],
     );
     let alphabet = b"[](),:=~<>!-\"#_ acdfgjlmnqrtvwABCFLNPSTWcardtranphnpost";
-    run(0x5eed_0001, RULE_SEEDS, alphabet, |text| {
+    run_text(0x5eed_0001, RULE_SEEDS, alphabet, |text| {
         if let Ok(parsed) = parse_rules(text, &tran, Some(&card)) {
             let _ = RuleSet::try_new(
                 tran.clone(),
@@ -185,12 +201,95 @@ const REQUEST_SEEDS: &[&str] = &[
 #[test]
 fn request_parser_never_panics_on_mutated_lines() {
     let alphabet = b"{}[]:,\"\\.-+eE0123456789 truefalsnopigcdhkmwx_";
-    run(0x5eed_0002, REQUEST_SEEDS, alphabet, |line| {
+    run_text(0x5eed_0002, REQUEST_SEEDS, alphabet, |line| {
         if let Err(resp) = parse_request(line) {
             assert!(
                 resp.get("code").and_then(Json::as_str).is_some(),
                 "untyped error {resp} for {line:?}"
             );
         }
+    });
+}
+
+/// Golden WAL records: an `open` and `batch`es with and without the
+/// exactly-once and replication markers, over rows with nulls, explicit
+/// confidences and escapes.
+fn wal_records() -> Vec<WalRecord> {
+    let json = |text: &str| Json::parse(text).expect("golden JSON");
+    vec![
+        WalRecord::Open {
+            spec: json(REQUEST_SEEDS[0]),
+        },
+        WalRecord::Open {
+            spec: json(REQUEST_SEEDS[1]),
+        },
+        batch_record(
+            1,
+            json(r#"[["k0",["a1",0.9],null],["k1","a2","b2"]]"#),
+            None,
+            None,
+        ),
+        batch_record(
+            7,
+            json(r#"[[["131",0.5],[null,0]],[["Edi \"N\"",1],["\u00e9",0.25]]]"#),
+            Some(41),
+            Some(9),
+        ),
+        batch_record(8, json("[]"), None, Some(12)),
+    ]
+}
+
+/// Every mutant of a WAL frame payload parses to a record or to `None`,
+/// and a parsed record renders to a payload that parses back to it.
+#[test]
+fn wal_record_parser_never_panics_on_mutated_payloads() {
+    let seeds: Vec<String> = wal_records().iter().map(WalRecord::render).collect();
+    let alphabet = b"{}[]:,\".-eE0123456789 kindopenspecbatchseqrowsclient_repl";
+    run(0x5eed_0003, &seeds, alphabet, |payload| {
+        if let Some(record) = WalRecord::parse(payload) {
+            let again = WalRecord::parse(record.render().as_bytes());
+            assert_eq!(again, Some(record), "render does not parse back");
+        }
+    });
+}
+
+/// Every mutant of a frame log scans to a valid prefix: no longer than the
+/// input, ending exactly where the torn tail starts, re-encoding to the
+/// same bytes; and `sole_frame` accepts exactly the one-frame images.
+#[test]
+fn frame_scanner_never_panics_on_mutated_logs() {
+    let payloads: Vec<String> = wal_records().iter().map(WalRecord::render).collect();
+    let log = |parts: &[&str]| {
+        let mut out = Vec::new();
+        for p in parts {
+            encode_frame(p.as_bytes(), &mut out);
+        }
+        out
+    };
+    let seeds = vec![
+        log(&[&payloads[0]]),
+        log(&[&payloads[2]]),
+        log(&[""]),
+        log(&[&payloads[1], &payloads[3], &payloads[4]]),
+        log(&[&payloads[0], "", &payloads[2]]),
+    ];
+    let alphabet = b"\x00\x01\x0c\xff{}[]:,\"0123456789 kindbatchrows";
+    run(0x5eed_0004, &seeds, alphabet, |bytes| {
+        let (frames, torn) = scan_frames(bytes);
+        let mut scan = FrameScan::new(bytes);
+        while scan.next_frame().is_some() {}
+        let valid = scan.valid_len();
+        assert!(valid <= bytes.len());
+        assert_eq!(scan.torn(), torn);
+        assert_eq!(torn.map_or(bytes.len(), |t| t.offset), valid);
+        let mut again = Vec::new();
+        for frame in &frames {
+            encode_frame(frame, &mut again);
+        }
+        assert_eq!(again, &bytes[..valid]);
+        assert_eq!(
+            sole_frame(bytes),
+            (frames.len() == 1 && torn.is_none()).then(|| frames[0])
+        );
     });
 }
