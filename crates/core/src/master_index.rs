@@ -88,7 +88,7 @@ use std::sync::Arc;
 
 use uniclean_model::{AttrId, FxHashMap, FxHasher, Relation, Row, Symbol, TupleId, ValueInterner};
 use uniclean_rules::{MatchScratch, Md};
-use uniclean_similarity::{simd, ProfilePool, QGramIndex, QGramScratch};
+use uniclean_similarity::{QGramIndex, QGramScratch};
 
 /// Cost-model factors: expected candidate inflation of each similarity
 /// path relative to an exact probe on the same column. The Jaro bound is
@@ -114,11 +114,10 @@ static BUILD_EPOCH: AtomicU64 = AtomicU64::new(1);
 /// One similarity filter over a single conjunct.
 enum Path {
     /// Complete count-filtered retrieval under the edit bound `k`, over
-    /// the shared [`LEV_QGRAM_Q`]-gram inverted lists. When accelerated
-    /// kernels are active the count-filtered *distinct values* are
-    /// confirmed column-at-a-time through one probe-compiled Myers
-    /// pattern (`col` is the vid → value sidecar) before expanding to
-    /// rows; the scalar fallback expands unconfirmed candidates directly.
+    /// the shared [`LEV_QGRAM_Q`]-gram inverted lists. The count-filtered
+    /// *distinct values* are confirmed column-at-a-time through one
+    /// probe-compiled Myers pattern (`col` is the vid → value sidecar)
+    /// before expanding to rows.
     LevCount {
         premise: usize,
         k: usize,
@@ -334,11 +333,10 @@ fn build_artifact(key: &ArtifactKey, master: &Relation) -> Artifact {
     let interner = master.interner();
     match key {
         ArtifactKey::QGram(attr, q) => {
-            // Batched build: one pass over the symbol column collects the
-            // owner rows of every distinct non-null symbol (dense
-            // first-appearance ids — the same order `QGramIndex::build`
-            // assigns), then each distinct value is rendered and hashed
-            // exactly once.
+            // One pass over the symbol column collects the owner rows of
+            // every distinct non-null symbol (dense first-appearance ids),
+            // then each distinct value is rendered once: the texts are both
+            // the index's input and the columnar-sweep sidecar.
             let null = master.null_sym();
             let mut sym_to_vid: Vec<u32> = vec![u32::MAX; interner.len()];
             let mut syms: Vec<Symbol> = Vec::new();
@@ -356,20 +354,11 @@ fn build_artifact(key: &ArtifactKey, master: &Relation) -> Artifact {
                 }
                 owners[*slot as usize].push(row as u32);
             }
-            // The profile arena is checked out of the process-wide pool
-            // (hashing scratch + retired profile vectors), so repeated
-            // index rebuilds stop allocating; the borrowing `from_parts`
-            // only copies the gram runs out, and the arena returns to the
-            // pool when its guard drops. The rendered texts are kept as
-            // the columnar-sweep sidecar.
-            let mut arena = ProfilePool::global().checkout();
-            let mut texts: Vec<Box<str>> = Vec::with_capacity(syms.len());
-            for &sym in &syms {
-                let s = interner.resolve(sym).render();
-                arena.push(&s, *q);
-                texts.push(s.into_owned().into_boxed_str());
-            }
-            let index = QGramIndex::from_parts(arena.profiles(), owners, master.len(), *q);
+            let texts: Vec<Box<str>> = syms
+                .iter()
+                .map(|&sym| interner.resolve(sym).render().into_owned().into_boxed_str())
+                .collect();
+            let index = QGramIndex::new(&texts, owners, master.len(), *q);
             Artifact::QGram(Arc::new(index), Arc::new(VidColumn { syms, texts }))
         }
         ArtifactKey::Exact(attrs) => {
@@ -535,48 +524,38 @@ impl MasterIndex {
                 }
                 let rendered = v.render();
                 let probe_sym = t.sym(p.attr);
-                if simd::accelerated() {
-                    // Column-at-a-time confirm: count-filter down to
-                    // candidate *distinct values*, sweep them through one
-                    // probe-compiled Myers pattern, and expand only the
-                    // confirmed values to their owner rows. The sweep
-                    // seeds the pair-verdict memo, so full premise
-                    // verification replays these answers for free.
-                    let mut vids = qgram.take_vids();
-                    vids.clear();
-                    {
-                        // The probe profile comes from the same
-                        // symbol-keyed cache premise verification uses —
-                        // built once per distinct probe value.
-                        let profile = match probe_sym {
-                            Some(sym) => {
-                                matching.probe_profile_cached(sym.0, LEV_QGRAM_Q, &rendered)
-                            }
-                            None => matching.probe_profile_owned(LEV_QGRAM_Q, &rendered),
-                        };
-                        index.lev_candidate_values_into(profile, *k, qgram, &mut vids);
-                    }
-                    let verdicts = matching.lev_sweep_column(
-                        probe_sym.map(|s| s.0),
-                        &rendered,
-                        *k,
-                        p.pair_key(),
-                        vids.iter().map(|&vid| {
-                            let vid = vid as usize;
-                            (Some(col.syms[vid].0), &*col.texts[vid])
-                        }),
-                    );
-                    for i in verdicts.iter_ones() {
-                        out.extend_from_slice(index.owners(vids[i]));
-                    }
-                    qgram.restore_vids(vids);
-                } else {
+                // Column-at-a-time confirm: count-filter down to candidate
+                // *distinct values*, sweep them through one probe-compiled
+                // Myers pattern, and expand only the confirmed values to
+                // their owner rows. The sweep seeds the pair-verdict memo,
+                // so full premise verification replays these answers for
+                // free.
+                let mut vids = qgram.take_vids();
+                vids.clear();
+                {
+                    // The probe profile comes from the same symbol-keyed
+                    // cache premise verification uses — built once per
+                    // distinct probe value.
                     let profile = match probe_sym {
                         Some(sym) => matching.probe_profile_cached(sym.0, LEV_QGRAM_Q, &rendered),
                         None => matching.probe_profile_owned(LEV_QGRAM_Q, &rendered),
                     };
-                    index.candidates_lev_into(profile, *k, qgram, out);
+                    index.lev_candidate_values_into(profile, *k, qgram, &mut vids);
                 }
+                let verdicts = matching.lev_sweep_column(
+                    probe_sym.map(|s| s.0),
+                    &rendered,
+                    *k,
+                    p.pair_key(),
+                    vids.iter().map(|&vid| {
+                        let vid = vid as usize;
+                        (Some(col.syms[vid].0), &*col.texts[vid])
+                    }),
+                );
+                for i in verdicts.iter_ones() {
+                    out.extend_from_slice(index.owners(vids[i]));
+                }
+                qgram.restore_vids(vids);
             }
             Path::QGramCount {
                 premise,

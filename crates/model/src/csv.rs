@@ -75,14 +75,9 @@ pub enum CsvError {
     FieldCount { row: usize, want: usize, got: usize },
     /// A quoted field was never closed.
     UnterminatedQuote { row: usize },
-    /// Cell could not be parsed as the declared attribute type.
-    BadValue {
-        row: usize,
-        attr: String,
-        text: String,
-    },
-    /// The caller-supplied default confidence (or a parsed row) violated a
-    /// model invariant — out-of-range confidence, arity drift.
+    /// The caller-supplied default confidence, the header or a parsed row
+    /// violated a model invariant — out-of-range confidence, a repeated
+    /// attribute name, arity drift.
     Model(ModelError),
 }
 
@@ -94,12 +89,6 @@ impl std::fmt::Display for CsvError {
                 write!(f, "csv row {row}: expected {want} fields, found {got}")
             }
             CsvError::UnterminatedQuote { row } => write!(f, "csv row {row}: unterminated quote"),
-            CsvError::BadValue { row, attr, text } => {
-                write!(
-                    f,
-                    "csv row {row}: `{text}` is not a valid value for attribute {attr}"
-                )
-            }
             CsvError::Model(e) => write!(f, "csv ingest: {e}"),
         }
     }
@@ -115,69 +104,44 @@ impl From<ModelError> for CsvError {
 
 /// Parse CSV produced by [`to_csv`] back into a relation.
 ///
-/// The relation name and attribute types come from the caller: CSV headers
-/// carry names only. Every cell gets confidence `default_cf`, validated to
-/// `[0, 1]` ([`CsvError::Model`] otherwise — a typed error in release
-/// builds too, not a debug assertion).
+/// The relation is named `name`; its attributes are the header's fields,
+/// all of type [`ValueType::Str`]. Every cell gets confidence `default_cf`,
+/// validated to `[0, 1]`. A bad confidence or a repeated header name is a
+/// typed [`CsvError::Model`], never a panic.
 ///
 /// Rows stream straight into the relation's columnar store
 /// ([`Relation::try_push_row`]); no row tuples are materialized.
-pub fn from_csv(
-    name: &str,
-    types: &[ValueType],
-    input: &str,
-    default_cf: f64,
-) -> Result<Relation, CsvError> {
+pub fn from_csv(name: &str, input: &str, default_cf: f64) -> Result<Relation, CsvError> {
     if !(0.0..=1.0).contains(&default_cf) {
         return Err(CsvError::Model(ModelError::ConfidenceOutOfRange {
             cf: default_cf,
         }));
     }
-    let mut rows = parse_rows(input)?;
-    if rows.is_empty() {
-        return Err(CsvError::MissingHeader);
-    }
-    let header = rows.remove(0);
-    assert_eq!(
-        header.len(),
-        types.len(),
-        "caller supplied {} types for {} header columns",
-        types.len(),
-        header.len()
-    );
-    let schema = Arc::new(Schema::new(
+    let mut rows = parse_rows(input)?.into_iter();
+    let header = rows.next().ok_or(CsvError::MissingHeader)?;
+    let schema = Arc::new(Schema::try_new(
         name,
-        header.iter().cloned().zip(types.iter().copied()),
-    ));
+        header.into_iter().map(|a| (a, ValueType::Str)),
+    )?);
     let mut rel = Relation::empty(schema.clone());
-    for (i, row) in rows.into_iter().enumerate() {
-        let rownum = i + 1;
+    for (i, row) in rows.enumerate() {
         if row.len() != schema.arity() {
             return Err(CsvError::FieldCount {
-                row: rownum,
+                row: i + 1,
                 want: schema.arity(),
                 got: row.len(),
             });
         }
-        let mut vals = Vec::with_capacity(row.len());
-        for (j, field) in row.into_iter().enumerate() {
-            let v =
+        let vals: Vec<Value> = row
+            .into_iter()
+            .map(|field| {
                 if field == NULL_TOKEN {
                     Value::Null
                 } else {
-                    match types[j] {
-                        ValueType::Str => Value::from(field),
-                        ValueType::Int => field.parse::<i64>().map(Value::Int).map_err(|_| {
-                            CsvError::BadValue {
-                                row: rownum,
-                                attr: schema.attr_name(crate::AttrId::from(j)).to_string(),
-                                text: field.clone(),
-                            }
-                        })?,
-                    }
-                };
-            vals.push(v);
-        }
+                    Value::from(field)
+                }
+            })
+            .collect();
         rel.try_push_row(vals, default_cf)?;
     }
     Ok(rel)
@@ -250,7 +214,7 @@ mod tests {
     fn roundtrip_preserves_values() {
         let rel = sample();
         let csv = to_csv(&rel);
-        let back = from_csv("r", &[ValueType::Str, ValueType::Str], &csv, 0.5).unwrap();
+        let back = from_csv("r", &csv, 0.5).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(rel.diff_cells(&back), 0);
     }
@@ -267,7 +231,7 @@ mod tests {
         let rel = Relation::new(schema, vec![Tuple::of_strs(&["say \"hi\""], 0.0)]);
         let csv = to_csv(&rel);
         assert!(csv.contains("\"say \"\"hi\"\"\""));
-        let back = from_csv("r", &[ValueType::Str], &csv, 0.0).unwrap();
+        let back = from_csv("r", &csv, 0.0).unwrap();
         assert_eq!(
             back.tuple(crate::TupleId(0)).value(crate::AttrId(0)),
             &Value::str("say \"hi\"")
@@ -285,7 +249,7 @@ mod tests {
             Default::default(),
         );
         let csv = to_csv(&rel);
-        let back = from_csv("r", &[ValueType::Str], &csv, 0.0).unwrap();
+        let back = from_csv("r", &csv, 0.0).unwrap();
         assert!(back
             .tuple(crate::TupleId(0))
             .value(crate::AttrId(0))
@@ -293,32 +257,27 @@ mod tests {
     }
 
     #[test]
-    fn int_columns_parse() {
-        let csv = "A,B\nx,42\ny,-7\n";
-        let rel = from_csv("r", &[ValueType::Str, ValueType::Int], csv, 0.0).unwrap();
-        assert_eq!(
-            rel.tuple(crate::TupleId(1)).value(crate::AttrId(1)),
-            &Value::int(-7)
-        );
+    fn columns_come_from_the_parsed_header() {
+        let rel = from_csv("r", "\"AC,x\",city\n131,Edi\n", 0.0).unwrap();
+        assert_eq!(rel.schema().arity(), 2);
+        assert_eq!(rel.schema().attr_name(crate::AttrId(0)), "AC,x");
     }
 
     #[test]
-    fn bad_int_reports_row_and_attr() {
-        let csv = "A\nnot-a-number\n";
-        let err = from_csv("r", &[ValueType::Int], csv, 0.0).unwrap_err();
-        match err {
-            CsvError::BadValue { row, ref attr, .. } => {
-                assert_eq!(row, 1);
-                assert_eq!(attr, "A");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
+    fn duplicate_header_name_is_a_typed_error() {
+        assert_eq!(
+            from_csv("r", "A,B,A\nx,y,z\n", 0.0).unwrap_err(),
+            CsvError::Model(ModelError::DuplicateAttribute {
+                schema: "r".into(),
+                attr: "A".into()
+            })
+        );
     }
 
     #[test]
     fn field_count_mismatch_is_reported() {
         let csv = "A,B\nonly-one\n";
-        let err = from_csv("r", &[ValueType::Str, ValueType::Str], csv, 0.0).unwrap_err();
+        let err = from_csv("r", csv, 0.0).unwrap_err();
         assert_eq!(
             err,
             CsvError::FieldCount {
@@ -331,16 +290,13 @@ mod tests {
 
     #[test]
     fn empty_input_is_missing_header() {
-        assert_eq!(
-            from_csv("r", &[], "", 0.0).unwrap_err(),
-            CsvError::MissingHeader
-        );
+        assert_eq!(from_csv("r", "", 0.0).unwrap_err(), CsvError::MissingHeader);
     }
 
     #[test]
     fn crlf_is_tolerated() {
         let csv = "A,B\r\nx,y\r\n";
-        let rel = from_csv("r", &[ValueType::Str, ValueType::Str], csv, 0.0).unwrap();
+        let rel = from_csv("r", csv, 0.0).unwrap();
         assert_eq!(rel.len(), 1);
         assert_eq!(
             rel.tuple(crate::TupleId(0)).value(crate::AttrId(1)),
@@ -351,7 +307,7 @@ mod tests {
     #[test]
     fn final_row_without_newline_is_kept() {
         let csv = "A\nx\ny";
-        let rel = from_csv("r", &[ValueType::Str], csv, 0.0).unwrap();
+        let rel = from_csv("r", csv, 0.0).unwrap();
         assert_eq!(rel.len(), 2);
     }
 }

@@ -1,9 +1,11 @@
 //! Typed errors for relation and cell construction.
 //!
 //! Everything a data producer can get wrong — a row whose arity does not
-//! match the schema, a confidence outside `[0, 1]` — surfaces as a
+//! match the schema, a confidence outside `[0, 1]`, a header that repeats
+//! an attribute name — surfaces as a
 //! [`ModelError`] from the `try_*` constructors instead of a panic. The
-//! panicking constructors (`Relation::new`, `Relation::push`) are thin
+//! panicking constructors (`Relation::new`, `Relation::push`,
+//! `Schema::new`) are thin
 //! wrappers that `panic!` with these errors' `Display` text; ingest paths
 //! (CSV, session batches) use the typed variants.
 
@@ -26,6 +28,13 @@ pub enum ModelError {
         /// The offending confidence.
         cf: f64,
     },
+    /// Two attributes of one schema share a name.
+    DuplicateAttribute {
+        /// The relation name.
+        schema: String,
+        /// The repeated attribute name.
+        attr: String,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -41,6 +50,9 @@ impl fmt::Display for ModelError {
             ),
             ModelError::ConfidenceOutOfRange { cf } => {
                 write!(f, "confidence {cf} out of [0,1]")
+            }
+            ModelError::DuplicateAttribute { schema, attr } => {
+                write!(f, "duplicate attribute `{attr}` in schema `{schema}`")
             }
         }
     }

@@ -8,6 +8,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::error::ModelError;
 use crate::pos::AttrId;
 
 /// Declared type of an attribute domain.
@@ -40,13 +41,21 @@ impl Schema {
     /// Build a schema from `(attribute name, type)` pairs.
     ///
     /// # Panics
-    /// Panics if two attributes share a name — schemas are static
-    /// configuration, so a duplicate is a programming error, not a runtime
-    /// condition.
+    /// Panics if two attributes share a name. Names that come from input —
+    /// a CSV header, a wire `open` — go through [`Schema::try_new`].
     pub fn new(
         name: impl Into<String>,
         attrs: impl IntoIterator<Item = (impl Into<String>, ValueType)>,
     ) -> Self {
+        Self::try_new(name, attrs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Schema::new`] with a repeated attribute name reported as
+    /// [`ModelError::DuplicateAttribute`] instead of a panic.
+    pub fn try_new(
+        name: impl Into<String>,
+        attrs: impl IntoIterator<Item = (impl Into<String>, ValueType)>,
+    ) -> Result<Self, ModelError> {
         let name = name.into();
         let attrs: Vec<AttrDef> = attrs
             .into_iter()
@@ -54,19 +63,18 @@ impl Schema {
             .collect();
         let mut by_name = HashMap::with_capacity(attrs.len());
         for (i, a) in attrs.iter().enumerate() {
-            let prev = by_name.insert(a.name.clone(), AttrId::from(i));
-            assert!(
-                prev.is_none(),
-                "duplicate attribute `{}` in schema `{}`",
-                a.name,
-                name
-            );
+            if by_name.insert(a.name.clone(), AttrId::from(i)).is_some() {
+                return Err(ModelError::DuplicateAttribute {
+                    schema: name,
+                    attr: a.name.clone(),
+                });
+            }
         }
-        Schema {
+        Ok(Schema {
             name,
             attrs,
             by_name,
-        }
+        })
     }
 
     /// Convenience constructor: every attribute is a string.
@@ -193,6 +201,18 @@ mod tests {
     #[should_panic(expected = "duplicate attribute")]
     fn duplicate_attributes_rejected() {
         Schema::new("r", [("A", ValueType::Str), ("A", ValueType::Str)]);
+    }
+
+    #[test]
+    fn try_new_types_a_duplicate_attribute() {
+        let err = Schema::try_new("r", [("A", ValueType::Str), ("A", ValueType::Int)]).unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::DuplicateAttribute {
+                schema: "r".into(),
+                attr: "A".into()
+            }
+        );
     }
 
     #[test]

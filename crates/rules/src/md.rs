@@ -109,8 +109,9 @@ impl MatchScratch {
     /// [`Md::premise_matches_with`] verification replays the columnar
     /// verdict instead of re-running a kernel. Levenshtein is symmetric,
     /// so the flipped pattern direction (probe-compiled here vs.
-    /// master-compiled in the per-value path) cannot change any verdict —
-    /// the differential tests pin this.
+    /// master-compiled when [`Md::premise_matches_with`] runs the kernel
+    /// itself, as a full scan does) cannot change any verdict —
+    /// `tests/access_paths.rs` pins the sweep against the full scan.
     pub fn lev_sweep_column<I, T>(
         &mut self,
         probe_sym: Option<u32>,

@@ -27,7 +27,7 @@ use uniclean_core::{
     CleanConfig, CleanError, CleanResult, Cleaner, MasterSource, Phase, RepairState,
 };
 use uniclean_model::json::batch_from_json;
-use uniclean_model::{Json, Relation, Schema, Tuple};
+use uniclean_model::{Json, Relation, Schema, Tuple, ValueType};
 use uniclean_rules::{parse_rules, RuleSet};
 
 use crate::protocol::{clean_error, error, json_error, OpenSpec};
@@ -149,17 +149,11 @@ impl Tenant {
     /// cleaner → empty initial state. `Err` carries the ready-to-send
     /// error response.
     pub(crate) fn open(spec: &OpenSpec, shards: usize) -> Result<Tenant, Json> {
-        let schema = Schema::of_strings(
-            &spec.table,
-            &spec.attrs.iter().map(String::as_str).collect::<Vec<_>>(),
-        );
+        let schema = str_schema(&spec.table, &spec.attrs)?;
         let (master_schema, master_source) = match &spec.master {
             None => (None, MasterSource::None),
             Some(m) => {
-                let ms = Schema::of_strings(
-                    &m.table,
-                    &m.attrs.iter().map(String::as_str).collect::<Vec<_>>(),
-                );
+                let ms = str_schema(&m.table, &m.attrs)?;
                 let source = match &m.rows {
                     // No rows ⇒ match against a snapshot of the data itself.
                     None => MasterSource::SelfSnapshot,
@@ -393,6 +387,14 @@ impl Registry {
     }
 }
 
+/// The all-string schema an `open` declares. Its names come off the wire,
+/// so a repeated one is a `bad_request`, not a panic.
+fn str_schema(table: &str, attrs: &[String]) -> Result<Arc<Schema>, Json> {
+    Schema::try_new(table, attrs.iter().map(|a| (a.as_str(), ValueType::Str)))
+        .map(Arc::new)
+        .map_err(|e| error("bad_request", e.to_string()))
+}
+
 /// Create a fresh tenant directory + WAL with its `open` record, fsync'd
 /// through to the data root so a post-ack crash finds it. Also the
 /// storage path for a standby bootstrapping a tenant from a streamed
@@ -427,6 +429,7 @@ pub(crate) fn create_tenant_storage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::MasterSpec;
 
     fn spec(relation: &str, rules: &str) -> OpenSpec {
         OpenSpec {
@@ -467,6 +470,18 @@ mod tests {
             Ok(_) => panic!("open unexpectedly succeeded"),
         };
         assert_eq!(code(&spec("bad", "cfd oops(")), "rule_parse");
+        // Attribute names come off the wire: a repeated one, in the data
+        // or the master schema, is a bad request, not a panic.
+        let mut twice = spec("twice", "");
+        twice.attrs.push("AC".to_string());
+        assert_eq!(code(&twice), "bad_request");
+        let mut master_twice = spec("master_twice", "");
+        master_twice.master = Some(MasterSpec {
+            table: "master".to_string(),
+            attrs: vec!["K".to_string(), "K".to_string()],
+            rows: None,
+        });
+        assert_eq!(code(&master_twice), "bad_request");
         // MDs without any master spec: rejected at parse (no master schema
         // to resolve the rule against).
         assert_eq!(

@@ -282,16 +282,17 @@ impl MyersPattern {
     ///   resolved once for the whole column;
     /// - `scratch` provides the block vectors, so the sweep allocates
     ///   nothing beyond the verdict bitmap's words;
-    /// - when the pattern is ASCII with `m ≤ 64` and AVX2 is active
-    ///   ([`crate::simd::active_level`]), ASCII texts are swept **four per
-    ///   vector register**: the scalar Myers recurrence is latency-bound on
-    ///   its serial word operations, so running four independent texts
-    ///   through one carry chain recovers most of that dead issue width.
+    /// - when the pattern is ASCII with `m ≤ 64` and the CPU has AVX2
+    ///   ([`crate::simd::detected_level`]), ASCII texts are swept **eight
+    ///   at a time** in two groups of four u64 lanes: the scalar Myers
+    ///   recurrence is latency-bound on its serial word operations, so
+    ///   running independent texts through one carry chain recovers most of
+    ///   that dead issue width. A partial batch of fewer than eight texts
+    ///   takes the scalar single-word kernel.
     ///
     /// Verdicts are **bit-identical** to calling [`Self::distance_bounded`]
-    /// per text (`is_some()`), at any dispatch level — the per-value path
-    /// stays available as the differential oracle and the
-    /// `UNICLEAN_FORCE_SCALAR` fallback. (The lane kernel keeps the exact
+    /// per text (`is_some()`), at any dispatch level — the per-text kernel
+    /// is the sweep's differential oracle. (The lane kernel keeps the exact
     /// per-lane Ukkonen cutoff and snapshots each lane's score the step its
     /// text ends, so even the early exits agree with the scalar kernel.)
     pub fn distance_column<I>(
@@ -310,7 +311,7 @@ impl MyersPattern {
         let lanes = single
             && self.chars.is_empty()
             && self.m > 0
-            && crate::simd::active_level() == crate::simd::SimdLevel::Avx2;
+            && crate::simd::detected_level() == crate::simd::SimdLevel::Avx2;
         #[cfg(not(target_arch = "x86_64"))]
         let lanes = false;
         // Lane staging area: verdict slot + the text waiting to be swept.
@@ -375,7 +376,7 @@ impl MyersPattern {
                     .as_bytes()
             });
             // SAFETY: `distance_column` only stages lanes after
-            // `active_level()` confirmed AVX2 support on this CPU.
+            // `detected_level()` confirmed AVX2 support on this CPU.
             let verdicts = unsafe { lanes::sweep_avx2(&self.peq, self.m, max, texts) };
             for (slot, hit) in buf.iter_mut().zip(verdicts) {
                 let (idx, _) = slot.take().expect("staged lane");
@@ -940,39 +941,72 @@ mod tests {
         }
     }
 
+    /// A text the AVX2 lanes take for `pattern`: ASCII, non-empty, and
+    /// `len_delta` characters longer or shorter (clamped to one character,
+    /// which keeps it inside a window of `|len_delta|`). `kind` sets how
+    /// far it lands, so lanes finish and die at different steps: 0 = the
+    /// pattern with `noise` written over spread positions (a near miss),
+    /// 1 = the pattern itself, 2 = the pattern reversed, 3 = `noise`
+    /// padded with `y`, 4 = all `z` (no shared character).
+    fn lane_text(pattern: &str, kind: usize, noise: &str, len_delta: isize) -> String {
+        let m = pattern.len();
+        let n = (m as isize + len_delta).max(1) as usize;
+        let mut t: Vec<u8> = match kind % 5 {
+            0 => {
+                let mut t = pattern.as_bytes().to_vec();
+                for (i, b) in noise.bytes().enumerate() {
+                    t[(i * 7 + 3) % m] = b;
+                }
+                t
+            }
+            1 => pattern.as_bytes().to_vec(),
+            2 => pattern.bytes().rev().collect(),
+            3 => noise.as_bytes().to_vec(),
+            _ => vec![b'z'; n],
+        };
+        t.resize(n, b'y');
+        String::from_utf8(t).expect("ASCII text")
+    }
+
     #[test]
     fn lane_sweep_matches_scalar_across_batch_seams() {
-        // ASCII single-word patterns route eligible texts through the
-        // 4-lane AVX2 sweep (where supported). Exercise every batching
-        // seam: column lengths 0..=9 (remainders 1–3), texts interleaved
-        // with non-ASCII (scalar path) and length-filtered entries, lane
-        // texts of unequal lengths dying at different steps, and both
-        // forced dispatch settings pinned against `distance_bounded`.
-        use crate::simd::set_forced_scalar;
+        // Every column carries 8..=23 lane texts: one or two full 8-lane
+        // batches plus every remainder 0–7, which the scalar tail sweeps.
+        // Texts the lanes never take are interleaved: non-ASCII ones and
+        // ones outside the length window. Pattern lengths span the lane
+        // kernel's 1..=64 range.
         let mut scratch = EditScratch::new();
         let mut verdicts = ColumnVerdicts::new();
-        let pattern = "interaction between record matching and data repairing";
-        let pat = MyersPattern::new(pattern);
-        let texts: Vec<String> = (0..9)
-            .map(|i| match i % 4 {
-                0 => pattern.replacen('a', "x", i / 2), // near misses
-                1 => format!("{pattern}{}", "y".repeat(i)),
-                2 => "caf\u{e9} r\u{e9}cord matching".to_string(), // non-ASCII
-                _ => pattern.chars().rev().collect(),              // far miss, same length
-            })
+        let long: String = (0..64)
+            .map(|i| (b'a' + (i * 7 % 10) as u8) as char)
             .collect();
-        for take in 0..=texts.len() {
+        for pattern in [
+            "a",
+            "interaction between record matching and data repairing",
+            long.as_str(),
+        ] {
+            let pat = MyersPattern::new(pattern);
             for max in [0usize, 1, 2, 3, 8] {
-                for forced in [Some(false), Some(true)] {
-                    set_forced_scalar(forced);
-                    pat.distance_column(texts.iter().take(take), max, &mut scratch, &mut verdicts);
-                    set_forced_scalar(None);
-                    assert_eq!(verdicts.len(), take);
-                    for (i, t) in texts.iter().take(take).enumerate() {
+                for lanes in 8..=23usize {
+                    let mut texts: Vec<String> = Vec::new();
+                    for i in 0..lanes {
+                        if i % 3 == 1 {
+                            texts.push("caf\u{e9} r\u{e9}cord".to_string());
+                        }
+                        if i % 5 == 2 {
+                            texts.push("w".repeat(pattern.len() + max + 1));
+                        }
+                        let delta = (i % (2 * max + 1)) as isize - max as isize;
+                        texts.push(lane_text(pattern, i, &"dbca"[..i % 5 % 4], delta));
+                    }
+                    pat.distance_column(texts.iter(), max, &mut scratch, &mut verdicts);
+                    assert_eq!(verdicts.len(), texts.len());
+                    for (i, t) in texts.iter().enumerate() {
                         assert_eq!(
                             verdicts.get(i),
                             pat.distance_bounded(t, max, &mut scratch).is_some(),
-                            "take={take} max={max} forced={forced:?} text={i}"
+                            "m={} max={max} lanes={lanes} text={i} {t:?}",
+                            pattern.len()
                         );
                     }
                 }
@@ -1050,23 +1084,35 @@ mod tests {
             }
         }
 
-        /// ASCII columns long enough to engage the 4-lane sweep (and its
-        /// per-lane Ukkonen cutoffs) agree with the reference DP.
+        /// Columns of 8..24 lane texts (so at least one full AVX2 batch and
+        /// a random remainder) mixing hits, near misses and far misses of
+        /// shifted lengths, plus one non-ASCII and one out-of-window text
+        /// the lanes skip, agree with the reference DP.
         #[test]
         fn lane_sweep_matches_reference_ascii(
-            pattern in "[a-d]{1,60}",
-            texts in proptest::collection::vec("[a-d]{0,64}", 1..11),
+            pattern in "[a-d]{1,64}",
+            lanes in proptest::collection::vec((0usize..5, "[a-d]{0,6}", 0usize..13), 8..24),
             max in 0usize..7,
         ) {
+            let mut texts: Vec<String> = lanes
+                .iter()
+                .map(|(kind, noise, d)| {
+                    let delta = (d % (2 * max + 1)) as isize - max as isize;
+                    lane_text(&pattern, *kind, noise, delta)
+                })
+                .collect();
+            texts.insert(3, "\u{e9}".repeat(pattern.len()));
+            texts.insert(5, "a".repeat(pattern.len() + max + 1));
             let pat = MyersPattern::new(&pattern);
             let mut scratch = EditScratch::new();
             let mut verdicts = ColumnVerdicts::new();
             pat.distance_column(texts.iter(), max, &mut scratch, &mut verdicts);
+            prop_assert_eq!(verdicts.len(), texts.len());
             for (i, t) in texts.iter().enumerate() {
                 prop_assert_eq!(
                     verdicts.get(i),
                     reference::levenshtein_bounded_dp(&pattern, t, max).is_some(),
-                    "text {}", i
+                    "text {} {:?}", i, t
                 );
             }
         }

@@ -14,13 +14,12 @@
 //! small scratch internally.
 //!
 //! ASCII pairs whose second string fits 64 characters take a bitset fast
-//! path (gated on [`crate::simd::accelerated`]): per-character position
-//! masks replace the per-character flag scan, so claiming the first
-//! unclaimed match inside the window is one `and`/`trailing_zeros` instead
-//! of a loop. The greedy claim order — and therefore `m`, `t` and the final
-//! f64 expression — is exactly the scalar kernel's, so scores stay
-//! bit-for-bit identical and the flag-scan survives as the differential
-//! oracle behind `UNICLEAN_FORCE_SCALAR`.
+//! path: per-character position masks replace the per-character flag scan,
+//! so claiming the first unclaimed match inside the window is one
+//! `and`/`trailing_zeros` instead of a loop. The greedy claim order — and
+//! therefore `m`, `t` and the final f64 expression — is exactly the scalar
+//! kernel's, so scores stay bit-for-bit identical. The flag scan serves
+//! every other input shape and is the bitset path's differential oracle.
 
 /// Reusable buffers for the Jaro kernels. One per probe thread.
 #[derive(Debug, Default, Clone)]
@@ -136,7 +135,7 @@ fn jaro_bitset_ascii(av: &[u8], bv: &[u8], scratch: &mut JaroScratch) -> f64 {
 pub fn jaro_with(a: &str, b: &str, scratch: &mut JaroScratch) -> f64 {
     if a.is_ascii() && b.is_ascii() {
         let (av, bv) = (a.as_bytes(), b.as_bytes());
-        if !av.is_empty() && !bv.is_empty() && bv.len() <= 64 && crate::simd::accelerated() {
+        if !av.is_empty() && !bv.is_empty() && bv.len() <= 64 {
             return jaro_bitset_ascii(av, bv, scratch);
         }
         return jaro_core(av, bv, scratch);

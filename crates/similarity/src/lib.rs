@@ -13,11 +13,10 @@
 //! * [`jaro`](mod@jaro) — Jaro and Jaro-Winkler similarity (byte-slice fast
 //!   path, u64-bitset window matcher, [`JaroScratch`] buffer reuse);
 //! * [`qgram`] — q-gram profiles and Jaccard similarity over them
-//!   ([`ProfileScratch`] buffer reuse, SIMD byte-window hashing for ASCII,
-//!   the [`ProfilePool`] arena behind the batched index build);
-//! * [`simd`] — runtime kernel dispatch: CPU feature detection, the
-//!   `UNICLEAN_FORCE_SCALAR` kill switch, and the vectorized FNV window
-//!   hashers (every level bit-identical to the scalar engine);
+//!   ([`ProfileScratch`] buffer reuse, SIMD byte-window hashing for ASCII);
+//! * [`simd`] — runtime kernel dispatch on the detected CPU and the input
+//!   shape, and the vectorized FNV window hashers (every level
+//!   bit-identical to the scalar engine);
 //! * [`predicate`] — the [`SimilarityPredicate`] type used inside MDs and
 //!   the caller-owned [`SimScratch`];
 //! * [`qgram_index`] — a count-filtered q-gram inverted index giving the
@@ -39,7 +38,7 @@ pub use edit_distance::{
 };
 pub use jaro::{jaro, jaro_winkler, jaro_winkler_with, jaro_with, JaroScratch};
 pub use predicate::{SimScratch, SimilarityPredicate};
-pub use qgram::{qgram_jaccard, ProfileArena, ProfilePool, ProfileScratch, QGramProfile};
+pub use qgram::{qgram_jaccard, ProfileScratch, QGramProfile};
 pub use qgram_index::{
     jaro_length_window, jaro_overlap_bound, lev_count_bound, lev_length_window,
     qgram_length_window, qgram_overlap_bound, QGramIndex, QGramScratch,

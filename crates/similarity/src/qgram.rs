@@ -16,9 +16,7 @@
 //! a lost match).
 //!
 //! ASCII window hashing dispatches through [`crate::simd`] — multiple FNV
-//! lanes per vector on AVX2/SSE4.2, bit-identical to the scalar chain — and
-//! the batched index build recycles whole profile vectors through
-//! [`ProfilePool`] instead of allocating per chunk.
+//! lanes per vector on AVX2/SSE4.2, bit-identical to the scalar chain.
 
 /// Sentinel used to pad string boundaries; outside any realistic alphabet.
 const PAD: char = '\u{1}';
@@ -196,123 +194,6 @@ pub fn qgram_jaccard(a: &str, b: &str, q: usize) -> f64 {
     QGramProfile::new(a, q).jaccard(&QGramProfile::new(b, q))
 }
 
-/// A reusable profile-build arena: one [`ProfileScratch`] plus a vector of
-/// [`QGramProfile`]s whose per-profile run allocations are retained across
-/// batches (profiles are rebuilt in place, never dropped). Checked out of
-/// the global [`ProfilePool`] by the batched index build.
-#[derive(Debug, Default)]
-pub struct ProfileArena {
-    scratch: ProfileScratch,
-    profiles: Vec<QGramProfile>,
-    /// Logical length of the current batch; `profiles[len..]` are warm
-    /// spares kept for their capacity.
-    len: usize,
-}
-
-impl ProfileArena {
-    /// Start a new batch, keeping every profile allocation for reuse.
-    pub fn begin(&mut self) {
-        self.len = 0;
-    }
-
-    /// Append the profile of `s` to the current batch, rebuilding a retired
-    /// profile in place when one is available.
-    pub fn push(&mut self, s: &str, q: usize) {
-        if self.len < self.profiles.len() {
-            self.profiles[self.len].rebuild(s, q, &mut self.scratch);
-        } else {
-            self.profiles
-                .push(QGramProfile::new_with(s, q, &mut self.scratch));
-        }
-        self.len += 1;
-    }
-
-    /// The profiles of the current batch, in push order.
-    pub fn profiles(&self) -> &[QGramProfile] {
-        &self.profiles[..self.len]
-    }
-}
-
-/// Process-wide bounded pool of [`ProfileArena`]s. Without it the batched
-/// `from_parts` index build would allocate a fresh profile vector (and
-/// every per-profile run vector inside it) per rebuild; rounds of
-/// self-matching rebuild the master index every round, and concurrent
-/// sessions each build their own, so the arenas are recycled here.
-#[derive(Debug, Default)]
-pub struct ProfilePool {
-    arenas: std::sync::Mutex<Vec<ProfileArena>>,
-}
-
-/// Arenas retained by the pool at most; checkouts beyond this are built
-/// fresh and dropped on return. Bounds worst-case idle memory while
-/// covering any realistic number of concurrent builds.
-const MAX_POOLED_ARENAS: usize = 32;
-
-impl ProfilePool {
-    /// The process-wide pool.
-    pub fn global() -> &'static ProfilePool {
-        static POOL: std::sync::OnceLock<ProfilePool> = std::sync::OnceLock::new();
-        POOL.get_or_init(ProfilePool::default)
-    }
-
-    /// Check out an arena (recycled if one is pooled, fresh otherwise),
-    /// ready for a new batch. Returned to the pool when the guard drops.
-    pub fn checkout(&'static self) -> PooledArena {
-        let mut arena = self
-            .arenas
-            .lock()
-            .expect("profile pool lock")
-            .pop()
-            .unwrap_or_default();
-        arena.begin();
-        PooledArena {
-            pool: self,
-            arena: Some(arena),
-        }
-    }
-
-    fn give_back(&self, arena: ProfileArena) {
-        let mut arenas = self.arenas.lock().expect("profile pool lock");
-        if arenas.len() < MAX_POOLED_ARENAS {
-            arenas.push(arena);
-        }
-    }
-
-    /// Number of arenas currently idle in the pool (test/bench observability).
-    pub fn idle(&self) -> usize {
-        self.arenas.lock().expect("profile pool lock").len()
-    }
-}
-
-/// Checkout guard for a pooled [`ProfileArena`]; derefs to the arena and
-/// returns it to the pool on drop.
-#[derive(Debug)]
-pub struct PooledArena {
-    pool: &'static ProfilePool,
-    arena: Option<ProfileArena>,
-}
-
-impl std::ops::Deref for PooledArena {
-    type Target = ProfileArena;
-    fn deref(&self) -> &ProfileArena {
-        self.arena.as_ref().expect("arena present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledArena {
-    fn deref_mut(&mut self) -> &mut ProfileArena {
-        self.arena.as_mut().expect("arena present until drop")
-    }
-}
-
-impl Drop for PooledArena {
-    fn drop(&mut self) {
-        if let Some(arena) = self.arena.take() {
-            self.pool.give_back(arena);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,35 +278,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn arena_rebuilds_profiles_in_place() {
-        let mut arena = ProfileArena::default();
-        arena.begin();
-        for s in ["banana", "bandana", ""] {
-            arena.push(s, 2);
-        }
-        assert_eq!(arena.profiles().len(), 3);
-        assert_eq!(arena.profiles()[1], QGramProfile::new("bandana", 2));
-        // A second, shorter batch truncates logically but keeps capacity.
-        arena.begin();
-        arena.push("cab", 3);
-        assert_eq!(arena.profiles().len(), 1);
-        assert_eq!(arena.profiles()[0], QGramProfile::new("cab", 3));
-    }
-
-    #[test]
-    fn pool_recycles_arenas() {
-        let pool = ProfilePool::global();
-        {
-            let mut arena = pool.checkout();
-            arena.push("warm", 2);
-        }
-        let idle = pool.idle();
-        assert!(idle >= 1, "returned arena should be pooled, idle={idle}");
-        let arena = pool.checkout();
-        assert_eq!(arena.profiles().len(), 0, "checkout starts a fresh batch");
     }
 
     proptest! {

@@ -33,7 +33,8 @@
 //! `lev(u, v) ≤ k`, the padded profiles share at least
 //! `max(|u|,|v|) + q − 1 − k·q` grams (multiset) — [`lev_count_bound`].
 //! Combined with the `|lb − la| ≤ k` length filter this gives `~lev` a
-//! *complete* inverted-list access path ([`QGramIndex::candidates_lev_into`]),
+//! *complete* inverted-list access path
+//! ([`QGramIndex::lev_candidate_values_into`]),
 //! which retired the paper's top-`l` LCS suffix-tree retrieval: top-`l` was
 //! an approximation (it could miss the `l+1`-th true match), the count
 //! bound never misses. PAD collisions between probe and master padding only
@@ -44,11 +45,10 @@
 //! `j ≤ 1/3`, `k·q ≥ la + q − 1` — fall back to length-window or full
 //! enumeration). Candidates still require full predicate verification.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::qgram::QGramProfile;
+use crate::qgram::{ProfileScratch, QGramProfile};
 
 /// Slack protecting the conservative direction of the float bounds: a
 /// rounding error may only ever *admit* one extra candidate, never prune a
@@ -208,80 +208,24 @@ pub struct QGramIndex {
 }
 
 impl QGramIndex {
-    /// Build over `(row, rendered value)` pairs — typically a columnar
-    /// scan that borrows straight out of the store and skips nulls.
-    /// `rows` is the total master size (degenerate probes answer "all
-    /// rows" even when some were skipped... they are then pruned by
-    /// verification, so including them is the conservative choice).
-    pub fn build<'a, I>(column: I, rows: usize, q: usize) -> Self
-    where
-        I: IntoIterator<Item = (u32, Cow<'a, str>)>,
-    {
+    /// Build over the distinct rendered values of one column, in id order:
+    /// `owners[id]` lists the rows carrying `values[id]` (ascending). Null
+    /// cells are the caller's to skip. `rows` is the total column size —
+    /// degenerate probes answer "all rows", including skipped ones, which
+    /// verification then prunes (the conservative choice).
+    pub fn new<S: AsRef<str>>(values: &[S], owners: Vec<Vec<u32>>, rows: usize, q: usize) -> Self {
         assert!(q >= 1, "q-gram size must be at least 1");
-        let mut ids: HashMap<Box<str>, u32> = HashMap::new();
+        assert_eq!(values.len(), owners.len(), "one owner list per value");
         let mut postings: GramMap<Vec<(u32, u32)>> = GramMap::default();
-        let mut owners: Vec<Vec<u32>> = Vec::new();
-        let mut lens: Vec<u32> = Vec::new();
+        let mut lens: Vec<u32> = Vec::with_capacity(values.len());
         let mut gram_flat: Vec<(u64, u32)> = Vec::new();
-        let mut gram_off: Vec<u32> = vec![0];
-        let mut empty_values: Vec<u32> = Vec::new();
-        for (row, v) in column {
-            let id = match ids.get(v.as_ref()) {
-                Some(&id) => id,
-                None => {
-                    let id = owners.len() as u32;
-                    let profile = QGramProfile::new(&v, q);
-                    lens.push(profile.len() as u32);
-                    if profile.is_empty() {
-                        empty_values.push(id);
-                    }
-                    for &(g, c) in profile.grams() {
-                        postings.entry(g).or_default().push((id, c));
-                    }
-                    gram_flat.extend_from_slice(profile.grams());
-                    gram_off.push(gram_flat.len() as u32);
-                    ids.insert(Box::from(v.as_ref()), id);
-                    owners.push(Vec::new());
-                    id
-                }
-            };
-            owners[id as usize].push(row);
-        }
-        QGramIndex {
-            q,
-            postings,
-            owners,
-            lens,
-            gram_flat,
-            gram_off,
-            empty_values,
-            rows,
-        }
-    }
-
-    /// Assemble an index from pre-built per-distinct-value parts — the
-    /// entry point of the batched column-at-once builder, which hashes each
-    /// distinct interned value exactly once (into a pooled
-    /// [`crate::qgram::ProfileArena`]) and hands the profiles here.
-    /// `owners[id]` lists the master rows carrying distinct value `id`
-    /// (ascending); the `id`-th yielded profile is that value's profile —
-    /// only *borrowed*: the index copies the gram runs into its postings
-    /// and flattened profiles, so the arena keeps its allocations for the
-    /// next rebuild. Equivalent to [`QGramIndex::build`] over the expanded
-    /// column.
-    pub fn from_parts<'a, I>(profiles: I, owners: Vec<Vec<u32>>, rows: usize, q: usize) -> Self
-    where
-        I: IntoIterator<Item = &'a QGramProfile>,
-    {
-        let mut postings: GramMap<Vec<(u32, u32)>> = GramMap::default();
-        let mut lens: Vec<u32> = Vec::with_capacity(owners.len());
-        let mut gram_flat: Vec<(u64, u32)> = Vec::new();
-        let mut gram_off: Vec<u32> = Vec::with_capacity(owners.len() + 1);
+        let mut gram_off: Vec<u32> = Vec::with_capacity(values.len() + 1);
         gram_off.push(0);
         let mut empty_values: Vec<u32> = Vec::new();
-        let mut count = 0usize;
-        for (id, profile) in profiles.into_iter().enumerate() {
-            assert_eq!(profile.q(), q, "profile q must match the index q");
+        let mut scratch = ProfileScratch::new();
+        let mut profile = QGramProfile::default();
+        for (id, v) in values.iter().enumerate() {
+            profile.rebuild(v.as_ref(), q, &mut scratch);
             lens.push(profile.len() as u32);
             if profile.is_empty() {
                 empty_values.push(id as u32);
@@ -291,9 +235,7 @@ impl QGramIndex {
             }
             gram_flat.extend_from_slice(profile.grams());
             gram_off.push(gram_flat.len() as u32);
-            count += 1;
         }
-        assert_eq!(count, owners.len(), "one profile per value");
         QGramIndex {
             q,
             postings,
@@ -521,9 +463,13 @@ impl QGramIndex {
         });
     }
 
-    /// Append every master row whose value can be within edit distance `k`
-    /// of the probe (a complete superset of the true match set; order
-    /// unspecified, rows unique). `probe.q()` must equal the index's `q`.
+    /// Append every distinct value id whose value can be within edit
+    /// distance `k` of the probe (a complete superset of the true match
+    /// set; ascending, unique). `probe.q()` must equal the index's `q`.
+    /// The column-at-a-time Myers driver sweeps one compiled probe pattern
+    /// over these values — each distinct value is verified once, however
+    /// many rows carry it — and then expands survivors through
+    /// [`QGramIndex::owners`].
     ///
     /// Non-degenerate probes (`la + q − 1 > k·q`) use count filtering: a
     /// candidate of `lb` characters must share at least
@@ -532,28 +478,6 @@ impl QGramIndex {
     /// strings where the bound can vanish inside the `±k` length window)
     /// fall back to enumerating every value in the window — still bounded
     /// by length, never by gram overlap.
-    pub fn candidates_lev_into(
-        &self,
-        probe: &QGramProfile,
-        k: usize,
-        scratch: &mut QGramScratch,
-        out: &mut Vec<u32>,
-    ) {
-        let mut vids = std::mem::take(&mut scratch.vids);
-        vids.clear();
-        self.lev_candidate_values_into(probe, k, scratch, &mut vids);
-        for &vid in &vids {
-            out.extend_from_slice(&self.owners[vid as usize]);
-        }
-        scratch.vids = vids;
-    }
-
-    /// The distinct-value form of [`QGramIndex::candidates_lev_into`]:
-    /// append every distinct value id whose value can be within edit
-    /// distance `k` of the probe (ascending, unique). The column-at-a-time
-    /// Myers driver sweeps one compiled probe pattern over these values —
-    /// each distinct value is verified once, however many rows carry it —
-    /// and then expands survivors through [`QGramIndex::owners`].
     pub fn lev_candidate_values_into(
         &self,
         probe: &QGramProfile,
@@ -640,14 +564,21 @@ mod tests {
     use crate::qgram::qgram_jaccard;
     use proptest::prelude::*;
 
+    /// Index `col` the way the engine does: distinct values in
+    /// first-appearance order, each with its ascending owner rows.
     fn index(col: &[&str], q: usize) -> QGramIndex {
-        QGramIndex::build(
-            col.iter()
-                .enumerate()
-                .map(|(i, s)| (i as u32, Cow::Borrowed(*s))),
-            col.len(),
-            q,
-        )
+        let mut values: Vec<&str> = Vec::new();
+        let mut owners: Vec<Vec<u32>> = Vec::new();
+        for (row, v) in col.iter().enumerate() {
+            match values.iter().position(|x| x == v) {
+                Some(id) => owners[id].push(row as u32),
+                None => {
+                    values.push(v);
+                    owners.push(vec![row as u32]);
+                }
+            }
+        }
+        QGramIndex::new(&values, owners, col.len(), q)
     }
 
     fn jaccard_candidates(idx: &QGramIndex, probe: &str, min: f64) -> Vec<u32> {
@@ -671,15 +602,22 @@ mod tests {
         out
     }
 
+    /// Row candidates of a `~lev` probe: the candidate values, checked
+    /// sorted and unique, expanded through their owners.
     fn lev_candidates(idx: &QGramIndex, probe: &str, k: usize) -> Vec<u32> {
         let mut scratch = QGramScratch::new();
-        let mut out = Vec::new();
-        idx.candidates_lev_into(
+        let mut vids = Vec::new();
+        idx.lev_candidate_values_into(
             &QGramProfile::new(probe, idx.q()),
             k,
             &mut scratch,
-            &mut out,
+            &mut vids,
         );
+        assert!(vids.windows(2).all(|w| w[0] < w[1]), "sorted unique vids");
+        let mut out: Vec<u32> = vids
+            .iter()
+            .flat_map(|&v| idx.owners(v).iter().copied())
+            .collect();
         out.sort_unstable();
         out
     }
@@ -721,67 +659,6 @@ mod tests {
         assert_eq!(lev_candidates(&idx, "a", 1), vec![0, 1, 2]);
         // Empty probe, k=1: only lengths ≤ 1 survive.
         assert_eq!(lev_candidates(&idx, "", 1), vec![0, 1]);
-    }
-
-    #[test]
-    fn from_parts_equals_build() {
-        let col = ["Smith", "Smyth", "", "Smith", "Brady"];
-        let built = index(&col, 2);
-        // Dedup in first-appearance order, as the batched builder does.
-        let mut values: Vec<&str> = Vec::new();
-        let mut owners: Vec<Vec<u32>> = Vec::new();
-        for (row, v) in col.iter().enumerate() {
-            match values.iter().position(|x| x == v) {
-                Some(id) => owners[id].push(row as u32),
-                None => {
-                    values.push(v);
-                    owners.push(vec![row as u32]);
-                }
-            }
-        }
-        let profiles: Vec<QGramProfile> = values.iter().map(|v| QGramProfile::new(v, 2)).collect();
-        let assembled = QGramIndex::from_parts(profiles.iter(), owners, col.len(), 2);
-        for probe in ["Smith", "Smit", "", "zzz"] {
-            for k in 0..3 {
-                assert_eq!(
-                    lev_candidates(&built, probe, k),
-                    lev_candidates(&assembled, probe, k),
-                    "probe={probe:?} k={k}"
-                );
-            }
-            let mut s1 = QGramScratch::new();
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            let p = QGramProfile::new(probe, 2);
-            built.candidates_jaccard_into(&p, 0.4, &mut s1, &mut a);
-            assembled.candidates_jaccard_into(&p, 0.4, &mut s1, &mut b);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "jaccard probe={probe:?}");
-        }
-    }
-
-    #[test]
-    fn lev_value_candidates_expand_to_row_candidates() {
-        let idx = index(&["Smith", "Smyth", "Smith", "Brady", ""], 2);
-        let mut scratch = QGramScratch::new();
-        for probe in ["Smith", "Smit", "", "zzz"] {
-            for k in 0..3 {
-                let p = QGramProfile::new(probe, 2);
-                let mut vids = Vec::new();
-                idx.lev_candidate_values_into(&p, k, &mut scratch, &mut vids);
-                assert!(vids.windows(2).all(|w| w[0] < w[1]), "sorted unique vids");
-                let mut expanded: Vec<u32> = vids
-                    .iter()
-                    .flat_map(|&v| idx.owners(v).iter().copied())
-                    .collect();
-                expanded.sort_unstable();
-                assert_eq!(
-                    expanded,
-                    lev_candidates(&idx, probe, k),
-                    "probe={probe:?} k={k}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,26 +1,21 @@
 //! Runtime SIMD dispatch for the similarity kernels.
 //!
 //! Every accelerated path in this crate is an *implementation detail* of the
-//! scalar engine: same inputs, bit-for-bit the same outputs, chosen at
-//! runtime from what the CPU offers. This module owns that choice:
+//! scalar engine: same inputs, bit-for-bit the same outputs. Each kernel is
+//! chosen from two things only — the CPU and the shape of the input:
 //!
 //! - [`detected_level`] probes the CPU once (`is_x86_feature_detected!`) and
 //!   caches the answer; non-x86_64 targets always detect [`SimdLevel::Scalar`].
-//! - [`active_level`] folds in the kill switches: the `UNICLEAN_FORCE_SCALAR`
-//!   environment variable (read once) and the in-process
-//!   [`set_forced_scalar`] override that benches and differential tests use
-//!   to time/compare both configurations inside one process.
-//! - [`accelerated`] gates the *portable* accelerations (the u64-bitset Jaro
-//!   matcher, the column-at-a-time Myers driver) that need no special CPU
-//!   support but must still honour the forced-scalar switch so the legacy
-//!   paths stay reachable as differential oracles.
+//!   The q-gram window hasher ([`hash_gram_windows`]) and the AVX2 lanes of
+//!   the column-at-a-time Myers sweep dispatch on it.
+//! - The portable accelerations need no CPU support and are chosen by input
+//!   shape alone: the u64-bitset Jaro matcher takes ASCII pairs whose second
+//!   string fits 64 characters, the Myers sweep takes every `~lev` probe.
 //!
-//! Because every level is bit-identical, flipping the override mid-run can
-//! change *timings* but never *answers* — which is exactly what lets the
-//! bench harness and the force-scalar CI job assert identity instead of
-//! "close enough".
+//! The scalar kernels stay as the differential oracles the unit tests pin
+//! every tier against, and as the only engines off x86-64 or on inputs the
+//! fast paths do not cover.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Instruction-set tier the q-gram hash kernel can dispatch to.
@@ -45,7 +40,7 @@ impl SimdLevel {
     }
 }
 
-/// What the hardware supports, independent of any kill switch. Probed once.
+/// What the hardware supports. Probed once.
 pub fn detected_level() -> SimdLevel {
     static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
     *DETECTED.get_or_init(|| {
@@ -62,79 +57,28 @@ pub fn detected_level() -> SimdLevel {
     })
 }
 
-/// Was `UNICLEAN_FORCE_SCALAR` set (to anything but `0`/empty) at first read?
-fn env_forced_scalar() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("UNICLEAN_FORCE_SCALAR")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
-
-/// In-process override: 0 = follow the environment, 1 = force scalar,
-/// 2 = force accelerated (ignore the env var). Safe to flip at any time —
-/// all levels produce identical answers — so benches can time both engines
-/// in one process and tests can pin them against each other.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Override the dispatch for this process: `Some(true)` forces the scalar
-/// engine, `Some(false)` forces acceleration on (even under
-/// `UNICLEAN_FORCE_SCALAR`), `None` restores environment-driven dispatch.
-pub fn set_forced_scalar(force: Option<bool>) {
-    let v = match force {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// Are the accelerated engines (SIMD hashing, bitset Jaro, columnar Myers)
-/// enabled? `false` routes every call through the legacy scalar paths.
-pub fn accelerated() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => !env_forced_scalar(),
-    }
-}
-
-/// The instruction-set tier the gram-hash kernel will actually use right
-/// now: [`detected_level`] unless a kill switch downgrades it to scalar.
-pub fn active_level() -> SimdLevel {
-    if accelerated() {
-        detected_level()
-    } else {
-        SimdLevel::Scalar
-    }
-}
-
 /// Snapshot of the dispatch decision, for surfacing in `--explain-plans`,
 /// the server `ping`/`health` reply, and bench JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchInfo {
     /// What the CPU supports.
     pub detected: SimdLevel,
-    /// Whether a kill switch (env var or override) forced the scalar engine.
-    pub forced_scalar: bool,
     /// Kernel chosen for q-gram window hashing.
     pub gram_hash: &'static str,
-    /// Kernel chosen for the Jaro window matcher.
+    /// Jaro window matcher of ASCII pairs whose second string fits 64
+    /// characters (the flag scan serves every other shape).
     pub jaro: &'static str,
-    /// Driver chosen for `~lev` candidate verification.
+    /// Driver of `~lev` candidate verification.
     pub lev_driver: &'static str,
 }
 
-/// The current [`DispatchInfo`] (re-evaluated per call; override-sensitive).
+/// The [`DispatchInfo`] of this process.
 pub fn dispatch_info() -> DispatchInfo {
-    let accel = accelerated();
     DispatchInfo {
         detected: detected_level(),
-        forced_scalar: !accel,
-        gram_hash: active_level().name(),
-        jaro: if accel { "bitset64" } else { "flag-scan" },
-        lev_driver: if accel { "columnar" } else { "per-value" },
+        gram_hash: detected_level().name(),
+        jaro: "bitset64",
+        lev_driver: "columnar",
     }
 }
 
@@ -142,16 +86,11 @@ impl std::fmt::Display for DispatchInfo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "gram-hash={} jaro={} lev-driver={} (detected: {}{})",
+            "gram-hash={} jaro={} lev-driver={} (detected: {})",
             self.gram_hash,
             self.jaro,
             self.lev_driver,
-            self.detected.name(),
-            if self.forced_scalar {
-                ", forced scalar"
-            } else {
-                ""
-            }
+            self.detected.name()
         )
     }
 }
@@ -183,7 +122,7 @@ const FNV_PRIME_LO: u64 = 0x1b3;
 use crate::qgram::hash_gram_bytes as fnv1a_bytes;
 
 /// Append the FNV-1a hash of every length-`q` window of `padded` to `out`,
-/// on the best kernel [`active_level`] allows. Requires `padded.len() >= q`
+/// on the best kernel [`detected_level`] offers. Requires `padded.len() >= q`
 /// and `q >= 1`; appends exactly `padded.len() - q + 1` hashes, bit-for-bit
 /// what the scalar kernel produces.
 #[inline]
@@ -191,7 +130,7 @@ pub fn hash_gram_windows(padded: &[u8], q: usize, out: &mut Vec<u64>) {
     debug_assert!(q >= 1 && padded.len() >= q);
     #[cfg(target_arch = "x86_64")]
     {
-        match active_level() {
+        match detected_level() {
             // SAFETY: dispatch verified the required target features.
             SimdLevel::Avx2 => return unsafe { x86::hash_windows_avx2(padded, q, out) },
             SimdLevel::Sse42 => return unsafe { x86::hash_windows_sse42(padded, q, out) },
@@ -371,18 +310,6 @@ mod tests {
             results.push((SimdLevel::Avx2, out));
         }
         results
-    }
-
-    #[test]
-    fn env_and_override_compose() {
-        // Whatever the environment says, the override wins while set.
-        set_forced_scalar(Some(true));
-        assert_eq!(active_level(), SimdLevel::Scalar);
-        assert!(!accelerated());
-        set_forced_scalar(Some(false));
-        assert!(accelerated());
-        assert_eq!(active_level(), detected_level());
-        set_forced_scalar(None);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use uniclean::model::csv::{from_csv, to_csv};
-use uniclean::model::{Relation, Schema, ValueType};
+use uniclean::model::{Relation, Schema};
 use uniclean::reasoning::{is_consistent, termination_diagnostics};
 use uniclean::rules::{cfd_violations, md_violations, parse_rules, RuleSet, Violation};
 use uniclean::{CleanConfig, CleanResult, Cleaner, MasterSource, Phase};
@@ -57,12 +57,11 @@ CLEAN OPTIONS:
                                the output is the repaired concatenated relation,
                                bit-identical to recleaning it from scratch
     --report                   print every fix (mark, cell, old → new, rule)
-    --explain-plans            print the active similarity kernel dispatch
-                               (SIMD level, Jaro matcher, ~lev driver; see
-                               UNICLEAN_FORCE_SCALAR) and the master-index
-                               access path chosen for each MD (exact probe /
-                               q-gram count / lev count / Jaro / scan)
-                               before cleaning
+    --explain-plans            print the similarity kernel dispatch (detected
+                               SIMD level, Jaro matcher, ~lev driver) and the
+                               master-index access path chosen for each MD
+                               (exact probe / q-gram count / lev count /
+                               Jaro / scan) before cleaning
 
 SERVE OPTIONS:
     --addr <host:port>         listen address [default: 127.0.0.1:7401]; port 0
@@ -193,13 +192,7 @@ fn run(args: &[String]) -> Result<String, String> {
 
 fn load_relation(path: &str, table: &str, default_cf: f64) -> Result<Relation, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let header_cols = text
-        .lines()
-        .next()
-        .map(|l| l.split(',').count())
-        .unwrap_or(0);
-    let types = vec![ValueType::Str; header_cols];
-    from_csv(table, &types, &text, default_cf).map_err(|e| format!("{path}: {e}"))
+    from_csv(table, &text, default_cf).map_err(|e| format!("{path}: {e}"))
 }
 
 struct LoadedInput {
@@ -777,6 +770,19 @@ mod tests {
         assert!(err.contains("unknown command `discover`"), "{err}");
         let err = run(&argv(&[])).unwrap_err();
         assert!(err.contains("no command"), "{err}");
+    }
+
+    #[test]
+    fn untrusted_csv_headers_are_errors_not_panics() {
+        // A quoted header name holding a comma is one column, not two.
+        let data = write_temp("dq.csv", "\"AC,x\",AC,city\n\"1,2\",131,Ldn\n");
+        let rules = write_temp("rq.rules", "cfd phi1: data([AC=131] -> [city=Edi])");
+        let out = run(&argv(&["check", "--data", &data, "--rules", &rules])).unwrap();
+        assert!(out.contains("1 CFD violation(s)"), "{out}");
+        // A repeated header name is a typed error.
+        let data = write_temp("dup.csv", "AC,city,AC\n131,Ldn,131\n");
+        let err = run(&argv(&["check", "--data", &data, "--rules", &rules])).unwrap_err();
+        assert!(err.contains("duplicate attribute `AC`"), "{err}");
     }
 
     #[test]

@@ -1,55 +1,12 @@
-//! Determinism suite: the similarity kernels' SIMD dispatch must not change
-//! a `CleanResult` — same repaired cells (values, confidences, marks), same
-//! fix records in the same order, same cost and acceptance verdict — and
-//! the value interner must round-trip without collisions.
-
-mod common;
-use common::assert_identical;
+//! Determinism suite: the value interner must round-trip without
+//! collisions — every symbol-keyed cache and the columnar store rest on it.
+//!
+//! Kernel dispatch needs no engine-level pin: each kernel is chosen from
+//! the detected CPU and the input shape only, and the similarity crate's
+//! unit tests pin every tier bit-for-bit against its scalar oracle.
 
 use proptest::prelude::*;
-use uniclean::core::{Cleaner, MasterSource, Phase};
-use uniclean::datagen::GenParams;
 use uniclean::model::{Value, ValueInterner};
-
-/// The SIMD dispatch (q-gram hash lanes, bitset Jaro, columnar `~lev`
-/// driver) must be a pure performance knob: on a workload exercising every
-/// similarity predicate family, a full clean is bit-identical
-/// forced-scalar vs auto-dispatched. This is the same contract
-/// `UNICLEAN_FORCE_SCALAR=1` relies on (the CI feature matrix re-runs the
-/// suites under it); here the override is flipped programmatically so one
-/// process pins both engines against each other.
-///
-/// The override is process-global, which is safe precisely because of the
-/// property under test: any concurrently running test sees either engine,
-/// and both produce the same bits.
-#[test]
-fn forced_scalar_dispatch_is_bit_identical() {
-    use uniclean::datagen::dblp_similarity_workload;
-    use uniclean::similarity::simd::set_forced_scalar;
-
-    let w = dblp_similarity_workload(&GenParams {
-        tuples: 300,
-        master_tuples: 120,
-        ..GenParams::default()
-    });
-    let cleaner = Cleaner::builder()
-        .rules(w.rules.clone())
-        .master(MasterSource::external(w.master.clone()))
-        .build()
-        .expect("valid session");
-    let clean = |forced| {
-        set_forced_scalar(Some(forced));
-        let r = cleaner.clean(&w.dirty, Phase::Full);
-        set_forced_scalar(None);
-        r
-    };
-    let (auto, scalar) = (clean(false), clean(true));
-    assert!(
-        !auto.report.is_empty(),
-        "workload must actually exercise the kernels"
-    );
-    assert_identical(&auto, &scalar, "dblp similarity: scalar vs auto");
-}
 
 // ---------------------------------------------------------------------------
 // Interner properties (vendored proptest shim).

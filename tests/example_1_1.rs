@@ -4,7 +4,7 @@
 
 use uniclean::model::csv::{from_csv, to_csv};
 use uniclean::model::Relation;
-use uniclean::model::{AttrId, FixMark, TupleId, Value, ValueType};
+use uniclean::model::{AttrId, FixMark, TupleId, Value};
 use uniclean::rules::RuleSet;
 use uniclean::{CleanConfig, Cleaner, MasterSource, Phase};
 
@@ -70,8 +70,7 @@ fn csv_roundtrip_preserves_the_repair() {
     let uni = example_session(&rules, &master);
     let repaired = uni.clean(&dirty, Phase::Full).repaired;
     let csv = to_csv(&repaired);
-    let types = vec![ValueType::Str; tran.arity()];
-    let back = from_csv("tran", &types, &csv, 0.0).expect("csv parses");
+    let back = from_csv("tran", &csv, 0.0).expect("csv parses");
     assert_eq!(back.len(), repaired.len());
     for (id, t) in repaired.iter() {
         for a in tran.attr_ids() {

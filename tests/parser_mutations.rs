@@ -1,6 +1,8 @@
 //! Seeded random-mutation harnesses for the parsers that take untrusted
 //! input: the rule language (`uniclean::rules::parse_rules`, fed by
-//! `uniclean clean --rules` and the daemon's `open`), the wire protocol
+//! `uniclean clean --rules` and the daemon's `open`), the CSV reader
+//! (`uniclean::model::csv::from_csv`, fed by the CLI's `--data`, `--master`
+//! and `--delta` files), the wire protocol
 //! (`uniclean::server::protocol::parse_request`), and the two layers of the
 //! daemon's durable files and replication stream — the frame codec
 //! (`uniclean::model::frame`) and the WAL record grammar
@@ -15,6 +17,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use uniclean::model::csv::{from_csv, to_csv};
 use uniclean::model::frame::{encode_frame, scan_frames, sole_frame, FrameScan};
 use uniclean::model::{Json, Schema};
 use uniclean::rules::{parse_rules, RuleSet};
@@ -172,6 +175,29 @@ fn rule_parser_never_panics_on_mutated_rule_files() {
                 parsed.positive_mds,
                 parsed.negative_mds,
             );
+        }
+    });
+}
+
+const CSV_SEEDS: &[&str] = &[
+    "AC,city\n131,Edi\n020,Ldn\n",
+    "FN,LN,St\r\n\"Smith, Mark\",\\N,\"say \"\"hi\"\"\"\r\nRobert,Brady,\"10 Oak St\nflat 2\"\r\n",
+    "A\n\\N\n\n\"\"\n\"\\N\"",
+    "name,\"city, state\",zip\n\"Brady, Robert\",\"Edi, UK\",EH8 9AB\nMark,\\N,\n",
+];
+
+/// Every mutant of a CSV file parses to a relation or to a typed
+/// `CsvError` — a repeated header name included — and a parsed relation
+/// renders through `to_csv` to a CSV that parses back equal.
+#[test]
+fn csv_reader_never_panics_on_mutated_files() {
+    let alphabet = b",\"\\N\r\n ACEdiLdncity";
+    run_text(0x5eed_0005, CSV_SEEDS, alphabet, |text| {
+        if let Ok(rel) = from_csv("r", text, 0.5) {
+            let back = from_csv("r", &to_csv(&rel), 0.5).expect("rendered CSV parses");
+            assert_eq!(back.schema(), rel.schema());
+            assert_eq!(back.len(), rel.len());
+            assert_eq!(rel.diff_cells(&back), 0, "render does not parse back");
         }
     });
 }

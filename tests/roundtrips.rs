@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use uniclean::model::csv::{from_csv, to_csv};
-use uniclean::model::{Relation, Schema, Tuple, Value, ValueType};
+use uniclean::model::{Relation, Schema, Tuple, Value};
 use uniclean::rules::parse_rules;
 
 proptest! {
@@ -25,7 +25,7 @@ proptest! {
                 .collect(),
         );
         let csv = to_csv(&rel);
-        let back = from_csv("r", &[ValueType::Str, ValueType::Str], &csv, 0.0).unwrap();
+        let back = from_csv("r", &csv, 0.0).unwrap();
         prop_assert_eq!(back.len(), rel.len());
         for (id, t) in rel.iter() {
             for a in rel.schema().attr_ids() {
@@ -44,7 +44,7 @@ proptest! {
             rel.push(Tuple::from_values([v], 0.0));
         }
         let csv = to_csv(&rel);
-        let back = from_csv("r", &[ValueType::Str], &csv, 0.0).unwrap();
+        let back = from_csv("r", &csv, 0.0).unwrap();
         for (id, t) in rel.iter() {
             prop_assert_eq!(
                 back.tuple(id).value(uniclean::model::AttrId(0)).is_null(),
