@@ -1,14 +1,24 @@
 //! The §3.2 acceptance check — `Dr ⊨ Σ` and `(Dr, Dm) ⊨ Γ` under SQL null
 //! semantics (§7) — and the one owner of every verdict the engine returns.
 //!
-//! [`ConsistencyIndex`] grades a repair once ([`ConsistencyIndex::build`],
-//! what [`Cleaner::clean`](crate::Cleaner::clean) and
-//! [`Cleaner::begin`](crate::Cleaner::begin) use) and then *maintains* the
-//! grade from per-tuple diffs, so a
-//! [`Cleaner::clean_delta`](crate::Cleaner::clean_delta) call re-verifies
-//! only the tuples it changed. MDs are graded through the session's
-//! [`MasterIndex`] (candidates + verify), never by scanning `Dm`. The same
-//! group counters and per-(tuple, MD) verdicts answer
+//! [`ConsistencyIndex`] keeps no rule state of its own beyond a count and
+//! a flag vector. It reads the two structures the phase loop already keeps
+//! exact for its output:
+//!
+//! * **variable CFDs** read the final 2-in-1 structure ([`TwoInOne`]), the
+//!   engine's one variable-CFD group table. A group violates when it holds
+//!   two distinct non-null RHS values. The structure is moved into the
+//!   index, never cloned;
+//! * **MDs** read the phase loop's witness cache (`MdMatchCache`): a tuple
+//!   satisfies an MD when every verified witness agrees with it on the RHS
+//!   (under a self-snapshot, its own row too, which the phases never
+//!   match but `Dm` holds). The verdict is one flag per (tuple, MD), taken in the same call as the
+//!   phases, while the cache is valid for the repair.
+//!
+//! Constant CFDs are counted from the tuples directly. The engine grades a
+//! full clean once and then *maintains* the grade from per-tuple diffs, so
+//! a [`Cleaner::clean_delta`](crate::Cleaner::clean_delta) call re-checks
+//! only the tuples it changed. The same index answers
 //! [`RepairState::is_accepted`](crate::RepairState::is_accepted) and
 //! [`RepairState::violations`](crate::RepairState::violations) without
 //! touching master data.
@@ -17,10 +27,13 @@
 //! engine never calls it, the tests compare every verdict against it
 //! (`tests/acceptance.rs`).
 
-use uniclean_model::{FxHashMap, Relation, Row, TupleId, Value};
+use uniclean_model::{Relation, Row, TupleId};
 use uniclean_rules::RuleSet;
 
-use crate::master_index::{MasterIndex, ProbeScratch};
+use crate::master_index::MasterIndex;
+use crate::md_cache::MdMatchCache;
+use crate::session::Master;
+use crate::two_in_one::TwoInOne;
 
 /// Which rule family rejected a tuple (see
 /// [`RepairState::violations`](crate::RepairState::violations)).
@@ -48,23 +61,6 @@ pub struct TupleViolation {
     pub kind: ViolationKind,
 }
 
-/// Per-group state of one variable CFD in the acceptance index.
-#[derive(Default)]
-struct VGroupCount {
-    /// Members (tuples matching the LHS pattern with this key).
-    members: usize,
-    /// Distinct non-null RHS value counts.
-    counts: FxHashMap<Value, usize>,
-}
-
-impl VGroupCount {
-    /// Violating under SQL null semantics: two or more distinct non-null
-    /// RHS values.
-    fn bad(&self) -> bool {
-        self.counts.len() >= 2
-    }
-}
-
 /// The §3.2 acceptance state of one repair: the same verdict as the
 /// reference `uniclean_rules::satisfies_all(Σ, Γ, Dr, Dm)` (SQL null
 /// semantics), but updatable from a per-tuple diff instead of
@@ -86,16 +82,16 @@ impl VGroupCount {
 /// assert_eq!(verdict, satisfies_all(rules.cfds(), rules.mds(), &d, &no_master));
 /// ```
 ///
-/// The MD half is one verdict per (tuple, MD), always materialized: each
-/// is one [`MasterIndex`] probe (candidates, then premise verification of
-/// those disagreeing on the RHS), and a delta call re-probes changed
-/// tuples only.
+/// The engine grades through the same code as [`ConsistencyIndex::build`]:
+/// a standalone build is that reader over a fresh [`TwoInOne::build`] and
+/// a fresh witness cache, while the engine hands over the structures its
+/// phases ended with.
 pub struct ConsistencyIndex {
-    /// Per constant CFD: violating tuple count.
-    ccfd_bad: Vec<usize>,
-    /// Per variable CFD: group table and violating-group count.
-    vgroups: Vec<FxHashMap<Vec<Value>, VGroupCount>>,
-    vcfd_bad: Vec<usize>,
+    /// Violating (tuple, constant CFD) pairs.
+    ccfd_bad: usize,
+    /// The 2-in-1 structure exact for the graded relation. `None` only
+    /// before the first grade and while a delta call runs its phases.
+    two: Option<TwoInOne>,
     /// Row-major `|D|·|Γ|` flags: does tuple `i` satisfy MD `j`?
     md_ok: Vec<bool>,
     /// Tuples with at least one unset flag.
@@ -105,64 +101,56 @@ pub struct ConsistencyIndex {
 impl ConsistencyIndex {
     /// Grade the repair `d` against the rules and the master view `master`
     /// with its access paths (`None`: no master data, so every MD holds
-    /// vacuously): one pass over `d` for the CFD group counters and one
-    /// index probe per (tuple, MD).
+    /// vacuously), over a fresh 2-in-1 structure and witness cache.
     pub fn build(rules: &RuleSet, d: &Relation, master: Option<(&Relation, &MasterIndex)>) -> Self {
-        let n_c = rules.cfds().iter().filter(|c| c.is_constant()).count();
-        let n_v = rules.cfds().len() - n_c;
-        let mut me = ConsistencyIndex {
-            ccfd_bad: vec![0; n_c],
-            vgroups: (0..n_v).map(|_| FxHashMap::default()).collect(),
-            vcfd_bad: vec![0; n_v],
-            md_ok: vec![true; d.len() * rules.mds().len()],
-            md_bad: 0,
-        };
-        let mut scratch = ProbeScratch::new();
-        for (tid, t) in d.iter() {
-            me.apply_cfds(rules, t, 1);
-            me.grade_mds(rules, master, tid.index(), t, &mut scratch);
-        }
+        let master = master.and_then(|(dm, index)| Master::external(rules, Some(dm), Some(index)));
+        let mut me = ConsistencyIndex::new();
+        let mut cache = MdMatchCache::new(rules, d.len());
+        let none = Relation::empty(d.schema().clone());
+        let two = TwoInOne::build(rules, d);
+        me.update(rules, master, &mut cache, &none, d, two);
         me
+    }
+
+    /// An index over no tuples, to be graded by [`Self::update`].
+    pub(crate) fn new() -> Self {
+        ConsistencyIndex {
+            ccfd_bad: 0,
+            two: None,
+            md_ok: Vec::new(),
+            md_bad: 0,
+        }
     }
 
     /// The verdict as of the last build/update: `Dr ⊨ Σ` and
     /// `(Dr, Dm) ⊨ Γ`.
     pub fn consistent(&self) -> bool {
-        self.cfds_ok() && self.md_bad == 0
+        self.ccfd_bad == 0 && self.md_bad == 0 && !self.two().any_violation()
     }
 
     /// The rules rejecting tuple `tid` of `d` (the relation last built or
     /// updated from), in declaration order, CFDs before MDs. Constant CFDs
     /// are checked directly against the tuple; variable CFDs read the
-    /// maintained group table (a tuple in a violating group is rejected
-    /// with the whole group); MDs read the stored verdicts.
+    /// tuple's group in the 2-in-1 structure (a tuple in a violating group
+    /// is rejected with the whole group); MDs read the stored verdicts.
     pub fn violations(&self, rules: &RuleSet, d: &Relation, tid: TupleId) -> Vec<TupleViolation> {
+        let two = self.two();
         let t = d.tuple(tid);
         let mut out = Vec::new();
-        let mut vi = 0usize;
-        for cfd in rules.cfds() {
-            if cfd.is_constant() {
-                if cfd.lhs_matches(t) {
-                    let want = cfd.rhs_pattern()[0].as_const().expect("constant CFD");
-                    if !t.value(cfd.rhs()[0]).eq_nullable(want) {
-                        out.push(TupleViolation {
-                            rule: cfd.name().to_string(),
-                            kind: ViolationKind::ConstantCfd,
-                        });
-                    }
-                }
-            } else {
-                let slot = vi;
-                vi += 1;
-                if cfd.lhs_matches(t) {
-                    let key = t.project(cfd.lhs());
-                    if self.vgroups[slot].get(&key).is_some_and(|g| g.bad()) {
-                        out.push(TupleViolation {
-                            rule: cfd.name().to_string(),
-                            kind: ViolationKind::VariableCfd,
-                        });
-                    }
-                }
+        for (i, cfd) in rules.cfds().iter().enumerate() {
+            let (violated, kind) = match two.slot(i) {
+                None => (violates_constant(cfd, t), ViolationKind::ConstantCfd),
+                Some(v) => (
+                    two.group_of(v, d, tid)
+                        .is_some_and(|g| two.group(g).violates()),
+                    ViolationKind::VariableCfd,
+                ),
+            };
+            if violated {
+                out.push(TupleViolation {
+                    rule: cfd.name().to_string(),
+                    kind,
+                });
             }
         }
         let n_md = rules.mds().len();
@@ -175,59 +163,75 @@ impl ConsistencyIndex {
         out
     }
 
-    fn cfds_ok(&self) -> bool {
-        self.ccfd_bad.iter().all(|&n| n == 0) && self.vcfd_bad.iter().all(|&n| n == 0)
+    fn two(&self) -> &TwoInOne {
+        self.two.as_ref().expect("a graded index holds its 2-in-1")
     }
 
-    /// Re-verify against the new final relation: `prev` is the previous
-    /// final (a prefix of `new` tuple-wise); only tuples whose cell values
-    /// changed, plus appended tuples, are re-checked.
+    /// Hand the 2-in-1 back before a delta call's phases run: a
+    /// cRepair-only state continues from it, any other state drops it.
+    pub(crate) fn take_two(&mut self) -> Option<TwoInOne> {
+        self.two.take()
+    }
+
+    /// Re-grade against the new final relation `new`: `prev` is the
+    /// previous final (a prefix of `new` tuple-wise); only tuples whose
+    /// cell values changed, plus appended tuples, are re-checked. `two`
+    /// must be exact for `new`, and `cache` valid for `new` against
+    /// `master`.
     pub(crate) fn update(
         &mut self,
         rules: &RuleSet,
-        master: Option<(&Relation, &MasterIndex)>,
+        master: Option<Master<'_>>,
+        cache: &mut MdMatchCache,
         prev: &Relation,
         new: &Relation,
+        two: TwoInOne,
     ) {
-        let mut scratch = ProbeScratch::new();
+        self.two = Some(two);
         self.md_ok.resize(new.len() * rules.mds().len(), true);
-        for i in 0..prev.len() {
-            let (a, b) = (prev.tuple(TupleId::from(i)), new.tuple(TupleId::from(i)));
-            let changed = a
-                .cells()
-                .zip(b.cells())
-                .any(|(ca, cb)| ca.value != cb.value);
-            if changed {
-                self.apply_cfds(rules, a, -1);
-                self.apply_cfds(rules, b, 1);
-                self.grade_mds(rules, master, i, b, &mut scratch);
+        for i in 0..new.len() {
+            let tid = TupleId::from(i);
+            let t = new.tuple(tid);
+            if i < prev.len() {
+                let old = prev.tuple(tid);
+                if old.cells().zip(t.cells()).all(|(a, b)| a.value == b.value) {
+                    continue;
+                }
+                self.count_constant_cfds(rules, old, -1);
             }
-        }
-        for i in prev.len()..new.len() {
-            let t = new.tuple(TupleId::from(i));
-            self.apply_cfds(rules, t, 1);
-            self.grade_mds(rules, master, i, t, &mut scratch);
+            self.count_constant_cfds(rules, t, 1);
+            self.grade_mds(rules, master, cache, new, tid);
         }
     }
 
-    /// Re-probe tuple `i` (final value `t`) under every MD, keeping
-    /// `md_bad` in step with its flags.
-    fn grade_mds<'t>(
+    /// Re-grade tuple `t` of `d` under every MD, keeping `md_bad` in step
+    /// with its flags: every witness must agree with `t` on the RHS. A
+    /// self-snapshot's own row is no witness to the phases, but `Dm` holds
+    /// it, so it is graded here too: it can disagree only when the RHS
+    /// pairs two different attributes.
+    fn grade_mds(
         &mut self,
         rules: &RuleSet,
-        master: Option<(&Relation, &MasterIndex)>,
-        i: usize,
-        t: impl Row<'t>,
-        scratch: &mut ProbeScratch,
+        master: Option<Master<'_>>,
+        cache: &mut MdMatchCache,
+        d: &Relation,
+        t: TupleId,
     ) {
-        let Some((dm, index)) = master else {
+        let Some(m) = master else {
             return; // no master tuple, no MD violation
         };
         let n_md = rules.mds().len();
-        let flags = &mut self.md_ok[i * n_md..][..n_md];
+        let flags = &mut self.md_ok[t.index() * n_md..][..n_md];
         let was_bad = flags.contains(&false);
+        let row = d.tuple(t);
         for (j, (md, ok)) in rules.mds().iter().zip(flags.iter_mut()).enumerate() {
-            *ok = index.matches_agree(j, md, t, dm, scratch);
+            let (e, f) = md.rhs()[0];
+            let value = row.value(e);
+            let agrees = |s: TupleId| value.eq_nullable(m.dm.tuple(s).value(f));
+            *ok = value.is_null()
+                || m.own_row(t)
+                    .is_none_or(|s| agrees(s) || !md.premise_matches(row, m.dm.tuple(s)))
+                    && cache.matches(j, rules, d, m, t).iter().all(|&s| agrees(s));
         }
         match (was_bad, flags.contains(&false)) {
             (false, true) => self.md_bad += 1,
@@ -236,67 +240,20 @@ impl ConsistencyIndex {
         }
     }
 
-    /// Add (`delta = 1`) or remove (`-1`) one tuple's CFD contributions.
-    fn apply_cfds<'t>(&mut self, rules: &RuleSet, t: impl Row<'t>, delta: isize) {
-        let (mut ci, mut vi) = (0usize, 0usize);
-        for cfd in rules.cfds() {
-            if cfd.is_constant() {
-                let slot = ci;
-                ci += 1;
-                if !cfd.lhs_matches(t) {
-                    continue;
-                }
-                let want = cfd.rhs_pattern()[0].as_const().expect("constant CFD");
-                if !t.value(cfd.rhs()[0]).eq_nullable(want) {
-                    self.ccfd_bad[slot] = self.ccfd_bad[slot]
-                        .checked_add_signed(delta)
-                        .expect("violation count underflow");
-                }
-            } else {
-                let slot = vi;
-                vi += 1;
-                if !cfd.lhs_matches(t) {
-                    continue;
-                }
-                let key = t.project(cfd.lhs());
-                let rhs = t.value(cfd.rhs()[0]);
-                let group = self.vgroups[slot].entry(key.clone()).or_default();
-                let was_bad = group.bad();
-                match delta {
-                    1 => {
-                        group.members += 1;
-                        if !rhs.is_null() {
-                            *group.counts.entry(rhs.clone()).or_insert(0) += 1;
-                        }
-                    }
-                    -1 => {
-                        group.members -= 1;
-                        if !rhs.is_null() {
-                            let c = group
-                                .counts
-                                .get_mut(rhs)
-                                .expect("removing an uncounted value");
-                            *c -= 1;
-                            if *c == 0 {
-                                group.counts.remove(rhs);
-                            }
-                        }
-                    }
-                    _ => unreachable!("delta is ±1"),
-                }
-                let now_bad = group.bad();
-                let empty = group.members == 0;
-                if was_bad != now_bad {
-                    if now_bad {
-                        self.vcfd_bad[slot] += 1;
-                    } else {
-                        self.vcfd_bad[slot] -= 1;
-                    }
-                }
-                if empty {
-                    self.vgroups[slot].remove(&key);
-                }
-            }
-        }
+    /// Add (`delta = 1`) or remove (`-1`) one tuple's constant-CFD
+    /// violations.
+    fn count_constant_cfds<'t>(&mut self, rules: &RuleSet, t: impl Row<'t>, delta: isize) {
+        let constant = rules.cfds().iter().filter(|c| c.is_constant());
+        let bad = constant.filter(|cfd| violates_constant(cfd, t)).count();
+        self.ccfd_bad = self
+            .ccfd_bad
+            .checked_add_signed(delta * bad as isize)
+            .expect("violation count underflow");
     }
+}
+
+/// Does `t` match the constant CFD's LHS pattern but not its RHS constant?
+fn violates_constant<'t>(cfd: &uniclean_rules::Cfd, t: impl Row<'t>) -> bool {
+    let want = cfd.rhs_pattern()[0].as_const().expect("constant CFD");
+    cfd.lhs_matches(t) && !t.value(cfd.rhs()[0]).eq_nullable(want)
 }

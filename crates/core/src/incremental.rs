@@ -21,15 +21,20 @@
 //!   (`TwoInOne::insert_tuples`). Its group ids then depend on how the
 //!   relation arrived, which no outcome sees (see `two_in_one`). Each
 //!   `eRepair` run works on a clone, which `hRepair` then takes over as
-//!   its equivalence classes.
+//!   its equivalence classes and the acceptance index then reads. A
+//!   `cRepair`-only state clones nothing: its pinned structure is its
+//!   final one, so it rests in the acceptance index between calls.
 //! * the **MD witness cache** persists across calls, one for all three
 //!   phases, based on the post-`cRepair` state: premises untouched by any
 //!   repair are never re-verified — re-verification is targeted at exactly
 //!   the tuples whose cells the batch, its cascade or the call's
 //!   `eRepair`/`hRepair` rewrote.
 //! * the **acceptance check** (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`) is maintained
-//!   by [`ConsistencyIndex`] from the diff of the final relations: a
-//!   delta call re-probes the master index for changed tuples only.
+//!   by [`ConsistencyIndex`] at the end of each call: variable CFDs read
+//!   the call's final 2-in-1, and the tuples whose final cells changed
+//!   (plus the batch) are re-graded against the constant CFDs and, from
+//!   the warm witness cache, the MDs. The previous call's final 2-in-1 is
+//!   dropped before the phases run, so no peak holds three.
 //!
 //! **Escalation.** The continuation is only kept when it provably equals
 //! the from-scratch run. A batch cascade that *repairs previously settled
@@ -175,8 +180,9 @@ impl RepairState {
     /// CFD and no MD? The per-tuple slice of [`RepairState::consistent`]:
     /// the relation-level verdict holds exactly when every tuple is
     /// accepted. Served from the maintained acceptance index, **without
-    /// running a phase or touching master data**: the CFD half reads the
-    /// live group counters, the MD half the per-(tuple, MD) verdicts.
+    /// running a phase or touching master data**: variable CFDs read the
+    /// final 2-in-1's group counts, the MD half the per-(tuple, MD)
+    /// verdicts.
     ///
     /// A tuple in a variable-CFD group holding two distinct non-null RHS
     /// values is rejected along with the whole group — group violations
@@ -440,12 +446,28 @@ impl Cleaner {
         }
         state.deltas += 1;
 
-        // Continue the persisted structures over the batch. Without them
-        // (self-snapshot master), or when the guard aborts the
-        // continuation, reclean the concatenated relation from scratch.
+        // The previous call's final 2-in-1 leaves the acceptance index
+        // before the phases run: a cRepair-only state's is its pinned one,
+        // which the continuation goes on from; any other state drops it
+        // here, so no peak holds three.
+        let last_two = state.cons.take_two();
+        // Continue the persisted structures over the batch, re-grading
+        // only the tuples whose final cells changed (plus the batch).
+        // Without them (self-snapshot master), or when the guard aborts
+        // the continuation, reclean the concatenated relation from scratch.
         let continued = state.warm.take().and_then(|mut warm| {
             warm.append(batch);
-            run_phases(&prepared, state.phase, warm, Some(settled), true, observer)
+            warm.two = warm.two.or(last_two);
+            let graded = (&state.repaired, &mut state.cons);
+            run_phases(
+                &prepared,
+                state.phase,
+                warm,
+                Some(settled),
+                true,
+                graded,
+                observer,
+            )
         });
         let Some(run) = continued else {
             let (result, warm, cons) =
@@ -460,13 +482,6 @@ impl Cleaner {
             return Ok(result);
         };
 
-        // Targeted acceptance re-verification: only tuples whose final
-        // cells changed (plus the batch) are re-checked against Σ and Γ.
-        let view = prepared.view(&run.work);
-        let master = view.master().map(|m| (m.dm, m.index));
-        state
-            .cons
-            .update(prepared.rules(), master, &state.repaired, &run.work);
         state.cost = repair_cost(&state.base, &run.work);
         state.repaired = run.work;
         state.warm = run.warm;

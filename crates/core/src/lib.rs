@@ -15,7 +15,8 @@
 //!   data (§5, Figs 4–5);
 //! * [`erepair`] — reliable fixes from information entropy (§6, Fig 6),
 //!   backed by the 2-in-1 hash-table + entropy-ordered-tree structure of
-//!   §6.3 ([`two_in_one`]);
+//!   §6.3 ([`two_in_one`]), the one variable-CFD group table of eRepair,
+//!   hRepair and acceptance;
 //! * [`hrepair`] — possible fixes via equivalence classes and the cost
 //!   model (§7, extending Cong et al.), preserving deterministic fixes
 //!   (Corollary 7.1);
@@ -31,13 +32,15 @@
 //!   the same loop over the persisted `cRepair` fixpoint and warm
 //!   structures, bit-identical to a from-scratch reclean;
 //! * [`acceptance`] — [`ConsistencyIndex`], the one owner of the §3.2
-//!   acceptance verdict (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`): one verdict per
-//!   (tuple, MD) from master-index probes, built once per full clean and
-//!   maintained from diffs by deltas;
+//!   acceptance verdict (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`): a reader of the
+//!   structures the phase loop keeps exact for its output — the final
+//!   2-in-1 for variable CFDs, the witness cache for one verdict per
+//!   (tuple, MD) — graded at the end of a full clean and maintained from
+//!   diffs by deltas;
 //! * [`master_index`] — access paths to master data (hash indexes keyed by
 //!   the master store's symbols for equality premises, q-gram count
 //!   filtering for similarity premises), chosen per MD by the
-//!   planner and probed by the phases and acceptance alike;
+//!   planner and probed through the one witness cache;
 //! * [`fix`] — per-cell fix records and phase statistics;
 //! * [`entropy`] — the paper's base-`k` entropy `H(ϕ | Y = ȳ)` (§6.1) and
 //!   the entropy-ordered set of conflict sets (§6.3).

@@ -747,33 +747,6 @@ impl MasterIndex {
         scratch.cand = cand;
     }
 
-    /// Does every verified match of `t` under MD `md_idx` agree with it on
-    /// the RHS (`t[E] = s[F]`, SQL null semantics, §7)? The §3.2
-    /// acceptance test of one (tuple, MD) pair, two-phase like
-    /// [`Self::matches_into`]. A candidate agreeing on the RHS cannot
-    /// violate the MD whatever its premise says, so only disagreeing
-    /// candidates pay for premise verification.
-    pub(crate) fn matches_agree<'t>(
-        &self,
-        md_idx: usize,
-        md: &Md,
-        t: impl Row<'t>,
-        master: &Relation,
-        scratch: &mut ProbeScratch,
-    ) -> bool {
-        let (e, f) = md.rhs()[0];
-        let mut cand = std::mem::take(&mut scratch.cand);
-        cand.clear();
-        self.for_each_candidate(md_idx, md, t, scratch, |sid| cand.push(sid));
-        let agree = cand.iter().all(|&sid| {
-            let s = master.tuple(sid);
-            t.value(e).eq_nullable(s.value(f))
-                || !md.premise_matches_with(t, s, &mut scratch.matching)
-        });
-        scratch.cand = cand;
-        agree
-    }
-
     /// Is this MD served by an indexed access path? Since the similarity
     /// filters landed this is `true` for every MD with at least one
     /// premise conjunct — see [`Self::scan_reason`] for the residual scan

@@ -16,10 +16,12 @@
 //!
 //! The phase loop keeps one cache for the session's master view, whose base
 //! relation is the post-`cRepair` state: `cRepair` writes and settles,
-//! `eRepair` and then `hRepair` write into a per-run overlay, and a kept
-//! state carries the cache into the next delta call. A self-snapshot master
-//! is a new relation in every phase and `hRepair` round, so each such view
-//! gets a fresh cache (`MasterView::cache` decides).
+//! `eRepair` and then `hRepair` write into a per-run overlay, the
+//! acceptance check grades every MD from the lists for the final relation
+//! before the run ends, and a kept state carries the cache into the next
+//! delta call. A self-snapshot master is a new relation in every phase,
+//! `hRepair` round and acceptance check, so each such view gets a fresh
+//! cache (`MasterView::cache` decides).
 
 use uniclean_model::{AttrId, FxHashMap, Relation, TupleId};
 use uniclean_rules::RuleSet;

@@ -18,7 +18,8 @@
 //!   [`Cleaner::begin`] is it with them kept in a
 //!   [`RepairState`](crate::RepairState).
 //! * **one acceptance owner**: every verdict comes from
-//!   [`ConsistencyIndex`] (see [`crate::acceptance`]).
+//!   [`ConsistencyIndex`] (see [`crate::acceptance`]), graded at the end
+//!   of the phase loop from the loop's own final 2-in-1 and witness cache.
 //!
 //! [`PreparedCleaner`] holds everything that depends only on the rules,
 //! the master data and the configuration — normalized rules, the §5.2
@@ -280,8 +281,9 @@ pub(crate) struct Warm {
     /// The witness cache of the session's master view, with `post_c` as
     /// its base relation: every phase of every call reads it.
     pub(crate) cache: MdMatchCache,
-    /// `eRepair`'s 2-in-1 structure pinned to `post_c`, present once
-    /// `eRepair` has run.
+    /// The 2-in-1 structure pinned to `post_c`. `None` before the first
+    /// run, and between calls of a `cRepair`-only state, whose pinned
+    /// structure is its final one and so rests in the acceptance index.
     pub(crate) two: Option<TwoInOne>,
 }
 
@@ -319,16 +321,6 @@ pub(crate) struct PhaseRun {
     pub(crate) warm: Option<Warm>,
 }
 
-/// Hand a phase its working copy of a pinned structure: a clone when the
-/// pinned one outlives the call, the structure itself when nothing is kept.
-fn working_copy<T: Clone>(pinned: T, keep: bool) -> (T, Option<T>) {
-    if keep {
-        (pinned.clone(), Some(pinned))
-    } else {
-        (pinned, None)
-    }
-}
-
 /// Run one phase under the observer — the one place a phase starts, is
 /// timed and ends.
 fn timed(
@@ -351,7 +343,7 @@ fn timed(
 }
 
 /// The one phase loop: `cRepair → eRepair → hRepair` up to `phase` over
-/// `warm`, streaming stats to `observer`.
+/// `warm`, streaming stats to `observer`, then the §3.2 acceptance check.
 ///
 /// `settled` is `None` for a from-scratch run over fresh structures, or
 /// `Some(n)` to *continue* persisted ones over the tuples appended after
@@ -366,9 +358,11 @@ fn timed(
 /// re-renders the current repair, so each phase sees the previous phase's
 /// fixes (the §9 interleaving).
 ///
-/// `hRepair` takes over the 2-in-1 structure `eRepair` worked on as its
-/// equivalence classes — the clone under `keep`, the structure itself
-/// without — so no phase builds a second variable-CFD group table.
+/// After `cRepair` the 2-in-1 structure is pinned to the post-`cRepair`
+/// state, whatever `phase` is, outside every phase's span. `eRepair` works
+/// on it (on a clone under
+/// `keep`) and `hRepair` takes the same structure over as its equivalence
+/// classes, so no phase builds a second variable-CFD group table.
 ///
 /// One witness cache ([`MdMatchCache`]) serves all three phases of the
 /// session's master view ([`MasterView::cache`]). A call starts with
@@ -377,12 +371,18 @@ fn timed(
 /// and `hRepair` invalidate every cell they rewrite into the overlay, so
 /// the cache is valid for `work` throughout and, kept, comes back in the
 /// [`Warm`] state.
+///
+/// `(prev, cons)` is the previous repair and its grade (a fresh run passes
+/// an empty relation and [`ConsistencyIndex::new`]). The run ends by
+/// bringing `cons` up to date for `work`: it moves in the final 2-in-1 and
+/// reads the cache, before the next call's `begin_run`.
 pub(crate) fn run_phases(
     prepared: &PreparedCleaner,
     phase: Phase,
     warm: Warm,
     settled: Option<usize>,
     keep: bool,
+    (prev, cons): (&Relation, &mut ConsistencyIndex),
     observer: &mut dyn PhaseObserver,
 ) -> Option<PhaseRun> {
     let (rules, cfg) = (&prepared.rules, &prepared.config);
@@ -418,51 +418,52 @@ pub(crate) fn run_phases(
         return None;
     }
 
-    let (mut work, post_c) = working_copy(post_c, keep);
+    // A persisted 2-in-1 is exact for the settled tuples — `cRepair` fed
+    // it every settled cell its cascade rewrote — and extends over the
+    // batch by insert-time deltas. Every continuation has one.
+    let mut two = match (two, settled) {
+        (Some(mut two), Some(settled)) => {
+            two.insert_tuples(&post_c, settled);
+            two
+        }
+        _ => TwoInOne::build(rules, &post_c),
+    };
     // Unless kept, the fixpoint machine is freed here — not held across
     // the later phases.
-    let kept_c = post_c.map(|post_c| (post_c, cfix));
-    // eRepair's pinned 2-in-1 (kept states only), and the working one it
-    // leaves to hRepair.
-    let mut kept_two = None;
-    let mut worked_two = None;
+    let (mut work, kept) = if keep {
+        (post_c.clone(), Some((post_c, cfix)))
+    } else {
+        drop(cfix);
+        (post_c, None)
+    };
+    // The pinned 2-in-1 of a kept state. A `cRepair`-only run writes
+    // nothing after `cRepair`, so its final 2-in-1 is the pinned one and
+    // this stays empty.
+    let mut pinned = None;
     if phase >= Phase::ERepair {
         let view = prepared.view(&work);
         let e_fixes = timed(observer, &mut phases, Phase::ERepair, || {
-            let two = match (two, settled) {
-                // A persisted 2-in-1 is exact for the settled tuples —
-                // `cRepair` fed it every settled cell its cascade rewrote —
-                // and extends over the batch by insert-time deltas. Every
-                // continuation has one: a state's phase is fixed, so the
-                // call that pinned it ran `eRepair` too.
-                (Some(mut two), Some(settled)) => {
-                    two.insert_tuples(&work, settled);
-                    two
-                }
-                _ => TwoInOne::build(rules, &work),
-            };
             // eRepair re-derives its (globally decided) fixes from the
-            // post-cRepair state on every run, consuming its 2-in-1.
-            let (mut structure, two) = working_copy(two, keep);
-            kept_two = two;
+            // post-cRepair state on every run, on a working copy when the
+            // pinned structure is kept.
+            if keep {
+                pinned = Some(two.clone());
+            }
             let mut spare = None;
-            let fixes = e_run(
+            e_run(
                 &mut work,
                 view.master(),
                 rules,
                 &prepared.erepair_order,
                 cfg,
-                &mut structure,
+                &mut two,
                 view.cache(&mut cache, &mut spare),
-            );
-            worked_two = (phase >= Phase::HRepair).then_some(structure);
-            fixes
+            )
         });
         report.extend(e_fixes);
     }
     if phase >= Phase::HRepair {
         let h_fixes = timed(observer, &mut phases, Phase::HRepair, || {
-            let mut two = worked_two.expect("eRepair ran before hRepair");
             h_run(
                 &mut work,
                 rules,
@@ -475,15 +476,22 @@ pub(crate) fn run_phases(
         report.extend(h_fixes);
     }
 
+    // Acceptance (§3.2): `Dr ⊨ Σ` and `(Dr, Dm) ⊨ Γ`, against whatever
+    // master view the final state implies.
+    let view = prepared.view(&work);
+    let mut spare = None;
+    let graded = view.cache(&mut cache, &mut spare);
+    cons.update(rules, view.master(), graded, prev, &work, two);
+
     Some(PhaseRun {
         work,
         report,
         phases,
-        warm: kept_c.map(|(post_c, cfix)| Warm {
+        warm: kept.map(|(post_c, cfix)| Warm {
             post_c,
             cfix,
             cache,
-            two: kept_two,
+            two: pinned,
         }),
     })
 }
@@ -503,14 +511,18 @@ pub(crate) fn full_clean(
 ) -> (CleanResult, Option<Warm>, ConsistencyIndex) {
     let keep = keep && !matches!(prepared.master, MasterSource::SelfSnapshot);
     let fresh = Warm::fresh(prepared, d.clone());
-    let run = run_phases(prepared, phase, fresh, None, keep, observer)
-        .expect("only a continuation can be aborted");
-
-    // Acceptance (§3.2): `Dr ⊨ Σ` and `(Dr, Dm) ⊨ Γ`, checked against
-    // whatever master view the final state implies.
-    let view = prepared.view(&run.work);
-    let master = view.master().map(|m| (m.dm, m.index));
-    let cons = ConsistencyIndex::build(&prepared.rules, &run.work, master);
+    let none = Relation::empty(d.schema().clone());
+    let mut cons = ConsistencyIndex::new();
+    let run = run_phases(
+        prepared,
+        phase,
+        fresh,
+        None,
+        keep,
+        (&none, &mut cons),
+        observer,
+    )
+    .expect("only a continuation can be aborted");
     let result = CleanResult {
         cost: repair_cost(d, &run.work),
         consistent: cons.consistent(),
@@ -528,8 +540,7 @@ pub(crate) struct Master<'a> {
     pub(crate) dm: &'a Relation,
     pub(crate) index: &'a MasterIndex,
     /// Set only under [`MasterSource::SelfSnapshot`]; read through
-    /// [`Master::own_row`] and [`Master::is_evidence`]. Acceptance ignores
-    /// it: a tuple's own row agrees with it on the RHS.
+    /// [`Master::own_row`] and [`Master::is_evidence`].
     is_self: bool,
 }
 

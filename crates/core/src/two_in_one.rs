@@ -1,8 +1,12 @@
 //! The 2-in-1 structure of §6.3: a hash table per variable CFD plus a
 //! balanced tree ordered by entropy ([`EntropyOrder`]; the paper's AVL).
 //! It is the engine's one variable-CFD group table: `eRepair` reads its
-//! conflict sets, and `hRepair` (§7) then takes the same structure over as
-//! its equivalence classes, keeping it exact through its own rewrites.
+//! conflict sets, `hRepair` (§7) then takes the same structure over as
+//! its equivalence classes, keeping it exact through its own rewrites, and
+//! the acceptance check (`crate::acceptance`) reads the structure the last
+//! phase finished with: a group violates when it holds two distinct
+//! non-null B values, and the structure keeps a count of such groups per
+//! CFD.
 //!
 //! For each variable CFD `ϕ = R(Y → B, tp)` the hash table `HTab` maps each
 //! key `ȳ ∈ π_Y(σ_{Y ≍ tp[Y]} D)` to a node carrying the entropy
@@ -110,6 +114,14 @@ impl Group {
         k >= 2 || (k == 1 && self.nulls > 0)
     }
 
+    /// Does the conflict set violate its CFD under SQL null semantics
+    /// (§3.2's acceptance test) — two distinct non-null B values? A null
+    /// member compares equal to anything, so unlike [`Self::can_violate`]
+    /// it does not count.
+    pub(crate) fn violates(&self) -> bool {
+        self.counts.len() >= 2
+    }
+
     /// Apply a ±1 delta to one value count and refresh the entropy in
     /// O(1): `H = (ln n − Σc·ln c / n) / ln k`, the closed form of §6.1's
     /// `Σ (c/n)·log_k(n/c)`.
@@ -171,6 +183,9 @@ pub struct TwoInOne {
     groups: Vec<Group>,
     /// Tree per variable CFD over (entropy, group id), nonzero entropy only.
     trees: Vec<EntropyOrder>,
+    /// How many groups, over every variable CFD, violate their CFD
+    /// ([`Group::violates`]).
+    violating: usize,
     /// attr → variable CFDs reading it (LHS) / writing it (RHS), each list
     /// ascending (enables the allocation-free merge in `on_update`).
     attr_in_lhs: Vec<Vec<usize>>,
@@ -210,6 +225,7 @@ impl TwoInOne {
             tables: (0..nv).map(|_| HashMap::default()).collect(),
             groups: Vec::new(),
             trees: vec![EntropyOrder::default(); nv],
+            violating: 0,
             attr_in_lhs,
             attr_is_rhs,
         };
@@ -308,6 +324,11 @@ impl TwoInOne {
         self.trees[v].below(bound).map(|k| k.id).collect()
     }
 
+    /// Does some conflict set violate its CFD ([`Group::violates`])? O(1).
+    pub(crate) fn any_violation(&self) -> bool {
+        self.violating > 0
+    }
+
     /// The minimum-entropy conflict set of variable CFD `v`, if any.
     pub fn min_entropy_group(&self, v: usize) -> Option<GroupId> {
         self.trees[v].min().map(|k| k.id)
@@ -399,14 +420,14 @@ impl TwoInOne {
                 g
             }
         };
-        self.detach_from_tree(v, gid);
+        self.detach(v, gid);
         let grp = &mut self.groups[gid as usize];
         grp.tuples.push(t);
         match b {
             None => grp.nulls += 1,
             Some(b) => grp.bump(b, 1),
         }
-        self.attach_to_tree(v, gid);
+        self.attach(v, gid);
     }
 
     /// Remove `t` from the group it occupied *before* `a` changed away from
@@ -460,7 +481,7 @@ impl TwoInOne {
         let Some(&gid) = self.tables[v].get(&key) else {
             return;
         };
-        self.detach_from_tree(v, gid);
+        self.detach(v, gid);
         let b_attr = self.rhs[v];
         let old_bval = value_at(b_attr);
         let old_b = if old_bval.is_null() {
@@ -482,12 +503,16 @@ impl TwoInOne {
         if grp.tuples.is_empty() {
             self.tables[v].remove(&key);
         } else {
-            self.attach_to_tree(v, gid);
+            self.attach(v, gid);
         }
     }
 
-    fn detach_from_tree(&mut self, v: usize, gid: GroupId) {
-        let e = self.groups[gid as usize].entropy;
+    /// Take a group out of its CFD's tree and violating count before its
+    /// members or counts change; [`Self::attach`] puts it back after.
+    fn detach(&mut self, v: usize, gid: GroupId) {
+        let grp = &self.groups[gid as usize];
+        self.violating -= usize::from(grp.violates());
+        let e = grp.entropy;
         if e > 0.0 {
             self.trees[v].remove(&EntropyKey {
                 entropy: e,
@@ -496,8 +521,10 @@ impl TwoInOne {
         }
     }
 
-    fn attach_to_tree(&mut self, v: usize, gid: GroupId) {
-        let e = self.groups[gid as usize].entropy;
+    fn attach(&mut self, v: usize, gid: GroupId) {
+        let grp = &self.groups[gid as usize];
+        self.violating += usize::from(grp.violates());
+        let e = grp.entropy;
         if e > 0.0 {
             self.trees[v].insert(EntropyKey {
                 entropy: e,
@@ -530,6 +557,7 @@ impl TwoInOne {
                 .collect()
         };
         let fresh = TwoInOne::build(rules, d);
+        assert_eq!(self.violating, fresh.violating, "violating groups");
         for v in 0..self.len() {
             assert_eq!(
                 summarize(self, v),

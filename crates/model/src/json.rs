@@ -464,12 +464,15 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| JsonError::Syntax {
+        // `f64::from_str` saturates to infinity (`1e999`), which no JSON
+        // text can carry back out.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(JsonError::Syntax {
                 pos: start,
                 msg: "number out of range",
-            })
+            }),
+        }
     }
 }
 
@@ -641,6 +644,15 @@ mod tests {
             let text = Json::Num(cf).render();
             assert_eq!(Json::parse(&text).unwrap().as_f64(), Some(cf), "{text}");
         }
+    }
+
+    #[test]
+    fn numbers_past_f64_are_syntax_errors() {
+        for bad in ["1e999", "-1e309", "[0, 2e400]"] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+        assert_eq!(Json::parse("1e308").unwrap(), Json::Num(1e308));
+        assert_eq!(Json::parse("1e-999").unwrap(), Json::Num(0.0));
     }
 
     #[test]

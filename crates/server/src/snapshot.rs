@@ -46,6 +46,7 @@ pub const SNAP_TMP: &str = "snapshot.json.tmp";
 const RETRY_BACKOFF: [Duration; 2] = [Duration::from_millis(10), Duration::from_millis(50)];
 
 /// Everything a snapshot persists.
+#[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotDoc {
     /// WAL sequence number of the last batch this snapshot covers;
     /// recovery skips WAL records with `seq <= seq`.
@@ -77,7 +78,9 @@ pub struct SnapshotDoc {
 }
 
 impl SnapshotDoc {
-    fn to_json(&self) -> Json {
+    /// The document a snapshot frame carries, in the shape
+    /// [`Self::from_payload`] decodes.
+    pub fn to_json(&self) -> Json {
         let mut pairs = vec![
             ("version", Json::Num(1.0)),
             ("seq", Json::Num(self.seq as f64)),
@@ -105,8 +108,10 @@ impl SnapshotDoc {
     }
 
     /// Decode a snapshot frame's payload (a `snapshot.json` on disk, or
-    /// the same bytes streamed to a bootstrapping standby).
-    pub(crate) fn from_payload(payload: &[u8]) -> Option<SnapshotDoc> {
+    /// the same bytes streamed to a bootstrapping standby). Untrusted
+    /// bytes: anything but a version-1 document of the right shape is
+    /// `None`.
+    pub fn from_payload(payload: &[u8]) -> Option<SnapshotDoc> {
         let doc = Json::parse(std::str::from_utf8(payload).ok()?).ok()?;
         if doc.get("version").and_then(Json::as_usize) != Some(1) {
             return None;

@@ -229,20 +229,26 @@ pub fn assert_tuple_verdicts(
     }
 }
 
-/// [`assert_tuple_verdicts`] on a session state, against the master view
-/// its cleaner's source implies for the current repair; `is_accepted`
-/// must agree with `violations` on every tuple.
-pub fn assert_state_verdicts(uni: &Cleaner, state: &RepairState, label: &str) {
+/// The master relation `uni`'s source implies for the repair `d`: the
+/// external master, a snapshot of `d` itself, or no tuples at all.
+pub fn master_for(uni: &Cleaner, d: &Relation) -> Relation {
     let rules = uni.rules();
-    let d = state.repaired();
-    let dm = match uni.master() {
+    match uni.master() {
         MasterSource::External(dm) => dm.as_ref().clone(),
         MasterSource::SelfSnapshot => {
             Relation::with_schema(rules.master_schema().unwrap().clone(), d)
         }
         MasterSource::None => Relation::empty(rules.schema().clone()),
-    };
-    assert_tuple_verdicts(rules, d, &dm, |tid| state.violations(tid), label);
+    }
+}
+
+/// [`assert_tuple_verdicts`] on a session state, against the master view
+/// its cleaner's source implies for the current repair; `is_accepted`
+/// must agree with `violations` on every tuple.
+pub fn assert_state_verdicts(uni: &Cleaner, state: &RepairState, label: &str) {
+    let d = state.repaired();
+    let dm = master_for(uni, d);
+    assert_tuple_verdicts(uni.rules(), d, &dm, |tid| state.violations(tid), label);
     for (tid, _) in d.iter() {
         assert_eq!(
             state.is_accepted(tid),

@@ -5,8 +5,10 @@
 //! and `--delta` files), the wire protocol
 //! (`uniclean::server::protocol::parse_request`), and the two layers of the
 //! daemon's durable files and replication stream — the frame codec
-//! (`uniclean::model::frame`) and the WAL record grammar
-//! (`uniclean::server::wal::WalRecord::parse`).
+//! (`uniclean::model::frame`), the WAL record grammar
+//! (`uniclean::server::wal::WalRecord::parse`) and the snapshot document
+//! (`uniclean::server::snapshot::SnapshotDoc::from_payload`), which a
+//! standby decodes from streamed bytes.
 //!
 //! Each harness starts from golden inputs that cover the grammar, applies
 //! stacked mutations (byte replace / insert / delete / truncate, and word
@@ -17,11 +19,16 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use uniclean::core::{Cleaner, Phase};
 use uniclean::model::csv::{from_csv, to_csv};
 use uniclean::model::frame::{encode_frame, scan_frames, sole_frame, FrameScan};
-use uniclean::model::{Json, Schema};
+use uniclean::model::{
+    json::{batch_to_ingest_json, relation_to_json},
+    FixMark, Json, Relation, Schema, Tuple, Value,
+};
 use uniclean::rules::{parse_rules, RuleSet};
 use uniclean::server::protocol::parse_request;
+use uniclean::server::snapshot::SnapshotDoc;
 use uniclean::server::wal::{batch_record, WalRecord};
 
 /// Mutants per harness.
@@ -317,5 +324,71 @@ fn frame_scanner_never_panics_on_mutated_logs() {
             sole_frame(bytes),
             (frames.len() == 1 && torn.is_none()).then(|| frames[0])
         );
+    });
+}
+
+/// Golden snapshot documents, rendered from a real clean as a shard's
+/// compaction renders them: a fresh tenant, and tenants with batches
+/// behind them with and without the exactly-once and replication markers.
+fn snapshot_docs() -> Vec<SnapshotDoc> {
+    let s = Schema::of_strings("tran", &["AC", "city", "phn"]);
+    let rules = parse_rules("cfd phi1: tran([AC=131] -> [city=Edi])", &s, None).unwrap();
+    let cleaner = Cleaner::builder()
+        .rules(RuleSet::cfds_only(s.clone(), rules.cfds))
+        .build()
+        .unwrap();
+    let mut odd = Tuple::of_strs(&["020", "Edi \"N\"", "\u{e9}"], 0.25);
+    odd.set(
+        s.attr_id_or_panic("phn"),
+        Value::Null,
+        0.0,
+        FixMark::Untouched,
+    );
+    let base = Relation::new(
+        s.clone(),
+        vec![Tuple::of_strs(&["131", "Ldn", "3887644"], 0.5), odd],
+    );
+    let doc = |d: &Relation, seq, markers: (Option<u64>, Option<u64>)| {
+        let r = cleaner.clean(d, Phase::Full);
+        SnapshotDoc {
+            seq,
+            open: Json::parse(REQUEST_SEEDS[0]).expect("golden JSON"),
+            base_rows: batch_to_ingest_json(&d.to_tuples()),
+            batches: seq,
+            tuples_ingested: d.len() as u64,
+            fixes: r.report.len() as u64,
+            // Fixed, not the clean's wall-clock timings, so the seeds and
+            // the mutants derived from them are the same on every run.
+            phase_seconds: [0.5, 0.0, 0.125],
+            repaired: relation_to_json(&r.repaired),
+            cost: r.cost,
+            last_client_seq: markers.0,
+            repl_seq: markers.1,
+        }
+    };
+    vec![
+        doc(&Relation::empty(s.clone()), 0, (None, None)),
+        doc(&base, 3, (None, None)),
+        doc(&base, 7, (Some(41), None)),
+        doc(&base, 12, (Some(5), Some(12))),
+        doc(&base, 9, (None, Some(9))),
+    ]
+}
+
+/// Every mutant of a snapshot payload decodes to a document or to `None`,
+/// and a decoded document re-renders to a payload that decodes back to it.
+#[test]
+fn snapshot_decoder_never_panics_on_mutated_payloads() {
+    let seeds: Vec<String> = snapshot_docs()
+        .iter()
+        .map(|d| d.to_json().render())
+        .collect();
+    let alphabet =
+        b"{}[]:,\".-eE0123456789 versionseqopenbase_rowsfixesphase_repairedcostlast_client_repl";
+    run(0x5eed_0006, &seeds, alphabet, |payload| {
+        if let Some(doc) = SnapshotDoc::from_payload(payload) {
+            let again = SnapshotDoc::from_payload(doc.to_json().render().as_bytes());
+            assert_eq!(again, Some(doc), "to_json does not decode back");
+        }
     });
 }

@@ -45,53 +45,64 @@ fn start_node(data_dir: &Path, snapshot_every: u64, replicate_from: Option<Strin
     })
 }
 
-/// Poll the standby until its replicated seq for `relation` reaches
-/// `want` (the primary's batch count), with a hard deadline.
-fn wait_replicated(standby: std::net::SocketAddr, relation: &str, want: u64) {
+/// Send `request` every 25 ms until `done` accepts a response, and return
+/// what it took from it. After 30 s the test fails with `what` and the last
+/// response.
+fn poll<T>(
+    c: &mut Client,
+    request: &Json,
+    what: &str,
+    mut done: impl FnMut(&Json) -> Option<T>,
+) -> T {
     let deadline = Instant::now() + Duration::from_secs(30);
-    let mut c = Client::connect(standby);
     loop {
-        let resp = c.rpc(&obj(vec![
-            ("op", Json::str("stats")),
-            ("relation", Json::str(relation)),
-        ]));
-        let seq = resp
-            .get("relations")
-            .and_then(Json::as_arr)
-            .and_then(|rs| rs.first())
-            .and_then(|r| r.get("repl_seq"))
-            .and_then(Json::as_usize)
-            .unwrap_or(0) as u64;
-        if resp.get("ok").and_then(Json::as_bool) == Some(true) && seq >= want {
-            return;
+        let resp = c.rpc(request);
+        if let Some(out) = done(&resp) {
+            return out;
         }
-        assert!(
-            Instant::now() < deadline,
-            "standby never replicated {relation} to seq {want}; last: {resp}"
-        );
+        assert!(Instant::now() < deadline, "{what}; last: {resp}");
         std::thread::sleep(Duration::from_millis(25));
     }
+}
+
+fn request(op: &str, relation: &str) -> Json {
+    obj(vec![
+        ("op", Json::str(op)),
+        ("relation", Json::str(relation)),
+    ])
+}
+
+/// Poll the standby until its replicated seq for `relation` reaches
+/// `want` (the primary's batch count).
+fn wait_replicated(standby: std::net::SocketAddr, relation: &str, want: u64) {
+    let what = format!("standby never replicated {relation} to seq {want}");
+    poll(
+        &mut Client::connect(standby),
+        &request("stats", relation),
+        &what,
+        |resp| {
+            let seq = resp
+                .get("relations")
+                .and_then(Json::as_arr)
+                .and_then(|rs| rs.first())
+                .and_then(|r| r.get("repl_seq"))
+                .and_then(Json::as_usize)
+                .unwrap_or(0) as u64;
+            (resp.get("ok").and_then(Json::as_bool) == Some(true) && seq >= want).then_some(())
+        },
+    );
 }
 
 /// Standby stats may answer `unknown_relation` before the bootstrap
 /// lands — wait for the relation to exist first.
 fn wait_relation_exists(addr: std::net::SocketAddr, relation: &str) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut c = Client::connect(addr);
-    loop {
-        let resp = c.rpc(&obj(vec![
-            ("op", Json::str("check")),
-            ("relation", Json::str(relation)),
-        ]));
-        if resp.get("ok").and_then(Json::as_bool) == Some(true) {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "standby never opened {relation}; last: {resp}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    let what = format!("standby never opened {relation}");
+    poll(
+        &mut Client::connect(addr),
+        &request("check", relation),
+        &what,
+        |resp| (resp.get("ok").and_then(Json::as_bool) == Some(true)).then_some(()),
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -129,27 +140,13 @@ fn standby_tails_the_primary_and_reads_identically() {
 
     // The primary's stats carry per-tenant replica health; the standby
     // acks after applying, so poll until the ack round-trips.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let repl = loop {
-        let stats = pc.rpc(&obj(vec![
-            ("op", Json::str("stats")),
-            ("relation", Json::str("tran")),
-        ]));
-        assert_ok(&stats);
-        let rel = stats.get("relations").and_then(Json::as_arr).unwrap()[0].clone();
-        let acked = rel
-            .get("replication")
-            .and_then(|r| r.get("acked_seq"))
-            .and_then(Json::as_usize);
-        if acked == Some(4) {
-            break rel.get("replication").unwrap().clone();
-        }
-        assert!(
-            Instant::now() < deadline,
-            "primary never saw the standby ack seq 4; last: {rel}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    };
+    let what = "primary never saw the standby ack seq 4";
+    let repl = poll(&mut pc, &request("stats", "tran"), what, |stats| {
+        assert_ok(stats);
+        let rel = &stats.get("relations").and_then(Json::as_arr).unwrap()[0];
+        let repl = rel.get("replication")?;
+        (repl.get("acked_seq").and_then(Json::as_usize) == Some(4)).then(|| repl.clone())
+    });
     assert_eq!(repl.get("lag_frames").and_then(Json::as_usize), Some(0));
     assert_eq!(repl.get("lag_bytes").and_then(Json::as_usize), Some(0));
     assert!(
@@ -186,10 +183,7 @@ fn standby_rejects_mutations_with_primary_pointer() {
     for req in [
         open_request("tran"),
         ingest_request("tran", BATCHES[0]),
-        obj(vec![
-            ("op", Json::str("close")),
-            ("relation", Json::str("tran")),
-        ]),
+        request("close", "tran"),
     ] {
         let resp = sc.rpc(&req);
         assert_code(&resp, "standby");
@@ -240,10 +234,7 @@ fn standby_bootstraps_from_snapshot_after_compaction() {
     );
     assert_eq!(s_cost, expect_cost);
     let repl_seq_of = |c: &mut Client| {
-        let stats = c.rpc(&obj(vec![
-            ("op", Json::str("stats")),
-            ("relation", Json::str("tran")),
-        ]));
+        let stats = c.rpc(&request("stats", "tran"));
         assert_ok(&stats);
         stats.get("relations").unwrap().as_arr().unwrap()[0]
             .get("repl_seq")
@@ -346,31 +337,22 @@ fn standby_prunes_closed_tenants() {
     wait_relation_exists(standby.addr, "tran");
     wait_replicated(standby.addr, "tran", 1);
 
-    assert_ok(&pc.rpc(&obj(vec![
-        ("op", Json::str("close")),
-        ("relation", Json::str("tran")),
-    ])));
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut sc = Client::connect(standby.addr);
-    loop {
-        let resp = sc.rpc(&obj(vec![
-            ("op", Json::str("check")),
-            ("relation", Json::str("tran")),
-        ]));
-        // The prune goes through the shard `close` path, which leaves a
-        // tombstone — either code means the tenant is gone.
-        if matches!(
-            resp.get("code").and_then(Json::as_str),
-            Some("unknown_relation") | Some("already_closed")
-        ) {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "standby never pruned the closed tenant; last: {resp}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    assert_ok(&pc.rpc(&request("close", "tran")));
+    let what = "standby never pruned the closed tenant";
+    poll(
+        &mut Client::connect(standby.addr),
+        &request("check", "tran"),
+        what,
+        |resp| {
+            // The prune goes through the shard `close` path, which leaves a
+            // tombstone — either code means the tenant is gone.
+            matches!(
+                resp.get("code").and_then(Json::as_str),
+                Some("unknown_relation") | Some("already_closed")
+            )
+            .then_some(())
+        },
+    );
     shutdown_node(standby);
     shutdown_node(primary);
 }
@@ -642,10 +624,7 @@ proptest! {
             .ingest_with_seq("tran", rows_json(BATCHES[0]), 1)
             .expect("ingest through the dropping proxy");
 
-        let stats = direct.rpc(&obj(vec![
-            ("op", Json::str("stats")),
-            ("relation", Json::str("tran")),
-        ]));
+        let stats = direct.rpc(&request("stats", "tran"));
         assert_ok(&stats);
         let rel = &stats.get("relations").and_then(Json::as_arr).unwrap()[0];
         prop_assert_eq!(
