@@ -9,11 +9,11 @@
 //!   engine's one variable-CFD group table. A group violates when it holds
 //!   two distinct non-null RHS values. The structure is moved into the
 //!   index, never cloned;
-//! * **MDs** read the phase loop's witness cache (`MdMatchCache`): a tuple
-//!   satisfies an MD when every verified witness agrees with it on the RHS
-//!   (under a self-snapshot, its own row too, which the phases never
-//!   match but `Dm` holds). The verdict is one flag per (tuple, MD), taken in the same call as the
-//!   phases, while the cache is valid for the repair.
+//! * **MDs** read the phase loop's witness memo (`MdMatchCache`): a tuple
+//!   satisfies an MD when every master row matching its premise agrees
+//!   with it on the RHS (under a self-snapshot, its own row too, which the
+//!   phases never match but `Dm` holds). The verdict is one flag per
+//!   (tuple, MD), taken in the same call as the phases.
 //!
 //! Constant CFDs are counted from the tuples directly. The engine grades a
 //! full clean once and then *maintains* the grade from per-tuple diffs, so
@@ -105,7 +105,7 @@ impl ConsistencyIndex {
     pub fn build(rules: &RuleSet, d: &Relation, master: Option<(&Relation, &MasterIndex)>) -> Self {
         let master = master.and_then(|(dm, index)| Master::external(rules, Some(dm), Some(index)));
         let mut me = ConsistencyIndex::new();
-        let mut cache = MdMatchCache::new(rules, d.len());
+        let mut cache = MdMatchCache::new(rules);
         let none = Relation::empty(d.schema().clone());
         let two = TwoInOne::build(rules, d);
         me.update(rules, master, &mut cache, &none, d, two);
@@ -176,8 +176,8 @@ impl ConsistencyIndex {
     /// Re-grade against the new final relation `new`: `prev` is the
     /// previous final (a prefix of `new` tuple-wise); only tuples whose
     /// cell values changed, plus appended tuples, are re-checked. `two`
-    /// must be exact for `new`, and `cache` valid for `new` against
-    /// `master`.
+    /// must be exact for `new`, and `cache` the witness memo of `master`
+    /// for `new`'s lineage.
     pub(crate) fn update(
         &mut self,
         rules: &RuleSet,
@@ -205,10 +205,10 @@ impl ConsistencyIndex {
     }
 
     /// Re-grade tuple `t` of `d` under every MD, keeping `md_bad` in step
-    /// with its flags: every witness must agree with `t` on the RHS. A
-    /// self-snapshot's own row is no witness to the phases, but `Dm` holds
-    /// it, so it is graded here too: it can disagree only when the RHS
-    /// pairs two different attributes.
+    /// with its flags: every master row matching `t`'s premise must agree
+    /// with `t` on the RHS. A self-snapshot's own row is no witness to the
+    /// phases, but `Dm` holds it, so it is graded here too: it can disagree
+    /// only when the RHS pairs two different attributes.
     fn grade_mds(
         &mut self,
         rules: &RuleSet,
@@ -227,11 +227,12 @@ impl ConsistencyIndex {
         for (j, (md, ok)) in rules.mds().iter().zip(flags.iter_mut()).enumerate() {
             let (e, f) = md.rhs()[0];
             let value = row.value(e);
-            let agrees = |s: TupleId| value.eq_nullable(m.dm.tuple(s).value(f));
             *ok = value.is_null()
-                || m.own_row(t)
-                    .is_none_or(|s| agrees(s) || !md.premise_matches(row, m.dm.tuple(s)))
-                    && cache.matches(j, rules, d, m, t).iter().all(|&s| agrees(s));
+                || cache
+                    .matches(j, rules, d, m, t)
+                    .all()
+                    .iter()
+                    .all(|&s| value.eq_nullable(m.dm.tuple(s).value(f)));
         }
         match (was_bad, flags.contains(&false)) {
             (false, true) => self.md_bad += 1,

@@ -22,8 +22,7 @@
 //!
 //! MD candidate generation and premise verification — the dominant
 //! per-tuple cost — go through an `MdMatchCache`, which computes a witness
-//! list the first time the fixpoint asks for it and recomputes any entry a
-//! repair invalidates.
+//! list the first time the fixpoint asks for a tuple's premise values.
 
 use std::collections::VecDeque;
 
@@ -187,7 +186,7 @@ struct State<'a, 'g> {
     /// recompiled per run, valid for the run's relation lineage).
     pats: CfdPatternSyms,
     fx: &'a mut CFixpoint,
-    /// Memoized MD witness lists (invalidated on premise rewrites).
+    /// Memoized MD witness lists, keyed by premise values.
     md_cache: &'a mut MdMatchCache,
     /// Queue of (tuple, rule) with pending flags (transient: empty at
     /// fixpoint, so not part of the persisted state).
@@ -210,7 +209,7 @@ pub fn c_repair(
 ) -> FixReport {
     let master = Master::external(rules, dm, idx);
     let mut fx = CFixpoint::new(rules, d.len());
-    let mut md_cache = MdMatchCache::new(rules, d.len());
+    let mut md_cache = MdMatchCache::new(rules);
     c_run(d, master, rules, cfg, &mut fx, &mut md_cache, None)
 }
 
@@ -218,9 +217,7 @@ pub fn c_repair(
 /// inference queue. Without a guard every tuple is seeded — over a fresh
 /// [`CFixpoint`], a full run; with one, the persisted fixpoint of a
 /// previous run *continues* over the tuples appended after
-/// `guard.settled`. `md_cache` serves `master`'s witness lists; the
-/// fixpoint relation only moves forward, so the run's writes are settled
-/// into the cache's base.
+/// `guard.settled`. `md_cache` serves `master`'s witness lists.
 pub(crate) fn c_run(
     d: &mut Relation,
     master: Option<Master<'_>>,
@@ -278,11 +275,7 @@ pub(crate) fn c_run(
             st.md_infer(d, m, t, r);
         }
     }
-    let report = st.report;
-    // The fixpoint relation never rewinds: what this run rewrote becomes
-    // the cache's base.
-    md_cache.settle();
-    report
+    st.report
 }
 
 impl State<'_, '_> {
@@ -337,7 +330,6 @@ impl State<'_, '_> {
             d.tuple(t).mark(a)
         };
         d.tuple_mut(t).set(a, new.clone(), self.eta, mark);
-        self.md_cache.invalidate(t, a);
         if changed {
             // A settled tuple is a member of the pinned 2-in-1: keep it
             // exact. A batch tuple enters it later, with its final cells.
@@ -479,7 +471,6 @@ impl State<'_, '_> {
                 let all = self.md_cache.matches(md_idx, rules, d, m, t);
                 let disagree = all
                     .iter()
-                    .copied()
                     .filter(|&s| m.is_evidence(s, f, eta))
                     .any(|s| dm.tuple(s).value(f) != d.tuple(t).value(e));
                 if disagree {
@@ -489,12 +480,12 @@ impl State<'_, '_> {
             return;
         }
         let witness = {
-            // Witness lists come from the memoized cache; it already
-            // excludes the tuple's own positional copy under self-matching.
+            // Witness lists come from the memo; they skip the tuple's own
+            // positional copy under self-matching.
             let all = self.md_cache.matches(md_idx, rules, d, m, t);
             // The self-snapshot is dirty, not master data: only witnesses
             // whose conclusion cell is itself asserted carry evidence.
-            let mut usable = all.iter().copied().filter(|&s| m.is_evidence(s, f, eta));
+            let mut usable = all.iter().filter(|&s| m.is_evidence(s, f, eta));
             let correcting = usable
                 .clone()
                 .find(|&s| dm.tuple(s).value(f) != d.tuple(t).value(e));

@@ -13,9 +13,9 @@
 //! are cells asserted by confidence (`cf ≥ η`) — entropy evidence must not
 //! override confidence evidence.
 //!
-//! Conflict sets come from the 2-in-1 structure ([`TwoInOne`]) and MD
-//! witness lists from a memoized cache that computes each list on first
-//! use; both are kept exact under the loop's own rewrites.
+//! Conflict sets come from the 2-in-1 structure ([`TwoInOne`]), kept exact
+//! under the loop's own rewrites, and MD witness lists from a memo keyed by
+//! premise values, which computes each list on first use.
 //!
 //! The structure's group ids and member order depend on how the relation
 //! arrived, and the outcome does not: one `v_cfd_resolve` pass lists its
@@ -51,17 +51,17 @@ pub fn e_repair(
     let master = Master::external(rules, dm, idx);
     let order = erepair_order(rules);
     let mut structure = TwoInOne::build(rules, d);
-    let mut md_cache = MdMatchCache::new(rules, d.len());
+    let mut md_cache = MdMatchCache::new(rules);
     e_run(d, master, rules, &order, cfg, &mut structure, &mut md_cache)
 }
 
 /// The engine behind [`e_repair`], with the rule `order`, the 2-in-1
-/// structure and the MD witness cache supplied by the caller. The order,
-/// a fresh build and an empty cache reproduce [`e_repair`] exactly. The
+/// structure and the MD witness memo supplied by the caller. The order,
+/// a fresh build and an empty memo reproduce [`e_repair`] exactly. The
 /// incremental path hands in the session's order, a clone of its
 /// persistent post-`cRepair` structure (kept exact through `cRepair`'s
 /// cascade by `on_update`, extended by insert-time deltas) and its warm
-/// cross-call cache instead. The cache is transparent; the structure holds
+/// cross-call memo instead. The memo is transparent; the structure holds
 /// the same groups as a fresh build under other ids, so the repaired cells
 /// and the final fixes are bit-identical, and only the order of fix
 /// records within one variable-CFD pass can differ (see the module doc).
@@ -152,7 +152,6 @@ impl EState<'_> {
             rule: rule.into(),
         });
         structure.on_update(rules, d, t, a, &old);
-        self.md_cache.invalidate(t, a);
     }
 }
 
@@ -239,13 +238,11 @@ fn md_resolve(
         // First *disagreeing* witness: an agreeing master tuple earlier in
         // the candidate list must not mask a correction demanded by a later
         // one (and under self-matching the tuple's own copy always agrees —
-        // the cache skips it). Witness lists come from the memoized
-        // cache.
+        // the memo skips it). Witness lists come from the memo.
         let Some(s) = st
             .md_cache
             .matches(i, rules, d, m, t)
             .iter()
-            .copied()
             // Under self-matching only asserted witnesses carry evidence.
             .filter(|&s| m.is_evidence(s, f, eta))
             .find(|&s| dm.tuple(s).value(f) != d.tuple(t).value(e))
@@ -500,7 +497,7 @@ mod tests {
         let order = erepair_order(&rules);
         let run = |mut two: TwoInOne| {
             let mut out = d.clone();
-            let mut cache = MdMatchCache::new(&rules, out.len());
+            let mut cache = MdMatchCache::new(&rules);
             let report = e_run(&mut out, None, &rules, &order, &cfg(), &mut two, &mut cache);
             assert!(!report.is_empty(), "the pin must exercise repairs");
             (out, report)

@@ -42,19 +42,19 @@
 //! Rounds pay for what changed. Round one checks every tuple against every
 //! constant CFD and MD, and every class that can violate. Every target
 //! change is journalled; at the round boundary the journal is rendered
-//! into the assignment (the relation under repair, updated in place), each
-//! rendered cell is fed to [`TwoInOne::on_update`], and the MD witness
-//! lists whose premises were rewritten are dropped. Round r ≥ 2 visits
+//! into the assignment (the relation under repair, updated in place) and
+//! each rendered cell is fed to [`TwoInOne::on_update`]. Round r ≥ 2 visits
 //! only the tuples in round r−1's journal or touched earlier in round r,
 //! and only the classes holding such a tuple or one that a tuple just
 //! left. That is exact: a skipped item has the same values and targets as
 //! when it was last visited, and that visit changed nothing.
 //!
-//! Witness lists come from the phase loop's one `MdMatchCache` — warm from
-//! `cRepair`, `eRepair` and, in a delta call, earlier calls — so round one
-//! verifies only premises nobody verified before. A self-snapshot master
-//! is a new relation every round, so such a round matches through a fresh
-//! cache and visits every tuple for its MDs.
+//! Witness lists come from the phase loop's one `MdMatchCache`, keyed by
+//! premise values and warm from `cRepair`, `eRepair` and, in a delta call,
+//! earlier calls, so every round verifies only premise values nobody
+//! verified before. A self-snapshot master is a new relation every round,
+//! so such a round matches through a fresh memo and visits every tuple for
+//! its MDs.
 //!
 //! Resolution runs in tuple-id and group-id order, so the output does not
 //! depend on hash-map iteration order.
@@ -235,7 +235,7 @@ pub fn h_repair(
 ) -> FixReport {
     let master = Master::external(rules, dm, idx);
     let mut two = TwoInOne::build(rules, d);
-    let mut cache = MdMatchCache::new(rules, d.len());
+    let mut cache = MdMatchCache::new(rules);
     h_run(
         d,
         rules,
@@ -253,11 +253,11 @@ pub fn h_repair(
 /// through each other's stale copies, round after round.
 ///
 /// `two` is the 2-in-1 structure over `d` (the phase loop hands in the one
-/// `eRepair` worked on); its groups are the equivalence classes. `cache`
-/// holds witness lists valid for `d` (the phase loop hands in the
-/// session's); it serves every round whose view is not a snapshot. Every
-/// cell the run rewrites is fed to both, the last round's included, so
-/// both stay valid for the repaired `d`.
+/// `eRepair` worked on); its groups are the equivalence classes, and every
+/// cell the run rewrites is fed to it, the last round's included, so it
+/// stays exact for the repaired `d`. `cache` is the witness memo of `d`'s
+/// lineage (the phase loop hands in the session's); it serves every round
+/// whose view is not a snapshot.
 pub(crate) fn h_run<'m>(
     d: &mut Relation,
     rules: &RuleSet,
@@ -300,7 +300,7 @@ pub(crate) fn h_run<'m>(
         if journal.is_empty() {
             break;
         }
-        left = commit(d, &base, &cells, &journal, rules, two, cache);
+        left = commit(d, &base, &cells, &journal, rules, two);
         rewritten.extend(journal);
     }
 
@@ -338,10 +338,9 @@ pub(crate) fn h_run<'m>(
 }
 
 /// The round boundary: render the `journal` (sorted cell ids) into the
-/// assignment `d`, keep the 2-in-1 exact under every rendered cell, and
-/// drop the witness lists whose premises were rewritten. Returns the
-/// classes a journalled tuple left; the live ones lost a member, so the
-/// next round visits them.
+/// assignment `d` and keep the 2-in-1 exact under every rendered cell.
+/// Returns the classes a journalled tuple left; the live ones lost a
+/// member, so the next round visits them.
 fn commit(
     d: &mut Relation,
     base: &Relation,
@@ -349,7 +348,6 @@ fn commit(
     journal: &[usize],
     rules: &RuleSet,
     two: &mut TwoInOne,
-    cache: &mut MdMatchCache,
 ) -> Vec<GroupId> {
     let mut left = Vec::new();
     let arity = cells.arity;
@@ -371,7 +369,6 @@ fn commit(
             let old = d.tuple(t).value(a).clone();
             render(d, base, cells, t, a);
             two.on_update(rules, d, t, a, &old);
-            cache.invalidate(t, a);
         }
         for (v, g) in before {
             if two.group_of(v, d, t) != Some(g) {
@@ -537,7 +534,7 @@ fn resolve_class<'r>(
 
 /// Resolve every MD over the worklist — or over every tuple when
 /// `everyone` (a self-snapshot master, new each round). Witness lists come
-/// from `cache`, valid for `cur`.
+/// from `cache`, the memo of `m`.
 fn resolve_mds<'r>(
     cur: &Relation,
     m: Master<'_>,
@@ -568,14 +565,10 @@ fn resolve_mds<'r>(
             // carries cf = 1 and always passes; under self-matching this
             // stops dirty low-confidence copies from overwriting verified
             // values.
-            let demand = cache
-                .matches(i, rules, cur, m, tid)
-                .iter()
-                .copied()
-                .find(|&s| {
-                    let s = dm.tuple(s);
-                    s.cf(f) >= t.cf(e) && s.value(f) != have
-                });
+            let demand = cache.matches(i, rules, cur, m, tid).iter().find(|&s| {
+                let s = dm.tuple(s);
+                s.cf(f) >= t.cf(e) && s.value(f) != have
+            });
             let Some(s) = demand else {
                 continue;
             };
@@ -964,7 +957,7 @@ mod tests {
             for (i, &(rules, d, master)) in cases.iter().enumerate() {
                 let mut d = d.clone();
                 let mut two = TwoInOne::build(rules, &d);
-                let mut cache = MdMatchCache::new(rules, d.len());
+                let mut cache = MdMatchCache::new(rules);
                 let fixes = h_run(
                     &mut d,
                     rules,

@@ -24,16 +24,16 @@
 //!   its equivalence classes and the acceptance index then reads. A
 //!   `cRepair`-only state clones nothing: its pinned structure is its
 //!   final one, so it rests in the acceptance index between calls.
-//! * the **MD witness cache** persists across calls, one for all three
-//!   phases, based on the post-`cRepair` state: premises untouched by any
-//!   repair are never re-verified — re-verification is targeted at exactly
-//!   the tuples whose cells the batch, its cascade or the call's
-//!   `eRepair`/`hRepair` rewrote.
+//! * the **MD witness memo** persists across calls, one for all three
+//!   phases, keyed by premise values: a list is verified once per distinct
+//!   premise value and replayed for every tuple, phase and call that reads
+//!   it again. Keys of symbols only the last call's working copy interned
+//!   are dropped before a batch is appended.
 //! * the **acceptance check** (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`) is maintained
 //!   by [`ConsistencyIndex`] at the end of each call: variable CFDs read
 //!   the call's final 2-in-1, and the tuples whose final cells changed
 //!   (plus the batch) are re-graded against the constant CFDs and, from
-//!   the warm witness cache, the MDs. The previous call's final 2-in-1 is
+//!   the warm witness memo, the MDs. The previous call's final 2-in-1 is
 //!   dropped before the phases run, so no peak holds three.
 //!
 //! **Escalation.** The continuation is only kept when it provably equals
@@ -57,11 +57,11 @@
 //! post-`cRepair` state on every call (their decisions are global), so the
 //! state's fix log keeps every `cRepair` fix (write-once, so bounded by the
 //! cell count) and only the last call's `eRepair`/`hRepair` fixes. The warm
-//! witness cache covers every phase's MD premise verification, and the
+//! witness memo covers every phase's MD premise verification, and the
 //! acceptance index every verdict. `hRepair` projects no classes of its
 //! own: its round one visits the groups of `eRepair`'s 2-in-1 whose
 //! counts can violate, and checks every tuple against the constant CFDs
-//! and MDs (the witness lists come warm from the cache); its later rounds
+//! and MDs (the witness lists come warm from the memo); its later rounds
 //! visit only what the previous round changed.
 //!
 //! [`MasterSource::SelfSnapshot`]: crate::MasterSource::SelfSnapshot

@@ -34,13 +34,15 @@
 //! * [`acceptance`] — [`ConsistencyIndex`], the one owner of the §3.2
 //!   acceptance verdict (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`): a reader of the
 //!   structures the phase loop keeps exact for its output — the final
-//!   2-in-1 for variable CFDs, the witness cache for one verdict per
+//!   2-in-1 for variable CFDs, the witness memo for one verdict per
 //!   (tuple, MD) — graded at the end of a full clean and maintained from
 //!   diffs by deltas;
 //! * [`master_index`] — access paths to master data (hash indexes keyed by
 //!   the master store's symbols for equality premises, q-gram count
-//!   filtering for similarity premises), chosen per MD by the
-//!   planner and probed through the one witness cache;
+//!   filtering for similarity premises), chosen per MD by the planner.
+//!   A probe compiles the probed row's premise values once for candidate
+//!   generation and verification; the engine probes only on a miss of its
+//!   one memo of witness lists, keyed by premise values;
 //! * [`fix`] — per-cell fix records and phase statistics;
 //! * [`entropy`] — the paper's base-`k` entropy `H(ϕ | Y = ȳ)` (§6.1) and
 //!   the entropy-ordered set of conflict sets (§6.3).

@@ -26,15 +26,18 @@
 //! order is ascending master-row order on every plan, so witness lists do
 //! not depend on the plan.
 //!
-//! Probing is allocation-free at steady state: callers hold a
-//! [`ProbeScratch`] (overlap accumulators, candidate buffers, and the
-//! [`MatchScratch`] kernel caches — Myers pattern bitmaps and q-gram
-//! profiles keyed by interned symbol, shared between candidate generation
-//! and premise verification) and the `*_into` entry points append into
-//! caller-owned buffers. Symbol-keyed caches are epoch-guarded: every
-//! build stamps a globally unique epoch, and probing re-keys the scratch
-//! to it first, so a scratch can roam across index rebuilds without ever
-//! serving stale entries.
+//! A probe compiles the probed row once: its premise values are rendered,
+//! and each value's q-gram profile and Myers pattern are built on first use
+//! and shared by candidate generation and premise verification. Callers
+//! hold a [`ProbeScratch`] (overlap accumulators, a candidate buffer, the
+//! compiled probe) and the `*_into` entry points append into caller-owned
+//! buffers, so probing allocates nothing at steady state. Nothing in the
+//! scratch is keyed by a probe-side symbol; its one cache, master-side
+//! q-gram profiles keyed by master symbol, is epoch-guarded: every build
+//! stamps a globally unique epoch, and probing re-keys the scratch to it
+//! first, so a scratch can roam across index rebuilds and data relations
+//! without ever serving stale entries. Memoizing whole witness lists is
+//! the engine's `MdMatchCache`'s job.
 //!
 //! Index construction builds each distinct per-attribute artifact (hash
 //! map, inverted lists) once, shared by every MD that plans onto it, and
@@ -107,22 +110,23 @@ const LEV_COST_FACTOR: f64 = 4.0;
 const LEV_QGRAM_Q: usize = 2;
 
 /// Monotone source of build epochs: every [`MasterIndex`] gets a globally
-/// unique stamp, and [`MatchScratch`] caches re-key themselves to it on
-/// first contact (dropping entries filled under any other symbol space).
+/// unique stamp, and the [`MatchScratch`] master-side cache re-keys itself
+/// to it on first contact (dropping entries filled under any other symbol
+/// space).
 static BUILD_EPOCH: AtomicU64 = AtomicU64::new(1);
 
 /// One similarity filter over a single conjunct.
 enum Path {
     /// Complete count-filtered retrieval under the edit bound `k`, over
     /// the shared [`LEV_QGRAM_Q`]-gram inverted lists. The count-filtered
-    /// *distinct values* are confirmed column-at-a-time through one
-    /// probe-compiled Myers pattern (`col` is the vid → value sidecar)
+    /// *distinct values* are confirmed column-at-a-time through the
+    /// probe's compiled Myers pattern (`texts` renders each value id)
     /// before expanding to rows.
     LevCount {
         premise: usize,
         k: usize,
         index: Arc<QGramIndex>,
-        col: Arc<VidColumn>,
+        texts: Arc<[Box<str>]>,
     },
     /// Count-filtered q-gram inverted lists for `~qgram(q, min)`.
     QGramCount {
@@ -157,49 +161,26 @@ enum Plan {
     Scan { reason: &'static str },
 }
 
-/// Reusable probe-side state: candidate buffers, the q-gram overlap
-/// accumulator, and the [`MatchScratch`] kernel caches (Myers pattern
-/// bitmaps, symbol-keyed q-gram profiles) shared between candidate
-/// generation and premise verification.
+/// Reusable probe-side state: the q-gram overlap accumulator, a candidate
+/// buffer, and the [`MatchScratch`] holding the compiled probe shared
+/// between candidate generation and premise verification.
 ///
-/// One scratch serves any number of probes, against any number of master
-/// indexes — master-side caches are epoch-guarded by the index build.
-/// Probe-side profile caches key on the probed row's interned symbols,
-/// which identify values only within a single relation (append-only
-/// interners keep them stable across incremental extension). Callers
-/// probing a *different data relation*, or re-running from a rewound
-/// state, must use a fresh scratch or [`ProbeScratch::reset`].
+/// One scratch serves any number of probes of rows of any relation,
+/// against any number of master indexes: it keys nothing by a probe-side
+/// symbol, and its master-side cache is epoch-guarded by the index build.
 #[derive(Default)]
 pub struct ProbeScratch {
     qgram: QGramScratch,
-    /// Staging for verified-match collection (two-phase probing).
-    cand: Vec<TupleId>,
-    /// Staging for candidate computation on cache misses.
-    rows_out: Vec<u32>,
-    /// Kernel caches and per-call buffers for premise evaluation.
+    /// Candidate rows of the current probe.
+    rows: Vec<u32>,
+    /// The compiled probe and per-call buffers for premise evaluation.
     matching: MatchScratch,
-    /// Candidate lists keyed by `(MD index, premise-symbol hash)`:
-    /// candidate generation is a pure function of the probed *values*, so
-    /// distinct tuples sharing them (and re-probes of the same tuple
-    /// across fixpoint rounds) replay the list instead of re-walking
-    /// posting lists. Epoch-guarded like the kernel caches.
-    cand_cache: FxHashMap<(u32, u64), Vec<u32>>,
-    /// The symbol-space generation `cand_cache` was filled under.
-    cand_epoch: u64,
 }
 
 impl ProbeScratch {
     /// A fresh scratch (buffers grow on first use).
     pub fn new() -> Self {
         ProbeScratch::default()
-    }
-
-    /// Drop every symbol-keyed cache (keep buffer capacity). Call when the
-    /// relation whose rows are being probed changes identity — the
-    /// master-side epoch guard cannot see probe-side changes.
-    pub fn reset(&mut self) {
-        self.matching.reset();
-        self.cand_cache.clear();
     }
 }
 
@@ -314,19 +295,12 @@ enum ArtifactKey {
     Exact(Vec<AttrId>),
 }
 
+/// A q-gram artifact carries its distinct values rendered in value-id
+/// order, the input of columnar Myers sweeps: built once alongside the
+/// index, so probes never re-render a master value.
 enum Artifact {
-    QGram(Arc<QGramIndex>, Arc<VidColumn>),
+    QGram(Arc<QGramIndex>, Arc<[Box<str>]>),
     Exact(Arc<FxHashMap<u64, Vec<u32>>>),
-}
-
-/// Distinct-value sidecar of a q-gram artifact: for each dense value id
-/// the master store symbol (memo seeding) and the rendered text (columnar
-/// Myers sweeps), both in vid order. Built once alongside the index, so
-/// probes never re-render a master value.
-#[derive(Debug)]
-pub(crate) struct VidColumn {
-    syms: Vec<Symbol>,
-    texts: Vec<Box<str>>,
 }
 
 fn build_artifact(key: &ArtifactKey, master: &Relation) -> Artifact {
@@ -336,7 +310,7 @@ fn build_artifact(key: &ArtifactKey, master: &Relation) -> Artifact {
             // One pass over the symbol column collects the owner rows of
             // every distinct non-null symbol (dense first-appearance ids),
             // then each distinct value is rendered once: the texts are both
-            // the index's input and the columnar-sweep sidecar.
+            // the index's input and the columnar sweeps' column.
             let null = master.null_sym();
             let mut sym_to_vid: Vec<u32> = vec![u32::MAX; interner.len()];
             let mut syms: Vec<Symbol> = Vec::new();
@@ -359,7 +333,7 @@ fn build_artifact(key: &ArtifactKey, master: &Relation) -> Artifact {
                 .map(|&sym| interner.resolve(sym).render().into_owned().into_boxed_str())
                 .collect();
             let index = QGramIndex::new(&texts, owners, master.len(), *q);
-            Artifact::QGram(Arc::new(index), Arc::new(VidColumn { syms, texts }))
+            Artifact::QGram(Arc::new(index), texts.into())
         }
         ArtifactKey::Exact(attrs) => {
             let null = master.null_sym();
@@ -449,12 +423,12 @@ impl MasterIndex {
                 },
                 (
                     PlanSpec::Filter(PathSpec::LevCount { premise, k }),
-                    Some(Artifact::QGram(index, col)),
+                    Some(Artifact::QGram(index, texts)),
                 ) => Plan::Filter(Path::LevCount {
                     premise,
                     k,
                     index: index.clone(),
-                    col: col.clone(),
+                    texts: texts.clone(),
                 }),
                 (
                     PlanSpec::Filter(PathSpec::QGramCount { premise, q, min }),
@@ -499,13 +473,10 @@ impl MasterIndex {
         Self::build(mds, master)
     }
 
-    /// Append the candidates of one similarity filter (unordered, unique
-    /// rows; empty on a null probe value).
-    fn collect_path<'t>(
-        &self,
+    /// Append the candidates of one similarity filter for the compiled
+    /// probe (unordered, unique rows; empty on a null probe value).
+    fn collect_path(
         path: &Path,
-        md: &Md,
-        t: impl Row<'t>,
         qgram: &mut QGramScratch,
         matching: &mut MatchScratch,
         out: &mut Vec<u32>,
@@ -515,45 +486,21 @@ impl MasterIndex {
                 premise,
                 k,
                 index,
-                col,
+                texts,
             } => {
-                let p = &md.premises()[*premise];
-                let v = t.value(p.attr);
-                if v.is_null() {
-                    return;
-                }
-                let rendered = v.render();
-                let probe_sym = t.sym(p.attr);
                 // Column-at-a-time confirm: count-filter down to candidate
-                // *distinct values*, sweep them through one probe-compiled
-                // Myers pattern, and expand only the confirmed values to
-                // their owner rows. The sweep seeds the pair-verdict memo,
-                // so full premise verification replays these answers for
-                // free.
+                // *distinct values*, sweep them through the probe's Myers
+                // pattern, and expand only the confirmed values to their
+                // owner rows.
                 let mut vids = qgram.take_vids();
                 vids.clear();
-                {
-                    // The probe profile comes from the same symbol-keyed
-                    // cache premise verification uses — built once per
-                    // distinct probe value.
-                    let profile = match probe_sym {
-                        Some(sym) => matching.probe_profile_cached(sym.0, LEV_QGRAM_Q, &rendered),
-                        None => matching.probe_profile_owned(LEV_QGRAM_Q, &rendered),
-                    };
+                if let Some(profile) = matching.probe_profile(*premise, LEV_QGRAM_Q) {
                     index.lev_candidate_values_into(profile, *k, qgram, &mut vids);
-                }
-                let verdicts = matching.lev_sweep_column(
-                    probe_sym.map(|s| s.0),
-                    &rendered,
-                    *k,
-                    p.pair_key(),
-                    vids.iter().map(|&vid| {
-                        let vid = vid as usize;
-                        (Some(col.syms[vid].0), &*col.texts[vid])
-                    }),
-                );
-                for i in verdicts.iter_ones() {
-                    out.extend_from_slice(index.owners(vids[i]));
+                    let column = vids.iter().map(|&vid| &*texts[vid as usize]);
+                    let verdicts = matching.lev_sweep_column(*premise, *k, column);
+                    for i in verdicts.iter_ones() {
+                        out.extend_from_slice(index.owners(vids[i]));
+                    }
                 }
                 qgram.restore_vids(vids);
             }
@@ -563,114 +510,38 @@ impl MasterIndex {
                 min,
                 index,
             } => {
-                let attr = md.premises()[*premise].attr;
-                let v = t.value(attr);
-                if v.is_null() {
-                    return;
+                if let Some(profile) = matching.probe_profile(*premise, *q) {
+                    index.candidates_jaccard_into(profile, *min, qgram, out);
                 }
-                let profile = match t.sym(attr) {
-                    Some(sym) => matching.probe_profile_cached(sym.0, *q, &v.render()),
-                    None => matching.probe_profile_owned(*q, &v.render()),
-                };
-                index.candidates_jaccard_into(profile, *min, qgram, out);
             }
             Path::JaroFilter {
                 premise,
                 min_jaro,
                 index,
             } => {
-                let attr = md.premises()[*premise].attr;
-                let v = t.value(attr);
-                if v.is_null() {
-                    return;
+                if let Some(profile) = matching.probe_profile(*premise, 1) {
+                    index.candidates_jaro_into(profile, *min_jaro, qgram, out);
                 }
-                let profile = match t.sym(attr) {
-                    Some(sym) => matching.probe_profile_cached(sym.0, 1, &v.render()),
-                    None => matching.probe_profile_owned(1, &v.render()),
-                };
-                index.candidates_jaro_into(profile, *min_jaro, qgram, out);
             }
         }
     }
 
-    /// Visit every candidate master row for `t` under MD `md_idx`, in
-    /// ascending row order (each still to be verified with
-    /// [`Md::premise_matches`]). Allocation-free at steady state: buffers
-    /// and the probe-profile cache live in the caller's [`ProbeScratch`].
-    /// `t` is any [`Row`] — a stored [`uniclean_model::TupleRef`] probes
-    /// without materializing anything and feeds the symbol-keyed cache.
-    pub fn for_each_candidate<'t>(
-        &self,
-        md_idx: usize,
-        md: &Md,
-        t: impl Row<'t>,
-        scratch: &mut ProbeScratch,
-        mut f: impl FnMut(TupleId),
-    ) {
-        scratch.matching.sync_epoch(self.epoch);
-        if scratch.cand_epoch != self.epoch {
-            scratch.cand_cache.clear();
-            scratch.cand_epoch = self.epoch;
-        }
-        if let Plan::Scan { .. } = &self.plans[md_idx] {
-            // Trivial enumeration — nothing worth caching.
-            (0..self.master_len).map(TupleId::from).for_each(f);
-            return;
-        }
-        // Candidates are a pure function of the probed premise values, so
-        // store-backed rows replay by symbol. Detached (symbol-less) rows
-        // bypass the cache.
-        let key = {
-            let mut h = FxHasher::default();
-            let mut keyed = true;
-            for p in md.premises() {
-                match t.sym(p.attr) {
-                    Some(sym) => h.write_u32(sym.0),
-                    None => {
-                        keyed = false;
-                        break;
-                    }
-                }
-            }
-            keyed.then(|| (md_idx as u32, h.finish()))
-        };
-        if let Some(k) = key {
-            if let Some(rows) = scratch.cand_cache.get(&k) {
-                rows.iter().for_each(|&r| f(TupleId(r)));
-                return;
-            }
-        }
-        let mut rows = std::mem::take(&mut scratch.rows_out);
-        rows.clear();
-        self.compute_candidates(md_idx, md, t, scratch, &mut rows);
-        rows.iter().for_each(|&r| f(TupleId(r)));
-        match key {
-            Some(k) => {
-                scratch.cand_cache.insert(k, rows);
-            }
-            None => scratch.rows_out = rows,
-        }
-    }
-
-    /// Compute the candidate rows of a non-`Scan` plan into `out`
-    /// (ascending, unique) — the cache-miss path of
-    /// [`Self::for_each_candidate`].
-    fn compute_candidates<'t>(
-        &self,
-        md_idx: usize,
-        md: &Md,
-        t: impl Row<'t>,
-        scratch: &mut ProbeScratch,
-        out: &mut Vec<u32>,
-    ) {
+    /// Compile `t` as the probe of MD `md_idx` and fill `scratch.rows`
+    /// with its candidate master rows, ascending and unique.
+    fn candidates<'t>(&self, md_idx: usize, md: &Md, t: impl Row<'t>, scratch: &mut ProbeScratch) {
         let ProbeScratch {
-            qgram, matching, ..
+            qgram,
+            rows,
+            matching,
         } = scratch;
+        matching.sync_epoch(self.epoch);
+        matching.compile(md, t);
+        rows.clear();
         match &self.plans[md_idx] {
-            Plan::Scan { .. } => unreachable!("scan plans never reach candidate computation"),
+            Plan::Scan { .. } => rows.extend(0..self.master_len as u32),
             Plan::Filter(path) => {
-                self.collect_path(path, md, t, qgram, matching, out);
-                out.sort_unstable();
+                Self::collect_path(path, qgram, matching, rows);
+                rows.sort_unstable();
             }
             Plan::Exact { premises, map } => {
                 let mut h = FxHasher::default();
@@ -687,19 +558,36 @@ impl MasterIndex {
                     }
                 }
                 // Buckets fill in row order: already ascending and unique.
-                if let Some(rows) = map.get(&h.finish()) {
-                    out.extend_from_slice(rows);
+                if let Some(found) = map.get(&h.finish()) {
+                    rows.extend_from_slice(found);
                 }
             }
         }
     }
 
+    /// Visit every candidate master row for `t` under MD `md_idx`, in
+    /// ascending row order (each still to be verified with
+    /// [`Md::premise_matches`]). Allocation-free at steady state: buffers
+    /// live in the caller's [`ProbeScratch`]. `t` is any [`Row`] — a
+    /// stored [`uniclean_model::TupleRef`] probes without materializing
+    /// anything.
+    pub fn for_each_candidate<'t>(
+        &self,
+        md_idx: usize,
+        md: &Md,
+        t: impl Row<'t>,
+        scratch: &mut ProbeScratch,
+        f: impl FnMut(TupleId),
+    ) {
+        self.candidates(md_idx, md, t, scratch);
+        scratch.rows.iter().map(|&r| TupleId(r)).for_each(f);
+    }
+
     /// Verified premise matches appended into a caller-owned buffer
     /// (cleared first), ascending row order, so a tuple loop reuses one
-    /// allocation (and one probe cache) throughout. Verification runs
-    /// through [`Md::premise_matches_with`] on the scratch's kernel caches
-    /// — bit-identical answers to [`Md::premise_matches`], with Myers
-    /// pattern bitmaps and q-gram profiles reused across probes.
+    /// allocation throughout. Verification runs through
+    /// [`Md::compiled_premise_matches`] on the probe compiled for candidate
+    /// generation — bit-identical answers to [`Md::premise_matches`].
     ///
     /// ```
     /// # use uniclean_core::{MasterIndex, ProbeScratch};
@@ -731,20 +619,14 @@ impl MasterIndex {
         out: &mut Vec<TupleId>,
     ) {
         out.clear();
-        // Two phases so candidate generation (which borrows the whole
-        // scratch) hands over to verification (which borrows its kernel
-        // caches): collect, then verify.
-        let mut cand = std::mem::take(&mut scratch.cand);
-        cand.clear();
-        self.for_each_candidate(md_idx, md, t, scratch, |sid| cand.push(sid));
-        for &sid in &cand {
+        self.candidates(md_idx, md, t, scratch);
+        for sid in scratch.rows.iter().map(|&r| TupleId(r)) {
             if Some(sid) != exclude
-                && md.premise_matches_with(t, master.tuple(sid), &mut scratch.matching)
+                && md.compiled_premise_matches(master.tuple(sid), &mut scratch.matching)
             {
                 out.push(sid);
             }
         }
-        scratch.cand = cand;
     }
 
     /// Is this MD served by an indexed access path? Since the similarity
@@ -825,7 +707,7 @@ mod tests {
         out
     }
 
-    fn reference_matches(md: &Md, t: &Tuple, dm: &Relation) -> Vec<TupleId> {
+    fn reference_matches<'t>(md: &Md, t: impl Row<'t>, dm: &Relation) -> Vec<TupleId> {
         dm.iter()
             .filter(|(_, s)| md.premise_matches(t, s))
             .map(|(sid, _)| sid)
@@ -971,8 +853,8 @@ mod tests {
 
     #[test]
     fn one_scratch_roams_across_index_rebuilds() {
-        // The epoch guard must invalidate symbol-keyed kernel caches when
-        // the same scratch probes indexes built over different relations
+        // The epoch guard must drop master-symbol-keyed caches when the
+        // same scratch probes indexes built over different relations
         // (whose interners can assign the same symbols to different
         // values).
         let tran = Schema::of_strings("tran", &["LN", "phn"]);
@@ -1003,6 +885,35 @@ mod tests {
             assert_eq!(out, reference_matches(&mds[0], &t, &dm1), "dm1 {name:?}");
             idx2.matches_into(0, &mds[0], &t, &dm2, None, &mut scratch, &mut out);
             assert_eq!(out, reference_matches(&mds[0], &t, &dm2), "dm2 {name:?}");
+        }
+
+        // Probe-side symbols name values only within one data relation:
+        // two relations give `Smith` and `Brady` the same symbol, and one
+        // scratch probing stored rows of both answers each by its value.
+        let dm = Relation::new(
+            card.clone(),
+            vec![
+                Tuple::of_strs(&["Smith", "111"], 1.0),
+                Tuple::of_strs(&["Jones", "222"], 1.0),
+            ],
+        );
+        let d1 = Relation::new(tran.clone(), vec![Tuple::of_strs(&["Smith", "9"], 0.5)]);
+        let d2 = Relation::new(tran.clone(), vec![Tuple::of_strs(&["Brady", "9"], 0.5)]);
+        let (smith, brady) = (d1.tuple(TupleId(0)), d2.tuple(TupleId(0)));
+        let ln = tran.attr_id_or_panic("LN");
+        assert_eq!(smith.sym(ln), brady.sym(ln));
+        for pred in ["~lev(1)", "~qgram(2,0.5)"] {
+            let text = format!("md m: tran[LN] {pred} card[LN] -> tran[phn] <=> card[tel]");
+            let mds = parse_rules(&text, &tran, Some(&card)).unwrap().positive_mds;
+            let idx = MasterIndex::build(&mds, &dm);
+            let mut scratch = ProbeScratch::new();
+            for (label, t) in [("Smith", smith), ("Brady", brady)] {
+                idx.matches_into(0, &mds[0], t, &dm, None, &mut scratch, &mut out);
+                assert_eq!(out, reference_matches(&mds[0], t, &dm), "{pred} {label}");
+                let mut cands = Vec::new();
+                idx.for_each_candidate(0, &mds[0], t, &mut scratch, |sid| cands.push(sid));
+                assert!(out.iter().all(|s| cands.contains(s)), "{pred} {label}");
+            }
         }
     }
 }

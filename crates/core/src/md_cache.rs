@@ -1,139 +1,107 @@
-//! Memoized MD premise verification.
+//! The one memo of MD matching.
 //!
-//! `MasterIndex::matches_into` — candidate generation plus full
-//! premise verification against master data — dominates the running time
-//! of every phase on MD-heavy workloads, and it is a pure function of one
-//! data tuple's premise cells (master data never changes within a phase).
-//! [`MdMatchCache`] exploits both facts:
+//! §2.2 makes the witnesses of an MD for a tuple `t` — the master tuples
+//! that satisfy every premise similarity with `t` — a pure function of
+//! `t`'s premise values and `Dm`, and §5.2 names matching the dominant
+//! cost. [`MdMatchCache`] therefore keys each verified witness list by the
+//! premise symbols it was computed from. Tuples sharing premise values
+//! share one list, and a repair that rewrites a premise cell only makes the
+//! tuple read another key, so no phase tells the memo about its writes.
 //!
-//! * [`MdMatchCache::matches`] serves the engine — a hit returns the
-//!   stored list, a miss (never asked, or invalidated by a repair)
-//!   computes it on the spot and stores it;
-//! * [`MdMatchCache::invalidate`] hides entries whose premise cells a fix
-//!   just rewrote, keeping the cache transparent: the served lists are
-//!   always equal to a direct `matches_into` call on the current
-//!   relation state.
+//! Symbols name values only within one interner. The phase loop keeps one
+//! memo for the session's master view across all three phases and, in a
+//! [`RepairState`](crate::RepairState), across calls. `cRepair` runs on the
+//! kept post-`cRepair` relation; `eRepair`, `hRepair` and the acceptance
+//! check run on a working copy cloned from it, whose interner extends the
+//! kept one. A key made only of symbols the kept relation owns stays valid
+//! for every later call, because that interner is append-only. A key
+//! holding a symbol the working copy interned is dropped by
+//! [`MdMatchCache::begin_run`], before the next batch can re-issue that
+//! symbol for another value.
 //!
-//! The phase loop keeps one cache for the session's master view, whose base
-//! relation is the post-`cRepair` state: `cRepair` writes and settles,
-//! `eRepair` and then `hRepair` write into a per-run overlay, the
-//! acceptance check grades every MD from the lists for the final relation
-//! before the run ends, and a kept state carries the cache into the next
-//! delta call. A self-snapshot master is a new relation in every phase,
-//! `hRepair` round and acceptance check, so each such view gets a fresh
-//! cache (`MasterView::cache` decides).
+//! A self-snapshot master is a new relation in every phase, `hRepair` round
+//! and acceptance check, so each such view gets a fresh memo
+//! (`MasterView::cache` decides). Its lists hold every matching snapshot
+//! row; a tuple reading one skips its own row ([`Witnesses`]).
 
-use uniclean_model::{AttrId, FxHashMap, Relation, TupleId};
+use uniclean_model::{FxHashMap, Relation, Symbol, TupleId};
 use uniclean_rules::RuleSet;
 
 use crate::master_index::ProbeScratch;
 use crate::session::Master;
 
-/// Per-(MD, tuple) verified witness lists with premise-based invalidation.
-///
-/// A cache can outlive one call: [`RepairState`](crate::RepairState) keeps
-/// it warm across `clean_delta` calls. Its *base* state is the
-/// post-`cRepair` relation, which only moves forward: `cRepair` writes and
-/// then [`MdMatchCache::settle`]s. An `eRepair`/`hRepair` write never drops
-/// a base entry: the slots whose premises a run rewrote are shadowed by a
-/// per-run overlay, which [`MdMatchCache::begin_run`] discards, so the next
-/// call finds every base entry warm.
+/// One MD's lists: premise symbols, in premise order → the matching
+/// master rows, ascending.
+type Lists = FxHashMap<Box<[Symbol]>, Box<[TupleId]>>;
+
+/// Per MD, verified witness lists keyed by the premise symbols they were
+/// computed from.
 pub(crate) struct MdMatchCache {
-    /// `entries[md][tuple]`: the witness list for the base state (`None` =
-    /// not computed).
-    entries: Vec<Vec<Option<Box<[TupleId]>>>>,
-    /// `attr.index()` → MDs whose premise reads that attribute.
-    attr_to_mds: Vec<Vec<usize>>,
-    /// The slots whose premise this run rewrote, with their list for the
-    /// current state (`None` = not recomputed since the last write).
-    rewritten: FxHashMap<(usize, TupleId), Option<Box<[TupleId]>>>,
-    /// Probe-side buffers and symbol-keyed profile cache for the miss
-    /// path; cleared on [`Self::begin_run`] because a rewound run may
-    /// re-intern different values behind the same symbols.
+    /// `lists[md]`, one map per MD.
+    lists: Vec<Lists>,
+    /// Probe buffers for the miss path.
     scratch: ProbeScratch,
-    /// Reusable witness buffer for the miss path — recomputes happen per
-    /// invalidated cell, so a per-miss `Vec` allocation adds up on
-    /// repair-heavy runs.
-    miss_buf: Vec<TupleId>,
+    /// Reusable key and witness buffers.
+    key: Vec<Symbol>,
+    miss: Vec<TupleId>,
+}
+
+/// One tuple's view of a memoized witness list.
+#[derive(Clone, Copy)]
+pub(crate) struct Witnesses<'a> {
+    list: &'a [TupleId],
+    /// The tuple's own row of a self-snapshot master.
+    own: Option<TupleId>,
+}
+
+impl<'a> Witnesses<'a> {
+    /// The tuple's witnesses, ascending: every matching master row except
+    /// its own copy in a self-snapshot, which would otherwise witness
+    /// against every fresh fix.
+    pub(crate) fn iter(self) -> impl Iterator<Item = TupleId> + Clone + 'a {
+        let own = self.own;
+        self.list.iter().copied().filter(move |&s| Some(s) != own)
+    }
+
+    /// Every master row matching the tuple's premise, its own snapshot row
+    /// included — the rows of `Dm` the §3.2 acceptance check grades.
+    pub(crate) fn all(self) -> &'a [TupleId] {
+        self.list
+    }
 }
 
 impl MdMatchCache {
-    pub(crate) fn new(rules: &RuleSet, n_tuples: usize) -> Self {
-        let n_mds = rules.mds().len();
-        let n_attrs = rules.schema().arity();
-        let mut attr_to_mds = vec![Vec::new(); n_attrs];
-        for (m, md) in rules.mds().iter().enumerate() {
-            let mut attrs: Vec<AttrId> = md.premises().iter().map(|p| p.attr).collect();
-            attrs.sort_unstable();
-            attrs.dedup();
-            for a in attrs {
-                attr_to_mds[a.index()].push(m);
-            }
-        }
+    pub(crate) fn new(rules: &RuleSet) -> Self {
         MdMatchCache {
-            entries: vec![vec![None; n_tuples]; n_mds],
-            attr_to_mds,
-            rewritten: FxHashMap::default(),
+            lists: rules.mds().iter().map(|_| FxHashMap::default()).collect(),
             scratch: ProbeScratch::new(),
-            miss_buf: Vec::new(),
+            key: Vec::new(),
+            miss: Vec::new(),
         }
     }
 
-    /// An empty cache of the same shape, for another master relation.
+    /// An empty memo of the same shape, for another master relation.
     pub(crate) fn empty_like(&self) -> Self {
         MdMatchCache {
-            entries: self.entries.iter().map(|e| vec![None; e.len()]).collect(),
-            attr_to_mds: self.attr_to_mds.clone(),
-            rewritten: FxHashMap::default(),
+            lists: self.lists.iter().map(|_| FxHashMap::default()).collect(),
             scratch: ProbeScratch::new(),
-            miss_buf: Vec::new(),
+            key: Vec::new(),
+            miss: Vec::new(),
         }
     }
 
-    /// Extend the cache with empty slots for `n_new` appended tuples.
-    pub(crate) fn grow(&mut self, n_new: usize) {
-        for per_md in &mut self.entries {
-            per_md.extend(std::iter::repeat_with(|| None).take(n_new));
+    /// Start a call over `kept`, the relation the last call's working copy
+    /// was cloned from, before anything is appended to it: drop every list
+    /// whose key holds a symbol `kept` does not own.
+    pub(crate) fn begin_run(&mut self, kept: &Relation) {
+        let owned = kept.interner().len();
+        for lists in &mut self.lists {
+            lists.retain(|key, _| key.iter().all(|s| s.index() < owned));
         }
     }
 
-    /// Start a fresh run from the cache's base state: drop the previous
-    /// run's overlay.
-    pub(crate) fn begin_run(&mut self) {
-        self.rewritten.clear();
-        // A fresh run restarts from the base relation state; symbols
-        // interned mid-run by the previous replay may differ, so the
-        // symbol-keyed probe cache must not carry over.
-        self.scratch.reset();
-    }
-
-    /// Make the current state the base state, folding the overlay in —
-    /// after `cRepair`, whose writes move the base relation forward.
-    pub(crate) fn settle(&mut self) {
-        for ((m, t), entry) in self.rewritten.drain() {
-            self.entries[m][t.index()] = entry;
-        }
-    }
-
-    /// The witness list of `(md, t)` in the current state, if known.
-    fn current(&self, md: usize, t: TupleId) -> Option<&[TupleId]> {
-        match self.rewritten.get(&(md, t)) {
-            Some(slot) => slot.as_deref(),
-            None => self.entries[md][t.index()].as_deref(),
-        }
-    }
-
-    /// The slot holding `(md, t)`'s list for the current state.
-    fn slot(&mut self, md: usize, t: TupleId) -> &mut Option<Box<[TupleId]>> {
-        match self.rewritten.get_mut(&(md, t)) {
-            Some(slot) => slot,
-            None => &mut self.entries[md][t.index()],
-        }
-    }
-
-    /// The verified witness list for `(md_idx, t)` against the current
-    /// relation state; recomputes on a miss. A self-snapshot master's row
-    /// `t` is the tuple's own copy and never a witness.
+    /// The witnesses of tuple `t` of `d` under MD `md_idx`, against `m`;
+    /// computed on the first ask for `t`'s premise values.
     pub(crate) fn matches(
         &mut self,
         md_idx: usize,
@@ -141,30 +109,22 @@ impl MdMatchCache {
         d: &Relation,
         m: Master<'_>,
         t: TupleId,
-    ) -> &[TupleId] {
-        if self.current(md_idx, t).is_none() {
-            let md = &rules.mds()[md_idx];
-            self.miss_buf.clear();
-            m.index.matches_into(
-                md_idx,
-                md,
-                d.tuple(t),
-                m.dm,
-                m.own_row(t),
-                &mut self.scratch,
-                &mut self.miss_buf,
-            );
-            let list = self.miss_buf.as_slice().into();
-            *self.slot(md_idx, t) = Some(list);
+    ) -> Witnesses<'_> {
+        let md = &rules.mds()[md_idx];
+        let row = d.tuple(t);
+        self.key.clear();
+        self.key
+            .extend(md.premises().iter().map(|p| row.sym(p.attr)));
+        let lists = &mut self.lists[md_idx];
+        if !lists.contains_key(self.key.as_slice()) {
+            let (scratch, miss) = (&mut self.scratch, &mut self.miss);
+            m.index
+                .matches_into(md_idx, md, row, m.dm, None, scratch, miss);
+            lists.insert(self.key.as_slice().into(), miss.as_slice().into());
         }
-        self.current(md_idx, t).expect("stored above")
-    }
-
-    /// Cell `(t, a)` was just rewritten: every witness list whose premise
-    /// read it is unknown for the current state until recomputed.
-    pub(crate) fn invalidate(&mut self, t: TupleId, a: AttrId) {
-        for &m in &self.attr_to_mds[a.index()] {
-            self.rewritten.insert((m, t), None);
+        Witnesses {
+            list: &lists[self.key.as_slice()],
+            own: m.own_row(t),
         }
     }
 }
@@ -208,85 +168,121 @@ mod tests {
         (rules, d, dm, idx)
     }
 
+    /// A fresh-scratch probe of tuple `t` of `d` under MD `j`.
+    fn direct(
+        rules: &RuleSet,
+        d: &Relation,
+        dm: &Relation,
+        idx: &MasterIndex,
+        j: usize,
+        t: TupleId,
+    ) -> Vec<TupleId> {
+        let mut out = Vec::new();
+        let mut scratch = ProbeScratch::new();
+        idx.matches_into(
+            j,
+            &rules.mds()[j],
+            d.tuple(t),
+            dm,
+            None,
+            &mut scratch,
+            &mut out,
+        );
+        out
+    }
+
+    fn served(
+        cache: &mut MdMatchCache,
+        rules: &RuleSet,
+        d: &Relation,
+        m: Master<'_>,
+    ) -> Vec<TupleId> {
+        cache.matches(0, rules, d, m, TupleId(2)).iter().collect()
+    }
+
     #[test]
     fn lazy_matches_equal_direct_computation() {
         let (rules, d, dm, idx) = setup();
         let m = Master::external(&rules, Some(&dm), Some(&idx)).unwrap();
-        let mut cache = MdMatchCache::new(&rules, d.len());
-        let mut scratch = crate::master_index::ProbeScratch::new();
-        let mut want = Vec::new();
+        let mut cache = MdMatchCache::new(&rules);
         for t in d.ids() {
-            idx.matches_into(
-                0,
-                &rules.mds()[0],
-                d.tuple(t),
-                &dm,
-                None,
-                &mut scratch,
-                &mut want,
-            );
-            let got = cache.matches(0, &rules, &d, m, t);
-            assert_eq!(got, want.as_slice(), "tuple {t:?}");
+            let got: Vec<TupleId> = cache.matches(0, &rules, &d, m, t).iter().collect();
+            assert_eq!(got, direct(&rules, &d, &dm, &idx, 0, t), "tuple {t:?}");
         }
     }
 
+    /// Rewriting a premise cell makes the tuple read another key, and
+    /// rewriting it back reads the first key again: no write reaches the
+    /// memo.
     #[test]
-    fn invalidation_tracks_premise_rewrites() {
+    fn a_premise_rewrite_reads_another_key() {
         let (rules, mut d, dm, idx) = setup();
         let m = Master::external(&rules, Some(&dm), Some(&idx)).unwrap();
         let city = d.schema().attr_id_or_panic("city");
         let phn = d.schema().attr_id_or_panic("phn");
-        let mut cache = MdMatchCache::new(&rules, d.len());
-
-        // t2 (Smith, Ldn) matches nothing; repair city → Edi and it must
-        // match master row 0 — but only if the cache was invalidated.
+        let mut cache = MdMatchCache::new(&rules);
         let t = TupleId(2);
-        assert!(cache.matches(0, &rules, &d, m, t).is_empty());
-        d.tuple_mut(t)
-            .set(city, Value::str("Edi"), 0.5, Default::default());
-        cache.invalidate(t, city);
-        assert_eq!(cache.matches(0, &rules, &d, m, t), &[TupleId(0)]);
+        let set = |d: &mut Relation, a, v: &str| {
+            d.tuple_mut(t)
+                .set(a, Value::str(v), 0.5, Default::default())
+        };
 
-        // Rewriting a non-premise attribute must keep the entry.
-        d.tuple_mut(t)
-            .set(phn, Value::str("999"), 0.5, Default::default());
-        cache.invalidate(t, phn);
-        assert_eq!(cache.matches(0, &rules, &d, m, t), &[TupleId(0)]);
+        // t2 (Smith, Ldn) matches nothing; with city Edi it matches master
+        // row 0, and back at Ldn nothing again.
+        assert!(served(&mut cache, &rules, &d, m).is_empty());
+        set(&mut d, city, "Edi");
+        assert_eq!(served(&mut cache, &rules, &d, m), [TupleId(0)]);
+        set(&mut d, city, "Ldn");
+        assert!(served(&mut cache, &rules, &d, m).is_empty());
+        // A non-premise rewrite reads the same key.
+        set(&mut d, city, "Edi");
+        set(&mut d, phn, "999");
+        assert_eq!(served(&mut cache, &rules, &d, m), [TupleId(0)]);
+        assert_eq!(cache.lists[0].len(), 2, "one list per distinct premise");
     }
 
-    /// Check every filled slot of `cache`'s current view against a direct
-    /// probe of `d`; returns how many there were.
-    fn assert_current(
+    /// Check every list of `cache` whose key `d` owns against a direct
+    /// probe of the values the key names; returns how many there were.
+    fn assert_owned_lists(
         cache: &MdMatchCache,
         rules: &RuleSet,
         d: &Relation,
         dm: &Relation,
         idx: &MasterIndex,
     ) -> usize {
+        let owned = d.interner().len();
         let mut scratch = ProbeScratch::new();
-        let mut direct = Vec::new();
-        let mut filled = 0;
+        let mut want = Vec::new();
+        let mut checked = 0;
         for (j, md) in rules.mds().iter().enumerate() {
-            for t in d.ids() {
-                let Some(entry) = cache.current(j, t) else {
+            for (key, list) in &cache.lists[j] {
+                if key.iter().any(|s| s.index() >= owned) {
                     continue;
-                };
-                idx.matches_into(j, md, d.tuple(t), dm, None, &mut scratch, &mut direct);
-                assert_eq!(entry, direct.as_slice(), "md {j} tuple {t:?}");
-                filled += 1;
+                }
+                let mut probe = d.tuple(TupleId(0)).to_tuple();
+                for (p, &sym) in md.premises().iter().zip(key.iter()) {
+                    probe.set(
+                        p.attr,
+                        d.interner().resolve(sym).clone(),
+                        0.0,
+                        Default::default(),
+                    );
+                }
+                idx.matches_into(j, md, &probe, dm, None, &mut scratch, &mut want);
+                assert_eq!(&**list, want.as_slice(), "md {j} key {key:?}");
+                checked += 1;
             }
         }
-        filled
+        checked
     }
 
-    /// The phase loop hands `eRepair`'s cache to `hRepair`: afterwards —
+    /// The phase loop hands `eRepair`'s memo to `hRepair`: afterwards —
     /// also when the round cap stops `hRepair` right after it rewrote an
-    /// MD premise — every filled slot is what a direct probe of the final
-    /// relation returns, and after `begin_run` every base entry, the
-    /// rewritten tuple's included, is one of the relation the run started
-    /// from.
+    /// MD premise — every list is what a direct probe of its values
+    /// returns, the final relation's reads included, and after `begin_run`
+    /// every list the run started from is still there.
     #[test]
-    fn cache_shared_by_erepair_and_hrepair_matches_the_final_relation() {
+    fn memo_shared_by_erepair_and_hrepair_matches_the_final_relation() {
         use crate::config::CleanConfig;
         use crate::erepair::e_run;
         use crate::hrepair::h_run;
@@ -334,8 +330,11 @@ mod tests {
                 ..CleanConfig::default()
             };
             let mut d = dirty.clone();
-            let start = dirty.clone();
-            let mut cache = MdMatchCache::new(&rules, d.len());
+            let mut cache = MdMatchCache::new(&rules);
+            let started: Vec<Vec<TupleId>> = dirty
+                .ids()
+                .map(|t| cache.matches(0, &rules, &dirty, m, t).iter().collect())
+                .collect();
             let mut two = TwoInOne::build(&rules, &d);
             let order = uniclean_reasoning::erepair_order(&rules);
             e_run(&mut d, Some(m), &rules, &order, &cfg, &mut two, &mut cache);
@@ -353,22 +352,31 @@ mod tests {
             );
             two.assert_consistent_with_rebuild(&rules, &d);
 
-            assert!(assert_current(&cache, &rules, &d, &dm, &idx) > 0);
-            cache.begin_run();
-            assert!(
-                cache.entries[0][1].is_some(),
-                "rounds={rounds}: the base entry of the tuple hRepair moved stays warm"
+            assert!(assert_owned_lists(&cache, &rules, &d, &dm, &idx) > 0);
+            for t in d.ids() {
+                let got: Vec<TupleId> = cache.matches(0, &rules, &d, m, t).iter().collect();
+                assert_eq!(got, direct(&rules, &d, &dm, &idx, 0, t), "rounds={rounds}");
+            }
+            cache.begin_run(&dirty);
+            let n = cache.lists[0].len();
+            for (t, want) in dirty.ids().zip(&started) {
+                let got: Vec<TupleId> = cache.matches(0, &rules, &dirty, m, t).iter().collect();
+                assert_eq!(&got, want, "rounds={rounds}: tuple {t:?}");
+            }
+            assert_eq!(
+                cache.lists[0].len(),
+                n,
+                "rounds={rounds}: every start list stays warm"
             );
-            assert!(assert_current(&cache, &rules, &start, &dm, &idx) > 0);
         }
     }
 
-    /// The session's one cache, from `cRepair` on: after `begin` and after
+    /// The session's one memo, from `cRepair` on: after `begin` and after
     /// every delta — the first one a cascade that moves a settled tuple's
-    /// MD premise to another witness — every filled base entry is what a
-    /// direct probe of the post-`cRepair` relation returns.
+    /// MD premise to another witness — every list whose key the
+    /// post-`cRepair` relation owns is what a direct probe returns.
     #[test]
-    fn the_warm_cache_base_is_the_post_crepair_relation() {
+    fn the_warm_memo_agrees_with_the_post_crepair_relation() {
         use crate::config::CleanConfig;
         use crate::incremental::RepairState;
         use crate::session::{Cleaner, MasterSource, Phase};
@@ -423,21 +431,8 @@ mod tests {
                 .warm
                 .as_ref()
                 .expect("an external master keeps its state");
-            let mut scratch = ProbeScratch::new();
-            let mut direct = Vec::new();
-            let mut filled = 0;
-            for (j, md) in rules.mds().iter().enumerate() {
-                for t in warm.post_c.ids() {
-                    let Some(entry) = &warm.cache.entries[j][t.index()] else {
-                        continue;
-                    };
-                    let probe = warm.post_c.tuple(t);
-                    idx.matches_into(j, md, probe, &dm, None, &mut scratch, &mut direct);
-                    assert_eq!(&**entry, direct.as_slice(), "{label}: tuple {t:?}");
-                    filled += 1;
-                }
-            }
-            assert!(filled > 0, "{label}: nothing cached");
+            let checked = assert_owned_lists(&warm.cache, &rules, &warm.post_c, &dm, idx);
+            assert!(checked > 0, "{label}: nothing cached");
         };
         let (mut state, _) = uni.begin(&Relation::new(r.clone(), vec![settled]), Phase::Full);
         check(&state, "begin");
@@ -446,5 +441,79 @@ mod tests {
             check(&state, &format!("delta {i}"));
         }
         assert_eq!(state.escalations(), 0);
+    }
+
+    /// A symbol the working copy interned names another value once the
+    /// next batch re-issues it in the kept relation. `eRepair` writes the
+    /// master value `x` into the working copy, and the memo keys `m2`'s
+    /// list for `x` by that symbol; the batch's asserted `y` then takes
+    /// the same symbol in the kept relation, and `cRepair` reads `m2` for
+    /// it. Only `begin_run`'s drop keeps the served list the one for `y`.
+    #[test]
+    fn a_reissued_working_copy_symbol_never_serves_a_stale_list() {
+        use crate::config::CleanConfig;
+        use crate::session::{Cleaner, MasterSource, Phase};
+        use uniclean_model::FixMark;
+
+        let r = Schema::of_strings("r", &["B", "C", "K"]);
+        let rm = Schema::of_strings("rm", &["B", "C", "K"]);
+        let text = "md m1: r[K] = rm[K] -> r[B] <=> rm[B]\n\
+                    md m2: r[B] = rm[B] -> r[C] <=> rm[C]";
+        let parsed = parse_rules(text, &r, Some(&rm)).unwrap();
+        let rules = RuleSet::new(
+            r.clone(),
+            Some(rm.clone()),
+            vec![],
+            parsed.positive_mds,
+            vec![],
+        );
+        let dm = Relation::new(
+            rm,
+            vec![
+                Tuple::of_strs(&["x", "c1", "k1"], 1.0),
+                Tuple::of_strs(&["y", "c2", "k2"], 1.0),
+            ],
+        );
+        let settled = Tuple::of_strs(&["b0", "c0", "k1"], 0.0);
+        let mut batch = Tuple::of_strs(&["y", "c0", "k0"], 0.0);
+        let b = r.attr_id_or_panic("B");
+        batch.set(b, Value::str("y"), 1.0, FixMark::Untouched);
+        let uni = Cleaner::builder()
+            .rules(rules.clone())
+            .master(MasterSource::external(dm.clone()))
+            .config(CleanConfig {
+                eta: 0.8,
+                ..CleanConfig::default()
+            })
+            .build()
+            .unwrap();
+        let idx = uni.prepared().master_index().unwrap();
+        let first = Relation::new(r.clone(), vec![settled.clone()]);
+        let (mut state, result) = uni.begin(&first, Phase::Full);
+        let x = Value::str("x");
+        assert_eq!(result.repaired.tuple(TupleId(0)).value(b), &x);
+        let kept = &state.warm.as_ref().unwrap().post_c;
+        assert!(
+            kept.interner().get(&x).is_none(),
+            "x lives in the working copy only"
+        );
+
+        uni.clean_delta(&mut state, std::slice::from_ref(&batch))
+            .unwrap();
+        let warm = state.warm.as_ref().unwrap();
+        assert_eq!(
+            warm.post_c.interner().get(&Value::str("y")),
+            result.repaired.interner().get(&x),
+            "the batch re-issues x's symbol for y"
+        );
+        assert!(assert_owned_lists(&warm.cache, &rules, &warm.post_c, &dm, idx) > 0);
+        let whole = Relation::new(r.clone(), vec![settled, batch]);
+        let reclean = uni.clean(&whole, Phase::Full);
+        assert_eq!(state.repaired().diff_cells(&reclean.repaired), 0);
+        let c = r.attr_id_or_panic("C");
+        assert_eq!(
+            state.repaired().tuple(TupleId(1)).value(c),
+            &Value::str("c2")
+        );
     }
 }

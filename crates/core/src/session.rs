@@ -278,8 +278,8 @@ pub(crate) struct Warm {
     pub(crate) post_c: Relation,
     /// The live `cRepair` fixpoint machine over `post_c`.
     cfix: CFixpoint,
-    /// The witness cache of the session's master view, with `post_c` as
-    /// its base relation: every phase of every call reads it.
+    /// The witness memo of the session's master view, over `post_c`'s
+    /// lineage: every phase of every call reads it.
     pub(crate) cache: MdMatchCache,
     /// The 2-in-1 structure pinned to `post_c`. `None` before the first
     /// run, and between calls of a `cRepair`-only state, whose pinned
@@ -292,20 +292,22 @@ impl Warm {
     fn fresh(prepared: &PreparedCleaner, d: Relation) -> Self {
         Warm {
             cfix: CFixpoint::new(&prepared.rules, d.len()),
-            cache: MdMatchCache::new(&prepared.rules, d.len()),
+            cache: MdMatchCache::new(&prepared.rules),
             post_c: d,
             two: None,
         }
     }
 
     /// Append a batch of (validated) tuples, unseeded: the next
-    /// [`run_phases`] continues the fixpoint over them.
+    /// [`run_phases`] continues the fixpoint over them. The last call's
+    /// working copy interned past `post_c`'s symbols, which the batch may
+    /// re-issue, so the memo forgets those keys first.
     pub(crate) fn append(&mut self, batch: &[Tuple]) {
+        self.cache.begin_run(&self.post_c);
         for t in batch {
             self.post_c.push(t.clone());
         }
         self.cfix.grow(batch.len());
-        self.cache.grow(batch.len());
     }
 }
 
@@ -364,18 +366,15 @@ fn timed(
 /// `keep`) and `hRepair` takes the same structure over as its equivalence
 /// classes, so no phase builds a second variable-CFD group table.
 ///
-/// One witness cache ([`MdMatchCache`]) serves all three phases of the
-/// session's master view ([`MasterView::cache`]). A call starts with
-/// `begin_run`, which drops the previous call's overlay; `cRepair` writes
-/// and settles, so the cache's base is the post-`cRepair` state; `eRepair`
-/// and `hRepair` invalidate every cell they rewrite into the overlay, so
-/// the cache is valid for `work` throughout and, kept, comes back in the
-/// [`Warm`] state.
+/// One witness memo ([`MdMatchCache`]), keyed by premise values, serves
+/// all three phases of the session's master view ([`MasterView::cache`]),
+/// so no phase tells it about a write. Kept, it comes back in the [`Warm`]
+/// state; [`Warm::append`] drops the keys the working copy interned.
 ///
 /// `(prev, cons)` is the previous repair and its grade (a fresh run passes
 /// an empty relation and [`ConsistencyIndex::new`]). The run ends by
 /// bringing `cons` up to date for `work`: it moves in the final 2-in-1 and
-/// reads the cache, before the next call's `begin_run`.
+/// reads the memo.
 pub(crate) fn run_phases(
     prepared: &PreparedCleaner,
     phase: Phase,
@@ -393,7 +392,6 @@ pub(crate) fn run_phases(
         mut cache,
         mut two,
     } = warm;
-    cache.begin_run();
 
     let mut guard = settled.map(|settled| CGuard::new(settled, two.as_mut()));
     let view = prepared.view(&post_c);
@@ -599,10 +597,10 @@ impl MasterView<'_> {
         }
     }
 
-    /// The witness cache serving this view — the one place that decides
+    /// The witness memo serving this view — the one place that decides
     /// it. The session's own master is one relation across every phase and
     /// call, so `warm` serves it; a snapshot is a new master relation, so
-    /// it gets a fresh cache, held in `spare`.
+    /// it gets a fresh memo, held in `spare`.
     pub(crate) fn cache<'c>(
         &self,
         warm: &'c mut MdMatchCache,
@@ -632,7 +630,7 @@ pub struct CleanResult {
     /// variable-CFD class whose values conflict with a correct
     /// deterministic fix of that tuple, and hRepair moves the tuple's other
     /// cells instead of its key. Generated `hosp` seeds 18 and 110 at
-    /// 4 000 × 1 000 end that way (ROADMAP item 2).
+    /// 4 000 × 1 000 end that way (ROADMAP item 3).
     pub consistent: bool,
     /// Per-phase timing and fix counts, in execution order. The same
     /// records stream through [`PhaseObserver`] during the run.

@@ -410,8 +410,8 @@ pub trait Row<'a>: Copy {
 
     /// The interned symbol at `a` for store-backed rows, `None` for
     /// detached rows. Symbols are relative to the *owning relation's*
-    /// interner; probe-side caches key on them because equal symbols
-    /// guarantee equal values within one relation.
+    /// interner; the engine's witness memo keys on them because equal
+    /// symbols guarantee equal values within one relation lineage.
     #[inline]
     fn sym(self, a: AttrId) -> Option<Symbol> {
         let _ = a;

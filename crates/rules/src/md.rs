@@ -14,26 +14,30 @@
 use std::fmt;
 use std::sync::Arc;
 
-use uniclean_model::{AttrId, FxHashMap, FxHasher, Row, Schema};
+use uniclean_model::{AttrId, FxHashMap, Row, Schema};
 use uniclean_similarity::{
-    ColumnVerdicts, MyersPattern, QGramProfile, SimScratch, SimilarityPredicate,
+    ColumnVerdicts, MyersPattern, ProfileScratch, QGramProfile, SimScratch, SimilarityPredicate,
 };
 
-/// Caller-owned buffers and symbol-keyed kernel caches for MD premise
-/// evaluation. One per probing thread, embedded in the engine's
-/// `ProbeScratch`; [`Md::premise_matches_with`] uses it to evaluate
-/// premises with zero steady-state allocation *and* to reuse expensive
-/// per-value precomputations across probes:
+/// Caller-owned buffers, one compiled probe and a master-side kernel cache
+/// for MD premise evaluation. One per probing thread, embedded in the
+/// engine's `ProbeScratch`.
 ///
-/// * Myers `Peq` pattern bitmaps keyed by the master-side [`Symbol`] — a
-///   master value probed a thousand times builds its bitmaps once;
-/// * padded q-gram profiles keyed by `(Symbol, q)` for both sides.
+/// [`MatchScratch::compile`] renders a probe row's premise values once.
+/// Each value's Myers pattern and padded q-gram profile are built on first
+/// use and then shared by candidate generation
+/// ([`MatchScratch::probe_profile`], [`MatchScratch::lev_sweep_column`])
+/// and by every [`Md::compiled_premise_matches`] verification of that
+/// probe. Nothing is keyed by a probe-side symbol, so one scratch can probe
+/// rows of any relation.
 ///
-/// Symbols are only meaningful relative to one interner, so the caches are
-/// epoch-guarded: the master index stamps every scratch it probes with its
-/// build epoch via [`MatchScratch::sync_epoch`], and a stale scratch drops
-/// all symbol-keyed state before reuse. Detached rows (no symbols) simply
-/// bypass the caches.
+/// The one cache that outlives a probe holds padded q-gram profiles keyed
+/// by the *master*-side [`Symbol`]: a master value probed a thousand times
+/// is profiled once. Symbols are only meaningful relative to one interner,
+/// so the cache is epoch-guarded: the master index stamps every scratch it
+/// probes with its build epoch via [`MatchScratch::sync_epoch`], and a
+/// stale scratch drops the cache before reuse. Detached master rows (no
+/// symbols) bypass it.
 ///
 /// [`Symbol`]: uniclean_model::Symbol
 #[derive(Debug, Default)]
@@ -41,32 +45,50 @@ pub struct MatchScratch {
     /// Per-call similarity buffers (Myers blocks, Jaro match arrays,
     /// profile padding/hash buffers).
     sim: SimScratch,
-    /// Myers pattern bitmaps keyed by master-side symbol.
-    myers: FxHashMap<u32, MyersPattern>,
-    /// Myers pattern bitmaps keyed by *probe*-side symbol — the
-    /// column-at-a-time driver compiles the probe value once and sweeps
-    /// whole master columns through it.
-    probe_patterns: FxHashMap<u32, MyersPattern>,
-    /// Un-cached pattern slot for symbol-less probe values.
-    probe_pat: MyersPattern,
+    /// The compiled probe: one slot per premise conjunct.
+    probe: Vec<ProbeSlot>,
     /// Verdict bitmap of the last columnar sweep.
     column: ColumnVerdicts,
-    /// Master-side symbols of the last columnar sweep, for memo seeding.
-    seed_syms: Vec<Option<u32>>,
-    /// Padded q-gram profiles keyed by `(probe-side symbol, q)`.
-    probe_profiles: FxHashMap<(u32, u32), QGramProfile>,
     /// Padded q-gram profiles keyed by `(master-side symbol, q)`.
     master_profiles: FxHashMap<(u32, u32), QGramProfile>,
-    /// Un-cached profile slots for symbol-less rows.
-    pa: QGramProfile,
+    /// Un-cached profile slot for symbol-less master rows.
     pb: QGramProfile,
-    /// Memoized similarity-conjunct verdicts keyed by `(probe symbol,
-    /// master symbol, conjunct identity)`: every predicate is a pure
-    /// function of its two values, so distinct tuple pairs sharing them
-    /// (ubiquitous in dirty data) answer without re-running a kernel.
-    pairs: FxHashMap<(u32, u32, u64), bool>,
-    /// The symbol-space generation the caches were filled under.
+    /// The symbol-space generation `master_profiles` was filled under.
     epoch: u64,
+}
+
+/// One compiled premise value of the probe. The buffers are reused from
+/// probe to probe.
+#[derive(Debug, Default)]
+struct ProbeSlot {
+    /// The rendered value (empty for null).
+    text: String,
+    null: bool,
+    /// Myers pattern of `text`, valid when `has_pattern`.
+    pattern: MyersPattern,
+    has_pattern: bool,
+    /// Padded q-gram profile of `text` under window `profile_q` (0: none
+    /// built yet).
+    profile: QGramProfile,
+    profile_q: usize,
+}
+
+impl ProbeSlot {
+    fn pattern(&mut self) -> &MyersPattern {
+        if !self.has_pattern {
+            self.pattern.build(&self.text);
+            self.has_pattern = true;
+        }
+        &self.pattern
+    }
+
+    fn profile(&mut self, q: usize, scratch: &mut ProfileScratch) -> &QGramProfile {
+        if self.profile_q != q {
+            self.profile.rebuild(&self.text, q, scratch);
+            self.profile_q = q;
+        }
+        &self.profile
+    }
 }
 
 impl MatchScratch {
@@ -75,141 +97,54 @@ impl MatchScratch {
         Self::default()
     }
 
-    /// Re-key the symbol caches to `epoch`: a no-op when unchanged, a full
+    /// Re-key the master-side cache to `epoch`: a no-op when unchanged, a
     /// cache drop when the caller's symbol space (master index build)
-    /// differs from the one the caches were filled under.
+    /// differs from the one the cache was filled under.
     pub fn sync_epoch(&mut self, epoch: u64) {
         if self.epoch != epoch {
             self.epoch = epoch;
-            self.reset();
+            self.master_profiles.clear();
         }
     }
 
-    /// Drop every symbol-keyed cache unconditionally (buffer capacity is
-    /// kept). The epoch guard only tracks the *master* symbol space; call
-    /// this when the probe-side relation changes identity, which the epoch
-    /// cannot see.
-    pub fn reset(&mut self) {
-        self.myers.clear();
-        self.probe_patterns.clear();
-        self.probe_profiles.clear();
-        self.master_profiles.clear();
-        self.pairs.clear();
+    /// Compile `t` as the probe of `md`: render each premise value once.
+    /// Patterns and profiles of the values are built on first use.
+    pub fn compile<'t>(&mut self, md: &Md, t: impl Row<'t>) {
+        self.probe
+            .resize_with(md.premises.len(), ProbeSlot::default);
+        for (slot, p) in self.probe.iter_mut().zip(&md.premises) {
+            let v = t.value(p.attr);
+            slot.null = v.is_null();
+            slot.text.clear();
+            if !slot.null {
+                slot.text.push_str(&v.render());
+            }
+            slot.has_pattern = false;
+            slot.profile_q = 0;
+        }
     }
 
-    /// Column-at-a-time `~lev` verification: compile (or reuse, keyed by
-    /// `probe_sym`) the probe value's Myers pattern and sweep every
-    /// `(master symbol, rendered master value)` item through it in one
-    /// pass — [`MyersPattern::distance_column`] — instead of dispatching a
-    /// per-master-value pattern per pair. Returns the verdict bitmap (bit
-    /// `i` ⟺ `lev(probe, items[i]) ≤ max`).
-    ///
-    /// Every swept pair additionally seeds the pair-verdict memo under
-    /// `conjunct` (see [`MdPremise::pair_key`]), so the subsequent
-    /// [`Md::premise_matches_with`] verification replays the columnar
-    /// verdict instead of re-running a kernel. Levenshtein is symmetric,
-    /// so the flipped pattern direction (probe-compiled here vs.
-    /// master-compiled when [`Md::premise_matches_with`] runs the kernel
-    /// itself, as a full scan does) cannot change any verdict —
-    /// `tests/access_paths.rs` pins the sweep against the full scan.
-    pub fn lev_sweep_column<I, T>(
-        &mut self,
-        probe_sym: Option<u32>,
-        probe_value: &str,
-        max: usize,
-        conjunct: u64,
-        items: I,
-    ) -> &ColumnVerdicts
+    /// The padded q-gram profile of the compiled probe's premise `i` under
+    /// window size `q`; `None` when that value is null.
+    pub fn probe_profile(&mut self, i: usize, q: usize) -> Option<&QGramProfile> {
+        let slot = &mut self.probe[i];
+        (!slot.null).then(|| slot.profile(q, &mut self.sim.profile))
+    }
+
+    /// Column-at-a-time `~lev` confirmation of the compiled probe's
+    /// premise `i`: sweep every text through the probe value's Myers
+    /// pattern in one pass ([`MyersPattern::distance_column`]). Returns the
+    /// verdict bitmap (bit `j` ⟺ `lev(probe, texts[j]) ≤ max`). The pattern
+    /// is the one [`Md::compiled_premise_matches`] verifies with.
+    pub fn lev_sweep_column<I>(&mut self, i: usize, max: usize, texts: I) -> &ColumnVerdicts
     where
-        I: IntoIterator<Item = (Option<u32>, T)>,
-        T: AsRef<str>,
+        I: IntoIterator,
+        I::Item: AsRef<str>,
     {
-        let MatchScratch {
-            sim,
-            probe_patterns,
-            probe_pat,
-            pairs,
-            column,
-            seed_syms,
-            ..
-        } = self;
-        let pat: &MyersPattern = match probe_sym {
-            Some(sym) => probe_patterns
-                .entry(sym)
-                .or_insert_with(|| MyersPattern::new(probe_value)),
-            None => {
-                probe_pat.build(probe_value);
-                probe_pat
-            }
-        };
-        seed_syms.clear();
-        let texts = items.into_iter().map(|(sym, text)| {
-            seed_syms.push(sym);
-            text
-        });
-        pat.distance_column(texts, max, &mut sim.edit, column);
-        if let Some(ps) = probe_sym {
-            for (i, ms) in seed_syms.iter().enumerate() {
-                if let Some(ms) = ms {
-                    pairs.insert((ps, *ms, conjunct), column.get(i));
-                }
-            }
-        }
-        column
+        let pat = self.probe[i].pattern();
+        pat.distance_column(texts, max, &mut self.sim.edit, &mut self.column);
+        &self.column
     }
-
-    /// The cached padded q-gram profile of the probe-side value `value`
-    /// under window size `q`, keyed by the probe row's symbol. Candidate
-    /// generation in the master index shares this cache with premise
-    /// verification.
-    pub fn probe_profile_cached(&mut self, sym: u32, q: usize, value: &str) -> &QGramProfile {
-        let MatchScratch {
-            sim,
-            probe_profiles,
-            ..
-        } = self;
-        probe_profiles
-            .entry((sym, q as u32))
-            .or_insert_with(|| QGramProfile::new_with(value, q, &mut sim.profile))
-    }
-
-    /// An un-cached profile for a symbol-less probe value, built into a
-    /// reusable slot.
-    pub fn probe_profile_owned(&mut self, q: usize, value: &str) -> &QGramProfile {
-        self.pa.rebuild(value, q, &mut self.sim.profile);
-        &self.pa
-    }
-}
-
-/// Stable hash identifying a premise conjunct (attributes + predicate
-/// parameters) — the third component of the pair-memo key, so one scratch
-/// can serve every MD of a rule set without cross-talk.
-fn premise_identity(p: &MdPremise) -> u64 {
-    use std::hash::Hasher;
-    let mut h = FxHasher::default();
-    h.write_u16(p.attr.0);
-    h.write_u16(p.master_attr.0);
-    match &p.pred {
-        SimilarityPredicate::Equal => h.write_u8(0),
-        SimilarityPredicate::Levenshtein { max } => {
-            h.write_u8(1);
-            h.write_usize(*max);
-        }
-        SimilarityPredicate::Jaro { min } => {
-            h.write_u8(2);
-            h.write_u64(min.to_bits());
-        }
-        SimilarityPredicate::JaroWinkler { min } => {
-            h.write_u8(3);
-            h.write_u64(min.to_bits());
-        }
-        SimilarityPredicate::QGramJaccard { q, min } => {
-            h.write_u8(4);
-            h.write_usize(*q);
-            h.write_u64(min.to_bits());
-        }
-    }
-    h.finish()
 }
 
 /// One conjunct `R[Aj] ≈j Rm[Bj]` of an MD premise.
@@ -221,16 +156,6 @@ pub struct MdPremise {
     pub master_attr: AttrId,
     /// The similarity predicate `≈j`.
     pub pred: SimilarityPredicate,
-}
-
-impl MdPremise {
-    /// Stable identity of this conjunct — the third component of the
-    /// pair-verdict memo key. Access paths that pre-verify pairs in bulk
-    /// ([`MatchScratch::lev_sweep_column`]) pass this so the seeded
-    /// verdicts are found again during full premise verification.
-    pub fn pair_key(&self) -> u64 {
-        premise_identity(self)
-    }
 }
 
 /// A positive matching dependency.
@@ -335,127 +260,73 @@ impl Md {
         })
     }
 
-    /// [`Md::premise_matches`] with caller-owned scratch: identical answers
-    /// (bit for bit — the tests pin this), zero steady-state allocation,
-    /// and symbol-keyed reuse of Myers pattern bitmaps and q-gram profiles
-    /// across probes. This is the probe hot path of the master index.
-    pub fn premise_matches_with<'t, 's>(
+    /// [`Md::premise_matches`] of the probe compiled into `scratch` (by
+    /// [`MatchScratch::compile`] for this MD) against master row `s`:
+    /// identical answers (bit for bit — the tests pin this) and zero
+    /// steady-state allocation. This is the probe hot path of the master
+    /// index.
+    pub fn compiled_premise_matches<'s>(
         &self,
-        t: impl Row<'t>,
         s: impl Row<'s>,
         scratch: &mut MatchScratch,
     ) -> bool {
         // A premise is a pure conjunction, so evaluation order cannot
         // change the answer — only how fast a non-match is rejected.
-        // Equality, the cached q-gram merge, and the cached Myers kernel
-        // all answer in well under a microsecond; Jaro/Jaro-Winkler run an
+        // Equality, the q-gram merge, and the compiled Myers kernel all
+        // answer in well under a microsecond; Jaro/Jaro-Winkler run an
         // O(|a|·|b|) matching pass per pair. Check the cheap conjuncts
         // first so most candidates never reach a Jaro computation.
-        let is_jaro = |p: &&MdPremise| {
+        let is_jaro = |i: &usize| {
             matches!(
-                p.pred,
+                self.premises[*i].pred,
                 SimilarityPredicate::Jaro { .. } | SimilarityPredicate::JaroWinkler { .. }
             )
         };
-        self.premises
-            .iter()
-            .filter(|p| !is_jaro(p))
-            .all(|p| self.premise_holds_with(p, t, s, scratch))
-            && self
-                .premises
-                .iter()
+        let n = self.premises.len();
+        (0..n)
+            .filter(|i| !is_jaro(i))
+            .all(|i| self.conjunct_holds(i, s, scratch))
+            && (0..n)
                 .filter(is_jaro)
-                .all(|p| self.premise_holds_with(p, t, s, scratch))
+                .all(|i| self.conjunct_holds(i, s, scratch))
     }
 
-    /// One conjunct of [`Md::premise_matches_with`], on the scratch's
-    /// kernel caches: pair-memoized for store-backed rows, then kernel
-    /// dispatch on a miss.
-    fn premise_holds_with<'t, 's>(
-        &self,
-        p: &MdPremise,
-        t: impl Row<'t>,
-        s: impl Row<'s>,
-        scratch: &mut MatchScratch,
-    ) -> bool {
-        if matches!(p.pred, SimilarityPredicate::Equal) {
-            // Equality is cheaper than a memo lookup.
-            return self.premise_eval(p, t, s, scratch);
-        }
-        match (t.sym(p.attr), s.sym(p.master_attr)) {
-            (Some(ts), Some(ss)) => {
-                let key = (ts.0, ss.0, premise_identity(p));
-                if let Some(&verdict) = scratch.pairs.get(&key) {
-                    return verdict;
-                }
-                let verdict = self.premise_eval(p, t, s, scratch);
-                scratch.pairs.insert(key, verdict);
-                verdict
-            }
-            _ => self.premise_eval(p, t, s, scratch),
-        }
-    }
-
-    /// Kernel dispatch for one similarity conjunct (the memo-miss path of
-    /// [`Md::premise_holds_with`]).
-    fn premise_eval<'t, 's>(
-        &self,
-        p: &MdPremise,
-        t: impl Row<'t>,
-        s: impl Row<'s>,
-        scratch: &mut MatchScratch,
-    ) -> bool {
-        let tv = t.value(p.attr);
+    /// Conjunct `i` of [`Md::compiled_premise_matches`].
+    fn conjunct_holds<'s>(&self, i: usize, s: impl Row<'s>, scratch: &mut MatchScratch) -> bool {
+        let p = &self.premises[i];
+        let MatchScratch {
+            sim,
+            probe,
+            master_profiles,
+            pb,
+            ..
+        } = scratch;
+        let slot = &mut probe[i];
         let sv = s.value(p.master_attr);
-        if tv.is_null() || sv.is_null() {
+        if slot.null || sv.is_null() {
             return false;
         }
-        let a = tv.render();
         let b = sv.render();
         match &p.pred {
-            SimilarityPredicate::Levenshtein { max } => {
-                let MatchScratch { sim, myers, .. } = scratch;
-                match s.sym(p.master_attr) {
-                    Some(sym) => {
-                        // Master values repeat across probes: build the
-                        // pattern bitmaps once per distinct symbol.
-                        let pat = myers.entry(sym.0).or_insert_with(|| MyersPattern::new(&b));
-                        pat.distance_bounded(&a, *max, &mut sim.edit).is_some()
-                    }
-                    None => p.pred.matches_with(&a, &b, sim),
-                }
-            }
+            SimilarityPredicate::Levenshtein { max } => slot
+                .pattern()
+                .distance_bounded(&b, *max, &mut sim.edit)
+                .is_some(),
             SimilarityPredicate::QGramJaccard { q, min } => {
-                let MatchScratch {
-                    sim,
-                    probe_profiles,
-                    master_profiles,
-                    pa,
-                    pb,
-                    ..
-                } = scratch;
-                let qq = *q as u32;
                 let mp: &QGramProfile = match s.sym(p.master_attr) {
+                    // Master values repeat across probes: profile each
+                    // distinct symbol once.
                     Some(sym) => master_profiles
-                        .entry((sym.0, qq))
+                        .entry((sym.0, *q as u32))
                         .or_insert_with(|| QGramProfile::new_with(&b, *q, &mut sim.profile)),
                     None => {
                         pb.rebuild(&b, *q, &mut sim.profile);
                         pb
                     }
                 };
-                let pp: &QGramProfile = match t.sym(p.attr) {
-                    Some(sym) => probe_profiles
-                        .entry((sym.0, qq))
-                        .or_insert_with(|| QGramProfile::new_with(&a, *q, &mut sim.profile)),
-                    None => {
-                        pa.rebuild(&a, *q, &mut sim.profile);
-                        pa
-                    }
-                };
-                pp.jaccard(mp) >= *min
+                slot.profile(*q, &mut sim.profile).jaccard(mp) >= *min
             }
-            _ => p.pred.matches_with(&a, &b, &mut scratch.sim),
+            pred => pred.matches_with(&slot.text, &b, sim),
         }
     }
 
@@ -644,9 +515,10 @@ mod tests {
         ];
         let tuples: Vec<Tuple> = rows.iter().map(|r| Tuple::of_strs(r, 1.0)).collect();
         for t in &tuples {
+            scratch.compile(&md, t);
             for s in &tuples {
                 assert_eq!(
-                    md.premise_matches_with(t, s, &mut scratch),
+                    md.compiled_premise_matches(s, &mut scratch),
                     md.premise_matches(t, s),
                 );
             }

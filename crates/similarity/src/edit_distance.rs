@@ -18,9 +18,10 @@
 //!    single-word path with a stack `Peq` table ([`levenshtein_bounded`]).
 //! 2. [`EditScratch`] callers reuse pattern bitmaps and block vectors across
 //!    calls ([`levenshtein_bounded_with`]).
-//! 3. [`MyersPattern`] lets a caller build the pattern bitmaps once per
-//!    master value and stream many probe texts against it — the shape the
-//!    `MatchScratch` symbol cache in `uniclean-rules` exploits.
+//! 3. [`MyersPattern`] lets a caller build the pattern bitmaps once and
+//!    stream many texts against it — the shape of a compiled master-index
+//!    probe (`MatchScratch::compile` in `uniclean-rules`), whose value is
+//!    the pattern for its columnar sweep and its verification alike.
 //!
 //! The pre-existing two-row and banded DPs survive in
 //! [`reference`](mod@reference) as the oracle for the differential

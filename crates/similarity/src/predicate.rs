@@ -14,7 +14,7 @@ use crate::qgram::{qgram_jaccard, ProfileScratch, QGramProfile};
 
 /// Every per-call buffer a similarity-predicate evaluation can need, owned
 /// by the caller so the probe hot path allocates nothing. The engine embeds
-/// one (inside its `ProbeScratch`) per probing thread.
+/// one in each `ProbeScratch`, which its witness memo probes through.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     /// Myers pattern/block buffers for `~lev`.
