@@ -1,10 +1,13 @@
 //! The §6.3 ablation: incremental maintenance of the 2-in-1 HTab+AVL
-//! structure vs rebuilding it from scratch after every cell update.
+//! structure vs rebuilding it from scratch after every cell update, plus
+//! the batched insert path at the benchmark workload's size: a build over
+//! 4 000 HOSP tuples, and one 5-tuple delta batch into a 1 000-tuple
+//! structure.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use uniclean_core::two_in_one::TwoInOne;
 use uniclean_datagen::{hosp_workload, GenParams};
-use uniclean_model::{FixMark, TupleId, Value};
+use uniclean_model::{FixMark, Relation, TupleId, Value};
 
 fn bench_structure(c: &mut Criterion) {
     let w = hosp_workload(&GenParams {
@@ -48,6 +51,36 @@ fn bench_structure(c: &mut Criterion) {
                 last = Some(TwoInOne::build(&w.rules, &d));
             }
             last
+        })
+    });
+
+    // A build is one batched insert of every tuple (17 variable CFDs).
+    let large = hosp_workload(&GenParams {
+        tuples: 4000,
+        master_tuples: 1000,
+        ..GenParams::default()
+    });
+    g.bench_function("build_hosp_4000", |bench| {
+        bench.iter(|| TwoInOne::build(black_box(&large.rules), black_box(&large.dirty)))
+    });
+
+    // One `clean_delta`-shaped batch: clone a built structure, insert 5.
+    let delta = hosp_workload(&GenParams {
+        tuples: 1005,
+        master_tuples: 200,
+        ..GenParams::default()
+    });
+    let rows = delta.dirty.to_tuples();
+    let mut grown = Relation::new(delta.dirty.schema().clone(), rows[..1000].to_vec());
+    let built = TwoInOne::build(&delta.rules, &grown);
+    for t in &rows[1000..] {
+        grown.push(t.clone());
+    }
+    g.bench_function("insert_5_into_1000", |bench| {
+        bench.iter(|| {
+            let mut s = built.clone();
+            s.insert_tuples(black_box(&grown), 1000);
+            s
         })
     });
 

@@ -15,6 +15,9 @@
 //!   witness;
 //! * counters `count[t, ξ]` of asserted premise attributes.
 //!
+//! The per-(tuple, rule) tables — `count`, `P` and the queue's flags — are
+//! flat row-major vectors, one row of `|Θ|` slots per tuple.
+//!
 //! Every cell is written at most once (unasserted → asserted), so the
 //! algorithm terminates in O(|D|·|Dm|·size(Θ)) and — as the paper argues in
 //! §5.2 — its outcome is independent of rule application order (property-
@@ -70,10 +73,10 @@ pub(crate) struct CFixpoint {
     /// Keys are LHS projections in the relation's own symbols — valid
     /// across continuations because the store's interner is append-only.
     h: Vec<Option<FxHashMap<Vec<Symbol>, VGroup>>>,
-    /// count[t][ξ].
-    count: Vec<Vec<u32>>,
-    /// P[t]: variable CFDs t waits on.
-    p: Vec<Vec<bool>>,
+    /// count[t, ξ], row-major (`t · |Θ| + ξ`).
+    count: Vec<u32>,
+    /// P[t]: variable CFDs t waits on, row-major like `count`.
+    p: Vec<bool>,
     /// All schema attributes, precomputed for the agreement check.
     all_attrs: Vec<AttrId>,
     /// Tuples the fixpoint currently covers.
@@ -130,8 +133,8 @@ impl CFixpoint {
             attr_to_rules,
             lhs_distinct,
             h,
-            count: vec![vec![0; n_rules]; n_tuples],
-            p: vec![vec![false; n_rules]; n_tuples],
+            count: vec![0; n_tuples * n_rules],
+            p: vec![false; n_tuples * n_rules],
             all_attrs: rules.schema().attr_ids().collect(),
             n_tuples,
         }
@@ -139,12 +142,15 @@ impl CFixpoint {
 
     /// Extend the per-tuple state for `n_new` appended tuples.
     pub(crate) fn grow(&mut self, n_new: usize) {
-        let n_rules = self.lhs_of.len();
-        for _ in 0..n_new {
-            self.count.push(vec![0; n_rules]);
-            self.p.push(vec![false; n_rules]);
-        }
         self.n_tuples += n_new;
+        let slots = self.n_tuples * self.lhs_of.len();
+        self.count.resize(slots, 0);
+        self.p.resize(slots, false);
+    }
+
+    /// The row-major slot of `(t, r)` in `count` and `p`.
+    fn slot(&self, t: TupleId, r: usize) -> usize {
+        t.index() * self.lhs_of.len() + r
     }
 }
 
@@ -188,12 +194,35 @@ struct State<'a, 'g> {
     fx: &'a mut CFixpoint,
     /// Memoized MD witness lists, keyed by premise values.
     md_cache: &'a mut MdMatchCache,
-    /// Queue of (tuple, rule) with pending flags (transient: empty at
-    /// fixpoint, so not part of the persisted state).
-    queue: VecDeque<(TupleId, usize)>,
-    pending: Vec<Vec<bool>>,
+    agenda: Agenda,
     guard: Option<&'a mut CGuard<'g>>,
     report: FixReport,
+}
+
+/// The queue `Q`: one FIFO of `(tuple, rule)` pairs, each queued at most
+/// once at a time (transient: empty at fixpoint, so not part of the
+/// persisted state).
+struct Agenda {
+    queue: VecDeque<(TupleId, usize)>,
+    /// Is `(t, r)` queued? Row-major, like [`CFixpoint`]'s tables.
+    pending: Vec<bool>,
+    n_rules: usize,
+}
+
+impl Agenda {
+    fn push(&mut self, t: TupleId, r: usize) {
+        let slot = &mut self.pending[t.index() * self.n_rules + r];
+        if !*slot {
+            *slot = true;
+            self.queue.push_back((t, r));
+        }
+    }
+
+    fn pop(&mut self) -> Option<(TupleId, usize)> {
+        let (t, r) = self.queue.pop_front()?;
+        self.pending[t.index() * self.n_rules + r] = false;
+        Some((t, r))
+    }
 }
 
 /// Run `cRepair` in place on `d`. Returns the deterministic fixes applied.
@@ -245,8 +274,11 @@ pub(crate) fn c_run(
         pats,
         fx,
         md_cache,
-        queue: VecDeque::new(),
-        pending: vec![vec![false; n_rules]; d.len()],
+        agenda: Agenda {
+            queue: VecDeque::new(),
+            pending: vec![false; d.len() * n_rules],
+            n_rules,
+        },
         guard,
         report: FixReport::new(),
     };
@@ -263,8 +295,7 @@ pub(crate) fn c_run(
     }
 
     // Main loop (Fig 4, lines 7–15).
-    while let Some((t, r)) = st.queue.pop_front() {
-        st.pending[t.index()][r] = false;
+    while let Some((t, r)) = st.agenda.pop() {
         if r < rules.cfds().len() {
             if rules.cfds()[r].is_variable() {
                 st.v_cfd_infer(d, t, r);
@@ -281,34 +312,28 @@ pub(crate) fn c_run(
 impl State<'_, '_> {
     /// Procedure `update(t, A)` of Fig 5: `t[A]` has just become asserted.
     fn on_asserted(&mut self, d: &Relation, t: TupleId, a: AttrId) {
-        let rule_ids: Vec<usize> = self.fx.attr_to_rules[a.index()].clone();
-        for r in rule_ids {
-            self.fx.count[t.index()][r] += 1;
-            if self.fx.count[t.index()][r] == self.fx.lhs_distinct[r] {
-                self.push(t, r);
+        let fx = &mut *self.fx;
+        let row = fx.slot(t, 0);
+        for &r in &fx.attr_to_rules[a.index()] {
+            fx.count[row + r] += 1;
+            if fx.count[row + r] == fx.lhs_distinct[r] {
+                self.agenda.push(t, r);
             }
         }
         // Variable CFDs t waits on whose RHS is A: the newly asserted value
         // may become the group witness.
-        for r in 0..self.fx.rhs_of.len() {
-            if self.fx.p[t.index()][r] && self.fx.rhs_of[r] == a {
-                self.fx.p[t.index()][r] = false;
-                let key = d.tuple(t).project_syms(&self.fx.lhs_of[r]);
-                let val_is_nil = self.fx.h[r]
+        for r in 0..fx.rhs_of.len() {
+            if fx.p[row + r] && fx.rhs_of[r] == a {
+                fx.p[row + r] = false;
+                let key = d.tuple(t).project_syms(&fx.lhs_of[r]);
+                let val_is_nil = fx.h[r]
                     .as_ref()
                     .and_then(|h| h.get(&key))
                     .is_none_or(|g| g.val.is_none());
                 if val_is_nil {
-                    self.push(t, r);
+                    self.agenda.push(t, r);
                 }
             }
-        }
-    }
-
-    fn push(&mut self, t: TupleId, r: usize) {
-        if !self.pending[t.index()][r] {
-            self.pending[t.index()][r] = true;
-            self.queue.push_back((t, r));
         }
     }
 
@@ -361,14 +386,13 @@ impl State<'_, '_> {
 
     /// Procedure `vCFDInfer` (Fig 5).
     fn v_cfd_infer(&mut self, d: &mut Relation, t: TupleId, r: usize) {
-        let cfd = &self.rules.cfds()[r];
+        let name = self.rules.cfds()[r].name();
         if !self.pats.lhs_matches_attrs(r, &self.fx.lhs_of[r], d, t) {
             return;
         }
         let b = self.fx.rhs_of[r];
         let key = d.tuple(t).project_syms(&self.fx.lhs_of[r]);
         let rhs_asserted = d.tuple(t).cf(b) >= self.eta;
-        let name = cfd.name().to_string();
         if rhs_asserted {
             // Branch (a): t's RHS may become the unique asserted witness.
             let val = d.tuple(t).value(b).clone();
@@ -397,27 +421,18 @@ impl State<'_, '_> {
             }
             for w in waiters {
                 if d.tuple(w).cf(b) < self.eta {
-                    self.assert_cell(d, w, b, val.clone(), &name);
+                    self.assert_cell(d, w, b, val.clone(), name);
                 }
             }
         } else {
-            let val = self.fx.h[r]
-                .as_ref()
-                .expect("variable CFD")
-                .get(&key)
-                .and_then(|g| g.val.clone());
-            match val {
-                Some(v) => self.assert_cell(d, t, b, v, &name),
+            let h = self.fx.h[r].as_mut().expect("variable CFD");
+            match h.get(&key).and_then(|g| g.val.clone()) {
+                Some(v) => self.assert_cell(d, t, b, v, name),
                 None => {
                     // Branch (c): wait for a witness.
-                    self.fx.h[r]
-                        .as_mut()
-                        .expect("variable CFD")
-                        .entry(d.tuple(t).project_syms(&self.fx.lhs_of[r]))
-                        .or_default()
-                        .list
-                        .push(t);
-                    self.fx.p[t.index()][r] = true;
+                    h.entry(key).or_default().list.push(t);
+                    let slot = self.fx.slot(t, r);
+                    self.fx.p[slot] = true;
                 }
             }
         }
@@ -447,8 +462,7 @@ impl State<'_, '_> {
             .as_const()
             .expect("constant CFD")
             .clone();
-        let name = cfd.name().to_string();
-        self.assert_cell(d, t, a, want, &name);
+        self.assert_cell(d, t, a, want, cfd.name());
     }
 
     /// Procedure `MDInfer` (Fig 5).
@@ -501,8 +515,7 @@ impl State<'_, '_> {
             return;
         };
         let new = dm.tuple(witness).value(f).clone();
-        let name = md.name().to_string();
-        self.assert_cell(d, t, e, new, &name);
+        self.assert_cell(d, t, e, new, md.name());
     }
 }
 

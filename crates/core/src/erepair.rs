@@ -26,8 +26,6 @@
 //! therefore leaves the same cells, marks and set of fixes; only the order
 //! of the pass's fix records can differ.
 
-use std::collections::HashMap;
-
 use uniclean_model::{AttrId, FixMark, Relation, TupleId, Value};
 use uniclean_reasoning::{erepair_order, RuleRef};
 use uniclean_rules::RuleSet;
@@ -79,8 +77,10 @@ pub(crate) fn e_run(
     ensure_rule_constants(d, rules);
     let pats = CfdPatternSyms::compile(rules, d);
 
+    let arity = rules.schema().arity();
     let mut st = EState {
-        change_count: HashMap::new(),
+        change_count: vec![0; d.len() * arity],
+        arity,
         report: FixReport::new(),
         eta: cfg.eta,
         delta_update: cfg.delta_update,
@@ -110,7 +110,10 @@ pub(crate) fn e_run(
 }
 
 struct EState<'a> {
-    change_count: HashMap<(TupleId, AttrId), usize>,
+    /// How often `eRepair` changed each cell (the δ1 counter), row-major
+    /// (`t · arity + a`).
+    change_count: Vec<u32>,
+    arity: usize,
     report: FixReport,
     eta: f64,
     delta_update: usize,
@@ -123,7 +126,7 @@ impl EState<'_> {
         let tup = d.tuple(t);
         tup.mark(a) != FixMark::Deterministic
             && tup.cf(a) < self.eta
-            && self.change_count.get(&(t, a)).copied().unwrap_or(0) < self.delta_update
+            && (self.change_count[t.index() * self.arity + a.index()] as usize) < self.delta_update
     }
 
     /// Apply one reliable fix and maintain the 2-in-1 structure.
@@ -142,7 +145,7 @@ impl EState<'_> {
         debug_assert_ne!(old, new, "apply called without a change");
         let cf = d.tuple(t).cf(a);
         d.tuple_mut(t).set(a, new.clone(), cf, FixMark::Reliable);
-        *self.change_count.entry((t, a)).or_insert(0) += 1;
+        self.change_count[t.index() * self.arity + a.index()] += 1;
         self.report.push(FixRecord {
             tuple: t,
             attr: a,

@@ -35,6 +35,11 @@
 //!   (plus the batch) are re-graded against the constant CFDs and, from
 //!   the warm witness memo, the MDs. The previous call's final 2-in-1 is
 //!   dropped before the phases run, so no peak holds three.
+//! * the **§3.1 cost** persists as one term per cell, row-major. A call
+//!   re-prices the batch rows, its own fixes' cells and the previous
+//!   call's `eRepair`/`hRepair` fixes' cells — no other cell's repaired
+//!   value can have changed — and re-totals the terms in row-major order
+//!   from `+0.0`, so the total's bits equal a fresh `repair_cost`'s.
 //!
 //! **Escalation.** The continuation is only kept when it provably equals
 //! the from-scratch run. A batch cascade that *repairs previously settled
@@ -68,7 +73,7 @@
 
 use std::sync::Arc;
 
-use uniclean_model::{repair_cost, Relation, Tuple, TupleId};
+use uniclean_model::{cell_cost, total_cost, value_distance, AttrId, Relation, Tuple, TupleId};
 
 use crate::acceptance::ConsistencyIndex;
 pub use crate::acceptance::{TupleViolation, ViolationKind};
@@ -97,6 +102,11 @@ pub struct RepairState {
     /// where nothing per-relation can be pinned and every delta recleans.
     pub(crate) warm: Option<Warm>,
     cons: ConsistencyIndex,
+    /// The §3.1 cost's per-cell terms of `repaired` against `base`,
+    /// row-major (`uniclean_model::cost_terms`). Empty when `warm` is
+    /// `None`: such a state recleans on every delta.
+    terms: Vec<f64>,
+    /// Their row-major total, bit-identical to `repair_cost(base, repaired)`.
     cost: f64,
     /// The fixes behind the current repair: every `cRepair` fix since the
     /// last full clean, then the last call's `eRepair`/`hRepair` fixes.
@@ -133,7 +143,10 @@ impl RepairState {
         self.cons.consistent()
     }
 
-    /// `cost(Dr, D)` over the concatenated input (§3.1 model).
+    /// `cost(Dr, D)` over the concatenated input (§3.1 model),
+    /// bit-identical to `repair_cost(self.base(), self.repaired())`. The
+    /// state keeps the per-cell terms, so a delta re-prices only the cells
+    /// whose repaired value can have changed and re-totals the rest.
     pub fn cost(&self) -> f64 {
         self.cost
     }
@@ -151,6 +164,41 @@ impl RepairState {
     /// the concatenated input.
     pub fn log(&self) -> &FixReport {
         &self.log
+    }
+
+    /// Bring the kept cost terms up to `work`, this call's repair over
+    /// `base` (the batch rows from `settled` on included), given this
+    /// call's `report`. Runs before [`Self::record`] truncates the previous
+    /// call's `eRepair`/`hRepair` fixes out of `log`. A term depends only on
+    /// the base cell and the repaired value, and a cell outside the batch
+    /// holds its previous repaired value unless this call fixed it or the
+    /// previous call's `eRepair`/`hRepair` fixed it (those phases re-derive
+    /// from the post-`cRepair` state), so only those terms are re-priced.
+    fn reprice(&mut self, work: &Relation, settled: usize, report: &FixReport) {
+        let arity = self.base.schema().arity();
+        let base = &self.base;
+        let term = |t: TupleId, a: AttrId| {
+            let cell = base.tuple(t);
+            cell_cost(
+                cell.cf(a),
+                cell.value(a),
+                work.tuple(t).value(a),
+                value_distance,
+            )
+        };
+        for i in settled..base.len() {
+            let t = TupleId::from(i);
+            self.terms
+                .extend(base.schema().attr_ids().map(|a| term(t, a)));
+        }
+        let previous = &self.log.records()[self.c_logged..];
+        for fix in previous.iter().chain(report.records()) {
+            if fix.tuple.index() < settled {
+                self.terms[fix.tuple.index() * arity + fix.attr.index()] =
+                    term(fix.tuple, fix.attr);
+            }
+        }
+        self.cost = total_cost(self.terms.iter().copied());
     }
 
     /// Log one call's `report`: its `cRepair` fixes (counted in `phases`)
@@ -299,7 +347,8 @@ impl Cleaner {
         phase: Phase,
         observer: &mut dyn PhaseObserver,
     ) -> (RepairState, CleanResult) {
-        let (result, warm, cons) = full_clean(self.prepared(), d, phase, true, observer);
+        let (result, kept, cons) = full_clean(self.prepared(), d, phase, true, observer);
+        let (warm, terms) = kept.unzip();
         let mut state = RepairState {
             prepared: self.prepared().clone(),
             phase,
@@ -307,6 +356,7 @@ impl Cleaner {
             repaired: result.repaired.clone(),
             warm,
             cons,
+            terms: terms.unwrap_or_default(),
             cost: result.cost,
             log: FixReport::new(),
             c_logged: 0,
@@ -470,10 +520,12 @@ impl Cleaner {
             )
         });
         let Some(run) = continued else {
-            let (result, warm, cons) =
+            let (result, kept, cons) =
                 full_clean(&prepared, &state.base, state.phase, true, observer);
+            let (warm, terms) = kept.unzip();
             state.repaired = result.repaired.clone();
             state.warm = warm;
+            state.terms = terms.unwrap_or_default();
             state.cons = cons;
             state.cost = result.cost;
             state.c_logged = 0;
@@ -482,7 +534,7 @@ impl Cleaner {
             return Ok(result);
         };
 
-        state.cost = repair_cost(&state.base, &run.work);
+        state.reprice(&run.work, settled, &run.report);
         state.repaired = run.work;
         state.warm = run.warm;
         state.record(run.report.clone(), &run.phases);

@@ -31,8 +31,49 @@ use crate::master_index::ProbeScratch;
 use crate::session::Master;
 
 /// One MD's lists: premise symbols, in premise order → the matching
-/// master rows, ascending.
-type Lists = FxHashMap<Box<[Symbol]>, Box<[TupleId]>>;
+/// master rows, ascending, stored as a span of one shared row vector. A
+/// span is `Copy`, so a hit reads its list after one probe of the map.
+#[derive(Default)]
+struct Lists {
+    /// Key → `(start, len)` in `rows`.
+    spans: FxHashMap<Box<[Symbol]>, (u32, u32)>,
+    rows: Vec<TupleId>,
+}
+
+impl Lists {
+    fn list(&self, (start, len): (u32, u32)) -> &[TupleId] {
+        &self.rows[start as usize..(start + len) as usize]
+    }
+
+    /// Drop every list whose key fails `keep`, then the rows only they
+    /// held.
+    fn retain(&mut self, keep: impl Fn(&[Symbol]) -> bool) {
+        let before = self.spans.len();
+        self.spans.retain(|key, _| keep(key));
+        if self.spans.len() == before {
+            return;
+        }
+        let old = std::mem::take(&mut self.rows);
+        for (start, len) in self.spans.values_mut() {
+            let at = self.rows.len() as u32;
+            self.rows
+                .extend_from_slice(&old[*start as usize..(*start + *len) as usize]);
+            *start = at;
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (&[Symbol], &[TupleId])> {
+        self.spans
+            .iter()
+            .map(|(key, &span)| (&**key, self.list(span)))
+    }
+}
 
 /// Per MD, verified witness lists keyed by the premise symbols they were
 /// computed from.
@@ -73,7 +114,7 @@ impl<'a> Witnesses<'a> {
 impl MdMatchCache {
     pub(crate) fn new(rules: &RuleSet) -> Self {
         MdMatchCache {
-            lists: rules.mds().iter().map(|_| FxHashMap::default()).collect(),
+            lists: rules.mds().iter().map(|_| Lists::default()).collect(),
             scratch: ProbeScratch::new(),
             key: Vec::new(),
             miss: Vec::new(),
@@ -83,7 +124,7 @@ impl MdMatchCache {
     /// An empty memo of the same shape, for another master relation.
     pub(crate) fn empty_like(&self) -> Self {
         MdMatchCache {
-            lists: self.lists.iter().map(|_| FxHashMap::default()).collect(),
+            lists: self.lists.iter().map(|_| Lists::default()).collect(),
             scratch: ProbeScratch::new(),
             key: Vec::new(),
             miss: Vec::new(),
@@ -96,7 +137,7 @@ impl MdMatchCache {
     pub(crate) fn begin_run(&mut self, kept: &Relation) {
         let owned = kept.interner().len();
         for lists in &mut self.lists {
-            lists.retain(|key, _| key.iter().all(|s| s.index() < owned));
+            lists.retain(|key| key.iter().all(|s| s.index() < owned));
         }
     }
 
@@ -116,14 +157,20 @@ impl MdMatchCache {
         self.key
             .extend(md.premises().iter().map(|p| row.sym(p.attr)));
         let lists = &mut self.lists[md_idx];
-        if !lists.contains_key(self.key.as_slice()) {
-            let (scratch, miss) = (&mut self.scratch, &mut self.miss);
-            m.index
-                .matches_into(md_idx, md, row, m.dm, None, scratch, miss);
-            lists.insert(self.key.as_slice().into(), miss.as_slice().into());
-        }
+        let span = match lists.spans.get(self.key.as_slice()) {
+            Some(&span) => span,
+            None => {
+                let (scratch, miss) = (&mut self.scratch, &mut self.miss);
+                m.index
+                    .matches_into(md_idx, md, row, m.dm, None, scratch, miss);
+                let span = (lists.rows.len() as u32, miss.len() as u32);
+                lists.rows.extend_from_slice(miss);
+                lists.spans.insert(self.key.as_slice().into(), span);
+                span
+            }
+        };
         Witnesses {
-            list: &lists[self.key.as_slice()],
+            list: lists.list(span),
             own: m.own_row(t),
         }
     }
@@ -255,7 +302,7 @@ mod tests {
         let mut want = Vec::new();
         let mut checked = 0;
         for (j, md) in rules.mds().iter().enumerate() {
-            for (key, list) in &cache.lists[j] {
+            for (key, list) in cache.lists[j].iter() {
                 if key.iter().any(|s| s.index() >= owned) {
                     continue;
                 }
@@ -269,7 +316,7 @@ mod tests {
                     );
                 }
                 idx.matches_into(j, md, &probe, dm, None, &mut scratch, &mut want);
-                assert_eq!(&**list, want.as_slice(), "md {j} key {key:?}");
+                assert_eq!(list, want.as_slice(), "md {j} key {key:?}");
                 checked += 1;
             }
         }

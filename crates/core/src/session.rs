@@ -39,7 +39,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use uniclean_model::{repair_cost, AttrId, FixMark, Relation, Tuple, TupleId};
+use uniclean_model::{
+    cost_terms, repair_cost, total_cost, AttrId, FixMark, Relation, Tuple, TupleId,
+};
 use uniclean_reasoning::{erepair_order, RuleRef};
 use uniclean_rules::RuleSet;
 
@@ -496,17 +498,19 @@ pub(crate) fn run_phases(
 
 /// The one from-scratch clean: phases → acceptance → cost. With `keep`,
 /// the structures a [`RepairState`](crate::RepairState) continues from
-/// come back alongside the result; [`Cleaner::clean`] is this with nothing
-/// kept. Self-snapshot masters re-render per phase, so nothing
-/// per-relation can be pinned and `keep` yields no [`Warm`] (deltas over
-/// such a state always reclean).
+/// come back alongside the result, with the §3.1 cost's per-cell terms
+/// ([`cost_terms`]), which the state re-prices cell by cell;
+/// [`Cleaner::clean`] is this with nothing kept, and allocates no terms.
+/// Self-snapshot masters re-render per phase, so nothing per-relation can
+/// be pinned and `keep` yields nothing (deltas over such a state always
+/// reclean).
 pub(crate) fn full_clean(
     prepared: &PreparedCleaner,
     d: &Relation,
     phase: Phase,
     keep: bool,
     observer: &mut dyn PhaseObserver,
-) -> (CleanResult, Option<Warm>, ConsistencyIndex) {
+) -> (CleanResult, Option<(Warm, Vec<f64>)>, ConsistencyIndex) {
     let keep = keep && !matches!(prepared.master, MasterSource::SelfSnapshot);
     let fresh = Warm::fresh(prepared, d.clone());
     let none = Relation::empty(d.schema().clone());
@@ -521,14 +525,21 @@ pub(crate) fn full_clean(
         observer,
     )
     .expect("only a continuation can be aborted");
+    let kept = run
+        .warm
+        .map(|warm| (warm, cost_terms(d, &run.work).collect::<Vec<f64>>()));
+    let cost = match &kept {
+        Some((_, terms)) => total_cost(terms.iter().copied()),
+        None => repair_cost(d, &run.work),
+    };
     let result = CleanResult {
-        cost: repair_cost(d, &run.work),
+        cost,
         consistent: cons.consistent(),
         repaired: run.work,
         report: run.report,
         phases: run.phases,
     };
-    (result, run.warm, cons)
+    (result, kept, cons)
 }
 
 /// The master data one phase round matches against: the rows `Dm`, their

@@ -36,10 +36,18 @@
 //! [`TwoInOne::on_update`] and extend it by [`TwoInOne::insert_tuples`]
 //! deltas.
 //!
-//! **Incremental entropy** (kept from PR 2): each group maintains
-//! `Σ c·ln c` under count deltas, so the common single-count update
-//! refreshes `H` in O(1). The rebuild oracle in the tests keeps the
-//! incremental values honest.
+//! **Incremental entropy**: each group maintains `Σ c·ln c` under count
+//! deltas, and its per-value counts are a symbol-sorted vector, so a
+//! count bump is a binary search and `H` is refreshed in O(1). A cell
+//! update ([`TwoInOne::on_update`]) moves a group out of its tree,
+//! bumps, refreshes and moves it back. A batch of inserted tuples
+//! ([`TwoInOne::insert_tuples`]) takes each group it touches out of its
+//! tree once, at the first touch, bumps the counts of every member it
+//! adds without refreshing, and refreshes and re-attaches each touched
+//! group once, at the end. `Σ c·ln c` gains the same terms in the same
+//! order either way, so the entropy bits equal those of inserting the
+//! tuples one call at a time. The rebuild oracle in the tests keeps the
+//! incremental values and the trees honest.
 //!
 //! [`TwoInOne::build`] is an empty structure followed by
 //! [`TwoInOne::insert_tuples`] from tuple 0, so a build and a delta insert
@@ -91,14 +99,17 @@ pub struct Group {
     key: GroupKey,
     /// Member tuples.
     pub tuples: Vec<TupleId>,
-    /// Counts of distinct non-null B values, keyed by store symbol.
-    counts: FxHashMap<Symbol, usize>,
+    /// Counts of distinct non-null B values, sorted by store symbol.
+    counts: Vec<(Symbol, usize)>,
     /// Members whose B value is null (kept out of the entropy).
     pub nulls: usize,
     /// `Σ c·ln c` over `counts`, maintained incrementally.
     sum_c_ln_c: f64,
     /// Cached `H(ϕ|Y=ȳ)`.
     pub entropy: f64,
+    /// Out of its tree and the violating count, with `entropy` stale,
+    /// until the [`TwoInOne::insert_tuples`] batch that touched it ends.
+    detached: bool,
 }
 
 impl Group {
@@ -122,20 +133,24 @@ impl Group {
         self.counts.len() >= 2
     }
 
-    /// Apply a ±1 delta to one value count and refresh the entropy in
-    /// O(1): `H = (ln n − Σc·ln c / n) / ln k`, the closed form of §6.1's
-    /// `Σ (c/n)·log_k(n/c)`.
+    /// Apply a ±1 delta to one value count and to `Σ c·ln c`. The caller
+    /// refreshes the entropy ([`Self::refresh_entropy`]) once its batch of
+    /// bumps is done.
     fn bump(&mut self, b: Symbol, delta: isize) {
-        let c_old = self.counts.get(&b).copied().unwrap_or(0);
+        let slot = self.counts.binary_search_by_key(&b, |&(s, _)| s);
+        let c_old = slot.map_or(0, |i| self.counts[i].1);
         let c_new = match delta {
             1 => c_old + 1,
             -1 => c_old.saturating_sub(1),
             _ => unreachable!("bump is ±1"),
         };
-        if c_new == 0 {
-            self.counts.remove(&b);
-        } else {
-            self.counts.insert(b, c_new);
+        match slot {
+            Ok(i) if c_new == 0 => {
+                self.counts.remove(i);
+            }
+            Ok(i) => self.counts[i].1 = c_new,
+            Err(i) if c_new > 0 => self.counts.insert(i, (b, c_new)),
+            Err(_) => {}
         }
         self.sum_c_ln_c += xlnx(c_new) - xlnx(c_old);
         if self.counts.is_empty() {
@@ -143,9 +158,15 @@ impl Group {
             // counts that caused it.
             self.sum_c_ln_c = 0.0;
         }
-        self.refresh_entropy();
     }
 
+    /// Does the group count B value `b`?
+    fn counts_value(&self, b: Symbol) -> bool {
+        self.counts.binary_search_by_key(&b, |&(s, _)| s).is_ok()
+    }
+
+    /// `H = (ln n − Σc·ln c / n) / ln k`, the closed form of §6.1's
+    /// `Σ (c/n)·log_k(n/c)`, in O(1) from the maintained sums.
     fn refresh_entropy(&mut self) {
         // `n = |Δ(ȳ)|` minus the null members — always in sync with the
         // membership updates, which precede every `bump`.
@@ -248,13 +269,38 @@ impl TwoInOne {
     /// because a build is exactly this insertion replay in tuple-id order.
     /// This is the `clean_delta` hot path. `d` must be the build relation's
     /// lineage (the store interned the new rows on push).
+    ///
+    /// The tuples go in as one batch (tuples outer, variable CFDs inner).
+    /// A group leaves its tree at its first touch, its counts are bumped
+    /// without refreshing the entropy, and every touched group is
+    /// refreshed and re-attached once, at the end. Keys are probed through
+    /// one reused buffer; only a new group allocates one.
     pub fn insert_tuples(&mut self, d: &Relation, from: usize) {
         let nv = self.vcfd_rule_idx.len();
+        let mut key = GroupKey::new();
+        let mut touched = Vec::new();
         for i in from..d.len() {
             let t = TupleId::from(i);
             for v in 0..nv {
-                self.insert_member(d, v, t);
+                if !self.lhs_matches(d, v, t) {
+                    continue;
+                }
+                self.project_key(d, v, t, &mut key);
+                let gid = self.group_for(v, &key);
+                if !self.groups[gid as usize].detached {
+                    self.detach(v, gid);
+                    self.groups[gid as usize].detached = true;
+                    touched.push(gid);
+                }
+                self.add_member(d, v, t, gid);
             }
+        }
+        for gid in touched {
+            let grp = &mut self.groups[gid as usize];
+            grp.detached = false;
+            grp.refresh_entropy();
+            let v = grp.vcfd;
+            self.attach(v, gid);
         }
     }
 
@@ -293,7 +339,11 @@ impl TwoInOne {
     /// lineage), or `None` when `t` does not match the LHS pattern. A group
     /// id is never reused: a group that lost its last member stays empty.
     pub(crate) fn group_of(&self, v: usize, d: &Relation, t: TupleId) -> Option<GroupId> {
-        let (key, _) = self.project_for_insert(d, v, t)?;
+        if !self.lhs_matches(d, v, t) {
+            return None;
+        }
+        let mut key = GroupKey::new();
+        self.project_key(d, v, t, &mut key);
         self.tables[v].get(&key).copied()
     }
 
@@ -313,7 +363,7 @@ impl TwoInOne {
         let grp = &self.groups[g as usize];
         grp.counts
             .iter()
-            .map(|(&b, &c)| (d.interner().resolve(b), c))
+            .map(|&(b, c)| (d.interner().resolve(b), c))
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(a.0)))
             .map(|(v, c)| (v.clone(), c))
     }
@@ -377,56 +427,66 @@ impl TwoInOne {
         }
     }
 
-    /// Project `t` for insertion into variable CFD `v`: `None` when the
-    /// LHS pattern does not match, otherwise the group key and the B
-    /// symbol (`None` = null, kept out of the counts). Reads only the
-    /// symbol columns and hashes nothing.
-    fn project_for_insert(
-        &self,
-        d: &Relation,
-        v: usize,
-        t: TupleId,
-    ) -> Option<(GroupKey, Option<Symbol>)> {
-        let rule_idx = self.vcfd_rule_idx[v];
-        if !self.pats.lhs_matches_attrs(rule_idx, &self.lhs[v], d, t) {
-            return None;
+    /// Does `t`'s (current) LHS match variable CFD `v`'s pattern? Reads
+    /// only the symbol columns.
+    fn lhs_matches(&self, d: &Relation, v: usize, t: TupleId) -> bool {
+        self.pats
+            .lhs_matches_attrs(self.vcfd_rule_idx[v], &self.lhs[v], d, t)
+    }
+
+    /// Write `t`'s group key under variable CFD `v` into `key`.
+    fn project_key(&self, d: &Relation, v: usize, t: TupleId, key: &mut GroupKey) {
+        key.clear();
+        key.extend(self.lhs[v].iter().map(|a| d.sym(t, *a)));
+    }
+
+    /// The group of `key` under variable CFD `v`, created empty (and so
+    /// outside every tree) when the key is new.
+    fn group_for(&mut self, v: usize, key: &[Symbol]) -> GroupId {
+        if let Some(&g) = self.tables[v].get(key) {
+            return g;
         }
-        let key: GroupKey = self.lhs[v].iter().map(|a| d.sym(t, *a)).collect();
-        let b_sym = d.sym(t, self.rhs[v]);
-        let b = (b_sym != d.null_sym()).then_some(b_sym);
-        Some((key, b))
+        let g = self.groups.len() as GroupId;
+        self.groups.push(Group {
+            vcfd: v,
+            key: key.to_vec(),
+            tuples: Vec::new(),
+            counts: Vec::new(),
+            nulls: 0,
+            sum_c_ln_c: 0.0,
+            entropy: 0.0,
+            detached: false,
+        });
+        self.tables[v].insert(key.to_vec(), g);
+        g
+    }
+
+    /// Add `t` to group `gid` of variable CFD `v`: a null B value counts
+    /// as a null member, any other is bumped (the entropy is not
+    /// refreshed).
+    fn add_member(&mut self, d: &Relation, v: usize, t: TupleId, gid: GroupId) {
+        let b = d.sym(t, self.rhs[v]);
+        let grp = &mut self.groups[gid as usize];
+        grp.tuples.push(t);
+        if b == d.null_sym() {
+            grp.nulls += 1;
+        } else {
+            grp.bump(b, 1);
+        }
     }
 
     /// Insert `t` into variable CFD `v`'s structure if its (current) LHS
-    /// matches the pattern.
+    /// matches the pattern — one cell update's insert half.
     fn insert_member(&mut self, d: &Relation, v: usize, t: TupleId) {
-        let Some((key, b)) = self.project_for_insert(d, v, t) else {
+        if !self.lhs_matches(d, v, t) {
             return;
-        };
-        let gid = match self.tables[v].get(&key) {
-            Some(&g) => g,
-            None => {
-                let g = self.groups.len() as GroupId;
-                self.groups.push(Group {
-                    vcfd: v,
-                    key: key.clone(),
-                    tuples: Vec::new(),
-                    counts: FxHashMap::default(),
-                    nulls: 0,
-                    sum_c_ln_c: 0.0,
-                    entropy: 0.0,
-                });
-                self.tables[v].insert(key, g);
-                g
-            }
-        };
-        self.detach(v, gid);
-        let grp = &mut self.groups[gid as usize];
-        grp.tuples.push(t);
-        match b {
-            None => grp.nulls += 1,
-            Some(b) => grp.bump(b, 1),
         }
+        let mut key = GroupKey::new();
+        self.project_key(d, v, t, &mut key);
+        let gid = self.group_for(v, &key);
+        self.detach(v, gid);
+        self.add_member(d, v, t, gid);
+        self.groups[gid as usize].refresh_entropy();
         self.attach(v, gid);
     }
 
@@ -496,7 +556,10 @@ impl TwoInOne {
             grp.tuples.swap_remove(pos);
             match old_b {
                 None if old_bval.is_null() => grp.nulls = grp.nulls.saturating_sub(1),
-                Some(b) if grp.counts.contains_key(&b) => grp.bump(b, -1),
+                Some(b) if grp.counts_value(b) => {
+                    grp.bump(b, -1);
+                    grp.refresh_entropy();
+                }
                 _ => {}
             }
         }
@@ -534,9 +597,10 @@ impl TwoInOne {
     }
 
     /// Exhaustive consistency check against a fresh rebuild (test helper).
-    /// Keys and counts are compared in resolved-value form, and each
-    /// group's incremental entropy is checked against the from-scratch
-    /// formula.
+    /// Keys and counts are compared in resolved-value form, each group's
+    /// incremental entropy is checked against the from-scratch formula,
+    /// and each tree and the violating count against the groups they
+    /// index.
     #[cfg(test)]
     pub(crate) fn assert_consistent_with_rebuild(&self, rules: &RuleSet, d: &Relation) {
         use crate::entropy::entropy_of_counts;
@@ -549,7 +613,7 @@ impl TwoInOne {
                     let mut counts: Vec<(Value, usize)> = grp
                         .counts
                         .iter()
-                        .map(|(&b, &c)| (d.interner().resolve(b).clone(), c))
+                        .map(|&(b, c)| (d.interner().resolve(b).clone(), c))
                         .collect();
                     counts.sort();
                     (me.group_key(d, g), (grp.tuples.len(), counts))
@@ -558,7 +622,27 @@ impl TwoInOne {
         };
         let fresh = TwoInOne::build(rules, d);
         assert_eq!(self.violating, fresh.violating, "violating groups");
+        let live = || self.tables.iter().flat_map(|t| t.values());
+        assert_eq!(
+            self.violating,
+            live()
+                .filter(|&&g| self.groups[g as usize].violates())
+                .count(),
+            "violating count vs groups"
+        );
         for v in 0..self.len() {
+            let mut indexed: Vec<(u64, GroupId)> = self.tables[v]
+                .values()
+                .filter(|&&g| self.groups[g as usize].entropy > 0.0)
+                .map(|&g| (self.groups[g as usize].entropy.to_bits(), g))
+                .collect();
+            indexed.sort_by_key(|&(_, g)| g);
+            let mut in_tree: Vec<(u64, GroupId)> = self.trees[v]
+                .iter()
+                .map(|k| (k.entropy.to_bits(), k.id))
+                .collect();
+            in_tree.sort_by_key(|&(_, g)| g);
+            assert_eq!(in_tree, indexed, "vcfd {v}: tree vs groups");
             assert_eq!(
                 summarize(self, v),
                 summarize(&fresh, v),
@@ -566,7 +650,13 @@ impl TwoInOne {
             );
             for &g in self.tables[v].values() {
                 let grp = &self.groups[g as usize];
-                let oracle = entropy_of_counts(grp.counts.values().copied());
+                assert!(!grp.detached, "vcfd {v} group {g} left detached");
+                assert!(
+                    grp.counts.windows(2).all(|w| w[0].0 < w[1].0)
+                        && grp.counts.iter().all(|&(_, c)| c > 0),
+                    "vcfd {v} group {g}: counts not sorted and positive"
+                );
+                let oracle = entropy_of_counts(grp.counts.iter().map(|&(_, c)| c));
                 assert!(
                     (grp.entropy - oracle).abs() < 1e-9,
                     "vcfd {v} group {g}: incremental entropy {} vs oracle {oracle}",
@@ -760,6 +850,54 @@ mod tests {
                 assert_eq!(dump(&inc), dump(&fresh), "split={split} vcfd={v}");
             }
             inc.assert_consistent_with_rebuild(&rules, &grown);
+        }
+    }
+
+    #[test]
+    fn one_batch_insert_equals_one_tuple_calls() {
+        // One `insert_tuples` call hits a group of nonzero entropy several
+        // times, creates a group and grows it, adds a null-B member and
+        // pushes a group past 64 distinct B values. It must equal a
+        // rebuild, and its entropy bits those of one call per tuple.
+        let s = Schema::of_strings("r", &["K", "B"]);
+        let parsed = parse_rules("cfd fd: r([K] -> [B])", &s, None).unwrap();
+        let rules = RuleSet::cfds_only(s.clone(), parsed.cfds);
+        let b = s.attr_id_or_panic("B");
+        let row = |k: &str, v: &str| Tuple::of_strs(&[k, v], 0.5);
+        let mut base = vec![row("k1", "x"), row("k1", "x"), row("k1", "y")];
+        base.extend((0..62).map(|i| row("wide", &format!("w{i}"))));
+        let mut batch = Vec::new();
+        for (i, v) in ["x", "z", "y", "x"].into_iter().enumerate() {
+            batch.push(row("k1", v));
+            batch.push(row("fresh", ["p", "q", "p", "p"][i]));
+            batch.push(row("wide", &format!("w{}", 60 + i)));
+        }
+        let mut null_b = row("k1", "x");
+        null_b.set(b, Value::Null, 0.0, FixMark::Untouched);
+        batch.push(null_b);
+        batch.extend((64..70).map(|i| row("wide", &format!("w{i}"))));
+
+        let mut grown = Relation::new(s.clone(), base.clone());
+        let mut batched = TwoInOne::build(&rules, &grown);
+        let k1 = batched.group_of(0, &grown, TupleId(0)).unwrap();
+        assert!(batched.group(k1).entropy > 0.0);
+        let mut stepped_d = grown.clone();
+        let mut stepped = batched.clone();
+        for t in &batch {
+            grown.push(t.clone());
+            stepped_d.push(t.clone());
+            stepped.insert_tuples(&stepped_d, stepped_d.len() - 1);
+        }
+        batched.insert_tuples(&grown, base.len());
+
+        batched.assert_consistent_with_rebuild(&rules, &grown);
+        let wide = batched.group_of(0, &grown, TupleId(3)).unwrap();
+        assert_eq!(batched.group(wide).distinct_values(), 70);
+        assert_eq!(batched.group(k1).nulls, 1);
+        assert_eq!(batched.groups.len(), stepped.groups.len());
+        for (g, (x, y)) in batched.groups.iter().zip(&stepped.groups).enumerate() {
+            assert_eq!(x.tuples, y.tuples, "group {g}");
+            assert_eq!(x.entropy.to_bits(), y.entropy.to_bits(), "group {g}");
         }
     }
 

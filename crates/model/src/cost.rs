@@ -12,15 +12,17 @@
 //!
 //! The distance `dis_A` is pluggable ([`repair_cost_with`]); the default
 //! ([`value_distance`]) is character-level Levenshtein on the rendered
-//! values, with `null` treated as the empty string. This module keeps a
-//! small reference DP implementation; the `uniclean-similarity` crate offers
-//! banded/thresholded variants for hot paths (cross-checked for agreement in
-//! the workspace integration tests).
+//! values, with `null` treated as the empty string. It runs the one
+//! Levenshtein kernel of the workspace, `uniclean-similarity`'s Myers
+//! bit-vector [`levenshtein`], which MD matching runs too; that crate's
+//! `edit_distance::reference` DP is the oracle both are tested against.
+
+use uniclean_similarity::levenshtein;
 
 use crate::relation::Relation;
 use crate::value::Value;
 
-/// Reference Levenshtein distance between two rendered values.
+/// Character-level Levenshtein distance between two rendered values.
 ///
 /// `null` renders as the empty string, so replacing a value by `null` costs
 /// the full length of the value — which is why `hRepair` only reaches for
@@ -29,39 +31,7 @@ pub fn value_distance(a: &Value, b: &Value) -> f64 {
     if a == b {
         return 0.0;
     }
-    let sa = a.render();
-    let sb = b.render();
-    levenshtein_ref(&sa, &sb) as f64
-}
-
-/// Plain two-row DP Levenshtein, the reference implementation for the cost
-/// model (O(|a|·|b|) time, O(min) space).
-fn levenshtein_ref(a: &str, b: &str) -> usize {
-    let av: Vec<char> = a.chars().collect();
-    let bv: Vec<char> = b.chars().collect();
-    if av.is_empty() {
-        return bv.len();
-    }
-    if bv.is_empty() {
-        return av.len();
-    }
-    // Keep the shorter string in the inner dimension.
-    let (short, long) = if av.len() <= bv.len() {
-        (&av, &bv)
-    } else {
-        (&bv, &av)
-    };
-    let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut cur = vec![0usize; short.len() + 1];
-    for (i, lc) in long.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, sc) in short.iter().enumerate() {
-            let sub = prev[j] + usize::from(lc != sc);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[short.len()]
+    levenshtein(&a.render(), &b.render()) as f64
 }
 
 /// The per-cell contribution to the cost: `cf · dis(v, v') / max(|v|, |v'|)`.
@@ -94,6 +64,45 @@ pub fn repair_cost_with(
     repaired: &Relation,
     dist: impl Fn(&Value, &Value) -> f64 + Copy,
 ) -> f64 {
+    total_cost(terms_with(original, repaired, dist))
+}
+
+/// `cost(Dr, D)` with the default Levenshtein distance.
+pub fn repair_cost(original: &Relation, repaired: &Relation) -> f64 {
+    repair_cost_with(original, repaired, value_distance)
+}
+
+/// The terms of [`repair_cost`], one [`cell_cost`] per cell, row-major:
+/// cell `(t, a)` is term `t · arity + a`. A caller that keeps them can
+/// re-price only the cells a later repair changes and re-total them with
+/// [`total_cost`], bit-identical to a fresh [`repair_cost`].
+///
+/// # Panics
+/// As [`repair_cost_with`].
+pub fn cost_terms<'a>(
+    original: &'a Relation,
+    repaired: &'a Relation,
+) -> impl Iterator<Item = f64> + 'a {
+    terms_with(original, repaired, value_distance)
+}
+
+/// Sum cost terms in their row-major order with `+=` from `+0.0`,
+/// matching the §3.1 double sum exactly — float addition is
+/// order-sensitive and the engine pins costs by bits. (`Iterator::sum`
+/// starts from `-0.0`, so an empty repair would report `-0.0`.)
+pub fn total_cost(terms: impl IntoIterator<Item = f64>) -> f64 {
+    let mut total = 0.0;
+    for term in terms {
+        total += term;
+    }
+    total
+}
+
+fn terms_with<'a>(
+    original: &'a Relation,
+    repaired: &'a Relation,
+    dist: impl Fn(&Value, &Value) -> f64 + Copy + 'a,
+) -> impl Iterator<Item = f64> + 'a {
     assert_eq!(
         original.schema(),
         repaired.schema(),
@@ -104,20 +113,15 @@ pub fn repair_cost_with(
         repaired.len(),
         "repair must preserve the tuple count"
     );
-    // Row-major accumulation, matching the §3.1 double sum exactly —
-    // float addition is order-sensitive and the engine pins costs by bits.
-    let mut total = 0.0;
-    for (t, tr) in original.rows().zip(repaired.rows()) {
-        for a in original.schema().attr_ids() {
-            total += cell_cost(t.cf(a), t.value(a), tr.value(a), dist);
-        }
-    }
-    total
-}
-
-/// `cost(Dr, D)` with the default Levenshtein distance.
-pub fn repair_cost(original: &Relation, repaired: &Relation) -> f64 {
-    repair_cost_with(original, repaired, value_distance)
+    original
+        .rows()
+        .zip(repaired.rows())
+        .flat_map(move |(t, tr)| {
+            original
+                .schema()
+                .attr_ids()
+                .map(move |a| cell_cost(t.cf(a), t.value(a), tr.value(a), dist))
+        })
 }
 
 #[cfg(test)]
@@ -126,23 +130,81 @@ mod tests {
     use crate::schema::Schema;
     use crate::tuple::Tuple;
     use crate::TupleId;
+    use proptest::prelude::*;
+    use uniclean_similarity::edit_distance::reference;
+
+    /// `value_distance` against the reference DP over the rendered values.
+    fn assert_matches_reference(a: &Value, b: &Value) -> f64 {
+        let got = value_distance(a, b);
+        let want = reference::levenshtein_dp(&a.render(), &b.render()) as f64;
+        assert_eq!(got, want, "{a:?} vs {b:?}");
+        got
+    }
+
+    /// A value of each shape the cost model meets: ASCII strings of at most
+    /// 64 chars (the single-word kernel), longer ones, non-ASCII, the empty
+    /// string, integers and null.
+    fn shaped(kind: usize, short: String, long: String, uni: String, n: i64) -> Value {
+        match kind {
+            0 => Value::str(short),
+            1 => Value::str(long),
+            2 => Value::str(uni),
+            3 => Value::str(""),
+            4 => Value::int(n),
+            _ => Value::Null,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn value_distance_matches_reference_dp(
+            kinds in (0usize..6, 0usize..6),
+            short in ("[a-d]{0,64}", "[a-d]{0,64}"),
+            long in ("[ab]{65,100}", "[ab]{65,100}"),
+            uni in ("[abé日λ]{0,20}", "[abé日λ]{0,20}"),
+            n in (-100_000i64..100_000, -100_000i64..100_000),
+        ) {
+            let a = shaped(kinds.0, short.0, long.0, uni.0, n.0);
+            let b = shaped(kinds.1, short.1, long.1, uni.1, n.1);
+            assert_matches_reference(&a, &b);
+        }
+    }
 
     #[test]
-    fn levenshtein_reference_cases() {
-        assert_eq!(levenshtein_ref("", ""), 0);
-        assert_eq!(levenshtein_ref("abc", ""), 3);
-        assert_eq!(levenshtein_ref("", "abc"), 3);
-        assert_eq!(levenshtein_ref("kitten", "sitting"), 3);
-        assert_eq!(levenshtein_ref("Edi", "Ldn"), 2); // E→L, d matches, i→n
-        assert_eq!(levenshtein_ref("Bob", "Robert"), 4);
-        assert_eq!(levenshtein_ref("flaw", "lawn"), 2);
+    fn value_distance_classic_cases() {
+        for (a, b, want) in [
+            ("", "", 0.0),
+            ("abc", "", 3.0),
+            ("", "abc", 3.0),
+            ("kitten", "sitting", 3.0),
+            ("Edi", "Ldn", 2.0), // E→L, d matches, i→n
+            ("Bob", "Robert", 4.0),
+            ("flaw", "lawn", 2.0),
+        ] {
+            assert_eq!(
+                assert_matches_reference(&Value::str(a), &Value::str(b)),
+                want
+            );
+        }
+        assert_eq!(
+            assert_matches_reference(&Value::str("abcd"), &Value::Null),
+            4.0
+        );
+        assert_eq!(
+            assert_matches_reference(&Value::int(-120), &Value::int(12)),
+            2.0
+        );
     }
 
     #[test]
     fn identical_relations_cost_zero() {
         let schema = Schema::of_strings("r", &["A"]);
-        let d = Relation::new(schema, vec![Tuple::of_strs(&["abc"], 1.0)]);
+        let d = Relation::new(schema.clone(), vec![Tuple::of_strs(&["abc"], 1.0)]);
         assert_eq!(repair_cost(&d, &d), 0.0);
+        // A positive zero, also over no cells at all.
+        let empty = Relation::empty(schema);
+        assert_eq!(repair_cost(&empty, &empty).to_bits(), 0.0f64.to_bits());
+        assert_eq!(total_cost(cost_terms(&d, &d)).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

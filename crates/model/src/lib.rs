@@ -35,7 +35,7 @@ pub mod store;
 pub mod tuple;
 pub mod value;
 
-pub use cost::{cell_cost, repair_cost, repair_cost_with, value_distance};
+pub use cost::{cell_cost, cost_terms, repair_cost, repair_cost_with, total_cost, value_distance};
 pub use error::ModelError;
 pub use intern::{FxHashMap, FxHasher, Symbol, ValueInterner};
 pub use json::{Json, JsonError};

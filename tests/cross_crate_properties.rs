@@ -7,8 +7,9 @@ use uniclean::similarity::levenshtein;
 use uniclean::{CleanConfig, Cleaner, MasterSource, Phase};
 
 proptest! {
-    /// The model crate's reference distance (used by the cost model) agrees
-    /// with the similarity crate's optimized Levenshtein.
+    /// The cost model's distance is the similarity crate's Levenshtein on
+    /// the rendered values (its differential test against the reference
+    /// DP lives in the model crate).
     #[test]
     fn cost_distance_matches_similarity_levenshtein(a in "[a-f]{0,12}", b in "[a-f]{0,12}") {
         let model_d = value_distance(&Value::str(&a), &Value::str(&b));

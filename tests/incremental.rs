@@ -573,6 +573,38 @@ fn begin_empty_then_delta_equals_begin() {
     }
 }
 
+/// An empty state costs `+0.0`, as `repair_cost` reports for no cells,
+/// and so does one after deltas that fix nothing. The kept total must
+/// start from `+0.0`: `Iterator::sum` over no floats yields `-0.0`.
+#[test]
+fn an_empty_state_costs_positive_zero() {
+    let (schema, rules, master) = scenario_rules();
+    let uni = cleaner(&rules, &master);
+    for phase in [Phase::CRepair, Phase::Full] {
+        let mut state = uni.begin_empty(phase);
+        assert_eq!(state.cost().to_bits(), 0.0f64.to_bits(), "{phase:?}: begin");
+        uni.clean_delta(&mut state, &[]).unwrap();
+        assert_eq!(
+            state.cost().to_bits(),
+            0.0f64.to_bits(),
+            "{phase:?}: empty batch"
+        );
+        let quiet = [Tuple::of_strs(&["k2", "a2", "b3"], 1.0)];
+        let result = uni.clean_delta(&mut state, &quiet).unwrap();
+        assert!(
+            result.report.is_empty(),
+            "{phase:?}: the batch fixes nothing"
+        );
+        assert_eq!(
+            state.cost().to_bits(),
+            0.0f64.to_bits(),
+            "{phase:?}: quiet batch"
+        );
+        let reference = uni.clean(&Relation::new(schema.clone(), quiet.to_vec()), phase);
+        assert_matches(&uni, &reference, &state, &format!("{phase:?}"));
+    }
+}
+
 /// `begin` + 7-tuple `clean_delta`s equal a from-scratch `clean` after
 /// every call when the round cap stops `hRepair` early: the witness cache
 /// a state keeps must reflect every round's rewrites, the last one's
