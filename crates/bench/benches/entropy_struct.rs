@@ -33,7 +33,7 @@ fn bench_structure(c: &mut Criterion) {
                 let old = d.tuple(t).value(city).clone();
                 d.tuple_mut(t)
                     .set(city, Value::str(format!("City{i}")), 0.0, FixMark::Reliable);
-                s.on_update(&w.rules, &d, t, city, &old);
+                s.on_update(&d, t, city, &old);
             }
             s
         })

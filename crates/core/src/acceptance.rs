@@ -1,9 +1,9 @@
 //! The §3.2 acceptance check — `Dr ⊨ Σ` and `(Dr, Dm) ⊨ Γ` under SQL null
 //! semantics (§7) — and the one owner of every verdict the engine returns.
 //!
-//! [`ConsistencyIndex`] keeps no rule state of its own beyond a count and
-//! a flag vector. It reads the two structures the phase loop already keeps
-//! exact for its output:
+//! [`ConsistencyIndex`] keeps no rule state of its own beyond per-tuple
+//! counts and a flag vector. It reads the two structures the phase loop
+//! already keeps exact for its output:
 //!
 //! * **variable CFDs** read the final 2-in-1 structure ([`TwoInOne`]), the
 //!   engine's one variable-CFD group table. A group violates when it holds
@@ -15,10 +15,12 @@
 //!   phases never match but `Dm` holds). The verdict is one flag per
 //!   (tuple, MD), taken in the same call as the phases.
 //!
-//! Constant CFDs are counted from the tuples directly. The engine grades a
-//! full clean once and then *maintains* the grade from per-tuple diffs, so
+//! Constant CFDs are counted from the tuples directly, one count per tuple.
+//! The engine grades a full clean once and then *maintains* the grade, so
 //! a [`Cleaner::clean_delta`](crate::Cleaner::clean_delta) call re-checks
-//! only the tuples it changed. The same index answers
+//! only the batch and the tuples whose cells it changed: the undo journals
+//! name the cells the phases after `cRepair` wrote, in this call and the
+//! last. The same index answers
 //! [`RepairState::is_accepted`](crate::RepairState::is_accepted) and
 //! [`RepairState::violations`](crate::RepairState::violations) without
 //! touching master data.
@@ -89,6 +91,8 @@ pub struct TupleViolation {
 pub struct ConsistencyIndex {
     /// Violating (tuple, constant CFD) pairs.
     ccfd_bad: usize,
+    /// Per tuple, how many constant CFDs it violates (`ccfd_bad`'s terms).
+    ccfd_of: Vec<u32>,
     /// The 2-in-1 structure exact for the graded relation. `None` only
     /// before the first grade and while a delta call runs its phases.
     two: Option<TwoInOne>,
@@ -106,9 +110,8 @@ impl ConsistencyIndex {
         let master = master.and_then(|(dm, index)| Master::external(rules, Some(dm), Some(index)));
         let mut me = ConsistencyIndex::new();
         let mut cache = MdMatchCache::new(rules);
-        let none = Relation::empty(d.schema().clone());
         let two = TwoInOne::build(rules, d);
-        me.update(rules, master, &mut cache, &none, d, two);
+        me.update(rules, master, &mut cache, d, two, (&[], 0));
         me
     }
 
@@ -116,6 +119,7 @@ impl ConsistencyIndex {
     pub(crate) fn new() -> Self {
         ConsistencyIndex {
             ccfd_bad: 0,
+            ccfd_of: Vec::new(),
             two: None,
             md_ok: Vec::new(),
             md_bad: 0,
@@ -141,7 +145,7 @@ impl ConsistencyIndex {
             let (violated, kind) = match two.slot(i) {
                 None => (violates_constant(cfd, t), ViolationKind::ConstantCfd),
                 Some(v) => (
-                    two.group_of(v, d, tid)
+                    two.group_of(v, tid)
                         .is_some_and(|g| two.group(g).violates()),
                     ViolationKind::VariableCfd,
                 ),
@@ -163,44 +167,41 @@ impl ConsistencyIndex {
         out
     }
 
-    fn two(&self) -> &TwoInOne {
+    /// The 2-in-1 structure exact for the graded relation.
+    pub(crate) fn two(&self) -> &TwoInOne {
         self.two.as_ref().expect("a graded index holds its 2-in-1")
     }
 
-    /// Hand the 2-in-1 back before a delta call's phases run: a
-    /// cRepair-only state continues from it, any other state drops it.
+    /// Hand the 2-in-1 back before a delta call's phases run: the
+    /// continuation rolls it back to its post-`cRepair` state and goes on
+    /// from there.
     pub(crate) fn take_two(&mut self) -> Option<TwoInOne> {
         self.two.take()
     }
 
-    /// Re-grade against the new final relation `new`: `prev` is the
-    /// previous final (a prefix of `new` tuple-wise); only tuples whose
-    /// cell values changed, plus appended tuples, are re-checked. `two`
-    /// must be exact for `new`, and `cache` the witness memo of `master`
-    /// for `new`'s lineage.
+    /// Re-grade against the new final relation `d`, which extends the last
+    /// graded one from tuple `from` on: the tuples in `changed` (ascending,
+    /// all below `from`) and every tuple from `from` on are re-checked. A
+    /// settled tuple outside `changed` must hold the values it was last
+    /// graded with; re-checking one that does is harmless. `two` must be
+    /// exact for `d`, and `cache` the witness memo of `master` for `d`'s
+    /// lineage.
     pub(crate) fn update(
         &mut self,
         rules: &RuleSet,
         master: Option<Master<'_>>,
         cache: &mut MdMatchCache,
-        prev: &Relation,
-        new: &Relation,
+        d: &Relation,
         two: TwoInOne,
+        (changed, from): (&[TupleId], usize),
     ) {
         self.two = Some(two);
-        self.md_ok.resize(new.len() * rules.mds().len(), true);
-        for i in 0..new.len() {
-            let tid = TupleId::from(i);
-            let t = new.tuple(tid);
-            if i < prev.len() {
-                let old = prev.tuple(tid);
-                if old.cells().zip(t.cells()).all(|(a, b)| a.value == b.value) {
-                    continue;
-                }
-                self.count_constant_cfds(rules, old, -1);
-            }
-            self.count_constant_cfds(rules, t, 1);
-            self.grade_mds(rules, master, cache, new, tid);
+        self.md_ok.resize(d.len() * rules.mds().len(), true);
+        self.ccfd_of.resize(d.len(), 0);
+        let appended = (from..d.len()).map(TupleId::from);
+        for t in changed.iter().copied().chain(appended) {
+            self.count_constant_cfds(rules, d, t);
+            self.grade_mds(rules, master, cache, d, t);
         }
     }
 
@@ -241,15 +242,14 @@ impl ConsistencyIndex {
         }
     }
 
-    /// Add (`delta = 1`) or remove (`-1`) one tuple's constant-CFD
-    /// violations.
-    fn count_constant_cfds<'t>(&mut self, rules: &RuleSet, t: impl Row<'t>, delta: isize) {
+    /// Re-count tuple `t` of `d`'s constant-CFD violations, replacing its
+    /// previous term of `ccfd_bad`.
+    fn count_constant_cfds(&mut self, rules: &RuleSet, d: &Relation, t: TupleId) {
+        let row = d.tuple(t);
         let constant = rules.cfds().iter().filter(|c| c.is_constant());
-        let bad = constant.filter(|cfd| violates_constant(cfd, t)).count();
-        self.ccfd_bad = self
-            .ccfd_bad
-            .checked_add_signed(delta * bad as isize)
-            .expect("violation count underflow");
+        let bad = constant.filter(|cfd| violates_constant(cfd, row)).count() as u32;
+        let was = std::mem::replace(&mut self.ccfd_of[t.index()], bad);
+        self.ccfd_bad = self.ccfd_bad - was as usize + bad as usize;
     }
 }
 

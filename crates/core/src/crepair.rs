@@ -360,7 +360,7 @@ impl State<'_, '_> {
             // exact. A batch tuple enters it later, with its final cells.
             if let Some(g) = self.guard.as_deref_mut() {
                 if let Some(two) = g.two.as_deref_mut().filter(|_| t.index() < g.settled) {
-                    two.on_update(self.rules, d, t, a, &old);
+                    two.on_update(d, t, a, &old);
                 }
             }
             self.report.push(FixRecord {

@@ -56,10 +56,11 @@ pub fn e_repair(
 /// The engine behind [`e_repair`], with the rule `order`, the 2-in-1
 /// structure and the MD witness memo supplied by the caller. The order,
 /// a fresh build and an empty memo reproduce [`e_repair`] exactly. The
-/// incremental path hands in the session's order, a clone of its
-/// persistent post-`cRepair` structure (kept exact through `cRepair`'s
-/// cascade by `on_update`, extended by insert-time deltas) and its warm
-/// cross-call memo instead. The memo is transparent; the structure holds
+/// incremental path hands in the session's order, its one persistent
+/// structure at the post-`cRepair` state (kept exact through `cRepair`'s
+/// cascade by `on_update`, extended by insert-time deltas, journaled so the
+/// next call can roll this run back) and its warm cross-call memo
+/// instead. The memo is transparent; the structure holds
 /// the same groups as a fresh build under other ids, so the repaired cells
 /// and the final fixes are bit-identical, and only the order of fix
 /// records within one variable-CFD pass can differ (see the module doc).
@@ -130,12 +131,10 @@ impl EState<'_> {
     }
 
     /// Apply one reliable fix and maintain the 2-in-1 structure.
-    #[allow(clippy::too_many_arguments)]
     fn apply(
         &mut self,
         d: &mut Relation,
         structure: &mut TwoInOne,
-        rules: &RuleSet,
         t: TupleId,
         a: AttrId,
         new: Value,
@@ -154,7 +153,7 @@ impl EState<'_> {
             mark: FixMark::Reliable,
             rule: rule.into(),
         });
-        structure.on_update(rules, d, t, a, &old);
+        structure.on_update(d, t, a, &old);
     }
 }
 
@@ -180,7 +179,7 @@ fn v_cfd_resolve(
         };
         for t in members {
             if d.tuple(t).value(b) != &majority && st.touchable(d, t, b) {
-                st.apply(d, structure, rules, t, b, majority.clone(), &cfd_name);
+                st.apply(d, structure, t, b, majority.clone(), &cfd_name);
                 changed = true;
             }
         }
@@ -213,7 +212,7 @@ fn c_cfd_resolve(
             && d.tuple(t).value(a) != &want
             && st.touchable(d, t, a)
         {
-            st.apply(d, structure, rules, t, a, want.clone(), &name);
+            st.apply(d, structure, t, a, want.clone(), &name);
             changed = true;
         }
     }
@@ -253,7 +252,7 @@ fn md_resolve(
             continue;
         };
         let new = dm.tuple(s).value(f).clone();
-        st.apply(d, structure, rules, t, e, new, &name);
+        st.apply(d, structure, t, e, new, &name);
         changed = true;
     }
     changed
@@ -484,15 +483,15 @@ mod tests {
             let old = d.tuple(t).value(k).clone();
             d.tuple_mut(t)
                 .set(k, Value::str(key), 0.0, FixMark::Untouched);
-            updated.on_update(&rules, &d, t, k, &old);
+            updated.on_update(&d, t, k, &old);
         }
         let fresh = TwoInOne::build(&rules, &d);
         updated.assert_consistent_with_rebuild(&rules, &d);
-        let k1 = fresh.group_of(0, &d, TupleId(0)).unwrap();
-        assert_ne!(updated.group_of(0, &d, TupleId(0)), Some(k1));
+        let k1 = fresh.group_of(0, TupleId(0)).unwrap();
+        assert_ne!(updated.group_of(0, TupleId(0)), Some(k1));
         assert_ne!(
             updated
-                .group(updated.group_of(0, &d, TupleId(0)).unwrap())
+                .group(updated.group_of(0, TupleId(0)).unwrap())
                 .tuples,
             fresh.group(k1).tuples
         );

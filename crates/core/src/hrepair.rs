@@ -282,7 +282,7 @@ pub(crate) fn h_run<'m>(
         resolve_constant_cfds(&base, d, rules, &pats, &mut cells);
         for v in 0..two.len() {
             let cfd = two.rule(rules, v);
-            for g in due_classes(two, v, d, &mut cells, &left, first) {
+            for g in due_classes(two, v, &mut cells, &left, first) {
                 resolve_class(&base, d, &mut cells, &two.group(g).tuples, cfd);
             }
         }
@@ -362,16 +362,16 @@ fn commit(
         };
         let before: Vec<(usize, GroupId)> = (0..two.len())
             .filter(rekeyed)
-            .filter_map(|v| Some((v, two.group_of(v, d, t)?)))
+            .filter_map(|v| Some((v, two.group_of(v, t)?)))
             .collect();
         for &cell in run {
             let a = AttrId::from(cell % arity);
             let old = d.tuple(t).value(a).clone();
             render(d, base, cells, t, a);
-            two.on_update(rules, d, t, a, &old);
+            two.on_update(d, t, a, &old);
         }
         for (v, g) in before {
-            if two.group_of(v, d, t) != Some(g) {
+            if two.group_of(v, t) != Some(g) {
                 left.push(g);
             }
         }
@@ -436,21 +436,20 @@ fn resolve_constant_cfds<'r>(
 fn due_classes(
     two: &TwoInOne,
     v: usize,
-    cur: &Relation,
     cells: &mut Cells,
     left: &[GroupId],
     first: bool,
 ) -> Vec<GroupId> {
-    // The 2-in-1 is exact for `cur` throughout a round, so its counts are
-    // the ones `resolve_class` would gather: a class without two distinct
-    // values, or one value and a null member, returns there untouched (a
-    // left class may have emptied).
+    // The 2-in-1 is exact for the assignment throughout a round, so its
+    // counts are the ones `resolve_class` would gather: a class without two
+    // distinct values, or one value and a null member, returns there
+    // untouched (a left class may have emptied).
     let can_violate = |&g: &GroupId| two.group(g).can_violate();
     let mut due: Vec<GroupId> = if first {
         two.groups(v).filter(can_violate).collect()
     } else {
         let worklist = cells.worklist();
-        let held = worklist.into_iter().filter_map(|t| two.group_of(v, cur, t));
+        let held = worklist.into_iter().filter_map(|t| two.group_of(v, t));
         let left = left.iter().copied().filter(|&g| two.group(g).vcfd == v);
         held.chain(left).filter(can_violate).collect()
     };

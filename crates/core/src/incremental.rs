@@ -14,27 +14,28 @@
 //!   seeding only the new tuples — is a legal application order of the
 //!   from-scratch run over the concatenated relation. Cost: O(batch +
 //!   cascade), not O(|D|).
-//! * the **2-in-1 structure** persists pinned to the post-`cRepair`
-//!   state and is never rebuilt: `cRepair` feeds each settled cell its
+//! * **one relation and one 2-in-1 structure** persist, evolved in place.
+//!   The 2-in-1 is never rebuilt: `cRepair` feeds each settled cell its
 //!   cascade rewrites to `TwoInOne::on_update` as it writes it, and batch
 //!   tuples enter by insert-time group/entropy deltas
 //!   (`TwoInOne::insert_tuples`). Its group ids then depend on how the
-//!   relation arrived, which no outcome sees (see `two_in_one`). Each
-//!   `eRepair` run works on a clone, which `hRepair` then takes over as
-//!   its equivalence classes and the acceptance index then reads. A
-//!   `cRepair`-only state clones nothing: its pinned structure is its
-//!   final one, so it rests in the acceptance index between calls.
+//!   relation arrived, which no outcome sees (see `two_in_one`). From
+//!   there on `eRepair` and `hRepair` write the relation and the 2-in-1
+//!   under undo journals (`Relation::begin_journal`,
+//!   `TwoInOne::begin_journal`), and the acceptance index reads the final
+//!   2-in-1. The next call first replays both journals backwards, which
+//!   restores the post-`cRepair` relation and the 2-in-1 pinned to it
+//!   exactly, and only then appends its batch. No call copies either.
 //! * the **MD witness memo** persists across calls, one for all three
 //!   phases, keyed by premise values: a list is verified once per distinct
 //!   premise value and replayed for every tuple, phase and call that reads
-//!   it again. Keys of symbols only the last call's working copy interned
-//!   are dropped before a batch is appended.
+//!   it again. The relation's interner is append-only and never rolled
+//!   back, so no key can come to name another value.
 //! * the **acceptance check** (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`) is maintained
 //!   by [`ConsistencyIndex`] at the end of each call: variable CFDs read
 //!   the call's final 2-in-1, and the tuples whose final cells changed
 //!   (plus the batch) are re-graded against the constant CFDs and, from
-//!   the warm witness memo, the MDs. The previous call's final 2-in-1 is
-//!   dropped before the phases run, so no peak holds three.
+//!   the warm witness memo, the MDs.
 //! * the **§3.1 cost** persists as one term per cell, row-major. A call
 //!   re-prices the batch rows, its own fixes' cells and the previous
 //!   call's `eRepair`/`hRepair` fixes' cells — no other cell's repaired
@@ -83,6 +84,7 @@ use crate::session::{
     full_clean, run_phases, CleanResult, Cleaner, NoOpObserver, Phase, PhaseObserver, PhaseStats,
     PreparedCleaner, Warm,
 };
+use crate::two_in_one::TwoInOne;
 
 /// The persistent, per-relation state of an incremental cleaning session.
 ///
@@ -95,12 +97,16 @@ pub struct RepairState {
     /// Concatenated original (dirty) input — the §3.1 cost baseline and
     /// the escalation input.
     base: Relation,
-    /// The current repair (last call's output).
+    /// The current repair (last call's output). With `warm`, the one
+    /// relation the phase loop evolves in place: it journals the writes
+    /// made after `cRepair`, and the next call rolls them back.
     repaired: Relation,
-    /// The live `cRepair` fixpoint, the post-`cRepair` 2-in-1 structure
-    /// and the warm witness cache. `None` under a self-snapshot master,
-    /// where nothing per-relation can be pinned and every delta recleans.
+    /// The live `cRepair` fixpoint and the warm witness cache. `None` under
+    /// a self-snapshot master, where nothing per-relation can be pinned and
+    /// every delta recleans.
     pub(crate) warm: Option<Warm>,
+    /// The acceptance index; it holds the state's one 2-in-1 structure,
+    /// exact for `repaired`.
     cons: ConsistencyIndex,
     /// The §3.1 cost's per-cell terms of `repaired` against `base`,
     /// row-major (`uniclean_model::cost_terms`). Empty when `warm` is
@@ -118,6 +124,35 @@ pub struct RepairState {
 }
 
 impl RepairState {
+    /// Take over a full clean: its repair (the journaled relation;
+    /// `result` keeps a copy, which does not journal), kept structures,
+    /// cost terms and grade, and its report as the whole log.
+    fn install(
+        &mut self,
+        result: &mut CleanResult,
+        kept: Option<(Warm, Vec<f64>)>,
+        cons: ConsistencyIndex,
+    ) {
+        let copy = result.repaired.clone();
+        self.repaired = std::mem::replace(&mut result.repaired, copy);
+        let (warm, terms) = kept.unzip();
+        self.warm = warm;
+        self.terms = terms.unwrap_or_default();
+        self.cons = cons;
+        self.cost = result.cost;
+        self.c_logged = 0;
+        self.record(result.report.clone(), &result.phases);
+    }
+
+    /// The state's 2-in-1 structure, exact for [`Self::repaired`], with
+    /// the undo journal of the last call's writes after `cRepair`
+    /// ([`TwoInOne::rollback`](crate::two_in_one::TwoInOne::rollback)).
+    /// For tests and diagnostics.
+    #[doc(hidden)]
+    pub fn two_in_one(&self) -> &TwoInOne {
+        self.cons.two()
+    }
+
     /// The current repaired relation.
     pub fn repaired(&self) -> &Relation {
         &self.repaired
@@ -347,23 +382,22 @@ impl Cleaner {
         phase: Phase,
         observer: &mut dyn PhaseObserver,
     ) -> (RepairState, CleanResult) {
-        let (result, kept, cons) = full_clean(self.prepared(), d, phase, true, observer);
-        let (warm, terms) = kept.unzip();
+        let (mut result, kept, cons) = full_clean(self.prepared(), d, phase, true, observer);
         let mut state = RepairState {
             prepared: self.prepared().clone(),
             phase,
             base: d.clone(),
-            repaired: result.repaired.clone(),
-            warm,
-            cons,
-            terms: terms.unwrap_or_default(),
-            cost: result.cost,
+            repaired: Relation::empty(d.schema().clone()),
+            warm: None,
+            cons: ConsistencyIndex::new(),
+            terms: Vec::new(),
+            cost: 0.0,
             log: FixReport::new(),
             c_logged: 0,
             escalations: 0,
             deltas: 0,
         };
-        state.record(result.report.clone(), &result.phases);
+        state.install(&mut result, kept, cons);
         (state, result)
     }
 
@@ -496,40 +530,34 @@ impl Cleaner {
         }
         state.deltas += 1;
 
-        // The previous call's final 2-in-1 leaves the acceptance index
-        // before the phases run: a cRepair-only state's is its pinned one,
-        // which the continuation goes on from; any other state drops it
-        // here, so no peak holds three.
-        let last_two = state.cons.take_two();
-        // Continue the persisted structures over the batch, re-grading
-        // only the tuples whose final cells changed (plus the batch).
-        // Without them (self-snapshot master), or when the guard aborts
-        // the continuation, reclean the concatenated relation from scratch.
+        // Continue the persisted structures over the batch: roll the
+        // relation and the 2-in-1 back to the last call's post-cRepair
+        // point, append, and re-grade only the tuples whose final cells
+        // changed (plus the batch). Without them (self-snapshot master), or
+        // when the guard aborts the continuation, reclean the concatenated
+        // relation from scratch.
         let continued = state.warm.take().and_then(|mut warm| {
-            warm.append(batch);
-            warm.two = warm.two.or(last_two);
-            let graded = (&state.repaired, &mut state.cons);
+            let two = state
+                .cons
+                .take_two()
+                .expect("a graded index holds its 2-in-1");
+            let empty = Relation::empty(state.base.schema().clone());
+            let mut repair = std::mem::replace(&mut state.repaired, empty);
+            let resumed = warm.resume(&mut repair, two, batch);
             run_phases(
                 &prepared,
                 state.phase,
-                warm,
-                Some(settled),
+                (repair, warm),
+                Some(resumed),
                 true,
-                graded,
+                &mut state.cons,
                 observer,
             )
         });
         let Some(run) = continued else {
-            let (result, kept, cons) =
+            let (mut result, kept, cons) =
                 full_clean(&prepared, &state.base, state.phase, true, observer);
-            let (warm, terms) = kept.unzip();
-            state.repaired = result.repaired.clone();
-            state.warm = warm;
-            state.terms = terms.unwrap_or_default();
-            state.cons = cons;
-            state.cost = result.cost;
-            state.c_logged = 0;
-            state.record(result.report.clone(), &result.phases);
+            state.install(&mut result, kept, cons);
             state.escalations += 1;
             return Ok(result);
         };
@@ -545,6 +573,22 @@ impl Cleaner {
             consistent: state.cons.consistent(),
             phases: run.phases,
         })
+    }
+}
+
+#[cfg(test)]
+impl RepairState {
+    /// The post-`cRepair` relation and the 2-in-1 pinned to it, as the
+    /// next call's rollback restores them (test helper; both copied).
+    pub(crate) fn post_crepair(&self) -> (Relation, TwoInOne) {
+        let mut rel = self.repaired.clone();
+        for u in self.repaired.journal().iter().rev() {
+            let v = rel.interner().resolve(u.sym).clone();
+            rel.set(TupleId(u.row), u.attr, v, u.cf, u.mark);
+        }
+        let mut two = self.two_in_one().clone();
+        two.rollback();
+        (rel, two)
     }
 }
 
@@ -597,11 +641,8 @@ mod tests {
             .clean_delta(&mut state, &[row(["k2", "a2", "b2"], &[0, 1])])
             .unwrap();
         assert_eq!(state.escalations(), 0);
-        let warm = state.warm.as_ref().expect("a CFD-only state is kept");
-        assert_eq!(warm.post_c.tuple(TupleId(0)).value(a), &Value::str("a2"));
-        warm.two
-            .as_ref()
-            .expect("eRepair ran")
-            .assert_consistent_with_rebuild(&rules, &warm.post_c);
+        let (post_c, two) = state.post_crepair();
+        assert_eq!(post_c.tuple(TupleId(0)).value(a), &Value::str("a2"));
+        two.assert_consistent_with_rebuild(&rules, &post_c);
     }
 }

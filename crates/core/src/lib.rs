@@ -30,7 +30,8 @@
 //! * [`incremental`] — the per-relation [`RepairState`] and
 //!   [`Cleaner::clean_delta`], which absorb appended batches by running
 //!   the same loop over the persisted `cRepair` fixpoint and warm
-//!   structures, bit-identical to a from-scratch reclean;
+//!   structures, which undo journals roll back to their post-`cRepair`
+//!   state, bit-identical to a from-scratch reclean;
 //! * [`acceptance`] — [`ConsistencyIndex`], the one owner of the §3.2
 //!   acceptance verdict (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`): a reader of the
 //!   structures the phase loop keeps exact for its output — the final

@@ -10,14 +10,12 @@
 //!
 //! Symbols name values only within one interner. The phase loop keeps one
 //! memo for the session's master view across all three phases and, in a
-//! [`RepairState`](crate::RepairState), across calls. `cRepair` runs on the
-//! kept post-`cRepair` relation; `eRepair`, `hRepair` and the acceptance
-//! check run on a working copy cloned from it, whose interner extends the
-//! kept one. A key made only of symbols the kept relation owns stays valid
-//! for every later call, because that interner is append-only. A key
-//! holding a symbol the working copy interned is dropped by
-//! [`MdMatchCache::begin_run`], before the next batch can re-issue that
-//! symbol for another value.
+//! [`RepairState`](crate::RepairState), across calls. Every phase of every
+//! call runs on the state's one relation, evolved in place: a call rolls
+//! back the cells the last call's `eRepair` and `hRepair` wrote, but never
+//! the interner, which is append-only. So a symbol, once a key holds it,
+//! names the same value for the memo's whole life, and no list is ever
+//! dropped.
 //!
 //! A self-snapshot master is a new relation in every phase, `hRepair` round
 //! and acceptance check, so each such view gets a fresh memo
@@ -43,23 +41,6 @@ struct Lists {
 impl Lists {
     fn list(&self, (start, len): (u32, u32)) -> &[TupleId] {
         &self.rows[start as usize..(start + len) as usize]
-    }
-
-    /// Drop every list whose key fails `keep`, then the rows only they
-    /// held.
-    fn retain(&mut self, keep: impl Fn(&[Symbol]) -> bool) {
-        let before = self.spans.len();
-        self.spans.retain(|key, _| keep(key));
-        if self.spans.len() == before {
-            return;
-        }
-        let old = std::mem::take(&mut self.rows);
-        for (start, len) in self.spans.values_mut() {
-            let at = self.rows.len() as u32;
-            self.rows
-                .extend_from_slice(&old[*start as usize..(*start + *len) as usize]);
-            *start = at;
-        }
     }
 
     #[cfg(test)]
@@ -128,16 +109,6 @@ impl MdMatchCache {
             scratch: ProbeScratch::new(),
             key: Vec::new(),
             miss: Vec::new(),
-        }
-    }
-
-    /// Start a call over `kept`, the relation the last call's working copy
-    /// was cloned from, before anything is appended to it: drop every list
-    /// whose key holds a symbol `kept` does not own.
-    pub(crate) fn begin_run(&mut self, kept: &Relation) {
-        let owned = kept.interner().len();
-        for lists in &mut self.lists {
-            lists.retain(|key| key.iter().all(|s| s.index() < owned));
         }
     }
 
@@ -326,8 +297,8 @@ mod tests {
     /// The phase loop hands `eRepair`'s memo to `hRepair`: afterwards —
     /// also when the round cap stops `hRepair` right after it rewrote an
     /// MD premise — every list is what a direct probe of its values
-    /// returns, the final relation's reads included, and after `begin_run`
-    /// every list the run started from is still there.
+    /// returns, the final relation's reads included, and every list the
+    /// run started from is still there.
     #[test]
     fn memo_shared_by_erepair_and_hrepair_matches_the_final_relation() {
         use crate::config::CleanConfig;
@@ -404,7 +375,6 @@ mod tests {
                 let got: Vec<TupleId> = cache.matches(0, &rules, &d, m, t).iter().collect();
                 assert_eq!(got, direct(&rules, &d, &dm, &idx, 0, t), "rounds={rounds}");
             }
-            cache.begin_run(&dirty);
             let n = cache.lists[0].len();
             for (t, want) in dirty.ids().zip(&started) {
                 let got: Vec<TupleId> = cache.matches(0, &rules, &dirty, m, t).iter().collect();
@@ -420,8 +390,8 @@ mod tests {
 
     /// The session's one memo, from `cRepair` on: after `begin` and after
     /// every delta — the first one a cascade that moves a settled tuple's
-    /// MD premise to another witness — every list whose key the
-    /// post-`cRepair` relation owns is what a direct probe returns.
+    /// MD premise to another witness — every list is what a direct probe
+    /// of its key's values through the state's one relation returns.
     #[test]
     fn the_warm_memo_agrees_with_the_post_crepair_relation() {
         use crate::config::CleanConfig;
@@ -478,8 +448,10 @@ mod tests {
                 .warm
                 .as_ref()
                 .expect("an external master keeps its state");
-            let checked = assert_owned_lists(&warm.cache, &rules, &warm.post_c, &dm, idx);
+            let checked = assert_owned_lists(&warm.cache, &rules, state.repaired(), &dm, idx);
             assert!(checked > 0, "{label}: nothing cached");
+            let total: usize = warm.cache.lists.iter().map(Lists::len).sum();
+            assert_eq!(checked, total, "{label}: the relation owns every key");
         };
         let (mut state, _) = uni.begin(&Relation::new(r.clone(), vec![settled]), Phase::Full);
         check(&state, "begin");
@@ -490,12 +462,13 @@ mod tests {
         assert_eq!(state.escalations(), 0);
     }
 
-    /// A symbol the working copy interned names another value once the
-    /// next batch re-issues it in the kept relation. `eRepair` writes the
-    /// master value `x` into the working copy, and the memo keys `m2`'s
-    /// list for `x` by that symbol; the batch's asserted `y` then takes
-    /// the same symbol in the kept relation, and `cRepair` reads `m2` for
-    /// it. Only `begin_run`'s drop keeps the served list the one for `y`.
+    /// A symbol a rolled-back write interned is never re-issued. `eRepair`
+    /// writes the master value `x` into the state's one relation, and the
+    /// memo keys `m2`'s list for `x` by its symbol; the next call rolls the
+    /// write back, the batch's asserted `y` takes a symbol of its own, and
+    /// `cRepair` reads `m2` for it. Every list must still be what a
+    /// fresh-scratch probe of its key returns, and the delta must equal a
+    /// reclean.
     #[test]
     fn a_reissued_working_copy_symbol_never_serves_a_stale_list() {
         use crate::config::CleanConfig;
@@ -539,21 +512,25 @@ mod tests {
         let (mut state, result) = uni.begin(&first, Phase::Full);
         let x = Value::str("x");
         assert_eq!(result.repaired.tuple(TupleId(0)).value(b), &x);
-        let kept = &state.warm.as_ref().unwrap().post_c;
-        assert!(
-            kept.interner().get(&x).is_none(),
-            "x lives in the working copy only"
-        );
+        let x_sym = state.repaired().interner().get(&x);
+        assert!(x_sym.is_some(), "eRepair interned x in the one relation");
 
         uni.clean_delta(&mut state, std::slice::from_ref(&batch))
             .unwrap();
-        let warm = state.warm.as_ref().unwrap();
-        assert_eq!(
-            warm.post_c.interner().get(&Value::str("y")),
-            result.repaired.interner().get(&x),
-            "the batch re-issues x's symbol for y"
+        let one = state.repaired();
+        assert_eq!(one.interner().get(&x), x_sym, "x keeps its symbol");
+        assert_ne!(
+            one.interner().get(&Value::str("y")),
+            x_sym,
+            "the batch does not re-issue x's symbol for y"
         );
-        assert!(assert_owned_lists(&warm.cache, &rules, &warm.post_c, &dm, idx) > 0);
+        let warm = state.warm.as_ref().unwrap();
+        let total: usize = warm.cache.lists.iter().map(Lists::len).sum();
+        assert_eq!(
+            assert_owned_lists(&warm.cache, &rules, one, &dm, idx),
+            total
+        );
+        assert!(total > 0);
         let whole = Relation::new(r.clone(), vec![settled, batch]);
         let reclean = uni.clean(&whole, Phase::Full);
         assert_eq!(state.repaired().diff_cells(&reclean.repaired), 0);

@@ -40,7 +40,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use uniclean_model::{
-    cost_terms, repair_cost, total_cost, AttrId, FixMark, Relation, Tuple, TupleId,
+    cost_terms, repair_cost, total_cost, AttrId, FixMark, FxHashMap, Relation, Symbol, Tuple,
+    TupleId,
 };
 use uniclean_reasoning::{erepair_order, RuleRef};
 use uniclean_rules::RuleSet;
@@ -251,7 +252,7 @@ impl PreparedCleaner {
             MasterSource::SelfSnapshot => {
                 let snap = self.snapshot(current);
                 let idx = MasterIndex::build(self.rules.mds(), &snap);
-                MasterView::Snapshot(snap, idx)
+                MasterView::Snapshot(Box::new(snap), idx)
             }
             MasterSource::None => MasterView::Prepared(None),
         }
@@ -271,45 +272,71 @@ impl PreparedCleaner {
     }
 }
 
-/// The per-relation structures the phase loop runs over. A from-scratch
-/// run starts from [`Warm::fresh`]; a [`RepairState`](crate::RepairState)
-/// persists them between calls so a delta continues where the last run
-/// stopped.
+/// The per-relation structures the phase loop runs over besides the
+/// relation itself and its 2-in-1. A from-scratch run starts from
+/// [`Warm::fresh`]; a [`RepairState`](crate::RepairState) persists them
+/// between calls so a delta continues where the last run stopped.
 pub(crate) struct Warm {
-    /// The `cRepair` fixpoint of the input so far, evolved in place.
-    pub(crate) post_c: Relation,
-    /// The live `cRepair` fixpoint machine over `post_c`.
+    /// The live `cRepair` fixpoint machine over the post-`cRepair` state.
     cfix: CFixpoint,
-    /// The witness memo of the session's master view, over `post_c`'s
-    /// lineage: every phase of every call reads it.
+    /// The witness memo of the session's master view, over the relation's
+    /// one lineage: every phase of every call reads it.
     pub(crate) cache: MdMatchCache,
-    /// The 2-in-1 structure pinned to `post_c`. `None` before the first
-    /// run, and between calls of a `cRepair`-only state, whose pinned
-    /// structure is its final one and so rests in the acceptance index.
-    pub(crate) two: Option<TwoInOne>,
+}
+
+/// A kept state brought back to the post-`cRepair` point of its last call,
+/// with a batch appended ([`Warm::resume`]): what the phase loop continues
+/// from.
+pub(crate) struct Resumed {
+    /// Tuples settled before the batch.
+    settled: usize,
+    /// The 2-in-1 pinned to the settled tuples' post-`cRepair` state.
+    two: TwoInOne,
+    /// The last call's final symbol of each cell its `eRepair`/`hRepair`
+    /// wrote, keyed row-major (`t · arity + a`).
+    finals: FxHashMap<usize, Symbol>,
 }
 
 impl Warm {
-    /// Fresh structures over `d`: nothing settled, nothing cached.
-    fn fresh(prepared: &PreparedCleaner, d: Relation) -> Self {
+    /// Fresh structures over `n` tuples: nothing settled, nothing cached.
+    fn fresh(prepared: &PreparedCleaner, n: usize) -> Self {
         Warm {
-            cfix: CFixpoint::new(&prepared.rules, d.len()),
+            cfix: CFixpoint::new(&prepared.rules, n),
             cache: MdMatchCache::new(&prepared.rules),
-            post_c: d,
-            two: None,
         }
     }
 
-    /// Append a batch of (validated) tuples, unseeded: the next
-    /// [`run_phases`] continues the fixpoint over them. The last call's
-    /// working copy interned past `post_c`'s symbols, which the batch may
-    /// re-issue, so the memo forgets those keys first.
-    pub(crate) fn append(&mut self, batch: &[Tuple]) {
-        self.cache.begin_run(&self.post_c);
+    /// Bring the last call's final `repair` and 2-in-1 `two` back to its
+    /// post-`cRepair` point — both replay their undo journals backwards —
+    /// then append a batch of (validated) tuples, unseeded: the next
+    /// [`run_phases`] continues the fixpoint over them.
+    pub(crate) fn resume(
+        &mut self,
+        repair: &mut Relation,
+        mut two: TwoInOne,
+        batch: &[Tuple],
+    ) -> Resumed {
+        let arity = repair.schema().arity();
+        let finals = repair
+            .journal()
+            .iter()
+            .map(|u| {
+                let t = TupleId(u.row);
+                (t.index() * arity + u.attr.index(), repair.sym(t, u.attr))
+            })
+            .collect();
+        repair.rollback();
+        two.rollback();
+        let settled = repair.len();
         for t in batch {
-            self.post_c.push(t.clone());
+            repair.push(t.clone());
         }
         self.cfix.grow(batch.len());
+        Resumed {
+            settled,
+            two,
+            finals,
+        }
     }
 }
 
@@ -321,7 +348,9 @@ pub(crate) struct PhaseRun {
     pub(crate) report: FixReport,
     /// Per-phase stats, as streamed to the observer.
     pub(crate) phases: Vec<PhaseStats>,
-    /// The structures to continue from (`keep` only).
+    /// The structures to continue from (`keep` only). `work` and the
+    /// acceptance index's 2-in-1 then journal every write made after
+    /// `cRepair`, so the next call can roll them back.
     pub(crate) warm: Option<Warm>,
 }
 
@@ -347,15 +376,18 @@ fn timed(
 }
 
 /// The one phase loop: `cRepair → eRepair → hRepair` up to `phase` over
-/// `warm`, streaming stats to `observer`, then the §3.2 acceptance check.
+/// the relation `post_c` and the structures `warm`, streaming stats to
+/// `observer`, then the §3.2 acceptance check.
 ///
-/// `settled` is `None` for a from-scratch run over fresh structures, or
-/// `Some(n)` to *continue* persisted ones over the tuples appended after
-/// the first `n` — watched by a [`CGuard`], and `None` is returned when it
-/// saw evidence the continuation order cannot reproduce (the caller
-/// recleans from scratch). With `keep` the later phases work on clones
-/// and the structures come back in [`PhaseRun::warm`]; without it they are
-/// consumed, so a one-shot clean holds no second copy of anything.
+/// `resumed` is `None` for a from-scratch run over fresh structures, or
+/// the state [`Warm::resume`] brought back, to *continue* over the tuples
+/// appended after the settled ones — watched by a [`CGuard`], and `None`
+/// is returned when it saw evidence the continuation order cannot
+/// reproduce (the caller recleans from scratch). With `keep` the
+/// structures come back in [`PhaseRun::warm`], and the relation and the
+/// 2-in-1 are evolved in place under undo journals opened after `cRepair`;
+/// without it the fixpoint machine is freed after `cRepair`, so a one-shot
+/// clean holds no second copy of anything and journals nothing.
 ///
 /// Each phase gets its own master view ([`PreparedCleaner::view`]), and
 /// `hRepair` one per round: under [`MasterSource::SelfSnapshot`] that
@@ -364,36 +396,41 @@ fn timed(
 ///
 /// After `cRepair` the 2-in-1 structure is pinned to the post-`cRepair`
 /// state, whatever `phase` is, outside every phase's span. `eRepair` works
-/// on it (on a clone under
-/// `keep`) and `hRepair` takes the same structure over as its equivalence
-/// classes, so no phase builds a second variable-CFD group table.
+/// on it and `hRepair` takes the same structure over as its equivalence
+/// classes, so no phase builds a second variable-CFD group table, and the
+/// next call's rollback brings it back to the pinned state.
 ///
 /// One witness memo ([`MdMatchCache`]), keyed by premise values, serves
 /// all three phases of the session's master view ([`MasterView::cache`]),
 /// so no phase tells it about a write. Kept, it comes back in the [`Warm`]
-/// state; [`Warm::append`] drops the keys the working copy interned.
+/// state. The relation's interner is append-only and never rolled back, so
+/// no later call re-issues a symbol a key holds.
 ///
-/// `(prev, cons)` is the previous repair and its grade (a fresh run passes
-/// an empty relation and [`ConsistencyIndex::new`]). The run ends by
-/// bringing `cons` up to date for `work`: it moves in the final 2-in-1 and
-/// reads the memo.
+/// `cons` is the previous repair's grade (a fresh run passes
+/// [`ConsistencyIndex::new`]). The run ends by bringing it up to date for
+/// `work`: it moves in the final 2-in-1, reads the memo, and re-grades the
+/// batch and the settled tuples whose cells can have changed since the last
+/// call — those this call's `cRepair` fixed, and those whose journaled
+/// cells (the last call's or this one's) now hold another symbol.
 pub(crate) fn run_phases(
     prepared: &PreparedCleaner,
     phase: Phase,
-    warm: Warm,
-    settled: Option<usize>,
+    (mut post_c, warm): (Relation, Warm),
+    resumed: Option<Resumed>,
     keep: bool,
-    (prev, cons): (&Relation, &mut ConsistencyIndex),
+    cons: &mut ConsistencyIndex,
     observer: &mut dyn PhaseObserver,
 ) -> Option<PhaseRun> {
     let (rules, cfg) = (&prepared.rules, &prepared.config);
     let mut phases = Vec::with_capacity(phase.through().len());
     let Warm {
-        mut post_c,
         mut cfix,
         mut cache,
-        mut two,
     } = warm;
+    let (settled, mut two, mut finals) = match resumed {
+        Some(r) => (Some(r.settled), Some(r.two), r.finals),
+        None => (None, None, FxHashMap::default()),
+    };
 
     let mut guard = settled.map(|settled| CGuard::new(settled, two.as_mut()));
     let view = prepared.view(&post_c);
@@ -417,38 +454,42 @@ pub(crate) fn run_phases(
     if guard.is_some_and(|g| g.hazard) {
         return None;
     }
+    let settled = settled.unwrap_or(0);
+    // The settled tuples this call's `cRepair` rewrote.
+    let mut regrade: Vec<TupleId> = report
+        .records()
+        .iter()
+        .map(|fix| fix.tuple)
+        .filter(|t| t.index() < settled)
+        .collect();
 
     // A persisted 2-in-1 is exact for the settled tuples — `cRepair` fed
     // it every settled cell its cascade rewrote — and extends over the
     // batch by insert-time deltas. Every continuation has one.
-    let mut two = match (two, settled) {
-        (Some(mut two), Some(settled)) => {
+    let mut two = match two {
+        Some(mut two) => {
             two.insert_tuples(&post_c, settled);
             two
         }
-        _ => TwoInOne::build(rules, &post_c),
+        None => TwoInOne::build(rules, &post_c),
     };
-    // Unless kept, the fixpoint machine is freed here — not held across
-    // the later phases.
-    let (mut work, kept) = if keep {
-        (post_c.clone(), Some((post_c, cfix)))
+    // A kept state journals every later write, so the next call can roll
+    // back to here; otherwise the fixpoint machine is freed here — not
+    // held across the later phases.
+    let cfix = if keep {
+        post_c.begin_journal();
+        two.begin_journal();
+        Some(cfix)
     } else {
         drop(cfix);
-        (post_c, None)
+        None
     };
-    // The pinned 2-in-1 of a kept state. A `cRepair`-only run writes
-    // nothing after `cRepair`, so its final 2-in-1 is the pinned one and
-    // this stays empty.
-    let mut pinned = None;
+    let mut work = post_c;
     if phase >= Phase::ERepair {
         let view = prepared.view(&work);
         let e_fixes = timed(observer, &mut phases, Phase::ERepair, || {
             // eRepair re-derives its (globally decided) fixes from the
-            // post-cRepair state on every run, on a working copy when the
-            // pinned structure is kept.
-            if keep {
-                pinned = Some(two.clone());
-            }
+            // post-cRepair state on every run.
             let mut spare = None;
             e_run(
                 &mut work,
@@ -476,23 +517,44 @@ pub(crate) fn run_phases(
         report.extend(h_fixes);
     }
 
+    // A journaled cell's symbol at the end of the last call: the one the
+    // rollback replaced, else (untouched then) the one its first write
+    // this call replaced.
+    let arity = work.schema().arity();
+    for u in work.journal() {
+        let cell = u.row as usize * arity + u.attr.index();
+        finals.entry(cell).or_insert(u.sym);
+    }
+    regrade.extend(
+        finals
+            .into_iter()
+            .filter(|&(cell, _)| cell < settled * arity)
+            .map(|(cell, sym)| (TupleId::from(cell / arity), AttrId::from(cell % arity), sym))
+            .filter(|&(t, a, sym)| work.sym(t, a) != sym)
+            .map(|(t, _, _)| t),
+    );
+    regrade.sort_unstable();
+    regrade.dedup();
+
     // Acceptance (§3.2): `Dr ⊨ Σ` and `(Dr, Dm) ⊨ Γ`, against whatever
     // master view the final state implies.
     let view = prepared.view(&work);
     let mut spare = None;
     let graded = view.cache(&mut cache, &mut spare);
-    cons.update(rules, view.master(), graded, prev, &work, two);
+    cons.update(
+        rules,
+        view.master(),
+        graded,
+        &work,
+        two,
+        (&regrade, settled),
+    );
 
     Some(PhaseRun {
         work,
         report,
         phases,
-        warm: kept.map(|(post_c, cfix)| Warm {
-            post_c,
-            cfix,
-            cache,
-            two: pinned,
-        }),
+        warm: cfix.map(|cfix| Warm { cfix, cache }),
     })
 }
 
@@ -512,16 +574,15 @@ pub(crate) fn full_clean(
     observer: &mut dyn PhaseObserver,
 ) -> (CleanResult, Option<(Warm, Vec<f64>)>, ConsistencyIndex) {
     let keep = keep && !matches!(prepared.master, MasterSource::SelfSnapshot);
-    let fresh = Warm::fresh(prepared, d.clone());
-    let none = Relation::empty(d.schema().clone());
+    let fresh = Warm::fresh(prepared, d.len());
     let mut cons = ConsistencyIndex::new();
     let run = run_phases(
         prepared,
         phase,
-        fresh,
+        (d.clone(), fresh),
         None,
         keep,
-        (&none, &mut cons),
+        &mut cons,
         observer,
     )
     .expect("only a continuation can be aborted");
@@ -592,7 +653,7 @@ impl<'a> Master<'a> {
 /// session, or a snapshot of the repair so far owned by the view.
 pub(crate) enum MasterView<'a> {
     Prepared(Option<Master<'a>>),
-    Snapshot(Relation, MasterIndex),
+    Snapshot(Box<Relation>, MasterIndex),
 }
 
 impl MasterView<'_> {

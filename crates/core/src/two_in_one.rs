@@ -29,12 +29,30 @@
 //!
 //! Symbols are only meaningful against the relation (lineage) the
 //! structure was built over; [`TwoInOne::group_key`]/[`TwoInOne::majority`]
-//! take the relation to resolve them. The engine always evolves one
-//! lineage in place (clones extend the same append-only interner), which
-//! is what lets a session pin a *persistent* clone to the post-`cRepair`
-//! state, keep it exact through `cRepair`'s cascade by
-//! [`TwoInOne::on_update`] and extend it by [`TwoInOne::insert_tuples`]
-//! deltas.
+//! take the relation to resolve them. The engine evolves one lineage in
+//! place, which is what lets a session keep *one* structure per relation:
+//! pinned to the post-`cRepair` state, kept exact through `cRepair`'s
+//! cascade by [`TwoInOne::on_update`] and extended by
+//! [`TwoInOne::insert_tuples`] deltas, then evolved by `eRepair` and
+//! `hRepair` under an undo journal.
+//!
+//! **Undo journal** ([`TwoInOne::begin_journal`]): while one is open,
+//! every primitive effect is logged — a member pushed or `swap_remove`d at
+//! a position, a count bumped (with the old count and `Σ c·ln c`), a null
+//! count or entropy changed (with the old value), a group created, a table
+//! key removed, a tree key inserted or removed.
+//! [`TwoInOne::rollback`] replays the log backwards, restoring the *saved*
+//! floats rather than recomputing them, and restores the violating count
+//! saved at the start. Group ids, member order, entropy bits, trees and
+//! the violating count are then exactly those at the start; a table holds
+//! the same keys, in whatever bucket order. Rolling back costs less than
+//! the writes it undoes, where a copy per call would cost the whole
+//! structure.
+//!
+//! **Membership** is O(1): a slot per (variable CFD, tuple) holds the
+//! tuple's group and its position in the group's member list, so
+//! [`TwoInOne::on_update`] removes a tuple without re-projecting its old
+//! key or scanning the members, and `group_of` is one read.
 //!
 //! **Incremental entropy**: each group maintains `Σ c·ln c` under count
 //! deltas, and its per-value counts are a symbol-sorted vector, so a
@@ -165,6 +183,26 @@ impl Group {
         self.counts.binary_search_by_key(&b, |&(s, _)| s).is_ok()
     }
 
+    /// How many members hold B value `b`.
+    fn count_of(&self, b: Symbol) -> usize {
+        self.counts
+            .binary_search_by_key(&b, |&(s, _)| s)
+            .map_or(0, |i| self.counts[i].1)
+    }
+
+    /// Set the count of `b` to `c` (removing it at 0), keeping the counts
+    /// sorted by symbol — the inverse of a [`Self::bump`] from `c`.
+    fn set_count(&mut self, b: Symbol, c: usize) {
+        match self.counts.binary_search_by_key(&b, |&(s, _)| s) {
+            Ok(i) if c == 0 => {
+                self.counts.remove(i);
+            }
+            Ok(i) => self.counts[i].1 = c,
+            Err(i) if c > 0 => self.counts.insert(i, (b, c)),
+            Err(_) => {}
+        }
+    }
+
     /// `H = (ln n − Σc·ln c / n) / ln k`, the closed form of §6.1's
     /// `Σ (c/n)·log_k(n/c)`, in O(1) from the maintained sums.
     fn refresh_entropy(&mut self) {
@@ -181,12 +219,68 @@ impl Group {
     }
 }
 
+/// Where a tuple sits under one variable CFD: its group and its position
+/// in the group's member list ([`Slot::NONE`]: in no group).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Slot {
+    group: u32,
+    pos: u32,
+}
+
+impl Slot {
+    const NONE: Slot = Slot {
+        group: u32::MAX,
+        pos: 0,
+    };
+}
+
+/// One primitive effect on the structure, logged while a journal is open
+/// so [`TwoInOne::rollback`] can undo it.
+#[derive(Clone, Debug)]
+enum Op {
+    /// Group `g` was pushed on the arena and its key into its table.
+    Created(u32),
+    /// Group `g`'s key left its table (the group emptied).
+    Unkeyed(u32),
+    /// A member was pushed onto group `g`.
+    Pushed(u32),
+    /// Member `t` was `swap_remove`d from position `pos` of group `g`.
+    Removed { g: u32, pos: u32, t: TupleId },
+    /// Group `g` had `nulls` null members.
+    Nulls { g: u32, nulls: usize },
+    /// Group `g` counted `count` members with B value `b`, and its
+    /// `Σ c·ln c` was `sum`.
+    Bumped {
+        g: u32,
+        b: Symbol,
+        count: usize,
+        sum: f64,
+    },
+    /// Group `g`'s entropy was `entropy`.
+    Entropy { g: u32, entropy: f64 },
+    /// `key` entered (`inserted`) or left its group's tree.
+    Tree { key: EntropyKey, inserted: bool },
+}
+
+/// The undo journal: the logged effects, plus what the start of the
+/// journal held of the scalar state.
+#[derive(Clone, Default)]
+struct Journal {
+    on: bool,
+    /// Empty whenever `on` is unset; keeps its capacity across journals.
+    ops: Vec<Op>,
+    violating: usize,
+    groups: usize,
+    slots: usize,
+}
+
 /// The 2-in-1 structure over every variable CFD of a rule set.
 ///
-/// The structure is `Clone` so a session can keep a *persistent* copy
-/// pinned to the post-`cRepair` state and hand each `eRepair` run a cheap
-/// working clone — cloning copies hash buckets and tree nodes without
-/// re-hashing a single value, unlike a rebuild.
+/// A session keeps one per relation and evolves it in place under an undo
+/// journal ([`Self::begin_journal`], [`Self::rollback`]). It stays `Clone`:
+/// cloning copies hash buckets and tree nodes without re-hashing a single
+/// value, unlike a rebuild, and copies an open journal too, so a rolled
+/// back clone is what the original would roll back to.
 #[derive(Clone)]
 pub struct TwoInOne {
     /// Indices into `rules.cfds()` that are variable CFDs.
@@ -207,6 +301,11 @@ pub struct TwoInOne {
     /// How many groups, over every variable CFD, violate their CFD
     /// ([`Group::violates`]).
     violating: usize,
+    /// `slots[t · len + v]`: where tuple `t` sits under variable CFD `v`,
+    /// for every tuple inserted so far.
+    slots: Vec<Slot>,
+    /// The open undo journal, if any.
+    journal: Journal,
     /// attr → variable CFDs reading it (LHS) / writing it (RHS), each list
     /// ascending (enables the allocation-free merge in `on_update`).
     attr_in_lhs: Vec<Vec<usize>>,
@@ -247,6 +346,8 @@ impl TwoInOne {
             groups: Vec::new(),
             trees: vec![EntropyOrder::default(); nv],
             violating: 0,
+            slots: Vec::new(),
+            journal: Journal::default(),
             attr_in_lhs,
             attr_is_rhs,
         };
@@ -277,6 +378,7 @@ impl TwoInOne {
     /// one reused buffer; only a new group allocates one.
     pub fn insert_tuples(&mut self, d: &Relation, from: usize) {
         let nv = self.vcfd_rule_idx.len();
+        self.slots.resize(d.len() * nv, Slot::NONE);
         let mut key = GroupKey::new();
         let mut touched = Vec::new();
         for i in from..d.len() {
@@ -296,12 +398,100 @@ impl TwoInOne {
             }
         }
         for gid in touched {
-            let grp = &mut self.groups[gid as usize];
-            grp.detached = false;
-            grp.refresh_entropy();
-            let v = grp.vcfd;
+            self.groups[gid as usize].detached = false;
+            self.refresh_entropy(gid);
+            let v = self.groups[gid as usize].vcfd;
             self.attach(v, gid);
         }
+    }
+
+    /// Open an undo journal, empty: from here on every effect on the
+    /// structure is logged until [`Self::rollback`].
+    pub fn begin_journal(&mut self) {
+        let j = &mut self.journal;
+        j.ops.clear();
+        j.on = true;
+        j.violating = self.violating;
+        j.groups = self.groups.len();
+        j.slots = self.slots.len();
+    }
+
+    /// Undo every effect since [`Self::begin_journal`], newest first, and
+    /// close the journal. Saved floats are restored, not recomputed, so the
+    /// structure equals the one the journal started from: group ids,
+    /// member order, counts, entropy bits, trees, violating count, table
+    /// keys and slots. A no-op without an open journal.
+    pub fn rollback(&mut self) {
+        if !self.journal.on {
+            return;
+        }
+        self.journal.on = false;
+        let nv = self.len();
+        let mut ops = std::mem::take(&mut self.journal.ops);
+        for op in ops.drain(..).rev() {
+            match op {
+                Op::Created(g) => {
+                    debug_assert_eq!(g as usize + 1, self.groups.len(), "groups pop in order");
+                    let grp = self.groups.pop().expect("a created group");
+                    self.tables[grp.vcfd].remove(&grp.key);
+                }
+                Op::Unkeyed(g) => {
+                    let grp = &self.groups[g as usize];
+                    self.tables[grp.vcfd].insert(grp.key.clone(), g as GroupId);
+                }
+                Op::Pushed(g) => {
+                    let grp = &mut self.groups[g as usize];
+                    let t = grp.tuples.pop().expect("a pushed member");
+                    self.slots[t.index() * nv + grp.vcfd] = Slot::NONE;
+                }
+                Op::Removed { g, pos, t } => {
+                    let grp = &mut self.groups[g as usize];
+                    grp.tuples.push(t);
+                    let last = grp.tuples.len() - 1;
+                    grp.tuples.swap(pos as usize, last);
+                    let moved = grp.tuples[last];
+                    let v = grp.vcfd;
+                    self.slots[moved.index() * nv + v] = Slot {
+                        group: g,
+                        pos: last as u32,
+                    };
+                    self.slots[t.index() * nv + v] = Slot { group: g, pos };
+                }
+                Op::Nulls { g, nulls } => self.groups[g as usize].nulls = nulls,
+                Op::Bumped { g, b, count, sum } => {
+                    let grp = &mut self.groups[g as usize];
+                    grp.set_count(b, count);
+                    grp.sum_c_ln_c = sum;
+                }
+                Op::Entropy { g, entropy } => self.groups[g as usize].entropy = entropy,
+                Op::Tree { key, inserted } => {
+                    let tree = &mut self.trees[self.groups[key.id as usize].vcfd];
+                    if inserted {
+                        tree.remove(&key);
+                    } else {
+                        tree.insert(key);
+                    }
+                }
+            }
+        }
+        self.journal.ops = ops;
+        self.violating = self.journal.violating;
+        debug_assert_eq!(self.groups.len(), self.journal.groups);
+        self.slots.truncate(self.journal.slots);
+    }
+
+    /// Log `op` when a journal is open.
+    #[inline]
+    fn log(&mut self, op: impl FnOnce() -> Op) {
+        if self.journal.on {
+            self.journal.ops.push(op());
+        }
+    }
+
+    /// Groups allocated in the arena, live or emptied. A rollback returns
+    /// the arena to its length at [`Self::begin_journal`].
+    pub fn arena_len(&self) -> usize {
+        self.groups.len()
     }
 
     /// The variable CFD of slot `v` within `rules`.
@@ -335,16 +525,13 @@ impl TwoInOne {
         self.tables[v].values().copied()
     }
 
-    /// The group `t` belongs to under variable CFD `v` in `d` (the build
-    /// lineage), or `None` when `t` does not match the LHS pattern. A group
-    /// id is never reused: a group that lost its last member stays empty.
-    pub(crate) fn group_of(&self, v: usize, d: &Relation, t: TupleId) -> Option<GroupId> {
-        if !self.lhs_matches(d, v, t) {
-            return None;
-        }
-        let mut key = GroupKey::new();
-        self.project_key(d, v, t, &mut key);
-        self.tables[v].get(&key).copied()
+    /// The group `t` belongs to under variable CFD `v`, or `None` when
+    /// `t`'s LHS does not match the pattern — one read of its slot. A
+    /// group that lost its last member stays empty, and its key gets a new
+    /// id if it comes back.
+    pub(crate) fn group_of(&self, v: usize, t: TupleId) -> Option<GroupId> {
+        let slot = self.slots[t.index() * self.len() + v];
+        (slot != Slot::NONE).then_some(slot.group as GroupId)
     }
 
     /// The group's LHS key `ȳ`, resolved to values through `d`'s interner
@@ -386,11 +573,12 @@ impl TwoInOne {
 
     /// Update hook: tuple `t`'s attribute `a` changed from `old` to its
     /// current value in `d` (the store has already interned the new
-    /// value — this hook re-interns nothing). Rekeys `t` in every variable
+    /// value — this hook re-interns nothing). Refiles `t` in every variable
     /// CFD reading `a` and adjusts counts in every variable CFD writing
     /// `a`. The affected slots come from a sorted merge of the two
-    /// precomputed per-attribute lists — no per-update allocation.
-    pub fn on_update(&mut self, rules: &RuleSet, d: &Relation, t: TupleId, a: AttrId, old: &Value) {
+    /// precomputed per-attribute lists, and `t`'s old group and position
+    /// from its slot — no per-update allocation, no member scan.
+    pub fn on_update(&mut self, d: &Relation, t: TupleId, a: AttrId, old: &Value) {
         // The old value was stored in the relation before the write, so
         // its symbol exists; `None` can only mean a foreign relation.
         let old_sym = d.interner().get(old);
@@ -422,7 +610,12 @@ impl TwoInOne {
                 }
                 (None, None) => break,
             };
-            self.remove_member_with(rules, d, v, t, a, old, old_sym);
+            let b = if self.rhs[v] == a {
+                old_sym
+            } else {
+                Some(d.sym(t, self.rhs[v]))
+            };
+            self.remove_member(v, t, b, d.null_sym());
             self.insert_member(d, v, t);
         }
     }
@@ -458,6 +651,7 @@ impl TwoInOne {
             detached: false,
         });
         self.tables[v].insert(key.to_vec(), g);
+        self.log(|| Op::Created(g as u32));
         g
     }
 
@@ -466,13 +660,52 @@ impl TwoInOne {
     /// refreshed).
     fn add_member(&mut self, d: &Relation, v: usize, t: TupleId, gid: GroupId) {
         let b = d.sym(t, self.rhs[v]);
+        let g = gid as u32;
         let grp = &mut self.groups[gid as usize];
         grp.tuples.push(t);
+        let pos = (grp.tuples.len() - 1) as u32;
+        let nv = self.vcfd_rule_idx.len();
+        debug_assert_eq!(self.slots[t.index() * nv + v], Slot::NONE);
+        self.slots[t.index() * nv + v] = Slot { group: g, pos };
+        self.log(|| Op::Pushed(g));
         if b == d.null_sym() {
-            grp.nulls += 1;
+            self.set_nulls(gid, self.groups[gid as usize].nulls + 1);
         } else {
-            grp.bump(b, 1);
+            self.bump(gid, b, 1);
         }
+    }
+
+    /// [`Group::bump`], logged.
+    fn bump(&mut self, gid: GroupId, b: Symbol, delta: isize) {
+        let grp = &self.groups[gid as usize];
+        let (count, sum) = (grp.count_of(b), grp.sum_c_ln_c);
+        self.log(|| Op::Bumped {
+            g: gid as u32,
+            b,
+            count,
+            sum,
+        });
+        self.groups[gid as usize].bump(b, delta);
+    }
+
+    /// Set a group's null-member count, logged.
+    fn set_nulls(&mut self, gid: GroupId, nulls: usize) {
+        let old = self.groups[gid as usize].nulls;
+        self.log(|| Op::Nulls {
+            g: gid as u32,
+            nulls: old,
+        });
+        self.groups[gid as usize].nulls = nulls;
+    }
+
+    /// [`Group::refresh_entropy`], logged.
+    fn refresh_entropy(&mut self, gid: GroupId) {
+        let entropy = self.groups[gid as usize].entropy;
+        self.log(|| Op::Entropy {
+            g: gid as u32,
+            entropy,
+        });
+        self.groups[gid as usize].refresh_entropy();
     }
 
     /// Insert `t` into variable CFD `v`'s structure if its (current) LHS
@@ -486,85 +719,49 @@ impl TwoInOne {
         let gid = self.group_for(v, &key);
         self.detach(v, gid);
         self.add_member(d, v, t, gid);
-        self.groups[gid as usize].refresh_entropy();
+        self.refresh_entropy(gid);
         self.attach(v, gid);
     }
 
-    /// Remove `t` from the group it occupied *before* `a` changed away from
-    /// `old` (whose symbol, if interned, is `old_sym`; the store already
-    /// holds the new value's symbol).
-    #[allow(clippy::too_many_arguments)]
-    fn remove_member_with(
-        &mut self,
-        rules: &RuleSet,
-        d: &Relation,
-        v: usize,
-        t: TupleId,
-        a: AttrId,
-        old: &Value,
-        old_sym: Option<Symbol>,
-    ) {
-        let cfd = &rules.cfds()[self.vcfd_rule_idx[v]];
-        let tup = d.tuple(t);
-        // Old projection/pattern check: substitute `old` at `a`. Borrowing
-        // (not cloning) — the pattern check only reads. This is the cold
-        // per-update path; the hot scans use the compiled symbols.
-        let value_at = |attr: AttrId| -> &Value {
-            if attr == a {
-                old
-            } else {
-                tup.value(attr)
-            }
-        };
-        let matched_old = cfd
-            .lhs()
-            .iter()
-            .zip(cfd.lhs_pattern())
-            .all(|(attr, p)| p.matches(value_at(*attr)));
-        if !matched_old {
+    /// Remove `t` from the group it sits in under variable CFD `v`, if any:
+    /// `b` is the symbol of its B value before the update (`None` only for
+    /// a foreign relation's value) and `null` the store's null symbol.
+    fn remove_member(&mut self, v: usize, t: TupleId, b: Option<Symbol>, null: Symbol) {
+        let nv = self.vcfd_rule_idx.len();
+        let slot = self.slots[t.index() * nv + v];
+        if slot == Slot::NONE {
             return;
         }
-        // Key assembly from the symbol columns, substituting the old
-        // symbol at `a`. A value the interner has never seen cannot be
-        // part of any inserted key, so the group cannot exist.
-        let mut key: GroupKey = Vec::with_capacity(self.lhs[v].len());
-        for attr in &self.lhs[v] {
-            if *attr == a {
-                match old_sym {
-                    Some(s) => key.push(s),
-                    None => return,
-                }
-            } else {
-                key.push(d.sym(t, *attr));
-            }
-        }
-        let Some(&gid) = self.tables[v].get(&key) else {
-            return;
-        };
+        let gid = slot.group as GroupId;
         self.detach(v, gid);
-        let b_attr = self.rhs[v];
-        let old_bval = value_at(b_attr);
-        let old_b = if old_bval.is_null() {
-            None
-        } else if b_attr == a {
-            old_sym
-        } else {
-            Some(d.sym(t, b_attr))
-        };
         let grp = &mut self.groups[gid as usize];
-        if let Some(pos) = grp.tuples.iter().position(|x| *x == t) {
-            grp.tuples.swap_remove(pos);
-            match old_b {
-                None if old_bval.is_null() => grp.nulls = grp.nulls.saturating_sub(1),
-                Some(b) if grp.counts_value(b) => {
-                    grp.bump(b, -1);
-                    grp.refresh_entropy();
-                }
-                _ => {}
-            }
+        let pos = slot.pos as usize;
+        debug_assert_eq!(grp.tuples[pos], t, "slot out of step");
+        grp.tuples.swap_remove(pos);
+        if let Some(&moved) = grp.tuples.get(pos) {
+            self.slots[moved.index() * nv + v].pos = slot.pos;
         }
+        self.slots[t.index() * nv + v] = Slot::NONE;
+        self.log(|| Op::Removed {
+            g: slot.group,
+            pos: slot.pos,
+            t,
+        });
+        match b {
+            Some(b) if b == null => {
+                let nulls = self.groups[gid as usize].nulls.saturating_sub(1);
+                self.set_nulls(gid, nulls);
+            }
+            Some(b) if self.groups[gid as usize].counts_value(b) => {
+                self.bump(gid, b, -1);
+                self.refresh_entropy(gid);
+            }
+            _ => {}
+        }
+        let grp = &self.groups[gid as usize];
         if grp.tuples.is_empty() {
-            self.tables[v].remove(&key);
+            self.tables[v].remove(&grp.key);
+            self.log(|| Op::Unkeyed(slot.group));
         } else {
             self.attach(v, gid);
         }
@@ -575,11 +772,15 @@ impl TwoInOne {
     fn detach(&mut self, v: usize, gid: GroupId) {
         let grp = &self.groups[gid as usize];
         self.violating -= usize::from(grp.violates());
-        let e = grp.entropy;
-        if e > 0.0 {
-            self.trees[v].remove(&EntropyKey {
-                entropy: e,
-                id: gid,
+        let key = EntropyKey {
+            entropy: grp.entropy,
+            id: gid,
+        };
+        if key.entropy > 0.0 {
+            self.trees[v].remove(&key);
+            self.log(|| Op::Tree {
+                key,
+                inserted: false,
             });
         }
     }
@@ -587,11 +788,15 @@ impl TwoInOne {
     fn attach(&mut self, v: usize, gid: GroupId) {
         let grp = &self.groups[gid as usize];
         self.violating += usize::from(grp.violates());
-        let e = grp.entropy;
-        if e > 0.0 {
-            self.trees[v].insert(EntropyKey {
-                entropy: e,
-                id: gid,
+        let key = EntropyKey {
+            entropy: grp.entropy,
+            id: gid,
+        };
+        if key.entropy > 0.0 {
+            self.trees[v].insert(key);
+            self.log(|| Op::Tree {
+                key,
+                inserted: true,
             });
         }
     }
@@ -662,8 +867,66 @@ impl TwoInOne {
                     "vcfd {v} group {g}: incremental entropy {} vs oracle {oracle}",
                     grp.entropy
                 );
+                for (pos, t) in grp.tuples.iter().enumerate() {
+                    let slot = self.slots[t.index() * self.len() + v];
+                    assert_eq!(
+                        (slot.group as GroupId, slot.pos as usize),
+                        (g, pos),
+                        "vcfd {v}: slot of {t:?}"
+                    );
+                }
             }
+            let filed: usize = self.tables[v]
+                .values()
+                .map(|&g| self.groups[g as usize].tuples.len())
+                .sum();
+            let slotted = (0..d.len())
+                .filter(|&i| self.slots[i * self.len() + v] != Slot::NONE)
+                .count();
+            assert_eq!(slotted, filed, "vcfd {v}: slots vs members");
         }
+        assert_eq!(self.slots.len(), d.len() * self.len(), "one slot per cell");
+    }
+
+    /// Field-by-field equality with `other` (test helper): the arena — ids,
+    /// keys, members in order, counts, nulls, `Σ c·ln c` and entropy bits —
+    /// the table keys, the trees, the violating count and the slots.
+    #[cfg(test)]
+    pub(crate) fn assert_same(&self, other: &TwoInOne) {
+        assert_eq!(self.groups.len(), other.groups.len(), "arena length");
+        for (g, (x, y)) in self.groups.iter().zip(&other.groups).enumerate() {
+            let fields = |x: &Group| {
+                (
+                    x.vcfd,
+                    x.key.clone(),
+                    x.tuples.clone(),
+                    x.counts.clone(),
+                    x.nulls,
+                    x.sum_c_ln_c.to_bits(),
+                    x.entropy.to_bits(),
+                    x.detached,
+                )
+            };
+            assert_eq!(fields(x), fields(y), "group {g}");
+        }
+        for v in 0..self.len() {
+            let keys = |me: &TwoInOne| {
+                let mut keys: Vec<(GroupKey, GroupId)> =
+                    me.tables[v].iter().map(|(k, &g)| (k.clone(), g)).collect();
+                keys.sort();
+                keys
+            };
+            assert_eq!(keys(self), keys(other), "vcfd {v}: table keys");
+            let tree = |me: &TwoInOne| -> Vec<(u64, GroupId)> {
+                me.trees[v]
+                    .iter()
+                    .map(|k| (k.entropy.to_bits(), k.id))
+                    .collect()
+            };
+            assert_eq!(tree(self), tree(other), "vcfd {v}: tree");
+        }
+        assert_eq!(self.violating, other.violating, "violating count");
+        assert_eq!(self.slots, other.slots, "slots");
     }
 }
 
@@ -733,7 +996,7 @@ mod tests {
         let old = d.tuple(TupleId(3)).value(e).clone();
         d.tuple_mut(TupleId(3))
             .set(e, Value::str("e1"), 0.5, FixMark::Reliable);
-        t.on_update(&rules, &d, TupleId(3), e, &old);
+        t.on_update(&d, TupleId(3), e, &old);
         let below = t.groups_below(0, f64::INFINITY);
         assert_eq!(below.len(), 1, "only the H=1 group remains");
         t.assert_consistent_with_rebuild(&rules, &d);
@@ -749,7 +1012,7 @@ mod tests {
         let old = d.tuple(TupleId(6)).value(c).clone();
         d.tuple_mut(TupleId(6))
             .set(c, Value::str("c4"), 0.5, FixMark::Reliable);
-        t.on_update(&rules, &d, TupleId(6), c, &old);
+        t.on_update(&d, TupleId(6), c, &old);
         t.assert_consistent_with_rebuild(&rules, &d);
     }
 
@@ -809,7 +1072,7 @@ mod tests {
             let nv = Value::str(vals[(seed >> 16) as usize % vals.len()]);
             let old = d.tuple(tid).value(a).clone();
             d.tuple_mut(tid).set(a, nv, 0.5, FixMark::Reliable);
-            t.on_update(&rules, &d, tid, a, &old);
+            t.on_update(&d, tid, a, &old);
         }
         t.assert_consistent_with_rebuild(&rules, &d);
     }
@@ -879,7 +1142,7 @@ mod tests {
 
         let mut grown = Relation::new(s.clone(), base.clone());
         let mut batched = TwoInOne::build(&rules, &grown);
-        let k1 = batched.group_of(0, &grown, TupleId(0)).unwrap();
+        let k1 = batched.group_of(0, TupleId(0)).unwrap();
         assert!(batched.group(k1).entropy > 0.0);
         let mut stepped_d = grown.clone();
         let mut stepped = batched.clone();
@@ -891,7 +1154,7 @@ mod tests {
         batched.insert_tuples(&grown, base.len());
 
         batched.assert_consistent_with_rebuild(&rules, &grown);
-        let wide = batched.group_of(0, &grown, TupleId(3)).unwrap();
+        let wide = batched.group_of(0, TupleId(3)).unwrap();
         assert_eq!(batched.group(wide).distinct_values(), 70);
         assert_eq!(batched.group(k1).nulls, 1);
         assert_eq!(batched.groups.len(), stepped.groups.len());
@@ -911,12 +1174,90 @@ mod tests {
         let old = d.tuple(TupleId(3)).value(e).clone();
         d.tuple_mut(TupleId(3))
             .set(e, Value::str("e1"), 0.5, FixMark::Reliable);
-        a.on_update(&rules, &d, TupleId(3), e, &old);
-        b.on_update(&rules, &d, TupleId(3), e, &old);
+        a.on_update(&d, TupleId(3), e, &old);
+        b.on_update(&d, TupleId(3), e, &old);
         assert_eq!(
             a.groups_below(0, f64::INFINITY),
             b.groups_below(0, f64::INFINITY)
         );
         a.assert_consistent_with_rebuild(&rules, &d);
+    }
+
+    /// A relation's cells as (value, confidence bits, mark).
+    fn cells(d: &Relation) -> Vec<(Value, u64, FixMark)> {
+        d.iter()
+            .flat_map(|(_, t)| {
+                d.schema()
+                    .attr_ids()
+                    .map(move |a| (t.value(a).clone(), t.cf(a).to_bits(), t.mark(a)))
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random inserts and updates under the journal, then a rollback:
+        /// the structure equals a clone taken before the writes, field by
+        /// field, and the relation's cells equal theirs before the writes.
+        #[test]
+        fn rollback_restores_the_structure_exactly(
+            rows in proptest::collection::vec((0u8..3, 0u8..3, 0u8..3, 0u8..2), 1..13),
+            split in 0usize..13,
+            ops in proptest::collection::vec((0u8..4, 0u8..16, 0u8..4, 0u8..3), 1..24),
+        ) {
+            let s = Schema::of_strings("r", &["K", "A", "B", "C"]);
+            let text = "cfd f1: r([K] -> [B])\n\
+                        cfd f2: r([K, A] -> [C])\n\
+                        cfd f3: r([A=a1, C] -> [B])\n\
+                        cfd f4: r([B] -> [A])";
+            let rules = RuleSet::cfds_only(s.clone(), parse_rules(text, &s, None).unwrap().cfds);
+            let domain = |a: usize, x: u8| match (a, x) {
+                (2, 2) => Value::Null,
+                _ => Value::str(format!("{}{x}", ["k", "a", "b", "c"][a])),
+            };
+            let tuple = |r: &(u8, u8, u8, u8)| {
+                let vals = [r.0, r.1, r.2, r.3];
+                Tuple::new(
+                    (0..4)
+                        .map(|a| uniclean_model::Cell::new(domain(a, vals[a]), 0.5))
+                        .collect(),
+                )
+            };
+            let split = split.min(rows.len());
+            let mut d = Relation::new(s.clone(), rows[..split].iter().map(tuple).collect());
+            crate::pattern_syms::ensure_rule_constants(&mut d, &rules);
+            let mut two = TwoInOne::build(&rules, &d);
+            for r in &rows[split..] {
+                d.push(tuple(r));
+            }
+            let (before, before_cells) = (two.clone(), cells(&d));
+            two.begin_journal();
+            d.begin_journal();
+            let mut inserted = split;
+            for (kind, x, attr, val) in ops {
+                if kind == 0 || inserted == 0 {
+                    if inserted < d.len() {
+                        two.insert_tuples(&d, inserted);
+                        inserted = d.len();
+                    }
+                    continue;
+                }
+                let t = TupleId::from(x as usize % inserted);
+                let a = AttrId::from(attr as usize);
+                let old = d.tuple(t).value(a).clone();
+                let new = domain(attr as usize, val % if attr == 3 { 2 } else { 3 });
+                let mark = [FixMark::Reliable, FixMark::Possible][x as usize % 2];
+                d.tuple_mut(t).set(a, new, f64::from(val) / 4.0, mark);
+                two.on_update(&d, t, a, &old);
+            }
+            if inserted == d.len() {
+                two.assert_consistent_with_rebuild(&rules, &d);
+            }
+            two.rollback();
+            d.rollback();
+            two.assert_same(&before);
+            proptest::prop_assert_eq!(cells(&d), before_cells);
+        }
     }
 }

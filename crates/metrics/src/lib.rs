@@ -8,9 +8,9 @@
 //!   correctly found to all the matches between a dataset and master data."
 //! * F-measure = 2·(precision·recall)/(precision+recall).
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
-use uniclean_model::{Relation, TupleId};
+use uniclean_model::{AttrId, FixMark, Relation, TupleId};
 
 /// A precision/recall pair.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -73,6 +73,89 @@ pub fn repair_quality(dirty: &Relation, repaired: &Relation, truth: &Relation) -
     PrecisionRecall {
         precision: ratio(updated_correct, updated),
         recall: ratio(corrected, errors),
+    }
+}
+
+/// The fixed cells of one (mark, rule) tier: how many, and how many of
+/// them now hold the truth.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TierQuality {
+    /// The final mark of the tier's cells.
+    pub mark: FixMark,
+    /// The rule whose fix each cell holds last.
+    pub rule: String,
+    /// Fixed cells: their repaired value differs from the dirty one.
+    pub cells: usize,
+    /// Of those, the cells whose repaired value equals the truth.
+    pub correct: usize,
+}
+
+impl TierQuality {
+    /// `correct / cells` (1.0 for an empty tier).
+    pub fn precision(&self) -> f64 {
+        ratio(self.correct, self.cells)
+    }
+}
+
+/// [`repair_quality`] split by who fixed each cell.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RuleQuality {
+    /// One entry per (mark, rule), ordered by mark then rule.
+    pub tiers: Vec<TierQuality>,
+    /// Cells asserted in the dirty input (`cf ≥ η`) whose repaired value
+    /// differs from the dirty one.
+    pub asserted_changed: usize,
+}
+
+/// Repair precision per fix tier and rule: each fixed cell — a cell whose
+/// value differs between `dirty` and `repaired` — is attributed to its
+/// last fix, given by `fixes` as `(tuple, attribute, final mark, rule)`
+/// (one per cell, e.g. a report's final states; a cell listed twice counts
+/// under its later entry). A listed cell whose repaired value equals the
+/// dirty one is no update and is skipped, as in [`repair_quality`]. Also
+/// counts the asserted cells (`cf ≥ eta` in `dirty`) the repair changed.
+pub fn repair_quality_by_rule<'a>(
+    dirty: &Relation,
+    repaired: &Relation,
+    truth: &Relation,
+    fixes: impl IntoIterator<Item = (TupleId, AttrId, FixMark, &'a str)>,
+    eta: f64,
+) -> RuleQuality {
+    assert_eq!(dirty.len(), repaired.len(), "relations must align");
+    assert_eq!(dirty.len(), truth.len(), "relations must align");
+    let last: BTreeMap<(TupleId, AttrId), (FixMark, &str)> = fixes
+        .into_iter()
+        .map(|(t, a, mark, rule)| ((t, a), (mark, rule)))
+        .collect();
+    let mut tiers: BTreeMap<(FixMark, &str), (usize, usize)> = BTreeMap::new();
+    for (&(t, a), &tier) in &last {
+        let now = repaired.tuple(t).value(a);
+        if now == dirty.tuple(t).value(a) {
+            continue;
+        }
+        let (cells, correct) = tiers.entry(tier).or_default();
+        *cells += 1;
+        *correct += usize::from(now == truth.tuple(t).value(a));
+    }
+    let mut asserted_changed = 0;
+    for (t, row) in dirty.iter() {
+        for a in dirty.schema().attr_ids() {
+            if row.cf(a) >= eta && row.value(a) != repaired.tuple(t).value(a) {
+                asserted_changed += 1;
+            }
+        }
+    }
+    RuleQuality {
+        tiers: tiers
+            .into_iter()
+            .map(|((mark, rule), (cells, correct))| TierQuality {
+                mark,
+                rule: rule.to_string(),
+                cells,
+                correct,
+            })
+            .collect(),
+        asserted_changed,
     }
 }
 
@@ -185,5 +268,37 @@ mod tests {
         assert_eq!(q.precision, 1.0); // nothing reported, nothing wrong
         assert_eq!(q.recall, 0.0);
         assert_eq!(q.f1(), 0.0);
+    }
+
+    #[test]
+    fn quality_by_rule_attributes_each_cell_to_its_last_fix() {
+        let dirty = rel(&[["x", "bad"], ["y", "bad"], ["z", "ok"]]);
+        let truth = rel(&[["x", "good"], ["y", "good"], ["z", "ok"]]);
+        let repaired = rel(&[["x", "good"], ["y", "worse"], ["z", "ok"]]);
+        let b = AttrId(1);
+        let fixes = [
+            (TupleId(0), b, FixMark::Reliable, "r1"),
+            (TupleId(0), b, FixMark::Deterministic, "c1"),
+            (TupleId(1), b, FixMark::Possible, "h1"),
+            // Fixed back to its dirty value: no update.
+            (TupleId(2), b, FixMark::Possible, "h1"),
+        ];
+        let q = repair_quality_by_rule(&dirty, &repaired, &truth, fixes, 0.5);
+        let tier = |mark, rule: &str, cells, correct| TierQuality {
+            mark,
+            rule: rule.to_string(),
+            cells,
+            correct,
+        };
+        assert_eq!(
+            q.tiers,
+            vec![
+                tier(FixMark::Deterministic, "c1", 1, 1),
+                tier(FixMark::Possible, "h1", 1, 0),
+            ]
+        );
+        assert_eq!(q.tiers[1].precision(), 0.0);
+        // Every cell of `rel` carries cf 0.5, so both changed cells count.
+        assert_eq!(q.asserted_changed, 2);
     }
 }

@@ -42,6 +42,6 @@ pub use json::{Json, JsonError};
 pub use pos::{AttrId, TupleId};
 pub use relation::Relation;
 pub use schema::{AttrDef, Schema, ValueType};
-pub use store::{CellRef, ColumnStore, Row, TupleMut, TupleRef};
+pub use store::{CellRef, CellUndo, ColumnStore, Row, TupleMut, TupleRef};
 pub use tuple::{Cell, FixMark, Tuple};
 pub use value::Value;

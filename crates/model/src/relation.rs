@@ -13,7 +13,7 @@ use crate::error::ModelError;
 use crate::intern::{Symbol, ValueInterner};
 use crate::pos::{AttrId, TupleId};
 use crate::schema::Schema;
-use crate::store::{ColumnStore, TupleMut, TupleRef};
+use crate::store::{CellUndo, ColumnStore, TupleMut, TupleRef};
 use crate::tuple::{FixMark, Tuple};
 use crate::value::Value;
 
@@ -161,6 +161,30 @@ impl Relation {
     #[inline]
     pub fn set(&mut self, t: TupleId, a: AttrId, value: Value, cf: f64, mark: FixMark) {
         self.store.set(t.index(), a, value, cf, mark);
+    }
+
+    /// Start journaling this relation's cell writes, with an empty
+    /// journal: from here on every write (`set`, `set_cf`, `set_mark`)
+    /// records what the cell held, so [`Relation::rollback`] can undo it. A
+    /// clone does not journal.
+    pub fn begin_journal(&mut self) {
+        self.store.begin_journal();
+    }
+
+    /// The cells written since [`Relation::begin_journal`], in write order,
+    /// each with what it held before that write; empty when not
+    /// journaling.
+    pub fn journal(&self) -> &[CellUndo] {
+        self.store.journal()
+    }
+
+    /// Undo every journaled cell write, newest first, and stop journaling:
+    /// each written cell gets back the symbol, confidence and mark it held
+    /// at [`Relation::begin_journal`]. The interner keeps what the writes
+    /// interned (it is append-only), and rows are not journaled: append
+    /// none while journaling. A no-op when not journaling.
+    pub fn rollback(&mut self) {
+        self.store.rollback();
     }
 
     /// All row views in id order.

@@ -26,12 +26,50 @@
 //! [`Row`] trait abstracts over [`TupleRef`] and borrowed [`Tuple`]s so
 //! rule evaluation works uniformly on stored rows and free-standing row
 //! literals.
+//!
+//! A store can **journal** its cell writes
+//! ([`crate::Relation::begin_journal`]): every overwrite then logs the
+//! cell's previous symbol, confidence and mark, and
+//! [`crate::Relation::rollback`] restores them newest first. The interner
+//! is not rolled back — it stays append-only, so a symbol interned by an
+//! undone write keeps naming its value.
 
 use crate::error::ModelError;
 use crate::intern::{Symbol, ValueInterner};
 use crate::pos::AttrId;
 use crate::tuple::{Cell, FixMark, Tuple};
 use crate::value::Value;
+
+/// One overwritten cell of a journaled store: where, and what it held
+/// before the write.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CellUndo {
+    /// The cell's row.
+    pub row: u32,
+    /// The cell's attribute.
+    pub attr: AttrId,
+    /// The previous value's symbol.
+    pub sym: Symbol,
+    /// The previous confidence.
+    pub cf: f64,
+    /// The previous fix mark.
+    pub mark: FixMark,
+}
+
+/// The undo log of a journaling store. A clone does not journal: the log
+/// describes writes to the original, not to the copy.
+#[derive(Debug, Default)]
+struct Journal {
+    on: bool,
+    /// Empty whenever `on` is unset; keeps its capacity across journals.
+    log: Vec<CellUndo>,
+}
+
+impl Clone for Journal {
+    fn clone(&self) -> Self {
+        Journal::default()
+    }
+}
 
 /// Columnar cell storage: per-attribute symbol/confidence/mark columns
 /// plus the owning [`ValueInterner`].
@@ -48,6 +86,7 @@ pub struct ColumnStore {
     /// `mark[attr][row]` — fix-mark column.
     mark: Vec<Vec<FixMark>>,
     rows: usize,
+    journal: Journal,
 }
 
 impl ColumnStore {
@@ -62,6 +101,7 @@ impl ColumnStore {
             cf: vec![Vec::new(); arity],
             mark: vec![Vec::new(); arity],
             rows: 0,
+            journal: Journal::default(),
         }
     }
 
@@ -141,10 +181,65 @@ impl ColumnStore {
 
     /// Overwrite the cell `(row, a)`, interning the new value.
     pub fn set(&mut self, row: usize, a: AttrId, value: Value, cf: f64, mark: FixMark) {
+        self.log(row, a);
         let s = self.interner.intern(&value);
         self.syms[a.index()][row] = s;
         self.cf[a.index()][row] = cf;
         self.mark[a.index()][row] = mark;
+    }
+
+    /// Overwrite only the confidence of `(row, a)`.
+    pub(crate) fn set_cf(&mut self, row: usize, a: AttrId, cf: f64) {
+        self.log(row, a);
+        self.cf[a.index()][row] = cf;
+    }
+
+    /// Overwrite only the fix mark of `(row, a)`.
+    pub(crate) fn set_mark(&mut self, row: usize, a: AttrId, mark: FixMark) {
+        self.log(row, a);
+        self.mark[a.index()][row] = mark;
+    }
+
+    /// Journal `(row, a)` before a write, when journaling.
+    #[inline]
+    fn log(&mut self, row: usize, a: AttrId) {
+        if self.journal.on {
+            self.journal.log.push(CellUndo {
+                row: row as u32,
+                attr: a,
+                sym: self.syms[a.index()][row],
+                cf: self.cf[a.index()][row],
+                mark: self.mark[a.index()][row],
+            });
+        }
+    }
+
+    /// Start journaling cell writes, with an empty log: from here on every
+    /// write records what the cell held, until [`Self::rollback`].
+    pub(crate) fn begin_journal(&mut self) {
+        self.journal.log.clear();
+        self.journal.on = true;
+    }
+
+    /// The cells written since [`Self::begin_journal`], in write order,
+    /// each with what it held before that write; empty when not
+    /// journaling.
+    pub(crate) fn journal(&self) -> &[CellUndo] {
+        &self.journal.log
+    }
+
+    /// Undo every journaled write, newest first, and stop journaling: each
+    /// written cell gets back the symbol, confidence and mark it held at
+    /// [`Self::begin_journal`]. Rows are not journaled; the caller appends
+    /// none while journaling. A no-op when not journaling.
+    pub(crate) fn rollback(&mut self) {
+        self.journal.on = false;
+        for u in self.journal.log.drain(..).rev() {
+            let (row, a) = (u.row as usize, u.attr.index());
+            self.syms[a][row] = u.sym;
+            self.cf[a][row] = u.cf;
+            self.mark[a][row] = u.mark;
+        }
     }
 
     /// Append one row from per-attribute `(value, cf)` pairs with
@@ -379,12 +474,12 @@ impl TupleMut<'_> {
 
     /// Overwrite only the fix mark at `a` (value and confidence keep).
     pub fn set_mark(&mut self, a: AttrId, mark: FixMark) {
-        self.store.mark[a.index()][self.row] = mark;
+        self.store.set_mark(self.row, a, mark);
     }
 
     /// Overwrite only the confidence at `a`.
     pub fn set_cf(&mut self, a: AttrId, cf: f64) {
-        self.store.cf[a.index()][self.row] = cf;
+        self.store.set_cf(self.row, a, cf);
     }
 
     /// Reborrow as a read view.
@@ -547,6 +642,38 @@ mod tests {
             Err(ModelError::ConfidenceOutOfRange { .. })
         ));
         assert_eq!(s.rows(), 2, "failed pushes must not grow the store");
+    }
+
+    #[test]
+    fn rollback_restores_every_journaled_cell() {
+        let mut s = store();
+        let cells = |s: &ColumnStore| -> Vec<(Symbol, u64, FixMark)> {
+            (0..s.rows())
+                .flat_map(|r| (0..2).map(move |a| (r, AttrId(a))))
+                .map(|(r, a)| (s.sym_at(r, a), s.cf_at(r, a).to_bits(), s.mark_at(r, a)))
+                .collect()
+        };
+        let before = cells(&s);
+        s.set(0, AttrId(0), Value::str("y"), 1.0, FixMark::Reliable);
+        assert!(s.journal().is_empty(), "nothing journals before begin");
+        s.rollback();
+        assert_ne!(cells(&s), before, "a rollback without a journal is a no-op");
+
+        let mut s = store();
+        s.begin_journal();
+        s.set(0, AttrId(0), Value::str("new"), 1.0, FixMark::Reliable);
+        s.set(0, AttrId(0), Value::str("newer"), 0.5, FixMark::Possible);
+        s.set_cf(1, AttrId(1), 0.75);
+        s.set_mark(1, AttrId(0), FixMark::Deterministic);
+        assert_eq!(s.journal().len(), 4);
+        assert!(s.clone().journal().is_empty(), "a clone does not journal");
+        let newer = s.interner().get(&Value::str("newer")).unwrap();
+        s.rollback();
+        assert_eq!(cells(&s), before);
+        assert!(s.journal().is_empty());
+        assert_eq!(s.interner().resolve(newer), &Value::str("newer"));
+        s.set_cf(0, AttrId(1), 0.0);
+        assert!(s.journal().is_empty(), "rollback stops journaling");
     }
 
     #[test]

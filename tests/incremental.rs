@@ -707,3 +707,59 @@ fn a_cascade_into_a_settled_md_premise_rebases_the_witness_cache() {
         &Value::str("b2")
     );
 }
+
+/// A long-lived tenant: `begin` on 100 HOSP tuples, then 250 two-tuple
+/// deltas. Every 25 deltas the state equals a from-scratch reclean. After
+/// every delta, the 2-in-1 the next call rolls back to has grown by at
+/// most the groups this call's batch and `cRepair` cascade could create:
+/// the groups `eRepair` and `hRepair` create go with the rollback, so a
+/// tenant's 2-in-1 does not grow per delta.
+#[test]
+fn a_long_lived_tenant_rolls_back_to_its_post_crepair_state() {
+    let w = hosp_workload(&GenParams {
+        tuples: 600,
+        master_tuples: 200,
+        ..GenParams::default()
+    });
+    let schema = w.dirty.schema().clone();
+    let rows = w.dirty.to_tuples();
+    let prefix = |n: usize| Relation::new(schema.clone(), rows[..n].to_vec());
+    let uni = Cleaner::builder()
+        .rules(w.rules.clone())
+        .master(MasterSource::external(w.master.clone()))
+        .config(CleanConfig::default())
+        .build()
+        .unwrap();
+    // The arena length of the 2-in-1 the next call starts from.
+    let rolled_back = |state: &RepairState| {
+        let mut two = state.two_in_one().clone();
+        two.rollback();
+        two.arena_len()
+    };
+    let (mut state, _) = uni.begin(&prefix(100), Phase::Full);
+    let slots = state.two_in_one().len();
+    let mut arena = rolled_back(&state);
+    for (i, batch) in rows[100..].chunks(2).enumerate() {
+        let (settled, escalations) = (state.len(), state.escalations());
+        let result = uni.clean_delta(&mut state, batch).unwrap();
+        let c_fixes = result.phases[0].fixes;
+        let cascade = result.report.records()[..c_fixes]
+            .iter()
+            .filter(|r| r.tuple.index() < settled)
+            .count();
+        let now = rolled_back(&state);
+        assert!(now <= state.two_in_one().arena_len(), "delta {i}");
+        if state.escalations() == escalations {
+            assert!(
+                now <= arena + slots * (batch.len() + cascade),
+                "delta {i}: the rolled-back arena grew {arena} -> {now}"
+            );
+        }
+        arena = now;
+        if (i + 1) % 25 == 0 {
+            let reference = uni.clean(&prefix(state.len()), Phase::Full);
+            assert_matches(&uni, &reference, &state, &format!("delta {i}"));
+        }
+    }
+    assert_eq!(state.len(), 600);
+}

@@ -6,7 +6,7 @@ use uniclean::baselines::{quaid_repair, sortn_match, uniclean_matches, SortNConf
 use uniclean::datagen::{
     dblp_workload, hosp_workload, tpch_workload, GenParams, TpchScale, Workload,
 };
-use uniclean::metrics::{matching_quality, repair_quality};
+use uniclean::metrics::{matching_quality, repair_quality, repair_quality_by_rule};
 use uniclean::model::FixMark;
 use uniclean::rules::{satisfies_all, RuleSet};
 use uniclean::{CleanConfig, Cleaner, MasterSource, Phase};
@@ -101,6 +101,28 @@ fn deterministic_fixes_are_always_correct() {
             "{}: some deterministic fixes expected",
             w.name
         );
+    }
+}
+
+#[test]
+fn every_deterministic_rule_is_exact_after_a_full_clean() {
+    // Per rule, the cells a full clean leaves under a deterministic fix
+    // all hold the truth: hRepair freezes them, so §5's guarantee survives
+    // the later phases.
+    for w in all_workloads() {
+        let r = session(&w).clean(&w.dirty, Phase::Full);
+        let finals = r.report.final_states();
+        let fixes = finals.map(|f| (f.tuple, f.attr, f.mark, f.rule.as_str()));
+        let q = repair_quality_by_rule(&w.dirty, &r.repaired, &w.truth, fixes, config().eta);
+        let det = q.tiers.iter().filter(|t| t.mark == FixMark::Deterministic);
+        assert!(det.clone().count() > 0, "{}: no deterministic fix", w.name);
+        for tier in det {
+            assert_eq!(
+                tier.correct, tier.cells,
+                "{}: deterministic rule {} is right on {} of {} cells",
+                w.name, tier.rule, tier.correct, tier.cells
+            );
+        }
     }
 }
 
