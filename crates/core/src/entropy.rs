@@ -13,31 +13,47 @@
 //! when a single value remains. "When H(ϕ|Y = ȳ) is small enough, it is
 //! highly accurate to resolve the conflict by letting t\[B\] = bj for all
 //! t ∈ Δ(ȳ), where bj is the one with the highest probability."
+//!
+//! [`entropy_of_counts`] is the one entropy function: the 2-in-1's groups,
+//! its rebuild oracle and the tests all call it. Its result is a function
+//! of the multiset of counts alone, to the bit. It sums the terms over the
+//! count values in ascending order, an order that depends neither on how
+//! the values are numbered (symbol order follows the store's lineage) nor
+//! on the order the counts changed in. A uniform conflict (`k ≥ 2` equal
+//! counts) is exactly `1.0`, not a sum of `k` rounded `1/k` terms, so the
+//! test `H < δ2` at `δ2 = 1` never resolves one; any other result is
+//! clamped into `[0, 1]`.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// Entropy of a multiset given its value counts, per the paper's base-`k`
-/// definition. Zero-count entries are ignored; `k ≤ 1` yields 0.
-pub fn entropy_of_counts<I>(counts: I) -> f64
+/// definition. Zero-count entries are ignored; `k ≤ 1` yields 0. The
+/// nonzero counts are sorted ascending into `scratch`, whose capacity a
+/// caller keeps across calls so that a call allocates nothing.
+pub fn entropy_of_counts<I>(counts: I, scratch: &mut Vec<usize>) -> f64
 where
     I: IntoIterator<Item = usize>,
 {
-    let counts: Vec<usize> = counts.into_iter().filter(|&c| c > 0).collect();
-    let k = counts.len();
+    scratch.clear();
+    scratch.extend(counts.into_iter().filter(|&c| c > 0));
+    scratch.sort_unstable();
+    let k = scratch.len();
     if k <= 1 {
         return 0.0;
     }
-    let total: usize = counts.iter().sum();
-    let total_f = total as f64;
-    let ln_k = (k as f64).ln();
-    counts
+    if scratch[0] == scratch[k - 1] {
+        return 1.0;
+    }
+    let n = scratch.iter().sum::<usize>() as f64;
+    let h: f64 = scratch
         .iter()
         .map(|&c| {
-            let p = c as f64 / total_f;
-            p * (total_f / c as f64).ln() / ln_k
+            let c = c as f64;
+            c / n * (n / c).ln()
         })
-        .sum()
+        .sum();
+    (h / (k as f64).ln()).clamp(0.0, 1.0)
 }
 
 /// The majority value index and count among `counts` (ties resolved to the
@@ -218,46 +234,51 @@ mod tests {
         (a - b).abs() < 1e-9
     }
 
+    /// [`entropy_of_counts`] with a fresh scratch buffer.
+    fn h<I: IntoIterator<Item = usize>>(counts: I) -> f64 {
+        entropy_of_counts(counts, &mut Vec::new())
+    }
+
     #[test]
     fn single_value_has_zero_entropy() {
-        assert_eq!(entropy_of_counts([5]), 0.0);
-        assert_eq!(entropy_of_counts([1]), 0.0);
+        assert_eq!(h([5]), 0.0);
+        assert_eq!(h([1]), 0.0);
     }
 
     #[test]
     fn uniform_conflict_has_entropy_one() {
-        assert!(close(entropy_of_counts([3, 3]), 1.0));
-        assert!(close(entropy_of_counts([2, 2, 2, 2]), 1.0));
+        for k in 2..40 {
+            for c in 1..12 {
+                assert_eq!(h(vec![c; k]), 1.0, "{k} counts of {c}");
+            }
+        }
     }
 
     #[test]
     fn example_6_2_values() {
         // Fig. 8: Δ(ABC=(a1,b1,c1)) has E values {e1×3, e2×1} → H ≈ 0.8113.
-        let h = entropy_of_counts([3, 1]);
-        assert!(close(h, 0.8112781244591328), "got {h}");
+        let e = h([3, 1]);
+        assert!(close(e, 0.8112781244591328), "got {e}");
         // Δ(ABC=(a2,b2,c2)) has {e1×1, e2×1} → H = 1.
-        assert!(close(entropy_of_counts([1, 1]), 1.0));
+        assert_eq!(h([1, 1]), 1.0);
         // Δ(ABC=(a2,b2,c3)) has a single value → H = 0.
-        assert_eq!(entropy_of_counts([1]), 0.0);
+        assert_eq!(h([1]), 0.0);
     }
 
     #[test]
     fn skewed_conflicts_have_low_entropy() {
-        let h = entropy_of_counts([99, 1]);
-        assert!(h < 0.1, "got {h}");
+        let e = h([99, 1]);
+        assert!(e < 0.1, "got {e}");
     }
 
     #[test]
     fn zero_counts_are_ignored() {
-        assert!(close(
-            entropy_of_counts([3, 0, 1, 0]),
-            entropy_of_counts([3, 1])
-        ));
+        assert_eq!(h([3, 0, 1, 0]).to_bits(), h([3, 1]).to_bits());
     }
 
     #[test]
     fn empty_input_is_zero() {
-        assert_eq!(entropy_of_counts(std::iter::empty::<usize>()), 0.0);
+        assert_eq!(h(std::iter::empty::<usize>()), 0.0);
     }
 
     #[test]
@@ -271,17 +292,21 @@ mod tests {
         /// H ∈ [0, 1] for any counts.
         #[test]
         fn entropy_in_unit_interval(counts in proptest::collection::vec(1usize..50, 1..8)) {
-            let h = entropy_of_counts(counts);
-            prop_assert!((0.0..=1.0 + 1e-12).contains(&h), "H = {h}");
+            let e = h(counts);
+            prop_assert!((0.0..=1.0).contains(&e), "H = {e}");
         }
 
-        /// H is invariant under permutation of the counts.
+        /// H is invariant, to the bit, under permutation of the counts.
         #[test]
-        fn entropy_is_symmetric(mut counts in proptest::collection::vec(1usize..50, 2..6)) {
-            let h1 = entropy_of_counts(counts.clone());
+        fn entropy_is_symmetric(mut counts in proptest::collection::vec(1usize..50, 2..6), rot in 0usize..6) {
+            let h1 = h(counts.clone());
             counts.reverse();
-            let h2 = entropy_of_counts(counts);
-            prop_assert!((h1 - h2).abs() < 1e-9);
+            let h2 = h(counts.clone());
+            let r = rot % counts.len();
+            counts.rotate_left(r);
+            let h3 = h(counts);
+            prop_assert_eq!(h1.to_bits(), h2.to_bits());
+            prop_assert_eq!(h1.to_bits(), h3.to_bits());
         }
 
         /// Concentrating mass strictly below uniform keeps H < 1.
@@ -289,8 +314,8 @@ mod tests {
         fn non_uniform_is_below_one(base in 2usize..40, extra in 1usize..40, k in 2usize..5) {
             let mut counts = vec![base; k];
             counts[0] += extra;
-            let h = entropy_of_counts(counts);
-            prop_assert!(h < 1.0);
+            let e = h(counts);
+            prop_assert!(e < 1.0);
         }
     }
 }

@@ -38,34 +38,38 @@
 //!
 //! **Undo journal** ([`TwoInOne::begin_journal`]): while one is open,
 //! every primitive effect is logged — a member pushed or `swap_remove`d at
-//! a position, a count bumped (with the old count and `Σ c·ln c`), a null
-//! count or entropy changed (with the old value), a group created, a table
-//! key removed, a tree key inserted or removed.
-//! [`TwoInOne::rollback`] replays the log backwards, restoring the *saved*
-//! floats rather than recomputing them, and restores the violating count
-//! saved at the start. Group ids, member order, entropy bits, trees and
-//! the violating count are then exactly those at the start; a table holds
-//! the same keys, in whatever bucket order. Rolling back costs less than
-//! the writes it undoes, where a copy per call would cost the whole
-//! structure.
+//! a position, a count bumped (with the old count), a null count changed
+//! (with the old value), a group created, a table key removed, a tree key
+//! inserted or removed. [`TwoInOne::rollback`] replays the log backwards,
+//! refreshes the entropy of each group whose counts it restored, once, and
+//! restores the violating count saved at the start. The journal logs no
+//! value it could recompute: an entropy is a function of the counts, and a
+//! logged tree key is the tree entry's identity. Group ids, member order,
+//! entropy bits, trees and the violating count are then exactly those at
+//! the start; a table holds the same keys, in whatever bucket order.
+//! Rolling back costs less than the writes it undoes, where a copy per
+//! call would cost the whole structure.
 //!
 //! **Membership** is O(1): a slot per (variable CFD, tuple) holds the
 //! tuple's group and its position in the group's member list, so
 //! [`TwoInOne::on_update`] removes a tuple without re-projecting its old
 //! key or scanning the members, and `group_of` is one read.
 //!
-//! **Incremental entropy**: each group maintains `Σ c·ln c` under count
-//! deltas, and its per-value counts are a symbol-sorted vector, so a
-//! count bump is a binary search and `H` is refreshed in O(1). A cell
-//! update ([`TwoInOne::on_update`]) moves a group out of its tree,
-//! bumps, refreshes and moves it back. A batch of inserted tuples
-//! ([`TwoInOne::insert_tuples`]) takes each group it touches out of its
-//! tree once, at the first touch, bumps the counts of every member it
-//! adds without refreshing, and refreshes and re-attaches each touched
-//! group once, at the end. `Σ c·ln c` gains the same terms in the same
-//! order either way, so the entropy bits equal those of inserting the
-//! tuples one call at a time. The rebuild oracle in the tests keeps the
-//! incremental values and the trees honest.
+//! **Entropy** is a function of a group's counts alone
+//! ([`entropy_of_counts`]), cached in the group and recomputed whenever
+//! the counts may have changed: at the end of an
+//! [`TwoInOne::insert_tuples`] batch, and at each member insert and
+//! removal of a cell update. The per-value counts are a symbol-sorted
+//! vector, so a count bump is a binary search, and a refresh sorts the `k`
+//! counts into a scratch buffer the structure owns, allocating nothing. A
+//! cell update ([`TwoInOne::on_update`]) moves a group out of its tree,
+//! bumps, refreshes and moves it back. A batch of inserted tuples takes
+//! each group it touches out of its tree once, at the first touch, bumps
+//! the counts of every member it adds without refreshing, and refreshes
+//! and re-attaches each touched group once, at the end. Whatever sequence
+//! of inserts, updates and rollbacks brought a group to its counts, its
+//! entropy has the bits of a fresh build's; the rebuild oracle in the
+//! tests checks them to the bit.
 //!
 //! [`TwoInOne::build`] is an empty structure followed by
 //! [`TwoInOne::insert_tuples`] from tuple 0, so a build and a delta insert
@@ -79,16 +83,13 @@
 //! cells, the marks and the set of fixes are independent of ids; only the
 //! order of fix records within one variable-CFD pass can differ from a
 //! fresh clean's, and `FixReport::final_states` is keyed by cell.
-//! Entropies accumulated along another sequence of count deltas can differ
-//! from a fresh build's in the last bits. That too only reorders a pass; it
-//! could flip the test `H < δ2` only for an entropy within rounding of δ2.
 
 use std::collections::HashMap;
 
 use uniclean_model::{AttrId, FxHashMap, Relation, Symbol, TupleId, Value};
 use uniclean_rules::{Cfd, RuleSet};
 
-use crate::entropy::{EntropyKey, EntropyOrder};
+use crate::entropy::{entropy_of_counts, EntropyKey, EntropyOrder};
 use crate::pattern_syms::CfdPatternSyms;
 
 /// Stable identifier of a conflict set (arena index).
@@ -96,17 +97,6 @@ pub type GroupId = u64;
 
 /// A group key `ȳ`: the store's symbols for the projected LHS values.
 pub type GroupKey = Vec<Symbol>;
-
-/// `c · ln c` with the `0 ln 0 = 0` convention.
-#[inline]
-fn xlnx(c: usize) -> f64 {
-    if c <= 1 {
-        0.0 // 1·ln 1 = 0 exactly; avoids ln(0) for c = 0.
-    } else {
-        let c = c as f64;
-        c * c.ln()
-    }
-}
 
 /// One conflict set `Δ(ȳ)` for one variable CFD.
 #[derive(Clone, Debug)]
@@ -121,13 +111,12 @@ pub struct Group {
     counts: Vec<(Symbol, usize)>,
     /// Members whose B value is null (kept out of the entropy).
     pub nulls: usize,
-    /// `Σ c·ln c` over `counts`, maintained incrementally.
-    sum_c_ln_c: f64,
-    /// Cached `H(ϕ|Y=ȳ)`.
+    /// Cached `H(ϕ|Y=ȳ)`, [`entropy_of_counts`] of `counts`.
     pub entropy: f64,
-    /// Out of its tree and the violating count, with `entropy` stale,
-    /// until the [`TwoInOne::insert_tuples`] batch that touched it ends.
-    detached: bool,
+    /// `entropy` is stale until the [`TwoInOne::insert_tuples`] batch or
+    /// the [`TwoInOne::rollback`] that touched it ends; a batch also holds
+    /// the group out of its tree and the violating count until then.
+    stale: bool,
 }
 
 impl Group {
@@ -151,33 +140,6 @@ impl Group {
         self.counts.len() >= 2
     }
 
-    /// Apply a ±1 delta to one value count and to `Σ c·ln c`. The caller
-    /// refreshes the entropy ([`Self::refresh_entropy`]) once its batch of
-    /// bumps is done.
-    fn bump(&mut self, b: Symbol, delta: isize) {
-        let slot = self.counts.binary_search_by_key(&b, |&(s, _)| s);
-        let c_old = slot.map_or(0, |i| self.counts[i].1);
-        let c_new = match delta {
-            1 => c_old + 1,
-            -1 => c_old.saturating_sub(1),
-            _ => unreachable!("bump is ±1"),
-        };
-        match slot {
-            Ok(i) if c_new == 0 => {
-                self.counts.remove(i);
-            }
-            Ok(i) => self.counts[i].1 = c_new,
-            Err(i) if c_new > 0 => self.counts.insert(i, (b, c_new)),
-            Err(_) => {}
-        }
-        self.sum_c_ln_c += xlnx(c_new) - xlnx(c_old);
-        if self.counts.is_empty() {
-            // Re-anchor the accumulator so float drift cannot outlive the
-            // counts that caused it.
-            self.sum_c_ln_c = 0.0;
-        }
-    }
-
     /// Does the group count B value `b`?
     fn counts_value(&self, b: Symbol) -> bool {
         self.counts.binary_search_by_key(&b, |&(s, _)| s).is_ok()
@@ -191,7 +153,8 @@ impl Group {
     }
 
     /// Set the count of `b` to `c` (removing it at 0), keeping the counts
-    /// sorted by symbol — the inverse of a [`Self::bump`] from `c`.
+    /// sorted by symbol. The caller refreshes the entropy
+    /// ([`Self::refresh_entropy`]) once its batch of counts is set.
     fn set_count(&mut self, b: Symbol, c: usize) {
         match self.counts.binary_search_by_key(&b, |&(s, _)| s) {
             Ok(i) if c == 0 => {
@@ -203,19 +166,10 @@ impl Group {
         }
     }
 
-    /// `H = (ln n − Σc·ln c / n) / ln k`, the closed form of §6.1's
-    /// `Σ (c/n)·log_k(n/c)`, in O(1) from the maintained sums.
-    fn refresh_entropy(&mut self) {
-        // `n = |Δ(ȳ)|` minus the null members — always in sync with the
-        // membership updates, which precede every `bump`.
-        let counted = self.tuples.len() - self.nulls;
-        let k = self.counts.len();
-        self.entropy = if k <= 1 || counted == 0 {
-            0.0
-        } else {
-            let n = counted as f64;
-            ((n.ln() - self.sum_c_ln_c / n) / (k as f64).ln()).max(0.0)
-        };
+    /// Recompute the cached entropy from the counts, sorting them in
+    /// `scratch`.
+    fn refresh_entropy(&mut self, scratch: &mut Vec<usize>) {
+        self.entropy = entropy_of_counts(self.counts.iter().map(|&(_, c)| c), scratch);
     }
 }
 
@@ -248,16 +202,8 @@ enum Op {
     Removed { g: u32, pos: u32, t: TupleId },
     /// Group `g` had `nulls` null members.
     Nulls { g: u32, nulls: usize },
-    /// Group `g` counted `count` members with B value `b`, and its
-    /// `Σ c·ln c` was `sum`.
-    Bumped {
-        g: u32,
-        b: Symbol,
-        count: usize,
-        sum: f64,
-    },
-    /// Group `g`'s entropy was `entropy`.
-    Entropy { g: u32, entropy: f64 },
+    /// Group `g` counted `count` members with B value `b`.
+    Bumped { g: u32, b: Symbol, count: usize },
     /// `key` entered (`inserted`) or left its group's tree.
     Tree { key: EntropyKey, inserted: bool },
 }
@@ -306,6 +252,8 @@ pub struct TwoInOne {
     slots: Vec<Slot>,
     /// The open undo journal, if any.
     journal: Journal,
+    /// Where [`Group::refresh_entropy`] sorts a group's counts.
+    scratch: Vec<usize>,
     /// attr → variable CFDs reading it (LHS) / writing it (RHS), each list
     /// ascending (enables the allocation-free merge in `on_update`).
     attr_in_lhs: Vec<Vec<usize>>,
@@ -348,6 +296,7 @@ impl TwoInOne {
             violating: 0,
             slots: Vec::new(),
             journal: Journal::default(),
+            scratch: Vec::new(),
             attr_in_lhs,
             attr_is_rhs,
         };
@@ -389,18 +338,19 @@ impl TwoInOne {
                 }
                 self.project_key(d, v, t, &mut key);
                 let gid = self.group_for(v, &key);
-                if !self.groups[gid as usize].detached {
+                if !self.groups[gid as usize].stale {
                     self.detach(v, gid);
-                    self.groups[gid as usize].detached = true;
+                    self.groups[gid as usize].stale = true;
                     touched.push(gid);
                 }
                 self.add_member(d, v, t, gid);
             }
         }
         for gid in touched {
-            self.groups[gid as usize].detached = false;
-            self.refresh_entropy(gid);
-            let v = self.groups[gid as usize].vcfd;
+            let grp = &mut self.groups[gid as usize];
+            grp.stale = false;
+            grp.refresh_entropy(&mut self.scratch);
+            let v = grp.vcfd;
             self.attach(v, gid);
         }
     }
@@ -417,10 +367,11 @@ impl TwoInOne {
     }
 
     /// Undo every effect since [`Self::begin_journal`], newest first, and
-    /// close the journal. Saved floats are restored, not recomputed, so the
-    /// structure equals the one the journal started from: group ids,
-    /// member order, counts, entropy bits, trees, violating count, table
-    /// keys and slots. A no-op without an open journal.
+    /// close the journal. Each group whose counts were restored then has
+    /// its entropy recomputed once, so the structure equals the one the
+    /// journal started from: group ids, member order, counts, entropy
+    /// bits, trees, violating count, table keys and slots. A no-op without
+    /// an open journal.
     pub fn rollback(&mut self) {
         if !self.journal.on {
             return;
@@ -428,6 +379,7 @@ impl TwoInOne {
         self.journal.on = false;
         let nv = self.len();
         let mut ops = std::mem::take(&mut self.journal.ops);
+        let mut stale = Vec::new();
         for op in ops.drain(..).rev() {
             match op {
                 Op::Created(g) => {
@@ -458,12 +410,14 @@ impl TwoInOne {
                     self.slots[t.index() * nv + v] = Slot { group: g, pos };
                 }
                 Op::Nulls { g, nulls } => self.groups[g as usize].nulls = nulls,
-                Op::Bumped { g, b, count, sum } => {
+                Op::Bumped { g, b, count } => {
                     let grp = &mut self.groups[g as usize];
                     grp.set_count(b, count);
-                    grp.sum_c_ln_c = sum;
+                    if !grp.stale {
+                        grp.stale = true;
+                        stale.push(g);
+                    }
                 }
-                Op::Entropy { g, entropy } => self.groups[g as usize].entropy = entropy,
                 Op::Tree { key, inserted } => {
                     let tree = &mut self.trees[self.groups[key.id as usize].vcfd];
                     if inserted {
@@ -475,6 +429,13 @@ impl TwoInOne {
             }
         }
         self.journal.ops = ops;
+        for g in stale {
+            // A group created under the journal is gone with it.
+            if let Some(grp) = self.groups.get_mut(g as usize) {
+                grp.stale = false;
+                grp.refresh_entropy(&mut self.scratch);
+            }
+        }
         self.violating = self.journal.violating;
         debug_assert_eq!(self.groups.len(), self.journal.groups);
         self.slots.truncate(self.journal.slots);
@@ -646,9 +607,8 @@ impl TwoInOne {
             tuples: Vec::new(),
             counts: Vec::new(),
             nulls: 0,
-            sum_c_ln_c: 0.0,
             entropy: 0.0,
-            detached: false,
+            stale: false,
         });
         self.tables[v].insert(key.to_vec(), g);
         self.log(|| Op::Created(g as u32));
@@ -675,17 +635,18 @@ impl TwoInOne {
         }
     }
 
-    /// [`Group::bump`], logged.
+    /// Apply a ±1 delta to group `gid`'s count of B value `b`, logged.
+    /// The caller refreshes the entropy ([`Group::refresh_entropy`]) once
+    /// its batch of bumps is done.
     fn bump(&mut self, gid: GroupId, b: Symbol, delta: isize) {
-        let grp = &self.groups[gid as usize];
-        let (count, sum) = (grp.count_of(b), grp.sum_c_ln_c);
+        let grp = &mut self.groups[gid as usize];
+        let count = grp.count_of(b);
+        grp.set_count(b, count.saturating_add_signed(delta));
         self.log(|| Op::Bumped {
             g: gid as u32,
             b,
             count,
-            sum,
         });
-        self.groups[gid as usize].bump(b, delta);
     }
 
     /// Set a group's null-member count, logged.
@@ -696,16 +657,6 @@ impl TwoInOne {
             nulls: old,
         });
         self.groups[gid as usize].nulls = nulls;
-    }
-
-    /// [`Group::refresh_entropy`], logged.
-    fn refresh_entropy(&mut self, gid: GroupId) {
-        let entropy = self.groups[gid as usize].entropy;
-        self.log(|| Op::Entropy {
-            g: gid as u32,
-            entropy,
-        });
-        self.groups[gid as usize].refresh_entropy();
     }
 
     /// Insert `t` into variable CFD `v`'s structure if its (current) LHS
@@ -719,7 +670,7 @@ impl TwoInOne {
         let gid = self.group_for(v, &key);
         self.detach(v, gid);
         self.add_member(d, v, t, gid);
-        self.refresh_entropy(gid);
+        self.groups[gid as usize].refresh_entropy(&mut self.scratch);
         self.attach(v, gid);
     }
 
@@ -754,7 +705,7 @@ impl TwoInOne {
             }
             Some(b) if self.groups[gid as usize].counts_value(b) => {
                 self.bump(gid, b, -1);
-                self.refresh_entropy(gid);
+                self.groups[gid as usize].refresh_entropy(&mut self.scratch);
             }
             _ => {}
         }
@@ -803,12 +754,11 @@ impl TwoInOne {
 
     /// Exhaustive consistency check against a fresh rebuild (test helper).
     /// Keys and counts are compared in resolved-value form, each group's
-    /// incremental entropy is checked against the from-scratch formula,
+    /// cached entropy bits against [`entropy_of_counts`] of its counts,
     /// and each tree and the violating count against the groups they
     /// index.
     #[cfg(test)]
     pub(crate) fn assert_consistent_with_rebuild(&self, rules: &RuleSet, d: &Relation) {
-        use crate::entropy::entropy_of_counts;
         type GroupSummary = HashMap<Vec<Value>, (usize, Vec<(Value, usize)>)>;
         let summarize = |me: &TwoInOne, v: usize| -> GroupSummary {
             me.tables[v]
@@ -855,16 +805,17 @@ impl TwoInOne {
             );
             for &g in self.tables[v].values() {
                 let grp = &self.groups[g as usize];
-                assert!(!grp.detached, "vcfd {v} group {g} left detached");
+                assert!(!grp.stale, "vcfd {v} group {g} left stale");
                 assert!(
                     grp.counts.windows(2).all(|w| w[0].0 < w[1].0)
                         && grp.counts.iter().all(|&(_, c)| c > 0),
                     "vcfd {v} group {g}: counts not sorted and positive"
                 );
-                let oracle = entropy_of_counts(grp.counts.iter().map(|&(_, c)| c));
-                assert!(
-                    (grp.entropy - oracle).abs() < 1e-9,
-                    "vcfd {v} group {g}: incremental entropy {} vs oracle {oracle}",
+                let oracle = entropy_of_counts(grp.counts.iter().map(|&(_, c)| c), &mut Vec::new());
+                assert_eq!(
+                    grp.entropy.to_bits(),
+                    oracle.to_bits(),
+                    "vcfd {v} group {g}: cached entropy {} vs oracle {oracle}",
                     grp.entropy
                 );
                 for (pos, t) in grp.tuples.iter().enumerate() {
@@ -889,7 +840,7 @@ impl TwoInOne {
     }
 
     /// Field-by-field equality with `other` (test helper): the arena — ids,
-    /// keys, members in order, counts, nulls, `Σ c·ln c` and entropy bits —
+    /// keys, members in order, counts, nulls and entropy bits —
     /// the table keys, the trees, the violating count and the slots.
     #[cfg(test)]
     pub(crate) fn assert_same(&self, other: &TwoInOne) {
@@ -902,9 +853,8 @@ impl TwoInOne {
                     x.tuples.clone(),
                     x.counts.clone(),
                     x.nulls,
-                    x.sum_c_ln_c.to_bits(),
                     x.entropy.to_bits(),
-                    x.detached,
+                    x.stale,
                 )
             };
             assert_eq!(fields(x), fields(y), "group {g}");

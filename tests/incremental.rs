@@ -9,13 +9,15 @@
 mod common;
 use common::{assert_identical, assert_state_verdicts};
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use uniclean::core::two_in_one::{GroupId, TwoInOne};
 use uniclean::core::{
     CleanConfig, CleanError, CleanResult, Cleaner, FixReport, MasterSource, Phase, RepairState,
 };
-use uniclean::datagen::{hosp_workload, GenParams};
+use uniclean::datagen::{dblp_workload, hosp_workload, GenParams};
 use uniclean::model::{repair_cost, AttrId, FixMark, Relation, Schema, Tuple, TupleId, Value};
 use uniclean::rules::{parse_rules, RuleSet};
 
@@ -713,7 +715,9 @@ fn a_cascade_into_a_settled_md_premise_rebases_the_witness_cache() {
 /// every delta, the 2-in-1 the next call rolls back to has grown by at
 /// most the groups this call's batch and `cRepair` cascade could create:
 /// the groups `eRepair` and `hRepair` create go with the rollback, so a
-/// tenant's 2-in-1 does not grow per delta.
+/// tenant's 2-in-1 does not grow per delta. It runs at the default δ2 and
+/// at δ2 = 1, where only a uniform conflict (`H = 1` exactly) is left
+/// unresolved.
 #[test]
 fn a_long_lived_tenant_rolls_back_to_its_post_crepair_state() {
     let w = hosp_workload(&GenParams {
@@ -724,42 +728,118 @@ fn a_long_lived_tenant_rolls_back_to_its_post_crepair_state() {
     let schema = w.dirty.schema().clone();
     let rows = w.dirty.to_tuples();
     let prefix = |n: usize| Relation::new(schema.clone(), rows[..n].to_vec());
-    let uni = Cleaner::builder()
-        .rules(w.rules.clone())
-        .master(MasterSource::external(w.master.clone()))
-        .config(CleanConfig::default())
-        .build()
-        .unwrap();
     // The arena length of the 2-in-1 the next call starts from.
     let rolled_back = |state: &RepairState| {
         let mut two = state.two_in_one().clone();
         two.rollback();
         two.arena_len()
     };
-    let (mut state, _) = uni.begin(&prefix(100), Phase::Full);
-    let slots = state.two_in_one().len();
-    let mut arena = rolled_back(&state);
-    for (i, batch) in rows[100..].chunks(2).enumerate() {
-        let (settled, escalations) = (state.len(), state.escalations());
-        let result = uni.clean_delta(&mut state, batch).unwrap();
-        let c_fixes = result.phases[0].fixes;
-        let cascade = result.report.records()[..c_fixes]
-            .iter()
-            .filter(|r| r.tuple.index() < settled)
-            .count();
-        let now = rolled_back(&state);
-        assert!(now <= state.two_in_one().arena_len(), "delta {i}");
-        if state.escalations() == escalations {
-            assert!(
-                now <= arena + slots * (batch.len() + cascade),
-                "delta {i}: the rolled-back arena grew {arena} -> {now}"
-            );
+    for delta_entropy in [0.8, 1.0] {
+        let uni = Cleaner::builder()
+            .rules(w.rules.clone())
+            .master(MasterSource::external(w.master.clone()))
+            .config(CleanConfig {
+                delta_entropy,
+                ..CleanConfig::default()
+            })
+            .build()
+            .unwrap();
+        let (mut state, _) = uni.begin(&prefix(100), Phase::Full);
+        let slots = state.two_in_one().len();
+        let mut arena = rolled_back(&state);
+        for (i, batch) in rows[100..].chunks(2).enumerate() {
+            let label = format!("δ2={delta_entropy} delta {i}");
+            let (settled, escalations) = (state.len(), state.escalations());
+            let result = uni.clean_delta(&mut state, batch).unwrap();
+            let c_fixes = result.phases[0].fixes;
+            let cascade = result.report.records()[..c_fixes]
+                .iter()
+                .filter(|r| r.tuple.index() < settled)
+                .count();
+            let now = rolled_back(&state);
+            assert!(now <= state.two_in_one().arena_len(), "{label}");
+            if state.escalations() == escalations {
+                assert!(
+                    now <= arena + slots * (batch.len() + cascade),
+                    "{label}: the rolled-back arena grew {arena} -> {now}"
+                );
+            }
+            arena = now;
+            if (i + 1) % 25 == 0 {
+                let reference = uni.clean(&prefix(state.len()), Phase::Full);
+                assert_matches(&uni, &reference, &state, &label);
+            }
         }
-        arena = now;
-        if (i + 1) % 25 == 0 {
-            let reference = uni.clean(&prefix(state.len()), Phase::Full);
-            assert_matches(&uni, &reference, &state, &format!("delta {i}"));
-        }
+        assert_eq!(state.len(), 600);
     }
-    assert_eq!(state.len(), 600);
+}
+
+/// An updated 2-in-1 equals a fresh build bit for bit. After 5 000
+/// pseudo-random cell writes through `on_update`, every live group has the
+/// entropy bits of the fresh build's group with the same variable CFD and
+/// key: a group's entropy is a function of its counts alone, so the order
+/// in which the counts changed cannot show in its bits.
+#[test]
+fn an_updated_two_in_one_has_the_entropy_bits_of_a_fresh_build() {
+    let params = GenParams {
+        tuples: 1_000,
+        master_tuples: 300,
+        ..GenParams::default()
+    };
+    for (name, w) in [
+        ("hosp", hosp_workload(&params)),
+        ("dblp", dblp_workload(&params)),
+    ] {
+        let mut d = w.dirty.clone();
+        let mut two = TwoInOne::build(&w.rules, &d);
+        let attrs: Vec<AttrId> = d.schema().attr_ids().collect();
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed as usize
+        };
+        for _ in 0..5_000 {
+            let t = TupleId::from(next() % d.len());
+            let a = attrs[next() % attrs.len()];
+            // A value another tuple holds in the same column, so the write
+            // interns no new symbol and the build's compiled patterns stay
+            // valid.
+            let new = d.tuple(TupleId::from(next() % d.len())).value(a).clone();
+            let old = d.tuple(t).value(a).clone();
+            d.tuple_mut(t).set(a, new, 0.5, FixMark::Reliable);
+            two.on_update(&d, t, a, &old);
+        }
+        let fresh = TwoInOne::build(&w.rules, &d);
+        let entropies = |two: &TwoInOne| -> HashMap<(usize, Vec<Value>), u64> {
+            (0..two.arena_len() as GroupId)
+                .filter(|&g| !two.group(g).tuples.is_empty())
+                .map(|g| {
+                    let grp = two.group(g);
+                    ((grp.vcfd, two.group_key(&d, g)), grp.entropy.to_bits())
+                })
+                .collect()
+        };
+        let (updated, rebuilt) = (entropies(&two), entropies(&fresh));
+        assert_eq!(updated.len(), rebuilt.len(), "{name}: live groups");
+        let differing: Vec<_> = updated
+            .iter()
+            .filter(|&(key, bits)| rebuilt.get(key) != Some(bits))
+            .map(|(key, &bits)| {
+                (
+                    key,
+                    f64::from_bits(bits),
+                    rebuilt.get(key).map(|&b| f64::from_bits(b)),
+                )
+            })
+            .collect();
+        assert!(
+            differing.is_empty(),
+            "{name}: {} of {} groups differ from a fresh build, e.g. {:?}",
+            differing.len(),
+            updated.len(),
+            differing.first()
+        );
+    }
 }
